@@ -20,13 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (
-    Checkpoint,
-    assign_parameters,
-    load_checkpoint,
-    optimizer_state,
-    save_checkpoint,
-)
+from .checkpoint import assign_parameters, load_checkpoint, optimizer_state, save_checkpoint
 from .config import (
     ResolvedConfig,
     config_from_json_dict,
@@ -69,8 +63,8 @@ from .ot.marginals import uniform_weights
 from .protolearn import (
     PrototypeBank,
     TrainConfig,
-    train_supervised,
-    train_unsupervised,
+    subsample_points,
+    train_prototypes,
     transport_objective,
 )
 from .summarynet import SetBatch, SummaryNet, SummaryNetConfig
@@ -101,9 +95,6 @@ EXIT_VERSION_MISMATCH = 5
 EXIT_NUMERIC = 6
 
 GRADCHECK_THRESHOLD = 1e-4
-
-INPUT_DIMS = {"mog": 2, "digitsum": 10, "pointset": 3}
-
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
@@ -160,7 +151,7 @@ def _write_metrics(path: Path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# builders shared by train and eval
+# the task table: what each verb does for each task
 
 
 def _sinkhorn_config(cfg: ResolvedConfig) -> SinkhornConfig:
@@ -173,203 +164,441 @@ def _sinkhorn_config(cfg: ResolvedConfig) -> SinkhornConfig:
     )
 
 
-def _train_config(cfg: ResolvedConfig, metric=None, lambda_ot="config") -> TrainConfig:
-    return TrainConfig(
-        steps=cfg["train.steps"],
-        lr=cfg["optim.lr"],
-        lr_final=cfg["optim.lr_final"],
-        optimizer=cfg["optim.kind"],
-        batch_sets=cfg["train.batch_sets"],
-        batch_points=cfg["train.batch_points"],
-        metric=cfg["train.metric"] if metric is None else metric,
-        lambda_ot=cfg["train.lambda_ot"] if lambda_ot == "config" else lambda_ot,
-        sinkhorn=_sinkhorn_config(cfg),
-        seed=cfg["seed"],
-        log_every=cfg["train.log_every"],
-    )
+def _bank(sets, dim: int, k: int, rng) -> PrototypeBank:
+    """Columns sampled from the first sets' points.
 
-
-def _summary_config(cfg: ResolvedConfig, input_dim: int, output_dim) -> SummaryNetConfig:
-    predict = cfg["model.predict_hidden"] or None
-    return SummaryNetConfig(
-        input_dim=input_dim,
-        n_prototypes=cfg["model.k"],
-        encoder_widths=cfg["model.encoder_widths"],
-        activation=cfg["model.activation"],
-        pooling=cfg["model.pooling"],
-        head_hidden=cfg["model.head_hidden"],
-        output_dim=output_dim,
-        predict_hidden=predict,
-    )
-
-
-def _mog_spec(cfg: ResolvedConfig) -> MoGTaskSpec:
-    return MoGTaskSpec(
-        components=cfg["mog.components"],
-        n_min=cfg["mog.n_min"],
-        n_max=cfg["mog.n_max"],
-        mean_low=cfg["mog.mean_low"],
-        mean_high=cfg["mog.mean_high"],
-        sigma=cfg["mog.sigma"],
-    )
-
-
-def _digit_spec(cfg: ResolvedConfig, train_count=None, test_count=None) -> DigitSumSpec:
-    return DigitSumSpec(
-        max_train_size=cfg["digitsum.max_train_size"],
-        test_sizes=cfg["digitsum.test_sizes"],
-        noise_sigma=cfg["digitsum.noise_sigma"],
-        train_count=train_count if train_count is not None else cfg["count"],
-        test_count_per_size=test_count if test_count is not None else 200,
-    )
-
-
-def _pointset_spec(cfg: ResolvedConfig, count_per_class=None) -> PointSetClassSpec:
-    return PointSetClassSpec(
-        n_points=cfg["pointset.n_points"],
-        noise_sigma=cfg["pointset.noise_sigma"],
-        count_per_class=(
-            count_per_class if count_per_class is not None else cfg["pointset.count_per_class"]
-        ),
-        rotate=cfg["pointset.rotate"],
-    )
-
-
-def _fewshot_config(cfg: ResolvedConfig) -> FewShotConfig:
-    episode = EpisodeSpec(
-        n_way=cfg["fewshot.n_way"],
-        k_shot=cfg["fewshot.k_shot"],
-        q_queries=cfg["fewshot.q_queries"],
-        dim=cfg["fewshot.dim"],
-    )
-    return FewShotConfig(
-        episode=episode,
-        encoder_widths=cfg["fewshot.encoder_widths"],
-        g_hidden=cfg["fewshot.g_hidden"] or None,
-        bank_size=cfg["fewshot.bank"],
-        lambda_ot=cfg["train.lambda_ot"],
-        activation=cfg["fewshot.activation"],
-        metric=cfg["fewshot.metric"],
-        sinkhorn=_sinkhorn_config(cfg),
-        episodes=cfg["fewshot.episodes"],
-        lr=cfg["optim.lr"],
-        lr_final=cfg["optim.lr_final"],
-        optimizer=cfg["optim.kind"],
-        mean_low=cfg["fewshot.mean_low"],
-        mean_high=cfg["fewshot.mean_high"],
-        sigma=cfg["fewshot.sigma"],
-        n_base_classes=cfg["fewshot.n_base"],
-        n_novel_classes=cfg["fewshot.n_novel"],
-        class_seed=cfg["fewshot.class_seed"],
-        seed=cfg["seed"],
-        log_every=cfg["train.log_every"],
-    )
-
-
-def _family_spec(cfg: ResolvedConfig) -> TaskFamilySpec:
-    return TaskFamilySpec(
-        family=cfg["metagan.family"],
-        n_points=cfg["metagan.n_points"] or None,
-        n_sets=cfg["count"],
-    )
-
-
-def _gan_config(cfg: ResolvedConfig) -> GanConfig:
-    ot = None
-    if cfg["metagan.use_ot"]:
-        ot = TrainConfig(
-            lr=cfg["optim.lr"],
-            optimizer=cfg["optim.kind"],
-            batch_points=cfg["train.batch_points"],
-            metric=cfg["metagan.metric"],
-            sinkhorn=_sinkhorn_config(cfg),
-        )
-    return GanConfig(
-        noise_dim=cfg["metagan.noise_dim"],
-        eta_critic=cfg["metagan.eta_critic"],
-        generator_widths=cfg["metagan.generator_widths"],
-        critic_widths=cfg["metagan.critic_widths"],
-        conditioning=cfg["metagan.conditioning"],
-        batch=cfg["metagan.batch"],
-        iterations=cfg["metagan.iterations"],
-        lr_generator=cfg["metagan.lr_generator"],
-        lr_critic=cfg["metagan.lr_critic"],
-        non_saturating=cfg["metagan.non_saturating"],
-        mse_weight=cfg["metagan.mse_weight"],
-        ot=ot,
-        seed=cfg["seed"],
-        log_every=cfg["train.log_every"],
-    )
-
-
-def _gan_summary(cfg: ResolvedConfig, dim: int, rng) -> SummaryNet:
-    summary_cfg = SummaryNetConfig(
-        input_dim=dim,
-        n_prototypes=cfg["metagan.k"],
-        encoder_widths=cfg["metagan.summary_widths"],
-    )
-    return SummaryNet(summary_cfg, rng)
-
-
-def _zero_bank(dim: int, k: int, space: str) -> PrototypeBank:
-    # shape-only shell; eval overwrites the columns from the checkpoint
-    return PrototypeBank(Value(np.zeros((dim, k)), requires_grad=True), space)
-
-
-def _data_bank(sets, k: int, rng) -> PrototypeBank:
+    With ``sets`` None the bank is a zero shell of the right shape, for eval to
+    load a checkpoint into.
+    """
+    if sets is None:
+        return PrototypeBank(Value(np.zeros((dim, k)), requires_grad=True))
     pool = np.vstack([batch.points for batch in sets[: min(len(sets), 64)]])
     return PrototypeBank.from_points(pool, k, rng, space="data-space")
 
 
-def _load_sets(path):
-    _, sets, truths = load_corpus(path)
-    return sets, truths
+class Task:
+    """One experiment: its config, gen, build, train, evaluate and gradcheck.
+
+    ``build`` returns (net, bank, checkpoint names of their parameters) for
+    train and for eval; eval passes no sets and loads the checkpoint into them.
+    Library functions are looked up in this module when a method runs, so a
+    wrapper set on ``protoset.cli`` (perfbench's tracer) sees every call.
+    """
+
+    name: str
+    columns = ("step", "transport_loss", "task_loss")
+
+    def training_sets(self, cfg: ResolvedConfig):
+        if cfg["corpus"]:
+            _, sets, _ = load_corpus(cfg["corpus"])
+            if not sets:
+                raise ConfigError(f"corpus {cfg['corpus']!r} holds no sets")
+            return sets
+        return self.gen(cfg, cfg["count"], cfg["seed"])[0]
 
 
-def _encoder_task(task: str, cfg: ResolvedConfig):
-    """(input_dim, output_dim, loss_fn) for the three encoder tasks."""
-    if task == "mog":
-        return 2, head_width(cfg["mog.components"]), mog_task_loss
-    if task == "digitsum":
-        return 10, 1, digit_sum_loss
-    if task == "pointset":
-        return 3, len(POINTSET_CLASSES), xent_loss
-    raise ConfigError(f"no encoder task named {task!r}")
+class EncoderTask(Task):
+    """A SummaryNet and a data-space bank trained by ``train_prototypes``."""
+
+    input_dim: int
+    gradcheck_label = None
+
+    def build(self, cfg: ResolvedConfig, sets):
+        supervised = cfg["train.mode"] == "supervised"
+        summary_cfg = SummaryNetConfig(
+            input_dim=self.input_dim,
+            n_prototypes=cfg["model.k"],
+            encoder_widths=cfg["model.encoder_widths"],
+            activation=cfg["model.activation"],
+            pooling=cfg["model.pooling"],
+            head_hidden=cfg["model.head_hidden"],
+            output_dim=self.output_dim(cfg) if supervised else None,
+            predict_hidden=cfg["model.predict_hidden"] or None,
+        )
+        net = SummaryNet(summary_cfg, np.random.default_rng(cfg["seed"]))
+        bank = _bank(sets, self.input_dim, cfg["model.k"], np.random.default_rng(cfg["seed"] + 1))
+        named = net.named_parameters()
+        named["bank"] = bank.matrix
+        return net, bank, named
+
+    def train(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank, sets):
+        train_cfg = TrainConfig(
+            steps=cfg["train.steps"],
+            lr=cfg["optim.lr"],
+            lr_final=cfg["optim.lr_final"],
+            optimizer=cfg["optim.kind"],
+            batch_sets=cfg["train.batch_sets"],
+            batch_points=cfg["train.batch_points"],
+            metric=cfg["train.metric"],
+            lambda_ot=cfg["train.lambda_ot"],
+            sinkhorn=_sinkhorn_config(cfg),
+            seed=cfg["seed"],
+            log_every=cfg["train.log_every"],
+        )
+        loss_fn = self.task_loss() if cfg["train.mode"] == "supervised" else None
+        trace = train_prototypes(sets, net, bank, train_cfg, loss_fn)
+        return list(zip(trace.steps, trace.ot_losses, trace.task_losses)), trace.optimizers
+
+    def eval_corpus(self, cfg: ResolvedConfig):
+        return load_corpus(cfg["corpus"])[1] if cfg["corpus"] else self.eval_sets(cfg)
+
+    def evaluate(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank) -> dict:
+        if cfg["train.mode"] == "supervised":
+            return self.score(cfg, net)
+        # the training objective, on eval sets subsampled as in training
+        sets = self.eval_corpus(cfg)
+        rng = np.random.default_rng(cfg["eval.seed"])
+        sk = _sinkhorn_config(cfg)
+        total = 0.0
+        with no_grad():
+            for batch in sets:
+                points = subsample_points(batch.points, cfg["train.batch_points"], rng)
+                weights = net.summarize(points)
+                loss = transport_objective(points, weights, bank, cfg["train.metric"], sk)
+                total += loss.item()
+        return {"mean_transport_loss": total / len(sets)}
+
+    def gradcheck(self, seed: int):
+        rng = np.random.default_rng(seed)
+        # compact stand-in instance; widths kept small so checks stay quick
+        net = SummaryNet(
+            SummaryNetConfig(
+                input_dim=self.input_dim,
+                n_prototypes=4,
+                encoder_widths=(10, 8),
+                activation="tanh",
+                head_hidden=(6,),
+                output_dim=self.output_dim(resolve_config()),
+                predict_hidden=(6,),
+            ),
+            rng,
+        )
+        points = rng.normal(size=(9, self.input_dim))
+        batch = SetBatch(points, set_id=0, label=self.gradcheck_label)
+        bank = PrototypeBank.from_points(rng.normal(size=(12, self.input_dim)), 4, rng)
+        sk = SinkhornConfig(unroll_iters=10)
+        loss_fn = self.task_loss()
+
+        def combined() -> Value:
+            weights, pred = net.summarize_with_prediction(batch.points)
+            return loss_fn(pred, batch) + 0.5 * transport_objective(
+                batch.points, weights, bank, "euclidean", sk
+            )
+
+        return [(f"{self.name}-combined", combined, net.parameters() + [bank.matrix])]
 
 
-def _gen_sets(task: str, cfg: ResolvedConfig, count: int, seed: int):
-    """In-process corpus: (sets, truth dicts or None)."""
-    if task == "mog":
-        pairs = gen_mog_corpus(_mog_spec(cfg), count, seed)
+class MogTask(EncoderTask):
+    name = "mog"
+    input_dim = 2
+
+    def spec(self, cfg: ResolvedConfig) -> MoGTaskSpec:
+        return MoGTaskSpec(
+            components=cfg["mog.components"],
+            n_min=cfg["mog.n_min"],
+            n_max=cfg["mog.n_max"],
+            mean_low=cfg["mog.mean_low"],
+            mean_high=cfg["mog.mean_high"],
+            sigma=cfg["mog.sigma"],
+        )
+
+    def output_dim(self, cfg: ResolvedConfig) -> int:
+        return head_width(cfg["mog.components"])
+
+    def task_loss(self):
+        return mog_task_loss
+
+    def gen(self, cfg: ResolvedConfig, count: int, seed: int):
+        pairs = gen_mog_corpus(self.spec(cfg), count, seed)
         return [s for s, _ in pairs], [p.to_dict() for _, p in pairs]
-    if task == "digitsum":
+
+    def eval_sets(self, cfg: ResolvedConfig):
+        return self.gen(cfg, cfg["eval.count"] or 500, cfg["eval.seed"])[0]
+
+    def score(self, cfg: ResolvedConfig, net: SummaryNet) -> dict:
+        pairs = [(batch, None) for batch in self.eval_corpus(cfg)]
+        cap = cfg["mog.encode_cap"] or None
+        metrics = {"mean_loglik": eval_mog_loglik(net, pairs, cap, seed=cfg["eval.seed"])}
+        if not cfg["corpus"]:  # the generating parameters are known
+            n = cfg["eval.count"] or 500
+            metrics["oracle_mean_loglik"] = oracle_mean_loglik(self.spec(cfg), n, cfg["eval.seed"])
+        return metrics
+
+
+class DigitSumTask(EncoderTask):
+    name = "digitsum"
+    input_dim = 10
+    gradcheck_label = 12
+
+    def spec(self, cfg: ResolvedConfig, **fields) -> DigitSumSpec:
+        base = dict(
+            max_train_size=cfg["digitsum.max_train_size"],
+            test_sizes=cfg["digitsum.test_sizes"],
+            noise_sigma=cfg["digitsum.noise_sigma"],
+            train_count=cfg["count"],
+        )
+        return DigitSumSpec(**{**base, **fields})
+
+    def output_dim(self, cfg: ResolvedConfig) -> int:
+        return 1
+
+    def task_loss(self):
+        return digit_sum_loss
+
+    def gen(self, cfg: ResolvedConfig, count: int, seed: int):
         size = cfg["digitsum.size"]
         if size:
-            spec = DigitSumSpec(
-                max_train_size=cfg["digitsum.max_train_size"],
-                test_sizes=(size,),
-                noise_sigma=cfg["digitsum.noise_sigma"],
-                test_count_per_size=count,
-            )
+            spec = self.spec(cfg, test_sizes=(size,), test_count_per_size=count)
             return gen_digit_test_corpora(spec, seed)[size], None
-        return gen_digit_corpus(_digit_spec(cfg, train_count=count), seed), None
-    if task == "pointset":
-        sets = gen_pointset_corpus(_pointset_spec(cfg), seed)
-        return sets, None
-    if task == "metagan":
-        pairs = gen_task_corpus(_family_spec(cfg), count=count, seed=seed)
+        return gen_digit_corpus(self.spec(cfg, train_count=count), seed), None
+
+    def _test_corpora(self, cfg: ResolvedConfig) -> dict:
+        spec = self.spec(cfg, test_count_per_size=cfg["eval.count"] or 200)
+        return gen_digit_test_corpora(spec, cfg["eval.seed"])
+
+    def eval_sets(self, cfg: ResolvedConfig):
+        return [batch for sets in self._test_corpora(cfg).values() for batch in sets]
+
+    def score(self, cfg: ResolvedConfig, net: SummaryNet) -> dict:
+        def accuracy(sets) -> float:
+            hits = 0.0
+            with no_grad():
+                for batch in sets:
+                    _, pred = net.summarize_with_prediction(batch.points)
+                    hits += digit_sum_accuracy(float(pred.data.reshape(())), batch.label)
+            return hits / len(sets)
+
+        if cfg["corpus"]:
+            return {"accuracy": accuracy(load_corpus(cfg["corpus"])[1])}
+        by_size = {str(size): accuracy(sets) for size, sets in self._test_corpora(cfg).items()}
+        return {"accuracy_by_size": by_size, "mean_accuracy": sum(by_size.values()) / len(by_size)}
+
+
+class PointSetTask(EncoderTask):
+    name = "pointset"
+    input_dim = 3
+    gradcheck_label = 3
+
+    def spec(self, cfg: ResolvedConfig, **fields) -> PointSetClassSpec:
+        base = dict(
+            n_points=cfg["pointset.n_points"],
+            noise_sigma=cfg["pointset.noise_sigma"],
+            count_per_class=cfg["pointset.count_per_class"],
+            rotate=cfg["pointset.rotate"],
+        )
+        return PointSetClassSpec(**{**base, **fields})
+
+    def output_dim(self, cfg: ResolvedConfig) -> int:
+        return len(POINTSET_CLASSES)
+
+    def task_loss(self):
+        return xent_loss
+
+    def gen(self, cfg: ResolvedConfig, count: int, seed: int):
+        return gen_pointset_corpus(self.spec(cfg), seed), None
+
+    def eval_sets(self, cfg: ResolvedConfig):
+        spec = self.spec(cfg, count_per_class=cfg["eval.count"] or 20)
+        return gen_pointset_corpus(spec, cfg["eval.seed"])
+
+    def score(self, cfg: ResolvedConfig, net: SummaryNet) -> dict:
+        sets = self.eval_corpus(cfg)
+        hits = 0
+        with no_grad():
+            for batch in sets:
+                _, pred = net.summarize_with_prediction(batch.points)
+                hits += int(int(np.argmax(pred.data)) == int(batch.label))
+        return {"accuracy": hits / len(sets)}
+
+
+class FewShotTask(Task):
+    """Episodes are drawn from the seed, so there is no corpus to write or read."""
+
+    name = "fewshot"
+
+    def gen(self, cfg: ResolvedConfig, count: int, seed: int):
+        raise ConfigError(
+            "fewshot episodes are generated on the fly from the seed; there is no corpus to write"
+        )
+
+    def training_sets(self, cfg: ResolvedConfig):
+        return None
+
+    def build(self, cfg: ResolvedConfig, sets):
+        episode = EpisodeSpec(
+            n_way=cfg["fewshot.n_way"],
+            k_shot=cfg["fewshot.k_shot"],
+            q_queries=cfg["fewshot.q_queries"],
+            dim=cfg["fewshot.dim"],
+        )
+        fs_cfg = FewShotConfig(
+            episode=episode,
+            encoder_widths=cfg["fewshot.encoder_widths"],
+            g_hidden=cfg["fewshot.g_hidden"] or None,
+            bank_size=cfg["fewshot.bank"],
+            lambda_ot=cfg["train.lambda_ot"],
+            activation=cfg["fewshot.activation"],
+            metric=cfg["fewshot.metric"],
+            sinkhorn=_sinkhorn_config(cfg),
+            episodes=cfg["fewshot.episodes"],
+            lr=cfg["optim.lr"],
+            lr_final=cfg["optim.lr_final"],
+            optimizer=cfg["optim.kind"],
+            mean_low=cfg["fewshot.mean_low"],
+            mean_high=cfg["fewshot.mean_high"],
+            sigma=cfg["fewshot.sigma"],
+            n_base_classes=cfg["fewshot.n_base"],
+            n_novel_classes=cfg["fewshot.n_novel"],
+            class_seed=cfg["fewshot.class_seed"],
+            seed=cfg["seed"],
+            log_every=cfg["train.log_every"],
+        )
+        model = FewShotModel(fs_cfg, np.random.default_rng(cfg["seed"]))
+        return model, model.bank, model.named_parameters()
+
+    def train(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank, sets):
+        trace = train_fewshot(model, model.config)
+        return list(zip(trace.steps, trace.ot_losses, trace.task_losses)), trace.optimizers
+
+    def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank) -> dict:
+        count = cfg["eval.count"] or 1000
+        episodes = gen_episodes(model.config, "novel", seed=cfg["eval.seed"], count=count)
+        return eval_fewshot(model, episodes)
+
+    def gradcheck(self, seed: int):
+        rng = np.random.default_rng(seed)
+        fs_cfg = FewShotConfig(
+            episode=EpisodeSpec(n_way=3, k_shot=2, q_queries=2, dim=5),
+            encoder_widths=(8, 6),
+            bank_size=4,
+            lambda_ot=0.7,
+            sinkhorn=SinkhornConfig(unroll_iters=10),
+            mean_low=-1.0,
+            mean_high=1.0,
+            n_base_classes=8,
+            n_novel_classes=4,
+            episodes=1,
+            seed=seed,
+        )
+        model = FewShotModel(fs_cfg, rng)
+        episode = next(iter(gen_episodes(fs_cfg, "base", seed=seed, count=1)))
+
+        def episode_loss() -> Value:
+            return episode_objective(model, episode, fs_cfg)[0]
+
+        return [("fewshot-episode", episode_loss, model.parameters())]
+
+
+class MetaGanTask(Task):
+    name = "metagan"
+    columns = ("step", "critic_loss", "generator_loss", "transport_loss")
+
+    def spec(self, cfg: ResolvedConfig) -> TaskFamilySpec:
+        return TaskFamilySpec(
+            family=cfg["metagan.family"],
+            n_points=cfg["metagan.n_points"] or None,
+            n_sets=cfg["count"],
+        )
+
+    def gen(self, cfg: ResolvedConfig, count: int, seed: int):
+        pairs = gen_task_corpus(self.spec(cfg), count=count, seed=seed)
         return [s for s, _ in pairs], [p for _, p in pairs]
-    raise ConfigError(f"gen does not support task {task!r}")
+
+    def build(self, cfg: ResolvedConfig, sets):
+        ot = None
+        if cfg["metagan.use_ot"]:
+            ot = TrainConfig(
+                lr=cfg["optim.lr"],
+                optimizer=cfg["optim.kind"],
+                metric=cfg["metagan.metric"],
+                sinkhorn=_sinkhorn_config(cfg),
+            )
+        gan_cfg = GanConfig(
+            noise_dim=cfg["metagan.noise_dim"],
+            eta_critic=cfg["metagan.eta_critic"],
+            generator_widths=cfg["metagan.generator_widths"],
+            critic_widths=cfg["metagan.critic_widths"],
+            conditioning=cfg["metagan.conditioning"],
+            batch=cfg["metagan.batch"],
+            iterations=cfg["metagan.iterations"],
+            lr_generator=cfg["metagan.lr_generator"],
+            lr_critic=cfg["metagan.lr_critic"],
+            non_saturating=cfg["metagan.non_saturating"],
+            mse_weight=cfg["metagan.mse_weight"],
+            ot=ot,
+            seed=cfg["seed"],
+            log_every=cfg["train.log_every"],
+        )
+        spec = self.spec(cfg)
+        summary_cfg = SummaryNetConfig(
+            input_dim=spec.dim,
+            n_prototypes=cfg["metagan.k"],
+            encoder_widths=cfg["metagan.summary_widths"],
+        )
+        summary = SummaryNet(summary_cfg, np.random.default_rng(cfg["seed"]))
+        model = MetaGan(spec, gan_cfg, summary, np.random.default_rng(cfg["seed"] + 1))
+        bank = _bank(sets, spec.dim, cfg["metagan.k"], np.random.default_rng(cfg["seed"] + 2))
+        named = {f"summary.{k}": v for k, v in summary.named_parameters().items()}
+        named.update(model.generator.named_parameters("generator"))
+        named.update(model.critic.named_parameters("critic"))
+        named["bank"] = bank.matrix
+        return model, bank, named
+
+    def train(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, sets):
+        pairs = [(batch, {}) for batch in sets]
+        trace = train_metagan(pairs, model, bank, model.config)
+        rows = zip(trace.steps, trace.critic_losses, trace.generator_losses, trace.ot_losses)
+        return list(rows), trace.optimizers
+
+    def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank) -> dict:
+        _, tasks = self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])
+        return eval_generative(model, tasks, seed=cfg["eval.seed"])
+
+    def gradcheck(self, seed: int):
+        rng = np.random.default_rng(seed)
+        spec = TaskFamilySpec(family="gauss1d", n_points=12)
+        gan_cfg = GanConfig(
+            noise_dim=2,
+            generator_widths=(10, 8),
+            critic_widths=(10, 8),
+            conditioning="conditional-critic",
+            batch=8,
+            iterations=1,
+            seed=seed,
+        )
+        summary = SummaryNet(
+            SummaryNetConfig(input_dim=1, n_prototypes=2, encoder_widths=(8, 6)), rng
+        )
+        model = MetaGan(spec, gan_cfg, summary, rng)
+        real = rng.normal(size=(8, 1))
+        z = rng.normal(size=(8, 2))
+        h = model.summarize(real)
+
+        def gen_path() -> Value:
+            fake = generator_forward(model.generator, z, h)
+            logits = discriminator_logit(model.critic, fake, h)
+            return generator_loss(logits, non_saturating=True)
+
+        def critic_path() -> Value:
+            fake = generator_forward(model.generator, z, h)
+            real_logits = discriminator_logit(model.critic, real, h)
+            fake_logits = discriminator_logit(model.critic, fake.detach(), h)
+            return critic_loss(real_logits, fake_logits)
+
+        # the generator loss reaches both nets; the critic step detaches fakes
+        # on purpose, so its check covers critic parameters only
+        both = model.generator.parameters() + model.critic.parameters()
+        return [
+            ("metagan-generator", gen_path, both),
+            ("metagan-critic", critic_path, model.critic.parameters()),
+        ]
 
 
-def _training_sets(task: str, cfg: ResolvedConfig):
-    if cfg["corpus"]:
-        sets, _ = _load_sets(cfg["corpus"])
-        if not sets:
-            raise ConfigError(f"corpus {cfg['corpus']!r} holds no sets")
-        return sets
-    sets, _ = _gen_sets(task, cfg, cfg["count"], cfg["seed"])
-    return sets
+# keys in config.TASKS order; gradcheck without --task runs them in this order
+TASK_TABLE = {
+    task.name: task
+    for task in (MogTask(), DigitSumTask(), PointSetTask(), FewShotTask(), MetaGanTask())
+}
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +611,7 @@ def cmd_gen(args) -> int:
         {"task": "task", "count": "count", "seed": "seed", "out": "out", "components": "mog.components"},
     )
     task = cfg["task"]
-    if task == "fewshot":
-        raise ConfigError(
-            "fewshot episodes are generated on the fly from the seed; there is no corpus to write"
-        )
-    sets, truths = _gen_sets(task, cfg, cfg["count"], cfg["seed"])
+    sets, truths = TASK_TABLE[task].gen(cfg, cfg["count"], cfg["seed"])
     out = Path(cfg["out"])
     path = out / "corpus.jsonl"
     meta = {"task": task, "seed": cfg["seed"], "config": cfg.as_dict()}
@@ -397,69 +622,6 @@ def cmd_gen(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verb: train
-
-
-def _train_encoder(task: str, cfg: ResolvedConfig):
-    input_dim, output_dim, loss_fn = _encoder_task(task, cfg)
-    sets = _training_sets(task, cfg)
-    mode = cfg["train.mode"]
-    net = SummaryNet(
-        _summary_config(cfg, input_dim, None if mode == "unsupervised" else output_dim),
-        np.random.default_rng(cfg["seed"]),
-    )
-    bank = _data_bank(sets, cfg["model.k"], np.random.default_rng(cfg["seed"] + 1))
-    tc = _train_config(cfg)
-    if mode == "unsupervised":
-        trace = train_unsupervised(sets, net, bank, tc)
-    else:
-        trace = train_supervised(sets, net, bank, loss_fn, tc)
-    named = net.named_parameters()
-    named["bank"] = bank.matrix
-    columns = ("step", "transport_loss", "task_loss")
-    rows = list(zip(trace.steps, trace.ot_losses, trace.task_losses))
-    return columns, rows, named, trace.optimizers, {"bank_space": bank.space}
-
-
-def _train_fewshot_task(cfg: ResolvedConfig):
-    fs_cfg = _fewshot_config(cfg)
-    model = FewShotModel(fs_cfg, np.random.default_rng(cfg["seed"]))
-    trace = train_fewshot(model, fs_cfg)
-    columns = ("step", "transport_loss", "task_loss")
-    rows = list(zip(trace.steps, trace.ot_losses, trace.task_losses))
-    return columns, rows, model.named_parameters(), trace.optimizers, {
-        "bank_space": model.bank.space
-    }
-
-
-def _metagan_named(model: MetaGan, bank: PrototypeBank) -> dict:
-    named = {f"summary.{k}": v for k, v in model.summary.named_parameters().items()}
-    named.update(model.generator.named_parameters("generator"))
-    named.update(model.critic.named_parameters("critic"))
-    named["bank"] = bank.matrix
-    return named
-
-
-def _train_metagan_task(cfg: ResolvedConfig):
-    spec = _family_spec(cfg)
-    if cfg["corpus"]:
-        sets, _ = _load_sets(cfg["corpus"])
-        pairs = [(batch, {}) for batch in sets]
-    else:
-        pairs = gen_task_corpus(spec, count=cfg["count"], seed=cfg["seed"])
-    gan_cfg = _gan_config(cfg)
-    summary = _gan_summary(cfg, spec.dim, np.random.default_rng(cfg["seed"]))
-    model = MetaGan(spec, gan_cfg, summary, np.random.default_rng(cfg["seed"] + 1))
-    bank = _data_bank(
-        [p[0] for p in pairs], cfg["metagan.k"], np.random.default_rng(cfg["seed"] + 2)
-    )
-    trace = train_metagan(pairs, model, bank, gan_cfg)
-    columns = ("step", "critic_loss", "generator_loss", "transport_loss")
-    rows = list(
-        zip(trace.steps, trace.critic_losses, trace.generator_losses, trace.ot_losses)
-    )
-    return columns, rows, _metagan_named(model, bank), trace.optimizers, {
-        "bank_space": bank.space
-    }
 
 
 def cmd_train(args) -> int:
@@ -474,24 +636,21 @@ def cmd_train(args) -> int:
             "lambda_ot": "train.lambda_ot",
         },
     )
-    task = cfg["task"]
-    if task == "fewshot":
-        columns, rows, named, optimizers, extra = _train_fewshot_task(cfg)
-    elif task == "metagan":
-        columns, rows, named, optimizers, extra = _train_metagan_task(cfg)
-    else:
-        columns, rows, named, optimizers, extra = _train_encoder(task, cfg)
+    task = TASK_TABLE[cfg["task"]]
+    sets = task.training_sets(cfg)
+    net, bank, named = task.build(cfg, sets)
+    rows, optimizers = task.train(cfg, net, bank, sets)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
-    _write_trace(trace_path, cfg, columns, rows)
+    _write_trace(trace_path, cfg, task.columns, rows)
     groups: dict = {}
     for name, opt in optimizers.items():
         if opt is not None:
             groups.update(optimizer_state(opt, name))
     step = len(rows)
     ck_path = out / f"checkpoint.{step}"
-    meta = {"task": task, **extra}
+    meta = {"task": task.name, "bank_space": bank.space}
     save_checkpoint(
         ck_path,
         named,
@@ -501,99 +660,12 @@ def cmd_train(args) -> int:
         optimizer=groups,
         meta=meta,
     )
-    print(f"trained {task} for {step} steps; wrote {trace_path} and {ck_path}")
+    print(f"trained {task.name} for {step} steps; wrote {trace_path} and {ck_path}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verb: eval
-
-
-def _rebuild_model(task: str, cfg: ResolvedConfig, ck: Checkpoint):
-    """Reconstruct the trained model shell and load checkpoint arrays into it."""
-    rng = np.random.default_rng(cfg["seed"])
-    space = ck.meta.get("bank_space", "data-space")
-    if task in INPUT_DIMS:
-        input_dim, output_dim, _ = _encoder_task(task, cfg)
-        mode = cfg["train.mode"]
-        net = SummaryNet(
-            _summary_config(cfg, input_dim, None if mode == "unsupervised" else output_dim), rng
-        )
-        bank = _zero_bank(input_dim, cfg["model.k"], space)
-        named = net.named_parameters()
-        named["bank"] = bank.matrix
-        assign_parameters(named, ck.params)
-        return net, bank
-    if task == "fewshot":
-        fs_cfg = _fewshot_config(cfg)
-        model = FewShotModel(fs_cfg, rng)
-        assign_parameters(model.named_parameters(), ck.params)
-        return model, model.bank
-    if task == "metagan":
-        spec = _family_spec(cfg)
-        gan_cfg = _gan_config(cfg)
-        summary = _gan_summary(cfg, spec.dim, rng)
-        model = MetaGan(spec, gan_cfg, summary, np.random.default_rng(cfg["seed"] + 1))
-        bank = _zero_bank(spec.dim, cfg["metagan.k"], space)
-        assign_parameters(_metagan_named(model, bank), ck.params)
-        return model, bank
-    raise ConfigError(f"eval does not support task {task!r}")
-
-
-def _eval_metrics(task: str, cfg: ResolvedConfig, model, bank) -> dict:
-    eval_seed = cfg["eval.seed"]
-    eval_count = cfg["eval.count"]
-    if task == "mog":
-        cap = cfg["mog.encode_cap"] or None
-        if cfg["corpus"]:
-            sets, truths = _load_sets(cfg["corpus"])
-            pairs = list(zip(sets, truths))
-            return {"mean_loglik": eval_mog_loglik(model, pairs, cap, seed=eval_seed)}
-        spec = _mog_spec(cfg)
-        n = eval_count or 500
-        pairs = gen_mog_corpus(spec, n, eval_seed)
-        return {
-            "mean_loglik": eval_mog_loglik(model, pairs, cap, seed=eval_seed),
-            "oracle_mean_loglik": oracle_mean_loglik(spec, n, eval_seed),
-        }
-    if task == "digitsum":
-        def _accuracy(sets) -> float:
-            hits = 0.0
-            with no_grad():
-                for batch in sets:
-                    _, pred = model.summarize_with_prediction(batch.points)
-                    hits += digit_sum_accuracy(float(pred.data.reshape(())), batch.label)
-            return hits / len(sets)
-
-        if cfg["corpus"]:
-            sets, _ = _load_sets(cfg["corpus"])
-            return {"accuracy": _accuracy(sets)}
-        spec = _digit_spec(cfg, test_count=eval_count or 200)
-        corpora = gen_digit_test_corpora(spec, eval_seed)
-        by_size = {str(size): _accuracy(sets) for size, sets in corpora.items()}
-        mean = sum(by_size.values()) / len(by_size)
-        return {"accuracy_by_size": by_size, "mean_accuracy": mean}
-    if task == "pointset":
-        if cfg["corpus"]:
-            sets, _ = _load_sets(cfg["corpus"])
-        else:
-            sets = gen_pointset_corpus(_pointset_spec(cfg, count_per_class=eval_count or 20), eval_seed)
-        hits = 0
-        with no_grad():
-            for batch in sets:
-                _, pred = model.summarize_with_prediction(batch.points)
-                hits += int(int(np.argmax(pred.data)) == int(batch.label))
-        return {"accuracy": hits / len(sets)}
-    if task == "fewshot":
-        fs_cfg = _fewshot_config(cfg)
-        episodes = gen_episodes(fs_cfg, "novel", seed=eval_seed, count=eval_count or 1000)
-        return eval_fewshot(model, episodes)
-    if task == "metagan":
-        spec = _family_spec(cfg)
-        pairs = gen_task_corpus(spec, count=eval_count or 20, seed=eval_seed)
-        tasks = [params for _, params in pairs]
-        return eval_generative(model, tasks, seed=eval_seed)
-    raise ConfigError(f"eval does not support task {task!r}")
 
 
 def cmd_eval(args) -> int:
@@ -608,8 +680,12 @@ def cmd_eval(args) -> int:
     overrides.setdefault("corpus", "")
     cfg = stored.with_overrides(overrides)
     task = ck.meta.get("task", cfg["task"])
-    model, bank = _rebuild_model(task, cfg, ck)
-    metrics = _eval_metrics(task, cfg, model, bank)
+    if task not in TASK_TABLE:
+        raise ConfigError(f"eval does not support task {task!r}")
+    entry = TASK_TABLE[task]
+    net, bank, named = entry.build(cfg, None)
+    assign_parameters(named, ck.params)
+    metrics = entry.evaluate(cfg, net, bank)
     out = Path(cfg["out"])
     payload = {
         "task": task,
@@ -644,8 +720,27 @@ def _parse_weights(text, n: int, name: str) -> np.ndarray:
     return values
 
 
+def _read_cost(path) -> np.ndarray:
+    """Comma-separated rows of numbers; blank lines and ``#`` comments are skipped."""
+    rows = []
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            rows.append([float(x) for x in text.split(",")])
+        except ValueError:
+            raise ConfigError(f"{path}:{line_no}: expected comma-separated numbers") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ConfigError(f"{path}:{line_no}: {len(rows[-1])} columns, expected {len(rows[0])}")
+    if not rows:
+        raise ConfigError(f"{path}: no cost rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
 def cmd_ot(args) -> int:
-    cost = np.loadtxt(args.cost, delimiter=",", ndmin=2, dtype=np.float64)
+    cost = _read_cost(args.cost)
     a = _parse_weights(args.a, cost.shape[0], "a")
     b = _parse_weights(args.b, cost.shape[1], "b")
     sk = SinkhornConfig(
@@ -683,108 +778,14 @@ def cmd_ot(args) -> int:
 # verb: gradcheck
 
 
-def _gradcheck_paths(task: str, seed: int):
-    """Small, fast loss instances per task: (name, fn, params) triples."""
-    rng = np.random.default_rng(seed)
-    paths = []
-    if task in INPUT_DIMS:
-        input_dim, output_dim, loss_fn = _encoder_task(task, resolve_config())
-        # compact stand-in instance; widths kept small so checks stay quick
-        net = SummaryNet(
-            SummaryNetConfig(
-                input_dim=input_dim,
-                n_prototypes=4,
-                encoder_widths=(10, 8),
-                activation="tanh",
-                head_hidden=(6,),
-                output_dim=output_dim,
-                predict_hidden=(6,),
-            ),
-            rng,
-        )
-        points = rng.normal(size=(9, input_dim))
-        label = {"mog": None, "digitsum": 12, "pointset": 3}[task]
-        batch = SetBatch(points, set_id=0, label=label)
-        bank = PrototypeBank.from_points(rng.normal(size=(12, input_dim)), 4, rng)
-        sk = SinkhornConfig(unroll_iters=10)
-
-        def combined() -> Value:
-            weights, pred = net.summarize_with_prediction(batch.points)
-            return loss_fn(pred, batch) + 0.5 * transport_objective(
-                batch.points, weights, bank, "euclidean", sk
-            )
-
-        paths.append((f"{task}-combined", combined, net.parameters() + [bank.matrix]))
-        return paths
-    if task == "fewshot":
-        fs_cfg = FewShotConfig(
-            episode=EpisodeSpec(n_way=3, k_shot=2, q_queries=2, dim=5),
-            encoder_widths=(8, 6),
-            bank_size=4,
-            lambda_ot=0.7,
-            sinkhorn=SinkhornConfig(unroll_iters=10),
-            mean_low=-1.0,
-            mean_high=1.0,
-            n_base_classes=8,
-            n_novel_classes=4,
-            episodes=1,
-            seed=seed,
-        )
-        model = FewShotModel(fs_cfg, rng)
-        episode = next(iter(gen_episodes(fs_cfg, "base", seed=seed, count=1)))
-
-        def episode_loss() -> Value:
-            return episode_objective(model, episode, fs_cfg)[0]
-
-        paths.append(("fewshot-episode", episode_loss, model.parameters()))
-        return paths
-    if task == "metagan":
-        spec = TaskFamilySpec(family="gauss1d", n_points=12)
-        gan_cfg = GanConfig(
-            noise_dim=2,
-            generator_widths=(10, 8),
-            critic_widths=(10, 8),
-            conditioning="conditional-critic",
-            batch=8,
-            iterations=1,
-            seed=seed,
-        )
-        summary = SummaryNet(
-            SummaryNetConfig(input_dim=1, n_prototypes=2, encoder_widths=(8, 6)), rng
-        )
-        model = MetaGan(spec, gan_cfg, summary, rng)
-        real = rng.normal(size=(8, 1))
-        z = rng.normal(size=(8, 2))
-        h = model.summarize(real)
-
-        def gen_path() -> Value:
-            fake = generator_forward(model.generator, z, h)
-            logits = discriminator_logit(model.critic, fake, h)
-            return generator_loss(logits, non_saturating=True)
-
-        def critic_path() -> Value:
-            fake = generator_forward(model.generator, z, h)
-            real_logits = discriminator_logit(model.critic, real, h)
-            fake_logits = discriminator_logit(model.critic, fake.detach(), h)
-            return critic_loss(real_logits, fake_logits)
-
-        # the generator loss reaches both nets; the critic step detaches fakes
-        # on purpose, so its check covers critic parameters only
-        both = model.generator.parameters() + model.critic.parameters()
-        paths.append(("metagan-generator", gen_path, both))
-        paths.append(("metagan-critic", critic_path, model.critic.parameters()))
-        return paths
-    raise ConfigError(f"gradcheck does not support task {task!r}")
-
-
 def cmd_gradcheck(args) -> int:
-    tasks = [args.task] if args.task else ["mog", "digitsum", "pointset", "fewshot", "metagan"]
+    tasks = [args.task] if args.task else list(TASK_TABLE)
     seed = args.seed if args.seed is not None else 0
     results = {}
     worst = 0.0
     rng = np.random.default_rng(seed)
     for task in tasks:
-        for name, fn, params in _gradcheck_paths(task, seed):
+        for name, fn, params in TASK_TABLE[task].gradcheck(seed):
             report = check_gradients(fn, params, rng, samples_per_param=3)
             results[name] = report.max_rel_err
             worst = max(worst, report.max_rel_err)
@@ -853,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ot.set_defaults(func=cmd_ot)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference audit of the loss paths")
-    p_gc.add_argument("--task", choices=("mog", "digitsum", "pointset", "fewshot", "metagan"))
+    p_gc.add_argument("--task", choices=tuple(TASK_TABLE))
     p_gc.add_argument("--seed", type=int)
     p_gc.set_defaults(func=cmd_gradcheck)
     return parser

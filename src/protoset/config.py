@@ -230,9 +230,6 @@ class ResolvedConfig:
             raise ConfigError(_unknown_key_message(key))
         return self._values[key]
 
-    def get(self, key: str, default=None):
-        return self._values.get(key, default)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ResolvedConfig) and self._values == other._values
 

@@ -20,18 +20,12 @@ import numpy as np
 
 from .diffcore import Value, as_value, no_grad
 from .diffcore.optim import make_optimizer
-from .errors import (
-    ConfigError,
-    DomainError,
-    NumericalError,
-    ShapeError,
-    TrainingDivergedError,
-)
+from .errors import ConfigError, ShapeError
 from .nn import MLP
 from .ot import SinkhornConfig, floor_simplex_value
 from .ot.cost import METRICS, build_cost_value
 from .ot.sinkhorn import differentiable_transport_loss
-from .protolearn import PrototypeBank, TrainTrace
+from .protolearn import PrototypeBank, TrainTrace, apply_update, diverges_on_failure, lr_at
 from .summarynet import _as_widths
 
 logger = logging.getLogger(__name__)
@@ -168,12 +162,6 @@ class FewShotConfig:
             return self.g_hidden
         return (max(self.embed_dim // 2, 2),)
 
-    def lr_at(self, step: int) -> float:
-        if self.lr_final is None:
-            return self.lr
-        frac = step / max(self.episodes - 1, 1)
-        return self.lr + (self.lr_final - self.lr) * frac
-
 
 class FewShotModel:
     """Embedding network, simplex head over the bank, and the bank itself."""
@@ -194,9 +182,6 @@ class FewShotModel:
 
     def parameters(self) -> list[Value]:
         return self.embed_net.parameters() + self.simplex_head.parameters() + [self.bank.matrix]
-
-    def encoder_parameters(self) -> list[Value]:
-        return self.embed_net.parameters()
 
     def named_parameters(self) -> dict[str, Value]:
         out = self.embed_net.named_parameters("embed")
@@ -307,20 +292,6 @@ def _class_transport(
     return total * (1.0 / w)
 
 
-def fewshot_ot_term(
-    embed: Callable[[np.ndarray], Value],
-    head: MLP,
-    bank: PrototypeBank,
-    episode: Episode,
-    metric: str = "cosine",
-    sinkhorn: SinkhornConfig = SinkhornConfig(unroll_iters=20),
-) -> Value:
-    """Per-class transport of embedded support points onto the weighted bank."""
-    embedded = support_embeddings(embed, episode)
-    prototypes = _means_per_class(embedded, episode)
-    return _class_transport(embedded, prototypes, head, bank, metric, sinkhorn)
-
-
 def episode_objective(
     model: FewShotModel, episode: Episode, config: FewShotConfig
 ) -> tuple[Value, float, Optional[float], float]:
@@ -356,25 +327,15 @@ def train_fewshot(model: FewShotModel, config: FewShotConfig) -> TrainTrace:
         params = params + model.simplex_head.parameters() + [model.bank.matrix]
     optimizer = make_optimizer(config.optimizer, params, config.lr)
     guard_rng = np.random.default_rng(config.seed + 1)  # drawn from only on column collapse
+    guard_bank = model.bank if lam > 0 and config.metric == "cosine" else None
     stream = gen_episodes(config, "base", seed=config.seed)
     trace = TrainTrace(optimizers={"main": optimizer})
     for step, episode in enumerate(islice(stream, config.episodes)):
-        optimizer.lr = config.lr_at(step)
-        try:
+        optimizer.lr = lr_at(config.lr, config.lr_final, step, config.episodes)
+        with diverges_on_failure(step):
             loss, task_value, ot_value, accuracy = episode_objective(model, episode, config)
-        except (DomainError, NumericalError) as exc:
-            # parameters corrupted on an earlier step; surface it as divergence
-            raise TrainingDivergedError(f"forward pass failed at step {step}: {exc}") from exc
-        total = loss.item()
-        if not np.isfinite(total):
-            raise TrainingDivergedError(
-                f"episode loss became non-finite at step {step} (value {total!r})"
-            )
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        if lam > 0 and config.metric == "cosine":
-            model.bank.guard_cosine_columns(guard_rng)
+            total = loss.item()
+            apply_update(optimizer, loss, total, step, "episode", guard_bank, guard_rng)
         trace.append(step, ot_value, task_value)
         if config.log_every and step % config.log_every == 0:
             logger.info(

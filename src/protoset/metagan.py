@@ -3,10 +3,10 @@
 Each task is a set of i.i.d. samples from a randomly parameterized 1-D or 2-D
 distribution.  A permutation-invariant summary h of the set conditions a
 pushforward generator on concatenated [noise, h]; a sigmoid critic scores
-samples.  The summary network and its prototype bank are trained by the exact
-single-set transport step used by the unsupervised prototype loop, interleaved
-between the critic and generator updates, so the two trainers cannot drift
-apart.  Generation quality is scored distribution-to-distribution with the
+samples.  The summary network and its prototype bank are trained by the
+unsupervised prototype loop's transport loss and parameter update on one set,
+interleaved between the critic and generator updates, so the two trainers
+cannot drift apart.  Generation quality is scored distribution-to-distribution with the
 energy distance plus first/second moment errors against the true parameters.
 """
 
@@ -20,16 +20,17 @@ import numpy as np
 
 from .diffcore import Value, as_value, concat, no_grad
 from .diffcore.optim import make_optimizer
-from .errors import (
-    ConfigError,
-    DomainError,
-    NumericalError,
-    ShapeError,
-    TrainingDivergedError,
-)
+from .errors import ConfigError, ShapeError
 from .nn import MLP
 from .ot import SinkhornConfig
-from .protolearn import PrototypeBank, TrainConfig, subsample_points, transport_step
+from .protolearn import (
+    PrototypeBank,
+    TrainConfig,
+    apply_update,
+    diverges_on_failure,
+    subsample_points,
+    transport_objective,
+)
 from .summarynet import SetBatch, SummaryNet
 
 logger = logging.getLogger(__name__)
@@ -222,10 +223,6 @@ class MetaGan:
         critic_in = spec.dim + (k if config.conditioning == "conditional-critic" else 0)
         self.critic = MLP((critic_in, *config.critic_widths, 1), "relu", rng)
 
-    @property
-    def summary_dim(self) -> int:
-        return self.summary.config.n_prototypes
-
     def summarize(self, points: np.ndarray) -> np.ndarray:
         """Detached simplex summary of a point set (conditioning input only)."""
         with no_grad():
@@ -269,11 +266,6 @@ def discriminator_logit(critic: MLP, x, h: Optional[np.ndarray] = None) -> Value
     return critic(_critic_input(critic, x, h))
 
 
-def discriminator_forward(critic: MLP, x, h: Optional[np.ndarray] = None) -> Value:
-    """Probability the critic assigns to each row being real, in (0, 1)."""
-    return discriminator_logit(critic, x, h).sigmoid()
-
-
 def critic_loss(real_logits: Value, fake_logits: Value) -> Value:
     """Negated critic objective: -E[log f(real)] - E[log(1 - f(fake))].
 
@@ -310,20 +302,23 @@ class GanTrace:
         self.generator_losses.append(generator)
         self.ot_losses.append(ot)
 
-    def tail(self, n: int = 5) -> list[tuple]:
-        rows = zip(self.steps, self.critic_losses, self.generator_losses, self.ot_losses)
-        return list(rows)[-n:]
 
-
-def _abort(trace: GanTrace, step: int, what: str, value: float):
-    logger.error(
-        "%s loss became non-finite at iteration %d (value %r); last rows: %s",
-        what,
-        step,
-        value,
-        trace.tail(),
-    )
-    raise TrainingDivergedError(f"{what} loss became non-finite at iteration {step}")
+def transport_step(
+    points: np.ndarray,
+    net: SummaryNet,
+    bank: PrototypeBank,
+    optimizer,
+    config: TrainConfig,
+    guard_rng: np.random.Generator,
+    step: int,
+) -> float:
+    """The interleaved OT update: one step of the unsupervised prototype loop."""
+    weights = net.summarize(points)
+    loss = transport_objective(points, weights, bank, config.metric, config.sinkhorn)
+    value = loss.item()
+    guard_bank = bank if config.metric == "cosine" else None
+    apply_update(optimizer, loss, value, step, "transport", guard_bank, guard_rng)
+    return value
 
 
 def train_metagan(
@@ -363,10 +358,8 @@ def train_metagan(
     for step in range(config.iterations):
         batch = sets[int(data_rng.integers(len(sets)))]
         points = batch.points
-        real = points
-        try:
+        with diverges_on_failure(step):
             h = model.summarize(points)
-            c_value = np.nan
             for _ in range(config.eta_critic):
                 real = subsample_points(points, config.batch, data_rng)
                 z = noise_rng.standard_normal((config.batch, config.noise_dim))
@@ -377,17 +370,13 @@ def train_metagan(
                     discriminator_logit(model.critic, fake, h if conditional else None),
                 )
                 c_value = loss_c.item()
-                if not np.isfinite(c_value):
-                    _abort(trace, step, "critic", c_value)
-                critic_opt.zero_grad()
-                loss_c.backward()
-                critic_opt.step()
+                apply_update(critic_opt, loss_c, c_value, step, "critic")
 
             ot_value = None
             if ot_opt is not None:
-                ot_value = transport_step(real, model.summary, bank, ot_opt, config.ot, data_rng)
-                if not np.isfinite(ot_value):
-                    _abort(trace, step, "transport", ot_value)
+                ot_value = transport_step(
+                    real, model.summary, bank, ot_opt, config.ot, data_rng, step
+                )
                 h = model.summarize(points)  # encoder just moved
 
             z = noise_rng.standard_normal((config.batch, config.noise_dim))
@@ -400,14 +389,7 @@ def train_metagan(
                 moment_gap = fake_live.mean(axis=0) - real.mean(axis=0)
                 loss_g = loss_g + (moment_gap * moment_gap).sum() * config.mse_weight
             g_value = loss_g.item()
-            if not np.isfinite(g_value):
-                _abort(trace, step, "generator", g_value)
-            gen_opt.zero_grad()
-            loss_g.backward()
-            gen_opt.step()
-        except (DomainError, NumericalError) as exc:
-            # parameters corrupted on an earlier step; surface it as divergence
-            raise TrainingDivergedError(f"forward pass failed at step {step}: {exc}") from exc
+            apply_update(gen_opt, loss_g, g_value, step, "generator")
 
         trace.append(step, c_value, g_value, ot_value)
         if config.log_every and step % config.log_every == 0:

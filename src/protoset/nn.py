@@ -62,7 +62,6 @@ class MLP:
         if any(d < 1 for d in dims):
             raise ConfigError(f"MLP widths must be positive, got {dims}")
         self.dims = tuple(int(d) for d in dims)
-        self.activation_name = activation
         self._act = activation_fn(activation)
         self.layers = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
 

@@ -1,24 +1,13 @@
-"""Optimal transport: cost construction, Sinkhorn solver, exact oracle."""
+"""Optimal transport: cost construction and the Sinkhorn solver."""
 
 from .cost import (
     METRICS,
     NORM_FLOOR,
-    CostMatrix,
-    build_cost,
     build_cost_value,
-    cosine_cost,
     cosine_cost_value,
-    euclidean_cost,
     euclidean_cost_value,
 )
-from .marginals import (
-    SIMPLEX_FLOOR,
-    Marginals,
-    floor_simplex,
-    floor_simplex_value,
-    uniform_weights,
-)
-from .oracle import MAX_ORACLE_SIZE, exact_uniform_ot
+from .marginals import SIMPLEX_FLOOR, Marginals, floor_simplex_value, uniform_weights
 from .sinkhorn import (
     GRAD_MODES,
     SinkhornConfig,
@@ -31,25 +20,18 @@ from .sinkhorn import (
 )
 
 __all__ = [
-    "CostMatrix",
     "GRAD_MODES",
-    "MAX_ORACLE_SIZE",
     "METRICS",
     "Marginals",
     "NORM_FLOOR",
     "SIMPLEX_FLOOR",
     "SinkhornConfig",
     "TransportPlan",
-    "build_cost",
     "build_cost_value",
-    "cosine_cost",
     "cosine_cost_value",
     "differentiable_transport_loss",
     "entropic_objective",
-    "euclidean_cost",
     "euclidean_cost_value",
-    "exact_uniform_ot",
-    "floor_simplex",
     "floor_simplex_value",
     "plan_entropy",
     "sinkhorn",

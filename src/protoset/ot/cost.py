@@ -1,13 +1,11 @@
 """Pairwise cost matrices between a point batch and a prototype bank.
 
-Points are stored row-wise (N, d); prototypes column-wise (d, K).  Each
-builder has a plain-numpy variant and a graph-building variant so the same
-formulas serve both the solver and the differentiable loss path.
+Points are stored row-wise (N, d); prototypes column-wise (d, K).  The
+builders record on the autodiff tape; under ``no_grad`` they serve as plain
+numpy formulas.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,24 +16,6 @@ NORM_FLOOR = 1e-12
 _SQDIST_FLOOR = 1e-18
 
 METRICS = ("cosine", "euclidean", "sqeuclidean")
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """An (N, K) nonnegative cost array plus the metric that built it."""
-
-    values: np.ndarray
-    metric: str
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ShapeError(f"cost matrix must be 2-D, got shape {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise DegenerateInputError("cost matrix contains non-finite entries")
-
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
 
 
 def _check_pair(points: np.ndarray, protos: np.ndarray) -> None:
@@ -59,37 +39,12 @@ def _guard_norms(sq_norms: np.ndarray, what: str) -> None:
         )
 
 
-def cosine_cost(points: np.ndarray, protos: np.ndarray) -> CostMatrix:
-    """C[i, k] = 1 - cos(x_i, b_k), clamped to [0, 2].
+def cosine_cost_value(points, protos) -> Value:
+    """C[i, k] = 1 - cos(x_i, b_k), clamped to [0, 2]; operands may be Values.
 
     Scale-invariant in both arguments.  Vectors with norm below 1e-12 are
     rejected outright rather than silently normalized.
     """
-    points = np.asarray(points, dtype=np.float64)
-    protos = np.asarray(protos, dtype=np.float64)
-    _check_pair(points, protos)
-    p_sq = (points * points).sum(axis=1)
-    b_sq = (protos * protos).sum(axis=0)
-    _guard_norms(p_sq, "point")
-    _guard_norms(b_sq, "prototype column")
-    cos = (points @ protos) / np.sqrt(p_sq)[:, None] / np.sqrt(b_sq)[None, :]
-    return CostMatrix(np.clip(1.0 - cos, 0.0, 2.0), "cosine")
-
-
-def euclidean_cost(points: np.ndarray, protos: np.ndarray, squared: bool = False) -> CostMatrix:
-    points = np.asarray(points, dtype=np.float64)
-    protos = np.asarray(protos, dtype=np.float64)
-    _check_pair(points, protos)
-    p_sq = (points * points).sum(axis=1)
-    b_sq = (protos * protos).sum(axis=0)
-    sq = np.maximum(p_sq[:, None] + b_sq[None, :] - 2.0 * (points @ protos), 0.0)
-    if squared:
-        return CostMatrix(sq, "sqeuclidean")
-    return CostMatrix(np.sqrt(sq), "euclidean")
-
-
-def cosine_cost_value(points, protos) -> Value:
-    """Differentiable twin of :func:`cosine_cost`; operands may be Values."""
     x = as_value(points)
     b = as_value(protos)
     _check_pair(x.data, b.data)
@@ -121,14 +76,4 @@ def build_cost_value(points, protos, metric: str) -> Value:
         return euclidean_cost_value(points, protos)
     if metric == "sqeuclidean":
         return euclidean_cost_value(points, protos, squared=True)
-    raise ShapeError(f"unknown cost metric {metric!r}")
-
-
-def build_cost(points: np.ndarray, protos: np.ndarray, metric: str) -> CostMatrix:
-    if metric == "cosine":
-        return cosine_cost(points, protos)
-    if metric == "euclidean":
-        return euclidean_cost(points, protos)
-    if metric == "sqeuclidean":
-        return euclidean_cost(points, protos, squared=True)
     raise ShapeError(f"unknown cost metric {metric!r}")

@@ -45,14 +45,7 @@ def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def floor_simplex(w: np.ndarray, floor: float = SIMPLEX_FLOOR) -> np.ndarray:
-    """Clamp entries to at least ``floor`` and renormalize to sum 1."""
-    w = np.asarray(w, dtype=np.float64)
-    clipped = np.maximum(w, floor)
-    return clipped / clipped.sum()
-
-
 def floor_simplex_value(w: Value, floor: float = SIMPLEX_FLOOR) -> Value:
-    """Differentiable twin of :func:`floor_simplex`."""
+    """Clamp entries to at least ``floor`` and renormalize to sum 1."""
     clipped = w.clip(floor, None)
     return clipped / clipped.sum()

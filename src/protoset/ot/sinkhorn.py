@@ -19,13 +19,13 @@ column marginal is the dual potential g centered to zero mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..diffcore import Value, as_value
 from ..errors import ConfigError, NumericalError, ShapeError
-from .cost import CostMatrix
 from .marginals import Marginals
 
 GRAD_MODES = ("unrolled", "envelope")
@@ -67,8 +67,6 @@ class TransportPlan:
 
 
 def _cost_array(cost) -> np.ndarray:
-    if isinstance(cost, CostMatrix):
-        return cost.values
     arr = np.asarray(cost, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"cost must be 2-D, got shape {arr.shape}")
@@ -83,7 +81,10 @@ def _lse(m: np.ndarray, axis: int) -> np.ndarray:
 
 def sinkhorn(cost, marginals: Marginals, config: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
     """Solve the entropy-regularized problem; iterate until the worst marginal
-    violation falls below ``tol`` or ``max_iters`` is reached."""
+    violation falls below ``tol`` or ``max_iters`` is reached.
+
+    A non-finite residual stops the iteration at once and raises NumericalError.
+    """
     C = _cost_array(cost)
     a, b = marginals.a, marginals.b
     if C.shape != (a.size, b.size):
@@ -110,6 +111,8 @@ def sinkhorn(cost, marginals: Marginals, config: SinkhornConfig = SinkhornConfig
         if residual <= config.tol:
             converged = True
             break
+        if not math.isfinite(residual):
+            break  # potentials are non-finite; more iterations cannot recover
     if not (np.isfinite(f).all() and np.isfinite(g).all()):
         raise NumericalError("sinkhorn potentials became non-finite")
     T = np.exp((f[:, None] + g[None, :] - C) / eps)

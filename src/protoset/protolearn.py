@@ -6,12 +6,14 @@ transport cost between each minibatch (uniform weights) and the bank weighted
 by the summary network's simplex output — alone, or added to a task loss.
 
 One backward pass per step computes gradients for the bank and the network
-together; both are then updated from it.
+together; both are then updated from it.  ``apply_update`` is that update for
+every loop in the package, so no two loops can drift apart.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -20,7 +22,6 @@ import numpy as np
 from .diffcore import Value, make_optimizer
 from .errors import ConfigError, DomainError, NumericalError, TrainingDivergedError
 from .ot import (
-    Marginals,
     SinkhornConfig,
     build_cost_value,
     floor_simplex_value,
@@ -52,10 +53,6 @@ class PrototypeBank:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
 
     @classmethod
     def from_points(
@@ -90,28 +87,6 @@ class PrototypeBank:
 
 
 @dataclass(frozen=True)
-class ProtoMeasure:
-    """The bank as a weighted point measure: columns plus simplex weights."""
-
-    support: np.ndarray  # (d, K)
-    weights: np.ndarray  # (K,)
-
-    def __post_init__(self):
-        if self.support.ndim != 2 or self.weights.shape != (self.support.shape[1],):
-            raise ConfigError(
-                f"support (d, K) and weights (K,) disagree: "
-                f"{self.support.shape} vs {self.weights.shape}"
-            )
-        # reuse the marginal validator: weights must be a strictly positive simplex
-        Marginals(np.full(2, 0.5), self.weights)
-
-
-def prototype_measure(bank: PrototypeBank, weights) -> ProtoMeasure:
-    w = weights.data if isinstance(weights, Value) else np.asarray(weights, np.float64)
-    return ProtoMeasure(bank.matrix.data, w)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Knobs for the prototype training loops."""
 
@@ -141,12 +116,6 @@ class TrainConfig:
         if self.lr_final is not None and self.lr_final <= 0:
             raise ConfigError(f"lr_final must be positive, got {self.lr_final}")
         # lr/optimizer validated by make_optimizer at loop start
-
-    def lr_at(self, step: int) -> float:
-        if self.lr_final is None:
-            return self.lr
-        frac = step / max(self.steps - 1, 1)
-        return self.lr + (self.lr_final - self.lr) * frac
 
 
 @dataclass
@@ -181,17 +150,6 @@ def transport_objective(
     return differentiable_transport_loss(cost, cols, sinkhorn_config)
 
 
-def set_transport_loss(
-    batch: SetBatch,
-    net: SummaryNet,
-    bank: PrototypeBank,
-    config: TrainConfig,
-) -> Value:
-    """Summarize a set and score it against the bank (unsupervised loss)."""
-    weights = net.summarize(batch.points)
-    return transport_objective(batch.points, weights, bank, config.metric, config.sinkhorn)
-
-
 def subsample_points(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """At most m rows drawn without replacement (all rows if the set is smaller)."""
     n = points.shape[0]
@@ -201,96 +159,66 @@ def subsample_points(points: np.ndarray, m: int, rng: np.random.Generator) -> np
     return points[idx]
 
 
-def transport_step(
-    points: np.ndarray,
-    net: SummaryNet,
-    bank: PrototypeBank,
-    optimizer,
-    config: TrainConfig,
-    guard_rng: np.random.Generator,
-) -> float:
-    """One shared update: loss, backward, bank + encoder step, norm guard.
+def lr_at(lr: float, lr_final: Optional[float], step: int, steps: int) -> float:
+    """Learning rate at ``step`` of ``steps``: constant, or linear decay to ``lr_final``."""
+    if lr_final is None:
+        return lr
+    frac = step / max(steps - 1, 1)
+    return lr + (lr_final - lr) * frac
 
-    This exact function body is the OT step of every loop in the package, so
-    the unsupervised trainer and the adversarial trainer cannot drift apart.
+
+@contextmanager
+def diverges_on_failure(step: int):
+    """Surface a forward pass that fails on corrupted parameters as divergence."""
+    try:
+        yield
+    except (DomainError, NumericalError) as exc:
+        raise TrainingDivergedError(f"forward pass failed at step {step}: {exc}") from exc
+
+
+def apply_update(
+    optimizer,
+    loss: Value,
+    value: float,
+    step: int,
+    what: str,
+    guard_bank: Optional[PrototypeBank] = None,
+    guard_rng: Optional[np.random.Generator] = None,
+) -> None:
+    """The one parameter update of every training loop in the package.
+
+    A non-finite ``value`` (the loss as a float) raises before any parameter
+    moves.  Otherwise: zero_grad, backward, step, then re-randomize any
+    collapsed cosine column of ``guard_bank`` from ``guard_rng``.
     """
-    weights = net.summarize(points)
-    loss = transport_objective(points, weights, bank, config.metric, config.sinkhorn)
-    value = loss.item()
     if not np.isfinite(value):
-        return value  # caller raises; parameters stay untouched
+        raise TrainingDivergedError(
+            f"{what} loss became non-finite at step {step} (value {value!r})"
+        )
     optimizer.zero_grad()
     loss.backward()
     optimizer.step()
-    if config.metric == "cosine":
-        bank.guard_cosine_columns(guard_rng)
-    return value
+    if guard_bank is not None:
+        guard_bank.guard_cosine_columns(guard_rng)
 
 
-def train_unsupervised(
+def train_prototypes(
     corpus: Sequence[SetBatch],
     net: SummaryNet,
     bank: PrototypeBank,
     config: TrainConfig,
+    task_loss_fn: Optional[Callable[[Value, SetBatch], Value]] = None,
 ) -> TrainTrace:
-    """Alternating prototype/encoder updates on randomly drawn sets."""
-    if config.lambda_ot is not None:
-        raise ConfigError("lambda_ot does not apply to unsupervised training; leave it unset")
-    if not corpus:
-        raise ConfigError("corpus is empty")
-    rng = np.random.default_rng(config.seed)
-    params = [bank.matrix] + net.parameters()
-    optimizer = make_optimizer(config.optimizer, params, config.lr)
-    trace = TrainTrace(optimizers={"main": optimizer})
-    for step in range(config.steps):
-        optimizer.lr = config.lr_at(step)
-        try:
-            if config.batch_sets == 1:
-                batch = corpus[int(rng.integers(len(corpus)))]
-                points = subsample_points(batch.points, config.batch_points, rng)
-                value = transport_step(points, net, bank, optimizer, config, rng)
-            else:
-                total = None
-                for _ in range(config.batch_sets):
-                    batch = corpus[int(rng.integers(len(corpus)))]
-                    points = subsample_points(batch.points, config.batch_points, rng)
-                    loss = transport_objective(
-                        points, net.summarize(points), bank, config.metric, config.sinkhorn
-                    )
-                    total = loss if total is None else total + loss
-                total = total * (1.0 / config.batch_sets)
-                value = total.item()
-                if np.isfinite(value):
-                    optimizer.zero_grad()
-                    total.backward()
-                    optimizer.step()
-                    if config.metric == "cosine":
-                        bank.guard_cosine_columns(rng)
-        except (DomainError, NumericalError) as exc:
-            # parameters corrupted on an earlier step; surface it as divergence
-            raise TrainingDivergedError(f"forward pass failed at step {step}: {exc}") from exc
-        if not np.isfinite(value):
-            raise TrainingDivergedError(
-                f"transport loss became non-finite at step {step} (value {value!r})"
-            )
-        trace.append(step, value, None)
-        if config.log_every and step % config.log_every == 0:
-            logger.info("step %d transport loss %.6f", step, value)
-    return trace
+    """Prototype training on randomly drawn sets, with an optional task loss.
 
-
-def train_supervised(
-    corpus: Sequence[SetBatch],
-    net: SummaryNet,
-    bank: PrototypeBank,
-    task_loss_fn: Callable[[Value, SetBatch], Value],
-    config: TrainConfig,
-) -> TrainTrace:
-    """Joint loop: task loss plus lambda_ot times the transport loss.
-
-    With lambda_ot = 0 the transport term is never built, so the run is
+    Without ``task_loss_fn`` the loss is the transport term alone, the net
+    needs no prediction head and lambda_ot must stay unset.  With it the loss
+    is the task loss plus lambda_ot (default 1) times the transport term; at
+    lambda_ot = 0 the transport term is never built, so the run is
     bit-identical to a plain supervised loop and the bank never moves.
     """
+    if task_loss_fn is None and config.lambda_ot is not None:
+        raise ConfigError("lambda_ot does not apply to unsupervised training; leave it unset")
     if not corpus:
         raise ConfigError("corpus is empty")
     lam = 1.0 if config.lambda_ot is None else float(config.lambda_ot)
@@ -299,45 +227,38 @@ def train_supervised(
     if lam > 0:
         params = [bank.matrix] + params
     optimizer = make_optimizer(config.optimizer, params, config.lr)
+    guard_bank = bank if lam > 0 and config.metric == "cosine" else None
     trace = TrainTrace(optimizers={"main": optimizer})
     scale = 1.0 / config.batch_sets
+    metric, sk = config.metric, config.sinkhorn
     for step in range(config.steps):
-        optimizer.lr = config.lr_at(step)
+        optimizer.lr = lr_at(config.lr, config.lr_final, step, config.steps)
         total = None
-        task_value = 0.0
+        task_value = None if task_loss_fn is None else 0.0
         ot_value = 0.0 if lam > 0 else None
-        try:
+        with diverges_on_failure(step):
             for _ in range(config.batch_sets):
                 batch = corpus[int(rng.integers(len(corpus)))]
                 points = subsample_points(batch.points, config.batch_points, rng)
-                sub = SetBatch(points, set_id=batch.set_id, label=batch.label)
-                weights, prediction = net.summarize_with_prediction(sub.points)
-                task_loss = task_loss_fn(prediction, sub)
-                if lam > 0:
-                    ot_loss = transport_objective(
-                        sub.points, weights, bank, config.metric, config.sinkhorn
-                    )
-                    term = task_loss + ot_loss * lam
-                    ot_value += ot_loss.item() * scale
+                if task_loss_fn is None:
+                    term = transport_objective(points, net.summarize(points), bank, metric, sk)
                 else:
-                    term = task_loss
-                task_value += task_loss.item() * scale
+                    sub = SetBatch(points, set_id=batch.set_id, label=batch.label)
+                    weights, prediction = net.summarize_with_prediction(points)
+                    term = task_loss_fn(prediction, sub)
+                    task_value += term.item() * scale
+                    if lam > 0:
+                        ot_loss = transport_objective(points, weights, bank, metric, sk)
+                        ot_value += ot_loss.item() * scale
+                        term = term + ot_loss * lam
                 total = term if total is None else total + term
-        except (DomainError, NumericalError) as exc:
-            raise TrainingDivergedError(f"forward pass failed at step {step}: {exc}") from exc
-        if config.batch_sets > 1:
-            total = total * scale
-        if not np.isfinite(task_value) or (ot_value is not None and not np.isfinite(ot_value)):
-            raise TrainingDivergedError(
-                f"loss became non-finite at step {step} "
-                f"(task {task_value!r}, transport {ot_value!r})"
-            )
-        optimizer.zero_grad()
-        total.backward()
-        optimizer.step()
-        if lam > 0 and config.metric == "cosine":
-            bank.guard_cosine_columns(rng)
+            if config.batch_sets > 1:
+                total = total * scale
+            if task_loss_fn is None:
+                ot_value = total.item()
+            value = sum(v for v in (task_value, ot_value) if v is not None)
+            apply_update(optimizer, total, value, step, "training", guard_bank, rng)
         trace.append(step, ot_value, task_value)
         if config.log_every and step % config.log_every == 0:
-            logger.info("step %d task %.6f transport %s", step, task_value, ot_value)
+            logger.info("step %d task %s transport %s", step, task_value, ot_value)
     return trace

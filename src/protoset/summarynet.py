@@ -159,9 +159,6 @@ class SummaryNet:
             out += self.predict_head.parameters()
         return out
 
-    def encoder_parameters(self) -> list[Value]:
-        return self.encoder.parameters()
-
     def named_parameters(self) -> dict[str, Value]:
         out = self.encoder.named_parameters("encoder")
         out.update(self.simplex_head.named_parameters("simplex_head"))

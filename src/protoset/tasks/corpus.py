@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..summarynet import SetBatch
 
 
@@ -44,29 +45,34 @@ def load_corpus(path):
     """Read a corpus file back into (meta, sets, truths).
 
     truths is a list aligned with sets; entries are None when the file has no
-    ground-truth records.
+    ground-truth records.  A malformed line raises ConfigError naming file:line.
     """
     path = Path(path)
     meta: dict = {}
     sets: list[SetBatch] = []
     truths: list = []
     with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            if line_no == 0 and set(rec.keys()) == {"meta"}:
+            where = f"{path}:{line_no}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                rec = None
+            if not isinstance(rec, dict):
+                raise ConfigError(f"{where}: expected one JSON object per line")
+            if line_no == 1 and set(rec.keys()) == {"meta"}:
                 meta = rec["meta"]
                 continue
             if "points" not in rec:
-                raise ValueError(f"{path}: line {line_no + 1} has no points field")
-            sets.append(
-                SetBatch(
-                    np.asarray(rec["points"], dtype=np.float64),
-                    set_id=rec.get("set_id", len(sets)),
-                    label=rec.get("label"),
-                )
-            )
+                raise ConfigError(f"{where}: record has no points field")
+            try:
+                points = np.asarray(rec["points"], dtype=np.float64)
+                batch = SetBatch(points, set_id=rec.get("set_id", len(sets)), label=rec.get("label"))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}: bad points ({exc})") from None
+            sets.append(batch)
             truths.append(rec.get("truth"))
     return meta, sets, truths

@@ -78,14 +78,6 @@ class MoGParams:
             "variances": self.variances.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MoGParams":
-        return cls(
-            np.asarray(d["weights"], dtype=np.float64),
-            np.asarray(d["means"], dtype=np.float64),
-            np.asarray(d["variances"], dtype=np.float64),
-        )
-
 
 def sample_mog_params(spec: MoGTaskSpec, rng: np.random.Generator) -> MoGParams:
     c = spec.components

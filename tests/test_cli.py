@@ -1,13 +1,18 @@
 """End-to-end harness tests: verbs, artifacts, exit codes, reproducibility."""
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protoset import cli
+from protoset import cli, config
 from protoset.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from protoset.tasks import load_corpus
+
+# the package attribute protoset.ot.sinkhorn is the function, not the module
+sinkhorn_module = importlib.import_module("protoset.ot.sinkhorn")
 
 # tiny but real settings so runs finish in milliseconds
 MOG_ARGS = [
@@ -20,17 +25,57 @@ MOG_ARGS = [
     "--set", "train.batch_points=20",
     "--set", "sinkhorn.unroll_iters=8",
 ]
+DIGIT_ARGS = [
+    "--set", "count=6", "--set", "model.encoder_widths=16,8", "--set", "model.k=5",
+    "--set", "model.head_hidden=8", "--set", "train.batch_points=8",
+    "--set", "sinkhorn.unroll_iters=8",
+]
+POINTSET_ARGS = [
+    "--set", "pointset.count_per_class=1", "--set", "model.encoder_widths=16,8",
+    "--set", "model.k=5", "--set", "model.head_hidden=8",
+    "--set", "train.batch_points=16", "--set", "sinkhorn.unroll_iters=8",
+]
+FEWSHOT_ARGS = [
+    "--lambda-ot", "0.3",
+    "--set", "fewshot.episodes=10", "--set", "fewshot.encoder_widths=12,6",
+    "--set", "fewshot.bank=4", "--set", "fewshot.n_base=10",
+    "--set", "fewshot.n_novel=6", "--set", "sinkhorn.unroll_iters=6",
+]
+METAGAN_ARGS = [
+    "--set", "count=5", "--set", "metagan.iterations=6",
+    "--set", "metagan.batch=10", "--set", "metagan.n_points=12",
+    "--set", "metagan.summary_widths=10,8",
+    "--set", "metagan.generator_widths=12,10",
+    "--set", "metagan.critic_widths=12,10",
+    "--set", "train.batch_points=10", "--set", "sinkhorn.unroll_iters=6",
+]
+
+# per task: train flags (without --out), the checkpoint they write, eval flags
+TASK_RUNS = {
+    "mog": (["--steps", "5", "--seed", "3"] + MOG_ARGS, "checkpoint.5",
+            ["--count", "3", "--seed", "11"]),
+    "digitsum": (["--steps", "4"] + DIGIT_ARGS, "checkpoint.4",
+                 ["--count", "2", "--set", "digitsum.test_sizes=4,8"]),
+    "pointset": (["--steps", "4"] + POINTSET_ARGS, "checkpoint.4", ["--count", "1"]),
+    "fewshot": (["--seed", "1"] + FEWSHOT_ARGS, "checkpoint.10", ["--count", "5"]),
+    "metagan": (["--seed", "1"] + METAGAN_ARGS, "checkpoint.6", ["--count", "2"]),
+}
 
 
 def run(argv):
     return cli.main(argv)
 
 
-def train_mog(out, extra=()):
-    code = run(["train", "--task", "mog", "--steps", "5", "--seed", "3", "--out", str(out)]
-               + MOG_ARGS + list(extra))
-    assert code == 0
-    return out / "trace.csv", out / "checkpoint.5"
+def train_task(task, out):
+    flags, ck_name, _ = TASK_RUNS[task]
+    assert run(["train", "--task", task, "--out", str(out)] + flags) == 0
+    return out / "trace.csv", out / ck_name
+
+
+def eval_task(task, ck_path, out):
+    flags = TASK_RUNS[task][2]
+    assert run(["eval", "--checkpoint", str(ck_path), "--out", str(out)] + flags) == 0
+    return json.loads((out / "metrics.json").read_text())["metrics"]
 
 
 # -- ot: one instance from CSV ------------------------------------------------------
@@ -70,6 +115,40 @@ def test_ot_bad_marginals_exit_2(tmp_path):
     cost.write_text("0,1\n1,0\n")
     assert run(["ot", "--cost", str(cost), "--a", "0.9,0.9"]) == cli.EXIT_CONFIG
     assert run(["ot", "--cost", str(cost), "--a", "x,y"]) == cli.EXIT_CONFIG
+
+
+def test_ot_nan_cost_exits_6_after_one_iteration(tmp_path, monkeypatch):
+    cost = tmp_path / "c.csv"
+    cost.write_text("0,nan\n1,0\n")
+    calls = []
+    real_lse = sinkhorn_module._lse
+    monkeypatch.setattr(
+        sinkhorn_module, "_lse", lambda m, axis: calls.append(axis) or real_lse(m, axis)
+    )
+    assert run(["ot", "--cost", str(cost), "--max-iters", "100000"]) == cli.EXIT_NUMERIC
+    assert len(calls) == 2  # one f-update and one g-update, then the solver stops
+
+
+MALFORMED = {
+    "bad-json": ("corpus.jsonl", '{"points": [[1.0, 2.0]]}\n{"points": [[1.0, \n', ":2:"),
+    "no-points": ("corpus.jsonl", '{"set_id": 0, "label": 1}\n', ":1:"),
+    "ragged-points": ("corpus.jsonl", '{"points": [[1.0, 2.0], [3.0]]}\n', ":1:"),
+    "non-numeric-cost": ("c.csv", "# costs\n0,1\n1,zero\n", ":3:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_naming_file_and_line(case, tmp_path, capsys):
+    name, text, where = MALFORMED[case]
+    path = tmp_path / name
+    path.write_text(text)
+    if name == "c.csv":
+        argv = ["ot", "--cost", str(path)]
+    else:
+        argv = ["train", "--task", "mog", "--corpus", str(path), "--steps", "1",
+                "--out", str(tmp_path / "run")] + MOG_ARGS
+    assert run(argv) == cli.EXIT_CONFIG
+    assert f"{path}{where}" in capsys.readouterr().err
 
 
 # -- gen ---------------------------------------------------------------------------
@@ -121,7 +200,7 @@ def test_gen_metagan_corpus_carries_truths(tmp_path):
 
 
 def test_train_writes_trace_and_checkpoint(tmp_path):
-    trace_path, ck_path = train_mog(tmp_path / "run")
+    trace_path, ck_path = train_task("mog", tmp_path / "run")
     lines = trace_path.read_text().splitlines()
     header = [l for l in lines if l.startswith("# ")]
     assert "# optim.lr = 0.001" in header
@@ -138,18 +217,23 @@ def test_train_writes_trace_and_checkpoint(tmp_path):
     assert any(name == "bank" for name in ck.params)
 
 
-def test_train_rerun_is_byte_identical(tmp_path, monkeypatch):
+def test_task_table_matches_config_tasks():
+    assert tuple(cli.TASK_TABLE) == config.TASKS
+    assert tuple(TASK_RUNS) == config.TASKS
+
+
+@pytest.mark.parametrize("task", list(cli.TASK_TABLE))
+def test_train_rerun_is_byte_identical(task, tmp_path, monkeypatch):
     # same relative --out from two different directories: all bytes must match
     for sub in ("first", "second"):
         workdir = tmp_path / sub
         workdir.mkdir()
         monkeypatch.chdir(workdir)
-        code = run(["train", "--task", "mog", "--steps", "5", "--seed", "3",
-                    "--out", "run"] + MOG_ARGS)
-        assert code == 0
+        train_task(task, Path("run"))
     a, b = tmp_path / "first" / "run", tmp_path / "second" / "run"
+    ck_name = TASK_RUNS[task][1]
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
-    assert (a / "checkpoint.5").read_bytes() == (b / "checkpoint.5").read_bytes()
+    assert (a / ck_name).read_bytes() == (b / ck_name).read_bytes()
 
 
 def test_train_from_corpus_file(tmp_path):
@@ -184,6 +268,15 @@ def test_train_unsupervised_mode(tmp_path):
     body = [l for l in (out / "trace.csv").read_text().splitlines() if not l.startswith("#")]
     step0 = body[1].split(",")
     assert step0[1] != "" and step0[2] == ""  # transport loss only, no task column
+    # eval scores the training objective, not a head the net does not have
+    metrics = []
+    for sub in ("ev1", "ev2"):
+        assert run(["eval", "--checkpoint", str(out / "checkpoint.4"), "--count", "3",
+                    "--seed", "11", "--out", str(tmp_path / sub)]) == 0
+        metrics.append(json.loads((tmp_path / sub / "metrics.json").read_text())["metrics"])
+    assert set(metrics[0]) == {"mean_transport_loss"}
+    assert np.isfinite(metrics[0]["mean_transport_loss"])
+    assert metrics[0] == metrics[1]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -204,7 +297,7 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_eval_writes_metrics_with_config_and_seed(tmp_path):
-    _, ck_path = train_mog(tmp_path / "run")
+    _, ck_path = train_task("mog", tmp_path / "run")
     out = tmp_path / "ev"
     code = run(["eval", "--checkpoint", str(ck_path), "--count", "3", "--seed", "11",
                 "--out", str(out)])
@@ -218,19 +311,15 @@ def test_eval_writes_metrics_with_config_and_seed(tmp_path):
     assert np.isfinite(payload["metrics"]["oracle_mean_loglik"])
 
 
-def test_eval_is_deterministic(tmp_path):
-    _, ck_path = train_mog(tmp_path / "run")
-    outs = []
-    for sub in ("e1", "e2"):
-        out = tmp_path / sub
-        assert run(["eval", "--checkpoint", str(ck_path), "--count", "3",
-                    "--seed", "11", "--out", str(out)]) == 0
-        outs.append(json.loads((out / "metrics.json").read_text())["metrics"])
+@pytest.mark.parametrize("task", list(cli.TASK_TABLE))
+def test_eval_is_deterministic(task, tmp_path):
+    _, ck_path = train_task(task, tmp_path / "run")
+    outs = [eval_task(task, ck_path, tmp_path / sub) for sub in ("e1", "e2")]
     assert outs[0] == outs[1]
 
 
 def test_checkpoint_round_trip_preserves_metrics_bit_exact(tmp_path):
-    _, ck_path = train_mog(tmp_path / "run")
+    _, ck_path = train_task("mog", tmp_path / "run")
     ck = load_checkpoint(ck_path)
     copied = tmp_path / "copy.ck"
     save_checkpoint(copied, ck.params, ck.step, ck.config, ck.config_hash,
@@ -245,7 +334,7 @@ def test_checkpoint_round_trip_preserves_metrics_bit_exact(tmp_path):
 
 
 def test_eval_on_explicit_corpus(tmp_path):
-    _, ck_path = train_mog(tmp_path / "run")
+    _, ck_path = train_task("mog", tmp_path / "run")
     data = tmp_path / "data"
     assert run(["gen", "--task", "mog", "--count", "3", "--seed", "9", "--out", str(data),
                 "--set", "mog.n_min=30", "--set", "mog.n_max=40"]) == 0
@@ -268,7 +357,7 @@ def test_eval_corrupt_checkpoint_exits_4(tmp_path):
 
 
 def test_eval_tampered_config_exits_4(tmp_path):
-    _, ck_path = train_mog(tmp_path / "run")
+    _, ck_path = train_task("mog", tmp_path / "run")
     payload = json.loads(ck_path.read_text())
     payload["config"]["seed"] = 999  # hash no longer matches
     ck_path.write_text(json.dumps(payload))
@@ -276,7 +365,7 @@ def test_eval_tampered_config_exits_4(tmp_path):
 
 
 def test_eval_version_mismatch_exits_5(tmp_path):
-    _, ck_path = train_mog(tmp_path / "run")
+    _, ck_path = train_task("mog", tmp_path / "run")
     payload = json.loads(ck_path.read_text())
     payload["format_version"] = FORMAT_VERSION + 1
     ck_path.write_text(json.dumps(payload))
@@ -287,68 +376,32 @@ def test_eval_version_mismatch_exits_5(tmp_path):
 
 
 def test_digitsum_cli_round_trip(tmp_path):
-    out = tmp_path / "run"
-    code = run(["train", "--task", "digitsum", "--steps", "4", "--out", str(out),
-                "--set", "count=6", "--set", "model.encoder_widths=16,8",
-                "--set", "model.k=5", "--set", "model.head_hidden=8",
-                "--set", "train.batch_points=8", "--set", "sinkhorn.unroll_iters=8"])
-    assert code == 0
-    ev = tmp_path / "ev"
-    assert run(["eval", "--checkpoint", str(out / "checkpoint.4"), "--count", "2",
-                "--out", str(ev), "--set", "digitsum.test_sizes=4,8"]) == 0
-    metrics = json.loads((ev / "metrics.json").read_text())["metrics"]
+    _, ck_path = train_task("digitsum", tmp_path / "run")
+    metrics = eval_task("digitsum", ck_path, tmp_path / "ev")
     assert set(metrics["accuracy_by_size"]) == {"4", "8"}
 
 
 def test_pointset_cli_round_trip(tmp_path):
-    out = tmp_path / "run"
-    code = run(["train", "--task", "pointset", "--steps", "4", "--out", str(out),
-                "--set", "pointset.count_per_class=1", "--set", "model.encoder_widths=16,8",
-                "--set", "model.k=5", "--set", "model.head_hidden=8",
-                "--set", "train.batch_points=16", "--set", "sinkhorn.unroll_iters=8"])
-    assert code == 0
-    ev = tmp_path / "ev"
-    assert run(["eval", "--checkpoint", str(out / "checkpoint.4"), "--count", "1",
-                "--out", str(ev)]) == 0
-    metrics = json.loads((ev / "metrics.json").read_text())["metrics"]
+    _, ck_path = train_task("pointset", tmp_path / "run")
+    metrics = eval_task("pointset", ck_path, tmp_path / "ev")
     assert 0.0 <= metrics["accuracy"] <= 1.0
 
 
 def test_fewshot_cli_round_trip(tmp_path):
-    out = tmp_path / "run"
-    code = run(["train", "--task", "fewshot", "--out", str(out), "--seed", "1",
-                "--lambda-ot", "0.3",
-                "--set", "fewshot.episodes=10", "--set", "fewshot.encoder_widths=12,6",
-                "--set", "fewshot.bank=4", "--set", "fewshot.n_base=10",
-                "--set", "fewshot.n_novel=6", "--set", "sinkhorn.unroll_iters=6"])
-    assert code == 0
-    ev = tmp_path / "ev"
-    assert run(["eval", "--checkpoint", str(out / "checkpoint.10"), "--count", "5",
-                "--out", str(ev)]) == 0
-    metrics = json.loads((ev / "metrics.json").read_text())["metrics"]
+    _, ck_path = train_task("fewshot", tmp_path / "run")
+    metrics = eval_task("fewshot", ck_path, tmp_path / "ev")
     assert metrics["n_episodes"] == 5
     assert 0.0 <= metrics["mean_accuracy"] <= 1.0
 
 
 def test_metagan_cli_round_trip(tmp_path):
-    out = tmp_path / "run"
-    code = run(["train", "--task", "metagan", "--out", str(out), "--seed", "1",
-                "--set", "count=5", "--set", "metagan.iterations=6",
-                "--set", "metagan.batch=10", "--set", "metagan.n_points=12",
-                "--set", "metagan.summary_widths=10,8",
-                "--set", "metagan.generator_widths=12,10",
-                "--set", "metagan.critic_widths=12,10",
-                "--set", "train.batch_points=10", "--set", "sinkhorn.unroll_iters=6"])
-    assert code == 0
-    body = [l for l in (out / "trace.csv").read_text().splitlines() if not l.startswith("#")]
+    trace_path, ck_path = train_task("metagan", tmp_path / "run")
+    body = [l for l in trace_path.read_text().splitlines() if not l.startswith("#")]
     assert body[0] == "step,critic_loss,generator_loss,transport_loss"
-    ck = load_checkpoint(out / "checkpoint.6")
+    ck = load_checkpoint(ck_path)
     assert {"critic", "generator", "transport"} <= set(ck.optimizer)
     assert any(n.startswith("summary.") for n in ck.params)
-    ev = tmp_path / "ev"
-    assert run(["eval", "--checkpoint", str(out / "checkpoint.6"), "--count", "2",
-                "--out", str(ev)]) == 0
-    metrics = json.loads((ev / "metrics.json").read_text())["metrics"]
+    metrics = eval_task("metagan", ck_path, tmp_path / "ev")
     assert metrics["n_tasks"] == 2
 
 
@@ -362,7 +415,7 @@ def test_gradcheck_mog_reports_small_error(capsys):
     assert report["max_rel_err"] < 1e-4
 
 
-@pytest.mark.parametrize("task", ["digitsum", "pointset", "fewshot", "metagan"])
+@pytest.mark.parametrize("task", [t for t in cli.TASK_TABLE if t != "mog"])
 def test_gradcheck_other_tasks_pass(task, capsys):
     assert run(["gradcheck", "--task", task, "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["max_rel_err"] < 1e-4

@@ -15,7 +15,6 @@ from protoset.fewshot import (
     class_prototypes,
     episode_objective,
     eval_fewshot,
-    fewshot_ot_term,
     gen_episodes,
     protonet_loss,
     query_accuracy,
@@ -226,17 +225,22 @@ def test_random_embedding_on_overlapping_classes_is_chance():
 # -- transport term -----------------------------------------------------------
 
 
+def _episode_grads(model, ep, cfg):
+    zero_grad(model.parameters())
+    episode_objective(model, ep, cfg)[0].backward()
+    return [None if p.grad is None else p.grad.copy() for p in model.parameters()]
+
+
 def test_ot_term_gradients_reach_all_components():
+    # the transport term's gradient is what lambda_ot > 0 adds to the task's
     cfg = small_config()
     model = FewShotModel(cfg, np.random.default_rng(6))
     ep = next(gen_episodes(cfg, "base", seed=31))
-    term = fewshot_ot_term(
-        model.embed, model.simplex_head, model.bank, ep, cfg.metric, cfg.sinkhorn
-    )
-    zero_grad(model.parameters())
-    term.backward()
+    task_only = _episode_grads(model, ep, cfg)
+    with_ot = _episode_grads(model, ep, small_config(lambda_ot=1.0))
+    n_embed = len(model.embed_net.parameters())
     assert any(
-        p.grad is not None and np.abs(p.grad).max() > 0 for p in model.encoder_parameters()
+        np.abs(w - t).max() > 0 for w, t in zip(with_ot[:n_embed], task_only[:n_embed])
     )
     assert model.bank.matrix.grad is not None and np.abs(model.bank.matrix.grad).max() > 0
     head_grads = [p.grad for p in model.simplex_head.parameters()]
@@ -244,12 +248,13 @@ def test_ot_term_gradients_reach_all_components():
 
 
 def test_ot_term_rejects_dimension_mismatch():
-    cfg = small_config()
+    cfg = small_config(lambda_ot=1.0)
     model = FewShotModel(cfg, np.random.default_rng(8))
     other = FewShotModel(small_config(encoder_widths=(12, 6)), np.random.default_rng(8))
+    model.bank = other.bank
     ep = next(gen_episodes(cfg, "base", seed=3))
     with pytest.raises(ShapeError):
-        fewshot_ot_term(model.embed, model.simplex_head, other.bank, ep)
+        episode_objective(model, ep, cfg)
 
 
 def test_combined_episode_loss_gradcheck():

@@ -12,7 +12,6 @@ from protoset.metagan import (
     MetaGan,
     TaskFamilySpec,
     critic_loss,
-    discriminator_forward,
     discriminator_logit,
     energy_distance,
     eval_generative,
@@ -26,10 +25,15 @@ from protoset.metagan import (
 )
 from protoset.nn import MLP
 from protoset.ot import SinkhornConfig
-from protoset.protolearn import PrototypeBank, TrainConfig, train_unsupervised
+from protoset.protolearn import PrototypeBank, TrainConfig, train_prototypes
 from protoset.summarynet import SummaryNet, SummaryNetConfig
 
 LN2 = float(np.log(2.0))
+
+
+def critic_probs(critic, x, h=None):
+    """Probability the critic assigns to each row being real."""
+    return 1.0 / (1.0 + np.exp(-discriminator_logit(critic, x, h).data))
 
 
 def small_summary(dim=1, k=2, seed=0):
@@ -189,9 +193,9 @@ def test_zeroed_final_generator_layer_outputs_bias():
 def test_discriminator_outputs_probabilities():
     model, _ = small_gan()
     x = np.random.default_rng(6).standard_normal((9, 1))
-    probs = discriminator_forward(model.critic, x)
+    probs = critic_probs(model.critic, x)
     assert probs.shape == (9, 1)
-    assert np.all(probs.data > 0.0) and np.all(probs.data < 1.0)
+    assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
 
 def test_zeroed_critic_gives_half_and_two_ln2_loss():
@@ -199,8 +203,8 @@ def test_zeroed_critic_gives_half_and_two_ln2_loss():
     for p in model.critic.parameters():
         p.data[:] = 0.0
     x = np.random.default_rng(7).standard_normal((5, 1))
-    probs = discriminator_forward(model.critic, x)
-    assert np.allclose(probs.data, 0.5)
+    probs = critic_probs(model.critic, x)
+    assert np.allclose(probs, 0.5)
     loss = critic_loss(
         discriminator_logit(model.critic, x), discriminator_logit(model.critic, x + 1.0)
     )
@@ -211,10 +215,10 @@ def test_conditional_critic_concatenates_summary():
     model, cfg = small_gan(conditioning="conditional-critic")
     assert model.critic.dims[0] == 1 + 2
     x = np.random.default_rng(8).standard_normal((6, 1))
-    probs = discriminator_forward(model.critic, x, np.array([0.3, 0.7]))
+    probs = critic_probs(model.critic, x, np.array([0.3, 0.7]))
     assert probs.shape == (6, 1)
     with pytest.raises(ShapeError):
-        discriminator_forward(model.critic, x)  # summary required in this mode
+        discriminator_logit(model.critic, x)  # summary required in this mode
     plain, _ = small_gan()
     assert plain.critic.dims[0] == 1
 
@@ -367,7 +371,7 @@ def test_transport_step_trace_matches_unsupervised_loop():
     )
     summary_a = small_summary(dim=1, seed=8)
     bank_a = bank_for(corpus, seed=6)
-    trace_a = train_unsupervised(sets, summary_a, bank_a, t_cfg)
+    trace_a = train_prototypes(sets, summary_a, bank_a, t_cfg)
 
     model, cfg = small_gan(spec, summary_seed=8, iterations=12, seed=31, ot=t_cfg)
     bank_b = bank_for(corpus, seed=6)

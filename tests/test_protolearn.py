@@ -9,11 +9,8 @@ from protoset.ot import SinkhornConfig
 from protoset.protolearn import (
     PrototypeBank,
     TrainConfig,
-    prototype_measure,
-    set_transport_loss,
     subsample_points,
-    train_supervised,
-    train_unsupervised,
+    train_prototypes,
     transport_objective,
 )
 from protoset.summarynet import SetBatch, SummaryNet, SummaryNetConfig
@@ -72,14 +69,6 @@ def test_cosine_column_guard_rerandomizes():
     assert norms.min() > 0.9
 
 
-def test_prototype_measure_roundtrip():
-    bank = PrototypeBank(Value(RNG.normal(size=(2, 3)), requires_grad=True))
-    h = np.array([0.5, 0.3, 0.2])
-    m = prototype_measure(bank, h)
-    assert np.array_equal(m.weights, h)
-    assert np.array_equal(m.support, bank.matrix.data)
-
-
 def test_subsample_caps_at_set_size():
     pts = RNG.normal(size=(5, 2))
     rng = np.random.default_rng(0)
@@ -109,8 +98,9 @@ def test_prototype_permutation_symmetry():
 def test_every_prototype_column_gets_gradient():
     net = tiny_net(k=6)
     bank = PrototypeBank(Value(RNG.normal(size=(2, 6)), requires_grad=True))
-    batch = SetBatch(RNG.normal(size=(40, 2)) + 0.5, set_id=0)
-    loss = set_transport_loss(batch, net, bank, TrainConfig())
+    points = RNG.normal(size=(40, 2)) + 0.5
+    cfg = TrainConfig()
+    loss = transport_objective(points, net.summarize(points), bank, cfg.metric, cfg.sinkhorn)
     loss.backward()
     col_norms = np.abs(bank.matrix.grad).sum(axis=0)
     assert np.all(col_norms > 0.0), col_norms
@@ -118,14 +108,14 @@ def test_every_prototype_column_gets_gradient():
 
 def test_moving_prototype_onto_cluster_lowers_transport_term():
     # a prototype placed on the data should beat one placed away from it
-    from protoset.ot import Marginals, euclidean_cost, sinkhorn, transport_cost, uniform_weights
+    from protoset.ot import Marginals, sinkhorn, transport_cost, uniform_weights
 
     pts = RNG.normal(size=(30, 2)) * 0.1 + np.array([2.0, 2.0])
     on = np.array([[2.0, 0.0], [2.0, 0.0]])
     off = np.array([[-2.0, 0.0], [-2.0, 0.0]])
     m = Marginals(uniform_weights(30), np.array([0.9, 0.1]))
-    cost_on = euclidean_cost(pts, on)
-    cost_off = euclidean_cost(pts, off)
+    cost_on = np.linalg.norm(pts[:, None, :] - on.T[None, :, :], axis=2)
+    cost_off = np.linalg.norm(pts[:, None, :] - off.T[None, :, :], axis=2)
     t_on = transport_cost(sinkhorn(cost_on, m), cost_on)
     t_off = transport_cost(sinkhorn(cost_off, m), cost_off)
     assert t_on < t_off
@@ -139,7 +129,7 @@ def test_unsupervised_rejects_lambda_ot():
     net = tiny_net()
     bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(1))
     with pytest.raises(ConfigError):
-        train_unsupervised(corpus, net, bank, TrainConfig(steps=2, lambda_ot=1.0))
+        train_prototypes(corpus, net, bank, TrainConfig(steps=2, lambda_ot=1.0))
 
 
 def test_unsupervised_reproducible_from_seed():
@@ -149,7 +139,7 @@ def test_unsupervised_reproducible_from_seed():
         net = tiny_net(seed=3)
         bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(1))
         cfg = TrainConfig(steps=25, batch_points=30, seed=11)
-        trace = train_unsupervised(corpus, net, bank, cfg)
+        trace = train_prototypes(corpus, net, bank, cfg)
         return trace.ot_losses, bank.matrix.data.copy()
 
     losses_a, bank_a = run()
@@ -166,7 +156,7 @@ def test_unsupervised_loss_trends_down():
         np.vstack([c.points for c in corpus[:4]]), 4, np.random.default_rng(2)
     )
     cfg = TrainConfig(steps=300, batch_points=40, lr=0.005, seed=7)
-    trace = train_unsupervised(corpus, net, bank, cfg)
+    trace = train_prototypes(corpus, net, bank, cfg)
     losses = np.array(trace.ot_losses)
     smooth = np.convolve(losses, np.ones(10) / 10, mode="valid")
     assert smooth[-1] < smooth[0], (smooth[0], smooth[-1])
@@ -185,7 +175,7 @@ def test_two_atom_recovery():
     net = tiny_net(k=2, seed=6)
     bank = PrototypeBank(Value(np.array([[0.5, -0.2], [0.1, 0.4]]), requires_grad=True))
     cfg = TrainConfig(steps=1500, batch_points=40, lr=0.01, metric="sqeuclidean", seed=9)
-    train_unsupervised(corpus, net, bank, cfg)
+    train_prototypes(corpus, net, bank, cfg)
     cols = bank.matrix.data.T  # (2, 2) rows are prototypes
     d_direct = np.linalg.norm(cols[0] - p) + np.linalg.norm(cols[1] - q)
     d_swapped = np.linalg.norm(cols[0] - q) + np.linalg.norm(cols[1] - p)
@@ -200,7 +190,7 @@ def test_summaries_discriminate_clusters_after_training():
         np.vstack([c.points for c in corpus[:4]]), 4, np.random.default_rng(3)
     )
     cfg = TrainConfig(steps=500, batch_points=40, lr=0.005, seed=12)
-    train_unsupervised(corpus, net, bank, cfg)
+    train_prototypes(corpus, net, bank, cfg)
 
     def summary(batch):
         with no_grad():
@@ -225,7 +215,7 @@ def test_divergence_guard_raises():
 
     cfg = TrainConfig(steps=10, lambda_ot=0.0, seed=0)
     with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
-        train_supervised(corpus, net, bank, overflowing_loss, cfg)
+        train_prototypes(corpus, net, bank, cfg, overflowing_loss)
 
 
 # -- supervised loop -----------------------------------------------------------------
@@ -245,7 +235,7 @@ def run_supervised(lam, steps=30, build_ot_branch=True):
     net = tiny_net(k=4, output_dim=1, seed=20)
     bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(5))
     cfg = TrainConfig(steps=steps, batch_points=20, lambda_ot=lam, seed=13)
-    trace = train_supervised(corpus, net, bank, l1_loss, cfg)
+    trace = train_prototypes(corpus, net, bank, cfg, l1_loss)
     return net, bank, trace
 
 

@@ -5,6 +5,8 @@ The independent references here: a dense kernel-domain fixed-point iteration
 finite differences.
 """
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,6 @@ from protoset.ot import (
     SinkhornConfig,
     differentiable_transport_loss,
     entropic_objective,
-    exact_uniform_ot,
-    floor_simplex,
     floor_simplex_value,
     plan_entropy,
     sinkhorn,
@@ -27,6 +27,28 @@ from protoset.ot import (
 )
 
 RNG = np.random.default_rng(11)
+MAX_ORACLE_SIZE = 7
+
+
+def exact_uniform_ot(C) -> float:
+    """Exact transport between uniform marginals on a square cost matrix.
+
+    The polytope's vertices are the permutation matrices, so the optimum is
+    the best assignment averaged over n.  Enumeration is factorial, hence the
+    size cap.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise ShapeError(f"oracle needs a square cost matrix, got shape {C.shape}")
+    n = C.shape[0]
+    if n > MAX_ORACLE_SIZE:
+        raise DomainError(f"permutation oracle refuses n={n} > {MAX_ORACLE_SIZE}")
+    rows = np.arange(n)
+    return float(min(C[rows, perm].sum() for perm in permutations(range(n)))) / n
+
+
+def floor_simplex(w):
+    return floor_simplex_value(Value(np.asarray(w, dtype=np.float64))).data
 
 
 def dense_reference(C, a, b, eps, iters=5000):

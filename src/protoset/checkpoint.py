@@ -1,4 +1,7 @@
-"""Versioned JSON checkpoints: named parameter arrays plus run bookkeeping.
+"""Versioned JSON checkpoints: named parameter arrays, step and config.
+
+A checkpoint holds what eval rebuilds a model from and nothing else: no
+optimizer state, so training cannot resume from one.
 
 The payload is a single JSON object with sorted keys and no whitespace, so a
 save -> load -> save round trip reproduces the file byte for byte (floats are
@@ -9,15 +12,15 @@ shape; loading restores float64 exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .diffcore import Adam, Value
+from .diffcore import Value
 from .errors import CheckpointError, CheckpointVersionError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _array_record(array: np.ndarray) -> dict:
@@ -41,29 +44,6 @@ def _array_from_record(name: str, record) -> np.ndarray:
     return np.asarray(data, dtype=np.float64).reshape(shape)
 
 
-def optimizer_state(optimizer, name: str = "main") -> dict:
-    """Snapshot one optimizer as a named group of state arrays.
-
-    SGD carries no state beyond its learning rate, so its group is empty;
-    Adam contributes moment arrays and per-parameter step counts.
-    """
-    group: dict = {"arrays": {}, "steps": []}
-    if isinstance(optimizer, Adam):
-        group["arrays"] = {k: _array_record(v) for k, v in optimizer.state_arrays().items()}
-        group["steps"] = list(optimizer.t)
-    return {name: group}
-
-
-def restore_optimizer(optimizer, groups: dict, name: str = "main") -> None:
-    """Load a saved group back into a freshly built optimizer."""
-    if name not in groups:
-        raise CheckpointError(f"checkpoint has no optimizer group {name!r}")
-    group = groups[name]
-    if isinstance(optimizer, Adam) and group["arrays"]:
-        arrays = {k: _array_from_record(k, v) for k, v in group["arrays"].items()}
-        optimizer.load_state(arrays, list(group["steps"]))
-
-
 @dataclass
 class Checkpoint:
     """Loaded checkpoint contents."""
@@ -72,37 +52,22 @@ class Checkpoint:
     step: int
     config: dict  # resolved config in JSON form
     config_hash: str
-    optimizer: dict = field(default_factory=dict)  # group name -> {arrays, steps}
-    meta: dict = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
 
 
-def save_checkpoint(
-    path,
-    params: dict,
-    step: int,
-    config: dict,
-    config_hash: str,
-    optimizer: dict | None = None,
-    meta: dict | None = None,
-) -> None:
+def save_checkpoint(path, params: dict, step: int, config: dict, config_hash: str) -> None:
     """Write a checkpoint; parameter values may be arrays or Value nodes."""
     if step < 0:
         raise CheckpointError(f"step must be nonnegative, got {step}")
     arrays = {}
     for name, p in params.items():
         arrays[name] = _array_record(p.data if isinstance(p, Value) else p)
-    groups = {}
-    for name, group in (optimizer or {}).items():
-        groups[name] = {"arrays": dict(group.get("arrays", {})), "steps": list(group.get("steps", []))}
     payload = {
         "format_version": FORMAT_VERSION,
         "step": int(step),
         "config": config,
         "config_hash": str(config_hash),
         "params": arrays,
-        "optimizer": groups,
-        "meta": dict(meta or {}),
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -110,7 +75,7 @@ def save_checkpoint(
     path.write_text(text + "\n", encoding="utf-8")
 
 
-_REQUIRED = ("format_version", "step", "config", "config_hash", "params", "optimizer", "meta")
+_REQUIRED = ("format_version", "step", "config", "config_hash", "params")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -146,19 +111,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path.name} has a malformed step {step!r}")
     if not isinstance(payload["config"], dict):
         raise CheckpointError(f"{path.name} config must be an object")
-    optimizer = payload["optimizer"]
-    if not isinstance(optimizer, dict):
-        raise CheckpointError(f"{path.name} optimizer must be an object")
-    for gname, group in optimizer.items():
-        if not isinstance(group, dict) or "arrays" not in group or "steps" not in group:
-            raise CheckpointError(f"{path.name} optimizer group {gname!r} is malformed")
     return Checkpoint(
         params=params,
         step=step,
         config=payload["config"],
         config_hash=payload["config_hash"],
-        optimizer=optimizer,
-        meta=payload["meta"],
         format_version=version,
     )
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import assign_parameters, load_checkpoint, optimizer_state, save_checkpoint
+from .checkpoint import assign_parameters, load_checkpoint, save_checkpoint
 from .config import (
     ResolvedConfig,
     config_from_json_dict,
@@ -237,7 +237,7 @@ class EncoderTask(Task):
         )
         loss_fn = self.task_loss() if cfg["train.mode"] == "supervised" else None
         trace = train_prototypes(sets, net, bank, train_cfg, loss_fn)
-        return list(zip(trace.steps, trace.ot_losses, trace.task_losses)), trace.optimizers
+        return list(zip(trace.steps, trace.ot_losses, trace.task_losses))
 
     def eval_corpus(self, cfg: ResolvedConfig):
         return load_corpus(cfg["corpus"])[1] if cfg["corpus"] else self.eval_sets(cfg)
@@ -425,6 +425,10 @@ class FewShotTask(Task):
         return None
 
     def build(self, cfg: ResolvedConfig, sets):
+        if cfg["corpus"]:  # train and eval both build here
+            raise ConfigError(
+                "fewshot episodes are generated on the fly from the seed; corpus must be empty"
+            )
         episode = EpisodeSpec(
             n_way=cfg["fewshot.n_way"],
             k_shot=cfg["fewshot.k_shot"],
@@ -458,7 +462,7 @@ class FewShotTask(Task):
 
     def train(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank, sets):
         trace = train_fewshot(model, model.config)
-        return list(zip(trace.steps, trace.ot_losses, trace.task_losses)), trace.optimizers
+        return list(zip(trace.steps, trace.ot_losses, trace.task_losses))
 
     def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank) -> dict:
         count = cfg["eval.count"] or 1000
@@ -548,7 +552,7 @@ class MetaGanTask(Task):
         pairs = [(batch, {}) for batch in sets]
         trace = train_metagan(pairs, model, bank, model.config)
         rows = zip(trace.steps, trace.critic_losses, trace.generator_losses, trace.ot_losses)
-        return list(rows), trace.optimizers
+        return list(rows)
 
     def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank) -> dict:
         _, tasks = self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])
@@ -639,27 +643,14 @@ def cmd_train(args) -> int:
     task = TASK_TABLE[cfg["task"]]
     sets = task.training_sets(cfg)
     net, bank, named = task.build(cfg, sets)
-    rows, optimizers = task.train(cfg, net, bank, sets)
+    rows = task.train(cfg, net, bank, sets)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
     _write_trace(trace_path, cfg, task.columns, rows)
-    groups: dict = {}
-    for name, opt in optimizers.items():
-        if opt is not None:
-            groups.update(optimizer_state(opt, name))
     step = len(rows)
     ck_path = out / f"checkpoint.{step}"
-    meta = {"task": task.name, "bank_space": bank.space}
-    save_checkpoint(
-        ck_path,
-        named,
-        step,
-        cfg.as_dict(),
-        cfg.config_hash(),
-        optimizer=groups,
-        meta=meta,
-    )
+    save_checkpoint(ck_path, named, step, cfg.as_dict(), cfg.config_hash())
     print(f"trained {task.name} for {step} steps; wrote {trace_path} and {ck_path}")
     return EXIT_OK
 
@@ -679,9 +670,7 @@ def cmd_eval(args) -> int:
     # fresh eval data by default; the stored corpus path was the training input
     overrides.setdefault("corpus", "")
     cfg = stored.with_overrides(overrides)
-    task = ck.meta.get("task", cfg["task"])
-    if task not in TASK_TABLE:
-        raise ConfigError(f"eval does not support task {task!r}")
+    task = cfg["task"]
     entry = TASK_TABLE[task]
     net, bank, named = entry.build(cfg, None)
     assign_parameters(named, ck.params)

@@ -44,6 +44,9 @@ def _field(kind, default, choices=None, minimum=None, exclusive=False, help=""):
     return ConfigField(kind, default, choices, minimum, exclusive, help)
 
 
+# help of the shared train.* keys that fewshot and metagan never read
+_ENCODER_ONLY = "read by mog, digitsum, pointset only"
+
 SCHEMA: dict[str, ConfigField] = {
     # run-level
     "task": _field("str", "mog", choices=TASKS, help="which experiment to run"),
@@ -65,12 +68,12 @@ SCHEMA: dict[str, ConfigField] = {
     "optim.lr_final": _field("opt_float", None, minimum=0.0, exclusive=True),
     # shared training knobs
     "train.steps": _field("int", 1000, minimum=1),
-    "train.batch_sets": _field("int", 1, minimum=1),
-    "train.batch_points": _field("int", 100, minimum=1),
-    "train.metric": _field("str", "cosine", choices=METRICS),
+    "train.batch_sets": _field("int", 1, minimum=1, help=_ENCODER_ONLY),
+    "train.batch_points": _field("int", 100, minimum=1, help=_ENCODER_ONLY),
+    "train.metric": _field("str", "cosine", choices=METRICS, help=_ENCODER_ONLY),
     "train.lambda_ot": _field("opt_float", None, minimum=0.0),
     "train.log_every": _field("int", 0, minimum=0),
-    "train.mode": _field("str", "supervised", choices=TRAIN_MODES),
+    "train.mode": _field("str", "supervised", choices=TRAIN_MODES, help=_ENCODER_ONLY),
     # set encoder (mog, digitsum, pointset)
     "model.k": _field("int", 50, minimum=1, help="number of prototypes"),
     "model.encoder_widths": _field("int_list", (128, 128, 128)),

@@ -87,20 +87,6 @@ class Adam:
         for p in self.params:
             p.grad = None
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Flat view of optimizer state for checkpointing."""
-        out: dict[str, np.ndarray] = {}
-        for i in range(len(self.params)):
-            out[f"m.{i}"] = self.m[i]
-            out[f"v.{i}"] = self.v[i]
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray], steps: list[int]) -> None:
-        for i in range(len(self.params)):
-            self.m[i] = np.asarray(arrays[f"m.{i}"], dtype=np.float64).reshape(self.m[i].shape)
-            self.v[i] = np.asarray(arrays[f"v.{i}"], dtype=np.float64).reshape(self.v[i].shape)
-        self.t = list(steps)
-
 
 def make_optimizer(kind: str, params: Iterable[Value], lr: float):
     if kind == "adam":

@@ -329,7 +329,7 @@ def train_fewshot(model: FewShotModel, config: FewShotConfig) -> TrainTrace:
     guard_rng = np.random.default_rng(config.seed + 1)  # drawn from only on column collapse
     guard_bank = model.bank if lam > 0 and config.metric == "cosine" else None
     stream = gen_episodes(config, "base", seed=config.seed)
-    trace = TrainTrace(optimizers={"main": optimizer})
+    trace = TrainTrace()
     for step, episode in enumerate(islice(stream, config.episodes)):
         optimizer.lr = lr_at(config.lr, config.lr_final, step, config.episodes)
         with diverges_on_failure(step):

@@ -284,17 +284,12 @@ def generator_loss(fake_logits: Value, non_saturating: bool = False) -> Value:
 
 @dataclass
 class GanTrace:
-    """Per-iteration losses of the three interleaved updates.
-
-    ``optimizers`` exposes the loop's optimizers by role for checkpointing;
-    comparisons ignore it.
-    """
+    """Per-iteration losses of the three interleaved updates."""
 
     steps: list = field(default_factory=list)
     critic_losses: list = field(default_factory=list)
     generator_losses: list = field(default_factory=list)
     ot_losses: list = field(default_factory=list)
-    optimizers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def append(self, step: int, critic: float, generator: float, ot: Optional[float]):
         self.steps.append(step)
@@ -352,9 +347,7 @@ def train_metagan(
         ot_opt = make_optimizer(
             config.ot.optimizer, [bank.matrix] + model.summary.parameters(), config.ot.lr
         )
-    trace = GanTrace(
-        optimizers={"critic": critic_opt, "generator": gen_opt, "transport": ot_opt}
-    )
+    trace = GanTrace()
     for step in range(config.iterations):
         batch = sets[int(data_rng.integers(len(sets)))]
         points = batch.points

@@ -120,16 +120,11 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-step losses recorded during a loop.
-
-    ``optimizers`` maps a name to the optimizer the loop used, so callers can
-    checkpoint its state; it never takes part in trace comparisons.
-    """
+    """Per-step losses recorded during a loop."""
 
     steps: list = field(default_factory=list)
     ot_losses: list = field(default_factory=list)
     task_losses: list = field(default_factory=list)
-    optimizers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def append(self, step: int, ot_loss: Optional[float], task_loss: Optional[float]):
         self.steps.append(step)
@@ -228,7 +223,7 @@ def train_prototypes(
         params = [bank.matrix] + params
     optimizer = make_optimizer(config.optimizer, params, config.lr)
     guard_bank = bank if lam > 0 and config.metric == "cosine" else None
-    trace = TrainTrace(optimizers={"main": optimizer})
+    trace = TrainTrace()
     scale = 1.0 / config.batch_sets
     metric, sk = config.metric, config.sinkhorn
     for step in range(config.steps):

@@ -9,12 +9,10 @@ from protoset.checkpoint import (
     FORMAT_VERSION,
     assign_parameters,
     load_checkpoint,
-    optimizer_state,
-    restore_optimizer,
     save_checkpoint,
 )
 from protoset.config import default_config
-from protoset.diffcore import SGD, Adam, Value
+from protoset.diffcore import Value
 from protoset.errors import CheckpointError, CheckpointVersionError
 
 RNG = np.random.default_rng(5)
@@ -28,11 +26,9 @@ def _named_params():
     }
 
 
-def _save(path, named, step=10, optimizer=None, meta=None):
+def _save(path, named, step=10):
     cfg = default_config()
-    save_checkpoint(
-        path, named, step, cfg.as_dict(), cfg.config_hash(), optimizer=optimizer, meta=meta
-    )
+    save_checkpoint(path, named, step, cfg.as_dict(), cfg.config_hash())
 
 
 # -- round trips ------------------------------------------------------------------
@@ -41,11 +37,10 @@ def _save(path, named, step=10, optimizer=None, meta=None):
 def test_round_trip_restores_arrays_exactly(tmp_path):
     named = _named_params()
     path = tmp_path / "checkpoint.10"
-    _save(path, named, meta={"task": "mog", "bank_space": "data-space"})
+    _save(path, named)
     ck = load_checkpoint(path)
     assert ck.step == 10
     assert ck.format_version == FORMAT_VERSION
-    assert ck.meta == {"task": "mog", "bank_space": "data-space"}
     assert sorted(ck.params) == sorted(named)
     for name, value in named.items():
         assert np.array_equal(ck.params[name], value.data)
@@ -55,15 +50,9 @@ def test_round_trip_restores_arrays_exactly(tmp_path):
 def test_save_load_save_is_byte_identical(tmp_path):
     named = _named_params()
     p1, p2 = tmp_path / "a.ck", tmp_path / "b.ck"
-    opt = Adam(list(named.values()), lr=0.01)
-    for v in named.values():
-        v.grad = np.ones_like(v.data)
-    opt.step()
-    _save(p1, named, optimizer=optimizer_state(opt))
+    _save(p1, named)
     ck = load_checkpoint(p1)
-    save_checkpoint(
-        p2, ck.params, ck.step, ck.config, ck.config_hash, optimizer=ck.optimizer, meta=ck.meta
-    )
+    save_checkpoint(p2, ck.params, ck.step, ck.config, ck.config_hash)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -79,42 +68,6 @@ def test_round_trip_survives_extreme_floats(tmp_path):
     restored = load_checkpoint(path).params["w"]
     assert np.array_equal(restored, named["w"].data)
     assert np.signbit(restored[3])
-
-
-# -- optimizer state ---------------------------------------------------------------
-
-
-def test_adam_state_round_trip(tmp_path):
-    params = [Value(RNG.normal(size=(2, 2)), requires_grad=True)]
-    opt = Adam(params, lr=0.05)
-    for _ in range(3):
-        params[0].grad = RNG.normal(size=(2, 2))
-        opt.step()
-    path = tmp_path / "opt.ck"
-    _save(path, {"p": params[0]}, optimizer=optimizer_state(opt))
-    ck = load_checkpoint(path)
-    fresh = Adam([Value(np.zeros((2, 2)), requires_grad=True)], lr=0.05)
-    restore_optimizer(fresh, ck.optimizer)
-    assert np.array_equal(fresh.m[0], opt.m[0])
-    assert np.array_equal(fresh.v[0], opt.v[0])
-    assert fresh.t == opt.t
-
-
-def test_sgd_state_is_empty_but_named(tmp_path):
-    params = [Value(np.ones(2), requires_grad=True)]
-    opt = SGD(params, lr=0.1)
-    state = optimizer_state(opt, "main")
-    assert state == {"main": {"arrays": {}, "steps": []}}
-    path = tmp_path / "sgd.ck"
-    _save(path, {"p": params[0]}, optimizer=state)
-    ck = load_checkpoint(path)
-    restore_optimizer(SGD(params, lr=0.1), ck.optimizer)  # no-op, must not raise
-
-
-def test_restore_missing_group_raises():
-    opt = Adam([Value(np.zeros(1), requires_grad=True)])
-    with pytest.raises(CheckpointError, match="generator"):
-        restore_optimizer(opt, {"main": {"arrays": {}, "steps": []}}, name="generator")
 
 
 # -- failure modes -----------------------------------------------------------------

@@ -61,6 +61,9 @@ TASK_RUNS = {
     "metagan": (["--seed", "1"] + METAGAN_ARGS, "checkpoint.6", ["--count", "2"]),
 }
 
+# a checkpoint holds what eval reads and no optimizer state
+CHECKPOINT_KEYS = {"format_version", "step", "config", "config_hash", "params"}
+
 
 def run(argv):
     return cli.main(argv)
@@ -211,9 +214,7 @@ def test_train_writes_trace_and_checkpoint(tmp_path):
     assert body[1].startswith("0,")
     ck = load_checkpoint(ck_path)
     assert ck.step == 5
-    assert ck.meta["task"] == "mog"
-    assert ck.meta["bank_space"] == "data-space"
-    assert "main" in ck.optimizer and ck.optimizer["main"]["steps"]
+    assert set(json.loads(ck_path.read_text())) == CHECKPOINT_KEYS
     assert any(name == "bank" for name in ck.params)
 
 
@@ -322,8 +323,7 @@ def test_checkpoint_round_trip_preserves_metrics_bit_exact(tmp_path):
     _, ck_path = train_task("mog", tmp_path / "run")
     ck = load_checkpoint(ck_path)
     copied = tmp_path / "copy.ck"
-    save_checkpoint(copied, ck.params, ck.step, ck.config, ck.config_hash,
-                    optimizer=ck.optimizer, meta=ck.meta)
+    save_checkpoint(copied, ck.params, ck.step, ck.config, ck.config_hash)
     results = []
     for path, sub in ((ck_path, "e1"), (copied, "e2")):
         out = tmp_path / sub
@@ -372,6 +372,19 @@ def test_eval_version_mismatch_exits_5(tmp_path):
     assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_VERSION_MISMATCH
 
 
+def test_eval_v1_checkpoint_exits_5(tmp_path, capsys):
+    # format 1 also stored Adam moments and a meta block; this build reads neither
+    _, ck_path = train_task("mog", tmp_path / "run")
+    payload = json.loads(ck_path.read_text())
+    payload["format_version"] = 1
+    payload["optimizer"] = {"main": {"arrays": {}, "steps": [5]}}
+    payload["meta"] = {"task": "mog", "bank_space": "data-space"}
+    ck_path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_VERSION_MISMATCH
+    err = capsys.readouterr().err
+    assert "format 1" in err and "reads 2" in err
+
+
 # -- other tasks through the CLI ------------------------------------------------------
 
 
@@ -387,6 +400,23 @@ def test_pointset_cli_round_trip(tmp_path):
     assert 0.0 <= metrics["accuracy"] <= 1.0
 
 
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_fewshot_corpus_exits_2(verb, tmp_path, capsys):
+    # episodes come from the seed, so a corpus would be silently ignored
+    data = tmp_path / "data"
+    assert run(["gen", "--task", "mog", "--count", "2", "--out", str(data)]) == 0
+    corpus = ["--corpus", str(data / "corpus.jsonl")]
+    if verb == "train":
+        argv = ["train", "--task", "fewshot", "--out", str(tmp_path / "run")]
+        argv += TASK_RUNS["fewshot"][0] + corpus
+    else:
+        _, ck_path = train_task("fewshot", tmp_path / "run")
+        argv = ["eval", "--checkpoint", str(ck_path), "--out", str(tmp_path / "ev")] + corpus
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_CONFIG
+    assert "corpus must be empty" in capsys.readouterr().err
+
+
 def test_fewshot_cli_round_trip(tmp_path):
     _, ck_path = train_task("fewshot", tmp_path / "run")
     metrics = eval_task("fewshot", ck_path, tmp_path / "ev")
@@ -399,7 +429,7 @@ def test_metagan_cli_round_trip(tmp_path):
     body = [l for l in trace_path.read_text().splitlines() if not l.startswith("#")]
     assert body[0] == "step,critic_loss,generator_loss,transport_loss"
     ck = load_checkpoint(ck_path)
-    assert {"critic", "generator", "transport"} <= set(ck.optimizer)
+    assert set(json.loads(ck_path.read_text())) == CHECKPOINT_KEYS
     assert any(n.startswith("summary.") for n in ck.params)
     metrics = eval_task("metagan", ck_path, tmp_path / "ev")
     assert metrics["n_tasks"] == 2

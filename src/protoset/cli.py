@@ -173,7 +173,7 @@ def _bank(sets, dim: int, k: int, rng) -> PrototypeBank:
     if sets is None:
         return PrototypeBank(Value(np.zeros((dim, k)), requires_grad=True))
     pool = np.vstack([batch.points for batch in sets[: min(len(sets), 64)]])
-    return PrototypeBank.from_points(pool, k, rng, space="data-space")
+    return PrototypeBank.from_points(pool, k, rng)
 
 
 class Task:
@@ -187,6 +187,7 @@ class Task:
 
     name: str
     columns = ("step", "transport_loss", "task_loss")
+    steps_key = "train.steps"  # the config key that sets how long train runs
 
     def training_sets(self, cfg: ResolvedConfig):
         if cfg["corpus"]:
@@ -415,6 +416,7 @@ class FewShotTask(Task):
     """Episodes are drawn from the seed, so there is no corpus to write or read."""
 
     name = "fewshot"
+    steps_key = "fewshot.episodes"
 
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
         raise ConfigError(
@@ -496,6 +498,7 @@ class FewShotTask(Task):
 class MetaGanTask(Task):
     name = "metagan"
     columns = ("step", "critic_loss", "generator_loss", "transport_loss")
+    steps_key = "metagan.iterations"
 
     def spec(self, cfg: ResolvedConfig) -> TaskFamilySpec:
         return TaskFamilySpec(
@@ -641,6 +644,10 @@ def cmd_train(args) -> int:
         },
     )
     task = TASK_TABLE[cfg["task"]]
+    if args.steps is not None and task.steps_key != "train.steps":
+        raise ConfigError(
+            f"--steps sets train.steps, which {task.name} does not read; set {task.steps_key}"
+        )
     sets = task.training_sets(cfg)
     net, bank, named = task.build(cfg, sets)
     rows = task.train(cfg, net, bank, sets)

@@ -67,7 +67,7 @@ SCHEMA: dict[str, ConfigField] = {
     "optim.lr": _field("float", 0.001, minimum=0.0, exclusive=True),
     "optim.lr_final": _field("opt_float", None, minimum=0.0, exclusive=True),
     # shared training knobs
-    "train.steps": _field("int", 1000, minimum=1),
+    "train.steps": _field("int", 1000, minimum=1, help=_ENCODER_ONLY),
     "train.batch_sets": _field("int", 1, minimum=1, help=_ENCODER_ONLY),
     "train.batch_points": _field("int", 100, minimum=1, help=_ENCODER_ONLY),
     "train.metric": _field("str", "cosine", choices=METRICS, help=_ENCODER_ONLY),

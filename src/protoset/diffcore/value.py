@@ -72,7 +72,7 @@ class Value:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if recording(parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -432,6 +432,11 @@ class Value:
                 node.grad = node.grad + g
             if node._backward is not None:
                 node._backward(g, flowing)
+
+
+def recording(parents: Sequence[Value]) -> bool:
+    """Whether an op over ``parents`` is recorded on the graph."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _linearize(root: Value) -> list[Value]:

@@ -175,7 +175,7 @@ class FewShotModel:
         self.simplex_head = MLP((m, *config.g_widths, config.bank_size), "relu", rng)
         cols = rng.normal(size=(m, config.bank_size))
         cols = cols / np.linalg.norm(cols, axis=0, keepdims=True)
-        self.bank = PrototypeBank(Value(cols, requires_grad=True), space="embedding-space")
+        self.bank = PrototypeBank(Value(cols, requires_grad=True))
 
     def embed(self, points) -> Value:
         return self.embed_net(as_value(points))

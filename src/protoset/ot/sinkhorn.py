@@ -10,8 +10,9 @@ updates in the log domain:
 and the plan is T = exp((f + g - C) / eps) (outer sum of potentials).  Small
 eps therefore underflows gracefully instead of overflowing a kernel matrix.
 
-The differentiable path comes in two modes.  "unrolled" replays exactly
-``unroll_iters`` of those updates on the tape.  "envelope" solves to
+The differentiable path comes in two modes.  "unrolled" runs exactly
+``unroll_iters`` of those updates as one graph node whose backward sweeps
+back through them.  "envelope" solves to
 convergence outside the graph and wires the stationary quantities back in:
 the gradient w.r.t. the cost is the plan itself, the gradient w.r.t. the
 column marginal is the dual potential g centered to zero mean.
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diffcore import Value, as_value
-from ..errors import ConfigError, NumericalError, ShapeError
+from ..diffcore.value import _accumulate, recording
+from ..errors import ConfigError, DomainError, NumericalError, ShapeError
 from .marginals import Marginals
 
 GRAD_MODES = ("unrolled", "envelope")
@@ -170,19 +172,79 @@ def differentiable_transport_loss(
 
 
 def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig) -> Value:
+    """``unroll_iters`` scaled-potential updates and the loss of their plan, as
+    one graph node over ``cost`` and ``b``.
+
+    While a graph is recorded, each half-iteration keeps its shifted
+    exponentials exp(x - max) and their sums, i.e. the softmax weights of its
+    log-sum-exp; the backward sweeps the iterations in reverse with them.
+    Otherwise every half-iteration reuses one buffer and nothing is kept.
+    """
     n, k = cost.shape
     eps = config.epsilon
-    log_a = Value(np.log(a))
-    log_b = b.log()
-    scaled_neg_cost = cost * (-1.0 / eps)  # (f + g - C)/eps with scaled potentials
-    u = Value(np.zeros(n))
-    v = Value(np.zeros(k))
-    for _ in range(config.unroll_iters):
-        u = log_a - (scaled_neg_cost + v.reshape(1, k)).logsumexp(axis=1)
-        v = log_b - (scaled_neg_cost + u.reshape(n, 1)).logsumexp(axis=0)
-    plan = (scaled_neg_cost + u.reshape(n, 1) + v.reshape(1, k)).exp()
+    iters = config.unroll_iters
+    log_a = np.log(a)
+    log_b = np.log(b.data)
+    neg_cost = cost.data * (-1.0 / eps)  # (f + g - C)/eps with scaled potentials
+    slots = iters if recording((cost, b)) else 1
+    # one block for both stacks: at 100x50 and 50 iterations two separate 2 MB
+    # blocks went back to the OS when a step's graph was freed and were paged
+    # in again on the next step (about 480 page faults a step)
+    e_row, e_col = np.empty((2, slots, n, k))
+    s_row, s_col = np.empty((slots, n)), np.empty((slots, k))
+    u = np.zeros(n)
+    v = np.zeros(k)
+    for t in range(iters):
+        i = t % slots
+        lse = _shifted_lse(np.add(neg_cost, v.reshape(1, k), out=e_row[i]), 1, s_row[i])
+        u = log_a - lse
+        lse = _shifted_lse(np.add(neg_cost, u.reshape(n, 1), out=e_col[i]), 0, s_col[i])
+        v = log_b - lse
+    plan = np.exp(neg_cost + u.reshape(n, 1) + v.reshape(1, k))
+    row, col = plan.sum(axis=1), plan.sum(axis=0)
     # <T, C> + eps <T, log T> collapses to eps * (<u, T 1> + <v, T' 1>)
-    return ((u * plan.sum(axis=1)).sum() + (v * plan.sum(axis=0)).sum()) * eps
+    data = np.asarray(((u * row).sum() + (v * col).sum()) * eps)
+
+    def backward(g, acc):
+        scale = g * eps
+        g_neg_cost = scale * (u.reshape(n, 1) + v.reshape(1, k)) * plan
+        gu = scale * row + g_neg_cost.sum(axis=1)
+        gv = scale * col + g_neg_cost.sum(axis=0)
+        g_log_b = np.zeros(k)
+        # an LSE input x gets -softmax(x) * (the LSE's gradient), softmax being
+        # the kept exps over their sums; the sweep needs only its sums over the
+        # reduced axis (matrix-vector products), so the (N, K) terms are added
+        # once at the end from the per-iteration factors q and r
+        q, r = np.empty((iters, k)), np.empty((iters, n))
+        for t in reversed(range(iters)):
+            # v = log_b - LSE_0(x) with x = neg_cost + u
+            g_log_b += gv
+            q[t] = gv / s_col[t]
+            gu = gu - e_col[t] @ q[t]
+            # u = log_a - LSE_1(x) with x = neg_cost + v; the previous u reaches
+            # the loss only through the previous v
+            r[t] = gu / s_row[t]
+            gv = -(r[t] @ e_row[t])
+            gu = 0.0
+        g_neg_cost -= np.einsum("tnk,tk->nk", e_col, q)
+        g_neg_cost -= np.einsum("tnk,tn->nk", e_row, r)
+        _accumulate(acc, cost, g_neg_cost * (-1.0 / eps))
+        _accumulate(acc, b, g_log_b / b.data)
+
+    return Value._from_op(data, (cost, b), backward)
+
+
+def _shifted_lse(x: np.ndarray, axis: int, sums: np.ndarray) -> np.ndarray:
+    """Max-shifted log-sum-exp of ``x`` along ``axis``.
+
+    ``x`` is overwritten with exp(x - max) and ``sums`` with its sums.
+    """
+    m = np.maximum.reduce(x, axis=axis, keepdims=True)
+    if math.isnan(np.maximum.reduce(m, axis=None)):  # max propagates any NaN in x
+        raise DomainError("logsumexp of NaN input")
+    np.exp(np.subtract(x, m, out=x), out=x)
+    np.add.reduce(x, axis=axis, out=sums)
+    return np.log(sums) + m.reshape(sums.shape)
 
 
 def _envelope_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig) -> Value:

@@ -32,36 +32,25 @@ from .summarynet import SetBatch, SummaryNet
 
 logger = logging.getLogger(__name__)
 
-SPACES = ("data-space", "embedding-space")
-
 
 @dataclass
 class PrototypeBank:
-    """Trainable prototype columns with the space they live in."""
+    """Trainable prototype columns, one per prototype."""
 
     matrix: Value
-    space: str = "data-space"
 
     def __post_init__(self):
         if not isinstance(self.matrix, Value):
             self.matrix = Value(np.asarray(self.matrix, dtype=np.float64), requires_grad=True)
         if self.matrix.ndim != 2:
             raise ConfigError(f"bank matrix must be (d, K), got shape {self.matrix.shape}")
-        if self.space not in SPACES:
-            raise ConfigError(f"bank space must be one of {SPACES}, got {self.space!r}")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_points(
-        cls,
-        points: np.ndarray,
-        k: int,
-        rng: np.random.Generator,
-        space: str = "data-space",
-    ) -> "PrototypeBank":
+    def from_points(cls, points: np.ndarray, k: int, rng: np.random.Generator) -> "PrototypeBank":
         """Initialize columns by sampling k points from a pool (rows)."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] < 1:
@@ -70,7 +59,7 @@ class PrototypeBank:
             raise ConfigError(f"K must be positive, got {k}")
         n = points.shape[0]
         idx = rng.choice(n, size=k, replace=n < k)
-        return cls(Value(points[idx].T.copy(), requires_grad=True), space)
+        return cls(Value(points[idx].T.copy(), requires_grad=True))
 
     def guard_cosine_columns(self, rng: np.random.Generator) -> int:
         """Re-randomize any column whose norm fell below the cosine floor.

@@ -417,6 +417,16 @@ def test_fewshot_corpus_exits_2(verb, tmp_path, capsys):
     assert "corpus must be empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task,key", [("fewshot", "fewshot.episodes"), ("metagan", "metagan.iterations")])
+def test_steps_flag_on_task_without_train_steps_exits_2(task, key, tmp_path, capsys):
+    # these loops run for their own key, so --steps would be silently ignored
+    argv = ["train", "--task", task, "--steps", "3", "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert run(argv + TASK_RUNS[task][0]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_fewshot_cli_round_trip(tmp_path):
     _, ck_path = train_task("fewshot", tmp_path / "run")
     metrics = eval_task("fewshot", ck_path, tmp_path / "ev")

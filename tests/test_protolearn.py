@@ -56,8 +56,6 @@ def test_bank_validation():
     with pytest.raises(ConfigError):
         PrototypeBank(Value(np.zeros(3), requires_grad=True))
     with pytest.raises(ConfigError):
-        PrototypeBank(Value(np.zeros((2, 3)), requires_grad=True), space="latent")
-    with pytest.raises(ConfigError):
         PrototypeBank.from_points(RNG.normal(size=(10, 2)), 0, np.random.default_rng(0))
 
 

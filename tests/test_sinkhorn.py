@@ -1,8 +1,8 @@
 """Sinkhorn solver, objective accounting, differentiable path, exact oracle.
 
 The independent references here: a dense kernel-domain fixed-point iteration
-(safe at moderate eps), brute-force permutation enumeration, and central
-finite differences.
+(safe at moderate eps), brute-force permutation enumeration, central finite
+differences, and the unrolled updates composed from Value primitives.
 """
 
 from itertools import permutations
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protoset.diffcore import Value, check_gradients, zero_grad
+from protoset.diffcore import Value, check_gradients, no_grad, zero_grad
 from protoset.errors import ConfigError, DomainError, InvalidMarginalsError, ShapeError
 from protoset.ot import (
     Marginals,
@@ -49,6 +49,37 @@ def exact_uniform_ot(C) -> float:
 
 def floor_simplex(w):
     return floor_simplex_value(Value(np.asarray(w, dtype=np.float64))).data
+
+
+def unrolled_loss_tape(cost, b, a, config):
+    """The unrolled loss built from Value primitives, about 8 nodes an iteration.
+
+    Same numpy operations in the same order as the fused node, so the forward
+    is bit-equal and the tape's backward is an independent gradient.
+    """
+    n, k = cost.shape
+    eps = config.epsilon
+    log_a = Value(np.log(a))
+    log_b = b.log()
+    scaled_neg_cost = cost * (-1.0 / eps)
+    u = Value(np.zeros(n))
+    v = Value(np.zeros(k))
+    for _ in range(config.unroll_iters):
+        u = log_a - (scaled_neg_cost + v.reshape(1, k)).logsumexp(axis=1)
+        v = log_b - (scaled_neg_cost + u.reshape(n, 1)).logsumexp(axis=0)
+    plan = (scaled_neg_cost + u.reshape(n, 1) + v.reshape(1, k)).exp()
+    return ((u * plan.sum(axis=1)).sum() + (v * plan.sum(axis=0)).sum()) * eps
+
+
+def graph_size(root):
+    """Number of nodes reachable from ``root`` through recorded parents."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
 
 
 def dense_reference(C, a, b, eps, iters=5000):
@@ -305,3 +336,57 @@ def test_column_weight_positivity_enforced():
 
     with pytest.raises(NumericalError):
         differentiable_transport_loss(C, Value(np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize(
+    "n,k,eps,iters,uniform_rows",
+    [(100, 50, 0.1, 50, True), (5, 16, 0.1, 20, True), (8, 3, 0.01, 50, True), (12, 4, 0.1, 30, False)],
+)
+def test_fused_unrolled_matches_tape(n, k, eps, iters, uniform_rows):
+    rng = np.random.default_rng(n * k)
+    C0 = rng.uniform(0, 2, (n, k))
+    b0 = floor_simplex(rng.dirichlet(np.ones(k)))
+    a = uniform_weights(n) if uniform_rows else rng.dirichlet(np.ones(n))
+    cfg = SinkhornConfig(epsilon=eps, unroll_iters=iters)
+    results = []
+    for build in (
+        lambda C, b: differentiable_transport_loss(C, b, cfg, None if uniform_rows else a),
+        lambda C, b: unrolled_loss_tape(C, b, a, cfg),
+    ):
+        C = Value(C0.copy(), requires_grad=True)
+        b = Value(b0.copy(), requires_grad=True)
+        loss = build(C, b)
+        loss.backward()
+        results.append((loss.item(), C.grad, b.grad))
+    (fused, gC, gb), (tape, gC_ref, gb_ref) = results
+    assert fused == tape  # same operations in the same order
+    assert np.abs(gC - gC_ref).max() <= 1e-10 * np.abs(gC_ref).max()
+    assert np.abs(gb - gb_ref).max() <= 1e-10 * np.abs(gb_ref).max()
+
+
+def test_fused_unrolled_nan_cost_raises():
+    C = np.ones((4, 3))
+    C[2, 1] = np.nan
+    with pytest.raises(DomainError, match="NaN"):
+        differentiable_transport_loss(
+            Value(C, requires_grad=True), Value(uniform_weights(3), requires_grad=True)
+        )
+
+
+def test_fused_unrolled_records_nothing_under_no_grad():
+    C = Value(RNG.uniform(0, 2, (6, 3)), requires_grad=True)
+    b = Value(uniform_weights(3), requires_grad=True)
+    with no_grad():
+        loss = differentiable_transport_loss(C, b)
+    assert loss._backward is None and loss._parents == ()
+
+
+def test_fused_unrolled_graph_size_does_not_grow_with_iterations():
+    C0 = RNG.uniform(0, 2, (6, 3))
+    sizes = []
+    for iters in (1, 50):
+        C = Value(C0.copy(), requires_grad=True)
+        b = Value(uniform_weights(3), requires_grad=True)
+        loss = differentiable_transport_loss(C * 2.0, b, SinkhornConfig(unroll_iters=iters))
+        sizes.append(graph_size(loss))
+    assert sizes[0] == sizes[1]

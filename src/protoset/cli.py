@@ -115,9 +115,11 @@ def _override_strings(args, flag_map: dict) -> dict:
     return overrides
 
 
-def _resolve(args, flag_map: dict) -> ResolvedConfig:
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else None
-    return resolve_config(file_values, _override_strings(args, flag_map))
+def _resolve(args, flag_map: dict) -> tuple[ResolvedConfig, set]:
+    """The resolved config and the keys that the file, --set or a flag gave."""
+    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    overrides = _override_strings(args, flag_map)
+    return resolve_config(file_values, overrides), set(file_values) | set(overrides)
 
 
 def _fmt(value) -> str:
@@ -313,17 +315,22 @@ class MogTask(EncoderTask):
         pairs = gen_mog_corpus(self.spec(cfg), count, seed)
         return [s for s, _ in pairs], [p.to_dict() for _, p in pairs]
 
+    def eval_pairs(self, cfg: ResolvedConfig):
+        """Fresh eval sets with their generating parameters, drawn once per eval."""
+        return gen_mog_corpus(self.spec(cfg), cfg["eval.count"] or 500, cfg["eval.seed"])
+
     def eval_sets(self, cfg: ResolvedConfig):
-        return self.gen(cfg, cfg["eval.count"] or 500, cfg["eval.seed"])[0]
+        return [batch for batch, _ in self.eval_pairs(cfg)]
 
     def score(self, cfg: ResolvedConfig, net: SummaryNet) -> dict:
-        pairs = [(batch, None) for batch in self.eval_corpus(cfg)]
-        cap = cfg["mog.encode_cap"] or None
-        metrics = {"mean_loglik": eval_mog_loglik(net, pairs, cap, seed=cfg["eval.seed"])}
-        if not cfg["corpus"]:  # the generating parameters are known
-            n = cfg["eval.count"] or 500
-            metrics["oracle_mean_loglik"] = oracle_mean_loglik(self.spec(cfg), n, cfg["eval.seed"])
-        return metrics
+        cap, seed = cfg["mog.encode_cap"] or None, cfg["eval.seed"]
+        if cfg["corpus"]:  # provenance unknown, so no oracle
+            return {"mean_loglik": eval_mog_loglik(net, self.eval_corpus(cfg), cap, seed)}
+        pairs = self.eval_pairs(cfg)
+        return {
+            "mean_loglik": eval_mog_loglik(net, [batch for batch, _ in pairs], cap, seed),
+            "oracle_mean_loglik": oracle_mean_loglik(pairs),
+        }
 
 
 class DigitSumTask(EncoderTask):
@@ -613,7 +620,7 @@ TASK_TABLE = {
 
 
 def cmd_gen(args) -> int:
-    cfg = _resolve(
+    cfg, _ = _resolve(
         args,
         {"task": "task", "count": "count", "seed": "seed", "out": "out", "components": "mog.components"},
     )
@@ -632,7 +639,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(
+    cfg, given = _resolve(
         args,
         {
             "task": "task",
@@ -644,9 +651,9 @@ def cmd_train(args) -> int:
         },
     )
     task = TASK_TABLE[cfg["task"]]
-    if args.steps is not None and task.steps_key != "train.steps":
+    if "train.steps" in given and task.steps_key != "train.steps":
         raise ConfigError(
-            f"--steps sets train.steps, which {task.name} does not read; set {task.steps_key}"
+            f"train.steps (or --steps) is not read by {task.name}; set {task.steps_key}"
         )
     sets = task.training_sets(cfg)
     net, bank, named = task.build(cfg, sets)
@@ -739,11 +746,8 @@ def cmd_ot(args) -> int:
     cost = _read_cost(args.cost)
     a = _parse_weights(args.a, cost.shape[0], "a")
     b = _parse_weights(args.b, cost.shape[1], "b")
-    sk = SinkhornConfig(
-        epsilon=args.eps if args.eps is not None else 0.1,
-        tol=args.tol if args.tol is not None else 1e-6,
-        max_iters=args.max_iters if args.max_iters is not None else 500,
-    )
+    given = {"epsilon": args.eps, "tol": args.tol, "max_iters": args.max_iters}
+    sk = SinkhornConfig(**{k: v for k, v in given.items() if v is not None})
     result = sinkhorn(cost, Marginals(a, b), sk)
     report = {
         "value": transport_cost(result, cost),

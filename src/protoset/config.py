@@ -18,13 +18,14 @@ from typing import Optional
 
 from .errors import ConfigError
 from .metagan import CONDITIONING_MODES, FAMILIES
+from .nn import ACTIVATIONS
 from .ot.cost import METRICS
 from .ot.sinkhorn import GRAD_MODES
 from .summarynet import POOLINGS
 
 TASKS = ("mog", "digitsum", "pointset", "fewshot", "metagan")
 OPTIMIZERS = ("adam", "sgd")
-ACTIVATION_NAMES = ("relu", "elu", "tanh", "softplus")
+ACTIVATION_NAMES = tuple(ACTIVATIONS)
 TRAIN_MODES = ("supervised", "unsupervised")
 
 

@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import ConfigError
-from .value import Value
+from .value import Value, zero_grad
 
 
 class SGD:
@@ -31,8 +31,7 @@ class SGD:
             p.data -= self.lr * p.grad
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        zero_grad(self.params)
 
 
 class Adam:
@@ -84,8 +83,7 @@ class Adam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        zero_grad(self.params)
 
 
 def make_optimizer(kind: str, params: Iterable[Value], lr: float):

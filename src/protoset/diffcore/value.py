@@ -111,9 +111,6 @@ class Value:
         """A new leaf sharing no graph history (data is copied)."""
         return Value(self.data.copy())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- elementwise binary ---------------------------------------------------
 
     def __add__(self, other):
@@ -245,14 +242,6 @@ class Value:
 
         return Value._from_op(data, (self,), backward)
 
-    def sigmoid(self):
-        data = _sigmoid(self.data)
-
-        def backward(g, acc):
-            _accumulate(acc, self, g * data * (1.0 - data))
-
-        return Value._from_op(data, (self,), backward)
-
     def clip(self, lo: float | None, hi: float | None):
         """Clamp entries to [lo, hi]; gradient is zero outside the open interval."""
         data = np.clip(self.data, lo, hi)
@@ -287,20 +276,6 @@ class Value:
             _accumulate(acc, y, x.data.T @ g)
 
         return Value._from_op(data, (self, other), backward)
-
-    def transpose(self):
-        if self.data.ndim != 2:
-            raise ShapeError(f"transpose needs a 2-D Value, got shape {self.data.shape}")
-        data = np.ascontiguousarray(self.data.T)
-
-        def backward(g, acc):
-            _accumulate(acc, self, np.ascontiguousarray(g.T))
-
-        return Value._from_op(data, (self,), backward)
-
-    @property
-    def T(self):
-        return self.transpose()
 
     # -- reductions -------------------------------------------------------------
 

@@ -13,9 +13,7 @@ from .mog import (
     MoGTaskSpec,
     eval_mog_loglik,
     gen_mog_corpus,
-    mog_head,
     mog_head_value,
-    mog_nll,
     mog_nll_value,
     mog_task_loss,
     oracle_mean_loglik,
@@ -44,9 +42,7 @@ __all__ = [
     "gen_mog_corpus",
     "gen_pointset_corpus",
     "load_corpus",
-    "mog_head",
     "mog_head_value",
-    "mog_nll",
     "mog_nll_value",
     "mog_task_loss",
     "oracle_mean_loglik",

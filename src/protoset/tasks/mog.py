@@ -15,6 +15,7 @@ import numpy as np
 
 from ..diffcore import Value, as_value, no_grad
 from ..errors import ConfigError, ShapeError
+from ..protolearn import subsample_points
 from ..summarynet import SetBatch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -119,26 +120,6 @@ def head_width(components: int) -> int:
     return components * 5
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
-def mog_head(raw: np.ndarray, components: int) -> MoGParams:
-    """Map a flat head output to valid mixture parameters."""
-    raw = np.asarray(raw, dtype=np.float64).reshape(-1)
-    if raw.size != head_width(components):
-        raise ShapeError(
-            f"head output has {raw.size} entries, expected {head_width(components)}"
-        )
-    c = components
-    logits = raw[:c]
-    weights = np.exp(logits - logits.max())
-    weights /= weights.sum()
-    means = raw[c : 3 * c].reshape(c, 2)
-    variances = _softplus(raw[3 * c :]).reshape(c, 2) + VAR_FLOOR
-    return MoGParams(weights, means, variances)
-
-
 def mog_head_value(raw: Value, components: int):
     """Differentiable head split: (log-weights, means, variances)."""
     c = components
@@ -154,20 +135,6 @@ def mog_head_value(raw: Value, components: int):
 
 
 # -- likelihood ----------------------------------------------------------------
-
-
-def mog_nll(params: MoGParams, points: np.ndarray) -> float:
-    """Mean negative log likelihood per point, via logsumexp."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ShapeError(f"points must be (n, 2), got {points.shape}")
-    diff = points[:, None, :] - params.means[None, :, :]  # (n, C, 2)
-    var = params.variances[None, :, :]
-    log_comp = -0.5 * ((diff * diff / var) + np.log(var) + LOG_2PI).sum(axis=2)
-    scores = log_comp + np.log(params.weights)[None, :]
-    m = scores.max(axis=1, keepdims=True)
-    ll = m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))
-    return float(-ll.mean())
 
 
 def mog_nll_value(log_weights: Value, means: Value, variances: Value, points) -> Value:
@@ -194,31 +161,34 @@ def mog_task_loss(prediction: Value, batch: SetBatch) -> Value:
 # -- evaluation ----------------------------------------------------------------
 
 
-def eval_mog_loglik(net, corpus, encode_cap: int | None = None, seed: int = 0) -> float:
-    """Mean per-point log likelihood of predicted parameters over a corpus.
+def eval_mog_loglik(net, sets, encode_cap: int | None = None, seed: int = 0) -> float:
+    """Mean per-point log likelihood of predicted parameters over a list of sets.
 
-    encode_cap bounds how many points the encoder reads per set (matching the
-    training subsample size); the likelihood is always scored on the full set.
+    This is the training NLL, scored on the full set; encode_cap bounds how
+    many points the encoder reads per set (matching the training subsample
+    size).
     """
-    from ..protolearn import subsample_points
-
     rng = np.random.default_rng(seed)
     total = 0.0
     with no_grad():
-        for batch, _ in corpus:
+        for batch in sets:
             pts = batch.points
             if encode_cap is not None:
                 pts = subsample_points(pts, encode_cap, rng)
             _, prediction = net.summarize_with_prediction(pts)
-            c = prediction.data.size // 5
-            params = mog_head(prediction.data, c)
-            total += -mog_nll(params, batch.points)
-    return total / len(corpus)
+            total += -mog_task_loss(prediction, batch).item()
+    return total / len(sets)
 
 
-def oracle_mean_loglik(spec: MoGTaskSpec, n_sets: int, seed: int) -> float:
-    """Mean per-point log likelihood of the generating parameters themselves."""
+def oracle_mean_loglik(pairs) -> float:
+    """Mean per-point log likelihood of each set under its generating parameters.
+
+    ``pairs`` is what ``gen_mog_corpus`` returns: (SetBatch, MoGParams).
+    """
     total = 0.0
-    for batch, params in gen_mog_corpus(spec, n_sets, seed):
-        total += -mog_nll(params, batch.points)
-    return total / n_sets
+    with no_grad():
+        for batch, params in pairs:
+            log_w = Value(np.log(params.weights))
+            nll = mog_nll_value(log_w, Value(params.means), Value(params.variances), batch.points)
+            total += -nll.item()
+    return total / len(pairs)

@@ -13,6 +13,7 @@ from protoset.tasks import load_corpus
 
 # the package attribute protoset.ot.sinkhorn is the function, not the module
 sinkhorn_module = importlib.import_module("protoset.ot.sinkhorn")
+mog_module = importlib.import_module("protoset.tasks.mog")
 
 # tiny but real settings so runs finish in milliseconds
 MOG_ARGS = [
@@ -333,6 +334,22 @@ def test_checkpoint_round_trip_preserves_metrics_bit_exact(tmp_path):
     assert results[0] == results[1]
 
 
+def test_mog_eval_generates_its_corpus_once(tmp_path, monkeypatch):
+    # the model and the oracle are scored on one generated corpus
+    _, ck_path = train_task("mog", tmp_path / "run")
+    calls = []
+    real = cli.gen_mog_corpus
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "gen_mog_corpus", counting)
+    monkeypatch.setattr(mog_module, "gen_mog_corpus", counting)
+    eval_task("mog", ck_path, tmp_path / "ev")
+    assert len(calls) == 1
+
+
 def test_eval_on_explicit_corpus(tmp_path):
     _, ck_path = train_task("mog", tmp_path / "run")
     data = tmp_path / "data"
@@ -419,12 +436,21 @@ def test_fewshot_corpus_exits_2(verb, tmp_path, capsys):
 
 @pytest.mark.parametrize("task,key", [("fewshot", "fewshot.episodes"), ("metagan", "metagan.iterations")])
 def test_steps_flag_on_task_without_train_steps_exits_2(task, key, tmp_path, capsys):
-    # these loops run for their own key, so --steps would be silently ignored
-    argv = ["train", "--task", task, "--steps", "3", "--out", str(tmp_path / "run")]
-    capsys.readouterr()
-    assert run(argv + TASK_RUNS[task][0]) == cli.EXIT_CONFIG
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    # these loops run for their own key, so train.steps would be silently
+    # ignored, whether it comes from --steps, --set or a config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"task = {task}\ntrain.steps = 3\n")
+    sources = {
+        "flag": ["--task", task, "--steps", "3"],
+        "set": ["--task", task, "--set", "train.steps=3"],
+        "file": ["--config", str(cfg)],
+    }
+    for name, source in sources.items():
+        out = tmp_path / name
+        capsys.readouterr()
+        assert run(["train", "--out", str(out)] + source + TASK_RUNS[task][0]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_fewshot_cli_round_trip(tmp_path):

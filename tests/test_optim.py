@@ -56,11 +56,12 @@ def test_none_grad_leaves_param_and_state_untouched():
 
 
 def test_zero_grad_resets():
-    p = Value(np.array([1.0]), requires_grad=True)
-    p.grad = np.array([5.0])
-    opt = SGD([p], lr=0.1)
-    opt.zero_grad()
-    assert p.grad is None
+    for kind in (SGD, Adam):
+        p = Value(np.array([1.0]), requires_grad=True)
+        p.grad = np.array([5.0])
+        opt = kind([p], lr=0.1)
+        opt.zero_grad()
+        assert p.grad is None
 
 
 @pytest.mark.parametrize("lr", [0.0, -1.0])

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,9 +25,7 @@ from protoset.tasks import (
     gen_mog_corpus,
     gen_pointset_corpus,
     load_corpus,
-    mog_head,
     mog_head_value,
-    mog_nll,
     mog_nll_value,
     mog_task_loss,
     oracle_mean_loglik,
@@ -33,8 +33,15 @@ from protoset.tasks import (
     save_corpus,
     xent_loss,
 )
+from protoset.tasks.mog import VAR_FLOOR
 
 RNG = np.random.default_rng(17)
+
+
+def params_nll(params: MoGParams, points) -> float:
+    """Mean NLL of ``points`` under fixed mixture parameters."""
+    log_w = Value(np.log(params.weights))
+    return mog_nll_value(log_w, Value(params.means), Value(params.variances), points).item()
 
 
 # -- mixture generation -----------------------------------------------------------
@@ -42,8 +49,8 @@ RNG = np.random.default_rng(17)
 
 def test_oracle_loglik_matches_published_values():
     # properties of the data recipe itself, independent of any training
-    ll4 = oracle_mean_loglik(MoGTaskSpec(components=4), 2000, seed=123)
-    ll8 = oracle_mean_loglik(MoGTaskSpec(components=8), 2000, seed=123)
+    ll4 = oracle_mean_loglik(gen_mog_corpus(MoGTaskSpec(components=4), 2000, seed=123))
+    ll8 = oracle_mean_loglik(gen_mog_corpus(MoGTaskSpec(components=8), 2000, seed=123))
     assert abs(ll4 - (-1.473)) < 0.02, ll4
     assert abs(ll8 - (-2.058)) < 0.02, ll8
 
@@ -56,7 +63,7 @@ def test_single_component_consistency():
         assert dev < 6 * spec.sigma  # ~4 sigma plus slack, per-coordinate
         # single spherical Gaussian: oracle NLL concentrates near its entropy
         entropy = 0.5 * 2 * (1 + np.log(2 * np.pi * spec.sigma**2))
-        assert abs(mog_nll(params, batch.points) - entropy) < 0.25
+        assert abs(params_nll(params, batch.points) - entropy) < 0.25
 
 
 def test_corpus_set_sizes_within_range():
@@ -128,67 +135,76 @@ def test_corpus_rejects_pointless_record(tmp_path):
 
 
 def test_zero_head_output():
-    p = mog_head(np.zeros(20), 4)
-    assert np.allclose(p.weights, 0.25)
-    assert np.all(p.means == 0)
-    assert np.allclose(p.variances, np.log(2.0) + 1e-4)
+    log_w, means, variances = mog_head_value(Value(np.zeros(20)), 4)
+    assert np.allclose(np.exp(log_w.data), 0.25)
+    assert np.all(means.data == 0)
+    assert np.allclose(variances.data, np.log(2.0) + 1e-4)
 
 
 def test_head_length_mismatch():
     with pytest.raises(ShapeError):
-        mog_head(np.zeros(19), 4)
-    with pytest.raises(ShapeError):
         mog_head_value(Value(np.zeros(19)), 4)
+    with pytest.raises(ShapeError):
+        mog_task_loss(Value(np.zeros(19)), SetBatch(np.zeros((3, 2)), set_id=0))
 
 
 @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_head_always_valid(c, seed):
     raw = np.random.default_rng(seed).normal(scale=5.0, size=5 * c)
-    p = mog_head(raw, c)
-    assert abs(p.weights.sum() - 1.0) < 1e-9
-    assert np.all(p.weights >= 0)
-    assert np.all(p.variances > 1e-4 * 0.999)
+    log_w, means, variances = mog_head_value(Value(raw), c)
+    weights = np.exp(log_w.data)
+    assert abs(weights.sum() - 1.0) < 1e-9
+    assert np.all(weights >= 0)
+    assert np.all(variances.data > 1e-4 * 0.999)
+    MoGParams(weights, means.data, variances.data)  # passes the mixture's own checks
 
 
-def test_head_value_matches_numpy():
-    raw = RNG.normal(size=30)
-    p = mog_head(raw, 6)
-    lw, mu, var = mog_head_value(Value(raw), 6)
-    assert np.abs(np.exp(lw.data) - p.weights).max() < 1e-12
-    assert np.array_equal(mu.data, p.means)
-    assert np.abs(var.data - p.variances).max() < 1e-12
+def test_nll_matches_scipy_density():
+    # independent oracle: the head by its definition (softmax weights, softplus
+    # variances plus the floor), per-point diagonal-Gaussian log densities from
+    # scipy.stats, mixed with scipy's logsumexp
+    c = 6
+    raw = RNG.normal(size=5 * c)
+    points = RNG.normal(scale=2.0, size=(40, 2))
+    log_w = scipy.special.log_softmax(raw[:c])
+    means = raw[c : 3 * c].reshape(c, 2)
+    variances = np.logaddexp(0.0, raw[3 * c :]).reshape(c, 2) + VAR_FLOOR
+    log_comp = np.stack(
+        [
+            scipy.stats.norm.logpdf(points, means[j], np.sqrt(variances[j])).sum(axis=1)
+            for j in range(c)
+        ],
+        axis=1,
+    )
+    expected = -scipy.special.logsumexp(log_comp + log_w, axis=1).mean()
+    got = mog_task_loss(Value(raw), SetBatch(points, set_id=0)).item()
+    assert abs(got - expected) < 1e-12
 
 
 def test_nll_at_mode_single_component():
-    p = MoGParams(np.array([1.0]), np.array([[0.5, -0.5]]), np.array([[1.0, 1.0]]))
-    assert abs(mog_nll(p, np.array([[0.5, -0.5]])) - np.log(2 * np.pi)) < 1e-12
+    nll = mog_nll_value(
+        Value(np.zeros(1)), Value([[0.5, -0.5]]), Value([[1.0, 1.0]]), np.array([[0.5, -0.5]])
+    )
+    assert abs(nll.item() - np.log(2 * np.pi)) < 1e-12
 
 
 def test_nll_permutation_invariant_exactly():
     corpus = gen_mog_corpus(MoGTaskSpec(), 3, seed=11)
     rng = np.random.default_rng(0)
     for batch, params in corpus:
-        base = mog_nll(params, batch.points)
+        base = params_nll(params, batch.points)
         for _ in range(10):
             perm = rng.permutation(batch.n_points)
-            assert mog_nll(params, batch.points[perm]) == pytest.approx(base, abs=1e-12)
-
-
-def test_nll_value_matches_numpy():
-    raw = RNG.normal(size=20)
-    pts = RNG.normal(size=(40, 2))
-    p = mog_head(raw, 4)
-    lw, mu, var = mog_head_value(Value(raw), 4)
-    assert abs(mog_nll_value(lw, mu, var, pts).item() - mog_nll(p, pts)) < 1e-12
+            assert params_nll(params, batch.points[perm]) == pytest.approx(base, abs=1e-12)
 
 
 def test_oracle_dominates_generic_params():
     # generating params should beat an uninformed head output, with slack
     corpus = gen_mog_corpus(MoGTaskSpec(), 500, seed=21)
-    blind = mog_head(np.zeros(20), 4)
-    oracle_ll = np.mean([-mog_nll(p, b.points) for b, p in corpus])
-    blind_ll = np.mean([-mog_nll(blind, b.points) for b, _ in corpus])
+    blind = mog_head_value(Value(np.zeros(20)), 4)
+    oracle_ll = oracle_mean_loglik(corpus)
+    blind_ll = np.mean([-mog_nll_value(*blind, b.points).item() for b, _ in corpus])
     assert oracle_ll >= blind_ll - 0.01
 
 

@@ -1,0 +1,149 @@
+"""Golden capture: hash every artifact of a fixed gen/train/eval/gradcheck matrix.
+
+Runs ``protoset.cli.main`` in-process at the tiny shapes of
+``tests/test_cli.py`` with relative paths under ``--dir`` and prints one
+``sha256  name`` line per artifact, per captured stdout and per exit code;
+it exits 1 if any verb exited nonzero.
+Two runs of the same program in different directories must print the same
+lines (the README's byte-identical-rerun contract); a refactor that claims
+to keep behaviour can diff its output against the parent commit's.
+
+    PYTHONPATH=src python tools/golden.py --dir /tmp/golden-a > a.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # BLAS reductions then sum in one order
+
+from protoset.cli import main as protoset_main  # noqa: E402 (after the BLAS pin)
+
+MOG = ["--set", "count=4", "--set", "mog.n_min=30", "--set", "mog.n_max=40",
+       "--set", "model.encoder_widths=16,8", "--set", "model.k=5",
+       "--set", "model.head_hidden=8", "--set", "train.batch_points=20",
+       "--set", "sinkhorn.unroll_iters=8"]
+DIGIT = ["--set", "count=6", "--set", "model.encoder_widths=16,8", "--set", "model.k=5",
+         "--set", "model.head_hidden=8", "--set", "train.batch_points=8",
+         "--set", "sinkhorn.unroll_iters=8"]
+POINTSET = ["--set", "pointset.count_per_class=1", "--set", "model.encoder_widths=16,8",
+            "--set", "model.k=5", "--set", "model.head_hidden=8",
+            "--set", "train.batch_points=16", "--set", "sinkhorn.unroll_iters=8"]
+FEWSHOT = ["--lambda-ot", "0.3", "--set", "fewshot.episodes=10",
+           "--set", "fewshot.encoder_widths=12,6", "--set", "fewshot.bank=4",
+           "--set", "fewshot.n_base=10", "--set", "fewshot.n_novel=6",
+           "--set", "sinkhorn.unroll_iters=6"]
+METAGAN = ["--set", "count=5", "--set", "metagan.iterations=6", "--set", "metagan.batch=10",
+           "--set", "metagan.n_points=12", "--set", "metagan.summary_widths=10,8",
+           "--set", "metagan.generator_widths=12,10", "--set", "metagan.critic_widths=12,10",
+           "--set", "train.batch_points=10", "--set", "sinkhorn.unroll_iters=6"]
+
+GENS = {
+    "mog": ["--task", "mog", "--count", "4", "--seed", "1",
+            "--set", "mog.n_min=30", "--set", "mog.n_max=40"],
+    "digitsum": ["--task", "digitsum", "--count", "6", "--seed", "1"],
+    "digitsum-size12": ["--task", "digitsum", "--count", "3", "--set", "digitsum.size=12"],
+    "pointset": ["--task", "pointset", "--seed", "1", "--set", "pointset.count_per_class=1"],
+    "metagan": ["--task", "metagan", "--count", "5", "--seed", "2", "--set", "metagan.n_points=12"],
+}
+EVAL = {"mog": ["--count", "3", "--seed", "11"],
+        "digitsum": ["--count", "2", "--set", "digitsum.test_sizes=4,8"],
+        "pointset": ["--count", "1"], "fewshot": ["--count", "5"], "metagan": ["--count", "2"]}
+BASE = {"mog": ["--seed", "3"] + MOG, "digitsum": ["--steps", "4"] + DIGIT,
+        "pointset": ["--steps", "4"] + POINTSET, "fewshot": ["--seed", "1"] + FEWSHOT,
+        "metagan": ["--seed", "1"] + METAGAN}
+UNSUP = ["--set", "train.mode=unsupervised"]
+ENVELOPE = ["--set", "sinkhorn.grad_mode=envelope"]
+# run name -> (task, train flags beyond the task's base)
+TRAINS = {
+    "mog": ("mog", ["--steps", "5"]),
+    "mog-steps20": ("mog", ["--steps", "20"]),
+    "mog-sgd": ("mog", ["--steps", "5", "--set", "optim.kind=sgd"]),
+    "mog-lrfinal": ("mog", ["--steps", "5", "--set", "optim.lr_final=0.0001"]),
+    "mog-envelope": ("mog", ["--steps", "5"] + ENVELOPE),
+    "mog-envelope-unsup": ("mog", ["--steps", "5"] + ENVELOPE + UNSUP),
+    "mog-unsup": ("mog", ["--steps", "5"] + UNSUP),
+    "mog-bs2": ("mog", ["--steps", "5", "--set", "train.batch_sets=2"]),
+    "mog-bs3": ("mog", ["--steps", "5", "--set", "train.batch_sets=3"]),
+    "mog-bs2-unsup": ("mog", ["--steps", "5", "--set", "train.batch_sets=2"] + UNSUP),
+    "mog-bs3-unsup": ("mog", ["--steps", "5", "--set", "train.batch_sets=3"] + UNSUP),
+    "mog-eps0.01": ("mog", ["--steps", "5", "--set", "sinkhorn.epsilon=0.01"]),
+    "mog-lam0": ("mog", ["--steps", "5", "--lambda-ot", "0"]),
+    "mog-lam0.5-euclid": ("mog", ["--steps", "5", "--lambda-ot", "0.5",
+                                  "--set", "train.metric=euclidean"]),
+    "mog-maxpool": ("mog", ["--steps", "5", "--set", "model.pooling=max"]),
+    "mog-cap": ("mog", ["--steps", "5", "--set", "mog.encode_cap=10"]),
+    "mog-corpus": ("mog", ["--steps", "3", "--corpus", "gen/mog/corpus.jsonl"]),
+    "digitsum": ("digitsum", []),
+    "pointset": ("pointset", []),
+    "fewshot": ("fewshot", []),
+    "fewshot-nolam": ("fewshot", ["--lambda-ot", "0"]),
+    "fewshot-lrfinal": ("fewshot", ["--set", "optim.lr_final=0.0001"]),
+    "metagan": ("metagan", []),
+    "metagan-cond": ("metagan", ["--set", "metagan.conditioning=conditional-critic"]),
+    "metagan-noot": ("metagan", ["--set", "metagan.use_ot=false"]),
+    "metagan-corpus": ("metagan", ["--corpus", "gen/metagan/corpus.jsonl"]),
+}
+# eval run name -> (train run whose checkpoint it reads, eval flags)
+CORPUS_EVALS = {
+    "mog-on-corpus": ("mog", ["--corpus", "gen/mog/corpus.jsonl"]),
+    "digitsum-on-corpus": ("digitsum", ["--corpus", "gen/digitsum-size12/corpus.jsonl"]),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(name: str, argv: list, out: str | None = None) -> int:
+    """Run one verb, print the hashes of its exit code, stdout and files, return the code."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = protoset_main(argv + (["--out", out] if out else []))
+    print(f"{_sha(str(code).encode())}  {name}/exit")
+    print(f"{_sha(stdout.getvalue().encode())}  {name}/stdout")
+    for path in sorted(Path(out).rglob("*")) if out else ():
+        if path.is_file():
+            print(f"{_sha(path.read_bytes())}  {path.as_posix()}")
+    if code != 0:
+        print(f"{name} exited {code}", file=sys.stderr)
+    return code
+
+
+def checkpoint(run_name: str) -> str:
+    found = sorted(Path("train", run_name).glob("checkpoint.*"))
+    return found[0].as_posix() if len(found) == 1 else f"train/{run_name}/missing-checkpoint"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dir", required=True, help="empty or new working directory")
+    args = parser.parse_args(argv)
+    work = Path(args.dir)
+    work.mkdir(parents=True, exist_ok=True)
+    if any(work.iterdir()):
+        parser.error(f"{work} is not empty")
+    os.chdir(work)
+    codes = [run(f"gen/{name}", ["gen"] + flags, f"gen/{name}") for name, flags in GENS.items()]
+    for name, (task, flags) in TRAINS.items():
+        argv = ["train", "--task", task] + BASE[task] + flags
+        codes.append(run(f"train/{name}", argv, f"train/{name}"))
+    evals = {name: (name, EVAL[task]) for name, (task, _) in TRAINS.items()} | CORPUS_EVALS
+    for name, (source, flags) in evals.items():
+        argv = ["eval", "--checkpoint", checkpoint(source)] + flags
+        codes.append(run(f"eval/{name}", argv, f"eval/{name}"))
+    codes.append(run("gradcheck/all", ["gradcheck"]))
+    for task in EVAL:
+        codes.append(run(f"gradcheck/{task}", ["gradcheck", "--task", task, "--seed", "1"]))
+    return 1 if any(codes) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -156,16 +156,6 @@ def _write_metrics(path: Path, payload: dict) -> None:
 # the task table: what each verb does for each task
 
 
-def _sinkhorn_config(cfg: ResolvedConfig) -> SinkhornConfig:
-    return SinkhornConfig(
-        epsilon=cfg["sinkhorn.epsilon"],
-        tol=cfg["sinkhorn.tol"],
-        max_iters=cfg["sinkhorn.max_iters"],
-        unroll_iters=cfg["sinkhorn.unroll_iters"],
-        grad_mode=cfg["sinkhorn.grad_mode"],
-    )
-
-
 def _bank(sets, dim: int, k: int, rng) -> PrototypeBank:
     """Columns sampled from the first sets' points.
 
@@ -208,15 +198,10 @@ class EncoderTask(Task):
 
     def build(self, cfg: ResolvedConfig, sets):
         supervised = cfg["train.mode"] == "supervised"
-        summary_cfg = SummaryNetConfig(
+        summary_cfg = cfg.build(
+            SummaryNetConfig,
             input_dim=self.input_dim,
-            n_prototypes=cfg["model.k"],
-            encoder_widths=cfg["model.encoder_widths"],
-            activation=cfg["model.activation"],
-            pooling=cfg["model.pooling"],
-            head_hidden=cfg["model.head_hidden"],
             output_dim=self.output_dim(cfg) if supervised else None,
-            predict_hidden=cfg["model.predict_hidden"] or None,
         )
         net = SummaryNet(summary_cfg, np.random.default_rng(cfg["seed"]))
         bank = _bank(sets, self.input_dim, cfg["model.k"], np.random.default_rng(cfg["seed"] + 1))
@@ -225,19 +210,7 @@ class EncoderTask(Task):
         return net, bank, named
 
     def train(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank, sets):
-        train_cfg = TrainConfig(
-            steps=cfg["train.steps"],
-            lr=cfg["optim.lr"],
-            lr_final=cfg["optim.lr_final"],
-            optimizer=cfg["optim.kind"],
-            batch_sets=cfg["train.batch_sets"],
-            batch_points=cfg["train.batch_points"],
-            metric=cfg["train.metric"],
-            lambda_ot=cfg["train.lambda_ot"],
-            sinkhorn=_sinkhorn_config(cfg),
-            seed=cfg["seed"],
-            log_every=cfg["train.log_every"],
-        )
+        train_cfg = cfg.build(TrainConfig, sinkhorn=cfg.build(SinkhornConfig), seed=cfg["seed"])
         loss_fn = self.task_loss() if cfg["train.mode"] == "supervised" else None
         trace = train_prototypes(sets, net, bank, train_cfg, loss_fn)
         return list(zip(trace.steps, trace.ot_losses, trace.task_losses))
@@ -251,7 +224,7 @@ class EncoderTask(Task):
         # the training objective, on eval sets subsampled as in training
         sets = self.eval_corpus(cfg)
         rng = np.random.default_rng(cfg["eval.seed"])
-        sk = _sinkhorn_config(cfg)
+        sk = cfg.build(SinkhornConfig)
         total = 0.0
         with no_grad():
             for batch in sets:
@@ -295,16 +268,6 @@ class MogTask(EncoderTask):
     name = "mog"
     input_dim = 2
 
-    def spec(self, cfg: ResolvedConfig) -> MoGTaskSpec:
-        return MoGTaskSpec(
-            components=cfg["mog.components"],
-            n_min=cfg["mog.n_min"],
-            n_max=cfg["mog.n_max"],
-            mean_low=cfg["mog.mean_low"],
-            mean_high=cfg["mog.mean_high"],
-            sigma=cfg["mog.sigma"],
-        )
-
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return head_width(cfg["mog.components"])
 
@@ -312,12 +275,12 @@ class MogTask(EncoderTask):
         return mog_task_loss
 
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
-        pairs = gen_mog_corpus(self.spec(cfg), count, seed)
+        pairs = gen_mog_corpus(cfg.build(MoGTaskSpec), count, seed)
         return [s for s, _ in pairs], [p.to_dict() for _, p in pairs]
 
     def eval_pairs(self, cfg: ResolvedConfig):
         """Fresh eval sets with their generating parameters, drawn once per eval."""
-        return gen_mog_corpus(self.spec(cfg), cfg["eval.count"] or 500, cfg["eval.seed"])
+        return gen_mog_corpus(cfg.build(MoGTaskSpec), cfg["eval.count"] or 500, cfg["eval.seed"])
 
     def eval_sets(self, cfg: ResolvedConfig):
         return [batch for batch, _ in self.eval_pairs(cfg)]
@@ -338,15 +301,6 @@ class DigitSumTask(EncoderTask):
     input_dim = 10
     gradcheck_label = 12
 
-    def spec(self, cfg: ResolvedConfig, **fields) -> DigitSumSpec:
-        base = dict(
-            max_train_size=cfg["digitsum.max_train_size"],
-            test_sizes=cfg["digitsum.test_sizes"],
-            noise_sigma=cfg["digitsum.noise_sigma"],
-            train_count=cfg["count"],
-        )
-        return DigitSumSpec(**{**base, **fields})
-
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return 1
 
@@ -356,12 +310,12 @@ class DigitSumTask(EncoderTask):
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
         size = cfg["digitsum.size"]
         if size:
-            spec = self.spec(cfg, test_sizes=(size,), test_count_per_size=count)
+            spec = cfg.build(DigitSumSpec, test_sizes=(size,), test_count_per_size=count)
             return gen_digit_test_corpora(spec, seed)[size], None
-        return gen_digit_corpus(self.spec(cfg, train_count=count), seed), None
+        return gen_digit_corpus(cfg.build(DigitSumSpec, train_count=count), seed), None
 
     def _test_corpora(self, cfg: ResolvedConfig) -> dict:
-        spec = self.spec(cfg, test_count_per_size=cfg["eval.count"] or 200)
+        spec = cfg.build(DigitSumSpec, test_count_per_size=cfg["eval.count"] or 200)
         return gen_digit_test_corpora(spec, cfg["eval.seed"])
 
     def eval_sets(self, cfg: ResolvedConfig):
@@ -387,15 +341,6 @@ class PointSetTask(EncoderTask):
     input_dim = 3
     gradcheck_label = 3
 
-    def spec(self, cfg: ResolvedConfig, **fields) -> PointSetClassSpec:
-        base = dict(
-            n_points=cfg["pointset.n_points"],
-            noise_sigma=cfg["pointset.noise_sigma"],
-            count_per_class=cfg["pointset.count_per_class"],
-            rotate=cfg["pointset.rotate"],
-        )
-        return PointSetClassSpec(**{**base, **fields})
-
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return len(POINTSET_CLASSES)
 
@@ -403,10 +348,10 @@ class PointSetTask(EncoderTask):
         return xent_loss
 
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
-        return gen_pointset_corpus(self.spec(cfg), seed), None
+        return gen_pointset_corpus(cfg.build(PointSetClassSpec), seed), None
 
     def eval_sets(self, cfg: ResolvedConfig):
-        spec = self.spec(cfg, count_per_class=cfg["eval.count"] or 20)
+        spec = cfg.build(PointSetClassSpec, count_per_class=cfg["eval.count"] or 20)
         return gen_pointset_corpus(spec, cfg["eval.seed"])
 
     def score(self, cfg: ResolvedConfig, net: SummaryNet) -> dict:
@@ -438,31 +383,14 @@ class FewShotTask(Task):
             raise ConfigError(
                 "fewshot episodes are generated on the fly from the seed; corpus must be empty"
             )
-        episode = EpisodeSpec(
-            n_way=cfg["fewshot.n_way"],
-            k_shot=cfg["fewshot.k_shot"],
-            q_queries=cfg["fewshot.q_queries"],
-            dim=cfg["fewshot.dim"],
-        )
-        fs_cfg = FewShotConfig(
-            episode=episode,
-            encoder_widths=cfg["fewshot.encoder_widths"],
-            g_hidden=cfg["fewshot.g_hidden"] or None,
-            bank_size=cfg["fewshot.bank"],
+        fs_cfg = cfg.build(
+            FewShotConfig,
+            episode=cfg.build(EpisodeSpec),
             lambda_ot=cfg["train.lambda_ot"],
-            activation=cfg["fewshot.activation"],
-            metric=cfg["fewshot.metric"],
-            sinkhorn=_sinkhorn_config(cfg),
-            episodes=cfg["fewshot.episodes"],
+            sinkhorn=cfg.build(SinkhornConfig),
             lr=cfg["optim.lr"],
             lr_final=cfg["optim.lr_final"],
             optimizer=cfg["optim.kind"],
-            mean_low=cfg["fewshot.mean_low"],
-            mean_high=cfg["fewshot.mean_high"],
-            sigma=cfg["fewshot.sigma"],
-            n_base_classes=cfg["fewshot.n_base"],
-            n_novel_classes=cfg["fewshot.n_novel"],
-            class_seed=cfg["fewshot.class_seed"],
             seed=cfg["seed"],
             log_every=cfg["train.log_every"],
         )
@@ -507,43 +435,17 @@ class MetaGanTask(Task):
     columns = ("step", "critic_loss", "generator_loss", "transport_loss")
     steps_key = "metagan.iterations"
 
-    def spec(self, cfg: ResolvedConfig) -> TaskFamilySpec:
-        return TaskFamilySpec(
-            family=cfg["metagan.family"],
-            n_points=cfg["metagan.n_points"] or None,
-            n_sets=cfg["count"],
-        )
-
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
-        pairs = gen_task_corpus(self.spec(cfg), count=count, seed=seed)
+        pairs = gen_task_corpus(cfg.build(TaskFamilySpec), count=count, seed=seed)
         return [s for s, _ in pairs], [p for _, p in pairs]
 
     def build(self, cfg: ResolvedConfig, sets):
         ot = None
-        if cfg["metagan.use_ot"]:
-            ot = TrainConfig(
-                lr=cfg["optim.lr"],
-                optimizer=cfg["optim.kind"],
-                metric=cfg["metagan.metric"],
-                sinkhorn=_sinkhorn_config(cfg),
-            )
-        gan_cfg = GanConfig(
-            noise_dim=cfg["metagan.noise_dim"],
-            eta_critic=cfg["metagan.eta_critic"],
-            generator_widths=cfg["metagan.generator_widths"],
-            critic_widths=cfg["metagan.critic_widths"],
-            conditioning=cfg["metagan.conditioning"],
-            batch=cfg["metagan.batch"],
-            iterations=cfg["metagan.iterations"],
-            lr_generator=cfg["metagan.lr_generator"],
-            lr_critic=cfg["metagan.lr_critic"],
-            non_saturating=cfg["metagan.non_saturating"],
-            mse_weight=cfg["metagan.mse_weight"],
-            ot=ot,
-            seed=cfg["seed"],
-            log_every=cfg["train.log_every"],
-        )
-        spec = self.spec(cfg)
+        if cfg["metagan.use_ot"]:  # the transport step reads lr, optimizer, metric, solver
+            sk = cfg.build(SinkhornConfig)
+            ot = cfg.build(TrainConfig, metric=cfg["metagan.metric"], sinkhorn=sk)
+        gan_cfg = cfg.build(GanConfig, ot=ot, seed=cfg["seed"], log_every=cfg["train.log_every"])
+        spec = cfg.build(TaskFamilySpec)
         summary_cfg = SummaryNetConfig(
             input_dim=spec.dim,
             n_prototypes=cfg["metagan.k"],

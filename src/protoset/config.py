@@ -5,6 +5,10 @@ One schema covers every experiment: dotted names group related knobs
 ``key = value`` lines.  Unknown keys are rejected by name, values are parsed
 by declared type, and the resolved result hashes canonically so artifacts can
 record exactly what produced them.
+
+Most keys are a field of a library dataclass, their owner, whose field gives
+the default and whose ``__post_init__`` gives the bounds.  The key set is
+still listed row by row: it is part of every artifact's header.
 """
 
 from __future__ import annotations
@@ -12,37 +16,53 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .metagan import CONDITIONING_MODES, FAMILIES
-from .nn import ACTIVATIONS
+from .fewshot import EpisodeSpec, FewShotConfig
+from .metagan import GanConfig, TaskFamilySpec
 from .ot.cost import METRICS
-from .ot.sinkhorn import GRAD_MODES
-from .summarynet import POOLINGS
+from .ot.sinkhorn import SinkhornConfig
+from .protolearn import TrainConfig
+from .summarynet import SummaryNetConfig, _as_widths
+from .tasks import DigitSumSpec, MoGTaskSpec, PointSetClassSpec
 
 TASKS = ("mog", "digitsum", "pointset", "fewshot", "metagan")
-OPTIMIZERS = ("adam", "sgd")
-ACTIVATION_NAMES = tuple(ACTIVATIONS)
 TRAIN_MODES = ("supervised", "unsupervised")
+
+_KINDS = {bool: "bool", int: "int", float: "float", str: "str", tuple: "int_list"}
 
 
 @dataclass(frozen=True)
 class ConfigField:
-    """One schema entry: how to parse and validate a key's value."""
+    """One schema entry: a key's kind and default, and where its bounds live.
+
+    An owned key is field ``attr`` of dataclass ``owner``, which checks it; a
+    key with no owner is checked against ``choices`` and ``minimum``.
+    """
 
     kind: str  # int | float | str | bool | int_list | opt_float
     default: object
     choices: Optional[tuple] = None
-    minimum: Optional[float] = None
-    exclusive: bool = False  # minimum is a strict bound
+    minimum: Optional[int] = None
     help: str = ""
+    owner: Optional[type] = None
+    attr: str = ""
 
 
-def _field(kind, default, choices=None, minimum=None, exclusive=False, help=""):
-    return ConfigField(kind, default, choices, minimum, exclusive, help)
+def _field(kind, default, choices=None, minimum=None, help=""):
+    """A key that no library dataclass holds."""
+    return ConfigField(kind, default, choices, minimum, help)
+
+
+def _of(owner, attr: str, default=MISSING, help=""):
+    """The key for ``owner.attr``: default from the field, kind from the default."""
+    if default is MISSING:
+        default = owner.__dataclass_fields__[attr].default
+    kind = "opt_float" if default is None else _KINDS[type(default)]
+    return ConfigField(kind, default, help=help, owner=owner, attr=attr)
 
 
 # help of the shared train.* keys that fewshot and metagan never read
@@ -58,81 +78,84 @@ SCHEMA: dict[str, ConfigField] = {
     "eval.count": _field("int", 0, minimum=0, help="eval corpus size; 0 picks a task default"),
     "eval.seed": _field("int", 1000, minimum=0, help="seed for eval data"),
     # entropic solver
-    "sinkhorn.epsilon": _field("float", 0.1, minimum=0.0, exclusive=True),
-    "sinkhorn.tol": _field("float", 1e-6, minimum=0.0, exclusive=True),
-    "sinkhorn.max_iters": _field("int", 500, minimum=1),
-    "sinkhorn.unroll_iters": _field("int", 50, minimum=1),
-    "sinkhorn.grad_mode": _field("str", "unrolled", choices=GRAD_MODES),
+    "sinkhorn.epsilon": _of(SinkhornConfig, "epsilon"),
+    "sinkhorn.tol": _of(SinkhornConfig, "tol"),
+    "sinkhorn.max_iters": _of(SinkhornConfig, "max_iters"),
+    "sinkhorn.unroll_iters": _of(SinkhornConfig, "unroll_iters"),
+    "sinkhorn.grad_mode": _of(SinkhornConfig, "grad_mode"),
     # optimizer
-    "optim.kind": _field("str", "adam", choices=OPTIMIZERS),
-    "optim.lr": _field("float", 0.001, minimum=0.0, exclusive=True),
-    "optim.lr_final": _field("opt_float", None, minimum=0.0, exclusive=True),
+    "optim.kind": _of(TrainConfig, "optimizer"),
+    "optim.lr": _of(TrainConfig, "lr"),
+    "optim.lr_final": _of(TrainConfig, "lr_final"),
     # shared training knobs
-    "train.steps": _field("int", 1000, minimum=1, help=_ENCODER_ONLY),
-    "train.batch_sets": _field("int", 1, minimum=1, help=_ENCODER_ONLY),
-    "train.batch_points": _field("int", 100, minimum=1, help=_ENCODER_ONLY),
-    "train.metric": _field("str", "cosine", choices=METRICS, help=_ENCODER_ONLY),
-    "train.lambda_ot": _field("opt_float", None, minimum=0.0),
-    "train.log_every": _field("int", 0, minimum=0),
+    "train.steps": _of(TrainConfig, "steps", help=_ENCODER_ONLY),
+    "train.batch_sets": _of(TrainConfig, "batch_sets", help=_ENCODER_ONLY),
+    "train.batch_points": _of(TrainConfig, "batch_points", help=_ENCODER_ONLY),
+    "train.metric": _of(TrainConfig, "metric", help=_ENCODER_ONLY),
+    "train.lambda_ot": _of(TrainConfig, "lambda_ot"),
+    "train.log_every": _of(TrainConfig, "log_every"),
     "train.mode": _field("str", "supervised", choices=TRAIN_MODES, help=_ENCODER_ONLY),
     # set encoder (mog, digitsum, pointset)
-    "model.k": _field("int", 50, minimum=1, help="number of prototypes"),
-    "model.encoder_widths": _field("int_list", (128, 128, 128)),
-    "model.activation": _field("str", "elu", choices=ACTIVATION_NAMES),
-    "model.pooling": _field("str", "mean", choices=POOLINGS),
-    "model.head_hidden": _field("int_list", (128,)),
-    "model.predict_hidden": _field("int_list", (), help="empty reuses head_hidden"),
+    "model.k": _of(SummaryNetConfig, "n_prototypes", default=50, help="number of prototypes"),
+    "model.encoder_widths": _of(SummaryNetConfig, "encoder_widths"),
+    "model.activation": _of(SummaryNetConfig, "activation"),
+    "model.pooling": _of(SummaryNetConfig, "pooling"),
+    "model.head_hidden": _of(SummaryNetConfig, "head_hidden"),
+    "model.predict_hidden": _of(
+        SummaryNetConfig, "predict_hidden", help="empty reuses head_hidden"
+    ),
     # mixture regression
-    "mog.components": _field("int", 4, minimum=1),
-    "mog.n_min": _field("int", 100, minimum=1),
-    "mog.n_max": _field("int", 500, minimum=1),
-    "mog.sigma": _field("float", 0.3, minimum=0.0, exclusive=True),
-    "mog.mean_low": _field("float", -4.0),
-    "mog.mean_high": _field("float", 4.0),
+    "mog.components": _of(MoGTaskSpec, "components"),
+    "mog.n_min": _of(MoGTaskSpec, "n_min"),
+    "mog.n_max": _of(MoGTaskSpec, "n_max"),
+    "mog.sigma": _of(MoGTaskSpec, "sigma"),
+    "mog.mean_low": _of(MoGTaskSpec, "mean_low"),
+    "mog.mean_high": _of(MoGTaskSpec, "mean_high"),
     "mog.encode_cap": _field("int", 0, minimum=0, help="0 encodes full sets at eval"),
     # digit sums
     "digitsum.size": _field("int", 0, minimum=0, help="0 mixes training sizes"),
-    "digitsum.max_train_size": _field("int", 10, minimum=1),
-    "digitsum.test_sizes": _field("int_list", (10, 25, 50, 100)),
-    "digitsum.noise_sigma": _field("float", 0.1, minimum=0.0),
+    "digitsum.max_train_size": _of(DigitSumSpec, "max_train_size"),
+    "digitsum.test_sizes": _of(DigitSumSpec, "test_sizes"),
+    "digitsum.noise_sigma": _of(DigitSumSpec, "noise_sigma"),
     # shape classification
-    "pointset.n_points": _field("int", 32, minimum=8),
-    "pointset.noise_sigma": _field("float", 0.02, minimum=0.0),
-    "pointset.count_per_class": _field("int", 60, minimum=1),
-    "pointset.rotate": _field("bool", True),
+    "pointset.n_points": _of(PointSetClassSpec, "n_points"),
+    "pointset.noise_sigma": _of(PointSetClassSpec, "noise_sigma"),
+    "pointset.count_per_class": _of(PointSetClassSpec, "count_per_class"),
+    "pointset.rotate": _of(PointSetClassSpec, "rotate"),
     # episodic classification
-    "fewshot.n_way": _field("int", 5, minimum=1),
-    "fewshot.k_shot": _field("int", 5, minimum=1),
-    "fewshot.q_queries": _field("int", 5, minimum=1),
-    "fewshot.dim": _field("int", 20, minimum=1),
-    "fewshot.encoder_widths": _field("int_list", (64, 32)),
-    "fewshot.g_hidden": _field("int_list", (), help="empty picks the default head"),
-    "fewshot.bank": _field("int", 16, minimum=1),
-    "fewshot.episodes": _field("int", 10000, minimum=1),
-    "fewshot.n_base": _field("int", 64, minimum=1),
-    "fewshot.n_novel": _field("int", 20, minimum=1),
-    "fewshot.sigma": _field("float", 1.0, minimum=0.0, exclusive=True),
-    "fewshot.mean_low": _field("float", -5.0),
-    "fewshot.mean_high": _field("float", 5.0),
-    "fewshot.class_seed": _field("int", 0, minimum=0),
-    "fewshot.activation": _field("str", "relu", choices=ACTIVATION_NAMES),
-    "fewshot.metric": _field("str", "cosine", choices=METRICS),
-    # conditional generation
-    "metagan.family": _field("str", "gauss1d", choices=FAMILIES),
-    "metagan.n_points": _field("int", 0, minimum=0, help="0 picks the family default"),
+    "fewshot.n_way": _of(EpisodeSpec, "n_way"),
+    "fewshot.k_shot": _of(EpisodeSpec, "k_shot"),
+    "fewshot.q_queries": _of(EpisodeSpec, "q_queries"),
+    "fewshot.dim": _of(EpisodeSpec, "dim"),
+    "fewshot.encoder_widths": _of(FewShotConfig, "encoder_widths"),
+    "fewshot.g_hidden": _of(FewShotConfig, "g_hidden", help="empty picks the default head"),
+    "fewshot.bank": _of(FewShotConfig, "bank_size"),
+    "fewshot.episodes": _of(FewShotConfig, "episodes"),
+    "fewshot.n_base": _of(FewShotConfig, "n_base_classes"),
+    "fewshot.n_novel": _of(FewShotConfig, "n_novel_classes"),
+    "fewshot.sigma": _of(FewShotConfig, "sigma"),
+    "fewshot.mean_low": _of(FewShotConfig, "mean_low"),
+    "fewshot.mean_high": _of(FewShotConfig, "mean_high"),
+    "fewshot.class_seed": _of(FewShotConfig, "class_seed"),
+    "fewshot.activation": _of(FewShotConfig, "activation"),
+    "fewshot.metric": _of(FewShotConfig, "metric"),
+    # conditional generation; metagan.k, summary_widths, use_ot and metric feed
+    # shared dataclasses whose defaults differ, so they keep literal rows
+    "metagan.family": _of(TaskFamilySpec, "family"),
+    "metagan.n_points": _of(TaskFamilySpec, "n_points", help="0 picks the family default"),
     "metagan.k": _field("int", 2, minimum=1, help="summary dimension"),
     "metagan.summary_widths": _field("int_list", (64, 64, 64)),
-    "metagan.noise_dim": _field("int", 2, minimum=1),
-    "metagan.generator_widths": _field("int_list", (64, 64, 64, 64)),
-    "metagan.critic_widths": _field("int_list", (64, 64, 64, 64)),
-    "metagan.conditioning": _field("str", "generator-only", choices=CONDITIONING_MODES),
-    "metagan.eta_critic": _field("int", 1, minimum=1),
-    "metagan.batch": _field("int", 50, minimum=1),
-    "metagan.iterations": _field("int", 2000, minimum=1),
-    "metagan.lr_generator": _field("float", 0.001, minimum=0.0, exclusive=True),
-    "metagan.lr_critic": _field("float", 0.001, minimum=0.0, exclusive=True),
-    "metagan.non_saturating": _field("bool", False),
-    "metagan.mse_weight": _field("opt_float", None, minimum=0.0),
+    "metagan.noise_dim": _of(GanConfig, "noise_dim"),
+    "metagan.generator_widths": _of(GanConfig, "generator_widths"),
+    "metagan.critic_widths": _of(GanConfig, "critic_widths"),
+    "metagan.conditioning": _of(GanConfig, "conditioning"),
+    "metagan.eta_critic": _of(GanConfig, "eta_critic"),
+    "metagan.batch": _of(GanConfig, "batch"),
+    "metagan.iterations": _of(GanConfig, "iterations"),
+    "metagan.lr_generator": _of(GanConfig, "lr_generator"),
+    "metagan.lr_critic": _of(GanConfig, "lr_critic"),
+    "metagan.non_saturating": _of(GanConfig, "non_saturating"),
+    "metagan.mse_weight": _of(GanConfig, "mse_weight"),
     "metagan.use_ot": _field("bool", True),
     "metagan.metric": _field("str", "euclidean", choices=METRICS),
 }
@@ -184,22 +207,16 @@ def parse_value(key: str, text: str):
     raise ConfigError(f"{key} has unhandled kind {field.kind!r}")  # pragma: no cover
 
 
-def validate_value(key: str, value) -> None:
+def _check_unowned(key: str, value) -> None:
+    """Bounds of a key that no dataclass holds."""
     field = SCHEMA[key]
     if field.choices is not None and value not in field.choices:
         raise ConfigError(f"{key} must be one of {field.choices}, got {value!r}")
-    if field.minimum is not None and value is not None and field.kind != "int_list":
-        if field.exclusive:
-            if value <= field.minimum:
-                raise ConfigError(f"{key} must be greater than {field.minimum}, got {value}")
-        elif value < field.minimum:
-            if field.kind == "int" and field.minimum == 1:
-                raise ConfigError(f"{key} must be positive, got {value}")
-            if field.kind == "int" and field.minimum == 0:
-                raise ConfigError(f"{key} must be nonnegative, got {value}")
-            raise ConfigError(f"{key} must be at least {field.minimum}, got {value}")
-    if field.kind == "int_list" and any(w < 1 for w in value):
-        raise ConfigError(f"{key} widths must be positive, got {value}")
+    if field.minimum is not None and value < field.minimum:
+        word = "positive" if field.minimum == 1 else "nonnegative"
+        raise ConfigError(f"{key} must be {word}, got {value}")
+    if field.kind == "int_list":
+        _as_widths(value, key)
 
 
 def _unknown_key_message(key: str) -> str:
@@ -253,16 +270,42 @@ class ResolvedConfig:
         """Comment block recording the resolved config, one key per line."""
         return [f"# {k} = {render_value(v)}" for k, v in sorted(self._values.items())]
 
+    def build(self, owner, **extra):
+        """``owner`` from every key it owns plus ``extra`` fields.
+
+        An error the owner raises about one of those keys' fields is re-raised
+        naming the key.
+        """
+        keys = {f.attr: k for k, f in SCHEMA.items() if f.owner is owner and f.attr not in extra}
+        try:
+            return owner(**{attr: self._values[k] for attr, k in keys.items()}, **extra)
+        except ConfigError as exc:
+            attr, _, rest = str(exc).partition(" ")
+            if attr not in keys:
+                raise
+            raise ConfigError(f"{keys[attr]} {rest}") from None
+
     def with_overrides(self, overrides: dict) -> "ResolvedConfig":
         """New config with raw string overrides applied and validated."""
-        values = dict(self._values)
-        for key, raw in overrides.items():
-            if key not in SCHEMA:
-                raise ConfigError(_unknown_key_message(key))
-            value = parse_value(key, raw)
-            validate_value(key, value)
-            values[key] = value
-        return ResolvedConfig(values)
+        return _checked({**self._values, **_parsed(overrides)})
+
+
+def _parsed(raw: dict) -> dict:
+    return {key: parse_value(key, text) for key, text in raw.items()}
+
+
+def _checked(values: dict) -> ResolvedConfig:
+    """The defaults updated with ``values``, once every key passes, whatever the task."""
+    cfg = ResolvedConfig({**default_config()._values, **values})
+    for key, field in SCHEMA.items():
+        if field.owner is None:
+            _check_unowned(key, cfg[key])
+    # each owner is built once; for fields no key sets, the task supplies
+    # input_dim, and the class pools are checked against the episode's n_way
+    extra = {SummaryNetConfig: {"input_dim": 1}, FewShotConfig: {"episode": cfg.build(EpisodeSpec)}}
+    for owner in dict.fromkeys(f.owner for f in SCHEMA.values() if f.owner is not None):
+        cfg.build(owner, **extra.get(owner, {}))
+    return cfg
 
 
 def default_config() -> ResolvedConfig:
@@ -298,14 +341,9 @@ def resolve_config(
     """Defaults, then file values, then overrides; flags win.
 
     Both mappings carry raw strings.  Every key is checked against the schema
-    and every value is parsed and validated.
+    and every value is parsed; the merged result is then validated.
     """
-    resolved = default_config()
-    if file_values:
-        resolved = resolved.with_overrides(file_values)
-    if overrides:
-        resolved = resolved.with_overrides(overrides)
-    return resolved
+    return _checked({**_parsed(file_values or {}), **_parsed(overrides or {})})
 
 
 def config_from_json_dict(d: dict) -> ResolvedConfig:
@@ -314,13 +352,8 @@ def config_from_json_dict(d: dict) -> ResolvedConfig:
     for key, value in d.items():
         if key not in SCHEMA:
             raise ConfigError(_unknown_key_message(key))
-        if isinstance(value, list):
-            value = tuple(value)
-        validate_value(key, value)
-        values[key] = value
-    for key, field in SCHEMA.items():
-        values.setdefault(key, field.default)
-    return ResolvedConfig(values)
+        values[key] = tuple(value) if isinstance(value, list) else value
+    return _checked(values)
 
 
 def schema_help() -> str:

@@ -14,6 +14,8 @@ import numpy as np
 from ..errors import ConfigError
 from .value import Value, zero_grad
 
+OPTIMIZERS = ("adam", "sgd")
+
 
 class SGD:
     """Plain gradient descent: p <- p - lr * g."""
@@ -91,4 +93,4 @@ def make_optimizer(kind: str, params: Iterable[Value], lr: float):
         return Adam(params, lr=lr)
     if kind == "sgd":
         return SGD(params, lr=lr)
-    raise ConfigError(f"unknown optimizer {kind!r} (expected adam or sgd)")
+    raise ConfigError(f"unknown optimizer {kind!r} (expected one of {OPTIMIZERS})")

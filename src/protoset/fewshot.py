@@ -21,7 +21,7 @@ import numpy as np
 from .diffcore import Value, as_value, no_grad
 from .diffcore.optim import make_optimizer
 from .errors import ConfigError, ShapeError
-from .nn import MLP
+from .nn import ACTIVATIONS, MLP
 from .ot import SinkhornConfig, floor_simplex_value
 from .ot.cost import METRICS, build_cost_value
 from .ot.sinkhorn import differentiable_transport_loss
@@ -45,7 +45,7 @@ class EpisodeSpec:
     def __post_init__(self):
         for name in ("n_way", "k_shot", "q_queries", "dim"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,14 @@ class FewShotConfig:
 
     ``encoder_widths`` lists the embedding MLP's hidden widths with the
     embedding size M last.  ``g_hidden`` shapes the simplex head between M and
-    the bank size; None picks M // 2.  Class means for the synthetic generator
+    the bank size; empty picks M // 2.  Class means for the synthetic generator
     are drawn once per class from U[mean_low, mean_high]^dim with unit-variance
     points around them; base and novel pools never share a class.
     """
 
     episode: EpisodeSpec = field(default_factory=EpisodeSpec)
     encoder_widths: tuple = (64, 32)
-    g_hidden: Optional[tuple] = None
+    g_hidden: tuple = ()
     bank_size: int = 16
     lambda_ot: Optional[float] = None
     activation: str = "relu"
@@ -126,18 +126,24 @@ class FewShotConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "encoder_widths", _as_widths(self.encoder_widths, "encoder_widths"))
-        if self.g_hidden is not None:
+        if self.g_hidden:
             object.__setattr__(self, "g_hidden", _as_widths(self.g_hidden, "g_hidden"))
         if self.embed_dim < 2:
-            raise ConfigError(f"embedding size must be at least 2, got {self.embed_dim}")
+            raise ConfigError(
+                f"encoder_widths must end in an embedding size of at least 2, got {self.embed_dim}"
+            )
         if self.bank_size < 1:
-            raise ConfigError(f"bank_size must be at least 1, got {self.bank_size}")
+            raise ConfigError(f"bank_size must be positive, got {self.bank_size}")
         if self.lambda_ot is not None and self.lambda_ot < 0:
             raise ConfigError(f"lambda_ot must be nonnegative, got {self.lambda_ot}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(
+                f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}"
+            )
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.episodes < 1:
-            raise ConfigError(f"episodes must be at least 1, got {self.episodes}")
+            raise ConfigError(f"episodes must be positive, got {self.episodes}")
         if self.lr_final is not None and self.lr_final <= 0:
             raise ConfigError(f"lr_final must be positive, got {self.lr_final}")
         if self.sigma <= 0:
@@ -146,11 +152,14 @@ class FewShotConfig:
             raise ConfigError(
                 f"mean_low must not exceed mean_high, got [{self.mean_low}, {self.mean_high}]"
             )
-        if min(self.n_base_classes, self.n_novel_classes) < self.episode.n_way:
-            raise ConfigError(
-                f"both class pools need at least n_way={self.episode.n_way} classes, "
-                f"got base={self.n_base_classes} novel={self.n_novel_classes}"
-            )
+        for name in ("n_base_classes", "n_novel_classes"):
+            if getattr(self, name) < self.episode.n_way:
+                raise ConfigError(
+                    f"{name} must be at least n_way={self.episode.n_way}, "
+                    f"got {getattr(self, name)}"
+                )
+        if self.class_seed < 0:
+            raise ConfigError(f"class_seed must be nonnegative, got {self.class_seed}")
 
     @property
     def embed_dim(self) -> int:
@@ -158,7 +167,7 @@ class FewShotConfig:
 
     @property
     def g_widths(self) -> tuple:
-        if self.g_hidden is not None:
+        if self.g_hidden:
             return self.g_hidden
         return (max(self.embed_dim // 2, 2),)
 

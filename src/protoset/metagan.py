@@ -31,7 +31,7 @@ from .protolearn import (
     subsample_points,
     transport_objective,
 )
-from .summarynet import SetBatch, SummaryNet
+from .summarynet import SetBatch, SummaryNet, _as_widths
 
 logger = logging.getLogger(__name__)
 
@@ -55,16 +55,18 @@ class TaskFamilySpec:
     """Which distribution family to draw tasks from, and at what set size."""
 
     family: str = "gauss1d"
-    n_points: Optional[int] = None  # None picks the family default
+    n_points: int = 0  # 0 picks the family default
     n_sets: int = 10_000
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.n_points is not None and self.n_points < 2:
-            raise ConfigError(f"n_points must be at least 2, got {self.n_points}")
+        if self.n_points and self.n_points < 2:
+            raise ConfigError(
+                f"n_points must be 0 (family default) or at least 2, got {self.n_points}"
+            )
         if self.n_sets < 1:
-            raise ConfigError(f"n_sets must be at least 1, got {self.n_sets}")
+            raise ConfigError(f"n_sets must be positive, got {self.n_sets}")
 
     @property
     def dim(self) -> int:
@@ -72,7 +74,7 @@ class TaskFamilySpec:
 
     @property
     def points_per_set(self) -> int:
-        return self.n_points if self.n_points is not None else FAMILY_POINTS[self.family]
+        return self.n_points or FAMILY_POINTS[self.family]
 
 
 def sample_task_params(spec: TaskFamilySpec, rng: np.random.Generator) -> dict:
@@ -182,14 +184,19 @@ class GanConfig:
     log_every: int = 0
 
     def __post_init__(self):
+        for name in ("generator_widths", "critic_widths"):
+            object.__setattr__(self, name, _as_widths(getattr(self, name), name))
         if self.eta_critic < 1:
-            raise ConfigError(f"eta_critic must be at least 1, got {self.eta_critic}")
+            raise ConfigError(f"eta_critic must be positive, got {self.eta_critic}")
         if self.noise_dim < 1:
-            raise ConfigError(f"noise_dim must be at least 1, got {self.noise_dim}")
+            raise ConfigError(f"noise_dim must be positive, got {self.noise_dim}")
         if self.batch < 1:
-            raise ConfigError(f"batch must be at least 1, got {self.batch}")
+            raise ConfigError(f"batch must be positive, got {self.batch}")
         if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
+            raise ConfigError(f"iterations must be positive, got {self.iterations}")
+        for name in ("lr_generator", "lr_critic"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.conditioning not in CONDITIONING_MODES:
             raise ConfigError(
                 f"conditioning must be one of {CONDITIONING_MODES}, got {self.conditioning!r}"

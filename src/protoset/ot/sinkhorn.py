@@ -47,9 +47,9 @@ class SinkhornConfig:
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be at least 1, got {self.max_iters}")
+            raise ConfigError(f"max_iters must be positive, got {self.max_iters}")
         if self.unroll_iters < 1:
-            raise ConfigError(f"unroll_iters must be at least 1, got {self.unroll_iters}")
+            raise ConfigError(f"unroll_iters must be positive, got {self.unroll_iters}")
         if self.grad_mode not in GRAD_MODES:
             raise ConfigError(
                 f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}"

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .diffcore import Value, make_optimizer
+from .diffcore.optim import OPTIMIZERS
 from .errors import ConfigError, DomainError, NumericalError, TrainingDivergedError
 from .ot import (
     SinkhornConfig,
@@ -93,18 +94,23 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ConfigError(f"steps must be at least 1, got {self.steps}")
+            raise ConfigError(f"steps must be positive, got {self.steps}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.batch_sets < 1:
-            raise ConfigError(f"batch_sets must be at least 1, got {self.batch_sets}")
+            raise ConfigError(f"batch_sets must be positive, got {self.batch_sets}")
         if self.batch_points < 1:
-            raise ConfigError(f"batch_points must be at least 1, got {self.batch_points}")
+            raise ConfigError(f"batch_points must be positive, got {self.batch_points}")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.lambda_ot is not None and self.lambda_ot < 0:
             raise ConfigError(f"lambda_ot must be nonnegative, got {self.lambda_ot}")
         if self.lr_final is not None and self.lr_final <= 0:
             raise ConfigError(f"lr_final must be positive, got {self.lr_final}")
-        # lr/optimizer validated by make_optimizer at loop start
+        if self.log_every < 0:
+            raise ConfigError(f"log_every must be nonnegative, got {self.log_every}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ import numpy as np
 
 from .diffcore import Value
 from .errors import ConfigError, DomainError, ShapeError
-from .nn import MLP
+from .nn import ACTIVATIONS, MLP
 
 POOLINGS = ("mean", "sum", "max")
 
@@ -65,24 +65,29 @@ class SummaryNetConfig:
     encoder_widths: tuple = (128, 128, 128)
     activation: str = "elu"
     pooling: str = "mean"
-    head_hidden: int | tuple = 128  # hidden widths of the simplex head
+    head_hidden: int | tuple = (128,)  # hidden widths of the simplex head
     output_dim: Optional[int] = None
-    predict_hidden: int | tuple | None = None  # prediction head widths; defaults to head_hidden
+    predict_hidden: int | tuple = ()  # prediction head widths; empty reuses head_hidden
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
         if self.n_prototypes < 1:
             raise ConfigError(f"n_prototypes must be positive, got {self.n_prototypes}")
+        object.__setattr__(
+            self, "encoder_widths", _as_widths(self.encoder_widths, "encoder_widths")
+        )
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(
+                f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}"
+            )
         if self.pooling not in POOLINGS:
             raise ConfigError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
-        if not self.encoder_widths:
-            raise ConfigError("encoder_widths must name at least one layer")
         if self.output_dim is not None and self.output_dim < 1:
             raise ConfigError(f"output_dim must be positive, got {self.output_dim}")
         object.__setattr__(self, "head_hidden", _as_widths(self.head_hidden, "head_hidden"))
-        fallback = self.head_hidden if self.predict_hidden is None else self.predict_hidden
-        object.__setattr__(self, "predict_hidden", _as_widths(fallback, "predict_hidden"))
+        predict = self.predict_hidden or self.head_hidden
+        object.__setattr__(self, "predict_hidden", _as_widths(predict, "predict_hidden"))
 
     @property
     def feature_dim(self) -> int:

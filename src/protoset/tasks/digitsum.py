@@ -7,13 +7,13 @@ grow past anything seen in training, probing length generalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..diffcore import Value
 from ..errors import ConfigError
-from ..summarynet import SetBatch
+from ..summarynet import SetBatch, _as_widths
 
 DIGIT_DIM = 10
 
@@ -28,11 +28,10 @@ class DigitSumSpec:
 
     def __post_init__(self):
         if self.max_train_size < 1:
-            raise ConfigError("max_train_size must be >= 1")
-        if any(s < 1 for s in self.test_sizes):
-            raise ConfigError("test sizes must be >= 1")
+            raise ConfigError(f"max_train_size must be positive, got {self.max_train_size}")
+        object.__setattr__(self, "test_sizes", _as_widths(self.test_sizes, "test_sizes"))
         if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+            raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
 
 
 def _encode_digits(digits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -36,13 +36,19 @@ class MoGTaskSpec:
 
     def __post_init__(self):
         if self.components < 1:
-            raise ConfigError("components must be >= 1")
-        if not (1 <= self.n_min <= self.n_max):
-            raise ConfigError("need 1 <= n_min <= n_max")
+            raise ConfigError(f"components must be positive, got {self.components}")
+        if self.n_max < 1:
+            raise ConfigError(f"n_max must be positive, got {self.n_max}")
+        if not 1 <= self.n_min <= self.n_max:
+            raise ConfigError(f"n_min must be in [1, n_max={self.n_max}], got {self.n_min}")
         if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
+            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if self.mean_low > self.mean_high:
+            raise ConfigError(
+                f"mean_low must not exceed mean_high={self.mean_high}, got {self.mean_low}"
+            )
         if self.dim != 2:
-            raise ConfigError("only planar mixtures are supported")
+            raise ConfigError(f"dim must be 2 (only planar mixtures are supported), got {self.dim}")
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,11 @@ class PointSetClassSpec:
 
     def __post_init__(self):
         if self.n_points < 8:
-            raise ConfigError("n_points must be >= 8")
+            raise ConfigError(f"n_points must be at least 8, got {self.n_points}")
         if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+            raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         if self.count_per_class < 1:
-            raise ConfigError("count_per_class must be >= 1")
+            raise ConfigError(f"count_per_class must be positive, got {self.count_per_class}")
 
 
 def _rotation(rng: np.random.Generator) -> np.ndarray:

@@ -453,6 +453,24 @@ def test_steps_flag_on_task_without_train_steps_exits_2(task, key, tmp_path, cap
         assert not out.exists()
 
 
+def test_mean_low_above_mean_high_exits_2(tmp_path, capsys):
+    # equal bounds stay legal; a reversed box is a config error, not a crash in the sampler
+    argv = ["gen", "--task", "mog", "--count", "2", "--set", "mog.n_min=5", "--set", "mog.n_max=5"]
+    assert run(argv + ["--set", "mog.mean_low=4", "--out", str(tmp_path / "eq")]) == 0
+    capsys.readouterr()
+    code = run(argv + ["--set", "mog.mean_low=5", "--out", str(tmp_path / "rev")])
+    assert code == cli.EXIT_CONFIG
+    assert "mog.mean_low" in capsys.readouterr().err
+
+
+def test_eval_with_no_digitsum_test_sizes_exits_2(tmp_path, capsys):
+    _, ck_path = train_task("digitsum", tmp_path / "run")
+    argv = ["eval", "--checkpoint", str(ck_path), "--out", str(tmp_path / "ev")]
+    capsys.readouterr()
+    assert run(argv + ["--set", "digitsum.test_sizes="]) == cli.EXIT_CONFIG
+    assert "digitsum.test_sizes" in capsys.readouterr().err
+
+
 def test_fewshot_cli_round_trip(tmp_path):
     _, ck_path = train_task("fewshot", tmp_path / "run")
     metrics = eval_task("fewshot", ck_path, tmp_path / "ev")

@@ -89,6 +89,49 @@ def test_choice_and_bound_validation():
         resolve_config(None, {"model.encoder_widths": "32,0"})
 
 
+@pytest.mark.parametrize(
+    "key,text",
+    [
+        ("mog.n_min", "600"),  # above mog.n_max
+        ("model.encoder_widths", ""),
+        ("fewshot.n_base", "2"),  # fewer classes than fewshot.n_way
+        ("fewshot.encoder_widths", "1"),  # embedding must be at least 2-D
+        ("metagan.n_points", "1"),
+        ("metagan.summary_widths", ""),  # a key with no owner
+    ],
+)
+def test_owner_bounds_name_the_key_at_resolve(key, text):
+    # every owner is built at resolve, whatever the task
+    pattern = key.replace(".", r"\.")
+    with pytest.raises(ConfigError, match=pattern):
+        resolve_config(None, {"task": "pointset", key: text})
+    if key == "fewshot.n_base":
+        stored = default_config().as_dict() | {key: int(text)}
+        with pytest.raises(ConfigError, match=pattern):
+            config_from_json_dict(stored)
+
+
+# annotation of an owned field -> the kind its key must have
+ANNOTATION_KINDS = {
+    "int": "int",
+    "float": "float",
+    "str": "str",
+    "bool": "bool",
+    "tuple": "int_list",
+    "int | tuple": "int_list",
+    "Optional[float]": "opt_float",
+}
+
+
+def test_owned_key_kind_matches_field_annotation():
+    # a float field written with an int default must not make its key integer-only
+    owned = {key: field for key, field in SCHEMA.items() if field.owner is not None}
+    assert owned
+    for key, field in owned.items():
+        annotation = field.owner.__dataclass_fields__[field.attr].type
+        assert ANNOTATION_KINDS[annotation] == field.kind, key
+
+
 def test_render_value_round_trips():
     for key, field in SCHEMA.items():
         text = render_value(field.default)

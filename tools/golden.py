@@ -3,7 +3,8 @@
 Runs ``protoset.cli.main`` in-process at the tiny shapes of
 ``tests/test_cli.py`` with relative paths under ``--dir`` and prints one
 ``sha256  name`` line per artifact, per captured stdout and per exit code;
-it exits 1 if any verb exited nonzero.
+it exits 1 if any verb exited nonzero.  ``protoset --help`` is captured too,
+so the rendered config schema (every key, default and help) is compared.
 Two runs of the same program in different directories must print the same
 lines (the README's byte-identical-rerun contract); a refactor that claims
 to keep behaviour can diff its output against the parent commit's.
@@ -23,6 +24,7 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # BLAS reductions then sum in one order
+os.environ["COLUMNS"] = "80"  # argparse wraps --help to this width, not the terminal's
 
 from protoset.cli import main as protoset_main  # noqa: E402 (after the BLAS pin)
 
@@ -131,7 +133,8 @@ def main(argv=None) -> int:
     if any(work.iterdir()):
         parser.error(f"{work} is not empty")
     os.chdir(work)
-    codes = [run(f"gen/{name}", ["gen"] + flags, f"gen/{name}") for name, flags in GENS.items()]
+    codes = [run("help", ["--help"])]
+    codes += [run(f"gen/{name}", ["gen"] + flags, f"gen/{name}") for name, flags in GENS.items()]
     for name, (task, flags) in TRAINS.items():
         argv = ["train", "--task", task] + BASE[task] + flags
         codes.append(run(f"train/{name}", argv, f"train/{name}"))

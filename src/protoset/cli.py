@@ -50,12 +50,10 @@ from .metagan import (
     GanConfig,
     MetaGan,
     TaskFamilySpec,
-    critic_loss,
-    discriminator_logit,
+    critic_objective,
     eval_generative,
     gen_task_corpus,
-    generator_forward,
-    generator_loss,
+    generator_objective,
     train_metagan,
 )
 from .ot import Marginals, SinkhornConfig, entropic_objective, sinkhorn, transport_cost
@@ -63,9 +61,9 @@ from .ot.marginals import uniform_weights
 from .protolearn import (
     PrototypeBank,
     TrainConfig,
+    set_objective,
     subsample_points,
     train_prototypes,
-    transport_objective,
 )
 from .summarynet import SetBatch, SummaryNet, SummaryNetConfig
 from .tasks import (
@@ -172,14 +170,15 @@ class Task:
     """One experiment: its config, gen, build, train, evaluate and gradcheck.
 
     ``build`` returns (net, bank, checkpoint names of their parameters) for
-    train and for eval; eval passes no sets and loads the checkpoint into them.
-    Library functions are looked up in this module when a method runs, so a
-    wrapper set on ``protoset.cli`` (perfbench's tracer) sees every call.
+    train, eval and gradcheck; eval passes no sets and loads the checkpoint into
+    them.  Library functions are looked up in this module when a method runs, so
+    a wrapper set on ``protoset.cli`` (perfbench's tracer) sees every call.
     """
 
     name: str
     columns = ("step", "transport_loss", "task_loss")
     steps_key = "train.steps"  # the config key that sets how long train runs
+    gradcheck_shapes: dict  # overrides that shrink model and data for gradcheck
 
     def training_sets(self, cfg: ResolvedConfig):
         if cfg["corpus"]:
@@ -189,12 +188,28 @@ class Task:
             return sets
         return self.gen(cfg, cfg["count"], cfg["seed"])[0]
 
+    def gradcheck(self, seed: int):
+        """(path name, loss closure, parameters) per objective the training loop differentiates.
+
+        The model, bank and data are what train builds from the defaults
+        updated with ``gradcheck_shapes``.
+        """
+        overrides = {**self.gradcheck_shapes, "task": self.name, "seed": str(seed)}
+        cfg = resolve_config(overrides=overrides)
+        sets = self.training_sets(cfg)
+        net, bank, named = self.build(cfg, sets)
+        return self.objectives(cfg, net, bank, named, sets)
+
+
+_ENCODER_SHAPES = {"count": "2", "model.k": "4", "model.encoder_widths": "10,8",
+                   "model.head_hidden": "6", "train.batch_points": "9"}
+
 
 class EncoderTask(Task):
     """A SummaryNet and a data-space bank trained by ``train_prototypes``."""
 
     input_dim: int
-    gradcheck_label = None
+    gradcheck_shapes = _ENCODER_SHAPES
 
     def build(self, cfg: ResolvedConfig, sets):
         supervised = cfg["train.mode"] == "supervised"
@@ -209,11 +224,26 @@ class EncoderTask(Task):
         named["bank"] = bank.matrix
         return net, bank, named
 
+    def train_config(self, cfg: ResolvedConfig) -> TrainConfig:
+        return cfg.build(TrainConfig, sinkhorn=cfg.build(SinkhornConfig), seed=cfg["seed"])
+
+    def loss_fn(self, cfg: ResolvedConfig):  # None: the transport term alone
+        return self.task_loss() if cfg["train.mode"] == "supervised" else None
+
     def train(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank, sets):
-        train_cfg = cfg.build(TrainConfig, sinkhorn=cfg.build(SinkhornConfig), seed=cfg["seed"])
-        loss_fn = self.task_loss() if cfg["train.mode"] == "supervised" else None
-        trace = train_prototypes(sets, net, bank, train_cfg, loss_fn)
+        trace = train_prototypes(sets, net, bank, self.train_config(cfg), self.loss_fn(cfg))
         return list(zip(trace.steps, trace.ot_losses, trace.task_losses))
+
+    def objectives(self, cfg: ResolvedConfig, net, bank, named, sets):
+        config, batch, rng = self.train_config(cfg), sets[0], np.random.default_rng(cfg["seed"])
+        points = subsample_points(batch.points, config.batch_points, rng)
+        sub = SetBatch(points, set_id=batch.set_id, label=batch.label)
+        loss_fn = self.loss_fn(cfg)
+
+        def combined() -> Value:
+            return set_objective(sub, net, bank, config, loss_fn)[0]
+
+        return [(f"{self.name}-combined", combined, list(named.values()))]
 
     def eval_corpus(self, cfg: ResolvedConfig):
         return load_corpus(cfg["corpus"])[1] if cfg["corpus"] else self.eval_sets(cfg)
@@ -224,44 +254,13 @@ class EncoderTask(Task):
         # the training objective, on eval sets subsampled as in training
         sets = self.eval_corpus(cfg)
         rng = np.random.default_rng(cfg["eval.seed"])
-        sk = cfg.build(SinkhornConfig)
+        config = self.train_config(cfg)
         total = 0.0
         with no_grad():
             for batch in sets:
-                points = subsample_points(batch.points, cfg["train.batch_points"], rng)
-                weights = net.summarize(points)
-                loss = transport_objective(points, weights, bank, cfg["train.metric"], sk)
-                total += loss.item()
+                points = subsample_points(batch.points, config.batch_points, rng)
+                total += set_objective(SetBatch(points), net, bank, config)[2]
         return {"mean_transport_loss": total / len(sets)}
-
-    def gradcheck(self, seed: int):
-        rng = np.random.default_rng(seed)
-        # compact stand-in instance; widths kept small so checks stay quick
-        net = SummaryNet(
-            SummaryNetConfig(
-                input_dim=self.input_dim,
-                n_prototypes=4,
-                encoder_widths=(10, 8),
-                activation="tanh",
-                head_hidden=(6,),
-                output_dim=self.output_dim(resolve_config()),
-                predict_hidden=(6,),
-            ),
-            rng,
-        )
-        points = rng.normal(size=(9, self.input_dim))
-        batch = SetBatch(points, set_id=0, label=self.gradcheck_label)
-        bank = PrototypeBank.from_points(rng.normal(size=(12, self.input_dim)), 4, rng)
-        sk = SinkhornConfig(unroll_iters=10)
-        loss_fn = self.task_loss()
-
-        def combined() -> Value:
-            weights, pred = net.summarize_with_prediction(batch.points)
-            return loss_fn(pred, batch) + 0.5 * transport_objective(
-                batch.points, weights, bank, "euclidean", sk
-            )
-
-        return [(f"{self.name}-combined", combined, net.parameters() + [bank.matrix])]
 
 
 class MogTask(EncoderTask):
@@ -299,7 +298,6 @@ class MogTask(EncoderTask):
 class DigitSumTask(EncoderTask):
     name = "digitsum"
     input_dim = 10
-    gradcheck_label = 12
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return 1
@@ -339,7 +337,7 @@ class DigitSumTask(EncoderTask):
 class PointSetTask(EncoderTask):
     name = "pointset"
     input_dim = 3
-    gradcheck_label = 3
+    gradcheck_shapes = {**_ENCODER_SHAPES, "pointset.count_per_class": "1"}
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return len(POINTSET_CLASSES)
@@ -369,6 +367,10 @@ class FewShotTask(Task):
 
     name = "fewshot"
     steps_key = "fewshot.episodes"
+    # unset, lambda_ot leaves the transport term out of the episode loss
+    gradcheck_shapes = {"fewshot.n_way": "3", "fewshot.k_shot": "2", "fewshot.q_queries": "2",
+                        "fewshot.dim": "5", "fewshot.encoder_widths": "8,6", "fewshot.bank": "4",
+                        "train.lambda_ot": "1"}
 
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
         raise ConfigError(
@@ -406,34 +408,25 @@ class FewShotTask(Task):
         episodes = gen_episodes(model.config, "novel", seed=cfg["eval.seed"], count=count)
         return eval_fewshot(model, episodes)
 
-    def gradcheck(self, seed: int):
-        rng = np.random.default_rng(seed)
-        fs_cfg = FewShotConfig(
-            episode=EpisodeSpec(n_way=3, k_shot=2, q_queries=2, dim=5),
-            encoder_widths=(8, 6),
-            bank_size=4,
-            lambda_ot=0.7,
-            sinkhorn=SinkhornConfig(unroll_iters=10),
-            mean_low=-1.0,
-            mean_high=1.0,
-            n_base_classes=8,
-            n_novel_classes=4,
-            episodes=1,
-            seed=seed,
-        )
-        model = FewShotModel(fs_cfg, rng)
-        episode = next(iter(gen_episodes(fs_cfg, "base", seed=seed, count=1)))
+    def objectives(self, cfg: ResolvedConfig, model: FewShotModel, bank, named, sets):
+        episode = next(gen_episodes(model.config, "base", seed=cfg["seed"], count=1))
 
         def episode_loss() -> Value:
-            return episode_objective(model, episode, fs_cfg)[0]
+            return episode_objective(model, episode, model.config)[0]
 
-        return [("fewshot-episode", episode_loss, model.parameters())]
+        return [("fewshot-episode", episode_loss, list(named.values()))]
 
 
 class MetaGanTask(Task):
     name = "metagan"
     columns = ("step", "critic_loss", "generator_loss", "transport_loss")
     steps_key = "metagan.iterations"
+    # the conditional critic and the moment term are off by default and on
+    # here, so that their gradients are checked too
+    gradcheck_shapes = {"count": "2", "metagan.n_points": "12", "metagan.summary_widths": "8,6",
+                        "metagan.generator_widths": "10,8", "metagan.critic_widths": "10,8",
+                        "metagan.batch": "8", "metagan.conditioning": "conditional-critic",
+                        "metagan.mse_weight": "0.5"}
 
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
         pairs = gen_task_corpus(cfg.build(TaskFamilySpec), count=count, seed=seed)
@@ -470,43 +463,22 @@ class MetaGanTask(Task):
         _, tasks = self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])
         return eval_generative(model, tasks, seed=cfg["eval.seed"])
 
-    def gradcheck(self, seed: int):
-        rng = np.random.default_rng(seed)
-        spec = TaskFamilySpec(family="gauss1d", n_points=12)
-        gan_cfg = GanConfig(
-            noise_dim=2,
-            generator_widths=(10, 8),
-            critic_widths=(10, 8),
-            conditioning="conditional-critic",
-            batch=8,
-            iterations=1,
-            seed=seed,
-        )
-        summary = SummaryNet(
-            SummaryNetConfig(input_dim=1, n_prototypes=2, encoder_widths=(8, 6)), rng
-        )
-        model = MetaGan(spec, gan_cfg, summary, rng)
-        real = rng.normal(size=(8, 1))
-        z = rng.normal(size=(8, 2))
-        h = model.summarize(real)
-
-        def gen_path() -> Value:
-            fake = generator_forward(model.generator, z, h)
-            logits = discriminator_logit(model.critic, fake, h)
-            return generator_loss(logits, non_saturating=True)
-
-        def critic_path() -> Value:
-            fake = generator_forward(model.generator, z, h)
-            real_logits = discriminator_logit(model.critic, real, h)
-            fake_logits = discriminator_logit(model.critic, fake.detach(), h)
-            return critic_loss(real_logits, fake_logits)
-
-        # the generator loss reaches both nets; the critic step detaches fakes
-        # on purpose, so its check covers critic parameters only
-        both = model.generator.parameters() + model.critic.parameters()
+    def objectives(self, cfg: ResolvedConfig, model: MetaGan, bank, named, sets):
+        """The three updates of one iteration, on data drawn as the loop draws it."""
+        config = model.config
+        rng = np.random.default_rng(cfg["seed"])
+        h = model.summarize(sets[0].points)
+        real = subsample_points(sets[0].points, config.batch, rng)
+        z = rng.standard_normal((config.batch, config.noise_dim))
+        critic = model.critic.parameters()
+        # the generator loss reaches both nets; the critic's fakes carry no graph
+        transport = [bank.matrix] + model.summary.parameters()
         return [
-            ("metagan-generator", gen_path, both),
-            ("metagan-critic", critic_path, model.critic.parameters()),
+            ("metagan-critic", lambda: critic_objective(model, config, real, z, h), critic),
+            ("metagan-generator", lambda: generator_objective(model, config, real, z, h),
+             model.generator.parameters() + critic),
+            ("metagan-transport",
+             lambda: set_objective(SetBatch(real), model.summary, bank, config.ot)[0], transport),
         ]
 
 
@@ -577,9 +549,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ck = load_checkpoint(args.checkpoint)
-    stored = config_from_json_dict(ck.config)
-    if stored.config_hash() != ck.config_hash:
+    # hash the dict as stored: a tampered value must not reach the dataclasses
+    if ResolvedConfig(ck.config).config_hash() != ck.config_hash:
         raise CheckpointError("checkpoint config does not match its recorded hash")
+    stored = config_from_json_dict(ck.config)
     overrides = _override_strings(
         args, {"corpus": "corpus", "seed": "eval.seed", "count": "eval.count", "out": "out"}
     )
@@ -684,13 +657,11 @@ def cmd_gradcheck(args) -> int:
     tasks = [args.task] if args.task else list(TASK_TABLE)
     seed = args.seed if args.seed is not None else 0
     results = {}
-    worst = 0.0
     rng = np.random.default_rng(seed)
     for task in tasks:
         for name, fn, params in TASK_TABLE[task].gradcheck(seed):
-            report = check_gradients(fn, params, rng, samples_per_param=3)
-            results[name] = report.max_rel_err
-            worst = max(worst, report.max_rel_err)
+            results[name] = check_gradients(fn, params, rng, samples_per_param=3).max_rel_err
+    worst = float(np.max(list(results.values())))  # NaN if any path is NaN
     print(
         json.dumps(
             {"paths": results, "max_rel_err": worst, "threshold": GRADCHECK_THRESHOLD},

@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError
 from .fewshot import EpisodeSpec, FewShotConfig
 from .metagan import GanConfig, TaskFamilySpec
 from .ot.cost import METRICS
@@ -260,11 +260,9 @@ class ResolvedConfig:
             k: list(v) if isinstance(v, tuple) else v for k, v in sorted(self._values.items())
         }
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        text = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def header_lines(self) -> list[str]:
         """Comment block recording the resolved config, one key per line."""
@@ -346,13 +344,31 @@ def resolve_config(
     return _checked({**_parsed(file_values or {}), **_parsed(overrides or {})})
 
 
+def _stored_kind_ok(kind: str, value) -> bool:
+    """Whether ``value`` has the JSON type that as_dict writes for a key of ``kind``."""
+    if kind == "int_list":
+        return isinstance(value, list) and all(type(v) is int for v in value)
+    if kind == "opt_float":
+        return value is None or type(value) is float
+    return _KINDS.get(type(value)) == kind
+
+
 def config_from_json_dict(d: dict) -> ResolvedConfig:
-    """Rebuild a resolved config from its as_dict form (checkpoints)."""
+    """Rebuild a resolved config from its as_dict form (checkpoints).
+
+    A missing key, or a value of a type as_dict never writes for its key, is a
+    damaged or hand-made file: CheckpointError.
+    """
     values = {}
     for key, value in d.items():
         if key not in SCHEMA:
             raise ConfigError(_unknown_key_message(key))
+        if not _stored_kind_ok(SCHEMA[key].kind, value):
+            raise CheckpointError(f"stored {key} must be {SCHEMA[key].kind}, got {value!r}")
         values[key] = tuple(value) if isinstance(value, list) else value
+    missing = [key for key in SCHEMA if key not in values]
+    if missing:
+        raise CheckpointError(f"stored config lacks {missing}")
     return _checked(values)
 
 

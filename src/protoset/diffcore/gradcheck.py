@@ -72,7 +72,7 @@ def check_gradients(
             ad = float(analytic[pi].reshape(-1)[i])
             rel = relative_error(fd, ad)
             checks += 1
-            if rel > worst:
+            if rel > worst or np.isnan(rel):  # a NaN entry must not pass
                 worst = rel
                 worst_param = pi
                 worst_index = int(i)

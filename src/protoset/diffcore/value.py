@@ -107,10 +107,6 @@ class Value:
     def __repr__(self) -> str:
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Value":
-        """A new leaf sharing no graph history (data is copied)."""
-        return Value(self.data.copy())
-
     # -- elementwise binary ---------------------------------------------------
 
     def __add__(self, other):
@@ -299,20 +295,9 @@ class Value:
 
         return Value._from_op(data, (self,), backward)
 
-    def max(self, axis=None, keepdims: bool = False):
+    def max(self, axis: int, keepdims: bool = False):
         if self.data.size == 0:
             raise DomainError("max over an empty array")
-        if axis is None:
-            data = np.asarray(self.data.max(keepdims=keepdims))
-            flat_idx = int(np.argmax(self.data))  # first occurrence on ties
-
-            def backward(g, acc):
-                full = np.zeros(self.data.shape)
-                full.reshape(-1)[flat_idx] = np.asarray(g).reshape(-1)[0]
-                _accumulate(acc, self, full)
-
-            return Value._from_op(data, (self,), backward)
-
         data = np.asarray(self.data.max(axis=axis, keepdims=keepdims))
         idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)  # first on ties
         shape = self.data.shape

@@ -28,8 +28,8 @@ from .protolearn import (
     TrainConfig,
     apply_update,
     diverges_on_failure,
+    set_objective,
     subsample_points,
-    transport_objective,
 )
 from .summarynet import SetBatch, SummaryNet, _as_widths
 
@@ -305,6 +305,28 @@ class GanTrace:
         self.ot_losses.append(ot)
 
 
+def critic_objective(model: MetaGan, config: GanConfig, real, z, h) -> Value:
+    """Critic loss on ``real`` and on fakes from noise ``z``, drawn with no graph."""
+    cond = h if config.conditioning == "conditional-critic" else None
+    with no_grad():
+        fake = generator_forward(model.generator, z, h).data
+    return critic_loss(
+        discriminator_logit(model.critic, real, cond),
+        discriminator_logit(model.critic, fake, cond),
+    )
+
+
+def generator_objective(model: MetaGan, config: GanConfig, real, z, h) -> Value:
+    """Generator loss on fakes from ``z``, plus the ``mse_weight`` term when set."""
+    cond = h if config.conditioning == "conditional-critic" else None
+    fake = generator_forward(model.generator, z, h)
+    loss = generator_loss(discriminator_logit(model.critic, fake, cond), config.non_saturating)
+    if config.mse_weight is not None:
+        moment_gap = fake.mean(axis=0) - real.mean(axis=0)
+        loss = loss + (moment_gap * moment_gap).sum() * config.mse_weight
+    return loss
+
+
 def transport_step(
     points: np.ndarray,
     net: SummaryNet,
@@ -315,9 +337,7 @@ def transport_step(
     step: int,
 ) -> float:
     """The interleaved OT update: one step of the unsupervised prototype loop."""
-    weights = net.summarize(points)
-    loss = transport_objective(points, weights, bank, config.metric, config.sinkhorn)
-    value = loss.item()
+    loss, _, value = set_objective(SetBatch(points), net, bank, config)
     guard_bank = bank if config.metric == "cosine" else None
     apply_update(optimizer, loss, value, step, "transport", guard_bank, guard_rng)
     return value
@@ -346,7 +366,6 @@ def train_metagan(
         )
     data_rng = np.random.default_rng(config.seed)
     noise_rng = np.random.default_rng(config.seed + 1)
-    conditional = config.conditioning == "conditional-critic"
     critic_opt = make_optimizer("adam", model.critic.parameters(), config.lr_critic)
     gen_opt = make_optimizer("adam", model.generator.parameters(), config.lr_generator)
     ot_opt = None
@@ -363,12 +382,7 @@ def train_metagan(
             for _ in range(config.eta_critic):
                 real = subsample_points(points, config.batch, data_rng)
                 z = noise_rng.standard_normal((config.batch, config.noise_dim))
-                with no_grad():
-                    fake = generator_forward(model.generator, z, h).data
-                loss_c = critic_loss(
-                    discriminator_logit(model.critic, real, h if conditional else None),
-                    discriminator_logit(model.critic, fake, h if conditional else None),
-                )
+                loss_c = critic_objective(model, config, real, z, h)
                 c_value = loss_c.item()
                 apply_update(critic_opt, loss_c, c_value, step, "critic")
 
@@ -380,14 +394,7 @@ def train_metagan(
                 h = model.summarize(points)  # encoder just moved
 
             z = noise_rng.standard_normal((config.batch, config.noise_dim))
-            fake_live = generator_forward(model.generator, z, h)
-            loss_g = generator_loss(
-                discriminator_logit(model.critic, fake_live, h if conditional else None),
-                config.non_saturating,
-            )
-            if config.mse_weight is not None:
-                moment_gap = fake_live.mean(axis=0) - real.mean(axis=0)
-                loss_g = loss_g + (moment_gap * moment_gap).sum() * config.mse_weight
+            loss_g = generator_objective(model, config, real, z, h)
             g_value = loss_g.item()
             apply_update(gen_opt, loss_g, g_value, step, "generator")
 

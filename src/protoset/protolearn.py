@@ -192,6 +192,32 @@ def apply_update(
         guard_bank.guard_cosine_columns(guard_rng)
 
 
+def set_objective(
+    batch: SetBatch,
+    net: SummaryNet,
+    bank: PrototypeBank,
+    config: TrainConfig,
+    task_loss_fn: Optional[Callable[[Value, SetBatch], Value]] = None,
+) -> tuple[Value, Optional[float], Optional[float]]:
+    """Training loss on one subsampled set: (loss, task value, transport value).
+
+    The loss is the transport term alone, or with ``task_loss_fn`` the task loss
+    plus lambda_ot (default 1) times the transport term, which at lambda_ot = 0
+    is not built and reads None.
+    """
+    points, metric, sk = batch.points, config.metric, config.sinkhorn
+    if task_loss_fn is None:
+        loss = transport_objective(points, net.summarize(points), bank, metric, sk)
+        return loss, None, loss.item()
+    weights, prediction = net.summarize_with_prediction(points)
+    task = task_loss_fn(prediction, batch)
+    lam = 1.0 if config.lambda_ot is None else float(config.lambda_ot)
+    if lam == 0:
+        return task, task.item(), None
+    transport = transport_objective(points, weights, bank, metric, sk)
+    return task + transport * lam, task.item(), transport.item()
+
+
 def train_prototypes(
     corpus: Sequence[SetBatch],
     net: SummaryNet,
@@ -201,10 +227,9 @@ def train_prototypes(
 ) -> TrainTrace:
     """Prototype training on randomly drawn sets, with an optional task loss.
 
-    Without ``task_loss_fn`` the loss is the transport term alone, the net
-    needs no prediction head and lambda_ot must stay unset.  With it the loss
-    is the task loss plus lambda_ot (default 1) times the transport term; at
-    lambda_ot = 0 the transport term is never built, so the run is
+    Each step's loss is the mean of ``set_objective`` over ``batch_sets``
+    subsampled sets.  Without ``task_loss_fn`` the net needs no prediction
+    head and lambda_ot must stay unset.  At lambda_ot = 0 the run is
     bit-identical to a plain supervised loop and the bank never moves.
     """
     if task_loss_fn is None and config.lambda_ot is not None:
@@ -220,7 +245,6 @@ def train_prototypes(
     guard_bank = bank if lam > 0 and config.metric == "cosine" else None
     trace = TrainTrace()
     scale = 1.0 / config.batch_sets
-    metric, sk = config.metric, config.sinkhorn
     for step in range(config.steps):
         optimizer.lr = lr_at(config.lr, config.lr_final, step, config.steps)
         total = None
@@ -230,21 +254,16 @@ def train_prototypes(
             for _ in range(config.batch_sets):
                 batch = corpus[int(rng.integers(len(corpus)))]
                 points = subsample_points(batch.points, config.batch_points, rng)
-                if task_loss_fn is None:
-                    term = transport_objective(points, net.summarize(points), bank, metric, sk)
-                else:
-                    sub = SetBatch(points, set_id=batch.set_id, label=batch.label)
-                    weights, prediction = net.summarize_with_prediction(points)
-                    term = task_loss_fn(prediction, sub)
-                    task_value += term.item() * scale
-                    if lam > 0:
-                        ot_loss = transport_objective(points, weights, bank, metric, sk)
-                        ot_value += ot_loss.item() * scale
-                        term = term + ot_loss * lam
+                sub = SetBatch(points, set_id=batch.set_id, label=batch.label)
+                term, task, transport = set_objective(sub, net, bank, config, task_loss_fn)
+                if task is not None:
+                    task_value += task * scale
+                if transport is not None:
+                    ot_value += transport * scale
                 total = term if total is None else total + term
             if config.batch_sets > 1:
                 total = total * scale
-            if task_loss_fn is None:
+            if task_loss_fn is None:  # the loss itself, not a sum of per-set values
                 ot_value = total.item()
             value = sum(v for v in (task_value, ot_value) if v is not None)
             apply_update(optimizer, total, value, step, "training", guard_bank, rng)

@@ -1,5 +1,6 @@
 """End-to-end harness tests: verbs, artifacts, exit codes, reproducibility."""
 
+import hashlib
 import importlib
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from protoset import cli, config
 from protoset.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
+from protoset.diffcore import Value
 from protoset.tasks import load_corpus
 
 # the package attribute protoset.ot.sinkhorn is the function, not the module
@@ -381,6 +383,26 @@ def test_eval_tampered_config_exits_4(tmp_path):
     assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_BAD_CHECKPOINT
 
 
+@pytest.mark.parametrize("case", ["wrong-type-stale-hash", "wrong-type", "missing-key"])
+def test_eval_malformed_stored_config_exits_4(case, tmp_path, capsys):
+    # a recomputed hash stands for a hand-made file; no stored value may reach
+    # the bounds checks before its type is checked
+    _, ck_path = train_task("mog", tmp_path / "run")
+    payload = json.loads(ck_path.read_text())
+    stored = payload["config"]
+    if case == "missing-key":
+        del stored["mog.sigma"]
+    else:
+        stored["model.k"] = "5"
+    if case != "wrong-type-stale-hash":
+        text = json.dumps(stored, sort_keys=True, separators=(",", ":"))
+        payload["config_hash"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    ck_path.write_text(json.dumps(payload))
+    assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_BAD_CHECKPOINT
+    named = {"wrong-type-stale-hash": "recorded hash", "wrong-type": "model.k"}
+    assert named.get(case, "mog.sigma") in capsys.readouterr().err
+
+
 def test_eval_version_mismatch_exits_5(tmp_path):
     _, ck_path = train_task("mog", tmp_path / "run")
     payload = json.loads(ck_path.read_text())
@@ -493,16 +515,42 @@ def test_metagan_cli_round_trip(tmp_path):
 
 
 def test_gradcheck_mog_reports_small_error(capsys):
-    code = run(["gradcheck", "--task", "mog", "--seed", "1"])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["max_rel_err"] < 1e-4
+    for seed in ("0", "1", "2"):
+        code = run(["gradcheck", "--task", "mog", "--seed", seed])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_rel_err"] < 1e-4
 
 
 @pytest.mark.parametrize("task", [t for t in cli.TASK_TABLE if t != "mog"])
 def test_gradcheck_other_tasks_pass(task, capsys):
-    assert run(["gradcheck", "--task", task, "--seed", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["max_rel_err"] < 1e-4
+    for seed in ("0", "1", "2"):
+        assert run(["gradcheck", "--task", task, "--seed", seed]) == 0
+        assert json.loads(capsys.readouterr().out)["max_rel_err"] < 1e-4
+
+
+# one path per loss that a training loop differentiates
+GRADCHECK_PATHS = {
+    "mog": {"mog-combined"},
+    "digitsum": {"digitsum-combined"},
+    "pointset": {"pointset-combined"},
+    "fewshot": {"fewshot-episode"},
+    "metagan": {"metagan-critic", "metagan-generator", "metagan-transport"},
+}
+
+
+@pytest.mark.parametrize("task", list(cli.TASK_TABLE))
+def test_gradcheck_path_names(task, capsys):
+    assert run(["gradcheck", "--task", task]) == 0
+    assert set(json.loads(capsys.readouterr().out)["paths"]) == GRADCHECK_PATHS[task]
+
+
+def test_gradcheck_nan_gradient_exits_6(monkeypatch, capsys):
+    x = Value(np.ones(2), requires_grad=True)
+    paths = [("nan", lambda: (x * np.nan).sum(), [x])]
+    monkeypatch.setattr(cli.TASK_TABLE["mog"], "gradcheck", lambda seed: paths)
+    assert run(["gradcheck", "--task", "mog"]) == cli.EXIT_NUMERIC
+    assert np.isnan(json.loads(capsys.readouterr().out)["max_rel_err"])
 
 
 # -- argument handling ----------------------------------------------------------------

@@ -172,10 +172,6 @@ def test_max_routes_to_first_tie():
     x.max(axis=1).sum().backward()
     assert np.allclose(x.grad, [[0, 1, 0], [1, 0, 0]])
 
-    y = Value(np.array([5.0, 5.0, 5.0]), requires_grad=True)
-    y.max().backward()
-    assert np.allclose(y.grad, [1, 0, 0])
-
 
 def test_max_gradient_fd():
     x = Value(RNG.normal(size=(4, 5)), requires_grad=True)
@@ -295,11 +291,10 @@ def test_no_grad_suppresses_graph():
     assert y._parents == ()
 
 
-def test_detach_blocks_gradient():
-    x = Value(np.array([2.0]), requires_grad=True)
-    y = x.detach() * x
-    y.sum().backward()
-    assert np.allclose(x.grad, [2.0])
+def test_gradcheck_reports_a_nan_gradient():
+    x = Value(np.array([1.0, 2.0]), requires_grad=True)
+    report = check_gradients(lambda: (x * np.nan).sum(), [x], np.random.default_rng(0))
+    assert np.isnan(report.max_rel_err)
 
 
 def test_float64_everywhere():

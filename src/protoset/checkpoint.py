@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffcore import Value
-from .errors import CheckpointError, CheckpointVersionError
+from .errors import CheckpointError, CheckpointVersionError, read_text
 
 FORMAT_VERSION = 2
 
@@ -85,7 +85,7 @@ def load_checkpoint(path) -> Checkpoint:
     on a format we do not read, and CheckpointError on anything malformed.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path, CheckpointError)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

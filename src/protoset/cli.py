@@ -36,6 +36,7 @@ from .errors import (
     NumericalError,
     ProtosetError,
     TrainingDivergedError,
+    read_text,
 )
 from .fewshot import (
     EpisodeSpec,
@@ -178,7 +179,17 @@ class Task:
     name: str
     columns = ("step", "transport_loss", "task_loss")
     steps_key = "train.steps"  # the config key that sets how long train runs
+    metric_key = "train.metric"  # the config key of the transport cost's metric
     gradcheck_shapes: dict  # overrides that shrink model and data for gradcheck
+
+    def train_config(self, cfg: ResolvedConfig) -> TrainConfig:
+        return cfg.build(
+            TrainConfig,
+            steps=cfg[self.steps_key],
+            metric=cfg[self.metric_key],
+            sinkhorn=cfg.build(SinkhornConfig),
+            seed=cfg["seed"],
+        )
 
     def training_sets(self, cfg: ResolvedConfig):
         if cfg["corpus"]:
@@ -223,9 +234,6 @@ class EncoderTask(Task):
         named = net.named_parameters()
         named["bank"] = bank.matrix
         return net, bank, named
-
-    def train_config(self, cfg: ResolvedConfig) -> TrainConfig:
-        return cfg.build(TrainConfig, sinkhorn=cfg.build(SinkhornConfig), seed=cfg["seed"])
 
     def loss_fn(self, cfg: ResolvedConfig):  # None: the transport term alone
         return self.task_loss() if cfg["train.mode"] == "supervised" else None
@@ -367,6 +375,7 @@ class FewShotTask(Task):
 
     name = "fewshot"
     steps_key = "fewshot.episodes"
+    metric_key = "fewshot.metric"
     # unset, lambda_ot leaves the transport term out of the episode loss
     gradcheck_shapes = {"fewshot.n_way": "3", "fewshot.k_shot": "2", "fewshot.q_queries": "2",
                         "fewshot.dim": "5", "fewshot.encoder_widths": "8,6", "fewshot.bank": "4",
@@ -385,22 +394,12 @@ class FewShotTask(Task):
             raise ConfigError(
                 "fewshot episodes are generated on the fly from the seed; corpus must be empty"
             )
-        fs_cfg = cfg.build(
-            FewShotConfig,
-            episode=cfg.build(EpisodeSpec),
-            lambda_ot=cfg["train.lambda_ot"],
-            sinkhorn=cfg.build(SinkhornConfig),
-            lr=cfg["optim.lr"],
-            lr_final=cfg["optim.lr_final"],
-            optimizer=cfg["optim.kind"],
-            seed=cfg["seed"],
-            log_every=cfg["train.log_every"],
-        )
+        fs_cfg = cfg.build(FewShotConfig, episode=cfg.build(EpisodeSpec))
         model = FewShotModel(fs_cfg, np.random.default_rng(cfg["seed"]))
         return model, model.bank, model.named_parameters()
 
     def train(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank, sets):
-        trace = train_fewshot(model, model.config)
+        trace = train_fewshot(model, self.train_config(cfg))
         return list(zip(trace.steps, trace.ot_losses, trace.task_losses))
 
     def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank) -> dict:
@@ -410,9 +409,10 @@ class FewShotTask(Task):
 
     def objectives(self, cfg: ResolvedConfig, model: FewShotModel, bank, named, sets):
         episode = next(gen_episodes(model.config, "base", seed=cfg["seed"], count=1))
+        config = self.train_config(cfg)
 
         def episode_loss() -> Value:
-            return episode_objective(model, episode, model.config)[0]
+            return episode_objective(model, episode, config)[0]
 
         return [("fewshot-episode", episode_loss, list(named.values()))]
 
@@ -421,6 +421,7 @@ class MetaGanTask(Task):
     name = "metagan"
     columns = ("step", "critic_loss", "generator_loss", "transport_loss")
     steps_key = "metagan.iterations"
+    metric_key = "metagan.metric"
     # the conditional critic and the moment term are off by default and on
     # here, so that their gradients are checked too
     gradcheck_shapes = {"count": "2", "metagan.n_points": "12", "metagan.summary_widths": "8,6",
@@ -433,10 +434,7 @@ class MetaGanTask(Task):
         return [s for s, _ in pairs], [p for _, p in pairs]
 
     def build(self, cfg: ResolvedConfig, sets):
-        ot = None
-        if cfg["metagan.use_ot"]:  # the transport step reads lr, optimizer, metric, solver
-            sk = cfg.build(SinkhornConfig)
-            ot = cfg.build(TrainConfig, metric=cfg["metagan.metric"], sinkhorn=sk)
+        ot = self.train_config(cfg) if cfg["metagan.use_ot"] else None
         gan_cfg = cfg.build(GanConfig, ot=ot, seed=cfg["seed"], log_every=cfg["train.log_every"])
         spec = cfg.build(TaskFamilySpec)
         summary_cfg = SummaryNetConfig(
@@ -601,7 +599,7 @@ def _parse_weights(text, n: int, name: str) -> np.ndarray:
 def _read_cost(path) -> np.ndarray:
     """Comma-separated rows of numbers; blank lines and ``#`` comments are skipped."""
     rows = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     for line_no, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -624,6 +622,8 @@ def cmd_ot(args) -> int:
     given = {"epsilon": args.eps, "tol": args.tol, "max_iters": args.max_iters}
     sk = SinkhornConfig(**{k: v for k, v in given.items() if v is not None})
     result = sinkhorn(cost, Marginals(a, b), sk)
+    if not np.isfinite(cost).all():  # nan and -inf stop the solver; +inf makes <T, C> nan
+        raise NumericalError(f"{args.cost}: the cost has an infinite entry")
     report = {
         "value": transport_cost(result, cost),
         "entropic_value": entropic_objective(result.plan, cost, sk.epsilon),
@@ -655,7 +655,7 @@ def cmd_ot(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     tasks = [args.task] if args.task else list(TASK_TABLE)
-    seed = args.seed if args.seed is not None else 0
+    seed = _resolve(args, {"seed": "seed"})[0]["seed"]  # checked as train checks it
     results = {}
     rng = np.random.default_rng(seed)
     for task in tasks:
@@ -751,7 +751,7 @@ def main(argv=None) -> int:
     except (NumericalError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:  # a directory is no file either
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ProtosetError as exc:

@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, read_text
 from .fewshot import EpisodeSpec, FewShotConfig
 from .metagan import GanConfig, TaskFamilySpec
 from .ot.cost import METRICS
@@ -67,6 +67,7 @@ def _of(owner, attr: str, default=MISSING, help=""):
 
 # help of the shared train.* keys that fewshot and metagan never read
 _ENCODER_ONLY = "read by mog, digitsum, pointset only"
+_NOT_METAGAN = "not read by metagan"
 
 SCHEMA: dict[str, ConfigField] = {
     # run-level
@@ -86,13 +87,13 @@ SCHEMA: dict[str, ConfigField] = {
     # optimizer
     "optim.kind": _of(TrainConfig, "optimizer"),
     "optim.lr": _of(TrainConfig, "lr"),
-    "optim.lr_final": _of(TrainConfig, "lr_final"),
+    "optim.lr_final": _of(TrainConfig, "lr_final", help=_NOT_METAGAN),
     # shared training knobs
     "train.steps": _of(TrainConfig, "steps", help=_ENCODER_ONLY),
     "train.batch_sets": _of(TrainConfig, "batch_sets", help=_ENCODER_ONLY),
     "train.batch_points": _of(TrainConfig, "batch_points", help=_ENCODER_ONLY),
     "train.metric": _of(TrainConfig, "metric", help=_ENCODER_ONLY),
-    "train.lambda_ot": _of(TrainConfig, "lambda_ot"),
+    "train.lambda_ot": _of(TrainConfig, "lambda_ot", help=_NOT_METAGAN),
     "train.log_every": _of(TrainConfig, "log_every"),
     "train.mode": _field("str", "supervised", choices=TRAIN_MODES, help=_ENCODER_ONLY),
     # set encoder (mog, digitsum, pointset)
@@ -122,7 +123,8 @@ SCHEMA: dict[str, ConfigField] = {
     "pointset.noise_sigma": _of(PointSetClassSpec, "noise_sigma"),
     "pointset.count_per_class": _of(PointSetClassSpec, "count_per_class"),
     "pointset.rotate": _of(PointSetClassSpec, "rotate"),
-    # episodic classification
+    # episodic classification; fewshot.episodes and metric feed the TrainConfig
+    # fields that train.steps and train.metric own, so they keep literal rows
     "fewshot.n_way": _of(EpisodeSpec, "n_way"),
     "fewshot.k_shot": _of(EpisodeSpec, "k_shot"),
     "fewshot.q_queries": _of(EpisodeSpec, "q_queries"),
@@ -130,7 +132,7 @@ SCHEMA: dict[str, ConfigField] = {
     "fewshot.encoder_widths": _of(FewShotConfig, "encoder_widths"),
     "fewshot.g_hidden": _of(FewShotConfig, "g_hidden", help="empty picks the default head"),
     "fewshot.bank": _of(FewShotConfig, "bank_size"),
-    "fewshot.episodes": _of(FewShotConfig, "episodes"),
+    "fewshot.episodes": _field("int", 10_000, minimum=1),
     "fewshot.n_base": _of(FewShotConfig, "n_base_classes"),
     "fewshot.n_novel": _of(FewShotConfig, "n_novel_classes"),
     "fewshot.sigma": _of(FewShotConfig, "sigma"),
@@ -138,7 +140,7 @@ SCHEMA: dict[str, ConfigField] = {
     "fewshot.mean_high": _of(FewShotConfig, "mean_high"),
     "fewshot.class_seed": _of(FewShotConfig, "class_seed"),
     "fewshot.activation": _of(FewShotConfig, "activation"),
-    "fewshot.metric": _of(FewShotConfig, "metric"),
+    "fewshot.metric": _field("str", "cosine", choices=METRICS),
     # conditional generation; metagan.k, summary_widths, use_ot and metric feed
     # shared dataclasses whose defaults differ, so they keep literal rows
     "metagan.family": _of(TaskFamilySpec, "family"),
@@ -318,7 +320,7 @@ def read_config_file(path) -> dict[str, str]:
     """
     path = Path(path)
     raw: dict[str, str] = {}
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 Every failure mode callers are expected to handle gets its own class so the
-CLI can map them onto distinct exit codes.
+CLI can map them onto distinct exit codes.  ``read_text`` is the one reader of
+input files, so that bytes that are not UTF-8 become one of them too.
 """
+
+from pathlib import Path
 
 
 class ProtosetError(Exception):
@@ -43,3 +46,11 @@ class CheckpointError(ProtosetError, ValueError):
 
 class CheckpointVersionError(CheckpointError):
     """A checkpoint was written by an incompatible format version."""
+
+
+def read_text(path, error: type = ConfigError) -> str:
+    """The UTF-8 text of ``path``; bytes that do not decode raise ``error`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

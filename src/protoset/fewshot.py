@@ -11,24 +11,19 @@ alone; the transport term only shapes the embedding.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .diffcore import Value, as_value, no_grad
-from .diffcore.optim import make_optimizer
 from .errors import ConfigError, ShapeError
 from .nn import ACTIVATIONS, MLP
 from .ot import SinkhornConfig, floor_simplex_value
-from .ot.cost import METRICS, build_cost_value
+from .ot.cost import build_cost_value
 from .ot.sinkhorn import differentiable_transport_loss
-from .protolearn import PrototypeBank, TrainTrace, apply_update, diverges_on_failure, lr_at
+from .protolearn import PrototypeBank, TrainConfig, TrainTrace, fit
 from .summarynet import _as_widths
-
-logger = logging.getLogger(__name__)
 
 SPLITS = ("base", "novel")
 
@@ -94,7 +89,7 @@ class Episode:
 
 @dataclass(frozen=True)
 class FewShotConfig:
-    """Episode recipe, model widths, and training knobs in one place.
+    """Episode recipe and model shape; the training knobs are a ``TrainConfig``.
 
     ``encoder_widths`` lists the embedding MLP's hidden widths with the
     embedding size M last.  ``g_hidden`` shapes the simplex head between M and
@@ -107,22 +102,13 @@ class FewShotConfig:
     encoder_widths: tuple = (64, 32)
     g_hidden: tuple = ()
     bank_size: int = 16
-    lambda_ot: Optional[float] = None
     activation: str = "relu"
-    metric: str = "cosine"
-    sinkhorn: SinkhornConfig = field(default_factory=lambda: SinkhornConfig(unroll_iters=20))
-    episodes: int = 10_000
-    lr: float = 0.001
-    lr_final: Optional[float] = None
-    optimizer: str = "adam"
     mean_low: float = -5.0
     mean_high: float = 5.0
     sigma: float = 1.0
     n_base_classes: int = 64
     n_novel_classes: int = 20
     class_seed: int = 0
-    seed: int = 0
-    log_every: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "encoder_widths", _as_widths(self.encoder_widths, "encoder_widths"))
@@ -134,18 +120,10 @@ class FewShotConfig:
             )
         if self.bank_size < 1:
             raise ConfigError(f"bank_size must be positive, got {self.bank_size}")
-        if self.lambda_ot is not None and self.lambda_ot < 0:
-            raise ConfigError(f"lambda_ot must be nonnegative, got {self.lambda_ot}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(
                 f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}"
             )
-        if self.metric not in METRICS:
-            raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.episodes < 1:
-            raise ConfigError(f"episodes must be positive, got {self.episodes}")
-        if self.lr_final is not None and self.lr_final <= 0:
-            raise ConfigError(f"lr_final must be positive, got {self.lr_final}")
         if self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.mean_low > self.mean_high:
@@ -302,29 +280,27 @@ def _class_transport(
 
 
 def episode_objective(
-    model: FewShotModel, episode: Episode, config: FewShotConfig
-) -> tuple[Value, float, Optional[float], float]:
-    """Training loss for one episode: (loss, task value, ot value, accuracy).
+    model: FewShotModel, episode: Episode, config: TrainConfig
+) -> tuple[Value, float, Optional[float]]:
+    """Training loss for one episode: (loss, task value, ot value).
 
     Embeddings and prototypes are computed once and shared between the
-    classification loss and the transport term.
+    classification loss and the transport term, which joins at lambda_ot > 0.
     """
     embedded = support_embeddings(model.embed, episode)
     prototypes = _means_per_class(embedded, episode)
-    logits = query_logits(model.embed, episode, prototypes)
-    task = protonet_loss(logits, episode.query_labels)
-    accuracy = query_accuracy(logits, episode.query_labels)
+    task = protonet_loss(query_logits(model.embed, episode, prototypes), episode.query_labels)
     lam = 0.0 if config.lambda_ot is None else float(config.lambda_ot)
     if lam > 0:
         ot = _class_transport(
             embedded, prototypes, model.simplex_head, model.bank, config.metric, config.sinkhorn
         )
-        return task + ot * lam, task.item(), ot.item(), accuracy
-    return task, task.item(), None, accuracy
+        return task + ot * lam, task.item(), ot.item()
+    return task, task.item(), None
 
 
-def train_fewshot(model: FewShotModel, config: FewShotConfig) -> TrainTrace:
-    """Episodic loop over base classes; the transport term joins when set.
+def train_fewshot(model: FewShotModel, config: TrainConfig) -> TrainTrace:
+    """``config.steps`` episodes over base classes; the transport term joins when set.
 
     With lambda_ot unset (or 0) the head and bank receive no gradient and stay
     at their initial values, so the run is bit-identical to plain episodic
@@ -334,27 +310,14 @@ def train_fewshot(model: FewShotModel, config: FewShotConfig) -> TrainTrace:
     params = model.embed_net.parameters()
     if lam > 0:
         params = params + model.simplex_head.parameters() + [model.bank.matrix]
-    optimizer = make_optimizer(config.optimizer, params, config.lr)
     guard_rng = np.random.default_rng(config.seed + 1)  # drawn from only on column collapse
     guard_bank = model.bank if lam > 0 and config.metric == "cosine" else None
-    stream = gen_episodes(config, "base", seed=config.seed)
-    trace = TrainTrace()
-    for step, episode in enumerate(islice(stream, config.episodes)):
-        optimizer.lr = lr_at(config.lr, config.lr_final, step, config.episodes)
-        with diverges_on_failure(step):
-            loss, task_value, ot_value, accuracy = episode_objective(model, episode, config)
-            total = loss.item()
-            apply_update(optimizer, loss, total, step, "episode", guard_bank, guard_rng)
-        trace.append(step, ot_value, task_value)
-        if config.log_every and step % config.log_every == 0:
-            logger.info(
-                "episode %d loss %.6f accuracy %.3f transport %s",
-                step,
-                total,
-                accuracy,
-                ot_value,
-            )
-    return trace
+    stream = gen_episodes(model.config, "base", seed=config.seed)
+
+    def objective():
+        return episode_objective(model, next(stream), config)
+
+    return fit(config, params, objective, guard_bank, guard_rng, "episode")
 
 
 def eval_fewshot(model: FewShotModel, episodes: Iterable[Episode]) -> dict:

@@ -7,7 +7,8 @@ by the summary network's simplex output — alone, or added to a task loss.
 
 One backward pass per step computes gradients for the bank and the network
 together; both are then updated from it.  ``apply_update`` is that update for
-every loop in the package, so no two loops can drift apart.
+every loop in the package, and ``fit`` the step loop of every loop with one
+optimizer, so no two loops can drift apart.
 """
 
 from __future__ import annotations
@@ -78,7 +79,10 @@ class PrototypeBank:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for the prototype training loops."""
+    """Knobs of ``fit``, the step loop of ``train_prototypes`` and ``train_fewshot``.
+
+    metagan's transport step reads only its optimizer, lr, metric and solver.
+    """
 
     steps: int = 1000
     lr: float = 0.001
@@ -149,14 +153,6 @@ def subsample_points(points: np.ndarray, m: int, rng: np.random.Generator) -> np
     return points[idx]
 
 
-def lr_at(lr: float, lr_final: Optional[float], step: int, steps: int) -> float:
-    """Learning rate at ``step`` of ``steps``: constant, or linear decay to ``lr_final``."""
-    if lr_final is None:
-        return lr
-    frac = step / max(steps - 1, 1)
-    return lr + (lr_final - lr) * frac
-
-
 @contextmanager
 def diverges_on_failure(step: int):
     """Surface a forward pass that fails on corrupted parameters as divergence."""
@@ -218,6 +214,35 @@ def set_objective(
     return task + transport * lam, task.item(), transport.item()
 
 
+def fit(
+    config: TrainConfig,
+    params: list,
+    objective: Callable[[], tuple[Value, Optional[float], Optional[float]]],
+    guard_bank: Optional[PrototypeBank],
+    guard_rng: Optional[np.random.Generator],
+    what: str,
+) -> TrainTrace:
+    """The one single-optimizer step loop: ``config.steps`` updates of ``params``.
+
+    ``objective()`` draws the step's data and returns (loss, task value,
+    transport value); the values go into the trace.  The learning rate is
+    constant, or decays linearly to ``lr_final`` at the last step.
+    """
+    optimizer = make_optimizer(config.optimizer, params, config.lr)
+    trace = TrainTrace()
+    for step in range(config.steps):
+        if config.lr_final is not None:
+            frac = step / max(config.steps - 1, 1)
+            optimizer.lr = config.lr + (config.lr_final - config.lr) * frac
+        with diverges_on_failure(step):
+            loss, task_value, ot_value = objective()
+            apply_update(optimizer, loss, loss.item(), step, what, guard_bank, guard_rng)
+        trace.append(step, ot_value, task_value)
+        if config.log_every and step % config.log_every == 0:
+            logger.info("%s step %d task %s transport %s", what, step, task_value, ot_value)
+    return trace
+
+
 def train_prototypes(
     corpus: Sequence[SetBatch],
     net: SummaryNet,
@@ -237,37 +262,31 @@ def train_prototypes(
     if not corpus:
         raise ConfigError("corpus is empty")
     lam = 1.0 if config.lambda_ot is None else float(config.lambda_ot)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)  # draws the data, and columns on collapse
     params = list(net.parameters())
     if lam > 0:
         params = [bank.matrix] + params
-    optimizer = make_optimizer(config.optimizer, params, config.lr)
     guard_bank = bank if lam > 0 and config.metric == "cosine" else None
-    trace = TrainTrace()
     scale = 1.0 / config.batch_sets
-    for step in range(config.steps):
-        optimizer.lr = lr_at(config.lr, config.lr_final, step, config.steps)
+
+    def objective():
         total = None
         task_value = None if task_loss_fn is None else 0.0
         ot_value = 0.0 if lam > 0 else None
-        with diverges_on_failure(step):
-            for _ in range(config.batch_sets):
-                batch = corpus[int(rng.integers(len(corpus)))]
-                points = subsample_points(batch.points, config.batch_points, rng)
-                sub = SetBatch(points, set_id=batch.set_id, label=batch.label)
-                term, task, transport = set_objective(sub, net, bank, config, task_loss_fn)
-                if task is not None:
-                    task_value += task * scale
-                if transport is not None:
-                    ot_value += transport * scale
-                total = term if total is None else total + term
-            if config.batch_sets > 1:
-                total = total * scale
-            if task_loss_fn is None:  # the loss itself, not a sum of per-set values
-                ot_value = total.item()
-            value = sum(v for v in (task_value, ot_value) if v is not None)
-            apply_update(optimizer, total, value, step, "training", guard_bank, rng)
-        trace.append(step, ot_value, task_value)
-        if config.log_every and step % config.log_every == 0:
-            logger.info("step %d task %s transport %s", step, task_value, ot_value)
-    return trace
+        for _ in range(config.batch_sets):
+            batch = corpus[int(rng.integers(len(corpus)))]
+            points = subsample_points(batch.points, config.batch_points, rng)
+            sub = SetBatch(points, set_id=batch.set_id, label=batch.label)
+            term, task, transport = set_objective(sub, net, bank, config, task_loss_fn)
+            if task is not None:
+                task_value += task * scale
+            if transport is not None:
+                ot_value += transport * scale
+            total = term if total is None else total + term
+        if config.batch_sets > 1:
+            total = total * scale
+        if task_loss_fn is None:  # the loss itself, not a sum of per-set values
+            ot_value = total.item()
+        return total, task_value, ot_value
+
+    return fit(config, params, objective, guard_bank, rng, "training")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, read_text
 from ..summarynet import SetBatch
 
 
@@ -51,28 +51,27 @@ def load_corpus(path):
     meta: dict = {}
     sets: list[SetBatch] = []
     truths: list = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                rec = None
-            if not isinstance(rec, dict):
-                raise ConfigError(f"{where}: expected one JSON object per line")
-            if line_no == 1 and set(rec.keys()) == {"meta"}:
-                meta = rec["meta"]
-                continue
-            if "points" not in rec:
-                raise ConfigError(f"{where}: record has no points field")
-            try:
-                points = np.asarray(rec["points"], dtype=np.float64)
-                batch = SetBatch(points, set_id=rec.get("set_id", len(sets)), label=rec.get("label"))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}: bad points ({exc})") from None
-            sets.append(batch)
-            truths.append(rec.get("truth"))
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{line_no}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            rec = None
+        if not isinstance(rec, dict):
+            raise ConfigError(f"{where}: expected one JSON object per line")
+        if line_no == 1 and set(rec.keys()) == {"meta"}:
+            meta = rec["meta"]
+            continue
+        if "points" not in rec:
+            raise ConfigError(f"{where}: record has no points field")
+        try:
+            points = np.asarray(rec["points"], dtype=np.float64)
+            batch = SetBatch(points, set_id=rec.get("set_id", len(sets)), label=rec.get("label"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: bad points ({exc})") from None
+        sets.append(batch)
+        truths.append(rec.get("truth"))
     return meta, sets, truths

@@ -135,6 +135,14 @@ def test_ot_nan_cost_exits_6_after_one_iteration(tmp_path, monkeypatch):
     assert len(calls) == 2  # one f-update and one g-update, then the solver stops
 
 
+def test_ot_inf_cost_exits_6_without_a_report(tmp_path, capsys):
+    cost = tmp_path / "c.csv"
+    cost.write_text("0,inf\n1,0\n")
+    assert run(["ot", "--cost", str(cost), "--out", str(tmp_path / "sol")]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "sol").exists()
+
+
 MALFORMED = {
     "bad-json": ("corpus.jsonl", '{"points": [[1.0, 2.0]]}\n{"points": [[1.0, \n', ":2:"),
     "no-points": ("corpus.jsonl", '{"set_id": 0, "label": 1}\n', ":1:"),
@@ -155,6 +163,36 @@ def test_malformed_input_exits_2_naming_file_and_line(case, tmp_path, capsys):
                 "--out", str(tmp_path / "run")] + MOG_ARGS
     assert run(argv) == cli.EXIT_CONFIG
     assert f"{path}{where}" in capsys.readouterr().err
+
+
+def _reading(flag: str, path, tmp_path) -> list:
+    """argv of a verb that reads the file ``path`` given to ``flag``."""
+    out = str(tmp_path / "out")
+    return {
+        "--config": ["train", "--config", str(path), "--out", out],
+        "--cost": ["ot", "--cost", str(path)],
+        "--corpus": ["train", "--task", "mog", "--corpus", str(path), "--steps", "1",
+                     "--out", out] + MOG_ARGS,
+        "--checkpoint": ["eval", "--checkpoint", str(path), "--out", out],
+    }[flag]
+
+
+# the exit code of a file that is not UTF-8 text, per flag that reads one
+NOT_UTF8 = {"--config": cli.EXIT_CONFIG, "--cost": cli.EXIT_CONFIG,
+            "--corpus": cli.EXIT_CONFIG, "--checkpoint": cli.EXIT_BAD_CHECKPOINT}
+
+
+@pytest.mark.parametrize("flag", sorted(NOT_UTF8))
+def test_non_utf8_input_exits_naming_the_file(flag, tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# caf\xe9\n".encode("latin-1"))
+    assert run(_reading(flag, path, tmp_path)) == NOT_UTF8[flag]
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", sorted(NOT_UTF8))
+def test_directory_as_input_file_exits_3(flag, tmp_path):
+    assert run(_reading(flag, tmp_path, tmp_path)) == cli.EXIT_MISSING_FILE
 
 
 # -- gen ---------------------------------------------------------------------------
@@ -543,6 +581,14 @@ GRADCHECK_PATHS = {
 def test_gradcheck_path_names(task, capsys):
     assert run(["gradcheck", "--task", task]) == 0
     assert set(json.loads(capsys.readouterr().out)["paths"]) == GRADCHECK_PATHS[task]
+
+
+def test_gradcheck_negative_seed_exits_2_as_train_does(tmp_path, capsys):
+    assert run(["gradcheck", "--seed", "-1"]) == cli.EXIT_CONFIG
+    gradcheck_err = capsys.readouterr().err
+    assert run(["train", "--seed", "-1", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert gradcheck_err == capsys.readouterr().err
+    assert "seed must be nonnegative" in gradcheck_err
 
 
 def test_gradcheck_nan_gradient_exits_6(monkeypatch, capsys):

@@ -23,6 +23,7 @@ from protoset.fewshot import (
     train_fewshot,
 )
 from protoset.ot import SinkhornConfig
+from protoset.protolearn import TrainConfig
 
 
 def small_config(**overrides):
@@ -33,11 +34,16 @@ def small_config(**overrides):
         bank_size=5,
         n_base_classes=10,
         n_novel_classes=6,
-        sinkhorn=SinkhornConfig(unroll_iters=10),
-        episodes=20,
     )
     defaults.update(overrides)
     return FewShotConfig(**defaults)
+
+
+def train_config(**overrides):
+    """Training knobs for unit-scale runs: 20 episodes, 10 unrolled iterations."""
+    defaults = dict(steps=20, sinkhorn=SinkhornConfig(unroll_iters=10))
+    defaults.update(overrides)
+    return TrainConfig(**defaults)
 
 
 def identity_embed(points):
@@ -68,19 +74,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(bank_size=0)
     with pytest.raises(ConfigError):
-        small_config(lambda_ot=-0.5)
-    with pytest.raises(ConfigError):
-        small_config(metric="hamming")
-    with pytest.raises(ConfigError):
         small_config(mean_low=2.0, mean_high=-2.0)
     with pytest.raises(ConfigError):
         small_config(n_novel_classes=2)  # fewer classes than n_way
     with pytest.raises(ConfigError):
-        small_config(episodes=0)
-    with pytest.raises(ConfigError):
         small_config(sigma=0.0)
-    with pytest.raises(ConfigError):
-        small_config(lr_final=-1e-3)
     assert small_config(encoder_widths=16).encoder_widths == (16,)
     assert small_config(g_hidden=7).g_widths == (7,)
     assert small_config(encoder_widths=(12, 9)).g_widths == (4,)
@@ -225,9 +223,9 @@ def test_random_embedding_on_overlapping_classes_is_chance():
 # -- transport term -----------------------------------------------------------
 
 
-def _episode_grads(model, ep, cfg):
+def _episode_grads(model, ep, train_cfg):
     zero_grad(model.parameters())
-    episode_objective(model, ep, cfg)[0].backward()
+    episode_objective(model, ep, train_cfg)[0].backward()
     return [None if p.grad is None else p.grad.copy() for p in model.parameters()]
 
 
@@ -236,8 +234,8 @@ def test_ot_term_gradients_reach_all_components():
     cfg = small_config()
     model = FewShotModel(cfg, np.random.default_rng(6))
     ep = next(gen_episodes(cfg, "base", seed=31))
-    task_only = _episode_grads(model, ep, cfg)
-    with_ot = _episode_grads(model, ep, small_config(lambda_ot=1.0))
+    task_only = _episode_grads(model, ep, train_config())
+    with_ot = _episode_grads(model, ep, train_config(lambda_ot=1.0))
     n_embed = len(model.embed_net.parameters())
     assert any(
         np.abs(w - t).max() > 0 for w, t in zip(with_ot[:n_embed], task_only[:n_embed])
@@ -248,13 +246,13 @@ def test_ot_term_gradients_reach_all_components():
 
 
 def test_ot_term_rejects_dimension_mismatch():
-    cfg = small_config(lambda_ot=1.0)
+    cfg = small_config()
     model = FewShotModel(cfg, np.random.default_rng(8))
     other = FewShotModel(small_config(encoder_widths=(12, 6)), np.random.default_rng(8))
     model.bank = other.bank
     ep = next(gen_episodes(cfg, "base", seed=3))
     with pytest.raises(ShapeError):
-        episode_objective(model, ep, cfg)
+        episode_objective(model, ep, train_config(lambda_ot=1.0))
 
 
 def test_combined_episode_loss_gradcheck():
@@ -263,12 +261,12 @@ def test_combined_episode_loss_gradcheck():
         encoder_widths=(8, 6),
         mean_low=-1.0,
         mean_high=1.0,
-        lambda_ot=0.7,
     )
     model = FewShotModel(cfg, np.random.default_rng(12))
     ep = next(gen_episodes(cfg, "base", seed=41))
+    train_cfg = train_config(lambda_ot=0.7)
     report = check_gradients(
-        lambda: episode_objective(model, ep, cfg)[0],
+        lambda: episode_objective(model, ep, train_cfg)[0],
         model.parameters(),
         np.random.default_rng(7),
         samples_per_param=4,
@@ -280,13 +278,12 @@ def test_combined_episode_loss_gradcheck():
 
 
 def test_lambda_zero_is_bit_identical_to_baseline():
-    base_cfg = small_config(mean_low=-1.0, mean_high=1.0, episodes=25, seed=2)
-    zero_cfg = small_config(mean_low=-1.0, mean_high=1.0, episodes=25, seed=2, lambda_ot=0.0)
-    model_a = FewShotModel(base_cfg, np.random.default_rng(5))
-    model_b = FewShotModel(zero_cfg, np.random.default_rng(5))
-    fresh = FewShotModel(zero_cfg, np.random.default_rng(5))
-    trace_a = train_fewshot(model_a, base_cfg)
-    trace_b = train_fewshot(model_b, zero_cfg)
+    cfg = small_config(mean_low=-1.0, mean_high=1.0)
+    model_a = FewShotModel(cfg, np.random.default_rng(5))
+    model_b = FewShotModel(cfg, np.random.default_rng(5))
+    fresh = FewShotModel(cfg, np.random.default_rng(5))
+    trace_a = train_fewshot(model_a, train_config(steps=25, seed=2))
+    trace_b = train_fewshot(model_b, train_config(steps=25, seed=2, lambda_ot=0.0))
     assert trace_a.task_losses == trace_b.task_losses
     assert trace_b.ot_losses == [None] * 25
     for pa, pb in zip(model_a.parameters(), model_b.parameters()):
@@ -298,22 +295,21 @@ def test_lambda_zero_is_bit_identical_to_baseline():
 
 
 def test_training_is_deterministic():
-    cfg = small_config(mean_low=-1.5, mean_high=1.5, episodes=15, seed=9, lambda_ot=0.3)
+    cfg = small_config(mean_low=-1.5, mean_high=1.5)
     runs = []
     for _ in range(2):
         model = FewShotModel(cfg, np.random.default_rng(11))
-        trace = train_fewshot(model, cfg)
+        trace = train_fewshot(model, train_config(steps=15, seed=9, lambda_ot=0.3))
         stats = eval_fewshot(model, gen_episodes(cfg, "novel", seed=77, count=20))
         runs.append((trace.task_losses, trace.ot_losses, stats))
     assert runs[0] == runs[1]
 
 
 def test_transport_regularizer_moves_head_and_bank():
-    cfg = small_config(episodes=10, lambda_ot=0.5, seed=1)
-    model = FewShotModel(cfg, np.random.default_rng(14))
+    model = FewShotModel(small_config(), np.random.default_rng(14))
     before_bank = model.bank.matrix.data.copy()
     before_head = [p.data.copy() for p in model.simplex_head.parameters()]
-    trace = train_fewshot(model, cfg)
+    trace = train_fewshot(model, train_config(steps=10, lambda_ot=0.5, seed=1))
     assert all(v is not None for v in trace.ot_losses)
     assert not np.array_equal(model.bank.matrix.data, before_bank)
     moved = [
@@ -324,21 +320,18 @@ def test_transport_regularizer_moves_head_and_bank():
 
 
 def test_divergence_raises_before_poisoning():
-    cfg = small_config(mean_low=-0.5, mean_high=0.5, episodes=30, lr=1e150)
-    model = FewShotModel(cfg, np.random.default_rng(20))
+    model = FewShotModel(small_config(mean_low=-0.5, mean_high=0.5), np.random.default_rng(20))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError):
-            train_fewshot(model, cfg)
+            train_fewshot(model, train_config(steps=30, lr=1e150))
 
 
 def test_separated_classes_reach_high_accuracy():
     # means are ~20+ sigma apart at sigma=0.5, so a briefly trained embedding
     # should classify essentially perfectly
-    cfg = FewShotConfig(
-        encoder_widths=(32, 16), sigma=0.5, episodes=300, n_base_classes=20, n_novel_classes=8
-    )
+    cfg = FewShotConfig(encoder_widths=(32, 16), sigma=0.5, n_base_classes=20, n_novel_classes=8)
     model = FewShotModel(cfg, np.random.default_rng(25))
-    train_fewshot(model, cfg)
+    train_fewshot(model, TrainConfig(steps=300))
     stats = eval_fewshot(model, gen_episodes(cfg, "novel", seed=51, count=200))
     assert stats["mean_accuracy"] > 0.99
 

@@ -1,10 +1,14 @@
 """Prototype bank training: recovery, symmetry, ablation identities."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from protoset.diffcore import Value, no_grad, zero_grad
 from protoset.errors import ConfigError, TrainingDivergedError
+from protoset.fewshot import EpisodeSpec, FewShotConfig, FewShotModel, train_fewshot
 from protoset.ot import SinkhornConfig
 from protoset.protolearn import (
     PrototypeBank,
@@ -298,3 +302,33 @@ def test_train_config_validation():
         TrainConfig(metric="manhattan")
     with pytest.raises(ConfigError):
         TrainConfig(lambda_ot=-0.5)
+    with pytest.raises(ConfigError):
+        TrainConfig(lr_final=-1e-3)
+
+
+# -- the shared step loop ---------------------------------------------------------------
+
+
+def _logged_steps(caplog, train) -> list:
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="protoset.protolearn"):
+        train(TrainConfig(steps=5, log_every=2, sinkhorn=SinkhornConfig(unroll_iters=5)))
+    return [int(re.search(r"step (\d+)", r.getMessage()).group(1)) for r in caplog.records]
+
+
+def test_fit_logs_every_log_every_steps_for_both_loops(caplog):
+    corpus = cluster_corpus(np.random.default_rng(0), n_sets=4)
+    bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(1))
+    fs_config = FewShotConfig(
+        episode=EpisodeSpec(n_way=3, k_shot=2, q_queries=2, dim=4),
+        encoder_widths=(8, 6),
+        n_base_classes=6,
+        n_novel_classes=3,
+    )
+    model = FewShotModel(fs_config, np.random.default_rng(2))
+    loops = {
+        "prototypes": lambda cfg: train_prototypes(corpus, tiny_net(), bank, cfg),
+        "fewshot": lambda cfg: train_fewshot(model, cfg),
+    }
+    for name, train in loops.items():
+        assert _logged_steps(caplog, train) == [0, 2, 4], name

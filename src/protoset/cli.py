@@ -179,6 +179,7 @@ class Task:
     name: str
     columns = ("step", "transport_loss", "task_loss")
     steps_key = "train.steps"  # the config key that sets how long train runs
+    unread_keys = ()  # shared keys that train never reads for this task: given, they exit 2
     metric_key = "train.metric"  # the config key of the transport cost's metric
     gradcheck_shapes: dict  # overrides that shrink model and data for gradcheck
 
@@ -375,6 +376,7 @@ class FewShotTask(Task):
 
     name = "fewshot"
     steps_key = "fewshot.episodes"
+    unread_keys = ("train.steps",)
     metric_key = "fewshot.metric"
     # unset, lambda_ot leaves the transport term out of the episode loss
     gradcheck_shapes = {"fewshot.n_way": "3", "fewshot.k_shot": "2", "fewshot.q_queries": "2",
@@ -421,6 +423,8 @@ class MetaGanTask(Task):
     name = "metagan"
     columns = ("step", "critic_loss", "generator_loss", "transport_loss")
     steps_key = "metagan.iterations"
+    # the transport step has no task loss to weigh, and the optimizers keep a constant lr
+    unread_keys = ("train.steps", "train.lambda_ot", "optim.lr_final")
     metric_key = "metagan.metric"
     # the conditional critic and the moment term are off by default and on
     # here, so that their gradients are checked too
@@ -511,22 +515,21 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, given = _resolve(
-        args,
-        {
-            "task": "task",
-            "corpus": "corpus",
-            "steps": "train.steps",
-            "seed": "seed",
-            "out": "out",
-            "lambda_ot": "train.lambda_ot",
-        },
-    )
+    flag_map = {
+        "task": "task",
+        "corpus": "corpus",
+        "steps": "train.steps",
+        "seed": "seed",
+        "out": "out",
+        "lambda_ot": "train.lambda_ot",
+    }
+    cfg, given = _resolve(args, flag_map)
     task = TASK_TABLE[cfg["task"]]
-    if "train.steps" in given and task.steps_key != "train.steps":
-        raise ConfigError(
-            f"train.steps (or --steps) is not read by {task.name}; set {task.steps_key}"
-        )
+    flags = {key: f" (or --{dest.replace('_', '-')})" for dest, key in flag_map.items()}
+    for key in task.unread_keys:
+        if key in given:
+            hint = f"; set {task.steps_key}" if key == "train.steps" else ""
+            raise ConfigError(f"{key}{flags.get(key, '')} is not read by {task.name}{hint}")
     sets = task.training_sets(cfg)
     net, bank, named = task.build(cfg, sets)
     rows = task.train(cfg, net, bank, sets)

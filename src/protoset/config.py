@@ -67,7 +67,6 @@ def _of(owner, attr: str, default=MISSING, help=""):
 
 # help of the shared train.* keys that fewshot and metagan never read
 _ENCODER_ONLY = "read by mog, digitsum, pointset only"
-_NOT_METAGAN = "not read by metagan"
 
 SCHEMA: dict[str, ConfigField] = {
     # run-level
@@ -87,13 +86,13 @@ SCHEMA: dict[str, ConfigField] = {
     # optimizer
     "optim.kind": _of(TrainConfig, "optimizer"),
     "optim.lr": _of(TrainConfig, "lr"),
-    "optim.lr_final": _of(TrainConfig, "lr_final", help=_NOT_METAGAN),
+    "optim.lr_final": _of(TrainConfig, "lr_final"),
     # shared training knobs
     "train.steps": _of(TrainConfig, "steps", help=_ENCODER_ONLY),
     "train.batch_sets": _of(TrainConfig, "batch_sets", help=_ENCODER_ONLY),
     "train.batch_points": _of(TrainConfig, "batch_points", help=_ENCODER_ONLY),
     "train.metric": _of(TrainConfig, "metric", help=_ENCODER_ONLY),
-    "train.lambda_ot": _of(TrainConfig, "lambda_ot", help=_NOT_METAGAN),
+    "train.lambda_ot": _of(TrainConfig, "lambda_ot"),
     "train.log_every": _of(TrainConfig, "log_every"),
     "train.mode": _field("str", "supervised", choices=TRAIN_MODES, help=_ENCODER_ONLY),
     # set encoder (mog, digitsum, pointset)

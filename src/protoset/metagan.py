@@ -22,7 +22,6 @@ from .diffcore import Value, as_value, concat, no_grad
 from .diffcore.optim import make_optimizer
 from .errors import ConfigError, ShapeError
 from .nn import MLP
-from .ot import SinkhornConfig
 from .protolearn import (
     PrototypeBank,
     TrainConfig,
@@ -175,11 +174,7 @@ class GanConfig:
     lr_critic: float = 0.001
     non_saturating: bool = False
     mse_weight: Optional[float] = None
-    ot: Optional[TrainConfig] = field(
-        default_factory=lambda: TrainConfig(
-            metric="euclidean", sinkhorn=SinkhornConfig(unroll_iters=20)
-        )
-    )
+    ot: Optional[TrainConfig] = field(default_factory=lambda: TrainConfig(metric="euclidean"))
     seed: int = 0
     log_every: int = 0
 

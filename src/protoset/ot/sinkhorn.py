@@ -2,13 +2,25 @@
 
 The regularized objective for a plan T is  <T, C> - eps * H(T)  with
 H(T) = -sum T log T (0 log 0 = 0).  The solver alternates exact potential
-updates in the log domain:
+updates in the log domain, on the scaled potentials u = f / eps and
+v = g / eps over the scaled negative cost -C / eps, computed once:
 
-    f_i <- eps * (log a_i - LSE_k((g_k - C_ik) / eps))
-    g_k <- eps * (log b_k - LSE_i((f_i - C_ik) / eps))
+    u_i <- log a_i - LSE_k(v_k - C_ik / eps)
+    v_k <- log b_k - LSE_i(u_i - C_ik / eps)
 
-and the plan is T = exp((f + g - C) / eps) (outer sum of potentials).  Small
+and the plan is T = exp(u + v - C / eps) (outer sum of potentials).  Small
 eps therefore underflows gracefully instead of overflowing a kernel matrix.
+Each half-iteration adds one potential into one reused (N, K) buffer and
+takes its log-sum-exp in place, so an iteration makes two N x K
+exponential passes and allocates no N x K temporary.
+
+After a v-update the plan's columns sum to b exactly.  Its rows sum to
+a * exp(u - u_next), where u_next is the next u-update, so the solver
+computes u_next, reads the worst marginal violation |a * expm1(u - u_next)|
+in O(N), and returns the (u, v) it was measured on once that is within
+``tol``; otherwise u_next starts the next iteration.  The plan is
+exponentiated once, on exit, and the returned potentials are f = eps * u
+and g = eps * v.
 
 The differentiable path comes in two modes.  "unrolled" runs exactly
 ``unroll_iters`` of those updates as one graph node whose backward sweeps
@@ -75,17 +87,18 @@ def _cost_array(cost) -> np.ndarray:
     return arr
 
 
-def _lse(m: np.ndarray, axis: int) -> np.ndarray:
-    mx = np.max(m, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(m - mx), axis=axis)) + np.squeeze(mx, axis=axis)
-    return out
+def _lse(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted log-sum-exp of the 2-D ``x`` along ``axis``; ``x`` is overwritten."""
+    mx = np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(np.subtract(x, mx, out=x), out=x)
+    return np.log(np.add.reduce(x, axis=axis)) + mx.reshape(-1)
 
 
 def sinkhorn(cost, marginals: Marginals, config: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
     """Solve the entropy-regularized problem; iterate until the worst marginal
     violation falls below ``tol`` or ``max_iters`` is reached.
 
-    A non-finite residual stops the iteration at once and raises NumericalError.
+    A non-finite potential stops the iteration at once and raises NumericalError.
     """
     C = _cost_array(cost)
     a, b = marginals.a, marginals.b
@@ -93,32 +106,37 @@ def sinkhorn(cost, marginals: Marginals, config: SinkhornConfig = SinkhornConfig
         raise ShapeError(
             f"cost shape {C.shape} does not match marginals ({a.size}, {b.size})"
         )
+    n, k = C.shape
     eps = config.epsilon
     log_a = np.log(a)
     log_b = np.log(b)
-    f = np.zeros(a.size)
-    g = np.zeros(b.size)
+    neg_cost = C * (-1.0 / eps)
+    buf = np.empty((n, k))
+    v = np.zeros(k)
+    u = log_a - _lse(np.add(neg_cost, v.reshape(1, k), out=buf), axis=1)
     iterations = 0
     residual = np.inf
     converged = False
     for it in range(1, config.max_iters + 1):
-        f = eps * (log_a - _lse((g[None, :] - C) / eps, axis=1))
-        g = eps * (log_b - _lse((f[:, None] - C) / eps, axis=0))
-        T = np.exp((f[:, None] + g[None, :] - C) / eps)
-        residual = max(
-            float(np.abs(T.sum(axis=1) - a).max()),
-            float(np.abs(T.sum(axis=0) - b).max()),
-        )
+        v = log_b - _lse(np.add(neg_cost, u.reshape(n, 1), out=buf), axis=0)
         iterations = it
+        if not np.isfinite(v).all():
+            break  # more iterations cannot recover; raised below
+        u_next = log_a - _lse(np.add(neg_cost, v.reshape(1, k), out=buf), axis=1)
+        # the columns of exp(neg_cost + u + v) sum to b, its rows to a * exp(u - u_next)
+        residual = float(np.abs(a * np.expm1(u - u_next)).max())
         if residual <= config.tol:
             converged = True
             break
-        if not math.isfinite(residual):
-            break  # potentials are non-finite; more iterations cannot recover
-    if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        if it == config.max_iters or not math.isfinite(residual):
+            break
+        u = u_next
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NumericalError("sinkhorn potentials became non-finite")
-    T = np.exp((f[:, None] + g[None, :] - C) / eps)
-    return TransportPlan(T, f, g, iterations, residual, converged)
+    T = np.add(neg_cost, u.reshape(n, 1), out=buf)
+    T += v.reshape(1, k)
+    np.exp(T, out=T)
+    return TransportPlan(T, eps * u, eps * v, iterations, residual, converged)
 
 
 def transport_cost(plan, cost) -> float:

@@ -11,6 +11,7 @@ import pytest
 from protoset import cli, config
 from protoset.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from protoset.diffcore import Value
+from protoset.metagan import GanConfig
 from protoset.tasks import load_corpus
 
 # the package attribute protoset.ot.sinkhorn is the function, not the module
@@ -494,22 +495,36 @@ def test_fewshot_corpus_exits_2(verb, tmp_path, capsys):
     assert "corpus must be empty" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("task,key", [("fewshot", "fewshot.episodes"), ("metagan", "metagan.iterations")])
+# the key an unread input names -> (that input's key, value, flag or None)
+UNREAD_INPUTS = {
+    "fewshot.episodes": ("train.steps", "3", "--steps"),
+    "metagan.iterations": ("train.steps", "3", "--steps"),
+    "train.lambda_ot": ("train.lambda_ot", "0.5", "--lambda-ot"),
+    "optim.lr_final": ("optim.lr_final", "0.0001", None),
+}
+
+
+@pytest.mark.parametrize("task,key", [("fewshot", "fewshot.episodes"), ("metagan", "metagan.iterations"),
+                                      ("metagan", "train.lambda_ot"), ("metagan", "optim.lr_final")])
 def test_steps_flag_on_task_without_train_steps_exits_2(task, key, tmp_path, capsys):
-    # these loops run for their own key, so train.steps would be silently
-    # ignored, whether it comes from --steps, --set or a config file
+    # these loops never read the given key (fewshot and metagan run for their
+    # own length key), so it would be silently ignored, whether it comes from
+    # a flag, --set or a config file
+    given, value, flag = UNREAD_INPUTS[key]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"task = {task}\ntrain.steps = 3\n")
+    cfg.write_text(f"task = {task}\n{given} = {value}\n")
     sources = {
-        "flag": ["--task", task, "--steps", "3"],
-        "set": ["--task", task, "--set", "train.steps=3"],
+        "set": ["--task", task, "--set", f"{given}={value}"],
         "file": ["--config", str(cfg)],
     }
+    if flag:
+        sources["flag"] = ["--task", task, flag, value]
     for name, source in sources.items():
         out = tmp_path / name
         capsys.readouterr()
         assert run(["train", "--out", str(out)] + source + TASK_RUNS[task][0]) == cli.EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert given in err and key in err
         assert not out.exists()
 
 
@@ -547,6 +562,15 @@ def test_metagan_cli_round_trip(tmp_path):
     assert any(n.startswith("summary.") for n in ck.params)
     metrics = eval_task("metagan", ck_path, tmp_path / "ev")
     assert metrics["n_tasks"] == 2
+
+
+def test_metagan_library_default_transport_step_is_the_cli_default():
+    # train_metagan called from Python runs the transport step that
+    # protoset train --task metagan runs at the default config
+    model, _, _ = cli.TASK_TABLE["metagan"].build(config.default_config(), None)
+    library = GanConfig().ot
+    assert library.sinkhorn == model.config.ot.sinkhorn
+    assert library.metric == model.config.ot.metric
 
 
 # -- gradcheck -----------------------------------------------------------------------

@@ -93,6 +93,32 @@ def dense_reference(C, a, b, eps, iters=5000):
     return u[:, None] * K * v[None, :]
 
 
+def three_pass_reference(C, a, b, config):
+    """The solver loop before the residual was read from the dual updates.
+
+    Each iteration makes both updates on unscaled potentials and builds the
+    whole plan to sum its marginals.  Returns (plan, iterations, residual,
+    converged).
+    """
+    eps = config.epsilon
+
+    def lse(m, axis):
+        mx = np.max(m, axis=axis, keepdims=True)
+        return np.log(np.sum(np.exp(m - mx), axis=axis)) + np.squeeze(mx, axis=axis)
+
+    f, g = np.zeros(a.size), np.zeros(b.size)
+    residual, converged, it = np.inf, False, 0
+    for it in range(1, config.max_iters + 1):
+        f = eps * (np.log(a) - lse((g[None, :] - C) / eps, axis=1))
+        g = eps * (np.log(b) - lse((f[:, None] - C) / eps, axis=0))
+        T = np.exp((f[:, None] + g[None, :] - C) / eps)
+        residual = max(np.abs(T.sum(axis=1) - a).max(), np.abs(T.sum(axis=0) - b).max())
+        if residual <= config.tol:
+            converged = True
+            break
+    return np.exp((f[:, None] + g[None, :] - C) / eps), it, residual, converged
+
+
 # -- marginals -------------------------------------------------------------------
 
 
@@ -164,17 +190,35 @@ def test_marginal_satisfaction_random_instances(seed):
 
 
 def test_residual_reported_honestly():
+    # the residual is derived from the next potential update, not summed from
+    # the plan, so check it against the plan's marginals both when the budget
+    # runs out and at convergence
     rng = np.random.default_rng(5)
     C = rng.uniform(0, 2, (20, 6))
     m = Marginals(uniform_weights(20), floor_simplex(rng.dirichlet(np.ones(6))))
-    res = sinkhorn(C, m, SinkhornConfig(epsilon=0.01, max_iters=3))
-    assert not res.converged
-    assert res.iterations == 3
-    recomputed = max(
-        np.abs(res.plan.sum(axis=1) - m.a).max(),
-        np.abs(res.plan.sum(axis=0) - m.b).max(),
-    )
-    assert np.isclose(res.residual, recomputed, rtol=1e-10)
+    for max_iters, converged in ((3, False), (5000, True)):
+        res = sinkhorn(C, m, SinkhornConfig(epsilon=0.01, max_iters=max_iters))
+        assert res.converged is converged
+        assert res.iterations == max_iters or converged
+        recomputed = max(
+            np.abs(res.plan.sum(axis=1) - m.a).max(),
+            np.abs(res.plan.sum(axis=0) - m.b).max(),
+        )
+        assert np.isclose(res.residual, recomputed, rtol=1e-10)
+
+
+@pytest.mark.parametrize("eps,max_iters", [(0.01, 500), (0.03, 500), (0.1, 500), (0.01, 40)])
+def test_matches_three_pass_reference(eps, max_iters):
+    rng = np.random.default_rng(17)
+    C = rng.uniform(0, 2, (100, 50))
+    a = uniform_weights(100)
+    b = floor_simplex(rng.dirichlet(np.ones(50)))
+    config = SinkhornConfig(epsilon=eps, max_iters=max_iters)
+    res = sinkhorn(C, Marginals(a, b), config)
+    plan, iterations, residual, converged = three_pass_reference(C, a, b, config)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert np.abs(res.plan - plan).max() <= 1e-15
+    assert abs(res.residual - residual) <= 1e-9 * residual
 
 
 def test_shape_mismatch_raises():

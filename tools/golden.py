@@ -4,7 +4,9 @@ Runs ``protoset.cli.main`` in-process at the tiny shapes of
 ``tests/test_cli.py`` with relative paths under ``--dir`` and prints one
 ``sha256  name`` line per artifact, per captured stdout and per exit code;
 it exits 1 if any verb exited nonzero.  ``protoset --help`` is captured too,
-so the rendered config schema (every key, default and help) is compared.
+so the rendered config schema (every key, default and help) is compared,
+and so is ``protoset ot`` on a small cost CSV written under ``--dir``, once
+solved to convergence and once stopped at ``--max-iters 3``.
 Two runs of the same program in different directories must print the same
 lines (the README's byte-identical-rerun contract); a refactor that claims
 to keep behaviour can diff its output against the parent commit's.
@@ -93,6 +95,12 @@ TRAINS = {
     "metagan-noot": ("metagan", ["--set", "metagan.use_ot=false"]),
     "metagan-corpus": ("metagan", ["--corpus", "gen/metagan/corpus.jsonl"]),
 }
+# a 6x4 cost for the ot runs, written to ot/cost.csv
+OT_COST = ("0.0,1.3,0.7,1.9\n1.1,0.2,1.6,0.8\n0.5,1.7,0.1,1.2\n"
+           "1.8,0.9,1.4,0.3\n0.6,0.4,1.0,1.5\n1.3,1.1,0.2,0.9\n")
+# ot run name -> flags beyond the cost file; "stopped" runs out of iterations
+OT_RUNS = {"converged": ["--eps", "0.05", "--b", "0.1,0.2,0.3,0.4"],
+           "stopped": ["--eps", "0.05", "--b", "0.1,0.2,0.3,0.4", "--max-iters", "3"]}
 # eval run name -> (train run whose checkpoint it reads, eval flags)
 CORPUS_EVALS = {
     "mog-on-corpus": ("mog", ["--corpus", "gen/mog/corpus.jsonl"]),
@@ -145,6 +153,11 @@ def main(argv=None) -> int:
     codes.append(run("gradcheck/all", ["gradcheck"]))
     for task in EVAL:
         codes.append(run(f"gradcheck/{task}", ["gradcheck", "--task", task, "--seed", "1"]))
+    cost = Path("ot", "cost.csv")
+    cost.parent.mkdir()
+    cost.write_text(OT_COST)
+    for name, flags in OT_RUNS.items():
+        codes.append(run(f"ot/{name}", ["ot", "--cost", cost.as_posix()] + flags, f"ot/{name}"))
     return 1 if any(codes) else 0
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -127,11 +129,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_trace(path: Path, cfg: ResolvedConfig, columns, rows) -> None:
+def _write_trace(path: Path, cfg: ResolvedConfig, trace: dict) -> None:
+    """The config header, then ``fit``'s trace: its keys as columns, one row per step."""
     lines = cfg.header_lines()
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(str(row[0]) if i == 0 else _fmt(v) for i, v in enumerate(row)))
+    lines.append(",".join(trace))
+    for step, *values in zip(*trace.values()):
+        lines.append(",".join([str(step)] + [_fmt(v) for v in values]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -177,7 +180,6 @@ class Task:
     """
 
     name: str
-    columns = ("step", "transport_loss", "task_loss")
     steps_key = "train.steps"  # the config key that sets how long train runs
     unread_keys = ()  # shared keys that train never reads for this task: given, they exit 2
     metric_key = "train.metric"  # the config key of the transport cost's metric
@@ -240,8 +242,7 @@ class EncoderTask(Task):
         return self.task_loss() if cfg["train.mode"] == "supervised" else None
 
     def train(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank, sets):
-        trace = train_prototypes(sets, net, bank, self.train_config(cfg), self.loss_fn(cfg))
-        return list(zip(trace.steps, trace.ot_losses, trace.task_losses))
+        return train_prototypes(sets, net, bank, self.train_config(cfg), self.loss_fn(cfg))
 
     def objectives(self, cfg: ResolvedConfig, net, bank, named, sets):
         config, batch, rng = self.train_config(cfg), sets[0], np.random.default_rng(cfg["seed"])
@@ -371,12 +372,16 @@ class PointSetTask(EncoderTask):
         return {"accuracy": hits / len(sets)}
 
 
+# the encoder's batching, metric and mode: fewshot and metagan read their own keys
+_ENCODER_ONLY_KEYS = ("train.batch_sets", "train.batch_points", "train.metric", "train.mode")
+
+
 class FewShotTask(Task):
     """Episodes are drawn from the seed, so there is no corpus to write or read."""
 
     name = "fewshot"
     steps_key = "fewshot.episodes"
-    unread_keys = ("train.steps",)
+    unread_keys = ("train.steps",) + _ENCODER_ONLY_KEYS
     metric_key = "fewshot.metric"
     # unset, lambda_ot leaves the transport term out of the episode loss
     gradcheck_shapes = {"fewshot.n_way": "3", "fewshot.k_shot": "2", "fewshot.q_queries": "2",
@@ -401,8 +406,7 @@ class FewShotTask(Task):
         return model, model.bank, model.named_parameters()
 
     def train(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank, sets):
-        trace = train_fewshot(model, self.train_config(cfg))
-        return list(zip(trace.steps, trace.ot_losses, trace.task_losses))
+        return train_fewshot(model, self.train_config(cfg))
 
     def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank) -> dict:
         count = cfg["eval.count"] or 1000
@@ -421,10 +425,9 @@ class FewShotTask(Task):
 
 class MetaGanTask(Task):
     name = "metagan"
-    columns = ("step", "critic_loss", "generator_loss", "transport_loss")
     steps_key = "metagan.iterations"
     # the transport step has no task loss to weigh, and the optimizers keep a constant lr
-    unread_keys = ("train.steps", "train.lambda_ot", "optim.lr_final")
+    unread_keys = ("train.steps", "train.lambda_ot", "optim.lr_final") + _ENCODER_ONLY_KEYS
     metric_key = "metagan.metric"
     # the conditional critic and the moment term are off by default and on
     # here, so that their gradients are checked too
@@ -456,10 +459,7 @@ class MetaGanTask(Task):
         return model, bank, named
 
     def train(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, sets):
-        pairs = [(batch, {}) for batch in sets]
-        trace = train_metagan(pairs, model, bank, model.config)
-        rows = zip(trace.steps, trace.critic_losses, trace.generator_losses, trace.ot_losses)
-        return list(rows)
+        return train_metagan(sets, model, bank, model.config)
 
     def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank) -> dict:
         _, tasks = self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])
@@ -514,6 +514,25 @@ def cmd_gen(args) -> int:
 # verb: train
 
 
+@contextmanager
+def _progress_to_stderr(log_every: int):
+    """At ``log_every`` > 0, show the package's INFO records on stderr while training.
+
+    The ``protoset`` logger is left as it was found, so that ``main`` can run
+    many times in one process.
+    """
+    package = logging.getLogger("protoset")
+    handler, level = logging.StreamHandler(sys.stderr), package.level
+    if log_every:
+        package.addHandler(handler)
+        package.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
+
+
 def cmd_train(args) -> int:
     flag_map = {
         "task": "task",
@@ -532,12 +551,13 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{key}{flags.get(key, '')} is not read by {task.name}{hint}")
     sets = task.training_sets(cfg)
     net, bank, named = task.build(cfg, sets)
-    rows = task.train(cfg, net, bank, sets)
+    with _progress_to_stderr(cfg["train.log_every"]):
+        trace = task.train(cfg, net, bank, sets)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
-    _write_trace(trace_path, cfg, task.columns, rows)
-    step = len(rows)
+    _write_trace(trace_path, cfg, trace)
+    step = len(trace["step"])
     ck_path = out / f"checkpoint.{step}"
     save_checkpoint(ck_path, named, step, cfg.as_dict(), cfg.config_hash())
     print(f"trained {task.name} for {step} steps; wrote {trace_path} and {ck_path}")

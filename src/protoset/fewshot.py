@@ -22,7 +22,7 @@ from .nn import ACTIVATIONS, MLP
 from .ot import SinkhornConfig, floor_simplex_value
 from .ot.cost import build_cost_value
 from .ot.sinkhorn import differentiable_transport_loss
-from .protolearn import PrototypeBank, TrainConfig, TrainTrace, fit
+from .protolearn import PrototypeBank, TrainConfig, fit_objective
 from .summarynet import _as_widths
 
 SPLITS = ("base", "novel")
@@ -299,7 +299,7 @@ def episode_objective(
     return task, task.item(), None
 
 
-def train_fewshot(model: FewShotModel, config: TrainConfig) -> TrainTrace:
+def train_fewshot(model: FewShotModel, config: TrainConfig) -> dict:
     """``config.steps`` episodes over base classes; the transport term joins when set.
 
     With lambda_ot unset (or 0) the head and bank receive no gradient and stay
@@ -317,7 +317,7 @@ def train_fewshot(model: FewShotModel, config: TrainConfig) -> TrainTrace:
     def objective():
         return episode_objective(model, next(stream), config)
 
-    return fit(config, params, objective, guard_bank, guard_rng, "episode")
+    return fit_objective(config, params, objective, guard_bank, guard_rng, "episode")
 
 
 def eval_fewshot(model: FewShotModel, episodes: Iterable[Episode]) -> dict:

@@ -5,14 +5,14 @@ distribution.  A permutation-invariant summary h of the set conditions a
 pushforward generator on concatenated [noise, h]; a sigmoid critic scores
 samples.  The summary network and its prototype bank are trained by the
 unsupervised prototype loop's transport loss and parameter update on one set,
-interleaved between the critic and generator updates, so the two trainers
-cannot drift apart.  Generation quality is scored distribution-to-distribution with the
+interleaved between the critic and generator updates, and the three updates
+of an iteration are one step of ``protolearn.fit``, so the trainers cannot
+drift apart.  Generation quality is scored distribution-to-distribution with the
 energy distance plus first/second moment errors against the true parameters.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,13 +26,11 @@ from .protolearn import (
     PrototypeBank,
     TrainConfig,
     apply_update,
-    diverges_on_failure,
+    fit,
     set_objective,
     subsample_points,
 )
 from .summarynet import SetBatch, SummaryNet, _as_widths
-
-logger = logging.getLogger(__name__)
 
 FAMILIES = ("gauss1d", "gauss2d", "multi1d")
 FAMILY_DIM = {"gauss1d": 1, "gauss2d": 2, "multi1d": 1}
@@ -284,22 +282,6 @@ def generator_loss(fake_logits: Value, non_saturating: bool = False) -> Value:
     return -(fake_logits.softplus().mean())
 
 
-@dataclass
-class GanTrace:
-    """Per-iteration losses of the three interleaved updates."""
-
-    steps: list = field(default_factory=list)
-    critic_losses: list = field(default_factory=list)
-    generator_losses: list = field(default_factory=list)
-    ot_losses: list = field(default_factory=list)
-
-    def append(self, step: int, critic: float, generator: float, ot: Optional[float]):
-        self.steps.append(step)
-        self.critic_losses.append(critic)
-        self.generator_losses.append(generator)
-        self.ot_losses.append(ot)
-
-
 def critic_objective(model: MetaGan, config: GanConfig, real, z, h) -> Value:
     """Critic loss on ``real`` and on fakes from noise ``z``, drawn with no graph."""
     cond = h if config.conditioning == "conditional-critic" else None
@@ -339,21 +321,22 @@ def transport_step(
 
 
 def train_metagan(
-    corpus: Sequence[tuple[SetBatch, dict]],
+    sets: Sequence[SetBatch],
     model: MetaGan,
     bank: PrototypeBank,
     config: GanConfig,
-) -> GanTrace:
+) -> dict:
     """Interleaved critic / transport / generator updates over sampled sets.
 
     Per outer iteration: eta_critic critic steps on minibatches of one set,
     then one shared transport step on the last real minibatch (updating the
     bank and summary network), then one generator step with the summary
-    recomputed from the just-updated encoder.
+    recomputed from the just-updated encoder.  The trace's columns are
+    ``critic_loss``, ``generator_loss`` and ``transport_loss`` (None without
+    ``config.ot``).
     """
-    if not corpus:
+    if not sets:
         raise ConfigError("corpus is empty")
-    sets = [pair[0] for pair in corpus]
     if bank.dim != model.spec.dim:
         raise ConfigError(
             f"bank lives in R^{bank.dim} but the task family produces "
@@ -368,41 +351,29 @@ def train_metagan(
         ot_opt = make_optimizer(
             config.ot.optimizer, [bank.matrix] + model.summary.parameters(), config.ot.lr
         )
-    trace = GanTrace()
-    for step in range(config.iterations):
-        batch = sets[int(data_rng.integers(len(sets)))]
-        points = batch.points
-        with diverges_on_failure(step):
-            h = model.summarize(points)
-            for _ in range(config.eta_critic):
-                real = subsample_points(points, config.batch, data_rng)
-                z = noise_rng.standard_normal((config.batch, config.noise_dim))
-                loss_c = critic_objective(model, config, real, z, h)
-                c_value = loss_c.item()
-                apply_update(critic_opt, loss_c, c_value, step, "critic")
 
-            ot_value = None
-            if ot_opt is not None:
-                ot_value = transport_step(
-                    real, model.summary, bank, ot_opt, config.ot, data_rng, step
-                )
-                h = model.summarize(points)  # encoder just moved
-
+    def step(i: int) -> dict:
+        points = sets[int(data_rng.integers(len(sets)))].points
+        h = model.summarize(points)
+        for _ in range(config.eta_critic):
+            real = subsample_points(points, config.batch, data_rng)
             z = noise_rng.standard_normal((config.batch, config.noise_dim))
-            loss_g = generator_objective(model, config, real, z, h)
-            g_value = loss_g.item()
-            apply_update(gen_opt, loss_g, g_value, step, "generator")
+            loss_c = critic_objective(model, config, real, z, h)
+            c_value = loss_c.item()
+            apply_update(critic_opt, loss_c, c_value, i, "critic")
 
-        trace.append(step, c_value, g_value, ot_value)
-        if config.log_every and step % config.log_every == 0:
-            logger.info(
-                "iteration %d critic %.4f generator %.4f transport %s",
-                step,
-                c_value,
-                g_value,
-                ot_value,
-            )
-    return trace
+        ot_value = None
+        if ot_opt is not None:
+            ot_value = transport_step(real, model.summary, bank, ot_opt, config.ot, data_rng, i)
+            h = model.summarize(points)  # encoder just moved
+
+        z = noise_rng.standard_normal((config.batch, config.noise_dim))
+        loss_g = generator_objective(model, config, real, z, h)
+        g_value = loss_g.item()
+        apply_update(gen_opt, loss_g, g_value, i, "generator")
+        return {"critic_loss": c_value, "generator_loss": g_value, "transport_loss": ot_value}
+
+    return fit(config.iterations, step, config.log_every, "metagan")
 
 
 def _as_points(x: np.ndarray) -> np.ndarray:

@@ -7,14 +7,15 @@ by the summary network's simplex output — alone, or added to a task loss.
 
 One backward pass per step computes gradients for the bank and the network
 together; both are then updated from it.  ``apply_update`` is that update for
-every loop in the package, and ``fit`` the step loop of every loop with one
-optimizer, so no two loops can drift apart.
+every loop in the package, and ``fit`` the step loop of every trainer, so no
+two loops can drift apart.  Each trainer names its own trace columns in the
+row its step returns; ``fit_objective`` is the step of the trainers with one
+optimizer and one objective.
 """
 
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -79,7 +80,7 @@ class PrototypeBank:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs of ``fit``, the step loop of ``train_prototypes`` and ``train_fewshot``.
+    """Knobs of ``fit_objective``, the step of ``train_prototypes`` and ``train_fewshot``.
 
     metagan's transport step reads only its optimizer, lr, metric and solver.
     """
@@ -117,20 +118,6 @@ class TrainConfig:
             raise ConfigError(f"log_every must be nonnegative, got {self.log_every}")
 
 
-@dataclass
-class TrainTrace:
-    """Per-step losses recorded during a loop."""
-
-    steps: list = field(default_factory=list)
-    ot_losses: list = field(default_factory=list)
-    task_losses: list = field(default_factory=list)
-
-    def append(self, step: int, ot_loss: Optional[float], task_loss: Optional[float]):
-        self.steps.append(step)
-        self.ot_losses.append(ot_loss)
-        self.task_losses.append(task_loss)
-
-
 def transport_objective(
     points: np.ndarray,
     weights: Value,
@@ -151,15 +138,6 @@ def subsample_points(points: np.ndarray, m: int, rng: np.random.Generator) -> np
         return points
     idx = rng.choice(n, size=m, replace=False)
     return points[idx]
-
-
-@contextmanager
-def diverges_on_failure(step: int):
-    """Surface a forward pass that fails on corrupted parameters as divergence."""
-    try:
-        yield
-    except (DomainError, NumericalError) as exc:
-        raise TrainingDivergedError(f"forward pass failed at step {step}: {exc}") from exc
 
 
 def apply_update(
@@ -214,33 +192,55 @@ def set_objective(
     return task + transport * lam, task.item(), transport.item()
 
 
-def fit(
+def fit(steps: int, step: Callable[[int], dict], log_every: int, what: str) -> dict:
+    """The one step loop of the package: ``step(i)`` for i in 0 .. steps - 1.
+
+    ``step(i)`` makes step i's updates through ``apply_update`` and returns its
+    row as {column: value}.  The result maps ``"step"`` and then each column to
+    its values in step order, the layout of ``trace.csv``.  A forward pass that
+    fails on corrupted parameters (``DomainError``, ``NumericalError``) raises
+    ``TrainingDivergedError`` naming the step.
+    """
+    trace: dict = {"step": []}
+    for i in range(steps):
+        try:
+            row = step(i)
+        except (DomainError, NumericalError) as exc:
+            raise TrainingDivergedError(f"forward pass failed at step {i}: {exc}") from exc
+        trace["step"].append(i)
+        for column, value in row.items():
+            trace.setdefault(column, []).append(value)
+        if log_every and i % log_every == 0:
+            logger.info("%s step %d %s", what, i, " ".join(f"{k} {v}" for k, v in row.items()))
+    return trace
+
+
+def fit_objective(
     config: TrainConfig,
     params: list,
     objective: Callable[[], tuple[Value, Optional[float], Optional[float]]],
     guard_bank: Optional[PrototypeBank],
     guard_rng: Optional[np.random.Generator],
     what: str,
-) -> TrainTrace:
-    """The one single-optimizer step loop: ``config.steps`` updates of ``params``.
+) -> dict:
+    """``config.steps`` updates of ``params`` by one optimizer, through ``fit``.
 
     ``objective()`` draws the step's data and returns (loss, task value,
-    transport value); the values go into the trace.  The learning rate is
-    constant, or decays linearly to ``lr_final`` at the last step.
+    transport value); the values are the row's ``task_loss`` and
+    ``transport_loss``.  The learning rate is constant, or decays linearly to
+    ``lr_final`` at the last step.
     """
     optimizer = make_optimizer(config.optimizer, params, config.lr)
-    trace = TrainTrace()
-    for step in range(config.steps):
+
+    def step(i: int) -> dict:
         if config.lr_final is not None:
-            frac = step / max(config.steps - 1, 1)
+            frac = i / max(config.steps - 1, 1)
             optimizer.lr = config.lr + (config.lr_final - config.lr) * frac
-        with diverges_on_failure(step):
-            loss, task_value, ot_value = objective()
-            apply_update(optimizer, loss, loss.item(), step, what, guard_bank, guard_rng)
-        trace.append(step, ot_value, task_value)
-        if config.log_every and step % config.log_every == 0:
-            logger.info("%s step %d task %s transport %s", what, step, task_value, ot_value)
-    return trace
+        loss, task_value, ot_value = objective()
+        apply_update(optimizer, loss, loss.item(), i, what, guard_bank, guard_rng)
+        return {"transport_loss": ot_value, "task_loss": task_value}
+
+    return fit(config.steps, step, config.log_every, what)
 
 
 def train_prototypes(
@@ -249,7 +249,7 @@ def train_prototypes(
     bank: PrototypeBank,
     config: TrainConfig,
     task_loss_fn: Optional[Callable[[Value, SetBatch], Value]] = None,
-) -> TrainTrace:
+) -> dict:
     """Prototype training on randomly drawn sets, with an optional task loss.
 
     Each step's loss is the mean of ``set_objective`` over ``batch_sets``
@@ -289,4 +289,4 @@ def train_prototypes(
             ot_value = total.item()
         return total, task_value, ot_value
 
-    return fit(config, params, objective, guard_bank, rng, "training")
+    return fit_objective(config, params, objective, guard_bank, rng, "training")

@@ -3,6 +3,8 @@
 import hashlib
 import importlib
 import json
+import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +53,7 @@ METAGAN_ARGS = [
     "--set", "metagan.summary_widths=10,8",
     "--set", "metagan.generator_widths=12,10",
     "--set", "metagan.critic_widths=12,10",
-    "--set", "train.batch_points=10", "--set", "sinkhorn.unroll_iters=6",
+    "--set", "sinkhorn.unroll_iters=6",
 ]
 
 # per task: train flags (without --out), the checkpoint they write, eval flags
@@ -501,11 +503,19 @@ UNREAD_INPUTS = {
     "metagan.iterations": ("train.steps", "3", "--steps"),
     "train.lambda_ot": ("train.lambda_ot", "0.5", "--lambda-ot"),
     "optim.lr_final": ("optim.lr_final", "0.0001", None),
+    "train.batch_sets": ("train.batch_sets", "2", None),
+    "train.batch_points": ("train.batch_points", "10", None),
+    "train.metric": ("train.metric", "euclidean", None),
+    "train.mode": ("train.mode", "unsupervised", None),
 }
+# the encoder's keys, which neither fewshot nor metagan reads
+ENCODER_ONLY = [(task, key) for task in ("fewshot", "metagan")
+                for key in ("train.batch_sets", "train.batch_points", "train.metric", "train.mode")]
 
 
 @pytest.mark.parametrize("task,key", [("fewshot", "fewshot.episodes"), ("metagan", "metagan.iterations"),
-                                      ("metagan", "train.lambda_ot"), ("metagan", "optim.lr_final")])
+                                      ("metagan", "train.lambda_ot"), ("metagan", "optim.lr_final")]
+                         + ENCODER_ONLY)
 def test_steps_flag_on_task_without_train_steps_exits_2(task, key, tmp_path, capsys):
     # these loops never read the given key (fewshot and metagan run for their
     # own length key), so it would be silently ignored, whether it comes from
@@ -526,6 +536,27 @@ def test_steps_flag_on_task_without_train_steps_exits_2(task, key, tmp_path, cap
         err = capsys.readouterr().err
         assert given in err and key in err
         assert not out.exists()
+
+
+def test_log_every_prints_progress_to_stderr(tmp_path, capsys):
+    # the package logs progress; train shows it on stderr at log_every > 0 and
+    # leaves the protoset logger as it found it when main returns
+    lengths = {"mog": [], "fewshot": ["--set", "fewshot.episodes=5"],
+               "metagan": ["--set", "metagan.iterations=5"]}
+    package = logging.getLogger("protoset")
+    for task, length in lengths.items():
+        argv = ["train", "--task", task, "--out", str(tmp_path / task)]
+        argv += TASK_RUNS[task][0] + length
+        captured = []
+        for log_every in ("0", "2"):
+            capsys.readouterr()
+            assert run(argv + ["--set", f"train.log_every={log_every}"]) == 0
+            captured.append(capsys.readouterr())
+            assert package.handlers == [] and package.level == logging.NOTSET
+        quiet, logged = captured
+        assert quiet.err == ""
+        assert logged.out == quiet.out
+        assert [int(n) for n in re.findall(r"step (\d+)", logged.err)] == [0, 2, 4], task
 
 
 def test_mean_low_above_mean_high_exits_2(tmp_path, capsys):

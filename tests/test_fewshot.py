@@ -284,8 +284,8 @@ def test_lambda_zero_is_bit_identical_to_baseline():
     fresh = FewShotModel(cfg, np.random.default_rng(5))
     trace_a = train_fewshot(model_a, train_config(steps=25, seed=2))
     trace_b = train_fewshot(model_b, train_config(steps=25, seed=2, lambda_ot=0.0))
-    assert trace_a.task_losses == trace_b.task_losses
-    assert trace_b.ot_losses == [None] * 25
+    assert trace_a["task_loss"] == trace_b["task_loss"]
+    assert trace_b["transport_loss"] == [None] * 25
     for pa, pb in zip(model_a.parameters(), model_b.parameters()):
         assert np.array_equal(pa.data, pb.data)
     # head and bank never moved off their initialization
@@ -301,7 +301,7 @@ def test_training_is_deterministic():
         model = FewShotModel(cfg, np.random.default_rng(11))
         trace = train_fewshot(model, train_config(steps=15, seed=9, lambda_ot=0.3))
         stats = eval_fewshot(model, gen_episodes(cfg, "novel", seed=77, count=20))
-        runs.append((trace.task_losses, trace.ot_losses, stats))
+        runs.append((trace["task_loss"], trace["transport_loss"], stats))
     assert runs[0] == runs[1]
 
 
@@ -310,7 +310,7 @@ def test_transport_regularizer_moves_head_and_bank():
     before_bank = model.bank.matrix.data.copy()
     before_head = [p.data.copy() for p in model.simplex_head.parameters()]
     trace = train_fewshot(model, train_config(steps=10, lambda_ot=0.5, seed=1))
-    assert all(v is not None for v in trace.ot_losses)
+    assert all(v is not None for v in trace["transport_loss"])
     assert not np.array_equal(model.bank.matrix.data, before_bank)
     moved = [
         not np.array_equal(p.data, prev)

@@ -326,11 +326,11 @@ def test_train_smoke_records_all_three_losses():
     model, cfg = small_gan(spec, iterations=6, seed=2)
     bank = bank_for(corpus)
     before = [p.data.copy() for p in model.generator.parameters()]
-    trace = train_metagan(corpus, model, bank, cfg)
-    assert trace.steps == list(range(6))
-    assert all(np.isfinite(v) for v in trace.critic_losses)
-    assert all(np.isfinite(v) for v in trace.generator_losses)
-    assert all(v is not None and np.isfinite(v) for v in trace.ot_losses)
+    trace = train_metagan([s for s, _ in corpus], model, bank, cfg)
+    assert trace["step"] == list(range(6))
+    assert all(np.isfinite(v) for v in trace["critic_loss"])
+    assert all(np.isfinite(v) for v in trace["generator_loss"])
+    assert all(v is not None and np.isfinite(v) for v in trace["transport_loss"])
     moved = [
         not np.array_equal(p.data, prev)
         for p, prev in zip(model.generator.parameters(), before)
@@ -348,8 +348,8 @@ def test_no_transport_variant_freezes_summary_and_bank():
     fresh = small_summary(dim=1, seed=42)
     bank = bank_for(corpus)
     before = bank.matrix.data.copy()
-    trace = train_metagan(corpus, model, bank, cfg)
-    assert trace.ot_losses == [None] * 6
+    trace = train_metagan([s for s, _ in corpus], model, bank, cfg)
+    assert trace["transport_loss"] == [None] * 6
     assert np.array_equal(bank.matrix.data, before)
     for p, q in zip(model.summary.parameters(), fresh.parameters()):
         assert np.array_equal(p.data, q.data)
@@ -375,9 +375,9 @@ def test_transport_step_trace_matches_unsupervised_loop():
 
     model, cfg = small_gan(spec, summary_seed=8, iterations=12, seed=31, ot=t_cfg)
     bank_b = bank_for(corpus, seed=6)
-    trace_b = train_metagan(corpus, model, bank_b, cfg)
+    trace_b = train_metagan(sets, model, bank_b, cfg)
 
-    assert trace_b.ot_losses == trace_a.ot_losses
+    assert trace_b["transport_loss"] == trace_a["transport_loss"]
     assert np.array_equal(bank_a.matrix.data, bank_b.matrix.data)
     for pa, pb in zip(summary_a.parameters(), model.summary.parameters()):
         assert np.array_equal(pa.data, pb.data)
@@ -390,8 +390,8 @@ def test_training_is_deterministic():
     for _ in range(2):
         model, cfg = small_gan(spec, iterations=5, seed=13)
         bank = bank_for(corpus)
-        trace = train_metagan(corpus, model, bank, cfg)
-        runs.append((trace.critic_losses, trace.generator_losses, trace.ot_losses))
+        trace = train_metagan([s for s, _ in corpus], model, bank, cfg)
+        runs.append((trace["critic_loss"], trace["generator_loss"], trace["transport_loss"]))
     assert runs[0] == runs[1]
 
 
@@ -400,8 +400,8 @@ def test_mse_term_included_when_configured():
     corpus = small_corpus(spec)
     model, cfg = small_gan(spec, iterations=4, mse_weight=1.0)
     bank = bank_for(corpus)
-    trace = train_metagan(corpus, model, bank, cfg)
-    assert all(np.isfinite(v) for v in trace.generator_losses)
+    trace = train_metagan([s for s, _ in corpus], model, bank, cfg)
+    assert all(np.isfinite(v) for v in trace["generator_loss"])
 
 
 def test_divergence_aborts_with_error():
@@ -411,7 +411,7 @@ def test_divergence_aborts_with_error():
     bank = bank_for(corpus)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDivergedError):
-            train_metagan(corpus, model, bank, cfg)
+            train_metagan([s for s, _ in corpus], model, bank, cfg)
 
 
 def test_bank_dimension_mismatch_rejected():
@@ -420,7 +420,7 @@ def test_bank_dimension_mismatch_rejected():
     model, cfg = small_gan(spec)
     bad_bank = PrototypeBank(Value(np.eye(2), requires_grad=True))
     with pytest.raises(ConfigError):
-        train_metagan(corpus, model, bad_bank, cfg)
+        train_metagan([s for s, _ in corpus], model, bad_bank, cfg)
     with pytest.raises(ConfigError):
         train_metagan([], model, bank_for(corpus), cfg)
 

@@ -2,17 +2,20 @@
 
 import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from protoset.diffcore import Value, no_grad, zero_grad
-from protoset.errors import ConfigError, TrainingDivergedError
+from protoset.errors import ConfigError, DomainError, TrainingDivergedError
 from protoset.fewshot import EpisodeSpec, FewShotConfig, FewShotModel, train_fewshot
+from protoset.metagan import GanConfig, MetaGan, TaskFamilySpec, gen_task_corpus, train_metagan
 from protoset.ot import SinkhornConfig
 from protoset.protolearn import (
     PrototypeBank,
     TrainConfig,
+    fit,
     subsample_points,
     train_prototypes,
     transport_objective,
@@ -142,7 +145,7 @@ def test_unsupervised_reproducible_from_seed():
         bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(1))
         cfg = TrainConfig(steps=25, batch_points=30, seed=11)
         trace = train_prototypes(corpus, net, bank, cfg)
-        return trace.ot_losses, bank.matrix.data.copy()
+        return trace["transport_loss"], bank.matrix.data.copy()
 
     losses_a, bank_a = run()
     losses_b, bank_b = run()
@@ -159,7 +162,7 @@ def test_unsupervised_loss_trends_down():
     )
     cfg = TrainConfig(steps=300, batch_points=40, lr=0.005, seed=7)
     trace = train_prototypes(corpus, net, bank, cfg)
-    losses = np.array(trace.ot_losses)
+    losses = np.array(trace["transport_loss"])
     smooth = np.convolve(losses, np.ones(10) / 10, mode="valid")
     assert smooth[-1] < smooth[0], (smooth[0], smooth[-1])
 
@@ -267,7 +270,7 @@ def test_lambda_zero_matches_plain_loop_bitwise():
 
     for pa, pb in zip(net_a.parameters(), net_b.parameters()):
         assert np.array_equal(pa.data, pb.data)
-    assert all(v is None for v in trace_a.ot_losses)
+    assert all(v is None for v in trace_a["transport_loss"])
 
 
 def test_lambda_zero_leaves_bank_untouched():
@@ -289,8 +292,8 @@ def test_lambda_positive_moves_bank_and_records_both_losses():
         np.random.default_rng(5),
     )
     assert not np.array_equal(bank.matrix.data, fresh.matrix.data)
-    assert all(v is not None for v in trace.ot_losses)
-    assert all(v is not None for v in trace.task_losses)
+    assert all(v is not None for v in trace["transport_loss"])
+    assert all(v is not None for v in trace["task_loss"])
 
 
 def test_train_config_validation():
@@ -326,9 +329,31 @@ def test_fit_logs_every_log_every_steps_for_both_loops(caplog):
         n_novel_classes=3,
     )
     model = FewShotModel(fs_config, np.random.default_rng(2))
+    spec = TaskFamilySpec("gauss1d", n_points=10)
+    sets = [s for s, _ in gen_task_corpus(spec, count=4)]
+    gan_bank = PrototypeBank.from_points(sets[0].points, 2, np.random.default_rng(3))
+
+    def metagan(cfg):
+        gan_cfg = GanConfig(generator_widths=(8,), critic_widths=(8,), batch=5,
+                            iterations=cfg.steps, log_every=cfg.log_every,
+                            ot=replace(cfg, metric="euclidean"))
+        gan = MetaGan(spec, gan_cfg, tiny_net(k=2, input_dim=1), np.random.default_rng(4))
+        return train_metagan(sets, gan, gan_bank, gan_cfg)
+
     loops = {
         "prototypes": lambda cfg: train_prototypes(corpus, tiny_net(), bank, cfg),
         "fewshot": lambda cfg: train_fewshot(model, cfg),
+        "metagan": metagan,
     }
     for name, train in loops.items():
         assert _logged_steps(caplog, train) == [0, 2, 4], name
+
+
+def test_fit_names_the_step_whose_forward_pass_fails():
+    def step(i):
+        if i == 2:
+            raise DomainError("log of a negative number")
+        return {"loss": float(i)}
+
+    with pytest.raises(TrainingDivergedError, match="step 2"):
+        fit(5, step, 0, "test")

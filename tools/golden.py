@@ -47,7 +47,7 @@ FEWSHOT = ["--lambda-ot", "0.3", "--set", "fewshot.episodes=10",
 METAGAN = ["--set", "count=5", "--set", "metagan.iterations=6", "--set", "metagan.batch=10",
            "--set", "metagan.n_points=12", "--set", "metagan.summary_widths=10,8",
            "--set", "metagan.generator_widths=12,10", "--set", "metagan.critic_widths=12,10",
-           "--set", "train.batch_points=10", "--set", "sinkhorn.unroll_iters=6"]
+           "--set", "sinkhorn.unroll_iters=6"]
 
 GENS = {
     "mog": ["--task", "mog", "--count", "4", "--seed", "1",

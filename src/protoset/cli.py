@@ -148,6 +148,15 @@ def _json_default(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _out_dir(out) -> Path:
+    """The ``--out`` directory, checked before any work: a file in its place exits 3."""
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} is a file, not a directory")
+    return path
+
+
 def _write_metrics(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
@@ -501,8 +510,8 @@ def cmd_gen(args) -> int:
         {"task": "task", "count": "count", "seed": "seed", "out": "out", "components": "mog.components"},
     )
     task = cfg["task"]
+    out = _out_dir(cfg["out"])
     sets, truths = TASK_TABLE[task].gen(cfg, cfg["count"], cfg["seed"])
-    out = Path(cfg["out"])
     path = out / "corpus.jsonl"
     meta = {"task": task, "seed": cfg["seed"], "config": cfg.as_dict()}
     save_corpus(path, sets, meta=meta, truths=truths)
@@ -549,11 +558,11 @@ def cmd_train(args) -> int:
         if key in given:
             hint = f"; set {task.steps_key}" if key == "train.steps" else ""
             raise ConfigError(f"{key}{flags.get(key, '')} is not read by {task.name}{hint}")
+    out = _out_dir(cfg["out"])
     sets = task.training_sets(cfg)
     net, bank, named = task.build(cfg, sets)
     with _progress_to_stderr(cfg["train.log_every"]):
         trace = task.train(cfg, net, bank, sets)
-    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
     _write_trace(trace_path, cfg, trace)
@@ -581,11 +590,11 @@ def cmd_eval(args) -> int:
     overrides.setdefault("corpus", "")
     cfg = stored.with_overrides(overrides)
     task = cfg["task"]
+    out = _out_dir(cfg["out"])
     entry = TASK_TABLE[task]
     net, bank, named = entry.build(cfg, None)
     assign_parameters(named, ck.params)
     metrics = entry.evaluate(cfg, net, bank)
-    out = Path(cfg["out"])
     payload = {
         "task": task,
         "seed": cfg["eval.seed"],
@@ -639,11 +648,12 @@ def _read_cost(path) -> np.ndarray:
 
 
 def cmd_ot(args) -> int:
+    out = _out_dir(args.out) if args.out else None
+    flag_map = {"eps": "sinkhorn.epsilon", "tol": "sinkhorn.tol", "max_iters": "sinkhorn.max_iters"}
+    sk = _resolve(args, flag_map)[0].build(SinkhornConfig)
     cost = _read_cost(args.cost)
     a = _parse_weights(args.a, cost.shape[0], "a")
     b = _parse_weights(args.b, cost.shape[1], "b")
-    given = {"epsilon": args.eps, "tol": args.tol, "max_iters": args.max_iters}
-    sk = SinkhornConfig(**{k: v for k, v in given.items() if v is not None})
     result = sinkhorn(cost, Marginals(a, b), sk)
     if not np.isfinite(cost).all():  # nan and -inf stop the solver; +inf makes <T, C> nan
         raise NumericalError(f"{args.cost}: the cost has an infinite entry")
@@ -656,8 +666,7 @@ def cmd_ot(args) -> int:
         "epsilon": sk.epsilon,
     }
     print(json.dumps(report, sort_keys=True))
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         lines = [
             f"# cost = {args.cost}",
@@ -774,7 +783,8 @@ def main(argv=None) -> int:
     except (NumericalError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, IsADirectoryError) as exc:  # a directory is no file either
+    # a directory is no file, and a file no directory
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ProtosetError as exc:

@@ -138,6 +138,19 @@ def test_ot_nan_cost_exits_6_after_one_iteration(tmp_path, monkeypatch):
     assert len(calls) == 2  # one f-update and one g-update, then the solver stops
 
 
+@pytest.mark.parametrize("flag,value", [("--eps", "inf"), ("--eps", "nan"), ("--tol", "nan")])
+def test_ot_non_finite_eps_or_tol_exits_2_naming_the_key(flag, value, tmp_path, capsys):
+    # the solver once ran on these and exited 0: at eps inf with a report that
+    # is not JSON, at tol nan with a residual of 0 beside "converged": false
+    cost = tmp_path / "c.csv"
+    cost.write_text("0,1\n1,0\n")
+    assert run(["ot", "--cost", str(cost), flag, value]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    key = {"--eps": "sinkhorn.epsilon", "--tol": "sinkhorn.tol"}[flag]
+    assert f"{key} must be positive and finite, got {value}" in err
+
+
 def test_ot_inf_cost_exits_6_without_a_report(tmp_path, capsys):
     cost = tmp_path / "c.csv"
     cost.write_text("0,inf\n1,0\n")
@@ -196,6 +209,44 @@ def test_non_utf8_input_exits_naming_the_file(flag, tmp_path, capsys):
 @pytest.mark.parametrize("flag", sorted(NOT_UTF8))
 def test_directory_as_input_file_exits_3(flag, tmp_path):
     assert run(_reading(flag, tmp_path, tmp_path)) == cli.EXIT_MISSING_FILE
+
+
+@pytest.mark.parametrize("flag", sorted(NOT_UTF8))
+def test_input_path_under_a_file_exits_3(flag, tmp_path):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("x\n")
+    assert run(_reading(flag, a_file / "input", tmp_path)) == cli.EXIT_MISSING_FILE
+
+
+# the function that does each verb's work, and the verb's argv without --out
+OUT_VERBS = {
+    "gen": ("gen_mog_corpus", ["gen", "--task", "mog", "--count", "2"]),
+    "train": ("train_prototypes", ["train", "--task", "mog", "--steps", "1"] + MOG_ARGS),
+    "eval": ("eval_mog_loglik", ["eval", "--count", "2"]),
+    "ot": ("sinkhorn", ["ot"]),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(OUT_VERBS))
+def test_out_naming_a_file_exits_3_before_any_work(verb, tmp_path, capsys, monkeypatch):
+    work, argv = OUT_VERBS[verb]
+    if verb == "eval":
+        argv = argv + ["--checkpoint", str(train_task("mog", tmp_path / "run")[1])]
+    if verb == "ot":
+        cost = tmp_path / "c.csv"
+        cost.write_text("0,1\n1,0\n")
+        argv = argv + ["--cost", str(cost)]
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *args, **kwargs: calls.append(args))
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    for out in (taken, taken / "sub"):
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_MISSING_FILE
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and f"{taken} is a file, not a directory" in err
+    assert calls == []
+    assert taken.read_text() == "kept\n"
 
 
 # -- gen ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ The independent references here: a dense kernel-domain fixed-point iteration
 differences, and the unrolled updates composed from Value primitives.
 """
 
+import importlib
 from itertools import permutations
 
 import numpy as np
@@ -26,6 +27,9 @@ from protoset.ot import (
     uniform_weights,
 )
 
+# the package attribute protoset.ot.sinkhorn is the function, not the module
+sinkhorn_module = importlib.import_module("protoset.ot.sinkhorn")
+TAU = sinkhorn_module.TAU
 RNG = np.random.default_rng(11)
 MAX_ORACLE_SIZE = 7
 
@@ -52,11 +56,60 @@ def floor_simplex(w):
 
 
 def unrolled_loss_tape(cost, b, a, config):
-    """The unrolled loss built from Value primitives, about 8 nodes an iteration.
+    """The unrolled loss built from Value primitives, a few nodes a half-iteration.
 
-    Same numpy operations in the same order as the fused node, so the forward
-    is bit-equal and the tape's backward is an independent gradient.
+    The fused node's stabilized-scaling iterations, absorptions included, with
+    the same numpy operations in the same order, so the forward is bit-equal
+    and the tape's backward is an independent gradient.
     """
+    n, k = cost.shape
+    eps = config.epsilon
+    a = Value(a.reshape(n, 1))
+    b = b.reshape(1, k)
+    neg_cost = cost * (-1.0 / eps)
+    ones_n, ones_k = Value(np.ones((n, 1))), Value(np.ones((1, k)))
+
+    def log_update(other, marginal, axis):
+        # marginal's log minus LSE_axis(neg_cost + other), and the kernel
+        # exp(neg_cost + other + that) as the LSE's exps times marginal / sums
+        x = neg_cost + other
+        mx = Value(np.maximum.reduce(x.data, axis=axis, keepdims=True))
+        e = (x - mx).exp()
+        sums = e.sum(axis=axis, keepdims=True)
+        return marginal.log() - (sums.log() + mx), e * (marginal / sums)
+
+    def scale(left, right, marginal):
+        prod = left @ right
+        if (prod.data == 0.0).any():
+            return None  # the node's marginal / 0 is out of bounds
+        scaling = marginal / prod
+        return scaling if scaling.data.max() <= TAU else None
+
+    alpha, beta, su, sv = Value(np.zeros((n, 1))), Value(np.zeros((1, k))), ones_n, ones_k
+    for t in range(config.unroll_iters):
+        new = None if t == 0 else scale(kernel, sv.reshape(k, 1), a)
+        if new is None:
+            beta = beta + sv.log()
+            alpha, kernel = log_update(beta, a, 1)
+            su, sv = ones_n, ones_k
+        else:
+            su = new
+        new = None if t == 0 else scale(su.reshape(1, n), kernel, b)
+        if new is None:
+            alpha = alpha + su.log()
+            beta, kernel = log_update(alpha, b, 0)
+            su, sv = ones_n, ones_k
+        else:
+            sv = new
+    u, v = alpha + su.log(), beta + sv.log()
+    row = su * (kernel @ sv.reshape(k, 1))
+    col = sv * (su.reshape(1, n) @ kernel)
+    return ((u * row).sum() + (v * col).sum()) * eps
+
+
+def log_domain_loss_tape(cost, b, a, config):
+    """The unrolled loss as log-domain potential updates from Value primitives,
+    about 8 nodes an iteration: the definition the kernel form computes."""
     n, k = cost.shape
     eps = config.epsilon
     log_a = Value(np.log(a))
@@ -235,6 +288,11 @@ def test_config_validation():
         SinkhornConfig(grad_mode="implicit")
     with pytest.raises(ConfigError):
         SinkhornConfig(tol=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+            SinkhornConfig(epsilon=bad)
+        with pytest.raises(ConfigError, match="tol must be positive and finite"):
+            SinkhornConfig(tol=bad)
 
 
 # -- objective accounting ----------------------------------------------------------
@@ -382,6 +440,27 @@ def test_column_weight_positivity_enforced():
         differentiable_transport_loss(C, Value(np.array([1.0, 0.0])))
 
 
+def fused_and_tapes(C0, b0, a, cfg, uniform_rows=True):
+    """(loss, cost gradient, weight gradient) of the fused node, the kernel-form
+    tape and the log-domain tape."""
+    results = []
+    for build in (
+        lambda C, b: differentiable_transport_loss(C, b, cfg, None if uniform_rows else a),
+        lambda C, b: unrolled_loss_tape(C, b, a, cfg),
+        lambda C, b: log_domain_loss_tape(C, b, a, cfg),
+    ):
+        C = Value(C0.copy(), requires_grad=True)
+        b = Value(b0.copy(), requires_grad=True)
+        loss = build(C, b)
+        loss.backward()
+        results.append((loss.item(), C.grad, b.grad))
+    return results
+
+
+def rel_err(x, ref):
+    return np.abs(np.asarray(x) - ref).max() / np.abs(ref).max()
+
+
 @pytest.mark.parametrize(
     "n,k,eps,iters,uniform_rows",
     [(100, 50, 0.1, 50, True), (5, 16, 0.1, 20, True), (8, 3, 0.01, 50, True), (12, 4, 0.1, 30, False)],
@@ -392,20 +471,54 @@ def test_fused_unrolled_matches_tape(n, k, eps, iters, uniform_rows):
     b0 = floor_simplex(rng.dirichlet(np.ones(k)))
     a = uniform_weights(n) if uniform_rows else rng.dirichlet(np.ones(n))
     cfg = SinkhornConfig(epsilon=eps, unroll_iters=iters)
-    results = []
-    for build in (
-        lambda C, b: differentiable_transport_loss(C, b, cfg, None if uniform_rows else a),
-        lambda C, b: unrolled_loss_tape(C, b, a, cfg),
-    ):
-        C = Value(C0.copy(), requires_grad=True)
-        b = Value(b0.copy(), requires_grad=True)
-        loss = build(C, b)
-        loss.backward()
-        results.append((loss.item(), C.grad, b.grad))
-    (fused, gC, gb), (tape, gC_ref, gb_ref) = results
+    (fused, gC, gb), (tape, gC_ref, gb_ref), (log_loss, gC_log, gb_log) = fused_and_tapes(
+        C0, b0, a, cfg, uniform_rows
+    )
     assert fused == tape  # same operations in the same order
-    assert np.abs(gC - gC_ref).max() <= 1e-10 * np.abs(gC_ref).max()
-    assert np.abs(gb - gb_ref).max() <= 1e-10 * np.abs(gb_ref).max()
+    assert rel_err(gC, gC_ref) <= 1e-10
+    assert rel_err(gb, gb_ref) <= 1e-10
+    # the same iterates as the log-domain updates, up to rounding
+    assert rel_err(fused, log_loss) <= 1e-13
+    assert rel_err(gC, gC_log) <= 1e-13
+    assert rel_err(gb, gb_log) <= 1e-13
+
+
+def test_absorption_matches_log_domain(monkeypatch):
+    # costs up to 60 at eps 0.1 move the potentials by more than log(TAU) = 115,
+    # so both modes must absorb; the log-domain references
+    # round potentials of size max|C| / eps, a relative error of that times the
+    # float64 epsilon in every plan entry and softmax weight
+    rng = np.random.default_rng(3)
+    n, k, eps = 30, 7, 0.1
+    C0 = rng.uniform(0, 60, (n, k))
+    b0 = floor_simplex(rng.dirichlet(np.ones(k)))
+    a = uniform_weights(n)
+    tol = 10 * (C0.max() / eps) * np.finfo(np.float64).eps
+    calls = []
+    real_lse = sinkhorn_module._lse
+    monkeypatch.setattr(
+        sinkhorn_module, "_lse", lambda x, axis: calls.append(axis) or real_lse(x, axis)
+    )
+
+    config = SinkhornConfig(epsilon=eps, max_iters=500)
+    res = sinkhorn(C0, Marginals(a, b0), config)
+    assert len(calls) > 2  # the two log-domain updates of the start, and absorptions
+    plan, iterations, _, converged = three_pass_reference(C0, a, b0, config)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert rel_err(res.plan, plan) <= tol
+
+    calls.clear()
+    cfg = SinkhornConfig(epsilon=eps, unroll_iters=100)
+    (fused, gC, gb), (tape, gC_ref, gb_ref), (log_loss, gC_log, gb_log) = fused_and_tapes(
+        C0, b0, a, cfg
+    )
+    assert len(calls) > 2  # the fused node's; the tapes build their own
+    assert fused == tape
+    assert rel_err(gC, gC_ref) <= 1e-10
+    assert rel_err(gb, gb_ref) <= 1e-10
+    assert rel_err(fused, log_loss) <= tol
+    assert rel_err(gC, gC_log) <= tol
+    assert rel_err(gb, gb_log) <= tol
 
 
 def test_fused_unrolled_nan_cost_raises():

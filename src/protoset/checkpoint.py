@@ -25,7 +25,7 @@ FORMAT_VERSION = 2
 
 def _array_record(array: np.ndarray) -> dict:
     a = np.asarray(array, dtype=np.float64)
-    return {"shape": list(a.shape), "data": [float(x) for x in a.ravel()]}
+    return {"shape": list(a.shape), "data": a.ravel().tolist()}
 
 
 def _array_from_record(name: str, record) -> np.ndarray:

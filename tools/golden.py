@@ -5,8 +5,9 @@ Runs ``protoset.cli.main`` in-process at the tiny shapes of
 ``sha256  name`` line per artifact, per captured stdout and per exit code;
 it exits 1 if any verb exited nonzero.  ``protoset --help`` is captured too,
 so the rendered config schema (every key, default and help) is compared,
-and so is ``protoset ot`` on a small cost CSV written under ``--dir``, once
-solved to convergence and once stopped at ``--max-iters 3``.
+and so is ``protoset ot`` on a small cost CSV written under ``--dir``: solved
+to convergence, stopped at ``--max-iters 3`` in the solver's plain warm-up,
+and stopped at ``--max-iters 30`` while it over-relaxes.
 Two runs of the same program in different directories must print the same
 lines (the README's byte-identical-rerun contract); a refactor that claims
 to keep behaviour can diff its output against the parent commit's.
@@ -98,9 +99,11 @@ TRAINS = {
 # a 6x4 cost for the ot runs, written to ot/cost.csv
 OT_COST = ("0.0,1.3,0.7,1.9\n1.1,0.2,1.6,0.8\n0.5,1.7,0.1,1.2\n"
            "1.8,0.9,1.4,0.3\n0.6,0.4,1.0,1.5\n1.3,1.1,0.2,0.9\n")
-# ot run name -> flags beyond the cost file; "stopped" runs out of iterations
+# ot run name -> flags beyond the cost file; the "stopped" runs run out of
+# iterations, "relaxed-stopped" 10 past the solver's 20 plain ones
 OT_RUNS = {"converged": ["--eps", "0.05", "--b", "0.1,0.2,0.3,0.4"],
-           "stopped": ["--eps", "0.05", "--b", "0.1,0.2,0.3,0.4", "--max-iters", "3"]}
+           "stopped": ["--eps", "0.05", "--b", "0.1,0.2,0.3,0.4", "--max-iters", "3"],
+           "relaxed-stopped": ["--eps", "0.05", "--b", "0.1,0.2,0.3,0.4", "--max-iters", "30"]}
 # eval run name -> (train run whose checkpoint it reads, eval flags)
 CORPUS_EVALS = {
     "mog-on-corpus": ("mog", ["--corpus", "gen/mog/corpus.jsonl"]),

@@ -6,7 +6,8 @@ optimizer state, so training cannot resume from one.
 The payload is a single JSON object with sorted keys and no whitespace, so a
 save -> load -> save round trip reproduces the file byte for byte (floats are
 written in shortest round-trip form).  Arrays are stored flat with an explicit
-shape; loading restores float64 exactly.
+shape; loading restores float64 exactly, and an entry that is not a finite
+number makes the checkpoint corrupt.
 """
 
 from __future__ import annotations
@@ -41,7 +42,15 @@ def _array_from_record(name: str, record) -> np.ndarray:
             f"array {name!r} carries {len(data) if isinstance(data, list) else '?'} "
             f"values but its shape {tuple(shape)} needs {expected}"
         )
-    return np.asarray(data, dtype=np.float64).reshape(shape)
+    try:
+        array = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.ndim != 1:  # a word, an object or a nested list
+        raise CheckpointError(f"array {name!r} holds an entry that is not a number")
+    if not np.isfinite(array).all():  # NaN, Infinity, or null, which reads as NaN
+        raise CheckpointError(f"array {name!r} holds an entry that is not a finite number")
+    return array.reshape(shape)
 
 
 @dataclass

@@ -7,6 +7,7 @@ data (and its Adam state) stay untouched.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -21,8 +22,8 @@ class SGD:
     """Plain gradient descent: p <- p - lr * g."""
 
     def __init__(self, params: Iterable[Value], lr: float):
-        if lr <= 0:
-            raise ConfigError(f"lr must be positive, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
 
@@ -52,12 +53,12 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if lr <= 0:
-            raise ConfigError(f"lr must be positive, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {lr}")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
+        if not 0 < eps < math.inf:
+            raise ConfigError(f"eps must be positive and finite, got {eps}")
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)

@@ -5,12 +5,17 @@ mean embedded support point; queries score against prototypes by negative
 squared distance.  The optional regularizer treats each class's embedded
 support points as a uniform empirical measure and transports it onto a
 trainable bank of embedding-space centers, weighted by a simplex head g
-applied to the class prototype.  Classification always uses the prototypes
-alone; the transport term only shapes the embedding.
+applied to the class prototype.  The n_way class problems share one shape,
+k_shot points against the bank, so they are built as one stack: one cost
+over all embedded support points, one floored softmax of the head rows and
+one transport node, whose (n_way,) losses are averaged.  Classification
+always uses the prototypes alone; the transport term only shapes the
+embedding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -124,8 +129,11 @@ class FewShotConfig:
             raise ConfigError(
                 f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}"
             )
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
+        for name in ("mean_low", "mean_high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mean_low > self.mean_high:
             raise ConfigError(
                 f"mean_low must not exceed mean_high, got [{self.mean_low}, {self.mean_high}]"
@@ -261,22 +269,22 @@ def _class_transport(
     metric: str,
     sinkhorn: SinkhornConfig,
 ) -> Value:
-    """Mean over classes of the transport loss onto the head-weighted bank."""
+    """Mean over classes of the transport loss onto the head-weighted bank.
+
+    The n_way problems, one per class, are one stacked transport node: the
+    cost of every embedded support point, (n_way, k_shot, K), against the
+    per-class simplex rows, (n_way, K).
+    """
     if bank.dim != embedded_support.shape[1]:
         raise ShapeError(
             f"bank lives in R^{bank.dim} but embeddings are in R^{embedded_support.shape[1]}"
         )
     w = prototypes.shape[0]
     k = embedded_support.shape[0] // w
-    head_rows = head(prototypes)  # (n_way, K), softmaxed per class below
-    total = None
-    for j in range(w):
-        points = embedded_support[j * k : (j + 1) * k]
-        weights = floor_simplex_value(head_rows[j].softmax())
-        cost = build_cost_value(points, bank.matrix, metric)
-        term = differentiable_transport_loss(cost, weights, sinkhorn)
-        total = term if total is None else total + term
-    return total * (1.0 / w)
+    weights = floor_simplex_value(head(prototypes).softmax(axis=1))  # (n_way, K)
+    cost = build_cost_value(embedded_support, bank.matrix, metric)
+    terms = differentiable_transport_loss(cost.reshape(w, k, -1), weights, sinkhorn)
+    return terms.sum() * (1.0 / w)
 
 
 def episode_objective(

@@ -13,6 +13,7 @@ energy distance plus first/second moment errors against the true parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -188,14 +189,14 @@ class GanConfig:
         if self.iterations < 1:
             raise ConfigError(f"iterations must be positive, got {self.iterations}")
         for name in ("lr_generator", "lr_critic"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.conditioning not in CONDITIONING_MODES:
             raise ConfigError(
                 f"conditioning must be one of {CONDITIONING_MODES}, got {self.conditioning!r}"
             )
-        if self.mse_weight is not None and self.mse_weight < 0:
-            raise ConfigError(f"mse_weight must be nonnegative, got {self.mse_weight}")
+        if self.mse_weight is not None and not 0 <= self.mse_weight < math.inf:
+            raise ConfigError(f"mse_weight must be nonnegative and finite, got {self.mse_weight}")
 
 
 class MetaGan:

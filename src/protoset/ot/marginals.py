@@ -46,6 +46,7 @@ def uniform_weights(n: int) -> np.ndarray:
 
 
 def floor_simplex_value(w: Value, floor: float = SIMPLEX_FLOOR) -> Value:
-    """Clamp entries to at least ``floor`` and renormalize to sum 1."""
+    """Clamp entries to at least ``floor`` and renormalize to sum 1 along the
+    last axis (each row of a stack of simplex vectors)."""
     clipped = w.clip(floor, None)
-    return clipped / clipped.sum()
+    return clipped / clipped.sum(axis=-1, keepdims=True)

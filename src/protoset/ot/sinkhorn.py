@@ -63,6 +63,18 @@ back through them.  "envelope" solves to
 convergence outside the graph and wires the stationary quantities back in:
 the gradient w.r.t. the cost is the plan itself, the gradient w.r.t. the
 column marginal is the dual potential g centered to zero mean.
+
+Both modes also take a stack of problems of one shape: a (B, N, K) cost and
+(B, K) column weights give the (B,) losses as one node (Cuturi 2013,
+*Sinkhorn distances*, section 4).  The stabilized iterate, its updates and
+the unrolled node are written over leading stack axes, reducing along the
+last two and multiplying with ``np.matmul``, so a 2-D cost runs the same
+operations at the same ranks as without them, and a stack runs each
+half-iteration as one batched product.  A stack absorbs as a whole when any
+of its scalings exceeds TAU, which gives every problem the same iterates up
+to rounding.  The envelope mode solves each problem on its own, since their
+iteration counts and relaxation factors differ, and wires the stacked plans
+and potentials into one node.
 """
 
 from __future__ import annotations
@@ -127,7 +139,7 @@ def _cost_array(cost) -> np.ndarray:
 
 
 def _lse(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Max-shifted log-sum-exp of the 2-D ``x`` along ``axis``, dims kept.
+    """Max-shifted log-sum-exp of ``x`` along ``axis`` (-1 or -2), dims kept.
 
     ``x`` is overwritten with exp(x - max); returns the LSE and the sums of x.
     """
@@ -195,17 +207,17 @@ class _Stabilized:
 
     The scaled potentials are u = alpha + log(su) and v = beta + log(sv), and
     the plan is diag(su) K diag(sv) with the kernel K = exp(neg_cost + alpha + beta).
-    Row vectors are (N, 1) and column vectors (1, K) arrays.  Kernels are built
-    in ``out``; without it every absorption allocates, so earlier kernels can
-    be kept.
+    Row vectors are (..., N, 1) and column vectors (..., 1, K) arrays over the
+    cost's leading stack axes.  Kernels are built in ``out``; without it every
+    absorption allocates, so earlier kernels can be kept.
     """
 
     def __init__(self, neg_cost: np.ndarray, a: np.ndarray, b: np.ndarray, out=None):
-        n, k = neg_cost.shape
+        *lead, n, k = neg_cost.shape
         self.neg_cost, self.a, self.b, self.out = neg_cost, a, b, out
         self.log_a, self.log_b = np.log(a), np.log(b)
-        self.alpha, self.beta = np.zeros((n, 1)), np.zeros((1, k))
-        self.su, self.sv = np.ones((n, 1)), np.ones((1, k))
+        self.alpha, self.beta = np.zeros((*lead, n, 1)), np.zeros((*lead, 1, k))
+        self.su, self.sv = np.ones((*lead, n, 1)), np.ones((*lead, 1, k))
         self.kernel = None
 
     def update_rows(self, su, rest=None) -> None:
@@ -213,7 +225,7 @@ class _Stabilized:
         domain, and the row scaling is then ``rest`` if given."""
         if su is None:
             self.beta = self.beta + np.log(self.sv)
-            self.alpha = self._log_update(self.beta, self.a, self.log_a, 1)
+            self.alpha = self._log_update(self.beta, self.a, self.log_a, -1)
             su = rest
         if su is not None:
             self.su = su
@@ -223,7 +235,7 @@ class _Stabilized:
         domain, and the column scaling is then ``rest`` if given."""
         if sv is None:
             self.alpha = self.alpha + np.log(self.su)
-            self.beta = self._log_update(self.alpha, self.b, self.log_b, 0)
+            self.beta = self._log_update(self.alpha, self.b, self.log_b, -2)
             sv = rest
         if sv is not None:
             self.sv = sv
@@ -339,19 +351,25 @@ def differentiable_transport_loss(
     Value of length K.  Row weights are fixed to uniform unless given.  The
     returned scalar evaluates to  <T, C> - eps * H(T)  for the plan implied by
     the configured mode.
+
+    A stack of problems is a (B, N, K) cost with (B, K) column weights, and
+    returns the (B,) vector of their losses from one node; the row weights,
+    of length N, are shared.
     """
     cost = as_value(cost)
     col_weights = as_value(col_weights)
-    if cost.ndim != 2:
-        raise ShapeError(f"cost must be 2-D, got shape {cost.shape}")
-    n, k = cost.shape
-    if col_weights.shape != (k,):
+    if cost.ndim < 2:
+        raise ShapeError(f"cost must be (N, K) or a stack (B, N, K), got shape {cost.shape}")
+    *lead, n, k = cost.shape
+    if col_weights.shape != (*lead, k):
         raise ShapeError(
-            f"column weights must have shape ({k},), got {col_weights.shape}"
+            f"column weights must have shape {(*lead, k)}, got {col_weights.shape}"
         )
     if np.any(col_weights.data <= 0.0):
         raise NumericalError("column weights must be strictly positive (floor them first)")
     a = np.full(n, 1.0 / n) if row_weights is None else np.asarray(row_weights, np.float64)
+    if a.shape != (n,):
+        raise ShapeError(f"row weights must have shape ({n},), got {a.shape}")
 
     if config.grad_mode == "unrolled":
         return _unrolled_loss(cost, col_weights, a, config)
@@ -361,7 +379,7 @@ def differentiable_transport_loss(
 @np.errstate(divide="ignore", over="ignore")  # a zero or infinite scaling is absorbed
 def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig) -> Value:
     """``unroll_iters`` Sinkhorn iterations and the loss of their plan, as one
-    graph node over ``cost`` and ``b``.
+    graph node over ``cost`` and ``b``, for one problem or a stack.
 
     The iterations are made in stabilized-scaling form, the first one and
     every absorption in the log domain (see the module docstring); a NaN or
@@ -376,13 +394,15 @@ def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig)
     it read and its product (O(N + K)), and one kernel per absorption;
     otherwise it keeps nothing and builds every kernel in one buffer.
     """
-    n, k = cost.shape
+    *lead, n, k = cost.shape
     eps = config.epsilon
     iters = config.unroll_iters
     a = a.reshape(n, 1)
-    b_row = b.data.reshape(1, k)
+    b_row = b.data.reshape(*lead, 1, k)
+    # a scaling's transpose, for the products K sv and su' K
+    col_shape, row_shape = (*lead, k, 1), (*lead, 1, n)
     keep = recording((cost, b))
-    state = _Stabilized(cost.data * (-1.0 / eps), a, b_row, None if keep else np.empty((n, k)))
+    state = _Stabilized(cost.data * (-1.0 / eps), a, b_row, None if keep else np.empty(cost.shape))
     state.update_rows(None)
     first = state.kernel
     state.update_cols(None)
@@ -391,46 +411,50 @@ def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig)
     if keep:
         # u-update t: the sv it read and K sv; v-update t: the su it read and su' K;
         # two more rows of in_u for the final plan's own term, set by the backward
-        in_v, prod_u = np.ones((iters, k)), np.empty((iters, n))
-        in_u, prod_v = np.ones((iters + 2, n)), np.empty((iters, k))
-        prod_u[0], prod_v[0] = a[:, 0], b_row[0]
+        in_v, prod_u = np.ones((iters, *lead, 1, k)), np.empty((iters, *lead, n, 1))
+        in_u, prod_v = np.ones((iters + 2, *lead, n, 1)), np.empty((iters, *lead, 1, k))
+        prod_u[0], prod_v[0] = a, b_row
         # per absorption: its kernel and its first half-iteration, 2t or 2t + 1
         kernels, starts = [first, state.kernel], [0, 1]
     for t in range(1, iters):
-        prod = state.kernel @ state.sv.reshape(k, 1)
+        prod = state.kernel @ state.sv.reshape(col_shape)
         su = _scale(prod, a)
         state.update_rows(su)
         if keep:
-            in_v[t], prod_u[t] = state.sv, (a if su is None else prod)[:, 0]
+            in_v[t], prod_u[t] = state.sv, (a if su is None else prod)
             if su is None:
                 kernels.append(state.kernel)
                 starts.append(2 * t)
-        prod = state.su.reshape(1, n) @ state.kernel
+        prod = state.su.reshape(row_shape) @ state.kernel
         sv = _scale(prod, b_row)
         state.update_cols(sv)
         if keep:
-            in_u[t], prod_v[t] = state.su[:, 0], (b_row if sv is None else prod)
+            in_u[t], prod_v[t] = state.su, (b_row if sv is None else prod)
             if sv is None:
                 kernels.append(state.kernel)
                 starts.append(2 * t + 1)
     u, v = state.potentials()
     su, sv, kernel = state.su, state.sv, state.kernel
-    row = su * (kernel @ sv.reshape(k, 1))
-    col = sv * (su.reshape(1, n) @ kernel)
+    row = su * (kernel @ sv.reshape(col_shape))
+    col = sv * (su.reshape(row_shape) @ kernel)
     # <T, C> + eps <T, log T> collapses to eps * (<u, T 1> + <v, T' 1>)
-    data = np.asarray(((u * row).sum() + (v * col).sum()) * eps)
+    data = np.asarray(((u * row).sum(axis=(-2, -1)) + (v * col).sum(axis=(-2, -1))) * eps)
 
     def backward(g, acc):
-        scale = g * eps
-        u1, v1, su1, sv1 = u.reshape(n), v.reshape(k), su.reshape(n), sv.reshape(k)
+        scale = np.reshape(g * eps, (*lead, 1, 1))
+        # the sweep keeps v-side vectors as (..., K, 1) columns, so that each
+        # update's products are a kernel, or its transpose, times a column
+        kernels_t = [kernel_s.swapaxes(-1, -2) for kernel_s in kernels]
+        v_c, sv_c, col_c = v.reshape(col_shape), sv.reshape(col_shape), col.reshape(col_shape)
+        in_v_c, prod_v_c = in_v.reshape(iters, *col_shape), prod_v.reshape(iters, *col_shape)
         # the final plan P's own gradient w.r.t. neg_cost is scale * (u + v) * P:
         # its row and column sums, and kernel * (U' Q) over two more rows
-        gu = scale * (row.reshape(n) * (1.0 + u1) + su1 * (kernel @ (sv1 * v1)))
-        gv = scale * (col.reshape(k) * (1.0 + v1) + sv1 * ((su1 * u1) @ kernel))
-        q_rows, r_rows = np.empty((iters + 2, k)), np.empty((iters, n))
-        in_u[iters], q_rows[iters] = -scale * su1 * u1, sv1
-        in_u[iters + 1], q_rows[iters + 1] = -scale * su1, sv1 * v1
-        g_log_b = np.zeros(k)
+        gu = scale * (row * (1.0 + u) + su * (kernel @ (sv_c * v_c)))
+        gv = scale * (col_c * (1.0 + v_c) + sv_c * (kernels_t[-1] @ (su * u)))
+        q_rows, r_rows = np.empty((iters + 2, *col_shape)), np.empty((iters, *lead, n, 1))
+        in_u[iters], q_rows[iters] = -scale * su * u, sv_c
+        in_u[iters + 1], q_rows[iters + 1] = -scale * su, sv_c * v_c
+        g_log_b = np.zeros(col_shape)
         s = len(starts) - 1
         for j in reversed(range(2 * iters)):
             if j < starts[s]:
@@ -439,30 +463,53 @@ def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig)
             if j & 1:
                 # v = log_b - LSE_0(neg_cost + u)
                 g_log_b += gv
-                q = q_rows[t] = gv / prod_v[t]
+                q = q_rows[t] = gv / prod_v_c[t]
                 gu = gu - in_u[t] * (kernels[s] @ q)
             else:
                 # u = log_a - LSE_1(neg_cost + v); the previous u reaches the
                 # loss only through the previous v
                 r = r_rows[t] = gu / prod_u[t]
-                gv = -(in_v[t] * (r @ kernels[s]))
+                gv = -(in_v_c[t] * (kernels_t[s] @ r))
                 gu = 0.0
-        g_neg_cost = np.zeros((n, k))
+        # each problem's per-update vectors as (N, T) and (T, K) matrices
+        rows_n, rows_k = (-1, *lead, n), (-1, *lead, k)
+        d = len(lead) + 1
+        by_update, transposed = (*range(1, d), 0, d), (*range(1, d), d, 0)
+        g_neg_cost = np.zeros(cost.shape)
         ends = starts[1:] + [2 * iters]
         for kernel_s, j0, j1 in zip(kernels, starts, ends):
             rows = slice((j0 + 1) // 2, (j1 + 1) // 2)
             cols = slice(j0 // 2, iters + 2 if j1 == 2 * iters else j1 // 2)
-            g_neg_cost -= kernel_s * (in_u[cols].T @ q_rows[cols] + r_rows[rows].T @ in_v[rows])
+            g_neg_cost -= kernel_s * (
+                in_u[cols].reshape(rows_n).transpose(transposed)
+                @ q_rows[cols].reshape(rows_k).transpose(by_update)
+                + r_rows[rows].reshape(rows_n).transpose(transposed)
+                @ in_v[rows].reshape(rows_k).transpose(by_update)
+            )
         _accumulate(acc, cost, g_neg_cost * (-1.0 / eps))
-        _accumulate(acc, b, g_log_b / b.data)
+        _accumulate(acc, b, g_log_b.reshape(b.shape) / b.data)
 
     return Value._from_op(data, (cost, b), backward)
 
 
 def _envelope_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig) -> Value:
-    solved = sinkhorn(cost.data, Marginals(a, b.data / b.data.sum()), config)
-    plan = solved.plan
-    g_centered = solved.v - solved.v.mean()
-    value = entropic_objective(solved, cost.data, config.epsilon)
-    offset = value - float((plan * cost.data).sum()) - float(g_centered @ b.data)
-    return (cost * plan).sum() + (b * g_centered).sum() + offset
+    """The converged loss of each problem as one node whose gradients are the
+    plan (w.r.t. the cost) and the centered column potential (w.r.t. ``b``)."""
+    C, w = cost.data, b.data
+    plans, g_centered, data = np.empty(C.shape), np.empty(w.shape), np.empty(w.shape[:-1])
+    for i in np.ndindex(data.shape):  # one problem, at index (), for a 2-D cost
+        solved = sinkhorn(C[i], Marginals(a, w[i] / w[i].sum()), config)
+        plans[i] = solved.plan
+        g_centered[i] = solved.v - solved.v.mean()
+        value = entropic_objective(solved, C[i], config.epsilon)
+        # the loss as the linear terms the gradients belong to plus a constant
+        linear_c, linear_b = (C[i] * plans[i]).sum(), (w[i] * g_centered[i]).sum()
+        offset = value - float(linear_c) - float(g_centered[i] @ w[i])
+        data[i] = linear_c + linear_b + offset
+
+    def backward(g, acc):
+        g = np.asarray(g)
+        _accumulate(acc, cost, g.reshape(*g.shape, 1, 1) * plans)
+        _accumulate(acc, b, g.reshape(*g.shape, 1) * g_centered)
+
+    return Value._from_op(data, (cost, b), backward)

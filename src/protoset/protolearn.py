@@ -16,6 +16,7 @@ optimizer and one objective.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -100,8 +101,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"steps must be positive, got {self.steps}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.batch_sets < 1:
@@ -110,10 +111,10 @@ class TrainConfig:
             raise ConfigError(f"batch_points must be positive, got {self.batch_points}")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.lambda_ot is not None and self.lambda_ot < 0:
-            raise ConfigError(f"lambda_ot must be nonnegative, got {self.lambda_ot}")
-        if self.lr_final is not None and self.lr_final <= 0:
-            raise ConfigError(f"lr_final must be positive, got {self.lr_final}")
+        if self.lambda_ot is not None and not 0 <= self.lambda_ot < math.inf:
+            raise ConfigError(f"lambda_ot must be nonnegative and finite, got {self.lambda_ot}")
+        if self.lr_final is not None and not 0 < self.lr_final < math.inf:
+            raise ConfigError(f"lr_final must be positive and finite, got {self.lr_final}")
         if self.log_every < 0:
             raise ConfigError(f"log_every must be nonnegative, got {self.log_every}")
 

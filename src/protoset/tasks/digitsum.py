@@ -7,6 +7,7 @@ grow past anything seen in training, probing length generalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class DigitSumSpec:
         if self.max_train_size < 1:
             raise ConfigError(f"max_train_size must be positive, got {self.max_train_size}")
         object.__setattr__(self, "test_sizes", _as_widths(self.test_sizes, "test_sizes"))
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be nonnegative and finite, got {self.noise_sigma}")
 
 
 def _encode_digits(digits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

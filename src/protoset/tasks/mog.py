@@ -9,6 +9,7 @@ generating parameters are kept only to score the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,11 @@ class MoGTaskSpec:
             raise ConfigError(f"n_max must be positive, got {self.n_max}")
         if not 1 <= self.n_min <= self.n_max:
             raise ConfigError(f"n_min must be in [1, n_max={self.n_max}], got {self.n_min}")
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
+        for name in ("mean_low", "mean_high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mean_low > self.mean_high:
             raise ConfigError(
                 f"mean_low must not exceed mean_high={self.mean_high}, got {self.mean_low}"

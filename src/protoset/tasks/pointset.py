@@ -7,6 +7,7 @@ from the set as a whole, at whatever resolution N provides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class PointSetClassSpec:
     def __post_init__(self):
         if self.n_points < 8:
             raise ConfigError(f"n_points must be at least 8, got {self.n_points}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be nonnegative and finite, got {self.noise_sigma}")
         if self.count_per_class < 1:
             raise ConfigError(f"count_per_class must be positive, got {self.count_per_class}")
 

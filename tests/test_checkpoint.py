@@ -114,6 +114,20 @@ def test_missing_fields_and_bad_shapes_are_corruption(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "entry", ["x", {}, None, [1.0, 2.0], float("nan"), float("inf"), float("-inf")]
+)
+def test_entries_that_are_not_finite_numbers_are_corruption(entry, tmp_path):
+    # json writes the non-finite floats as NaN, Infinity and -Infinity, which it also reads
+    path = tmp_path / "e.ck"
+    _save(path, _named_params())
+    payload = json.loads(path.read_text())
+    payload["params"]["bank"]["data"][0] = entry
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="'bank' holds an entry that is not a"):
+        load_checkpoint(path)
+
+
 def test_negative_step_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="step"):
         _save(tmp_path / "s.ck", _named_params(), step=-1)

@@ -475,6 +475,23 @@ def test_eval_tampered_config_exits_4(tmp_path):
     assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_BAD_CHECKPOINT
 
 
+@pytest.mark.parametrize("entry", ['"x"', "NaN", "Infinity", "-Infinity"])
+def test_eval_checkpoint_entry_not_a_finite_number_exits_4(entry, tmp_path, capsys):
+    # "x" once exited 1 with a float conversion error, and the others loaded silently
+    ck_path = tmp_path / "run" / "checkpoint.2"
+    flags = ["--steps", "2"] + MOG_ARGS + ["--out", str(ck_path.parent)]
+    assert run(["train", "--task", "mog"] + flags) == 0
+    text = ck_path.read_text()
+    first = json.loads(text)["params"]
+    name = next(iter(first))
+    value = json.dumps(first[name]["data"][0])
+    head = f'"{name}":{{"data":['
+    assert text.count(head + value) == 1
+    ck_path.write_text(text.replace(head + value, head + entry))
+    assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_BAD_CHECKPOINT
+    assert f"{name!r} holds an entry that is not a" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["wrong-type-stale-hash", "wrong-type", "missing-key"])
 def test_eval_malformed_stored_config_exits_4(case, tmp_path, capsys):
     # a recomputed hash stands for a hand-made file; no stored value may reach
@@ -587,6 +604,24 @@ def test_steps_flag_on_task_without_train_steps_exits_2(task, key, tmp_path, cap
         err = capsys.readouterr().err
         assert given in err and key in err
         assert not out.exists()
+
+
+FLOAT_BOUND_KEYS = ("optim.lr", "optim.lr_final", "train.lambda_ot", "metagan.lr_generator",
+                    "metagan.lr_critic", "metagan.mse_weight", "mog.sigma", "fewshot.sigma",
+                    "digitsum.noise_sigma", "pointset.noise_sigma", "mog.mean_low",
+                    "mog.mean_high", "fewshot.mean_low", "fewshot.mean_high")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_BOUND_KEYS)
+def test_non_finite_float_key_exits_2_naming_the_key(key, value, tmp_path, capsys):
+    # every key is resolved whatever the task; optim.lr=nan and inf once
+    # trained with exit 0, and train.lambda_ot=nan exited 1 in the step loop
+    out = tmp_path / "run"
+    argv = ["train", "--task", "mog", "--set", f"{key}={value}", "--out", str(out)]
+    assert run(argv + TASK_RUNS["mog"][0]) == cli.EXIT_CONFIG
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_log_every_prints_progress_to_stderr(tmp_path, capsys):

@@ -22,7 +22,12 @@ from protoset.fewshot import (
     support_embeddings,
     train_fewshot,
 )
-from protoset.ot import SinkhornConfig
+from protoset.ot import (
+    SinkhornConfig,
+    build_cost_value,
+    differentiable_transport_loss,
+    floor_simplex_value,
+)
 from protoset.protolearn import TrainConfig
 
 
@@ -243,6 +248,67 @@ def test_ot_term_gradients_reach_all_components():
     assert model.bank.matrix.grad is not None and np.abs(model.bank.matrix.grad).max() > 0
     head_grads = [p.grad for p in model.simplex_head.parameters()]
     assert any(g is not None and np.abs(g).max() > 0 for g in head_grads)
+
+
+def reachable(root):
+    """Every node reachable from ``root`` through recorded parents."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+def transport_nodes(nodes):
+    return [n for n in nodes if "_unrolled_loss" in getattr(n._backward, "__qualname__", "")]
+
+
+def test_transport_term_is_one_node_whatever_n_way():
+    # the n_way class problems are one stacked transport node, and no other
+    # node repeats per class: the graph has the same size at 3 and 5 ways
+    sizes = []
+    for n_way in (3, 5):
+        cfg = small_config(episode=EpisodeSpec(n_way=n_way, k_shot=3, q_queries=2, dim=6))
+        model = FewShotModel(cfg, np.random.default_rng(6))
+        ep = next(gen_episodes(cfg, "base", seed=31))
+        nodes = reachable(episode_objective(model, ep, train_config(lambda_ot=1.0))[0])
+        assert len(transport_nodes(nodes)) == 1
+        assert transport_nodes(nodes)[0].shape == (n_way,)
+        sizes.append(len(nodes))
+    assert sizes[0] == sizes[1]
+
+
+def test_stacked_transport_term_matches_per_class_problems():
+    # the term as it was built before stacking: one cost, floor and node per class
+    cfg = small_config(episode=EpisodeSpec(n_way=4, k_shot=3, q_queries=2, dim=6))
+    model = FewShotModel(cfg, np.random.default_rng(9))
+    ep = next(gen_episodes(cfg, "base", seed=13))
+    train_cfg = train_config(lambda_ot=1.0)
+    stacked_grads = _episode_grads(model, ep, train_cfg)
+    stacked_loss = episode_objective(model, ep, train_cfg)[2]
+
+    def per_class_objective():
+        embedded = support_embeddings(model.embed, ep)
+        prototypes = class_prototypes(model.embed, ep)
+        task = protonet_loss(query_logits(model.embed, ep, prototypes), ep.query_labels)
+        head_rows = model.simplex_head(prototypes)
+        total = None
+        for j in range(ep.n_way):
+            points = embedded[j * ep.k_shot : (j + 1) * ep.k_shot]
+            cost = build_cost_value(points, model.bank.matrix, train_cfg.metric)
+            weights = floor_simplex_value(head_rows[j].softmax())
+            term = differentiable_transport_loss(cost, weights, train_cfg.sinkhorn)
+            total = term if total is None else total + term
+        return task, total * (1.0 / ep.n_way)
+
+    zero_grad(model.parameters())
+    task, ot = per_class_objective()
+    (task + ot).backward()
+    assert abs(ot.item() - stacked_loss) <= 1e-13 * abs(stacked_loss)
+    for p, g in zip(model.parameters(), stacked_grads):
+        assert np.abs(p.grad - g).max() <= 1e-12 * np.abs(g).max()
 
 
 def test_ot_term_rejects_dimension_mismatch():

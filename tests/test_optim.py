@@ -64,13 +64,19 @@ def test_zero_grad_resets():
         assert p.grad is None
 
 
-@pytest.mark.parametrize("lr", [0.0, -1.0])
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
 def test_nonpositive_lr_rejected(lr):
     p = Value(np.array([1.0]), requires_grad=True)
     with pytest.raises(ConfigError):
         Adam([p], lr=lr)
     with pytest.raises(ConfigError):
         SGD([p], lr=lr)
+
+
+@pytest.mark.parametrize("eps", [0.0, float("nan"), float("inf")])
+def test_adam_eps_must_be_positive_and_finite(eps):
+    with pytest.raises(ConfigError, match="eps must be positive and finite"):
+        Adam([Value(np.array([1.0]), requires_grad=True)], eps=eps)
 
 
 def test_make_optimizer_dispatch():

@@ -613,3 +613,119 @@ def test_fused_unrolled_graph_size_does_not_grow_with_iterations():
         loss = differentiable_transport_loss(C * 2.0, b, SinkhornConfig(unroll_iters=iters))
         sizes.append(graph_size(loss))
     assert sizes[0] == sizes[1]
+
+
+# -- stacked problems: one node for B problems of one shape ---------------------------
+
+
+def stacked_and_sliced(C0, b0, cfg, a=None):
+    """(losses, cost gradient, weight gradient) of the (B, N, K) stack as one
+    node, and the same stacked from each slice run as its own 2-D node.  Loss b
+    is weighted by b + 1, so every problem's backward starts from another scale."""
+    coeffs = np.arange(1.0, C0.shape[0] + 1.0)
+    C, b = Value(C0.copy(), requires_grad=True), Value(b0.copy(), requires_grad=True)
+    losses = differentiable_transport_loss(C, b, cfg, a)
+    (losses * coeffs).sum().backward()
+    stacked = (losses.data, C.grad, b.grad)
+    parts = []
+    for C_i, b_i, c in zip(C0, b0, coeffs):
+        C, b = Value(C_i.copy(), requires_grad=True), Value(b_i.copy(), requires_grad=True)
+        loss = differentiable_transport_loss(C, b, cfg, a)
+        (loss * c).backward()
+        parts.append((loss.item(), C.grad, b.grad))
+    return stacked, tuple(np.array(x) for x in zip(*parts))
+
+
+def random_stack(rng, shape, high=2.0):
+    B, n, k = shape
+    C0 = rng.uniform(0, high, shape)
+    b0 = np.stack([floor_simplex(rng.dirichlet(np.ones(k))) for _ in range(B)])
+    return C0, b0
+
+
+@pytest.mark.parametrize("shape,iters,uniform_rows", [((5, 5, 16), 20, True), ((3, 12, 4), 30, False)])
+def test_stacked_unrolled_matches_each_slice(shape, iters, uniform_rows):
+    rng = np.random.default_rng(sum(shape))
+    C0, b0 = random_stack(rng, shape)
+    a = None if uniform_rows else rng.dirichlet(np.ones(shape[1]))
+    cfg = SinkhornConfig(epsilon=0.1, unroll_iters=iters)
+    (losses, gC, gb), (ref, gC_ref, gb_ref) = stacked_and_sliced(C0, b0, cfg, a)
+    assert losses.shape == (shape[0],)
+    assert rel_err(losses, ref) <= 1e-13
+    assert rel_err(gC, gC_ref) <= 1e-12
+    assert rel_err(gb, gb_ref) <= 1e-12
+
+
+def test_stack_absorbs_as_a_whole(monkeypatch):
+    # costs on [0, 60] at eps 0.1 absorb; those on [0, 2] do not on their own,
+    # but are absorbed with them in one stack, which changes their iterates only
+    # by rounding: the tolerance of test_absorption_matches_log_domain
+    rng = np.random.default_rng(3)
+    n, k, eps = 30, 7, 0.1
+    C0 = np.stack([rng.uniform(0, 60, (n, k)), rng.uniform(0, 2, (n, k))])
+    b0 = np.stack([floor_simplex(rng.dirichlet(np.ones(k))) for _ in range(2)])
+    tol = 10 * (C0.max() / eps) * np.finfo(np.float64).eps
+    cfg = SinkhornConfig(epsilon=eps, unroll_iters=100)
+    calls = []
+    real_lse = sinkhorn_module._lse
+    monkeypatch.setattr(
+        sinkhorn_module, "_lse", lambda x, axis: calls.append(axis) or real_lse(x, axis)
+    )
+    differentiable_transport_loss(Value(C0[1]), Value(b0[1]), cfg)
+    assert len(calls) == 2  # the two log-domain updates of the start only
+    calls.clear()
+    differentiable_transport_loss(Value(C0), Value(b0), cfg)
+    assert len(calls) > 2
+    (losses, gC, gb), (ref, gC_ref, gb_ref) = stacked_and_sliced(C0, b0, cfg)
+    for i in range(2):
+        assert rel_err(losses[i], ref[i]) <= tol
+        assert rel_err(gC[i], gC_ref[i]) <= tol
+        assert rel_err(gb[i], gb_ref[i]) <= tol
+
+
+def test_stacked_envelope_equals_each_slice():
+    # the envelope solves each problem on its own, with the same operations
+    C0, b0 = random_stack(np.random.default_rng(17), (4, 6, 3))
+    cfg = SinkhornConfig(epsilon=0.1, grad_mode="envelope")
+    stacked, sliced = stacked_and_sliced(C0, b0, cfg)
+    for got, ref in zip(stacked, sliced):
+        assert np.array_equal(got, ref)
+
+
+def test_stacked_weight_shape_must_match_the_cost():
+    C = Value(np.ones((3, 4, 2)))
+    for w in (np.full((2, 2), 0.5), np.full((3, 3), 1.0 / 3), np.full(2, 0.5)):
+        with pytest.raises(ShapeError, match="column weights"):
+            differentiable_transport_loss(C, Value(w))
+    with pytest.raises(ShapeError, match="cost"):
+        differentiable_transport_loss(Value(np.ones(2)), Value(np.full(2, 0.5)))
+
+
+def test_stacked_records_nothing_under_no_grad():
+    C0, b0 = random_stack(RNG, (3, 6, 4))
+    C, b = Value(C0, requires_grad=True), Value(b0, requires_grad=True)
+    for grad_mode in ("unrolled", "envelope"):
+        with no_grad():
+            losses = differentiable_transport_loss(C, b, SinkhornConfig(grad_mode=grad_mode))
+        assert losses.shape == (3,)
+        assert losses._backward is None and losses._parents == ()
+
+
+@pytest.mark.parametrize("grad_mode", ["unrolled", "envelope"])
+def test_stacked_finite_difference(grad_mode):
+    # weights through a softmax, as the fewshot head makes them: the envelope's
+    # centered potential is the gradient along the simplex only
+    rng = np.random.default_rng(21)
+    C = Value(rng.uniform(0.2, 1.8, (3, 6, 4)), requires_grad=True)
+    logits = Value(rng.normal(size=(3, 4)), requires_grad=True)
+    coeffs = np.array([1.0, 2.0, 3.0])
+    cfg = SinkhornConfig(
+        epsilon=0.1, unroll_iters=50, grad_mode=grad_mode, tol=1e-12, max_iters=20000
+    )
+    report = check_gradients(
+        lambda: (differentiable_transport_loss(C, logits.softmax(axis=1), cfg) * coeffs).sum(),
+        [C, logits],
+        np.random.default_rng(0),
+        samples_per_param=10,
+    )
+    assert report.max_rel_err < 1e-4, str(report)

@@ -91,6 +91,7 @@ TRAINS = {
     "fewshot": ("fewshot", []),
     "fewshot-nolam": ("fewshot", ["--lambda-ot", "0"]),
     "fewshot-lrfinal": ("fewshot", ["--set", "optim.lr_final=0.0001"]),
+    "fewshot-envelope": ("fewshot", ENVELOPE),
     "metagan": ("metagan", []),
     "metagan-cond": ("metagan", ["--set", "metagan.conditioning=conditional-critic"]),
     "metagan-noot": ("metagan", ["--set", "metagan.use_ot=false"]),

@@ -157,9 +157,19 @@ def _out_dir(out) -> Path:
     return path
 
 
+def _strict_json(payload: dict, indent=None) -> str:
+    """A report as strict JSON: a NaN or an infinity in it is a numerical failure (exit 6)."""
+    try:
+        return json.dumps(
+            payload, sort_keys=True, indent=indent, allow_nan=False, default=_json_default
+        )
+    except ValueError:
+        raise NumericalError("a report value is NaN or infinite, which JSON cannot hold") from None
+
+
 def _write_metrics(path: Path, payload: dict) -> None:
+    text = _strict_json(payload, indent=2)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -665,7 +675,7 @@ def cmd_ot(args) -> int:
         "converged": result.converged,
         "epsilon": sk.epsilon,
     }
-    print(json.dumps(report, sort_keys=True))
+    print(_strict_json(report))
     if out:
         out.mkdir(parents=True, exist_ok=True)
         lines = [

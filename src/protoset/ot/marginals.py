@@ -20,7 +20,7 @@ def _validate_simplex(w: np.ndarray, name: str) -> None:
         raise InvalidMarginalsError(f"{name} contains non-finite entries")
     if np.any(w <= 0.0):
         raise InvalidMarginalsError(f"{name} must be strictly positive")
-    s = w.sum()
+    s = float(w.sum())
     if abs(s - 1.0) > _SUM_TOL:
         raise InvalidMarginalsError(f"{name} sums to {s!r}, expected 1 within {_SUM_TOL:g}")
 

@@ -63,6 +63,8 @@ def load_corpus(path):
         if not isinstance(rec, dict):
             raise ConfigError(f"{where}: expected one JSON object per line")
         if line_no == 1 and set(rec.keys()) == {"meta"}:
+            if not isinstance(rec["meta"], dict):
+                raise ConfigError(f"{where}: the meta line must hold a JSON object")
             meta = rec["meta"]
             continue
         if "points" not in rec:

@@ -13,12 +13,14 @@ import pytest
 from protoset import cli, config
 from protoset.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from protoset.diffcore import Value
+from protoset.errors import NumericalError
 from protoset.metagan import GanConfig
 from protoset.tasks import load_corpus
 
 # the package attribute protoset.ot.sinkhorn is the function, not the module
 sinkhorn_module = importlib.import_module("protoset.ot.sinkhorn")
 mog_module = importlib.import_module("protoset.tasks.mog")
+metagan_module = importlib.import_module("protoset.metagan")
 
 # tiny but real settings so runs finish in milliseconds
 MOG_ARGS = [
@@ -126,6 +128,24 @@ def test_ot_bad_marginals_exit_2(tmp_path):
     assert run(["ot", "--cost", str(cost), "--a", "x,y"]) == cli.EXIT_CONFIG
 
 
+def test_ot_marginal_sum_is_printed_as_a_plain_float(tmp_path, capsys):
+    cost = tmp_path / "c.csv"
+    cost.write_text("0,1,2\n1,0,1\n2,1,0\n")
+    assert run(["ot", "--cost", str(cost), "--a", "0.5,0.5,0.5"]) == cli.EXIT_CONFIG
+    assert "row marginal a sums to 1.5, expected 1 within 1e-08" in capsys.readouterr().err
+
+
+def test_ot_non_finite_report_exits_6_before_any_output(tmp_path, capsys, monkeypatch):
+    cost = tmp_path / "c.csv"
+    cost.write_text("0,1\n1,0\n")
+    monkeypatch.setattr(cli, "transport_cost", lambda result, c: float("nan"))
+    assert run(["ot", "--cost", str(cost), "--out", str(tmp_path / "sol")]) == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NaN or infinite" in captured.err
+    assert not (tmp_path / "sol").exists()
+
+
 def test_ot_nan_cost_exits_6_after_one_iteration(tmp_path, monkeypatch):
     cost = tmp_path / "c.csv"
     cost.write_text("0,nan\n1,0\n")
@@ -162,6 +182,7 @@ def test_ot_inf_cost_exits_6_without_a_report(tmp_path, capsys):
 MALFORMED = {
     "bad-json": ("corpus.jsonl", '{"points": [[1.0, 2.0]]}\n{"points": [[1.0, \n', ":2:"),
     "no-points": ("corpus.jsonl", '{"set_id": 0, "label": 1}\n', ":1:"),
+    "meta-not-an-object": ("corpus.jsonl", '{"meta": [1]}\n{"points": [[1.0, 2.0]]}\n', ":1:"),
     "ragged-points": ("corpus.jsonl", '{"points": [[1.0, 2.0], [3.0]]}\n', ":1:"),
     "non-numeric-cost": ("c.csv", "# costs\n0,1\n1,zero\n", ":3:"),
 }
@@ -679,6 +700,36 @@ def test_metagan_cli_round_trip(tmp_path):
     assert any(n.startswith("summary.") for n in ck.params)
     metrics = eval_task("metagan", ck_path, tmp_path / "ev")
     assert metrics["n_tasks"] == 2
+
+
+def test_write_metrics_refuses_a_non_finite_value(tmp_path):
+    path = tmp_path / "ev" / "metrics.json"
+    with pytest.raises(NumericalError):
+        cli._write_metrics(path, {"metrics": {"score": float("nan")}})
+    assert not path.parent.exists()
+
+
+def test_eval_non_finite_metric_exits_6_without_metrics(tmp_path, capsys, monkeypatch):
+    _, ck_path = train_task("mog", tmp_path / "run")
+    monkeypatch.setattr(cli.TASK_TABLE["mog"], "evaluate", lambda *a: {"score": float("inf")})
+    out = tmp_path / "ev"
+    assert run(["eval", "--checkpoint", str(ck_path), "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metagan_eval_of_non_finite_samples_exits_6(tmp_path, capsys, monkeypatch):
+    # the energy distance refuses them; before, a NaN score reached metrics.json
+    _, ck_path = train_task("metagan", tmp_path / "run")
+    real_forward = metagan_module.generator_forward
+    monkeypatch.setattr(
+        metagan_module, "generator_forward", lambda *a: real_forward(*a) * float("nan")
+    )
+    out = tmp_path / "ev"
+    argv = ["eval", "--checkpoint", str(ck_path), "--out", str(out), "--count", "2"]
+    assert run(argv) == cli.EXIT_NUMERIC
+    assert "energy distance of a sample with a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_metagan_library_default_transport_step_is_the_cli_default():

@@ -1,14 +1,17 @@
 """Toy conditional GAN: task families, nets, shared transport step, metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from protoset.diffcore import Value, as_value
 from protoset.diffcore.gradcheck import check_gradients
-from protoset.errors import ConfigError, ShapeError, TrainingDivergedError
+from protoset.errors import ConfigError, NumericalError, ShapeError, TrainingDivergedError
 from protoset.metagan import (
     GanConfig,
+    _mean_pairwise_distance,
     MetaGan,
     TaskFamilySpec,
     critic_loss,
@@ -292,6 +295,68 @@ def test_energy_distance_matches_scipy_in_1d():
         u = rng.standard_normal(150)
         v = 0.5 + 1.3 * rng.standard_normal(170)
         assert abs(energy_distance(u, v) - scipy.stats.energy_distance(u, v)) < 1e-10
+
+
+def _pairwise_terms(x, y):
+    x = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
+    y = np.asarray(y, dtype=np.float64).reshape(len(y), -1)
+    return [_mean_pairwise_distance(x, y), _mean_pairwise_distance(x, x),
+            _mean_pairwise_distance(y, y)]
+
+
+def _shifted_and_scaled(rng):
+    x = rng.standard_normal(400)
+    return x, 1e-6 + (1.0 + 1e-6) * x[:350]
+
+
+SORTED_CASES = {
+    "unequal-sizes": lambda rng: (rng.standard_normal(300), 0.4 + 2.0 * rng.standard_normal(170)),
+    "n-is-one": lambda rng: (np.array([0.3]), rng.standard_normal(40)),
+    "both-one": lambda rng: (np.array([0.3]), np.array([-1.2])),
+    "ties-and-shared-values": lambda rng: (
+        rng.integers(0, 5, 120).astype(float), rng.integers(2, 8, 90).astype(float)
+    ),
+    "column-input": lambda rng: (rng.standard_normal((200, 1)), rng.standard_normal(150) + 1.0),
+    "shift-and-scale-near-zero": _shifted_and_scaled,
+    "large-common-offset": lambda rng: (
+        1e6 + rng.standard_normal(500), 1e6 + 0.3 + rng.standard_normal(300)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SORTED_CASES))
+def test_energy_distance_1d_sorted_form_matches_pairwise(case):
+    # the squared statistic cancels three terms, so its rounding is measured
+    # against the largest of them; the statistic itself where it is not near zero
+    x, y = SORTED_CASES[case](np.random.default_rng(5))
+    cross, within_x, within_y = _pairwise_terms(x, y)
+    squared = 2.0 * cross - within_x - within_y
+    d = energy_distance(x, y)
+    assert abs(d * d - max(squared, 0.0)) <= 1e-12 * max(2.0 * cross, 1e-300)
+    if squared > 1e-6 * cross:
+        assert abs(d - np.sqrt(squared)) <= 1e-12 * np.sqrt(squared)
+
+
+def test_energy_distance_2d_keeps_the_pairwise_form():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((70, 2))
+    y = rng.standard_normal((50, 2)) + 0.5
+    cross, within_x, within_y = _pairwise_terms(x, y)
+    assert energy_distance(x, y) == float(np.sqrt(max(2.0 * cross - within_x - within_y, 0.0)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_energy_distance_non_finite_sample_is_a_numerical_error(bad, dim, side):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((30, dim))
+    y = rng.standard_normal((20, dim))
+    (x if side == "x" else y)[3, dim - 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic on it
+        with pytest.raises(NumericalError, match="non-finite"):
+            energy_distance(x, y)
 
 
 # -- training ---------------------------------------------------------------------

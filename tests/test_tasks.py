@@ -1,6 +1,7 @@
 """Task generators and losses: recipe fidelity, oracle values, loss gradients."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,14 @@ def test_corpus_without_meta_line(tmp_path):
     assert meta == {}
     assert sets[0].label == 3
     assert truths == [None]
+
+
+@pytest.mark.parametrize("meta", ["[1]", "3", '"mog"', "null"])
+def test_corpus_meta_line_must_hold_an_object(meta, tmp_path):
+    path = tmp_path / "meta.jsonl"
+    path.write_text(f'{{"meta": {meta}}}\n{{"points": [[1.0, 2.0]]}}\n')
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:1: the meta line"):
+        load_corpus(path)
 
 
 def test_corpus_rejects_pointless_record(tmp_path):

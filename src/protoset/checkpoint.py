@@ -3,30 +3,40 @@
 A checkpoint holds what eval rebuilds a model from and nothing else: no
 optimizer state, so training cannot resume from one.
 
-The payload is a single JSON object with sorted keys and no whitespace, so a
-save -> load -> save round trip reproduces the file byte for byte (floats are
-written in shortest round-trip form).  Arrays are stored flat with an explicit
-shape; loading restores float64 exactly, and an entry that is not a finite
-number makes the checkpoint corrupt.
+The payload is a single JSON object with sorted keys and no whitespace, so the
+config, its hash and the step stay readable and a save -> load -> save round
+trip reproduces the file byte for byte.  Each array is stored as its shape and
+the standard base64 of its C-order little-endian float64 bytes: every value
+comes back bit for bit, and writing or reading it takes a fraction of the time
+that the same values take as decimal JSON numbers.  Loading is strict: data
+that is not a base64 string, decodes to a byte count other than 8 per element
+of its shape, or holds a NaN or an infinity makes the checkpoint corrupt.
+Saving refuses a non-finite parameter before anything is written, since
+nothing in the opaque bytes would show it.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .diffcore import Value
-from .errors import CheckpointError, CheckpointVersionError, read_text
+from .errors import CheckpointError, CheckpointVersionError, NumericalError, read_text
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+_FLOAT = np.dtype("<f8")  # the stored element: little-endian float64
 
 
-def _array_record(array: np.ndarray) -> dict:
-    a = np.asarray(array, dtype=np.float64)
-    return {"shape": list(a.shape), "data": a.ravel().tolist()}
+def _array_record(name: str, array: np.ndarray) -> dict:
+    a = np.asarray(array, dtype=_FLOAT)
+    if not np.isfinite(a).all():
+        raise NumericalError(f"parameter {name!r} holds a NaN or an infinity; nothing written")
+    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 def _array_from_record(name: str, record) -> np.ndarray:
@@ -36,19 +46,20 @@ def _array_from_record(name: str, record) -> np.ndarray:
     data = record["data"]
     if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
         raise CheckpointError(f"array {name!r} has a malformed shape {shape!r}")
-    expected = int(np.prod(shape)) if shape else 1
-    if not isinstance(data, list) or len(data) != expected:
-        raise CheckpointError(
-            f"array {name!r} carries {len(data) if isinstance(data, list) else '?'} "
-            f"values but its shape {tuple(shape)} needs {expected}"
-        )
+    if not isinstance(data, str):
+        raise CheckpointError(f"array {name!r} data is not a base64 string")
     try:
-        array = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError):
-        array = None
-    if array is None or array.ndim != 1:  # a word, an object or a nested list
-        raise CheckpointError(f"array {name!r} holds an entry that is not a number")
-    if not np.isfinite(array).all():  # NaN, Infinity, or null, which reads as NaN
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise CheckpointError(f"array {name!r} data is not valid base64") from None
+    expected = _FLOAT.itemsize * math.prod(shape)
+    if len(raw) != expected:
+        raise CheckpointError(
+            f"array {name!r} carries {len(raw)} bytes but its shape {tuple(shape)} "
+            f"needs {expected}"
+        )
+    array = np.frombuffer(raw, dtype=_FLOAT).astype(np.float64)  # a writable copy
+    if not np.isfinite(array).all():
         raise CheckpointError(f"array {name!r} holds an entry that is not a finite number")
     return array.reshape(shape)
 
@@ -70,7 +81,7 @@ def save_checkpoint(path, params: dict, step: int, config: dict, config_hash: st
         raise CheckpointError(f"step must be nonnegative, got {step}")
     arrays = {}
     for name, p in params.items():
-        arrays[name] = _array_record(p.data if isinstance(p, Value) else p)
+        arrays[name] = _array_record(name, p.data if isinstance(p, Value) else p)
     payload = {
         "format_version": FORMAT_VERSION,
         "step": int(step),
@@ -78,9 +89,12 @@ def save_checkpoint(path, params: dict, step: int, config: dict, config_hash: st
         "config_hash": str(config_hash),
         "params": arrays,
     }
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise NumericalError("the checkpoint config holds a NaN or infinite value") from None
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     path.write_text(text + "\n", encoding="utf-8")
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, read_text
+from ..errors import ConfigError, NumericalError, read_text
 from ..summarynet import SetBatch
 
 
@@ -27,18 +27,33 @@ def _set_record(batch: SetBatch, truth=None) -> dict:
     return rec
 
 
+def _strict_line(record: dict, what: str) -> str:
+    try:
+        return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalError(f"{what} holds a NaN or an infinity, which JSON cannot hold") from None
+
+
 def save_corpus(path, sets, meta: dict | None = None, truths=None) -> None:
-    """Write SetBatch records as JSON lines, optionally preceded by a meta line."""
+    """Write SetBatch records as JSON lines, optionally preceded by a meta line.
+
+    The lines are strict JSON: a NaN or an infinity in the meta or in a record
+    raises NumericalError, and the partly written file is removed.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if truths is not None and len(truths) != len(sets):
         raise ValueError("truths must align with sets one to one")
-    with path.open("w", encoding="utf-8") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-        for i, batch in enumerate(sets):
-            truth = truths[i] if truths is not None else None
-            fh.write(json.dumps(_set_record(batch, truth), sort_keys=True) + "\n")
+    head = "" if meta is None else _strict_line({"meta": meta}, "the corpus meta")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(head)
+            for i, batch in enumerate(sets):
+                truth = truths[i] if truths is not None else None
+                fh.write(_strict_line(_set_record(batch, truth), f"set {batch.set_id}"))
+    except NumericalError:
+        path.unlink()
+        raise
 
 
 def load_corpus(path):

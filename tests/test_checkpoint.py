@@ -1,5 +1,6 @@
 """Checkpoint format: exact round trips, versioning, corruption detection."""
 
+import base64
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from protoset.checkpoint import (
 )
 from protoset.config import default_config
 from protoset.diffcore import Value
-from protoset.errors import CheckpointError, CheckpointVersionError
+from protoset.errors import CheckpointError, CheckpointVersionError, NumericalError
 
 RNG = np.random.default_rng(5)
 
@@ -70,6 +71,57 @@ def test_round_trip_survives_extreme_floats(tmp_path):
     assert np.signbit(restored[3])
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_round_trip_is_bit_exact_for_every_shape_and_layout(tmp_path):
+    one = np.float64(1.0)
+    named = {
+        "edge": np.array([-0.0, 5e-324, -5e-324, np.nextafter(one, 2.0),
+                          np.nextafter(one, 0.0), np.finfo(np.float64).max]),
+        "scalar": np.array(-0.0),
+        "empty": np.zeros((0,)),
+        "empty2": np.zeros((3, 0)),
+        "fortran": np.asfortranarray(RNG.normal(size=(3, 4))),
+        "big_endian": RNG.normal(size=(2, 5)).astype(">f8"),
+    }
+    path = tmp_path / "x.ck"
+    _save(path, named)
+    params = load_checkpoint(path).params
+    for name, a in named.items():
+        assert params[name].shape == a.shape, name
+        assert params[name].dtype == np.float64 and params[name].flags.writeable, name
+        assert np.array_equal(_bits(params[name]), _bits(a)), name
+    # the stored bytes are C-order little-endian float64, whatever the input's layout
+    record = json.loads(path.read_text())["params"]["fortran"]
+    raw = base64.b64decode(record["data"])
+    assert record["shape"] == [3, 4]
+    assert np.array_equal(np.frombuffer(raw, dtype="<f8"), named["fortran"].ravel(order="C"))
+    again = tmp_path / "y.ck"
+    _save(again, params)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_save_refuses_a_non_finite_parameter_before_writing(bad, tmp_path):
+    named = _named_params()
+    named["bank"].data[1, 2] = bad
+    path = tmp_path / "run" / "checkpoint.10"
+    with pytest.raises(NumericalError, match="'bank'"):
+        _save(path, named)
+    assert not path.parent.exists()
+
+
+def test_save_refuses_a_non_finite_config_value(tmp_path):
+    cfg = default_config()
+    stored = dict(cfg.as_dict(), **{"mog.sigma": float("inf")})
+    path = tmp_path / "run" / "checkpoint.10"
+    with pytest.raises(NumericalError, match="config"):
+        save_checkpoint(path, _named_params(), 10, stored, cfg.config_hash())
+    assert not path.parent.exists()
+
+
 # -- failure modes -----------------------------------------------------------------
 
 
@@ -114,17 +166,48 @@ def test_missing_fields_and_bad_shapes_are_corruption(tmp_path):
         load_checkpoint(path)
 
 
+# what a bad entry is written as, and what the error then says: a string is
+# written as it is, a float at the first slot of the array's decoded float64
+# values, bytes as their base64, and a list, an object or null in place of the
+# base64 string
+MESSAGES = {str: "not valid base64", float: "not a finite number", bytes: "bytes but its shape"}
+
+
 @pytest.mark.parametrize(
-    "entry", ["x", {}, None, [1.0, 2.0], float("nan"), float("inf"), float("-inf")]
+    "entry",
+    [
+        "x",  # one character is no whole byte
+        {},
+        None,
+        [1.0, 2.0],  # format 2's list of numbers
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        pytest.param("AAAA!AAAAAAA", id="bad-character"),
+        pytest.param("AAAAAAA=AAAA", id="bad-padding"),
+        pytest.param("AAAAAAAAAAA", id="missing-padding"),
+        pytest.param("AAAA AAAA", id="whitespace"),
+        pytest.param("\u00e9AAA", id="not-ascii"),
+        pytest.param(bytes(8 * 17), id="one-value-short"),  # bank is 3x6: 18 values
+        pytest.param(bytes(8 * 19), id="one-value-long"),
+        pytest.param(bytes(8 * 18 - 1), id="not-whole-values"),
+    ],
 )
 def test_entries_that_are_not_finite_numbers_are_corruption(entry, tmp_path):
-    # json writes the non-finite floats as NaN, Infinity and -Infinity, which it also reads
     path = tmp_path / "e.ck"
     _save(path, _named_params())
     payload = json.loads(path.read_text())
-    payload["params"]["bank"]["data"][0] = entry
+    bank = payload["params"]["bank"]
+    message = MESSAGES.get(type(entry), "not a base64 string")
+    if isinstance(entry, float):
+        values = np.frombuffer(base64.b64decode(bank["data"]), dtype="<f8").copy()
+        values[0] = entry
+        entry = values.tobytes()
+    if isinstance(entry, bytes):
+        entry = base64.b64encode(entry).decode("ascii")
+    bank["data"] = entry
     path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError, match="'bank' holds an entry that is not a"):
+    with pytest.raises(CheckpointError, match=f"array 'bank' .*{message}"):
         load_checkpoint(path)
 
 

@@ -1,5 +1,6 @@
 """End-to-end harness tests: verbs, artifacts, exit codes, reproducibility."""
 
+import base64
 import hashlib
 import importlib
 import json
@@ -498,19 +499,53 @@ def test_eval_tampered_config_exits_4(tmp_path):
 
 @pytest.mark.parametrize("entry", ['"x"', "NaN", "Infinity", "-Infinity"])
 def test_eval_checkpoint_entry_not_a_finite_number_exits_4(entry, tmp_path, capsys):
-    # "x" once exited 1 with a float conversion error, and the others loaded silently
+    # "x" in place of the base64 data; a float as the bits of the array's first value
     ck_path = tmp_path / "run" / "checkpoint.2"
     flags = ["--steps", "2"] + MOG_ARGS + ["--out", str(ck_path.parent)]
     assert run(["train", "--task", "mog"] + flags) == 0
     text = ck_path.read_text()
     first = json.loads(text)["params"]
     name = next(iter(first))
-    value = json.dumps(first[name]["data"][0])
-    head = f'"{name}":{{"data":['
-    assert text.count(head + value) == 1
-    ck_path.write_text(text.replace(head + value, head + entry))
+    data = first[name]["data"]
+    bad = json.loads(entry)
+    if isinstance(bad, float):
+        values = np.frombuffer(base64.b64decode(data), dtype="<f8").copy()
+        values[0] = bad
+        bad = base64.b64encode(values.tobytes()).decode("ascii")
+    stored = f'"{name}":{{"data":{json.dumps(data)}'
+    assert text.count(stored) == 1
+    ck_path.write_text(text.replace(stored, f'"{name}":{{"data":{json.dumps(bad)}'))
     assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_BAD_CHECKPOINT
-    assert f"{name!r} holds an entry that is not a" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{name!r} " in err
+    assert ("not a finite number" if entry != '"x"' else "not valid base64") in err
+
+
+def test_train_with_a_non_finite_parameter_exits_6_without_a_checkpoint(
+    tmp_path, capsys, monkeypatch
+):
+    # the checkpoint stores opaque bytes, so nothing in the file would show the NaN
+    task = cli.TASK_TABLE["mog"]
+    real_build, real_train = task.build, task.train
+    built = {}
+
+    def build(cfg, sets):
+        net, bank, named = real_build(cfg, sets)
+        built.update(named)
+        return net, bank, named
+
+    def train(*args):
+        trace = real_train(*args)
+        built["bank"].data[0, 0] = float("nan")
+        return trace
+
+    monkeypatch.setattr(task, "build", build)
+    monkeypatch.setattr(task, "train", train)
+    out = tmp_path / "run"
+    argv = ["train", "--task", "mog", "--steps", "2", "--out", str(out)] + MOG_ARGS
+    assert run(argv) == cli.EXIT_NUMERIC
+    assert "'bank' holds a NaN or an infinity" in capsys.readouterr().err
+    assert not list(out.glob("checkpoint.*"))
 
 
 @pytest.mark.parametrize("case", ["wrong-type-stale-hash", "wrong-type", "missing-key"])
@@ -551,7 +586,20 @@ def test_eval_v1_checkpoint_exits_5(tmp_path, capsys):
     ck_path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_VERSION_MISMATCH
     err = capsys.readouterr().err
-    assert "format 1" in err and "reads 2" in err
+    assert "format 1" in err and "reads 3" in err
+
+
+def test_eval_v2_checkpoint_exits_5(tmp_path, capsys):
+    # format 2 wrote each array as a JSON list of numbers; there is no second reader
+    _, ck_path = train_task("mog", tmp_path / "run")
+    payload = json.loads(ck_path.read_text())
+    payload["format_version"] = 2
+    for record in payload["params"].values():
+        record["data"] = np.frombuffer(base64.b64decode(record["data"]), dtype="<f8").tolist()
+    ck_path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_VERSION_MISMATCH
+    err = capsys.readouterr().err
+    assert "format 2" in err and "reads 3" in err
 
 
 # -- other tasks through the CLI ------------------------------------------------------

@@ -1,0 +1,61 @@
+"""tools/golden_drift.py: checkpoints compare by their arrays' numbers, across formats."""
+
+import base64
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+from protoset.checkpoint import save_checkpoint
+from protoset.config import default_config
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_drift.py"
+_spec = importlib.util.spec_from_file_location("golden_drift", TOOL)
+golden_drift = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_drift)
+
+
+def _capture(root: Path, params: dict, version: int = 3) -> None:
+    cfg = default_config()
+    path = root / "train" / "mog" / "checkpoint.5"
+    save_checkpoint(path, params, 5, cfg.as_dict(), cfg.config_hash())
+    if version == 2:  # format 2 wrote each array as a JSON list of numbers
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 2
+        for record in payload["params"].values():
+            record["data"] = np.frombuffer(base64.b64decode(record["data"]), "<f8").tolist()
+        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _report(tmp_path, capsys) -> str:
+    assert golden_drift.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 0
+    return capsys.readouterr().out
+
+
+PARAMS = {"bank": np.array([[0.1, -2.5e-300], [3.0, -0.0]]), "bias": np.array([1.0 / 3.0])}
+
+
+def test_format_2_and_3_checkpoints_of_equal_arrays_read_numbers_equal(tmp_path, capsys):
+    _capture(tmp_path / "base", PARAMS, version=2)
+    _capture(tmp_path / "head", PARAMS)
+    assert _report(tmp_path, capsys) == (
+        "train/mog/checkpoint.5: format 2 -> 3: numbers equal, formatting differs\n"
+    )
+
+
+def test_a_moved_parameter_shows_its_relative_drift(tmp_path, capsys):
+    moved = dict(PARAMS, bias=np.array([np.nextafter(1.0 / 3.0, 1.0)]))
+    _capture(tmp_path / "base", PARAMS, version=2)
+    _capture(tmp_path / "head", moved)
+    assert "format 2 -> 3: max rel diff 1.67e-16" in _report(tmp_path, capsys)
+
+
+def test_an_unreadable_checkpoint_is_compared_as_text(tmp_path, capsys):
+    _capture(tmp_path / "base", PARAMS)
+    head = tmp_path / "head" / "train" / "mog" / "checkpoint.5"
+    head.parent.mkdir(parents=True)
+    head.write_text("not a checkpoint\n")
+    assert _report(tmp_path, capsys) == (
+        "train/mog/checkpoint.5: text differs beyond its numbers\n"
+    )

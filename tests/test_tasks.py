@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protoset.diffcore import Value, check_gradients
-from protoset.errors import ConfigError, ShapeError
+from protoset.errors import ConfigError, NumericalError, ShapeError
 from protoset.summarynet import SetBatch
 from protoset.tasks import (
     POINTSET_CLASSES,
@@ -131,6 +131,28 @@ def test_corpus_meta_line_must_hold_an_object(meta, tmp_path):
     path.write_text(f'{{"meta": {meta}}}\n{{"points": [[1.0, 2.0]]}}\n')
     with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:1: the meta line"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "truth", [float("nan"), float("inf"), {"means": [[0.0, float("-inf")]]}], ids=str
+)
+def test_save_corpus_refuses_a_non_finite_record(truth, tmp_path):
+    # strict JSON lines: before, the record was written as NaN or Infinity
+    corpus = gen_mog_corpus(MoGTaskSpec(), 3, seed=3)
+    truths = [t.to_dict() for _, t in corpus]
+    truths[1] = truth
+    path = tmp_path / "c.jsonl"
+    with pytest.raises(NumericalError, match=f"set {corpus[1][0].set_id} holds a NaN"):
+        save_corpus(path, [b for b, _ in corpus], meta={"task": "mog"}, truths=truths)
+    assert not path.exists()
+
+
+def test_save_corpus_refuses_a_non_finite_meta(tmp_path):
+    path = tmp_path / "c.jsonl"
+    sets = [SetBatch(np.zeros((2, 1)), set_id=0)]
+    with pytest.raises(NumericalError, match="meta holds a NaN"):
+        save_corpus(path, sets, meta={"mog.sigma": float("nan")})
+    assert not path.exists()
 
 
 def test_corpus_rejects_pointless_record(tmp_path):

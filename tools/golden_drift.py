@@ -9,12 +9,21 @@ that is not UTF-8, is reported as such, and so is a file present on one side
 only.  Identical files print nothing.  Report only: the exit code is 0 unless
 an argument is not a directory.
 
+A file named ``checkpoint.*`` is compared by its parsed payload, so that
+checkpoints of two formats compare too: each array's ``data`` is read as its
+numbers, from base64 of little-endian float64 (format 3) or as a JSON list
+(format 2), and the numbers of each array are paired by name.  The line names
+the two format versions when they differ.
+
     python3 tools/golden_drift.py /tmp/golden-base /tmp/golden-head
 """
 
 from __future__ import annotations
 
 import argparse
+import array
+import base64
+import json
 import math
 import re
 import sys
@@ -53,6 +62,33 @@ def drift(base: bytes, head: bytes) -> str:
     return f"max rel diff {worst[0]:.2e} ({worst[1]} -> {worst[2]})"
 
 
+def _checkpoint_numbers(payload: dict) -> dict:
+    """The payload with each array's data as a list of numbers, without its version."""
+    arrays = {}
+    for name, record in payload["params"].items():
+        data = record["data"]
+        if isinstance(data, str):
+            values = array.array("d", base64.b64decode(data, validate=True))
+            if sys.byteorder == "big":
+                values.byteswap()
+            data = values.tolist()
+        arrays[name] = {"shape": record["shape"], "data": data}
+    rest = {key: value for key, value in payload.items() if key != "format_version"}
+    return rest | {"params": arrays}
+
+
+def checkpoint_drift(base: bytes, head: bytes) -> str:
+    """How checkpoint ``head`` differs from ``base``, compared by their arrays' numbers."""
+    try:
+        payloads = json.loads(base), json.loads(head)
+        texts = [json.dumps(_checkpoint_numbers(p), sort_keys=True).encode() for p in payloads]
+    except (ValueError, KeyError, TypeError, AttributeError):  # not a readable checkpoint
+        return drift(base, head)
+    found = drift(*texts)
+    old, new = (p.get("format_version") for p in payloads)
+    return found if old == new else f"format {old} -> {new}: {found}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="capture of the base commit")
@@ -70,7 +106,8 @@ def main(argv=None) -> int:
         else:
             old, new = (args.base / name).read_bytes(), (args.head / name).read_bytes()
             if old != new:
-                print(f"{name}: {drift(old, new)}")
+                compare = checkpoint_drift if Path(name).name.startswith("checkpoint.") else drift
+                print(f"{name}: {compare(old, new)}")
     return 0
 
 

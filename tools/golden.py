@@ -57,6 +57,10 @@ GENS = {
     "digitsum-size12": ["--task", "digitsum", "--count", "3", "--set", "digitsum.size=12"],
     "pointset": ["--task", "pointset", "--seed", "1", "--set", "pointset.count_per_class=1"],
     "metagan": ["--task", "metagan", "--count", "5", "--seed", "2", "--set", "metagan.n_points=12"],
+    "metagan-multi1d": ["--task", "metagan", "--count", "5", "--seed", "2",
+                        "--set", "metagan.n_points=12", "--set", "metagan.family=multi1d"],
+    "metagan-gauss2d": ["--task", "metagan", "--count", "5", "--seed", "2",
+                        "--set", "metagan.n_points=12", "--set", "metagan.family=gauss2d"],
 }
 EVAL = {"mog": ["--count", "3", "--seed", "11"],
         "digitsum": ["--count", "2", "--set", "digitsum.test_sizes=4,8"],
@@ -84,6 +88,7 @@ TRAINS = {
     "mog-lam0.5-euclid": ("mog", ["--steps", "5", "--lambda-ot", "0.5",
                                   "--set", "train.metric=euclidean"]),
     "mog-maxpool": ("mog", ["--steps", "5", "--set", "model.pooling=max"]),
+    "mog-sumpool": ("mog", ["--steps", "5", "--set", "model.pooling=sum"]),
     "mog-cap": ("mog", ["--steps", "5", "--set", "mog.encode_cap=10"]),
     "mog-corpus": ("mog", ["--steps", "3", "--corpus", "gen/mog/corpus.jsonl"]),
     "digitsum": ("digitsum", []),
@@ -96,6 +101,9 @@ TRAINS = {
     "metagan-cond": ("metagan", ["--set", "metagan.conditioning=conditional-critic"]),
     "metagan-noot": ("metagan", ["--set", "metagan.use_ot=false"]),
     "metagan-corpus": ("metagan", ["--corpus", "gen/metagan/corpus.jsonl"]),
+    "metagan-multi1d": ("metagan", ["--set", "metagan.family=multi1d"]),
+    "metagan-gauss2d-cond": ("metagan", ["--set", "metagan.family=gauss2d",
+                                         "--set", "metagan.conditioning=conditional-critic"]),
 }
 # a 6x4 cost for the ot runs, written to ot/cost.csv
 OT_COST = ("0.0,1.3,0.7,1.9\n1.1,0.2,1.6,0.8\n0.5,1.7,0.1,1.2\n"

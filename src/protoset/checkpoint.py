@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffcore import Value
-from .errors import CheckpointError, CheckpointVersionError, NumericalError, read_text
+from .errors import CheckpointError, CheckpointVersionError, NumericalError, read_text, strict_json
 
 FORMAT_VERSION = 3
 _FLOAT = np.dtype("<f8")  # the stored element: little-endian float64
@@ -89,10 +89,7 @@ def save_checkpoint(path, params: dict, step: int, config: dict, config_hash: st
         "config_hash": str(config_hash),
         "params": arrays,
     }
-    try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except ValueError:
-        raise NumericalError("the checkpoint config holds a NaN or infinite value") from None
+    text = strict_json(payload, "the checkpoint config", separators=(",", ":"))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -39,6 +40,7 @@ from .errors import (
     ProtosetError,
     TrainingDivergedError,
     read_text,
+    strict_json,
 )
 from .fewshot import (
     EpisodeSpec,
@@ -124,9 +126,7 @@ def _resolve(args, flag_map: dict) -> tuple[ResolvedConfig, set]:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
 def _write_trace(path: Path, cfg: ResolvedConfig, trace: dict) -> None:
@@ -138,16 +138,6 @@ def _write_trace(path: Path, cfg: ResolvedConfig, trace: dict) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _json_default(value):
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _out_dir(out) -> Path:
     """The ``--out`` directory, checked before any work: a file in its place exits 3."""
     path = Path(out)
@@ -157,24 +147,22 @@ def _out_dir(out) -> Path:
     return path
 
 
-def _strict_json(payload: dict, indent=None) -> str:
-    """A report as strict JSON: a NaN or an infinity in it is a numerical failure (exit 6)."""
-    try:
-        return json.dumps(
-            payload, sort_keys=True, indent=indent, allow_nan=False, default=_json_default
-        )
-    except ValueError:
-        raise NumericalError("a report value is NaN or infinite, which JSON cannot hold") from None
-
-
 def _write_metrics(path: Path, payload: dict) -> None:
-    text = _strict_json(payload, indent=2)
+    text = strict_json(payload, "the report", indent=2)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # the task table: what each verb does for each task
+
+
+def _whole_below(label, bound) -> bool:
+    """Whether ``label`` is a JSON number whose float is a whole value in [0, bound)."""
+    try:  # None or a string fails float() or the comparison, a huge int float()
+        return not isinstance(label, bool) and float(label).is_integer() and 0 <= label < bound
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _bank(sets, dim: int, k: int, rng) -> PrototypeBank:
@@ -202,6 +190,7 @@ class Task:
     steps_key = "train.steps"  # the config key that sets how long train runs
     unread_keys = ()  # shared keys that train never reads for this task: given, they exit 2
     metric_key = "train.metric"  # the config key of the transport cost's metric
+    label_bound = None  # a corpus label must be a whole number in [0, label_bound); None: unread
     gradcheck_shapes: dict  # overrides that shrink model and data for gradcheck
 
     def train_config(self, cfg: ResolvedConfig) -> TrainConfig:
@@ -213,12 +202,20 @@ class Task:
             seed=cfg["seed"],
         )
 
+    def read_corpus(self, path):
+        """The sets of the corpus at ``path``; no sets, or a label the task cannot read, exit 2."""
+        _, sets, _ = load_corpus(path)
+        if not sets:
+            raise ConfigError(f"corpus {path!r} holds no sets")
+        for batch in sets if self.label_bound else ():
+            if not _whole_below(batch.label, self.label_bound):
+                raise ConfigError(f"{path}: set {batch.set_id} has label {batch.label!r}, "
+                                  f"not a whole number in [0, {self.label_bound})")
+        return sets
+
     def training_sets(self, cfg: ResolvedConfig):
         if cfg["corpus"]:
-            _, sets, _ = load_corpus(cfg["corpus"])
-            if not sets:
-                raise ConfigError(f"corpus {cfg['corpus']!r} holds no sets")
-            return sets
+            return self.read_corpus(cfg["corpus"])
         return self.gen(cfg, cfg["count"], cfg["seed"])[0]
 
     def gradcheck(self, seed: int):
@@ -275,7 +272,7 @@ class EncoderTask(Task):
         return [(f"{self.name}-combined", combined, list(named.values()))]
 
     def eval_corpus(self, cfg: ResolvedConfig):
-        return load_corpus(cfg["corpus"])[1] if cfg["corpus"] else self.eval_sets(cfg)
+        return self.read_corpus(cfg["corpus"]) if cfg["corpus"] else self.eval_sets(cfg)
 
     def evaluate(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank) -> dict:
         if cfg["train.mode"] == "supervised":
@@ -327,6 +324,7 @@ class MogTask(EncoderTask):
 class DigitSumTask(EncoderTask):
     name = "digitsum"
     input_dim = 10
+    label_bound = math.inf
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return 1
@@ -358,7 +356,7 @@ class DigitSumTask(EncoderTask):
             return hits / len(sets)
 
         if cfg["corpus"]:
-            return {"accuracy": accuracy(load_corpus(cfg["corpus"])[1])}
+            return {"accuracy": accuracy(self.eval_corpus(cfg))}
         by_size = {str(size): accuracy(sets) for size, sets in self._test_corpora(cfg).items()}
         return {"accuracy_by_size": by_size, "mean_accuracy": sum(by_size.values()) / len(by_size)}
 
@@ -366,6 +364,7 @@ class DigitSumTask(EncoderTask):
 class PointSetTask(EncoderTask):
     name = "pointset"
     input_dim = 3
+    label_bound = len(POINTSET_CLASSES)
     gradcheck_shapes = {**_ENCODER_SHAPES, "pointset.count_per_class": "1"}
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
@@ -616,9 +615,7 @@ def cmd_eval(args) -> int:
     path = out / "metrics.json"
     _write_metrics(path, payload)
     summary = ", ".join(
-        f"{k}={v}"
-        for k, v in sorted(metrics.items())
-        if isinstance(v, (int, float, np.floating, np.integer))
+        f"{k}={v}" for k, v in sorted(metrics.items()) if isinstance(v, (int, float))
     )
     print(f"eval {task} at step {ck.step}: {summary} (wrote {path})")
     return EXIT_OK
@@ -675,7 +672,7 @@ def cmd_ot(args) -> int:
         "converged": result.converged,
         "epsilon": sk.epsilon,
     }
-    print(_strict_json(report))
+    print(strict_json(report, "the report"))
     if out:
         out.mkdir(parents=True, exist_ok=True)
         lines = [
@@ -780,8 +777,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help and usage errors
-        code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-        return code
+        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.func(args)
     except CheckpointVersionError as exc:

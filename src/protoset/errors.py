@@ -2,9 +2,12 @@
 
 Every failure mode callers are expected to handle gets its own class so the
 CLI can map them onto distinct exit codes.  ``read_text`` is the one reader of
-input files, so that bytes that are not UTF-8 become one of them too.
+input files, so that bytes that are not UTF-8 become one of them too, and
+``strict_json`` the writer of corpus, checkpoint and report JSON, so that a
+NaN or an infinity in them is a NumericalError, not a non-standard token.
 """
 
+import json
 from pathlib import Path
 
 
@@ -54,3 +57,12 @@ def read_text(path, error: type = ConfigError) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def strict_json(payload, what: str, **dumps) -> str:
+    """``json.dumps`` with sorted keys, raising NumericalError naming ``what`` on a NaN or inf."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **dumps)
+    except ValueError:
+        pass
+    raise NumericalError(f"{what} holds a NaN or infinite value, which JSON cannot hold")

@@ -176,7 +176,7 @@ class FewShotModel:
         return self.embed_net(as_value(points))
 
     def parameters(self) -> list[Value]:
-        return self.embed_net.parameters() + self.simplex_head.parameters() + [self.bank.matrix]
+        return list(self.named_parameters().values())
 
     def named_parameters(self) -> dict[str, Value]:
         out = self.embed_net.named_parameters("embed")

@@ -54,7 +54,6 @@ class TaskFamilySpec:
 
     family: str = "gauss1d"
     n_points: int = 0  # 0 picks the family default
-    n_sets: int = 10_000
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -63,8 +62,6 @@ class TaskFamilySpec:
             raise ConfigError(
                 f"n_points must be 0 (family default) or at least 2, got {self.n_points}"
             )
-        if self.n_sets < 1:
-            raise ConfigError(f"n_sets must be positive, got {self.n_sets}")
 
     @property
     def dim(self) -> int:
@@ -103,17 +100,16 @@ def sample_task_params(spec: TaskFamilySpec, rng: np.random.Generator) -> dict:
 
 
 def sample_task_points(params: dict, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, d) i.i.d. draws from the distribution described by ``params``."""
-    family = params["family"]
-    if family == "gauss1d":
-        pts = params["mean"] + np.sqrt(params["var"]) * rng.standard_normal(n)
-        return pts[:, None]
-    if family == "gauss2d":
+    """(n, d) i.i.d. draws from the distribution described by ``params``.
+
+    A ``gauss1d`` task is read as a ``multi1d`` task of kind ``gauss``.
+    """
+    if params["family"] == "gauss2d":
         mean = np.asarray(params["mean"], dtype=np.float64)
         cov = np.asarray(params["cov"], dtype=np.float64)
         chol = np.linalg.cholesky(cov)
         return mean + rng.standard_normal((n, 2)) @ chol.T
-    kind = params["kind"]
+    kind = params.get("kind", "gauss")
     if kind == "exp":
         pts = rng.exponential(scale=1.0 / params["rate"], size=n)
     elif kind == "gauss":
@@ -128,25 +124,21 @@ def sample_task_points(params: dict, n: int, rng: np.random.Generator) -> np.nda
 
 def true_moments(params: dict) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension mean and standard deviation implied by the parameters."""
-    family = params["family"]
-    if family == "gauss1d":
-        return np.array([params["mean"]]), np.array([np.sqrt(params["var"])])
-    if family == "gauss2d":
+    if params["family"] == "gauss2d":
         cov = np.asarray(params["cov"], dtype=np.float64)
         return np.asarray(params["mean"], dtype=np.float64), np.sqrt(np.diag(cov))
-    if params["kind"] == "exp":
+    if params.get("kind") == "exp":
         return np.array([1.0 / params["rate"]]), np.array([1.0 / params["rate"]])
     return np.array([params["mean"]]), np.array([np.sqrt(params["var"])])
 
 
 def gen_task_corpus(
-    spec: TaskFamilySpec, count: Optional[int] = None, seed: int = 0
+    spec: TaskFamilySpec, count: int, seed: int = 0
 ) -> list[tuple[SetBatch, dict]]:
-    """Seeded corpus of (set, ground-truth parameters) pairs."""
+    """Seeded corpus of ``count`` (set, ground-truth parameters) pairs."""
     rng = np.random.default_rng(seed)
-    n_sets = spec.n_sets if count is None else count
     out = []
-    for i in range(n_sets):
+    for i in range(count):
         params = sample_task_params(spec, rng)
         points = sample_task_points(params, spec.points_per_set, rng)
         out.append((SetBatch(points, set_id=i), params))
@@ -230,41 +222,27 @@ class MetaGan:
             return self.summary.summarize(points).data
 
 
-def generator_forward(generator: MLP, z: np.ndarray, h: np.ndarray) -> Value:
-    """Push a noise batch through the generator conditioned on one summary."""
-    z = np.asarray(z, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64).reshape(-1)
-    if z.ndim != 2:
-        raise ShapeError(f"noise must be a (batch, noise_dim) matrix, got shape {z.shape}")
-    expected = generator.dims[0]
-    if z.shape[1] + h.size != expected:
-        raise ShapeError(
-            f"generator expects {expected} inputs, got noise {z.shape[1]} + summary {h.size}"
-        )
-    tiled = np.broadcast_to(h, (z.shape[0], h.size))
-    return generator(as_value(np.hstack([z, tiled])))
-
-
-def _critic_input(critic: MLP, x, h: Optional[np.ndarray]):
+def _with_summary(net: MLP, x, h: Optional[np.ndarray]) -> Value:
+    """The rows of ``x`` with the summary ``h`` (None: nothing) appended to each,
+    checked against the input width of ``net``."""
     x = as_value(x)
     if x.ndim != 2:
-        raise ShapeError(f"critic input must be (batch, dim), got shape {x.shape}")
-    want = critic.dims[0]
-    if h is None:
-        if x.shape[1] != want:
-            raise ShapeError(f"critic expects {want} inputs, got {x.shape[1]}")
-        return x
-    h = np.asarray(h, dtype=np.float64).reshape(-1)
-    if x.shape[1] + h.size != want:
+        raise ShapeError(f"input must be a (batch, dim) matrix, got shape {x.shape}")
+    h = np.zeros(0) if h is None else np.asarray(h, dtype=np.float64).reshape(-1)
+    if x.shape[1] + h.size != net.dims[0]:
         raise ShapeError(
-            f"critic expects {want} inputs, got data {x.shape[1]} + summary {h.size}"
+            f"net expects {net.dims[0]} inputs, got {x.shape[1]} + summary {h.size}"
         )
-    tiled = as_value(np.tile(h, (x.shape[0], 1)))
-    return concat([x, tiled], axis=1)
+    return concat([x, np.tile(h, (x.shape[0], 1))], axis=1) if h.size else x
+
+
+def generator_forward(generator: MLP, z: np.ndarray, h: np.ndarray) -> Value:
+    """Push a noise batch through the generator conditioned on one summary."""
+    return generator(_with_summary(generator, z, h))
 
 
 def discriminator_logit(critic: MLP, x, h: Optional[np.ndarray] = None) -> Value:
-    return critic(_critic_input(critic, x, h))
+    return critic(_with_summary(critic, x, h))
 
 
 def critic_loss(real_logits: Value, fake_logits: Value) -> Value:

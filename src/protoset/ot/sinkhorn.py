@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diffcore import Value, as_value
-from ..diffcore.value import _accumulate, recording
+from ..diffcore.value import _accumulate
 from ..errors import ConfigError, DomainError, NumericalError, ShapeError
 from .marginals import Marginals
 
@@ -340,21 +340,17 @@ def entropic_objective(plan, cost, epsilon: float) -> float:
 
 
 def differentiable_transport_loss(
-    cost: Value,
-    col_weights: Value,
-    config: SinkhornConfig = SinkhornConfig(),
-    row_weights: np.ndarray | None = None,
+    cost: Value, col_weights: Value, config: SinkhornConfig = SinkhornConfig()
 ) -> Value:
     """Entropy-regularized transport loss as a graph node.
 
     ``cost`` is an (N, K) Value, ``col_weights`` a strictly positive simplex
-    Value of length K.  Row weights are fixed to uniform unless given.  The
-    returned scalar evaluates to  <T, C> - eps * H(T)  for the plan implied by
-    the configured mode.
+    Value of length K.  The row weights are uniform: a set's measure is the
+    empirical distribution of its N points.  The returned scalar evaluates to
+    <T, C> - eps * H(T)  for the plan implied by the configured mode.
 
     A stack of problems is a (B, N, K) cost with (B, K) column weights, and
-    returns the (B,) vector of their losses from one node; the row weights,
-    of length N, are shared.
+    returns the (B,) vector of their losses from one node.
     """
     cost = as_value(cost)
     col_weights = as_value(col_weights)
@@ -367,10 +363,7 @@ def differentiable_transport_loss(
         )
     if np.any(col_weights.data <= 0.0):
         raise NumericalError("column weights must be strictly positive (floor them first)")
-    a = np.full(n, 1.0 / n) if row_weights is None else np.asarray(row_weights, np.float64)
-    if a.shape != (n,):
-        raise ShapeError(f"row weights must have shape ({n},), got {a.shape}")
-
+    a = np.full(n, 1.0 / n)
     if config.grad_mode == "unrolled":
         return _unrolled_loss(cost, col_weights, a, config)
     return _envelope_loss(cost, col_weights, a, config)
@@ -390,9 +383,8 @@ def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig)
     form with the scaling it read at one.  So each update's backward is two
     matrix-vector products, and the (N, K) cost gradient of one kernel is
     K * (U' Q + R' V): two (N, T)(T, K) products of the sweep's per-update
-    vectors.  While a graph is recorded the node keeps, per update, the scaling
-    it read and its product (O(N + K)), and one kernel per absorption;
-    otherwise it keeps nothing and builds every kernel in one buffer.
+    vectors.  The node keeps, per update, the scaling it read and its product
+    (O(N + K)), and one kernel per absorption.
     """
     *lead, n, k = cost.shape
     eps = config.epsilon
@@ -401,38 +393,34 @@ def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig)
     b_row = b.data.reshape(*lead, 1, k)
     # a scaling's transpose, for the products K sv and su' K
     col_shape, row_shape = (*lead, k, 1), (*lead, 1, n)
-    keep = recording((cost, b))
-    state = _Stabilized(cost.data * (-1.0 / eps), a, b_row, None if keep else np.empty(cost.shape))
+    state = _Stabilized(cost.data * (-1.0 / eps), a, b_row)
     state.update_rows(None)
     first = state.kernel
     state.update_cols(None)
     if not state.finite():
         raise DomainError("Sinkhorn potentials of a NaN or infinite cost are not finite")
-    if keep:
-        # u-update t: the sv it read and K sv; v-update t: the su it read and su' K;
-        # two more rows of in_u for the final plan's own term, set by the backward
-        in_v, prod_u = np.ones((iters, *lead, 1, k)), np.empty((iters, *lead, n, 1))
-        in_u, prod_v = np.ones((iters + 2, *lead, n, 1)), np.empty((iters, *lead, 1, k))
-        prod_u[0], prod_v[0] = a, b_row
-        # per absorption: its kernel and its first half-iteration, 2t or 2t + 1
-        kernels, starts = [first, state.kernel], [0, 1]
+    # u-update t: the sv it read and K sv; v-update t: the su it read and su' K;
+    # two more rows of in_u for the final plan's own term, set by the backward
+    in_v, prod_u = np.ones((iters, *lead, 1, k)), np.empty((iters, *lead, n, 1))
+    in_u, prod_v = np.ones((iters + 2, *lead, n, 1)), np.empty((iters, *lead, 1, k))
+    prod_u[0], prod_v[0] = a, b_row
+    # per absorption: its kernel and its first half-iteration, 2t or 2t + 1
+    kernels, starts = [first, state.kernel], [0, 1]
     for t in range(1, iters):
         prod = state.kernel @ state.sv.reshape(col_shape)
         su = _scale(prod, a)
         state.update_rows(su)
-        if keep:
-            in_v[t], prod_u[t] = state.sv, (a if su is None else prod)
-            if su is None:
-                kernels.append(state.kernel)
-                starts.append(2 * t)
+        in_v[t], prod_u[t] = state.sv, (a if su is None else prod)
+        if su is None:
+            kernels.append(state.kernel)
+            starts.append(2 * t)
         prod = state.su.reshape(row_shape) @ state.kernel
         sv = _scale(prod, b_row)
         state.update_cols(sv)
-        if keep:
-            in_u[t], prod_v[t] = state.su, (b_row if sv is None else prod)
-            if sv is None:
-                kernels.append(state.kernel)
-                starts.append(2 * t + 1)
+        in_u[t], prod_v[t] = state.su, (b_row if sv is None else prod)
+        if sv is None:
+            kernels.append(state.kernel)
+            starts.append(2 * t + 1)
     u, v = state.potentials()
     su, sv, kernel = state.su, state.sv, state.kernel
     row = su * (kernel @ sv.reshape(col_shape))

@@ -1,7 +1,8 @@
 """Permutation-invariant set encoders producing prototype weights.
 
-A set is encoded elementwise, pooled over the element axis, and mapped to a
-simplex vector of prototype weights.  The supervised variant shares the pooled
+A set is encoded elementwise and pooled over the element axis in
+``pooled_representation``, and the pooled features are mapped to a simplex
+vector of prototype weights.  The supervised variant shares the pooled
 representation between that simplex head and a task prediction head.
 """
 
@@ -113,11 +114,11 @@ class SummaryNet:
                 (p, *config.predict_hidden, config.output_dim), config.activation, rng
             )
 
-    # -- forward pieces ---------------------------------------------------------
+    # -- forward ------------------------------------------------------------------
 
-    def encode_elements(self, points) -> Value:
-        """Per-element features: (N, d) -> (N, p)."""
-        pts = points.points if isinstance(points, SetBatch) else np.asarray(points, np.float64)
+    def pooled_representation(self, points) -> Value:
+        """Encode each point and pool over the set: (N, d) -> (1, p)."""
+        pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ShapeError(f"points must be (N, d), got {pts.shape}")
         if pts.shape[0] < 1:
@@ -126,10 +127,7 @@ class SummaryNet:
             raise ShapeError(
                 f"points are {pts.shape[1]}-dimensional, encoder expects {self.config.input_dim}"
             )
-        return self.encoder(Value(pts))
-
-    def pool(self, features: Value) -> Value:
-        """Collapse the element axis: (N, p) -> (1, p)."""
+        features = self.encoder(Value(pts))
         kind = self.config.pooling
         if kind == "mean":
             return features.mean(axis=0, keepdims=True)
@@ -137,32 +135,25 @@ class SummaryNet:
             return features.sum(axis=0, keepdims=True)
         return features.max(axis=0, keepdims=True)
 
-    def pooled_representation(self, points) -> Value:
-        return self.pool(self.encode_elements(points))
+    def _weights(self, z: Value) -> Value:
+        """The simplex head on pooled features: (1, p) -> (K,)."""
+        return self.simplex_head(z).reshape(self.config.n_prototypes).softmax(axis=0)
 
     def summarize(self, points) -> Value:
         """Prototype weights on the simplex: (N, d) -> (K,)."""
-        z = self.pooled_representation(points)
-        logits = self.simplex_head(z).reshape(self.config.n_prototypes)
-        return logits.softmax(axis=0)
+        return self._weights(self.pooled_representation(points))
 
     def summarize_with_prediction(self, points) -> tuple[Value, Value]:
         """Supervised variant: shared pooled features feed both heads."""
         if self.predict_head is None:
             raise ConfigError("this summary net was built without a prediction head")
         z = self.pooled_representation(points)
-        logits = self.simplex_head(z).reshape(self.config.n_prototypes)
-        weights = logits.softmax(axis=0)
-        prediction = self.predict_head(z).reshape(self.config.output_dim)
-        return weights, prediction
+        return self._weights(z), self.predict_head(z).reshape(self.config.output_dim)
 
     # -- parameters ---------------------------------------------------------------
 
     def parameters(self) -> list[Value]:
-        out = self.encoder.parameters() + self.simplex_head.parameters()
-        if self.predict_head is not None:
-            out += self.predict_head.parameters()
-        return out
+        return list(self.named_parameters().values())
 
     def named_parameters(self) -> dict[str, Value]:
         out = self.encoder.named_parameters("encoder")

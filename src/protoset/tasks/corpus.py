@@ -12,26 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, NumericalError, read_text
+from ..errors import ConfigError, NumericalError, read_text, strict_json
 from ..summarynet import SetBatch
-
-
-def _set_record(batch: SetBatch, truth=None) -> dict:
-    rec = {
-        "set_id": batch.set_id,
-        "points": batch.points.tolist(),
-        "label": batch.label,
-    }
-    if truth is not None:
-        rec["truth"] = truth
-    return rec
-
-
-def _strict_line(record: dict, what: str) -> str:
-    try:
-        return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError:
-        raise NumericalError(f"{what} holds a NaN or an infinity, which JSON cannot hold") from None
 
 
 def save_corpus(path, sets, meta: dict | None = None, truths=None) -> None:
@@ -43,14 +25,17 @@ def save_corpus(path, sets, meta: dict | None = None, truths=None) -> None:
     path = Path(path)
     if truths is not None and len(truths) != len(sets):
         raise ValueError("truths must align with sets one to one")
-    head = "" if meta is None else _strict_line({"meta": meta}, "the corpus meta")
+    head = "" if meta is None else strict_json({"meta": meta}, "the corpus meta") + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with path.open("w", encoding="utf-8") as fh:
             fh.write(head)
-            for i, batch in enumerate(sets):
-                truth = truths[i] if truths is not None else None
-                fh.write(_strict_line(_set_record(batch, truth), f"set {batch.set_id}"))
+            for batch, truth in zip(sets, truths or [None] * len(sets)):
+                rec = {"set_id": batch.set_id, "label": batch.label,
+                       "points": batch.points.tolist()}
+                if truth is not None:
+                    rec["truth"] = truth
+                fh.write(strict_json(rec, f"set {batch.set_id}") + "\n")
     except NumericalError:
         path.unlink()
         raise
@@ -60,12 +45,11 @@ def load_corpus(path):
     """Read a corpus file back into (meta, sets, truths).
 
     truths is a list aligned with sets; entries are None when the file has no
-    ground-truth records.  A malformed line raises ConfigError naming file:line.
+    ground-truth records.  A malformed line, or a set whose points have another
+    dimension than the first set's, raises ConfigError naming file:line.
     """
     path = Path(path)
-    meta: dict = {}
-    sets: list[SetBatch] = []
-    truths: list = []
+    meta, sets, truths = {}, [], []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -89,6 +73,8 @@ def load_corpus(path):
             batch = SetBatch(points, set_id=rec.get("set_id", len(sets)), label=rec.get("label"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: bad points ({exc})") from None
+        if sets and batch.dim != sets[0].dim:
+            raise ConfigError(f"{where}: points are {batch.dim}-D, the first set's {sets[0].dim}-D")
         sets.append(batch)
         truths.append(rec.get("truth"))
     return meta, sets, truths

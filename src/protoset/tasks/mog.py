@@ -33,7 +33,6 @@ class MoGTaskSpec:
     mean_low: float = -4.0
     mean_high: float = 4.0
     sigma: float = 0.3
-    dim: int = 2
 
     def __post_init__(self):
         if self.components < 1:
@@ -51,8 +50,6 @@ class MoGTaskSpec:
             raise ConfigError(
                 f"mean_low must not exceed mean_high={self.mean_high}, got {self.mean_low}"
             )
-        if self.dim != 2:
-            raise ConfigError(f"dim must be 2 (only planar mixtures are supported), got {self.dim}")
 
 
 @dataclass(frozen=True)

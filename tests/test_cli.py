@@ -371,6 +371,74 @@ def test_train_missing_corpus_exits_3(tmp_path):
     assert code == cli.EXIT_MISSING_FILE
 
 
+@pytest.mark.parametrize("task", ["mog", "metagan"])
+def test_train_on_sets_of_two_dimensions_exits_2(task, tmp_path, capsys):
+    # the bank's first columns were stacked from both sets, and numpy refused
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"points": [[0.0, 1.0], [1.0, 0.5]]}\n{"points": [[0.0, 1.0, 2.0]]}\n')
+    argv = ["train", "--task", task, "--corpus", str(path), "--out", str(tmp_path / "run")]
+    assert run(argv + TASK_RUNS[task][0]) == cli.EXIT_CONFIG
+    assert f"{path}:2: points are 3-D, the first set's 2-D" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", '{"meta": {"task": "mog"}}\n'], ids=["empty", "meta-only"])
+@pytest.mark.parametrize("task", ["mog", "digitsum"])
+def test_eval_on_a_corpus_without_sets_exits_2(task, text, tmp_path, capsys):
+    # the mean over no sets divided by zero
+    _, ck_path = train_task(task, tmp_path / "run")
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(text)
+    argv = ["eval", "--checkpoint", str(ck_path), "--corpus", str(path), "--out", str(tmp_path / "ev")]
+    assert run(argv) == cli.EXIT_CONFIG
+    assert f"corpus {str(path)!r} holds no sets" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+# a corpus set's label that its task cannot read: (task, the label; None leaves it out)
+BAD_LABELS = {"digitsum-text": ("digitsum", "x"), "digitsum-missing": ("digitsum", None),
+              "digitsum-negative": ("digitsum", -1), "digitsum-fraction": ("digitsum", 2.5),
+              "pointset-out-of-range": ("pointset", 99), "pointset-true": ("pointset", True)}
+
+
+def _labelled_corpus(path, task, labels) -> Path:
+    """One record per label, set ids from 6, points of the task's input dimension."""
+    dim = cli.TASK_TABLE[task].input_dim
+    lines = []
+    for set_id, label in enumerate(labels, start=6):
+        record = {"set_id": set_id, "points": [[0.5] * dim, [0.25] * dim, [1.0] * dim]}
+        if label is not None:
+            record["label"] = label
+        lines.append(json.dumps(record) + "\n")
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+def test_corpus_label_the_task_cannot_read_exits_2(case, verb, tmp_path, capsys):
+    task, label = BAD_LABELS[case]
+    path = _labelled_corpus(tmp_path / "corpus.jsonl", task, [3, label])
+    out = ["--out", str(tmp_path / verb)]
+    if verb == "train":
+        argv = ["train", "--task", task, "--corpus", str(path)] + TASK_RUNS[task][0] + out
+    else:
+        _, ck_path = train_task(task, tmp_path / "run")
+        argv = ["eval", "--checkpoint", str(ck_path), "--corpus", str(path)] + out
+    assert run(argv) == cli.EXIT_CONFIG
+    assert f"{path}: set 7 has label" in capsys.readouterr().err
+    assert not (tmp_path / verb).exists()
+
+
+@pytest.mark.parametrize("task", ["digitsum", "pointset"])
+def test_corpus_labels_that_are_whole_floats_are_read(task, tmp_path):
+    path = _labelled_corpus(tmp_path / "corpus.jsonl", task, [3.0, 0, 7.0])
+    argv = ["train", "--task", task, "--corpus", str(path), "--out", str(tmp_path / "run")]
+    assert run(argv + TASK_RUNS[task][0]) == 0
+    _, ck_path = train_task(task, tmp_path / "run2")
+    assert run(["eval", "--checkpoint", str(ck_path), "--corpus", str(path),
+                "--out", str(tmp_path / "ev")]) == 0
+
+
 def test_train_divergence_exits_6(tmp_path):
     with np.errstate(all="ignore"):
         code = run(["train", "--task", "mog", "--steps", "4", "--out", str(tmp_path / "d"),

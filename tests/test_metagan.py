@@ -89,8 +89,6 @@ def test_family_spec_validation():
         TaskFamilySpec("gamma1d")
     with pytest.raises(ConfigError):
         TaskFamilySpec("gauss1d", n_points=1)
-    with pytest.raises(ConfigError):
-        TaskFamilySpec("gauss1d", n_sets=0)
     assert TaskFamilySpec("gauss1d").points_per_set == 50
     assert TaskFamilySpec("gauss2d").points_per_set == 100
     assert TaskFamilySpec("gauss2d").dim == 2
@@ -164,7 +162,7 @@ def test_corpus_determinism_and_shapes():
         assert sa.points.shape == (10, 1)
     c = gen_task_corpus(spec, count=6, seed=10)
     assert not np.array_equal(a[0][0].points, c[0][0].points)
-    assert gen_task_corpus(TaskFamilySpec("gauss2d", n_sets=3), seed=1)[2][0].set_id == 2
+    assert gen_task_corpus(TaskFamilySpec("gauss2d"), count=3, seed=1)[2][0].set_id == 2
 
 
 # -- nets -----------------------------------------------------------------------

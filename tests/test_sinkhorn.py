@@ -493,12 +493,13 @@ def test_column_weight_positivity_enforced():
         differentiable_transport_loss(C, Value(np.array([1.0, 0.0])))
 
 
-def fused_and_tapes(C0, b0, a, cfg, uniform_rows=True):
+def fused_and_tapes(C0, b0, cfg):
     """(loss, cost gradient, weight gradient) of the fused node, the kernel-form
-    tape and the log-domain tape."""
+    tape and the log-domain tape, all with uniform row weights."""
+    a = uniform_weights(C0.shape[0])
     results = []
     for build in (
-        lambda C, b: differentiable_transport_loss(C, b, cfg, None if uniform_rows else a),
+        lambda C, b: differentiable_transport_loss(C, b, cfg),
         lambda C, b: unrolled_loss_tape(C, b, a, cfg),
         lambda C, b: log_domain_loss_tape(C, b, a, cfg),
     ):
@@ -515,17 +516,15 @@ def rel_err(x, ref):
 
 
 @pytest.mark.parametrize(
-    "n,k,eps,iters,uniform_rows",
-    [(100, 50, 0.1, 50, True), (5, 16, 0.1, 20, True), (8, 3, 0.01, 50, True), (12, 4, 0.1, 30, False)],
+    "n,k,eps,iters", [(100, 50, 0.1, 50), (5, 16, 0.1, 20), (8, 3, 0.01, 50), (12, 4, 0.1, 30)]
 )
-def test_fused_unrolled_matches_tape(n, k, eps, iters, uniform_rows):
+def test_fused_unrolled_matches_tape(n, k, eps, iters):
     rng = np.random.default_rng(n * k)
     C0 = rng.uniform(0, 2, (n, k))
     b0 = floor_simplex(rng.dirichlet(np.ones(k)))
-    a = uniform_weights(n) if uniform_rows else rng.dirichlet(np.ones(n))
     cfg = SinkhornConfig(epsilon=eps, unroll_iters=iters)
     (fused, gC, gb), (tape, gC_ref, gb_ref), (log_loss, gC_log, gb_log) = fused_and_tapes(
-        C0, b0, a, cfg, uniform_rows
+        C0, b0, cfg
     )
     assert fused == tape  # same operations in the same order
     assert rel_err(gC, gC_ref) <= 1e-10
@@ -576,7 +575,7 @@ def test_absorption_matches_log_domain(monkeypatch):
     calls.clear()
     cfg = SinkhornConfig(epsilon=eps, unroll_iters=100)
     (fused, gC, gb), (tape, gC_ref, gb_ref), (log_loss, gC_log, gb_log) = fused_and_tapes(
-        C0, b0, a, cfg
+        C0, b0, cfg
     )
     assert len(calls) > 2  # the fused node's; the tapes build their own
     assert fused == tape
@@ -618,19 +617,19 @@ def test_fused_unrolled_graph_size_does_not_grow_with_iterations():
 # -- stacked problems: one node for B problems of one shape ---------------------------
 
 
-def stacked_and_sliced(C0, b0, cfg, a=None):
+def stacked_and_sliced(C0, b0, cfg):
     """(losses, cost gradient, weight gradient) of the (B, N, K) stack as one
     node, and the same stacked from each slice run as its own 2-D node.  Loss b
     is weighted by b + 1, so every problem's backward starts from another scale."""
     coeffs = np.arange(1.0, C0.shape[0] + 1.0)
     C, b = Value(C0.copy(), requires_grad=True), Value(b0.copy(), requires_grad=True)
-    losses = differentiable_transport_loss(C, b, cfg, a)
+    losses = differentiable_transport_loss(C, b, cfg)
     (losses * coeffs).sum().backward()
     stacked = (losses.data, C.grad, b.grad)
     parts = []
     for C_i, b_i, c in zip(C0, b0, coeffs):
         C, b = Value(C_i.copy(), requires_grad=True), Value(b_i.copy(), requires_grad=True)
-        loss = differentiable_transport_loss(C, b, cfg, a)
+        loss = differentiable_transport_loss(C, b, cfg)
         (loss * c).backward()
         parts.append((loss.item(), C.grad, b.grad))
     return stacked, tuple(np.array(x) for x in zip(*parts))
@@ -643,13 +642,12 @@ def random_stack(rng, shape, high=2.0):
     return C0, b0
 
 
-@pytest.mark.parametrize("shape,iters,uniform_rows", [((5, 5, 16), 20, True), ((3, 12, 4), 30, False)])
-def test_stacked_unrolled_matches_each_slice(shape, iters, uniform_rows):
+@pytest.mark.parametrize("shape,iters", [((5, 5, 16), 20), ((3, 12, 4), 30)])
+def test_stacked_unrolled_matches_each_slice(shape, iters):
     rng = np.random.default_rng(sum(shape))
     C0, b0 = random_stack(rng, shape)
-    a = None if uniform_rows else rng.dirichlet(np.ones(shape[1]))
     cfg = SinkhornConfig(epsilon=0.1, unroll_iters=iters)
-    (losses, gC, gb), (ref, gC_ref, gb_ref) = stacked_and_sliced(C0, b0, cfg, a)
+    (losses, gC, gb), (ref, gC_ref, gb_ref) = stacked_and_sliced(C0, b0, cfg)
     assert losses.shape == (shape[0],)
     assert rel_err(losses, ref) <= 1e-13
     assert rel_err(gC, gC_ref) <= 1e-12

@@ -135,10 +135,14 @@ def test_wrong_dimension_raises():
         net.summarize(RNG.normal(size=(5, 4)))
 
 
-def test_encode_elements_shape():
-    net = small_net()
-    feats = net.encode_elements(RNG.normal(size=(7, 3)))
-    assert feats.shape == (7, 16)
+def test_pooled_representation_shape():
+    for pooling in ("mean", "sum", "max"):
+        net = small_net(pooling=pooling)
+        assert net.pooled_representation(RNG.normal(size=(7, 3))).shape == (1, 16)
+    with pytest.raises(DomainError):
+        net.pooled_representation(np.zeros((0, 3)))
+    with pytest.raises(ShapeError):
+        net.pooled_representation(RNG.normal(size=7))
 
 
 @given(st.integers(0, 10**6))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -126,7 +125,9 @@ def _resolve(args, flag_map: dict) -> tuple[ResolvedConfig, set]:
 
 
 def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
+    if value is None:
+        return ""
+    return repr(float(value))
 
 
 def _write_trace(path: Path, cfg: ResolvedConfig, trace: dict) -> None:
@@ -155,14 +156,6 @@ def _write_metrics(path: Path, payload: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # the task table: what each verb does for each task
-
-
-def _whole_below(label, bound) -> bool:
-    """Whether ``label`` is a JSON number whose float is a whole value in [0, bound)."""
-    try:  # None or a string fails float() or the comparison, a huge int float()
-        return not isinstance(label, bool) and float(label).is_integer() and 0 <= label < bound
-    except (TypeError, ValueError, OverflowError):
-        return False
 
 
 def _bank(sets, dim: int, k: int, rng) -> PrototypeBank:
@@ -208,8 +201,13 @@ class Task:
         if not sets:
             raise ConfigError(f"corpus {path!r} holds no sets")
         for batch in sets if self.label_bound else ():
-            if not _whole_below(batch.label, self.label_bound):
-                raise ConfigError(f"{path}: set {batch.set_id} has label {batch.label!r}, "
+            label = batch.label
+            try:  # None or a string fails float() or the comparison, a huge int float()
+                whole = float(label).is_integer() and 0 <= label < self.label_bound
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if isinstance(label, bool) or not whole:
+                raise ConfigError(f"{path}: set {batch.set_id} has label {label!r}, "
                                   f"not a whole number in [0, {self.label_bound})")
         return sets
 
@@ -324,7 +322,7 @@ class MogTask(EncoderTask):
 class DigitSumTask(EncoderTask):
     name = "digitsum"
     input_dim = 10
-    label_bound = math.inf
+    label_bound = float("inf")
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return 1
@@ -777,7 +775,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help and usage errors
-        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+        code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+        return code
     try:
         return args.func(args)
     except CheckpointVersionError as exc:

@@ -49,7 +49,9 @@ def load_corpus(path):
     dimension than the first set's, raises ConfigError naming file:line.
     """
     path = Path(path)
-    meta, sets, truths = {}, [], []
+    meta: dict = {}
+    sets: list[SetBatch] = []
+    truths: list = []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:

@@ -185,6 +185,8 @@ MALFORMED = {
     "no-points": ("corpus.jsonl", '{"set_id": 0, "label": 1}\n', ":1:"),
     "meta-not-an-object": ("corpus.jsonl", '{"meta": [1]}\n{"points": [[1.0, 2.0]]}\n', ":1:"),
     "ragged-points": ("corpus.jsonl", '{"points": [[1.0, 2.0], [3.0]]}\n', ":1:"),
+    "two-dimensions": ("corpus.jsonl", '{"points": [[1.0, 2.0]]}\n{"points": [[1.0, 2.0, 3.0]]}\n',
+                       ":2: points are 3-D"),
     "non-numeric-cost": ("c.csv", "# costs\n0,1\n1,zero\n", ":3:"),
 }
 
@@ -371,20 +373,9 @@ def test_train_missing_corpus_exits_3(tmp_path):
     assert code == cli.EXIT_MISSING_FILE
 
 
-@pytest.mark.parametrize("task", ["mog", "metagan"])
-def test_train_on_sets_of_two_dimensions_exits_2(task, tmp_path, capsys):
-    # the bank's first columns were stacked from both sets, and numpy refused
-    path = tmp_path / "corpus.jsonl"
-    path.write_text('{"points": [[0.0, 1.0], [1.0, 0.5]]}\n{"points": [[0.0, 1.0, 2.0]]}\n')
-    argv = ["train", "--task", task, "--corpus", str(path), "--out", str(tmp_path / "run")]
-    assert run(argv + TASK_RUNS[task][0]) == cli.EXIT_CONFIG
-    assert f"{path}:2: points are 3-D, the first set's 2-D" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("text", ["", '{"meta": {"task": "mog"}}\n'], ids=["empty", "meta-only"])
 @pytest.mark.parametrize("task", ["mog", "digitsum"])
 def test_eval_on_a_corpus_without_sets_exits_2(task, text, tmp_path, capsys):
-    # the mean over no sets divided by zero
     _, ck_path = train_task(task, tmp_path / "run")
     path = tmp_path / "corpus.jsonl"
     path.write_text(text)

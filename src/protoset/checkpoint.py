@@ -5,63 +5,24 @@ optimizer state, so training cannot resume from one.
 
 The payload is a single JSON object with sorted keys and no whitespace, so the
 config, its hash and the step stay readable and a save -> load -> save round
-trip reproduces the file byte for byte.  Each array is stored as its shape and
-the standard base64 of its C-order little-endian float64 bytes: every value
-comes back bit for bit, and writing or reading it takes a fraction of the time
-that the same values take as decimal JSON numbers.  Loading is strict: data
-that is not a base64 string, decodes to a byte count other than 8 per element
-of its shape, or holds a NaN or an infinity makes the checkpoint corrupt.
-Saving refuses a non-finite parameter before anything is written, since
-nothing in the opaque bytes would show it.
+trip reproduces the file byte for byte.  Each array is stored as an
+``arraycodec`` record: its shape and the standard base64 of its C-order
+little-endian float64 bytes, so every value comes back bit for bit.  Loading is
+strict: a record the codec refuses makes the checkpoint corrupt.  Saving
+refuses a non-finite parameter before anything is written.
 """
 
 from __future__ import annotations
 
-import base64
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from .arraycodec import ArrayRecordError, decode_array, encode_array
 from .diffcore import Value
-from .errors import CheckpointError, CheckpointVersionError, NumericalError, read_text, strict_json
+from .errors import CheckpointError, CheckpointVersionError, read_text, strict_json
 
 FORMAT_VERSION = 3
-_FLOAT = np.dtype("<f8")  # the stored element: little-endian float64
-
-
-def _array_record(name: str, array: np.ndarray) -> dict:
-    a = np.asarray(array, dtype=_FLOAT)
-    if not np.isfinite(a).all():
-        raise NumericalError(f"parameter {name!r} holds a NaN or an infinity; nothing written")
-    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _array_from_record(name: str, record) -> np.ndarray:
-    if not isinstance(record, dict) or "shape" not in record or "data" not in record:
-        raise CheckpointError(f"array {name!r} is missing shape or data")
-    shape = record["shape"]
-    data = record["data"]
-    if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
-        raise CheckpointError(f"array {name!r} has a malformed shape {shape!r}")
-    if not isinstance(data, str):
-        raise CheckpointError(f"array {name!r} data is not a base64 string")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError:  # binascii.Error, or a character outside ASCII
-        raise CheckpointError(f"array {name!r} data is not valid base64") from None
-    expected = _FLOAT.itemsize * math.prod(shape)
-    if len(raw) != expected:
-        raise CheckpointError(
-            f"array {name!r} carries {len(raw)} bytes but its shape {tuple(shape)} "
-            f"needs {expected}"
-        )
-    array = np.frombuffer(raw, dtype=_FLOAT).astype(np.float64)  # a writable copy
-    if not np.isfinite(array).all():
-        raise CheckpointError(f"array {name!r} holds an entry that is not a finite number")
-    return array.reshape(shape)
 
 
 @dataclass
@@ -81,7 +42,7 @@ def save_checkpoint(path, params: dict, step: int, config: dict, config_hash: st
         raise CheckpointError(f"step must be nonnegative, got {step}")
     arrays = {}
     for name, p in params.items():
-        arrays[name] = _array_record(name, p.data if isinstance(p, Value) else p)
+        arrays[name] = encode_array(p.data if isinstance(p, Value) else p, f"parameter {name!r}")
     payload = {
         "format_version": FORMAT_VERSION,
         "step": int(step),
@@ -125,7 +86,12 @@ def load_checkpoint(path) -> Checkpoint:
     raw_params = payload["params"]
     if not isinstance(raw_params, dict):
         raise CheckpointError(f"{path.name} params must be a name -> array mapping")
-    params = {name: _array_from_record(name, rec) for name, rec in raw_params.items()}
+    params = {}
+    for name, record in raw_params.items():
+        try:
+            params[name] = decode_array(record)
+        except ArrayRecordError as exc:
+            raise CheckpointError(f"array {name!r} {exc}") from None
     step = payload["step"]
     if not isinstance(step, int) or step < 0:
         raise CheckpointError(f"{path.name} has a malformed step {step!r}")

@@ -478,6 +478,10 @@ class MetaGanTask(Task):
         return train_metagan(sets, model, bank, model.config)
 
     def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank) -> dict:
+        if cfg["corpus"]:
+            raise ConfigError(
+                "metagan is scored on tasks generated from eval.seed; corpus must be empty"
+            )
         _, tasks = self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])
         return eval_generative(model, tasks, seed=cfg["eval.seed"])
 

@@ -3,6 +3,13 @@
 One object per set: {"set_id", "points", "label", "truth"?}. An optional first
 line {"meta": {...}} records the generator spec so downstream tools can
 reconstruct evaluation settings without re-parsing flags.
+
+``save_corpus`` writes ``points`` as an ``arraycodec`` record, {"shape": [n, d],
+"data": base64 of the C-order little-endian float64 bytes}, which reads back
+bit for bit and without parsing a decimal number.
+``load_corpus`` reads that form, and also a JSON list of rows, the form a
+hand-written corpus uses; the JSON type of ``points`` tells them apart.  The
+other fields stay plain JSON.
 """
 
 from __future__ import annotations
@@ -10,8 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
+from ..arraycodec import decode_array, encode_array
 from ..errors import ConfigError, NumericalError, read_text, strict_json
 from ..summarynet import SetBatch
 
@@ -19,8 +25,9 @@ from ..summarynet import SetBatch
 def save_corpus(path, sets, meta: dict | None = None, truths=None) -> None:
     """Write SetBatch records as JSON lines, optionally preceded by a meta line.
 
-    The lines are strict JSON: a NaN or an infinity in the meta or in a record
-    raises NumericalError, and the partly written file is removed.
+    The lines are strict JSON: a NaN or an infinity in the meta, in a record
+    or in its points raises NumericalError, and the partly written file is
+    removed.
     """
     path = Path(path)
     if truths is not None and len(truths) != len(sets):
@@ -31,8 +38,8 @@ def save_corpus(path, sets, meta: dict | None = None, truths=None) -> None:
         with path.open("w", encoding="utf-8") as fh:
             fh.write(head)
             for batch, truth in zip(sets, truths or [None] * len(sets)):
-                rec = {"set_id": batch.set_id, "label": batch.label,
-                       "points": batch.points.tolist()}
+                points = encode_array(batch.points, f"set {batch.set_id}")
+                rec = {"set_id": batch.set_id, "label": batch.label, "points": points}
                 if truth is not None:
                     rec["truth"] = truth
                 fh.write(strict_json(rec, f"set {batch.set_id}") + "\n")
@@ -45,8 +52,9 @@ def load_corpus(path):
     """Read a corpus file back into (meta, sets, truths).
 
     truths is a list aligned with sets; entries are None when the file has no
-    ground-truth records.  A malformed line, or a set whose points have another
-    dimension than the first set's, raises ConfigError naming file:line.
+    ground-truth records.  A malformed line, points the codec or SetBatch
+    refuses, or a set whose points have another dimension than the first set's,
+    raises ConfigError naming file:line.
     """
     path = Path(path)
     meta: dict = {}
@@ -70,8 +78,10 @@ def load_corpus(path):
             continue
         if "points" not in rec:
             raise ConfigError(f"{where}: record has no points field")
+        points = rec["points"]
         try:
-            points = np.asarray(rec["points"], dtype=np.float64)
+            if isinstance(points, dict):
+                points = decode_array(points)
             batch = SetBatch(points, set_id=rec.get("set_id", len(sets)), label=rec.get("label"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: bad points ({exc})") from None

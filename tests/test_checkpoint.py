@@ -165,6 +165,13 @@ def test_missing_fields_and_bad_shapes_are_corruption(tmp_path):
     with pytest.raises(CheckpointError, match="bank"):
         load_checkpoint(path)
 
+    _save(path, _named_params())
+    payload = json.loads(path.read_text())
+    payload["params"]["bank"]["shape"] = [True, 18]  # true is no count, though 18 values fit
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="'bank' has a malformed shape"):
+        load_checkpoint(path)
+
 
 # what a bad entry is written as, and what the error then says: a string is
 # written as it is, a float at the first slot of the array's decoded float64

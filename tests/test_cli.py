@@ -180,6 +180,15 @@ def test_ot_inf_cost_exits_6_without_a_report(tmp_path, capsys):
     assert not (tmp_path / "sol").exists()
 
 
+def _points_line(values, shape=None, data=None) -> str:
+    """A corpus line whose points are an array record of ``values``, its fields replaceable."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    record = {"shape": list(np.shape(values)) if shape is None else shape,
+              "data": base64.b64encode(raw).decode("ascii") if data is None else data}
+    return json.dumps({"points": record}) + "\n"
+
+
+GOOD = _points_line([[1.0, 2.0], [3.0, 4.0]])
 MALFORMED = {
     "bad-json": ("corpus.jsonl", '{"points": [[1.0, 2.0]]}\n{"points": [[1.0, \n', ":2:"),
     "no-points": ("corpus.jsonl", '{"set_id": 0, "label": 1}\n', ":1:"),
@@ -188,6 +197,30 @@ MALFORMED = {
     "two-dimensions": ("corpus.jsonl", '{"points": [[1.0, 2.0]]}\n{"points": [[1.0, 2.0, 3.0]]}\n',
                        ":2: points are 3-D"),
     "non-numeric-cost": ("c.csv", "# costs\n0,1\n1,zero\n", ":3:"),
+    # points as an array record, after a good one
+    "record-data-not-a-string": ("corpus.jsonl", GOOD + _points_line([[1.0, 2.0]], data=[1.0, 2.0]),
+                                 ":2: bad points (data is not a base64 string)"),
+    "record-bad-base64-character": ("corpus.jsonl", GOOD + _points_line(
+        [[1.0, 2.0]], data="AAAA!AAAAAAAAAAAAAAAAAA="), ":2: bad points (data is not valid"),
+    "record-bad-base64-padding": ("corpus.jsonl", GOOD + _points_line(
+        [[1.0, 2.0]], data="AAAAAAA=AAAAAAAAAAAAAAAA"), ":2: bad points (data is not valid"),
+    "record-one-value-short": ("corpus.jsonl", GOOD + _points_line([1.0, 2.0, 3.0], shape=[2, 2]),
+                               ":2: bad points (carries 24 bytes"),
+    "record-one-value-long": ("corpus.jsonl", GOOD + _points_line([1.0, 2.0, 3.0], shape=[1, 2]),
+                              ":2: bad points (carries 24 bytes"),
+    "record-nan": ("corpus.jsonl", GOOD + _points_line([[1.0, float("nan")]]),
+                   ":2: bad points (holds an entry that is not a finite number)"),
+    "record-inf": ("corpus.jsonl", GOOD + _points_line([[float("-inf"), 2.0]]),
+                   ":2: bad points (holds an entry that is not a finite number)"),
+    "record-shape-not-a-list": ("corpus.jsonl", GOOD + _points_line([[1.0, 2.0]], shape="1x2"),
+                                ":2: bad points (has a malformed shape"),
+    "record-shape-negative": ("corpus.jsonl", GOOD + _points_line([[1.0, 2.0]], shape=[-1, -2]),
+                              ":2: bad points (has a malformed shape"),
+    "record-shape-true": ("corpus.jsonl", GOOD + _points_line([[1.0, 2.0]], shape=[True, 2]),
+                          ":2: bad points (has a malformed shape [True, 2])"),
+    "record-shape-1-d": ("corpus.jsonl", GOOD + _points_line([1.0, 2.0]), ":2: bad points (set"),
+    "record-shape-no-rows": ("corpus.jsonl", GOOD + _points_line(np.zeros((0, 2))),
+                             ":2: bad points (a set needs at least one point)"),
 }
 
 
@@ -197,12 +230,18 @@ def test_malformed_input_exits_2_naming_file_and_line(case, tmp_path, capsys):
     path = tmp_path / name
     path.write_text(text)
     if name == "c.csv":
-        argv = ["ot", "--cost", str(path)]
-    else:
-        argv = ["train", "--task", "mog", "--corpus", str(path), "--steps", "1",
-                "--out", str(tmp_path / "run")] + MOG_ARGS
-    assert run(argv) == cli.EXIT_CONFIG
-    assert f"{path}{where}" in capsys.readouterr().err
+        runs = [["ot", "--cost", str(path)]]
+    else:  # a corpus, read by train and by eval
+        _, ck_path = train_task("mog", tmp_path / "trained")
+        runs = [["train", "--task", "mog", "--corpus", str(path), "--steps", "1",
+                 "--out", str(tmp_path / "run")] + MOG_ARGS,
+                ["eval", "--checkpoint", str(ck_path), "--corpus", str(path),
+                 "--out", str(tmp_path / "ev")]]
+    capsys.readouterr()
+    for argv in runs:
+        assert run(argv) == cli.EXIT_CONFIG, argv[0]
+        assert f"{path}{where}" in capsys.readouterr().err, argv[0]
+    assert not (tmp_path / "run").exists() and not (tmp_path / "ev").exists()
 
 
 def _reading(flag: str, path, tmp_path) -> list:
@@ -580,6 +619,17 @@ def test_eval_checkpoint_entry_not_a_finite_number_exits_4(entry, tmp_path, caps
     assert ("not a finite number" if entry != '"x"' else "not valid base64") in err
 
 
+def test_eval_checkpoint_shape_holding_true_exits_4(tmp_path, capsys):
+    # JSON true is no count, even where 1 would fit the data
+    _, ck_path = train_task("mog", tmp_path / "run")
+    payload = json.loads(ck_path.read_text())
+    name, record = next(iter(payload["params"].items()))
+    record["shape"] = [True] + record["shape"]
+    ck_path.write_text(json.dumps(payload))
+    assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_BAD_CHECKPOINT
+    assert f"array {name!r} has a malformed shape [True, " in capsys.readouterr().err
+
+
 def test_train_with_a_non_finite_parameter_exits_6_without_a_checkpoint(
     tmp_path, capsys, monkeypatch
 ):
@@ -691,6 +741,19 @@ def test_fewshot_corpus_exits_2(verb, tmp_path, capsys):
     capsys.readouterr()
     assert run(argv) == cli.EXIT_CONFIG
     assert "corpus must be empty" in capsys.readouterr().err
+
+
+def test_metagan_eval_corpus_exits_2(tmp_path, capsys):
+    # eval scores generated tasks from eval.seed, so a corpus would be silently ignored
+    data = tmp_path / "data"
+    assert run(["gen", "--task", "metagan", "--count", "2", "--out", str(data)]) == 0
+    _, ck_path = train_task("metagan", tmp_path / "run")
+    capsys.readouterr()
+    argv = ["eval", "--checkpoint", str(ck_path), "--corpus", str(data / "corpus.jsonl"),
+            "--out", str(tmp_path / "ev")]
+    assert run(argv) == cli.EXIT_CONFIG
+    assert "corpus must be empty" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
 
 
 # the key an unread input names -> (that input's key, value, flag or None)

@@ -116,6 +116,38 @@ def test_corpus_roundtrip(tmp_path):
         assert np.array_equal(np.asarray(truth["means"]), params.means)
 
 
+# -0.0, the subnormal extremes and the largest float; C-order native float64
+EXTREMES = np.array([[-0.0, 5e-324], [-5e-324, np.finfo(np.float64).max], [1.0 / 3.0, -1.5]])
+
+
+@pytest.mark.parametrize("layout", ["c-order", "fortran", "big-endian"])
+def test_corpus_points_round_trip_bit_exact(layout, tmp_path):
+    batch = SetBatch(EXTREMES, set_id=4, label=2)
+    # as given, past SetBatch's conversion, so that the writer sees the layout
+    batch.points = {"c-order": EXTREMES, "fortran": np.asfortranarray(EXTREMES),
+                    "big-endian": EXTREMES.astype(">f8")}[layout]
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    save_corpus(first, [batch], meta={"task": "mog"})
+    record = json.loads(first.read_text().splitlines()[1])
+    assert record["points"]["shape"] == [3, 2]
+    _, sets, _ = load_corpus(first)
+    loaded = sets[0].points
+    assert loaded.dtype == np.float64 and loaded.flags.writeable and loaded.flags.c_contiguous
+    assert loaded.tobytes() == EXTREMES.tobytes()  # bit for bit, the sign of -0.0 too
+    assert (sets[0].set_id, sets[0].label) == (4, 2)
+    save_corpus(second, sets, meta={"task": "mog"})
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_corpus_points_as_a_list_of_rows_still_read(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    save_corpus(path, [SetBatch(EXTREMES, set_id=0)])
+    record = json.loads(path.read_text()) | {"points": EXTREMES.tolist()}
+    path.write_text(json.dumps(record) + "\n")
+    _, sets, _ = load_corpus(path)
+    assert sets[0].points.tobytes() == EXTREMES.tobytes()
+
+
 def test_corpus_without_meta_line(tmp_path):
     path = tmp_path / "plain.jsonl"
     path.write_text(json.dumps({"set_id": 0, "points": [[1.0, 2.0]], "label": 3}) + "\n")

@@ -13,7 +13,11 @@ A file named ``checkpoint.*`` is compared by its parsed payload, so that
 checkpoints of two formats compare too: each array's ``data`` is read as its
 numbers, from base64 of little-endian float64 (format 3) or as a JSON list
 (format 2), and the numbers of each array are paired by name.  The line names
-the two format versions when they differ.
+the two format versions when they differ.  A ``corpus.jsonl`` is compared line
+by line the same way: each set's ``points`` is read as rows of numbers, from a
+base64 array record or from a JSON list of rows, so a corpus whose encoding
+alone changed reads "numbers equal".  A line that does not read so is compared
+as it stands.
 
     python3 tools/golden_drift.py /tmp/golden-base /tmp/golden-head
 """
@@ -62,16 +66,21 @@ def drift(base: bytes, head: bytes) -> str:
     return f"max rel diff {worst[0]:.2e} ({worst[1]} -> {worst[2]})"
 
 
+def _f8_values(data: str) -> list:
+    """The numbers of base64 of little-endian float64 bytes."""
+    values = array.array("d", base64.b64decode(data, validate=True))
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values.tolist()
+
+
 def _checkpoint_numbers(payload: dict) -> dict:
     """The payload with each array's data as a list of numbers, without its version."""
     arrays = {}
     for name, record in payload["params"].items():
         data = record["data"]
         if isinstance(data, str):
-            values = array.array("d", base64.b64decode(data, validate=True))
-            if sys.byteorder == "big":
-                values.byteswap()
-            data = values.tolist()
+            data = _f8_values(data)
         arrays[name] = {"shape": record["shape"], "data": data}
     rest = {key: value for key, value in payload.items() if key != "format_version"}
     return rest | {"params": arrays}
@@ -87,6 +96,32 @@ def checkpoint_drift(base: bytes, head: bytes) -> str:
     found = drift(*texts)
     old, new = (p.get("format_version") for p in payloads)
     return found if old == new else f"format {old} -> {new}: {found}"
+
+
+def _corpus_line(line: bytes) -> bytes:
+    """A corpus line with its points as rows of numbers, or the line itself if it is unreadable."""
+    try:
+        record = json.loads(line)
+        points = record["points"]
+        if isinstance(points, dict):
+            n, d = points["shape"]
+            values = _f8_values(points["data"])
+            record["points"] = [values[i * d:(i + 1) * d] for i in range(n)]
+        return json.dumps(record, sort_keys=True).encode()
+    except (ValueError, KeyError, TypeError):  # not a readable set record
+        return line
+
+
+def corpus_drift(base: bytes, head: bytes) -> str:
+    """How corpus ``head`` differs from ``base``, compared by its sets' points as numbers."""
+    return drift(*(b"\n".join(map(_corpus_line, text.split(b"\n"))) for text in (base, head)))
+
+
+def _compare(name: str):
+    """The comparison for the artifact file ``name``."""
+    if name.startswith("checkpoint."):
+        return checkpoint_drift
+    return corpus_drift if name == "corpus.jsonl" else drift
 
 
 def main(argv=None) -> int:
@@ -106,8 +141,7 @@ def main(argv=None) -> int:
         else:
             old, new = (args.base / name).read_bytes(), (args.head / name).read_bytes()
             if old != new:
-                compare = checkpoint_drift if Path(name).name.startswith("checkpoint.") else drift
-                print(f"{name}: {compare(old, new)}")
+                print(f"{name}: {_compare(Path(name).name)(old, new)}")
     return 0
 
 

@@ -22,7 +22,7 @@ from .arraycodec import ArrayRecordError, decode_array, encode_array
 from .diffcore import Value
 from .errors import CheckpointError, CheckpointVersionError, read_text, strict_json
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -33,7 +33,6 @@ class Checkpoint:
     step: int
     config: dict  # resolved config in JSON form
     config_hash: str
-    format_version: int = FORMAT_VERSION
 
 
 def save_checkpoint(path, params: dict, step: int, config: dict, config_hash: str) -> None:
@@ -102,7 +101,6 @@ def load_checkpoint(path) -> Checkpoint:
         step=step,
         config=payload["config"],
         config_hash=payload["config_hash"],
-        format_version=version,
     )
 
 

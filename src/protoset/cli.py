@@ -3,8 +3,10 @@
 Five verbs share one flat configuration schema (see config.py).  Every
 artifact embeds the resolved configuration and seed that produced it, file
 names are fixed (corpus.jsonl, trace.csv, metrics.json, checkpoint.<step>),
-and nothing written depends on wall-clock time, so a rerun with the same
-configuration reproduces artifacts byte for byte.
+and nothing written depends on wall-clock time.  Where files are read and
+written is set by the ``--corpus`` and ``--out`` flags alone, which no
+artifact records, so a rerun with the same configuration reproduces
+artifacts byte for byte, in any directory.
 
 Exit codes: 0 success, 1 unexpected error, 2 bad configuration or input,
 3 missing file, 4 corrupt checkpoint, 5 checkpoint format mismatch,
@@ -211,9 +213,10 @@ class Task:
                                   f"not a whole number in [0, {self.label_bound})")
         return sets
 
-    def training_sets(self, cfg: ResolvedConfig):
-        if cfg["corpus"]:
-            return self.read_corpus(cfg["corpus"])
+    def training_sets(self, cfg: ResolvedConfig, corpus):
+        """The sets of the file ``corpus``, or without one, ``count`` sets drawn from the seed."""
+        if corpus:
+            return self.read_corpus(corpus)
         return self.gen(cfg, cfg["count"], cfg["seed"])[0]
 
     def gradcheck(self, seed: int):
@@ -224,7 +227,7 @@ class Task:
         """
         overrides = {**self.gradcheck_shapes, "task": self.name, "seed": str(seed)}
         cfg = resolve_config(overrides=overrides)
-        sets = self.training_sets(cfg)
+        sets = self.training_sets(cfg, None)
         net, bank, named = self.build(cfg, sets)
         return self.objectives(cfg, net, bank, named, sets)
 
@@ -269,14 +272,12 @@ class EncoderTask(Task):
 
         return [(f"{self.name}-combined", combined, list(named.values()))]
 
-    def eval_corpus(self, cfg: ResolvedConfig):
-        return self.read_corpus(cfg["corpus"]) if cfg["corpus"] else self.eval_sets(cfg)
-
-    def evaluate(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank) -> dict:
+    def evaluate(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank, corpus) -> dict:
+        sets = self.read_corpus(corpus) if corpus else None  # None: the task's own eval data
         if cfg["train.mode"] == "supervised":
-            return self.score(cfg, net)
+            return self.score(cfg, net, sets)
         # the training objective, on eval sets subsampled as in training
-        sets = self.eval_corpus(cfg)
+        sets = sets or self.eval_sets(cfg)
         rng = np.random.default_rng(cfg["eval.seed"])
         config = self.train_config(cfg)
         total = 0.0
@@ -308,10 +309,10 @@ class MogTask(EncoderTask):
     def eval_sets(self, cfg: ResolvedConfig):
         return [batch for batch, _ in self.eval_pairs(cfg)]
 
-    def score(self, cfg: ResolvedConfig, net: SummaryNet) -> dict:
+    def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
         cap, seed = cfg["mog.encode_cap"] or None, cfg["eval.seed"]
-        if cfg["corpus"]:  # provenance unknown, so no oracle
-            return {"mean_loglik": eval_mog_loglik(net, self.eval_corpus(cfg), cap, seed)}
+        if sets:  # provenance unknown, so no oracle
+            return {"mean_loglik": eval_mog_loglik(net, sets, cap, seed)}
         pairs = self.eval_pairs(cfg)
         return {
             "mean_loglik": eval_mog_loglik(net, [batch for batch, _ in pairs], cap, seed),
@@ -344,7 +345,7 @@ class DigitSumTask(EncoderTask):
     def eval_sets(self, cfg: ResolvedConfig):
         return [batch for sets in self._test_corpora(cfg).values() for batch in sets]
 
-    def score(self, cfg: ResolvedConfig, net: SummaryNet) -> dict:
+    def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
         def accuracy(sets) -> float:
             hits = 0.0
             with no_grad():
@@ -353,8 +354,8 @@ class DigitSumTask(EncoderTask):
                     hits += digit_sum_accuracy(float(pred.data.reshape(())), batch.label)
             return hits / len(sets)
 
-        if cfg["corpus"]:
-            return {"accuracy": accuracy(self.eval_corpus(cfg))}
+        if sets:
+            return {"accuracy": accuracy(sets)}
         by_size = {str(size): accuracy(sets) for size, sets in self._test_corpora(cfg).items()}
         return {"accuracy_by_size": by_size, "mean_accuracy": sum(by_size.values()) / len(by_size)}
 
@@ -378,8 +379,8 @@ class PointSetTask(EncoderTask):
         spec = cfg.build(PointSetClassSpec, count_per_class=cfg["eval.count"] or 20)
         return gen_pointset_corpus(spec, cfg["eval.seed"])
 
-    def score(self, cfg: ResolvedConfig, net: SummaryNet) -> dict:
-        sets = self.eval_corpus(cfg)
+    def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
+        sets = sets or self.eval_sets(cfg)
         hits = 0
         with no_grad():
             for batch in sets:
@@ -390,6 +391,15 @@ class PointSetTask(EncoderTask):
 
 # the encoder's batching, metric and mode: fewshot and metagan read their own keys
 _ENCODER_ONLY_KEYS = ("train.batch_sets", "train.batch_points", "train.metric", "train.mode")
+
+
+def _refuse_corpus(corpus, why: str) -> None:
+    """A corpus given where the task reads none exits 2, before the file is opened."""
+    if corpus:
+        raise ConfigError(f"{why}; corpus must be empty")
+
+
+_EPISODES_FROM_SEED = "fewshot episodes are generated on the fly from the seed"
 
 
 class FewShotTask(Task):
@@ -405,18 +415,12 @@ class FewShotTask(Task):
                         "train.lambda_ot": "1"}
 
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
-        raise ConfigError(
-            "fewshot episodes are generated on the fly from the seed; there is no corpus to write"
-        )
+        raise ConfigError(f"{_EPISODES_FROM_SEED}; there is no corpus to write")
 
-    def training_sets(self, cfg: ResolvedConfig):
-        return None
+    def training_sets(self, cfg: ResolvedConfig, corpus):
+        _refuse_corpus(corpus, _EPISODES_FROM_SEED)
 
     def build(self, cfg: ResolvedConfig, sets):
-        if cfg["corpus"]:  # train and eval both build here
-            raise ConfigError(
-                "fewshot episodes are generated on the fly from the seed; corpus must be empty"
-            )
         fs_cfg = cfg.build(FewShotConfig, episode=cfg.build(EpisodeSpec))
         model = FewShotModel(fs_cfg, np.random.default_rng(cfg["seed"]))
         return model, model.bank, model.named_parameters()
@@ -424,7 +428,9 @@ class FewShotTask(Task):
     def train(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank, sets):
         return train_fewshot(model, self.train_config(cfg))
 
-    def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank) -> dict:
+    def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank,
+                 corpus) -> dict:
+        _refuse_corpus(corpus, _EPISODES_FROM_SEED)
         count = cfg["eval.count"] or 1000
         episodes = gen_episodes(model.config, "novel", seed=cfg["eval.seed"], count=count)
         return eval_fewshot(model, episodes)
@@ -477,11 +483,8 @@ class MetaGanTask(Task):
     def train(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, sets):
         return train_metagan(sets, model, bank, model.config)
 
-    def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank) -> dict:
-        if cfg["corpus"]:
-            raise ConfigError(
-                "metagan is scored on tasks generated from eval.seed; corpus must be empty"
-            )
+    def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, corpus) -> dict:
+        _refuse_corpus(corpus, "metagan is scored on tasks generated from eval.seed")
         _, tasks = self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])
         return eval_generative(model, tasks, seed=cfg["eval.seed"])
 
@@ -517,11 +520,10 @@ TASK_TABLE = {
 
 def cmd_gen(args) -> int:
     cfg, _ = _resolve(
-        args,
-        {"task": "task", "count": "count", "seed": "seed", "out": "out", "components": "mog.components"},
+        args, {"task": "task", "count": "count", "seed": "seed", "components": "mog.components"}
     )
     task = cfg["task"]
-    out = _out_dir(cfg["out"])
+    out = _out_dir(args.out)
     sets, truths = TASK_TABLE[task].gen(cfg, cfg["count"], cfg["seed"])
     path = out / "corpus.jsonl"
     meta = {"task": task, "seed": cfg["seed"], "config": cfg.as_dict()}
@@ -554,14 +556,8 @@ def _progress_to_stderr(log_every: int):
 
 
 def cmd_train(args) -> int:
-    flag_map = {
-        "task": "task",
-        "corpus": "corpus",
-        "steps": "train.steps",
-        "seed": "seed",
-        "out": "out",
-        "lambda_ot": "train.lambda_ot",
-    }
+    flag_map = {"task": "task", "steps": "train.steps", "seed": "seed",
+                "lambda_ot": "train.lambda_ot"}
     cfg, given = _resolve(args, flag_map)
     task = TASK_TABLE[cfg["task"]]
     flags = {key: f" (or --{dest.replace('_', '-')})" for dest, key in flag_map.items()}
@@ -569,8 +565,8 @@ def cmd_train(args) -> int:
         if key in given:
             hint = f"; set {task.steps_key}" if key == "train.steps" else ""
             raise ConfigError(f"{key}{flags.get(key, '')} is not read by {task.name}{hint}")
-    out = _out_dir(cfg["out"])
-    sets = task.training_sets(cfg)
+    out = _out_dir(args.out)
+    sets = task.training_sets(cfg, args.corpus)
     net, bank, named = task.build(cfg, sets)
     with _progress_to_stderr(cfg["train.log_every"]):
         trace = task.train(cfg, net, bank, sets)
@@ -594,18 +590,15 @@ def cmd_eval(args) -> int:
     if ResolvedConfig(ck.config).config_hash() != ck.config_hash:
         raise CheckpointError("checkpoint config does not match its recorded hash")
     stored = config_from_json_dict(ck.config)
-    overrides = _override_strings(
-        args, {"corpus": "corpus", "seed": "eval.seed", "count": "eval.count", "out": "out"}
+    cfg = stored.with_overrides(
+        _override_strings(args, {"seed": "eval.seed", "count": "eval.count"})
     )
-    # fresh eval data by default; the stored corpus path was the training input
-    overrides.setdefault("corpus", "")
-    cfg = stored.with_overrides(overrides)
     task = cfg["task"]
-    out = _out_dir(cfg["out"])
+    out = _out_dir(args.out)
     entry = TASK_TABLE[task]
     net, bank, named = entry.build(cfg, None)
     assign_parameters(named, ck.params)
-    metrics = entry.evaluate(cfg, net, bank)
+    metrics = entry.evaluate(cfg, net, bank, args.corpus)
     payload = {
         "task": task,
         "seed": cfg["eval.seed"],
@@ -730,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
-        p.add_argument("--out", help="artifact directory")
+        p.add_argument("--out", default="runs", help="artifact directory (default: runs)")
 
     p_gen = sub.add_parser("gen", help="write a corpus.jsonl")
     common(p_gen)
@@ -743,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train and write trace.csv plus a checkpoint")
     common(p_train)
     p_train.add_argument("--task")
-    p_train.add_argument("--corpus", help="input corpus path")
+    p_train.add_argument("--corpus", help="input corpus path (default: sets drawn from the seed)")
     p_train.add_argument("--steps", type=int)
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--lambda-ot", dest="lambda_ot", help="transport loss weight")
@@ -752,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint and write metrics.json")
     common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--corpus", help="eval corpus path")
+    p_eval.add_argument("--corpus", help="eval corpus path (default: data drawn from eval.seed)")
     p_eval.add_argument("--seed", type=int, help="eval data seed")
     p_eval.add_argument("--count", type=int, help="eval corpus size")
     p_eval.set_defaults(func=cmd_eval)

@@ -72,8 +72,6 @@ SCHEMA: dict[str, ConfigField] = {
     # run-level
     "task": _field("str", "mog", choices=TASKS, help="which experiment to run"),
     "seed": _field("int", 0, minimum=0, help="training seed"),
-    "out": _field("str", "runs", help="artifact directory"),
-    "corpus": _field("str", "", help="input corpus path; empty generates in process"),
     "count": _field("int", 1000, minimum=1, help="sets to generate"),
     "eval.count": _field("int", 0, minimum=0, help="eval corpus size; 0 picks a task default"),
     "eval.seed": _field("int", 1000, minimum=0, help="seed for eval data"),

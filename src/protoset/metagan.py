@@ -293,10 +293,9 @@ def transport_step(
     step: int,
 ) -> float:
     """The interleaved OT update: one step of the unsupervised prototype loop."""
-    loss, _, value = set_objective(SetBatch(points), net, bank, config)
+    loss = set_objective(SetBatch(points), net, bank, config)[0]
     guard_bank = bank if config.metric == "cosine" else None
-    apply_update(optimizer, loss, value, step, "transport", guard_bank, guard_rng)
-    return value
+    return apply_update(optimizer, loss, step, "transport", guard_bank, guard_rng)
 
 
 def train_metagan(
@@ -338,8 +337,7 @@ def train_metagan(
             real = subsample_points(points, config.batch, data_rng)
             z = noise_rng.standard_normal((config.batch, config.noise_dim))
             loss_c = critic_objective(model, config, real, z, h)
-            c_value = loss_c.item()
-            apply_update(critic_opt, loss_c, c_value, i, "critic")
+            c_value = apply_update(critic_opt, loss_c, i, "critic")
 
         ot_value = None
         if ot_opt is not None:
@@ -348,8 +346,7 @@ def train_metagan(
 
         z = noise_rng.standard_normal((config.batch, config.noise_dim))
         loss_g = generator_objective(model, config, real, z, h)
-        g_value = loss_g.item()
-        apply_update(gen_opt, loss_g, g_value, i, "generator")
+        g_value = apply_update(gen_opt, loss_g, i, "generator")
         return {"critic_loss": c_value, "generator_loss": g_value, "transport_loss": ot_value}
 
     return fit(config.iterations, step, config.log_every, "metagan")

@@ -144,18 +144,18 @@ def subsample_points(points: np.ndarray, m: int, rng: np.random.Generator) -> np
 def apply_update(
     optimizer,
     loss: Value,
-    value: float,
     step: int,
     what: str,
     guard_bank: Optional[PrototypeBank] = None,
     guard_rng: Optional[np.random.Generator] = None,
-) -> None:
+) -> float:
     """The one parameter update of every training loop in the package.
 
-    A non-finite ``value`` (the loss as a float) raises before any parameter
+    Returns the loss as a float; a non-finite one raises before any parameter
     moves.  Otherwise: zero_grad, backward, step, then re-randomize any
     collapsed cosine column of ``guard_bank`` from ``guard_rng``.
     """
+    value = loss.item()
     if not np.isfinite(value):
         raise TrainingDivergedError(
             f"{what} loss became non-finite at step {step} (value {value!r})"
@@ -165,6 +165,7 @@ def apply_update(
     optimizer.step()
     if guard_bank is not None:
         guard_bank.guard_cosine_columns(guard_rng)
+    return value
 
 
 def set_objective(
@@ -238,7 +239,7 @@ def fit_objective(
             frac = i / max(config.steps - 1, 1)
             optimizer.lr = config.lr + (config.lr_final - config.lr) * frac
         loss, task_value, ot_value = objective()
-        apply_update(optimizer, loss, loss.item(), i, what, guard_bank, guard_rng)
+        apply_update(optimizer, loss, i, what, guard_bank, guard_rng)
         return {"transport_loss": ot_value, "task_loss": task_value}
 
     return fit(config.steps, step, config.log_every, what)

@@ -48,6 +48,18 @@ def save_corpus(path, sets, meta: dict | None = None, truths=None) -> None:
         raise
 
 
+def _check_numbers(points) -> None:
+    """Refuse a list-form ``points`` entry that is not a JSON number.
+
+    numpy would read a JSON ``true`` as 1.0 and a string such as "2.5" as 2.5;
+    the shape is left to SetBatch.
+    """
+    for row in points if isinstance(points, list) else [points]:
+        for value in row if isinstance(row, list) else [row]:
+            if type(value) not in (int, float):
+                raise ValueError(f"{json.dumps(value)} is not a JSON number")
+
+
 def load_corpus(path):
     """Read a corpus file back into (meta, sets, truths).
 
@@ -82,8 +94,10 @@ def load_corpus(path):
         try:
             if isinstance(points, dict):
                 points = decode_array(points)
+            else:
+                _check_numbers(points)
             batch = SetBatch(points, set_id=rec.get("set_id", len(sets)), label=rec.get("label"))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: bad points ({exc})") from None
         if sets and batch.dim != sets[0].dim:
             raise ConfigError(f"{where}: points are {batch.dim}-D, the first set's {sets[0].dim}-D")

@@ -221,6 +221,14 @@ MALFORMED = {
     "record-shape-1-d": ("corpus.jsonl", GOOD + _points_line([1.0, 2.0]), ":2: bad points (set"),
     "record-shape-no-rows": ("corpus.jsonl", GOOD + _points_line(np.zeros((0, 2))),
                              ":2: bad points (a set needs at least one point)"),
+    # points as a list of rows, which numpy would convert
+    "list-true": ("corpus.jsonl", '{"points": [[1.0, 2.0]]}\n{"points": [[true, 2.0]]}\n',
+                  ":2: bad points (true is not a JSON number)"),
+    "list-string": ("corpus.jsonl", '{"points": [[1.0, 2.0]]}\n{"points": [[1.0, "2.5"]]}\n',
+                    ':2: bad points ("2.5" is not a JSON number)'),
+    "list-huge-int": ("corpus.jsonl",
+                      '{"points": [[1.0, 2.0]]}\n{"points": [[1%s, 2]]}\n' % ("0" * 400),
+                      ":2: bad points (int too large to convert to float)"),
 }
 
 
@@ -393,6 +401,42 @@ def test_train_rerun_is_byte_identical(task, tmp_path, monkeypatch):
     ck_name = TASK_RUNS[task][1]
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
     assert (a / ck_name).read_bytes() == (b / ck_name).read_bytes()
+
+
+def test_gen_train_eval_in_two_directories_write_the_same_bytes(tmp_path):
+    # --out and --corpus are flags, not config keys, so no artifact records a path
+    artifacts = []
+    for root in (tmp_path / "a", tmp_path / "bb" / "c"):
+        corpus, run_dir, ev = root / "data" / "corpus.jsonl", root / "run", root / "ev"
+        assert run(["gen", "--task", "mog", "--count", "4", "--seed", "1",
+                    "--out", str(corpus.parent), "--set", "mog.n_min=30",
+                    "--set", "mog.n_max=40"]) == 0
+        assert run(["train", "--task", "mog", "--corpus", str(corpus), "--steps", "3",
+                    "--out", str(run_dir)] + MOG_ARGS) == 0
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.3"),
+                    "--corpus", str(corpus), "--out", str(ev)]) == 0
+        paths = (corpus, run_dir / "trace.csv", run_dir / "checkpoint.3", ev / "metrics.json")
+        artifacts.append({path.name: path.read_bytes() for path in paths})
+    for name, data in artifacts[0].items():
+        assert artifacts[1][name] == data, name
+    stored = json.loads(artifacts[0]["metrics.json"])["config"]
+    assert "out" not in stored and "corpus" not in stored
+
+
+@pytest.mark.parametrize("where", ["--set out", "--set corpus", "config file out"])
+def test_a_run_path_given_as_a_config_key_exits_2(where, tmp_path, capsys):
+    key = where.rpartition(" ")[2]
+    out = tmp_path / "run"
+    argv = ["train", "--task", "mog", "--steps", "1", "--out", str(out)] + MOG_ARGS
+    if where.startswith("--set"):
+        argv += ["--set", f"{key}={tmp_path / 'elsewhere'}"]
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{key} = {tmp_path / 'elsewhere'}\n")
+        argv += ["--config", str(cfg_path)]
+    assert run(argv) == cli.EXIT_CONFIG
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert key not in config.SCHEMA and not out.exists()
 
 
 def test_train_from_corpus_file(tmp_path):
@@ -695,7 +739,7 @@ def test_eval_v1_checkpoint_exits_5(tmp_path, capsys):
     ck_path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_VERSION_MISMATCH
     err = capsys.readouterr().err
-    assert "format 1" in err and "reads 3" in err
+    assert "format 1" in err and f"reads {FORMAT_VERSION}" in err
 
 
 def test_eval_v2_checkpoint_exits_5(tmp_path, capsys):
@@ -708,7 +752,21 @@ def test_eval_v2_checkpoint_exits_5(tmp_path, capsys):
     ck_path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_VERSION_MISMATCH
     err = capsys.readouterr().err
-    assert "format 2" in err and "reads 3" in err
+    assert "format 2" in err and f"reads {FORMAT_VERSION}" in err
+
+
+def test_eval_v3_checkpoint_exits_5(tmp_path, capsys):
+    # format 3 stored the run's out and corpus paths in its config
+    _, ck_path = train_task("mog", tmp_path / "run")
+    payload = json.loads(ck_path.read_text())
+    payload["format_version"] = 3
+    payload["config"].update(out=str(tmp_path / "run"), corpus="")
+    text = json.dumps(payload["config"], sort_keys=True, separators=(",", ":"))
+    payload["config_hash"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    ck_path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_VERSION_MISMATCH
+    err = capsys.readouterr().err
+    assert "format 3" in err and f"reads {FORMAT_VERSION}" in err
 
 
 # -- other tasks through the CLI ------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from protoset.checkpoint import save_checkpoint
+from protoset.checkpoint import FORMAT_VERSION, save_checkpoint
 from protoset.config import default_config
 from protoset.summarynet import SetBatch
 from protoset.tasks import save_corpus
@@ -18,7 +18,7 @@ golden_drift = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden_drift)
 
 
-def _capture(root: Path, params: dict, version: int = 3) -> None:
+def _capture(root: Path, params: dict, version: int = FORMAT_VERSION) -> None:
     cfg = default_config()
     path = root / "train" / "mog" / "checkpoint.5"
     save_checkpoint(path, params, 5, cfg.as_dict(), cfg.config_hash())
@@ -42,7 +42,7 @@ def test_format_2_and_3_checkpoints_of_equal_arrays_read_numbers_equal(tmp_path,
     _capture(tmp_path / "base", PARAMS, version=2)
     _capture(tmp_path / "head", PARAMS)
     assert _report(tmp_path, capsys) == (
-        "train/mog/checkpoint.5: format 2 -> 3: numbers equal, formatting differs\n"
+        f"train/mog/checkpoint.5: format 2 -> {FORMAT_VERSION}: numbers equal, formatting differs\n"
     )
 
 
@@ -50,7 +50,7 @@ def test_a_moved_parameter_shows_its_relative_drift(tmp_path, capsys):
     moved = dict(PARAMS, bias=np.array([np.nextafter(1.0 / 3.0, 1.0)]))
     _capture(tmp_path / "base", PARAMS, version=2)
     _capture(tmp_path / "head", moved)
-    assert "format 2 -> 3: max rel diff 1.67e-16" in _report(tmp_path, capsys)
+    assert f"format 2 -> {FORMAT_VERSION}: max rel diff 1.67e-16" in _report(tmp_path, capsys)
 
 
 def test_an_unreadable_checkpoint_is_compared_as_text(tmp_path, capsys):

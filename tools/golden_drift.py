@@ -11,7 +11,7 @@ an argument is not a directory.
 
 A file named ``checkpoint.*`` is compared by its parsed payload, so that
 checkpoints of two formats compare too: each array's ``data`` is read as its
-numbers, from base64 of little-endian float64 (format 3) or as a JSON list
+numbers, from base64 of little-endian float64 (formats 3, 4) or as a JSON list
 (format 2), and the numbers of each array are paired by name.  The line names
 the two format versions when they differ.  A ``corpus.jsonl`` is compared line
 by line the same way: each set's ``points`` is read as rows of numbers, from a

@@ -92,7 +92,9 @@ TRAINS = {
     "mog-cap": ("mog", ["--steps", "5", "--set", "mog.encode_cap=10"]),
     "mog-corpus": ("mog", ["--steps", "3", "--corpus", "gen/mog/corpus.jsonl"]),
     "digitsum": ("digitsum", []),
+    "digitsum-unsup": ("digitsum", UNSUP),
     "pointset": ("pointset", []),
+    "pointset-unsup": ("pointset", UNSUP),
     "fewshot": ("fewshot", []),
     "fewshot-nolam": ("fewshot", ["--lambda-ot", "0"]),
     "fewshot-lrfinal": ("fewshot", ["--set", "optim.lr_final=0.0001"]),
@@ -117,6 +119,7 @@ OT_RUNS = {"converged": ["--eps", "0.05", "--b", "0.1,0.2,0.3,0.4"],
 CORPUS_EVALS = {
     "mog-on-corpus": ("mog", ["--corpus", "gen/mog/corpus.jsonl"]),
     "digitsum-on-corpus": ("digitsum", ["--corpus", "gen/digitsum-size12/corpus.jsonl"]),
+    "pointset-on-corpus": ("pointset", ["--corpus", "gen/pointset/corpus.jsonl"]),
 }
 
 

@@ -92,7 +92,7 @@ def load_checkpoint(path) -> Checkpoint:
         except ArrayRecordError as exc:
             raise CheckpointError(f"array {name!r} {exc}") from None
     step = payload["step"]
-    if not isinstance(step, int) or step < 0:
+    if type(step) is not int or step < 0:  # JSON true is no step
         raise CheckpointError(f"{path.name} has a malformed step {step!r}")
     if not isinstance(payload["config"], dict):
         raise CheckpointError(f"{path.name} config must be an object")

@@ -26,6 +26,7 @@ import numpy as np
 
 from .checkpoint import assign_parameters, load_checkpoint, save_checkpoint
 from .config import (
+    SCHEMA,
     ResolvedConfig,
     config_from_json_dict,
     read_config_file,
@@ -87,7 +88,7 @@ from .tasks import (
     save_corpus,
     xent_loss,
 )
-from .tasks.mog import eval_mog_loglik, head_width, oracle_mean_loglik
+from .tasks.mog import head_width, oracle_mean_loglik
 from .tasks.pointset import POINTSET_CLASSES
 
 EXIT_OK = 0
@@ -160,6 +161,15 @@ def _write_metrics(path: Path, payload: dict) -> None:
 # the task table: what each verb does for each task
 
 
+def _mean_over(sets, per_set) -> float:
+    """The mean of ``per_set(batch)`` over ``sets``, summed in order with no graph."""
+    total = 0.0
+    with no_grad():
+        for batch in sets:
+            total += per_set(batch)
+    return total / len(sets)
+
+
 def _bank(sets, dim: int, k: int, rng) -> PrototypeBank:
     """Columns sampled from the first sets' points.
 
@@ -183,7 +193,9 @@ class Task:
 
     name: str
     steps_key = "train.steps"  # the config key that sets how long train runs
-    unread_keys = ()  # shared keys that train never reads for this task: given, they exit 2
+    # shared keys that this task never reads, each with the key that does its
+    # job here or None: given to gen or train, they exit 2
+    unread_keys: dict = {}
     metric_key = "train.metric"  # the config key of the transport cost's metric
     label_bound = None  # a corpus label must be a whole number in [0, label_bound); None: unread
     gradcheck_shapes: dict  # overrides that shrink model and data for gradcheck
@@ -197,9 +209,18 @@ class Task:
             seed=cfg["seed"],
         )
 
+    def refuse_unread(self, given: set, flag_map: dict) -> None:
+        """Exit 2 on the first of ``unread_keys`` that the file, --set or a flag gave."""
+        for key, instead in self.unread_keys.items():
+            if key in given:
+                flag = next((f" (or --{d.replace('_', '-')})" for d, k in flag_map.items()
+                             if k == key), "")
+                hint = f"; set {instead}" if instead else ""
+                raise ConfigError(f"{key}{flag} is not read by {self.name}{hint}")
+
     def read_corpus(self, path):
         """The sets of the corpus at ``path``; no sets, or a label the task cannot read, exit 2."""
-        _, sets, _ = load_corpus(path)
+        sets = load_corpus(path)
         if not sets:
             raise ConfigError(f"corpus {path!r} holds no sets")
         for batch in sets if self.label_bound else ():
@@ -277,15 +298,13 @@ class EncoderTask(Task):
         if cfg["train.mode"] == "supervised":
             return self.score(cfg, net, sets)
         # the training objective, on eval sets subsampled as in training
-        sets = sets or self.eval_sets(cfg)
-        rng = np.random.default_rng(cfg["eval.seed"])
-        config = self.train_config(cfg)
-        total = 0.0
-        with no_grad():
-            for batch in sets:
-                points = subsample_points(batch.points, config.batch_points, rng)
-                total += set_objective(SetBatch(points), net, bank, config)[2]
-        return {"mean_transport_loss": total / len(sets)}
+        rng, config = np.random.default_rng(cfg["eval.seed"]), self.train_config(cfg)
+
+        def transport_loss(batch) -> float:
+            points = subsample_points(batch.points, config.batch_points, rng)
+            return set_objective(SetBatch(points), net, bank, config)[2]
+
+        return {"mean_transport_loss": _mean_over(sets or self.eval_sets(cfg), transport_loss)}
 
 
 class MogTask(EncoderTask):
@@ -310,12 +329,18 @@ class MogTask(EncoderTask):
         return [batch for batch, _ in self.eval_pairs(cfg)]
 
     def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
-        cap, seed = cfg["mog.encode_cap"] or None, cfg["eval.seed"]
+        # the training NLL on the full set; encode_cap > 0 bounds the points the encoder reads
+        cap, rng = cfg["mog.encode_cap"], np.random.default_rng(cfg["eval.seed"])
+
+        def loglik(batch) -> float:
+            points = subsample_points(batch.points, cap, rng) if cap else batch.points
+            return -mog_task_loss(net.summarize_with_prediction(points)[1], batch).item()
+
         if sets:  # provenance unknown, so no oracle
-            return {"mean_loglik": eval_mog_loglik(net, sets, cap, seed)}
+            return {"mean_loglik": _mean_over(sets, loglik)}
         pairs = self.eval_pairs(cfg)
         return {
-            "mean_loglik": eval_mog_loglik(net, [batch for batch, _ in pairs], cap, seed),
+            "mean_loglik": _mean_over([batch for batch, _ in pairs], loglik),
             "oracle_mean_loglik": oracle_mean_loglik(pairs),
         }
 
@@ -334,29 +359,25 @@ class DigitSumTask(EncoderTask):
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
         size = cfg["digitsum.size"]
         if size:
-            spec = cfg.build(DigitSumSpec, test_sizes=(size,), test_count_per_size=count)
-            return gen_digit_test_corpora(spec, seed)[size], None
-        return gen_digit_corpus(cfg.build(DigitSumSpec, train_count=count), seed), None
+            spec = cfg.build(DigitSumSpec, test_sizes=(size,))
+            return gen_digit_test_corpora(spec, count, seed)[size], None
+        return gen_digit_corpus(cfg.build(DigitSumSpec), count, seed), None
 
     def _test_corpora(self, cfg: ResolvedConfig) -> dict:
-        spec = cfg.build(DigitSumSpec, test_count_per_size=cfg["eval.count"] or 200)
-        return gen_digit_test_corpora(spec, cfg["eval.seed"])
+        count = cfg["eval.count"] or 200
+        return gen_digit_test_corpora(cfg.build(DigitSumSpec), count, cfg["eval.seed"])
 
     def eval_sets(self, cfg: ResolvedConfig):
         return [batch for sets in self._test_corpora(cfg).values() for batch in sets]
 
     def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
-        def accuracy(sets) -> float:
-            hits = 0.0
-            with no_grad():
-                for batch in sets:
-                    _, pred = net.summarize_with_prediction(batch.points)
-                    hits += digit_sum_accuracy(float(pred.data.reshape(())), batch.label)
-            return hits / len(sets)
+        def hit(batch) -> float:
+            pred = net.summarize_with_prediction(batch.points)[1]
+            return digit_sum_accuracy(float(pred.data.reshape(())), batch.label)
 
         if sets:
-            return {"accuracy": accuracy(sets)}
-        by_size = {str(size): accuracy(sets) for size, sets in self._test_corpora(cfg).items()}
+            return {"accuracy": _mean_over(sets, hit)}
+        by_size = {str(size): _mean_over(each, hit) for size, each in self._test_corpora(cfg).items()}
         return {"accuracy_by_size": by_size, "mean_accuracy": sum(by_size.values()) / len(by_size)}
 
 
@@ -364,6 +385,7 @@ class PointSetTask(EncoderTask):
     name = "pointset"
     input_dim = 3
     label_bound = len(POINTSET_CLASSES)
+    unread_keys = {"count": "pointset.count_per_class"}
     gradcheck_shapes = {**_ENCODER_SHAPES, "pointset.count_per_class": "1"}
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
@@ -380,17 +402,18 @@ class PointSetTask(EncoderTask):
         return gen_pointset_corpus(spec, cfg["eval.seed"])
 
     def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
-        sets = sets or self.eval_sets(cfg)
-        hits = 0
-        with no_grad():
-            for batch in sets:
-                _, pred = net.summarize_with_prediction(batch.points)
-                hits += int(int(np.argmax(pred.data)) == int(batch.label))
-        return {"accuracy": hits / len(sets)}
+        def hit(batch) -> float:
+            pred = net.summarize_with_prediction(batch.points)[1]
+            return float(int(np.argmax(pred.data)) == int(batch.label))
+
+        return {"accuracy": _mean_over(sets or self.eval_sets(cfg), hit)}
 
 
-# the encoder's batching, metric and mode: fewshot and metagan read their own keys
-_ENCODER_ONLY_KEYS = ("train.batch_sets", "train.batch_points", "train.metric", "train.mode")
+# the encoder's batching, metric, mode and shape: fewshot and metagan read their own keys
+_ENCODER_ONLY_KEYS = dict.fromkeys(
+    ("train.batch_sets", "train.batch_points", "train.metric", "train.mode")
+    + tuple(key for key in SCHEMA if key.startswith("model."))
+)
 
 
 def _refuse_corpus(corpus, why: str) -> None:
@@ -407,8 +430,9 @@ class FewShotTask(Task):
 
     name = "fewshot"
     steps_key = "fewshot.episodes"
-    unread_keys = ("train.steps",) + _ENCODER_ONLY_KEYS
     metric_key = "fewshot.metric"
+    unread_keys = {"train.steps": steps_key, "count": None, **_ENCODER_ONLY_KEYS,
+                   "train.metric": metric_key}
     # unset, lambda_ot leaves the transport term out of the episode loss
     gradcheck_shapes = {"fewshot.n_way": "3", "fewshot.k_shot": "2", "fewshot.q_queries": "2",
                         "fewshot.dim": "5", "fewshot.encoder_widths": "8,6", "fewshot.bank": "4",
@@ -448,9 +472,11 @@ class FewShotTask(Task):
 class MetaGanTask(Task):
     name = "metagan"
     steps_key = "metagan.iterations"
-    # the transport step has no task loss to weigh, and the optimizers keep a constant lr
-    unread_keys = ("train.steps", "train.lambda_ot", "optim.lr_final") + _ENCODER_ONLY_KEYS
     metric_key = "metagan.metric"
+    # the transport step has no task loss to weigh, and the optimizers keep a constant lr
+    unread_keys = {"train.steps": steps_key, "train.lambda_ot": None, "optim.lr_final": None,
+                   **_ENCODER_ONLY_KEYS, "train.metric": metric_key, "model.k": "metagan.k",
+                   "model.encoder_widths": "metagan.summary_widths"}
     # the conditional critic and the moment term are off by default and on
     # here, so that their gradients are checked too
     gradcheck_shapes = {"count": "2", "metagan.n_points": "12", "metagan.summary_widths": "8,6",
@@ -474,14 +500,10 @@ class MetaGanTask(Task):
         summary = SummaryNet(summary_cfg, np.random.default_rng(cfg["seed"]))
         model = MetaGan(spec, gan_cfg, summary, np.random.default_rng(cfg["seed"] + 1))
         bank = _bank(sets, spec.dim, cfg["metagan.k"], np.random.default_rng(cfg["seed"] + 2))
-        named = {f"summary.{k}": v for k, v in summary.named_parameters().items()}
-        named.update(model.generator.named_parameters("generator"))
-        named.update(model.critic.named_parameters("critic"))
-        named["bank"] = bank.matrix
-        return model, bank, named
+        return model, bank, {**model.named_parameters(), "bank": bank.matrix}
 
     def train(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, sets):
-        return train_metagan(sets, model, bank, model.config)
+        return train_metagan(sets, model, bank)
 
     def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, corpus) -> dict:
         _refuse_corpus(corpus, "metagan is scored on tasks generated from eval.seed")
@@ -499,8 +521,8 @@ class MetaGanTask(Task):
         # the generator loss reaches both nets; the critic's fakes carry no graph
         transport = [bank.matrix] + model.summary.parameters()
         return [
-            ("metagan-critic", lambda: critic_objective(model, config, real, z, h), critic),
-            ("metagan-generator", lambda: generator_objective(model, config, real, z, h),
+            ("metagan-critic", lambda: critic_objective(model, real, z, h), critic),
+            ("metagan-generator", lambda: generator_objective(model, real, z, h),
              model.generator.parameters() + critic),
             ("metagan-transport",
              lambda: set_objective(SetBatch(real), model.summary, bank, config.ot)[0], transport),
@@ -519,10 +541,10 @@ TASK_TABLE = {
 
 
 def cmd_gen(args) -> int:
-    cfg, _ = _resolve(
-        args, {"task": "task", "count": "count", "seed": "seed", "components": "mog.components"}
-    )
+    flag_map = {"task": "task", "count": "count", "seed": "seed", "components": "mog.components"}
+    cfg, given = _resolve(args, flag_map)
     task = cfg["task"]
+    TASK_TABLE[task].refuse_unread(given, flag_map)
     out = _out_dir(args.out)
     sets, truths = TASK_TABLE[task].gen(cfg, cfg["count"], cfg["seed"])
     path = out / "corpus.jsonl"
@@ -560,11 +582,7 @@ def cmd_train(args) -> int:
                 "lambda_ot": "train.lambda_ot"}
     cfg, given = _resolve(args, flag_map)
     task = TASK_TABLE[cfg["task"]]
-    flags = {key: f" (or --{dest.replace('_', '-')})" for dest, key in flag_map.items()}
-    for key in task.unread_keys:
-        if key in given:
-            hint = f"; set {task.steps_key}" if key == "train.steps" else ""
-            raise ConfigError(f"{key}{flags.get(key, '')} is not read by {task.name}{hint}")
+    task.refuse_unread(given, flag_map)
     out = _out_dir(args.out)
     sets = task.training_sets(cfg, args.corpus)
     net, bank, named = task.build(cfg, sets)
@@ -694,7 +712,7 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(seed)
     for task in tasks:
         for name, fn, params in TASK_TABLE[task].gradcheck(seed):
-            results[name] = check_gradients(fn, params, rng, samples_per_param=3).max_rel_err
+            results[name] = check_gradients(fn, params, rng, samples_per_param=3)
     worst = float(np.max(list(results.values())))  # NaN if any path is NaN
     print(
         json.dumps(

@@ -1,12 +1,11 @@
 """Minimal reverse-mode autodiff used by every model in the package."""
 
-from .gradcheck import GradCheckReport, check_gradients, relative_error
+from .gradcheck import check_gradients
 from .optim import SGD, Adam, make_optimizer
 from .value import Value, as_value, concat, no_grad, zero_grad
 
 __all__ = [
     "Adam",
-    "GradCheckReport",
     "SGD",
     "Value",
     "as_value",
@@ -14,6 +13,5 @@ __all__ = [
     "concat",
     "make_optimizer",
     "no_grad",
-    "relative_error",
     "zero_grad",
 ]

@@ -84,10 +84,6 @@ class Episode:
         return self.support.shape[1]
 
     @property
-    def q_queries(self) -> int:
-        return self.query.shape[0] // self.n_way
-
-    @property
     def dim(self) -> int:
         return self.support.shape[2]
 

@@ -216,6 +216,12 @@ class MetaGan:
         critic_in = spec.dim + (k if config.conditioning == "conditional-critic" else 0)
         self.critic = MLP((critic_in, *config.critic_widths, 1), "relu", rng)
 
+    def named_parameters(self) -> dict[str, Value]:
+        out = {f"summary.{k}": v for k, v in self.summary.named_parameters().items()}
+        out.update(self.generator.named_parameters("generator"))
+        out.update(self.critic.named_parameters("critic"))
+        return out
+
     def summarize(self, points: np.ndarray) -> np.ndarray:
         """Detached simplex summary of a point set (conditioning input only)."""
         with no_grad():
@@ -261,9 +267,9 @@ def generator_loss(fake_logits: Value, non_saturating: bool = False) -> Value:
     return -(fake_logits.softplus().mean())
 
 
-def critic_objective(model: MetaGan, config: GanConfig, real, z, h) -> Value:
+def critic_objective(model: MetaGan, real, z, h) -> Value:
     """Critic loss on ``real`` and on fakes from noise ``z``, drawn with no graph."""
-    cond = h if config.conditioning == "conditional-critic" else None
+    cond = h if model.config.conditioning == "conditional-critic" else None
     with no_grad():
         fake = generator_forward(model.generator, z, h).data
     return critic_loss(
@@ -272,8 +278,9 @@ def critic_objective(model: MetaGan, config: GanConfig, real, z, h) -> Value:
     )
 
 
-def generator_objective(model: MetaGan, config: GanConfig, real, z, h) -> Value:
+def generator_objective(model: MetaGan, real, z, h) -> Value:
     """Generator loss on fakes from ``z``, plus the ``mse_weight`` term when set."""
+    config = model.config
     cond = h if config.conditioning == "conditional-critic" else None
     fake = generator_forward(model.generator, z, h)
     loss = generator_loss(discriminator_logit(model.critic, fake, cond), config.non_saturating)
@@ -298,21 +305,17 @@ def transport_step(
     return apply_update(optimizer, loss, step, "transport", guard_bank, guard_rng)
 
 
-def train_metagan(
-    sets: Sequence[SetBatch],
-    model: MetaGan,
-    bank: PrototypeBank,
-    config: GanConfig,
-) -> dict:
+def train_metagan(sets: Sequence[SetBatch], model: MetaGan, bank: PrototypeBank) -> dict:
     """Interleaved critic / transport / generator updates over sampled sets.
 
-    Per outer iteration: eta_critic critic steps on minibatches of one set,
-    then one shared transport step on the last real minibatch (updating the
-    bank and summary network), then one generator step with the summary
-    recomputed from the just-updated encoder.  The trace's columns are
-    ``critic_loss``, ``generator_loss`` and ``transport_loss`` (None without
-    ``config.ot``).
+    Per outer iteration of ``model.config``: eta_critic critic steps on
+    minibatches of one set, then one shared transport step on the last real
+    minibatch (updating the bank and summary network), then one generator
+    step with the summary recomputed from the just-updated encoder.  The
+    trace's columns are ``critic_loss``, ``generator_loss`` and
+    ``transport_loss`` (None without ``config.ot``).
     """
+    config = model.config
     if not sets:
         raise ConfigError("corpus is empty")
     if bank.dim != model.spec.dim:
@@ -336,7 +339,7 @@ def train_metagan(
         for _ in range(config.eta_critic):
             real = subsample_points(points, config.batch, data_rng)
             z = noise_rng.standard_normal((config.batch, config.noise_dim))
-            loss_c = critic_objective(model, config, real, z, h)
+            loss_c = critic_objective(model, real, z, h)
             c_value = apply_update(critic_opt, loss_c, i, "critic")
 
         ot_value = None
@@ -345,7 +348,7 @@ def train_metagan(
             h = model.summarize(points)  # encoder just moved
 
         z = noise_rng.standard_normal((config.batch, config.noise_dim))
-        loss_g = generator_objective(model, config, real, z, h)
+        loss_g = generator_objective(model, real, z, h)
         g_value = apply_update(gen_opt, loss_g, i, "generator")
         return {"critic_loss": c_value, "generator_loss": g_value, "transport_loss": ot_value}
 

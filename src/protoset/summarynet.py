@@ -45,10 +45,6 @@ class SetBatch:
             raise DomainError(f"set {self.set_id} contains non-finite points")
 
     @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.points.shape[1]
 

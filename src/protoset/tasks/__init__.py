@@ -11,7 +11,6 @@ from .digitsum import (
 from .mog import (
     MoGParams,
     MoGTaskSpec,
-    eval_mog_loglik,
     gen_mog_corpus,
     mog_head_value,
     mog_nll_value,
@@ -36,7 +35,6 @@ __all__ = [
     "PointSetClassSpec",
     "digit_sum_accuracy",
     "digit_sum_loss",
-    "eval_mog_loglik",
     "gen_digit_corpus",
     "gen_digit_test_corpora",
     "gen_mog_corpus",

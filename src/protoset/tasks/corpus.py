@@ -1,8 +1,8 @@
 """JSON-lines corpus serialization.
 
 One object per set: {"set_id", "points", "label", "truth"?}. An optional first
-line {"meta": {...}} records the generator spec so downstream tools can
-reconstruct evaluation settings without re-parsing flags.
+line {"meta": {...}} records the generator's config for a reader of the file;
+``load_corpus`` checks that it is an object and keeps neither it nor ``truth``.
 
 ``save_corpus`` writes ``points`` as an ``arraycodec`` record, {"shape": [n, d],
 "data": base64 of the C-order little-endian float64 bytes}, which reads back
@@ -60,18 +60,15 @@ def _check_numbers(points) -> None:
                 raise ValueError(f"{json.dumps(value)} is not a JSON number")
 
 
-def load_corpus(path):
-    """Read a corpus file back into (meta, sets, truths).
+def load_corpus(path) -> list[SetBatch]:
+    """Read the sets of a corpus file; the meta line and ``truth`` fields are not kept.
 
-    truths is a list aligned with sets; entries are None when the file has no
-    ground-truth records.  A malformed line, points the codec or SetBatch
-    refuses, or a set whose points have another dimension than the first set's,
-    raises ConfigError naming file:line.
+    A malformed line, a meta line that is not an object, points the codec or
+    SetBatch refuses, or a set whose points have another dimension than the
+    first set's, raises ConfigError naming file:line.
     """
     path = Path(path)
-    meta: dict = {}
     sets: list[SetBatch] = []
-    truths: list = []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -86,7 +83,6 @@ def load_corpus(path):
         if line_no == 1 and set(rec.keys()) == {"meta"}:
             if not isinstance(rec["meta"], dict):
                 raise ConfigError(f"{where}: the meta line must hold a JSON object")
-            meta = rec["meta"]
             continue
         if "points" not in rec:
             raise ConfigError(f"{where}: record has no points field")
@@ -102,5 +98,4 @@ def load_corpus(path):
         if sets and batch.dim != sets[0].dim:
             raise ConfigError(f"{where}: points are {batch.dim}-D, the first set's {sets[0].dim}-D")
         sets.append(batch)
-        truths.append(rec.get("truth"))
-    return meta, sets, truths
+    return sets

@@ -24,8 +24,6 @@ class DigitSumSpec:
     max_train_size: int = 10
     test_sizes: tuple = (10, 25, 50, 100)
     noise_sigma: float = 0.1
-    train_count: int = 2000
-    test_count_per_size: int = 200
 
     def __post_init__(self):
         if self.max_train_size < 1:
@@ -48,24 +46,22 @@ def _make_set(size: int, sigma: float, rng: np.random.Generator, set_id: int) ->
     return SetBatch(_encode_digits(digits, sigma, rng), set_id=set_id, label=int(digits.sum()))
 
 
-def gen_digit_corpus(spec: DigitSumSpec, seed: int):
-    """Training corpus: sizes uniform in [1, max_train_size]."""
+def gen_digit_corpus(spec: DigitSumSpec, count: int, seed: int):
+    """Training corpus of ``count`` sets: sizes uniform in [1, max_train_size]."""
     rng = np.random.default_rng(seed)
     corpus = []
-    for i in range(spec.train_count):
+    for i in range(count):
         size = int(rng.integers(1, spec.max_train_size + 1))
         corpus.append(_make_set(size, spec.noise_sigma, rng, i))
     return corpus
 
 
-def gen_digit_test_corpora(spec: DigitSumSpec, seed: int):
-    """One corpus per test size, as {size: [SetBatch, ...]}."""
+def gen_digit_test_corpora(spec: DigitSumSpec, count: int, seed: int):
+    """One corpus of ``count`` sets per test size, as {size: [SetBatch, ...]}."""
     rng = np.random.default_rng(seed)
     corpora = {}
     for size in spec.test_sizes:
-        corpora[size] = [
-            _make_set(size, spec.noise_sigma, rng, i) for i in range(spec.test_count_per_size)
-        ]
+        corpora[size] = [_make_set(size, spec.noise_sigma, rng, i) for i in range(count)]
     return corpora
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..diffcore import Value, as_value, no_grad
 from ..errors import ConfigError, ShapeError
-from ..protolearn import subsample_points
 from ..summarynet import SetBatch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -166,25 +165,6 @@ def mog_task_loss(prediction: Value, batch: SetBatch) -> Value:
 
 
 # -- evaluation ----------------------------------------------------------------
-
-
-def eval_mog_loglik(net, sets, encode_cap: int | None = None, seed: int = 0) -> float:
-    """Mean per-point log likelihood of predicted parameters over a list of sets.
-
-    This is the training NLL, scored on the full set; encode_cap bounds how
-    many points the encoder reads per set (matching the training subsample
-    size).
-    """
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    with no_grad():
-        for batch in sets:
-            pts = batch.points
-            if encode_cap is not None:
-                pts = subsample_points(pts, encode_cap, rng)
-            _, prediction = net.summarize_with_prediction(pts)
-            total += -mog_task_loss(prediction, batch).item()
-    return total / len(sets)
 
 
 def oracle_mean_loglik(pairs) -> float:

@@ -12,11 +12,24 @@ import numpy as np
 import pytest
 
 from protoset import cli, config
-from protoset.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
+from protoset.checkpoint import (
+    FORMAT_VERSION,
+    assign_parameters,
+    load_checkpoint,
+    save_checkpoint,
+)
 from protoset.diffcore import Value
 from protoset.errors import NumericalError
 from protoset.metagan import GanConfig
-from protoset.tasks import load_corpus
+from protoset.protolearn import subsample_points
+from protoset.tasks import (
+    DigitSumSpec,
+    MoGTaskSpec,
+    gen_digit_test_corpora,
+    gen_mog_corpus,
+    load_corpus,
+    mog_task_loss,
+)
 
 # the package attribute protoset.ot.sinkhorn is the function, not the module
 sinkhorn_module = importlib.import_module("protoset.ot.sinkhorn")
@@ -76,6 +89,11 @@ CHECKPOINT_KEYS = {"format_version", "step", "config", "config_hash", "params"}
 
 def run(argv):
     return cli.main(argv)
+
+
+def corpus_lines(path):
+    """A corpus file's lines as JSON: the meta line first, then one record per set."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def train_task(task, out):
@@ -197,6 +215,8 @@ MALFORMED = {
     "two-dimensions": ("corpus.jsonl", '{"points": [[1.0, 2.0]]}\n{"points": [[1.0, 2.0, 3.0]]}\n',
                        ":2: points are 3-D"),
     "non-numeric-cost": ("c.csv", "# costs\n0,1\n1,zero\n", ":3:"),
+    "ragged-cost": ("c.csv", "0,1,2\n\n1,0\n", ":3: 2 columns, expected 3"),
+    "no-cost-rows": ("c.csv", "# only a comment\n\n", ": no cost rows"),
     # points as an array record, after a good one
     "record-data-not-a-string": ("corpus.jsonl", GOOD + _points_line([[1.0, 2.0]], data=[1.0, 2.0]),
                                  ":2: bad points (data is not a base64 string)"),
@@ -293,7 +313,7 @@ def test_input_path_under_a_file_exits_3(flag, tmp_path):
 OUT_VERBS = {
     "gen": ("gen_mog_corpus", ["gen", "--task", "mog", "--count", "2"]),
     "train": ("train_prototypes", ["train", "--task", "mog", "--steps", "1"] + MOG_ARGS),
-    "eval": ("eval_mog_loglik", ["eval", "--count", "2"]),
+    "eval": ("_mean_over", ["eval", "--count", "2"]),
     "ot": ("sinkhorn", ["ot"]),
 }
 
@@ -329,11 +349,11 @@ def test_gen_writes_corpus_with_embedded_config(tmp_path):
                 "--seed", "7", "--out", str(out), "--set", "mog.n_min=30",
                 "--set", "mog.n_max=40"])
     assert code == 0
-    meta, sets, truths = load_corpus(out / "corpus.jsonl")
-    assert meta["seed"] == 7
-    assert meta["config"]["mog.components"] == 3
-    assert len(sets) == 4
-    assert truths[0]["means"] is not None  # ground truth rides along
+    head, *records = corpus_lines(out / "corpus.jsonl")
+    assert head["meta"]["seed"] == 7
+    assert head["meta"]["config"]["mog.components"] == 3
+    assert len(load_corpus(out / "corpus.jsonl")) == 4
+    assert records[0]["truth"]["means"] is not None  # ground truth rides along
 
 
 def test_gen_rerun_is_byte_identical(tmp_path):
@@ -356,13 +376,27 @@ def test_gen_unknown_key_exits_2(tmp_path, capsys):
     assert "mog.sprinkles" in capsys.readouterr().err
 
 
+def test_gen_digitsum_size_writes_test_sets_of_that_size(tmp_path):
+    # digitsum.size > 0 writes the test corpus of that one size, count sets long
+    out = tmp_path / "g"
+    assert run(["gen", "--task", "digitsum", "--count", "3", "--seed", "4", "--out", str(out),
+                "--set", "digitsum.size=12", "--set", "digitsum.noise_sigma=0"]) == 0
+    sets = load_corpus(out / "corpus.jsonl")
+    assert [batch.set_id for batch in sets] == [0, 1, 2]
+    for batch in sets:
+        assert batch.points.shape == (12, 10) and np.isin(batch.points, (0.0, 1.0)).all()
+        assert batch.label == batch.points.argmax(axis=1).sum()
+    expected = gen_digit_test_corpora(DigitSumSpec(test_sizes=(12,), noise_sigma=0.0), 3, 4)[12]
+    assert all(np.array_equal(a.points, b.points) for a, b in zip(sets, expected))
+
+
 def test_gen_metagan_corpus_carries_truths(tmp_path):
     out = tmp_path / "g"
     assert run(["gen", "--task", "metagan", "--count", "3", "--seed", "2",
                 "--out", str(out), "--set", "metagan.n_points=10"]) == 0
-    _, sets, truths = load_corpus(out / "corpus.jsonl")
+    sets = load_corpus(out / "corpus.jsonl")
     assert len(sets) == 3 and sets[0].points.shape == (10, 1)
-    assert truths[0]["family"] == "gauss1d"
+    assert corpus_lines(out / "corpus.jsonl")[1]["truth"]["family"] == "gauss1d"
 
 
 # -- train -------------------------------------------------------------------------
@@ -621,6 +655,32 @@ def test_eval_on_explicit_corpus(tmp_path):
     assert "oracle_mean_loglik" not in payload["metrics"]  # provenance unknown
 
 
+def test_mog_encode_cap_bounds_the_points_the_encoder_reads(tmp_path):
+    # eval alone reads mog.encode_cap: the encoder sees at most that many
+    # points of each set, drawn from eval.seed, and the whole set is scored
+    metrics, checkpoints = {}, {}
+    for cap in (0, 10, 40):
+        ck_path = tmp_path / f"cap{cap}" / "checkpoint.5"
+        flags = TASK_RUNS["mog"][0] + ["--set", f"mog.encode_cap={cap}"]
+        assert run(["train", "--task", "mog", "--out", str(ck_path.parent)] + flags) == 0
+        checkpoints[cap] = load_checkpoint(ck_path)
+        metrics[cap] = eval_task("mog", ck_path, tmp_path / f"ev{cap}")
+    trained = checkpoints[0].params
+    assert all(np.array_equal(v, checkpoints[10].params[k]) for k, v in trained.items())
+    assert metrics[40] == metrics[0]  # no set has more than mog.n_max = 40 points
+    assert metrics[10]["oracle_mean_loglik"] == metrics[0]["oracle_mean_loglik"]
+
+    cfg = config.config_from_json_dict(checkpoints[10].config)
+    net, _, named = cli.TASK_TABLE["mog"].build(cfg, None)
+    assign_parameters(named, checkpoints[10].params)
+    rng, logliks = np.random.default_rng(11), []  # the eval flags: --count 3 --seed 11
+    for batch, _ in gen_mog_corpus(cfg.build(MoGTaskSpec), 3, 11):
+        prediction = net.summarize_with_prediction(subsample_points(batch.points, 10, rng))[1]
+        logliks.append(-mog_task_loss(prediction, batch).item())
+    assert metrics[10]["mean_loglik"] == pytest.approx(np.mean(logliks), rel=1e-12)
+    assert metrics[10]["mean_loglik"] != metrics[0]["mean_loglik"]
+
+
 def test_eval_missing_checkpoint_exits_3(tmp_path):
     assert run(["eval", "--checkpoint", str(tmp_path / "none.ck")]) == cli.EXIT_MISSING_FILE
 
@@ -629,6 +689,33 @@ def test_eval_corrupt_checkpoint_exits_4(tmp_path):
     bad = tmp_path / "bad.ck"
     bad.write_text("{broken")
     assert run(["eval", "--checkpoint", str(bad)]) == cli.EXIT_BAD_CHECKPOINT
+
+
+# an edit of a trained checkpoint's payload -> what its refusal says
+BAD_PAYLOADS = {
+    "not-an-object": (lambda p: [p], "is not a checkpoint: expected an object"),
+    "no-format-version": (lambda p: {k: v for k, v in p.items() if k != "format_version"},
+                          "is missing format_version"),
+    "params-a-list": (lambda p: p | {"params": list(p["params"].values())},
+                      "params must be a name -> array mapping"),
+    "step-negative": (lambda p: p | {"step": -1}, "has a malformed step -1"),
+    "step-a-float": (lambda p: p | {"step": 5.0}, "has a malformed step 5.0"),
+    "step-a-string": (lambda p: p | {"step": "5"}, "has a malformed step '5'"),
+    "step-true": (lambda p: p | {"step": True}, "has a malformed step True"),
+    "config-a-list": (lambda p: p | {"config": sorted(p["config"])}, "config must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAYLOADS))
+def test_eval_malformed_checkpoint_payload_exits_4(case, tmp_path, capsys):
+    edit, message = BAD_PAYLOADS[case]
+    _, ck_path = train_task("mog", tmp_path / "run")
+    ck_path.write_text(json.dumps(edit(json.loads(ck_path.read_text()))))
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    assert run(["eval", "--checkpoint", str(ck_path), "--out", str(out)]) == cli.EXIT_BAD_CHECKPOINT
+    assert f"{ck_path.name} {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_tampered_config_exits_4(tmp_path):
@@ -853,6 +940,41 @@ def test_steps_flag_on_task_without_train_steps_exits_2(task, key, tmp_path, cap
         err = capsys.readouterr().err
         assert given in err and key in err
         assert not out.exists()
+
+
+# a value for every model.* key, none of them its default
+MODEL_VALUES = {"model.k": "7", "model.encoder_widths": "8,8", "model.activation": "tanh",
+                "model.pooling": "max", "model.head_hidden": "8", "model.predict_hidden": "8"}
+# the key that does the job of a model.* key for metagan
+METAGAN_MODEL = {"model.k": "metagan.k", "model.encoder_widths": "metagan.summary_widths"}
+# (verb, task, the input, the key it sets, the key that does its job there or None)
+NEVER_READ = (
+    [("train", "fewshot", ["--set", f"{key}={value}"], key, None)
+     for key, value in MODEL_VALUES.items()]
+    + [("train", "metagan", ["--set", f"{key}={value}"], key, METAGAN_MODEL.get(key))
+       for key, value in MODEL_VALUES.items()]
+    + [("train", "fewshot", ["--set", "count=5"], "count", None),
+       ("train", "pointset", ["--set", "count=5"], "count", "pointset.count_per_class"),
+       ("gen", "pointset", ["--count", "5"], "count", "pointset.count_per_class"),
+       ("gen", "metagan", ["--set", "model.k=7"], "model.k", "metagan.k")]
+    + [("train", task, ["--set", "train.metric=euclidean"], "train.metric", f"{task}.metric")
+       for task in ("fewshot", "metagan")]
+)
+
+
+@pytest.mark.parametrize("verb,task,given,key,instead", NEVER_READ,
+                         ids=[f"{v}-{t}-{k}" for v, t, _, k, _ in NEVER_READ])
+def test_a_key_the_task_never_reads_exits_2(verb, task, given, key, instead, tmp_path, capsys):
+    # each of these runs once wrote the same artifacts as a run without the key
+    assert set(MODEL_VALUES) == {k for k in config.SCHEMA if k.startswith("model.")}
+    flags = TASK_RUNS[task][0] if verb == "train" else []
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([verb, "--task", task, "--out", str(out)] + given + flags) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {key} " in err and f"is not read by {task}" in err
+    assert (f"; set {instead}" in err) if instead else ("; set" not in err)
+    assert not out.exists()
 
 
 FLOAT_BOUND_KEYS = ("optim.lr", "optim.lr_final", "train.lambda_ot", "metagan.lr_generator",

@@ -18,8 +18,8 @@ RNG = np.random.default_rng(20240817)
 
 def fd_check(build, params, seed=0, tol=1e-4, samples=10):
     rng = np.random.default_rng(seed)
-    report = check_gradients(build, params, rng, samples_per_param=samples)
-    assert report.max_rel_err < tol, str(report)
+    err = check_gradients(build, params, rng, samples_per_param=samples)
+    assert err < tol, err
 
 
 # -- elementwise binaries ------------------------------------------------------
@@ -293,8 +293,8 @@ def test_no_grad_suppresses_graph():
 
 def test_gradcheck_reports_a_nan_gradient():
     x = Value(np.array([1.0, 2.0]), requires_grad=True)
-    report = check_gradients(lambda: (x * np.nan).sum(), [x], np.random.default_rng(0))
-    assert np.isnan(report.max_rel_err)
+    err = check_gradients(lambda: (x * np.nan).sum(), [x], np.random.default_rng(0))
+    assert np.isnan(err)
 
 
 def test_float64_everywhere():

@@ -1,4 +1,4 @@
-"""tools/golden_drift.py: checkpoints and corpora compare by their numbers, across formats."""
+"""tools/golden_drift.py: artifacts compare by their numbers, across formats, config apart."""
 
 import base64
 import importlib.util
@@ -18,8 +18,8 @@ golden_drift = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden_drift)
 
 
-def _capture(root: Path, params: dict, version: int = FORMAT_VERSION) -> None:
-    cfg = default_config()
+def _capture(root: Path, params: dict, version: int = FORMAT_VERSION, seed: int = 0) -> None:
+    cfg = default_config().with_overrides({"seed": str(seed)})
     path = root / "train" / "mog" / "checkpoint.5"
     save_checkpoint(path, params, 5, cfg.as_dict(), cfg.config_hash())
     if version == 2:  # format 2 wrote each array as a JSON list of numbers
@@ -42,7 +42,7 @@ def test_format_2_and_3_checkpoints_of_equal_arrays_read_numbers_equal(tmp_path,
     _capture(tmp_path / "base", PARAMS, version=2)
     _capture(tmp_path / "head", PARAMS)
     assert _report(tmp_path, capsys) == (
-        f"train/mog/checkpoint.5: format 2 -> {FORMAT_VERSION}: numbers equal, formatting differs\n"
+        f"train/mog/checkpoint.5: format 2 -> {FORMAT_VERSION}; arrays equal\n"
     )
 
 
@@ -50,7 +50,8 @@ def test_a_moved_parameter_shows_its_relative_drift(tmp_path, capsys):
     moved = dict(PARAMS, bias=np.array([np.nextafter(1.0 / 3.0, 1.0)]))
     _capture(tmp_path / "base", PARAMS, version=2)
     _capture(tmp_path / "head", moved)
-    assert f"format 2 -> {FORMAT_VERSION}: max rel diff 1.67e-16" in _report(tmp_path, capsys)
+    found = _report(tmp_path, capsys)
+    assert f"format 2 -> {FORMAT_VERSION}; arrays: max rel diff 1.67e-16" in found
 
 
 def test_an_unreadable_checkpoint_is_compared_as_text(tmp_path, capsys):
@@ -97,3 +98,60 @@ def test_an_unreadable_corpus_line_is_compared_as_text(tmp_path, capsys):
     meta, record = head.read_text().splitlines()
     head.write_text(f"{meta}\n{record.replace('AAAA', 'AA!A', 1)}\n")
     assert _report(tmp_path, capsys) == "gen/mog/corpus.jsonl: text differs beyond its numbers\n"
+
+
+def test_a_config_change_alone_reads_arrays_equal(tmp_path, capsys):
+    _capture(tmp_path / "base", PARAMS)
+    _capture(tmp_path / "head", PARAMS, seed=7)
+    assert _report(tmp_path, capsys) == (
+        "train/mog/checkpoint.5: config differs in config_hash, seed; arrays equal\n"
+    )
+
+
+def test_config_and_array_drift_are_reported_apart(tmp_path, capsys):
+    moved = dict(PARAMS, bias=np.array([np.nextafter(1.0 / 3.0, 1.0)]))
+    _capture(tmp_path / "base", PARAMS)
+    _capture(tmp_path / "head", moved, seed=7)
+    assert _report(tmp_path, capsys) == (
+        "train/mog/checkpoint.5: config differs in config_hash, seed; "
+        "arrays: max rel diff 1.67e-16 (0.3333333333333333 -> 0.33333333333333337)\n"
+    )
+
+
+def _write(root: Path, name: str, text: str) -> None:
+    path = root / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+TRACE = "# seed = {seed}\n# task = mog\nstep,task_loss\n0,{loss}\n1,0.25\n"
+
+
+def test_a_trace_header_is_reported_apart_from_its_rows(tmp_path, capsys):
+    _write(tmp_path / "base", "train/mog/trace.csv", TRACE.format(seed=0, loss=0.5))
+    _write(tmp_path / "head", "train/mog/trace.csv", TRACE.format(seed=7, loss=0.5))
+    _write(tmp_path / "base", "train/lr/trace.csv", TRACE.format(seed=0, loss=0.5))
+    _write(tmp_path / "head", "train/lr/trace.csv", TRACE.format(seed=0, loss=0.4))
+    assert _report(tmp_path, capsys) == (
+        "train/lr/trace.csv: rows: max rel diff 2.00e-01 (0.5 -> 0.4)\n"
+        "train/mog/trace.csv: header differs in seed; rows equal\n"
+    )
+
+
+def _metrics(seed: int, loglik: float) -> str:
+    cfg = default_config().with_overrides({"seed": str(seed)})
+    payload = {"config": cfg.as_dict(), "config_hash": cfg.config_hash(), "task": "mog",
+               "metrics": {"mean_loglik": loglik}}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_metrics_of_a_report_are_compared_apart_from_its_config(tmp_path, capsys):
+    _write(tmp_path / "base", "eval/mog/metrics.json", _metrics(0, -1.5))
+    _write(tmp_path / "head", "eval/mog/metrics.json", _metrics(7, -1.5))
+    _write(tmp_path / "base", "eval/moved/metrics.json", _metrics(0, -1.5))
+    _write(tmp_path / "head", "eval/moved/metrics.json", _metrics(7, -1.2))
+    assert _report(tmp_path, capsys) == (
+        "eval/mog/metrics.json: config differs in config_hash, seed; metrics equal\n"
+        "eval/moved/metrics.json: config differs in config_hash, seed; "
+        "metrics: max rel diff 2.00e-01 (-1.5 -> -1.2)\n"
+    )

@@ -138,5 +138,5 @@ def test_cost_value_gradients(metric):
             c = euclidean_cost_value(x, b, squared=(metric == "sqeuclidean"))
         return (c * w).sum()
 
-    report = check_gradients(build, [x, b], np.random.default_rng(1))
-    assert report.max_rel_err < 1e-4, str(report)
+    err = check_gradients(build, [x, b], np.random.default_rng(1))
+    assert err < 1e-4, err

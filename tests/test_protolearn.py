@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from protoset.diffcore import Value, no_grad, zero_grad
+from protoset import protolearn
+from protoset.diffcore import Adam, Value, no_grad, zero_grad
 from protoset.errors import ConfigError, DomainError, TrainingDivergedError
 from protoset.fewshot import EpisodeSpec, FewShotConfig, FewShotModel, train_fewshot
 from protoset.metagan import GanConfig, MetaGan, TaskFamilySpec, gen_task_corpus, train_metagan
@@ -16,6 +17,7 @@ from protoset.protolearn import (
     PrototypeBank,
     TrainConfig,
     fit,
+    set_objective,
     subsample_points,
     train_prototypes,
     transport_objective,
@@ -231,12 +233,17 @@ def l1_loss(prediction, batch):
     return (diff.relu() + (-diff).relu()).sum()
 
 
-def run_supervised(lam, steps=30, build_ot_branch=True):
+def labelled_corpus():
     rng = np.random.default_rng(0)
     corpus = []
     for i in range(8):
         pts = rng.normal(size=(25, 2)) + i * 0.3
         corpus.append(SetBatch(pts, set_id=i, label=float(i)))
+    return corpus
+
+
+def run_supervised(lam, steps=30, build_ot_branch=True):
+    corpus = labelled_corpus()
     net = tiny_net(k=4, output_dim=1, seed=20)
     bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(5))
     cfg = TrainConfig(steps=steps, batch_points=20, lambda_ot=lam, seed=13)
@@ -248,14 +255,8 @@ def test_lambda_zero_matches_plain_loop_bitwise():
     net_a, bank_a, trace_a = run_supervised(0.0)
 
     # a hand-rolled loop that never even mentions the bank
-    rng = np.random.default_rng(0)
-    corpus = []
-    for i in range(8):
-        pts = rng.normal(size=(25, 2)) + i * 0.3
-        corpus.append(SetBatch(pts, set_id=i, label=float(i)))
+    corpus = labelled_corpus()
     net_b = tiny_net(k=4, output_dim=1, seed=20)
-    from protoset.diffcore import Adam
-
     opt = Adam(net_b.parameters(), lr=0.001)
     data_rng = np.random.default_rng(13)
     for _ in range(30):
@@ -294,6 +295,52 @@ def test_lambda_positive_moves_bank_and_records_both_losses():
     assert not np.array_equal(bank.matrix.data, fresh.matrix.data)
     assert all(v is not None for v in trace["transport_loss"])
     assert all(v is not None for v in trace["task_loss"])
+
+
+def test_batch_sets_step_is_one_update_on_the_mean_of_the_set_objectives():
+    corpus = labelled_corpus()
+    cfg = TrainConfig(steps=1, batch_sets=2, batch_points=20, lambda_ot=0.5, seed=13)
+    nets = [tiny_net(k=4, output_dim=1, seed=20) for _ in range(2)]
+    banks = [PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(5))
+             for _ in range(2)]
+    trace = train_prototypes(corpus, nets[0], banks[0], cfg, l1_loss)
+
+    # by hand: two sets drawn as the loop draws them, one Adam step on their mean
+    rng = np.random.default_rng(13)
+    terms = []
+    for _ in range(2):
+        batch = corpus[int(rng.integers(len(corpus)))]
+        sub = SetBatch(subsample_points(batch.points, 20, rng), set_id=batch.set_id,
+                       label=batch.label)
+        terms.append(set_objective(sub, nets[1], banks[1], cfg, l1_loss))
+    params = [[bank.matrix] + net.parameters() for net, bank in zip(nets, banks)]
+    opt = Adam(params[1], lr=cfg.lr)
+    opt.zero_grad()
+    ((terms[0][0] + terms[1][0]) * 0.5).backward()
+    opt.step()
+
+    assert trace["task_loss"][0] == pytest.approx((terms[0][1] + terms[1][1]) / 2, rel=1e-12)
+    assert trace["transport_loss"][0] == pytest.approx((terms[0][2] + terms[1][2]) / 2, rel=1e-12)
+    for trained, by_hand in zip(*params):
+        assert np.array_equal(trained.data, by_hand.data)
+
+
+def test_lr_decays_linearly_to_lr_final_at_the_last_step(monkeypatch):
+    seen = []
+    make = protolearn.make_optimizer
+
+    def recording(kind, params, lr):
+        optimizer = make(kind, params, lr)
+        step = optimizer.step
+        optimizer.step = lambda: (seen.append(optimizer.lr), step())
+        return optimizer
+
+    monkeypatch.setattr(protolearn, "make_optimizer", recording)
+    corpus = labelled_corpus()
+    bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(5))
+    cfg = TrainConfig(steps=5, lr=0.01, lr_final=0.001, batch_points=20, seed=13)
+    train_prototypes(corpus, tiny_net(k=4, output_dim=1, seed=20), bank, cfg, l1_loss)
+    assert seen == pytest.approx([0.01, 0.00775, 0.0055, 0.00325, 0.001], rel=1e-12)
 
 
 def test_train_config_validation():
@@ -338,7 +385,7 @@ def test_fit_logs_every_log_every_steps_for_both_loops(caplog):
                             iterations=cfg.steps, log_every=cfg.log_every,
                             ot=replace(cfg, metric="euclidean"))
         gan = MetaGan(spec, gan_cfg, tiny_net(k=2, input_dim=1), np.random.default_rng(4))
-        return train_metagan(sets, gan, gan_bank, gan_cfg)
+        return train_metagan(sets, gan, gan_bank)
 
     loops = {
         "prototypes": lambda cfg: train_prototypes(corpus, tiny_net(), bank, cfg),

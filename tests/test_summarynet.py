@@ -37,7 +37,7 @@ def test_setbatch_validation():
     with pytest.raises(DomainError):
         SetBatch(np.array([[1.0, np.nan]]))
     b = SetBatch(np.ones((4, 2)), set_id=3, label=1)
-    assert b.n_points == 4 and b.dim == 2
+    assert b.points.shape == (4, 2) and b.dim == 2
 
 
 # -- init ----------------------------------------------------------------------

@@ -9,15 +9,24 @@ that is not UTF-8, is reported as such, and so is a file present on one side
 only.  Identical files print nothing.  Report only: the exit code is 0 unless
 an argument is not a directory.
 
-A file named ``checkpoint.*`` is compared by its parsed payload, so that
-checkpoints of two formats compare too: each array's ``data`` is read as its
-numbers, from base64 of little-endian float64 (formats 3, 4) or as a JSON list
-(format 2), and the numbers of each array are paired by name.  The line names
-the two format versions when they differ.  A ``corpus.jsonl`` is compared line
-by line the same way: each set's ``points`` is read as rows of numbers, from a
-base64 array record or from a JSON list of rows, so a corpus whose encoding
-alone changed reads "numbers equal".  A line that does not read so is compared
-as it stands.
+A run's config is reported apart from its numbers, so that a change to the
+config alone reads "... equal" for the numbers:
+
+- ``checkpoint.*`` is compared by its parsed payload, so that checkpoints of
+  two formats compare too: the line names the two format versions when they
+  differ, then the config keys (and ``config_hash``) whose values differ,
+  then the drift of the arrays, each read as its numbers from base64 of
+  little-endian float64 (formats 3, 4) or as a JSON list (format 2) and
+  paired by name;
+- ``metrics.json`` names the config keys that differ, then the drift of the
+  rest of the report (``metrics``, ``seed``, ``checkpoint_step``);
+- ``trace.csv`` names the ``# key = value`` header keys that differ, then the
+  drift of its rows (the column line included);
+- ``corpus.jsonl`` is compared line by line: each set's ``points`` is read as
+  rows of numbers, from a base64 array record or from a JSON list of rows, so
+  a corpus whose encoding alone changed reads "numbers equal".
+
+A file that does not parse so is compared as it stands.
 
     python3 tools/golden_drift.py /tmp/golden-base /tmp/golden-head
 """
@@ -37,6 +46,9 @@ from pathlib import Path
 NUMBER = re.compile(
     r"(?<![\w.])(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?(?:NaN|nan|Infinity|inf))(?![\w.])"
 )
+
+
+_ABSENT = object()  # a key on one side only
 
 
 def _files(root: Path) -> set:
@@ -74,28 +86,68 @@ def _f8_values(data: str) -> list:
     return values.tolist()
 
 
+def _keys_differ(label: str, old: dict, new: dict) -> list:
+    """["<label> differs in k, ..."] naming the keys whose values differ, or []."""
+    keys = sorted(k for k in old.keys() | new.keys() if old.get(k, _ABSENT) != new.get(k, _ABSENT))
+    return [f"{label} differs in {', '.join(keys)}"] if keys else []
+
+
+def _numbers_part(label: str, old: bytes, new: bytes) -> str:
+    return f"{label} equal" if old == new else f"{label}: {drift(old, new)}"
+
+
+def _report_numbers(payload: dict) -> dict:
+    """The payload without its format version and config: what the run computed."""
+    return {k: v for k, v in payload.items() if k not in ("format_version", "config", "config_hash")}
+
+
 def _checkpoint_numbers(payload: dict) -> dict:
-    """The payload with each array's data as a list of numbers, without its version."""
+    """The step and each array's data as a list of numbers, without the version and config."""
     arrays = {}
     for name, record in payload["params"].items():
         data = record["data"]
         if isinstance(data, str):
             data = _f8_values(data)
         arrays[name] = {"shape": record["shape"], "data": data}
-    rest = {key: value for key, value in payload.items() if key != "format_version"}
-    return rest | {"params": arrays}
+    return _report_numbers(payload) | {"params": arrays}
+
+
+def _json_drift(base: bytes, head: bytes, label: str, numbers) -> str:
+    """How JSON ``head`` differs from ``base``: format, config keys, then ``numbers(payload)``."""
+    try:
+        payloads = json.loads(base), json.loads(head)
+        configs = [dict(p.get("config") or {}, config_hash=p.get("config_hash")) for p in payloads]
+        texts = [json.dumps(numbers(p), sort_keys=True).encode() for p in payloads]
+    except (ValueError, KeyError, TypeError, AttributeError):  # not a readable payload
+        return drift(base, head)
+    old, new = (p.get("format_version") for p in payloads)
+    parts = [] if old == new else [f"format {old} -> {new}"]
+    return "; ".join(parts + _keys_differ("config", *configs) + [_numbers_part(label, *texts)])
 
 
 def checkpoint_drift(base: bytes, head: bytes) -> str:
-    """How checkpoint ``head`` differs from ``base``, compared by their arrays' numbers."""
+    """How checkpoint ``head`` differs from ``base``: format, config, then its arrays' numbers."""
+    return _json_drift(base, head, "arrays", _checkpoint_numbers)
+
+
+def metrics_drift(base: bytes, head: bytes) -> str:
+    """How ``metrics.json`` ``head`` differs from ``base``: config, then the rest of the report."""
+    return _json_drift(base, head, "metrics", _report_numbers)
+
+
+def trace_drift(base: bytes, head: bytes) -> str:
+    """How ``trace.csv`` ``head`` differs from ``base``: header keys, then its rows."""
     try:
-        payloads = json.loads(base), json.loads(head)
-        texts = [json.dumps(_checkpoint_numbers(p), sort_keys=True).encode() for p in payloads]
-    except (ValueError, KeyError, TypeError, AttributeError):  # not a readable checkpoint
+        texts = base.decode("utf-8"), head.decode("utf-8")
+    except UnicodeDecodeError:
         return drift(base, head)
-    found = drift(*texts)
-    old, new = (p.get("format_version") for p in payloads)
-    return found if old == new else f"format {old} -> {new}: {found}"
+    headers, rows = [], []
+    for text in texts:
+        lines = text.split("\n")
+        header = [line[2:].partition(" = ") for line in lines if line.startswith("# ")]
+        headers.append({key: value for key, _, value in header})
+        rows.append("\n".join(line for line in lines if not line.startswith("# ")).encode())
+    return "; ".join(_keys_differ("header", *headers) + [_numbers_part("rows", *rows)])
 
 
 def _corpus_line(line: bytes) -> bytes:
@@ -121,7 +173,9 @@ def _compare(name: str):
     """The comparison for the artifact file ``name``."""
     if name.startswith("checkpoint."):
         return checkpoint_drift
-    return corpus_drift if name == "corpus.jsonl" else drift
+    by_name = {"corpus.jsonl": corpus_drift, "metrics.json": metrics_drift,
+               "trace.csv": trace_drift}
+    return by_name.get(name, drift)
 
 
 def main(argv=None) -> int:

@@ -45,7 +45,6 @@ from .errors import (
     strict_json,
 )
 from .fewshot import (
-    EpisodeSpec,
     FewShotConfig,
     FewShotModel,
     episode_objective,
@@ -104,26 +103,42 @@ GRADCHECK_THRESHOLD = 1e-4
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
+# every flag that sets a config key, per verb: build_parser adds these, and a
+# flag's value is parsed and checked as the same key's --set value is
+KEY_FLAGS = {
+    "gen": {"--task": "task", "--count": "count", "--seed": "seed",
+            "--components": "mog.components"},
+    "train": {"--task": "task", "--steps": "train.steps", "--seed": "seed",
+              "--lambda-ot": "train.lambda_ot"},
+    "eval": {"--seed": "eval.seed", "--count": "eval.count"},
+    "ot": {"--eps": "sinkhorn.epsilon", "--tol": "sinkhorn.tol",
+           "--max-iters": "sinkhorn.max_iters"},
+    "gradcheck": {"--seed": "seed"},
+}
 
-def _override_strings(args, flag_map: dict) -> dict:
-    """Raw override strings from --set pairs and dedicated flags (flags win)."""
+
+def _file_values(args) -> dict:
+    """Raw strings of the --config file; none without one."""
+    return read_config_file(args.config) if getattr(args, "config", None) else {}
+
+
+def _override_strings(args) -> dict:
+    """Raw override strings from --set pairs and the verb's key flags (flags win)."""
     overrides: dict[str, str] = {}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    for dest, key in flag_map.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[key] = str(value)
+    for key in KEY_FLAGS[args.verb].values():
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     return overrides
 
 
-def _resolve(args, flag_map: dict) -> tuple[ResolvedConfig, set]:
+def _resolve(args) -> tuple[ResolvedConfig, set]:
     """The resolved config and the keys that the file, --set or a flag gave."""
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    overrides = _override_strings(args, flag_map)
+    file_values, overrides = _file_values(args), _override_strings(args)
     return resolve_config(file_values, overrides), set(file_values) | set(overrides)
 
 
@@ -196,6 +211,10 @@ class Task:
     # shared keys that this task never reads, each with the key that does its
     # job here or None: given to gen or train, they exit 2
     unread_keys: dict = {}
+    # the keys eval may change beside eval.count and eval.seed: the data it
+    # draws and how it scores; the checkpoint fixes the model, and only
+    # training reads the rest
+    eval_keys: tuple = ()
     metric_key = "train.metric"  # the config key of the transport cost's metric
     label_bound = None  # a corpus label must be a whole number in [0, label_bound); None: unread
     gradcheck_shapes: dict  # overrides that shrink model and data for gradcheck
@@ -209,12 +228,11 @@ class Task:
             seed=cfg["seed"],
         )
 
-    def refuse_unread(self, given: set, flag_map: dict) -> None:
-        """Exit 2 on the first of ``unread_keys`` that the file, --set or a flag gave."""
+    def refuse_unread(self, given: set, verb: str) -> None:
+        """Exit 2 on the first of ``unread_keys`` that the file, --set or a ``verb`` flag gave."""
         for key, instead in self.unread_keys.items():
             if key in given:
-                flag = next((f" (or --{d.replace('_', '-')})" for d, k in flag_map.items()
-                             if k == key), "")
+                flag = next((f" (or {f})" for f, k in KEY_FLAGS[verb].items() if k == key), "")
                 hint = f"; set {instead}" if instead else ""
                 raise ConfigError(f"{key}{flag} is not read by {self.name}{hint}")
 
@@ -283,13 +301,11 @@ class EncoderTask(Task):
         return train_prototypes(sets, net, bank, self.train_config(cfg), self.loss_fn(cfg))
 
     def objectives(self, cfg: ResolvedConfig, net, bank, named, sets):
-        config, batch, rng = self.train_config(cfg), sets[0], np.random.default_rng(cfg["seed"])
-        points = subsample_points(batch.points, config.batch_points, rng)
-        sub = SetBatch(points, set_id=batch.set_id, label=batch.label)
-        loss_fn = self.loss_fn(cfg)
+        config, loss_fn = self.train_config(cfg), self.loss_fn(cfg)
 
-        def combined() -> Value:
-            return set_objective(sub, net, bank, config, loss_fn)[0]
+        def combined() -> Value:  # a fresh rng: every call reads the same points
+            rng = np.random.default_rng(cfg["seed"])
+            return set_objective(sets[0], net, bank, config, loss_fn, rng)[0]
 
         return [(f"{self.name}-combined", combined, list(named.values()))]
 
@@ -301,8 +317,7 @@ class EncoderTask(Task):
         rng, config = np.random.default_rng(cfg["eval.seed"]), self.train_config(cfg)
 
         def transport_loss(batch) -> float:
-            points = subsample_points(batch.points, config.batch_points, rng)
-            return set_objective(SetBatch(points), net, bank, config)[2]
+            return set_objective(batch, net, bank, config, rng=rng)[2]
 
         return {"mean_transport_loss": _mean_over(sets or self.eval_sets(cfg), transport_loss)}
 
@@ -310,6 +325,8 @@ class EncoderTask(Task):
 class MogTask(EncoderTask):
     name = "mog"
     input_dim = 2
+    eval_keys = ("mog.n_min", "mog.n_max", "mog.sigma", "mog.mean_low", "mog.mean_high",
+                 "mog.encode_cap")
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return head_width(cfg["mog.components"])
@@ -349,6 +366,7 @@ class DigitSumTask(EncoderTask):
     name = "digitsum"
     input_dim = 10
     label_bound = float("inf")
+    eval_keys = ("digitsum.test_sizes", "digitsum.noise_sigma")
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return 1
@@ -386,6 +404,7 @@ class PointSetTask(EncoderTask):
     input_dim = 3
     label_bound = len(POINTSET_CLASSES)
     unread_keys = {"count": "pointset.count_per_class"}
+    eval_keys = ("pointset.n_points", "pointset.noise_sigma", "pointset.rotate")
     gradcheck_shapes = {**_ENCODER_SHAPES, "pointset.count_per_class": "1"}
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
@@ -433,6 +452,9 @@ class FewShotTask(Task):
     metric_key = "fewshot.metric"
     unread_keys = {"train.steps": steps_key, "count": None, **_ENCODER_ONLY_KEYS,
                    "train.metric": metric_key}
+    eval_keys = ("fewshot.n_way", "fewshot.k_shot", "fewshot.q_queries", "fewshot.sigma",
+                 "fewshot.mean_low", "fewshot.mean_high", "fewshot.n_base", "fewshot.n_novel",
+                 "fewshot.class_seed")
     # unset, lambda_ot leaves the transport term out of the episode loss
     gradcheck_shapes = {"fewshot.n_way": "3", "fewshot.k_shot": "2", "fewshot.q_queries": "2",
                         "fewshot.dim": "5", "fewshot.encoder_widths": "8,6", "fewshot.bank": "4",
@@ -445,8 +467,7 @@ class FewShotTask(Task):
         _refuse_corpus(corpus, _EPISODES_FROM_SEED)
 
     def build(self, cfg: ResolvedConfig, sets):
-        fs_cfg = cfg.build(FewShotConfig, episode=cfg.build(EpisodeSpec))
-        model = FewShotModel(fs_cfg, np.random.default_rng(cfg["seed"]))
+        model = FewShotModel(cfg.build(FewShotConfig), np.random.default_rng(cfg["seed"]))
         return model, model.bank, model.named_parameters()
 
     def train(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank, sets):
@@ -498,12 +519,12 @@ class MetaGanTask(Task):
             encoder_widths=cfg["metagan.summary_widths"],
         )
         summary = SummaryNet(summary_cfg, np.random.default_rng(cfg["seed"]))
-        model = MetaGan(spec, gan_cfg, summary, np.random.default_rng(cfg["seed"] + 1))
         bank = _bank(sets, spec.dim, cfg["metagan.k"], np.random.default_rng(cfg["seed"] + 2))
-        return model, bank, {**model.named_parameters(), "bank": bank.matrix}
+        model = MetaGan(spec, gan_cfg, summary, bank, np.random.default_rng(cfg["seed"] + 1))
+        return model, model.bank, model.named_parameters()
 
     def train(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, sets):
-        return train_metagan(sets, model, bank)
+        return train_metagan(sets, model)
 
     def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, corpus) -> dict:
         _refuse_corpus(corpus, "metagan is scored on tasks generated from eval.seed")
@@ -541,10 +562,9 @@ TASK_TABLE = {
 
 
 def cmd_gen(args) -> int:
-    flag_map = {"task": "task", "count": "count", "seed": "seed", "components": "mog.components"}
-    cfg, given = _resolve(args, flag_map)
+    cfg, given = _resolve(args)
     task = cfg["task"]
-    TASK_TABLE[task].refuse_unread(given, flag_map)
+    TASK_TABLE[task].refuse_unread(given, "gen")
     out = _out_dir(args.out)
     sets, truths = TASK_TABLE[task].gen(cfg, cfg["count"], cfg["seed"])
     path = out / "corpus.jsonl"
@@ -578,11 +598,9 @@ def _progress_to_stderr(log_every: int):
 
 
 def cmd_train(args) -> int:
-    flag_map = {"task": "task", "steps": "train.steps", "seed": "seed",
-                "lambda_ot": "train.lambda_ot"}
-    cfg, given = _resolve(args, flag_map)
+    cfg, given = _resolve(args)
     task = TASK_TABLE[cfg["task"]]
-    task.refuse_unread(given, flag_map)
+    task.refuse_unread(given, "train")
     out = _out_dir(args.out)
     sets = task.training_sets(cfg, args.corpus)
     net, bank, named = task.build(cfg, sets)
@@ -608,12 +626,16 @@ def cmd_eval(args) -> int:
     if ResolvedConfig(ck.config).config_hash() != ck.config_hash:
         raise CheckpointError("checkpoint config does not match its recorded hash")
     stored = config_from_json_dict(ck.config)
-    cfg = stored.with_overrides(
-        _override_strings(args, {"seed": "eval.seed", "count": "eval.count"})
-    )
-    task = cfg["task"]
-    out = _out_dir(args.out)
+    given = {**_file_values(args), **_override_strings(args)}
+    cfg = stored.with_overrides(given)
+    task = stored["task"]
     entry = TASK_TABLE[task]
+    takes = ("eval.count", "eval.seed") + entry.eval_keys
+    for key in given:
+        if key not in takes:
+            raise ConfigError(f"eval of {task} cannot change {key}, which the checkpoint fixes "
+                              f"or eval never reads; it takes {', '.join(takes)}")
+    out = _out_dir(args.out)
     net, bank, named = entry.build(cfg, None)
     assign_parameters(named, ck.params)
     metrics = entry.evaluate(cfg, net, bank, args.corpus)
@@ -669,8 +691,7 @@ def _read_cost(path) -> np.ndarray:
 
 def cmd_ot(args) -> int:
     out = _out_dir(args.out) if args.out else None
-    flag_map = {"eps": "sinkhorn.epsilon", "tol": "sinkhorn.tol", "max_iters": "sinkhorn.max_iters"}
-    sk = _resolve(args, flag_map)[0].build(SinkhornConfig)
+    sk = _resolve(args)[0].build(SinkhornConfig)
     cost = _read_cost(args.cost)
     a = _parse_weights(args.a, cost.shape[0], "a")
     b = _parse_weights(args.b, cost.shape[1], "b")
@@ -707,7 +728,7 @@ def cmd_ot(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     tasks = [args.task] if args.task else list(TASK_TABLE)
-    seed = _resolve(args, {"seed": "seed"})[0]["seed"]  # checked as train checks it
+    seed = _resolve(args)[0]["seed"]  # checked as train checks it
     results = {}
     rng = np.random.default_rng(seed)
     for task in tasks:
@@ -738,50 +759,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
-        p.add_argument("--out", default="runs", help="artifact directory (default: runs)")
+    def verb(name, func, text, common=True):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if common:
+            p.add_argument("--config", help="key = value configuration file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="override one config key")
+            p.add_argument("--out", default="runs", help="artifact directory (default: runs)")
+        for flag, key in KEY_FLAGS[name].items():
+            p.add_argument(flag, dest=key, metavar="VALUE", help=f"sets {key}")
+        return p
 
-    p_gen = sub.add_parser("gen", help="write a corpus.jsonl")
-    common(p_gen)
-    p_gen.add_argument("--task")
-    p_gen.add_argument("--count", type=int)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--components", type=int, help="mixture components (mog)")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_train = sub.add_parser("train", help="train and write trace.csv plus a checkpoint")
-    common(p_train)
-    p_train.add_argument("--task")
+    verb("gen", cmd_gen, "write a corpus.jsonl")
+    p_train = verb("train", cmd_train, "train and write trace.csv plus a checkpoint")
     p_train.add_argument("--corpus", help="input corpus path (default: sets drawn from the seed)")
-    p_train.add_argument("--steps", type=int)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--lambda-ot", dest="lambda_ot", help="transport loss weight")
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint and write metrics.json")
-    common(p_eval)
+    p_eval = verb("eval", cmd_eval, "evaluate a checkpoint and write metrics.json")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--corpus", help="eval corpus path (default: data drawn from eval.seed)")
-    p_eval.add_argument("--seed", type=int, help="eval data seed")
-    p_eval.add_argument("--count", type=int, help="eval corpus size")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_ot = sub.add_parser("ot", help="solve one transport instance from a cost CSV")
+    p_ot = verb("ot", cmd_ot, "solve one transport instance from a cost CSV", common=False)
     p_ot.add_argument("--cost", required=True, help="comma-separated cost matrix file")
     p_ot.add_argument("--a", help="row marginal, comma-separated (default uniform)")
     p_ot.add_argument("--b", help="column marginal, comma-separated (default uniform)")
-    p_ot.add_argument("--eps", type=float, help="entropic regularization")
-    p_ot.add_argument("--tol", type=float)
-    p_ot.add_argument("--max-iters", dest="max_iters", type=int)
     p_ot.add_argument("--out", help="also write plan.csv and metrics.json here")
-    p_ot.set_defaults(func=cmd_ot)
-
-    p_gc = sub.add_parser("gradcheck", help="finite-difference audit of the loss paths")
+    p_gc = verb("gradcheck", cmd_gradcheck, "finite-difference audit of the loss paths",
+                common=False)
     p_gc.add_argument("--task", choices=tuple(TASK_TABLE))
-    p_gc.add_argument("--seed", type=int)
-    p_gc.set_defaults(func=cmd_gradcheck)
     return parser
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import CheckpointError, ConfigError, read_text
-from .fewshot import EpisodeSpec, FewShotConfig
+from .fewshot import FewShotConfig
 from .metagan import GanConfig, TaskFamilySpec
 from .ot.cost import METRICS
 from .ot.sinkhorn import SinkhornConfig
@@ -122,10 +122,10 @@ SCHEMA: dict[str, ConfigField] = {
     "pointset.rotate": _of(PointSetClassSpec, "rotate"),
     # episodic classification; fewshot.episodes and metric feed the TrainConfig
     # fields that train.steps and train.metric own, so they keep literal rows
-    "fewshot.n_way": _of(EpisodeSpec, "n_way"),
-    "fewshot.k_shot": _of(EpisodeSpec, "k_shot"),
-    "fewshot.q_queries": _of(EpisodeSpec, "q_queries"),
-    "fewshot.dim": _of(EpisodeSpec, "dim"),
+    "fewshot.n_way": _of(FewShotConfig, "n_way"),
+    "fewshot.k_shot": _of(FewShotConfig, "k_shot"),
+    "fewshot.q_queries": _of(FewShotConfig, "q_queries"),
+    "fewshot.dim": _of(FewShotConfig, "dim"),
     "fewshot.encoder_widths": _of(FewShotConfig, "encoder_widths"),
     "fewshot.g_hidden": _of(FewShotConfig, "g_hidden", help="empty picks the default head"),
     "fewshot.bank": _of(FewShotConfig, "bank_size"),
@@ -250,9 +250,6 @@ class ResolvedConfig:
             raise ConfigError(_unknown_key_message(key))
         return self._values[key]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ResolvedConfig) and self._values == other._values
-
     def as_dict(self) -> dict:
         """JSON-ready copy (tuples become lists)."""
         return {
@@ -297,11 +294,9 @@ def _checked(values: dict) -> ResolvedConfig:
     for key, field in SCHEMA.items():
         if field.owner is None:
             _check_unowned(key, cfg[key])
-    # each owner is built once; for fields no key sets, the task supplies
-    # input_dim, and the class pools are checked against the episode's n_way
-    extra = {SummaryNetConfig: {"input_dim": 1}, FewShotConfig: {"episode": cfg.build(EpisodeSpec)}}
+    extra = {SummaryNetConfig: {"input_dim": 1}}  # no key sets it: the task supplies it
     for owner in dict.fromkeys(f.owner for f in SCHEMA.values() if f.owner is not None):
-        cfg.build(owner, **extra.get(owner, {}))
+        cfg.build(owner, **extra.get(owner, {}))  # each owner once
     return cfg
 
 

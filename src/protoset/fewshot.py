@@ -16,7 +16,7 @@ embedding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -31,21 +31,6 @@ from .protolearn import PrototypeBank, TrainConfig, fit_objective
 from .summarynet import _as_widths
 
 SPLITS = ("base", "novel")
-
-
-@dataclass(frozen=True)
-class EpisodeSpec:
-    """Shape of one few-shot task."""
-
-    n_way: int = 5
-    k_shot: int = 5
-    q_queries: int = 5
-    dim: int = 20
-
-    def __post_init__(self):
-        for name in ("n_way", "k_shot", "q_queries", "dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -90,16 +75,21 @@ class Episode:
 
 @dataclass(frozen=True)
 class FewShotConfig:
-    """Episode recipe and model shape; the training knobs are a ``TrainConfig``.
+    """Episode shape, episode recipe and model shape; the training knobs are a ``TrainConfig``.
 
-    ``encoder_widths`` lists the embedding MLP's hidden widths with the
-    embedding size M last.  ``g_hidden`` shapes the simplex head between M and
-    the bank size; empty picks M // 2.  Class means for the synthetic generator
-    are drawn once per class from U[mean_low, mean_high]^dim with unit-variance
-    points around them; base and novel pools never share a class.
+    An episode holds ``n_way`` classes of ``k_shot`` support and ``q_queries``
+    query points in R^dim.  ``encoder_widths`` lists the embedding MLP's hidden
+    widths with the embedding size M last.  ``g_hidden`` shapes the simplex
+    head between M and the bank size; empty picks M // 2.  Class means for the
+    synthetic generator are drawn once per class from U[mean_low, mean_high]^dim
+    with unit-variance points around them; base and novel pools never share a
+    class.
     """
 
-    episode: EpisodeSpec = field(default_factory=EpisodeSpec)
+    n_way: int = 5
+    k_shot: int = 5
+    q_queries: int = 5
+    dim: int = 20
     encoder_widths: tuple = (64, 32)
     g_hidden: tuple = ()
     bank_size: int = 16
@@ -112,6 +102,9 @@ class FewShotConfig:
     class_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_way", "k_shot", "q_queries", "dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         object.__setattr__(self, "encoder_widths", _as_widths(self.encoder_widths, "encoder_widths"))
         if self.g_hidden:
             object.__setattr__(self, "g_hidden", _as_widths(self.g_hidden, "g_hidden"))
@@ -135,10 +128,9 @@ class FewShotConfig:
                 f"mean_low must not exceed mean_high, got [{self.mean_low}, {self.mean_high}]"
             )
         for name in ("n_base_classes", "n_novel_classes"):
-            if getattr(self, name) < self.episode.n_way:
+            if getattr(self, name) < self.n_way:
                 raise ConfigError(
-                    f"{name} must be at least n_way={self.episode.n_way}, "
-                    f"got {getattr(self, name)}"
+                    f"{name} must be at least n_way={self.n_way}, got {getattr(self, name)}"
                 )
         if self.class_seed < 0:
             raise ConfigError(f"class_seed must be nonnegative, got {self.class_seed}")
@@ -159,7 +151,7 @@ class FewShotModel:
 
     def __init__(self, config: FewShotConfig, rng: np.random.Generator):
         self.config = config
-        d = config.episode.dim
+        d = config.dim
         m = config.embed_dim
         self.embed_net = MLP((d, *config.encoder_widths), config.activation, rng)
         # head is relu regardless of the encoder activation; softmax applied at use
@@ -185,7 +177,7 @@ def class_mean_pools(config: FewShotConfig) -> tuple[np.ndarray, np.ndarray]:
     """Base and novel class means, disjoint by a single partitioned draw."""
     rng = np.random.default_rng(config.class_seed)
     total = config.n_base_classes + config.n_novel_classes
-    means = rng.uniform(config.mean_low, config.mean_high, size=(total, config.episode.dim))
+    means = rng.uniform(config.mean_low, config.mean_high, size=(total, config.dim))
     return means[: config.n_base_classes], means[config.n_base_classes :]
 
 
@@ -200,20 +192,15 @@ def gen_episodes(
         raise ConfigError(f"split must be one of {SPLITS}, got {split!r}")
     base, novel = class_mean_pools(config)
     pool = base if split == "base" else novel
-    spec = config.episode
-    w, k, q, d = spec.n_way, spec.k_shot, spec.q_queries, spec.dim
+    w, k, q, d = config.n_way, config.k_shot, config.q_queries, config.dim
     rng = np.random.default_rng(seed)
     produced = 0
     while count is None or produced < count:
         ids = rng.choice(pool.shape[0], size=w, replace=False)
-        support = np.empty((w, k, d))
-        query = np.empty((w * q, d))
-        for j, cid in enumerate(ids):
-            pts = pool[cid] + config.sigma * rng.standard_normal(size=(k + q, d))
-            support[j] = pts[:k]
-            query[j * q : (j + 1) * q] = pts[k:]
+        # one draw fills the classes in turn, as one draw per class would
+        pts = pool[ids][:, None, :] + config.sigma * rng.standard_normal(size=(w, k + q, d))
         labels = np.repeat(np.arange(w), q)
-        yield Episode(support, query, labels, ids)
+        yield Episode(pts[:, :k], pts[:, k:].reshape(w * q, d), labels, ids)
         produced += 1
 
 

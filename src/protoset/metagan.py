@@ -192,13 +192,14 @@ class GanConfig:
 
 
 class MetaGan:
-    """Generator, critic, and the summary network that conditions them."""
+    """Generator, critic, and the summary network and prototype bank that condition them."""
 
     def __init__(
         self,
         spec: TaskFamilySpec,
         config: GanConfig,
         summary: SummaryNet,
+        bank: PrototypeBank,
         rng: np.random.Generator,
     ):
         if summary.config.input_dim != spec.dim:
@@ -206,9 +207,14 @@ class MetaGan:
                 f"summary network reads {summary.config.input_dim}-D points but the "
                 f"{spec.family} family produces {spec.dim}-D points"
             )
+        if bank.dim != spec.dim:
+            raise ConfigError(
+                f"bank lives in R^{bank.dim} but the task family produces {spec.dim}-D points"
+            )
         self.spec = spec
         self.config = config
         self.summary = summary
+        self.bank = bank
         k = summary.config.n_prototypes
         self.generator = MLP(
             (config.noise_dim + k, *config.generator_widths, spec.dim), "relu", rng
@@ -220,6 +226,7 @@ class MetaGan:
         out = {f"summary.{k}": v for k, v in self.summary.named_parameters().items()}
         out.update(self.generator.named_parameters("generator"))
         out.update(self.critic.named_parameters("critic"))
+        out["bank"] = self.bank.matrix
         return out
 
     def summarize(self, points: np.ndarray) -> np.ndarray:
@@ -291,38 +298,29 @@ def generator_objective(model: MetaGan, real, z, h) -> Value:
 
 
 def transport_step(
-    points: np.ndarray,
-    net: SummaryNet,
-    bank: PrototypeBank,
-    optimizer,
-    config: TrainConfig,
-    guard_rng: np.random.Generator,
-    step: int,
+    model: MetaGan, points: np.ndarray, optimizer, guard_rng: np.random.Generator, step: int
 ) -> float:
-    """The interleaved OT update: one step of the unsupervised prototype loop."""
-    loss = set_objective(SetBatch(points), net, bank, config)[0]
+    """The interleaved OT update of the model's summary network and bank, under
+    ``model.config.ot``: one step of the unsupervised prototype loop."""
+    config, bank = model.config.ot, model.bank
+    loss = set_objective(SetBatch(points), model.summary, bank, config)[0]
     guard_bank = bank if config.metric == "cosine" else None
     return apply_update(optimizer, loss, step, "transport", guard_bank, guard_rng)
 
 
-def train_metagan(sets: Sequence[SetBatch], model: MetaGan, bank: PrototypeBank) -> dict:
+def train_metagan(sets: Sequence[SetBatch], model: MetaGan) -> dict:
     """Interleaved critic / transport / generator updates over sampled sets.
 
     Per outer iteration of ``model.config``: eta_critic critic steps on
     minibatches of one set, then one shared transport step on the last real
-    minibatch (updating the bank and summary network), then one generator
-    step with the summary recomputed from the just-updated encoder.  The
-    trace's columns are ``critic_loss``, ``generator_loss`` and
+    minibatch (updating the model's bank and summary network), then one
+    generator step with the summary recomputed from the just-updated encoder.
+    The trace's columns are ``critic_loss``, ``generator_loss`` and
     ``transport_loss`` (None without ``config.ot``).
     """
     config = model.config
     if not sets:
         raise ConfigError("corpus is empty")
-    if bank.dim != model.spec.dim:
-        raise ConfigError(
-            f"bank lives in R^{bank.dim} but the task family produces "
-            f"{model.spec.dim}-D points"
-        )
     data_rng = np.random.default_rng(config.seed)
     noise_rng = np.random.default_rng(config.seed + 1)
     critic_opt = make_optimizer("adam", model.critic.parameters(), config.lr_critic)
@@ -330,7 +328,7 @@ def train_metagan(sets: Sequence[SetBatch], model: MetaGan, bank: PrototypeBank)
     ot_opt = None
     if config.ot is not None:
         ot_opt = make_optimizer(
-            config.ot.optimizer, [bank.matrix] + model.summary.parameters(), config.ot.lr
+            config.ot.optimizer, [model.bank.matrix] + model.summary.parameters(), config.ot.lr
         )
 
     def step(i: int) -> dict:
@@ -344,7 +342,7 @@ def train_metagan(sets: Sequence[SetBatch], model: MetaGan, bank: PrototypeBank)
 
         ot_value = None
         if ot_opt is not None:
-            ot_value = transport_step(real, model.summary, bank, ot_opt, config.ot, data_rng, i)
+            ot_value = transport_step(model, real, ot_opt, data_rng, i)
             h = model.summarize(points)  # encoder just moved
 
         z = noise_rng.standard_normal((config.batch, config.noise_dim))

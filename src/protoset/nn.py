@@ -21,15 +21,6 @@ ACTIVATIONS: dict[str, Callable[[Value], Value]] = {
 }
 
 
-def activation_fn(name: str) -> Callable[[Value], Value]:
-    try:
-        return ACTIVATIONS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown activation {name!r} (expected one of {sorted(ACTIVATIONS)})"
-        ) from None
-
-
 def fan_balanced_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -61,8 +52,12 @@ class MLP:
             raise ConfigError(f"MLP needs at least input and output widths, got {dims}")
         if any(d < 1 for d in dims):
             raise ConfigError(f"MLP widths must be positive, got {dims}")
+        if activation not in ACTIVATIONS:
+            raise ConfigError(
+                f"unknown activation {activation!r} (expected one of {sorted(ACTIVATIONS)})"
+            )
         self.dims = tuple(int(d) for d in dims)
-        self._act = activation_fn(activation)
+        self._act = ACTIVATIONS[activation]
         self.layers = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
 
     def __call__(self, x: Value) -> Value:

@@ -44,8 +44,6 @@ class PrototypeBank:
     matrix: Value
 
     def __post_init__(self):
-        if not isinstance(self.matrix, Value):
-            self.matrix = Value(np.asarray(self.matrix, dtype=np.float64), requires_grad=True)
         if self.matrix.ndim != 2:
             raise ConfigError(f"bank matrix must be (d, K), got shape {self.matrix.shape}")
 
@@ -174,13 +172,18 @@ def set_objective(
     bank: PrototypeBank,
     config: TrainConfig,
     task_loss_fn: Optional[Callable[[Value, SetBatch], Value]] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> tuple[Value, Optional[float], Optional[float]]:
-    """Training loss on one subsampled set: (loss, task value, transport value).
+    """Training loss on one set: (loss, task value, transport value).
 
+    With ``rng`` the set is first subsampled to ``config.batch_points`` points.
     The loss is the transport term alone, or with ``task_loss_fn`` the task loss
     plus lambda_ot (default 1) times the transport term, which at lambda_ot = 0
     is not built and reads None.
     """
+    if rng is not None:
+        points = subsample_points(batch.points, config.batch_points, rng)
+        batch = SetBatch(points, set_id=batch.set_id, label=batch.label)
     points, metric, sk = batch.points, config.metric, config.sinkhorn
     if task_loss_fn is None:
         loss = transport_objective(points, net.summarize(points), bank, metric, sk)
@@ -277,9 +280,7 @@ def train_prototypes(
         ot_value = 0.0 if lam > 0 else None
         for _ in range(config.batch_sets):
             batch = corpus[int(rng.integers(len(corpus)))]
-            points = subsample_points(batch.points, config.batch_points, rng)
-            sub = SetBatch(points, set_id=batch.set_id, label=batch.label)
-            term, task, transport = set_objective(sub, net, bank, config, task_loss_fn)
+            term, task, transport = set_objective(batch, net, bank, config, task_loss_fn, rng)
             if task is not None:
                 task_value += task * scale
             if transport is not None:

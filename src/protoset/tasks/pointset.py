@@ -61,14 +61,10 @@ def _cube(n, rng):
     face = rng.integers(0, 6, size=n)
     uv = rng.uniform(-1.0, 1.0, size=(n, 2))
     pts = np.empty((n, 3))
-    axis = face % 3
-    sign = np.where(face < 3, 1.0, -1.0)
-    for i in range(n):
-        coords = [0.0, 0.0, 0.0]
-        others = [a for a in range(3) if a != axis[i]]
-        coords[axis[i]] = sign[i]
-        coords[others[0]], coords[others[1]] = uv[i]
-        pts[i] = coords
+    rows, axis = np.arange(n), face % 3
+    others = np.array([[1, 2], [0, 2], [0, 1]])[axis]  # the other two axes, in order
+    pts[rows, axis] = np.where(face < 3, 1.0, -1.0)
+    pts[rows, others[:, 0]], pts[rows, others[:, 1]] = uv[:, 0], uv[:, 1]
     return pts
 
 

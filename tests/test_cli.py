@@ -956,6 +956,7 @@ NEVER_READ = (
     + [("train", "fewshot", ["--set", "count=5"], "count", None),
        ("train", "pointset", ["--set", "count=5"], "count", "pointset.count_per_class"),
        ("gen", "pointset", ["--count", "5"], "count", "pointset.count_per_class"),
+       ("train", "fewshot", ["--steps", "3"], "train.steps", "fewshot.episodes"),
        ("gen", "metagan", ["--set", "model.k=7"], "model.k", "metagan.k")]
     + [("train", task, ["--set", "train.metric=euclidean"], "train.metric", f"{task}.metric")
        for task in ("fewshot", "metagan")]
@@ -972,7 +973,8 @@ def test_a_key_the_task_never_reads_exits_2(verb, task, given, key, instead, tmp
     capsys.readouterr()
     assert run([verb, "--task", task, "--out", str(out)] + given + flags) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"error: {key} " in err and f"is not read by {task}" in err
+    flag = "" if given[0] == "--set" else f" (or {given[0]})"  # a flag is named beside its key
+    assert f"error: {key}{flag} is not read by {task}" in err
     assert (f"; set {instead}" in err) if instead else ("; set" not in err)
     assert not out.exists()
 
@@ -1032,6 +1034,55 @@ def test_eval_with_no_digitsum_test_sizes_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run(argv + ["--set", "digitsum.test_sizes="]) == cli.EXIT_CONFIG
     assert "digitsum.test_sizes" in capsys.readouterr().err
+
+
+# (task, eval inputs, the key eval refuses or None): eval takes eval.count,
+# eval.seed and the keys of the data it draws and of how it scores
+EVAL_INPUTS = [
+    ("mog", ["--set", "model.k=7"], "model.k"),  # exited 4, as if the checkpoint were corrupt
+    ("mog", ["--set", "model.activation=tanh"], "model.activation"),  # scored another model
+    ("mog", ["--set", "train.steps=99"], "train.steps"),  # changed only the config_hash
+    ("mog", ["--set", "task=digitsum"], "task"),
+    ("mog", ["--set", "seed=3"], "seed"),
+    ("mog", ["--set", "count=3"], "count"),
+    ("mog", ["--set", "mog.components=3"], "mog.components"),
+    ("mog", ["--set", "train.mode=unsupervised"], "train.mode"),
+    ("mog", ["--set", "optim.lr=0.1"], "optim.lr"),
+    ("mog", ["--set", "sinkhorn.epsilon=0.2"], "sinkhorn.epsilon"),
+    ("mog", ["--set", "digitsum.test_sizes=4"], "digitsum.test_sizes"),
+    ("mog", ["--config", "train.steps = 99\n"], "train.steps"),
+    ("fewshot", ["--set", "fewshot.dim=5"], "fewshot.dim"),
+    ("fewshot", ["--set", "fewshot.bank=3"], "fewshot.bank"),
+    ("fewshot", ["--set", "fewshot.episodes=3"], "fewshot.episodes"),
+    ("metagan", ["--set", "metagan.k=3"], "metagan.k"),
+    ("metagan", ["--set", "metagan.iterations=2"], "metagan.iterations"),
+    ("metagan", ["--set", "metagan.family=multi1d"], "metagan.family"),
+    ("mog", ["--set", "mog.mean_low=-3", "--set", "mog.encode_cap=10", "--set", "eval.seed=4"],
+     None),
+    ("mog", ["--config", "eval.count = 2\nmog.n_min = 35\n"], None),
+    ("pointset", ["--set", "pointset.n_points=12", "--set", "pointset.rotate=false"], None),
+    ("fewshot", ["--set", "fewshot.n_way=3", "--set", "fewshot.class_seed=2",
+                 "--set", "fewshot.sigma=2"], None),
+]
+
+
+@pytest.mark.parametrize("task,given,key", EVAL_INPUTS,
+                         ids=[f"{t}-{k or 'taken'}-{i}" for i, (t, _, k) in enumerate(EVAL_INPUTS)])
+def test_eval_refuses_a_key_the_checkpoint_fixes_or_eval_never_reads(task, given, key, tmp_path,
+                                                                     capsys):
+    _, ck_path = train_task(task, tmp_path / "run")
+    if given[0] == "--config":
+        (tmp_path / "eval.cfg").write_text(given[1])
+        given = ["--config", str(tmp_path / "eval.cfg")]
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", str(ck_path), "--out", str(out), "--count", "2"] + given)
+    if key is None:
+        assert code == 0
+        return
+    assert code == cli.EXIT_CONFIG
+    assert f"error: eval of {task} cannot change {key}, " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fewshot_cli_round_trip(tmp_path):
@@ -1151,6 +1202,45 @@ def test_help_exits_zero(capsys):
 
 def test_unknown_verb_exits_2(capsys):
     assert run(["explode"]) == cli.EXIT_CONFIG
+
+
+# a valid value, none of them the default, for every key that a flag sets
+FLAG_VALUES = {"task": "digitsum", "count": "7", "seed": "3", "mog.components": "3",
+               "train.steps": "7", "train.lambda_ot": "0.5", "eval.seed": "3", "eval.count": "7",
+               "sinkhorn.epsilon": "0.2", "sinkhorn.tol": "1e-05", "sinkhorn.max_iters": "77"}
+# what each verb requires beside its key flags
+REQUIRED = {"eval": ["--checkpoint", "ck"], "ot": ["--cost", "cost.csv"]}
+KEY_FLAG_CASES = [(verb, flag, key) for verb, flags in cli.KEY_FLAGS.items()
+                  for flag, key in flags.items()]
+
+
+@pytest.mark.parametrize("verb,flag,key", KEY_FLAG_CASES,
+                         ids=[f"{verb}{flag}" for verb, flag, _ in KEY_FLAG_CASES])
+def test_a_key_flag_resolves_as_set_does(verb, flag, key):
+    value = FLAG_VALUES[key]
+
+    def resolved(argv):
+        args = cli.build_parser().parse_args([verb] + REQUIRED.get(verb, []) + argv)
+        return config.resolve_config(overrides=cli._override_strings(args)).as_dict()
+
+    by_flag = resolved([flag, value])
+    assert by_flag == config.resolve_config(overrides={key: value}).as_dict()
+    assert by_flag != config.default_config().as_dict()
+    if verb in ("gen", "train", "eval"):  # the verbs that take --set
+        assert resolved(["--set", f"{key}={value}"]) == by_flag
+
+
+@pytest.mark.parametrize("verb,given,key", [("train", ["--steps", "x"], "train.steps"),
+                                            ("ot", ["--eps", "x"], "sinkhorn.epsilon"),
+                                            ("gen", ["--count", "1.5"], "count")])
+def test_a_malformed_flag_value_exits_2_naming_the_key(verb, given, key, tmp_path, capsys):
+    cost = tmp_path / "cost.csv"
+    cost.write_text("0,1\n1,0\n")
+    out = tmp_path / "out"
+    extra = ["--cost", str(cost)] if verb == "ot" else []
+    assert run([verb, "--out", str(out)] + extra + given) == cli.EXIT_CONFIG
+    assert f"error: {key} expects " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_set_pair_exits_2(tmp_path, capsys):

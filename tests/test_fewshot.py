@@ -8,7 +8,6 @@ from protoset.diffcore.gradcheck import check_gradients
 from protoset.errors import ConfigError, ShapeError, TrainingDivergedError
 from protoset.fewshot import (
     Episode,
-    EpisodeSpec,
     FewShotConfig,
     FewShotModel,
     class_mean_pools,
@@ -34,7 +33,10 @@ from protoset.protolearn import TrainConfig
 def small_config(**overrides):
     """Cheap episode recipe for unit-scale runs."""
     defaults = dict(
-        episode=EpisodeSpec(n_way=3, k_shot=3, q_queries=2, dim=6),
+        n_way=3,
+        k_shot=3,
+        q_queries=2,
+        dim=6,
         encoder_widths=(12, 8),
         bank_size=5,
         n_base_classes=10,
@@ -73,7 +75,7 @@ def manual_episode(means, k_shot, queries, labels):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        EpisodeSpec(n_way=0)
+        small_config(n_way=0)
     with pytest.raises(ConfigError):
         small_config(encoder_widths=(12, 1))  # embedding must be at least 2-D
     with pytest.raises(ConfigError):
@@ -130,10 +132,36 @@ def test_episode_stream_deterministic():
         next(gen_episodes(cfg, "validation", seed=0))
 
 
+def loop_episodes(config, split, seed, count):
+    """The reference generator: one draw of k_shot + q_queries points per class."""
+    base, novel = class_mean_pools(config)
+    pool = base if split == "base" else novel
+    w, k, q, d = config.n_way, config.k_shot, config.q_queries, config.dim
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        ids = rng.choice(pool.shape[0], size=w, replace=False)
+        support = np.empty((w, k, d))
+        query = np.empty((w * q, d))
+        for j, cid in enumerate(ids):
+            pts = pool[cid] + config.sigma * rng.standard_normal(size=(k + q, d))
+            support[j] = pts[:k]
+            query[j * q : (j + 1) * q] = pts[k:]
+        yield support, query, np.repeat(np.arange(w), q), ids
+
+
+@pytest.mark.parametrize("split", ["base", "novel"])
+def test_episode_stream_matches_the_per_class_loop_bitwise(split):
+    cfg = small_config(n_way=4, k_shot=2, q_queries=3, dim=5, sigma=1.7)
+    ours = gen_episodes(cfg, split, seed=21, count=30)
+    for ep, (support, query, labels, ids) in zip(ours, loop_episodes(cfg, split, 21, 30)):
+        assert np.array_equal(ep.support, support) and np.array_equal(ep.query, query)
+        assert np.array_equal(ep.query_labels, labels) and np.array_equal(ep.class_ids, ids)
+
+
 def test_episodes_have_distinct_classes_and_counts():
     cfg = small_config()
     for ep in gen_episodes(cfg, "novel", seed=11, count=20):
-        assert len(set(ep.class_ids.tolist())) == cfg.episode.n_way
+        assert len(set(ep.class_ids.tolist())) == cfg.n_way
         assert ep.support.shape == (3, 3, 6)
         counts = np.bincount(ep.query_labels, minlength=3)
         assert counts.tolist() == [2, 2, 2]
@@ -151,7 +179,7 @@ def test_novel_split_uses_novel_pool_means():
 
 
 def test_single_shot_prototype_is_the_embedded_point():
-    cfg = small_config(episode=EpisodeSpec(n_way=3, k_shot=1, q_queries=2, dim=6))
+    cfg = small_config(n_way=3, k_shot=1, q_queries=2, dim=6)
     model = FewShotModel(cfg, np.random.default_rng(2))
     ep = next(gen_episodes(cfg, "base", seed=9))
     protos = class_prototypes(model.embed, ep)
@@ -165,7 +193,7 @@ def test_duplicated_support_matches_single_copy():
     labels = np.arange(3)
     dup = manual_episode(means, k_shot=4, queries=queries, labels=labels)
     single = manual_episode(means, k_shot=1, queries=queries, labels=labels)
-    cfg = small_config(episode=EpisodeSpec(n_way=3, k_shot=4, q_queries=1, dim=4))
+    cfg = small_config(n_way=3, k_shot=4, q_queries=1, dim=4)
     model = FewShotModel(cfg, np.random.default_rng(3))
     p_dup = class_prototypes(model.embed, dup)
     p_single = class_prototypes(model.embed, single)
@@ -270,7 +298,7 @@ def test_transport_term_is_one_node_whatever_n_way():
     # node repeats per class: the graph has the same size at 3 and 5 ways
     sizes = []
     for n_way in (3, 5):
-        cfg = small_config(episode=EpisodeSpec(n_way=n_way, k_shot=3, q_queries=2, dim=6))
+        cfg = small_config(n_way=n_way, k_shot=3, q_queries=2, dim=6)
         model = FewShotModel(cfg, np.random.default_rng(6))
         ep = next(gen_episodes(cfg, "base", seed=31))
         nodes = reachable(episode_objective(model, ep, train_config(lambda_ot=1.0))[0])
@@ -282,7 +310,7 @@ def test_transport_term_is_one_node_whatever_n_way():
 
 def test_stacked_transport_term_matches_per_class_problems():
     # the term as it was built before stacking: one cost, floor and node per class
-    cfg = small_config(episode=EpisodeSpec(n_way=4, k_shot=3, q_queries=2, dim=6))
+    cfg = small_config(n_way=4, k_shot=3, q_queries=2, dim=6)
     model = FewShotModel(cfg, np.random.default_rng(9))
     ep = next(gen_episodes(cfg, "base", seed=13))
     train_cfg = train_config(lambda_ot=1.0)
@@ -323,7 +351,7 @@ def test_ot_term_rejects_dimension_mismatch():
 
 def test_combined_episode_loss_gradcheck():
     cfg = small_config(
-        episode=EpisodeSpec(n_way=3, k_shot=3, q_queries=2, dim=5),
+        n_way=3, k_shot=3, q_queries=2, dim=5,
         encoder_widths=(8, 6),
         mean_low=-1.0,
         mean_high=1.0,

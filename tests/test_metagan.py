@@ -51,7 +51,7 @@ def small_summary(dim=1, k=2, seed=0):
     return SummaryNet(cfg, np.random.default_rng(seed))
 
 
-def small_gan(spec=None, init_seed=1, summary_seed=0, **cfg_kw):
+def small_gan(spec=None, init_seed=1, summary_seed=0, bank=None, **cfg_kw):
     spec = spec or TaskFamilySpec("gauss1d", n_points=10)
     defaults = dict(
         generator_widths=(16, 16),
@@ -68,7 +68,9 @@ def small_gan(spec=None, init_seed=1, summary_seed=0, **cfg_kw):
     defaults.update(cfg_kw)
     cfg = GanConfig(**defaults)
     summary = small_summary(dim=spec.dim, seed=summary_seed)
-    model = MetaGan(spec, cfg, summary, np.random.default_rng(init_seed))
+    if bank is None:  # for the tests that never train it
+        bank = PrototypeBank(Value(np.zeros((spec.dim, 2)), requires_grad=True))
+    model = MetaGan(spec, cfg, summary, bank, np.random.default_rng(init_seed))
     return model, cfg
 
 
@@ -379,6 +381,7 @@ def test_config_validation():
             TaskFamilySpec("gauss1d"),
             GanConfig(),
             small_summary(dim=2),
+            PrototypeBank(Value(np.zeros((1, 2)), requires_grad=True)),
             np.random.default_rng(0),
         )
 
@@ -386,10 +389,9 @@ def test_config_validation():
 def test_train_smoke_records_all_three_losses():
     spec = TaskFamilySpec("gauss1d", n_points=10)
     corpus = small_corpus(spec)
-    model, cfg = small_gan(spec, iterations=6, seed=2)
-    bank = bank_for(corpus)
+    model, cfg = small_gan(spec, bank=bank_for(corpus), iterations=6, seed=2)
     before = [p.data.copy() for p in model.generator.parameters()]
-    trace = train_metagan([s for s, _ in corpus], model, bank)
+    trace = train_metagan([s for s, _ in corpus], model)
     assert trace["step"] == list(range(6))
     assert all(np.isfinite(v) for v in trace["critic_loss"])
     assert all(np.isfinite(v) for v in trace["generator_loss"])
@@ -407,11 +409,11 @@ def test_train_smoke_records_all_three_losses():
 def test_no_transport_variant_freezes_summary_and_bank():
     spec = TaskFamilySpec("gauss1d", n_points=10)
     corpus = small_corpus(spec)
-    model, cfg = small_gan(spec, iterations=6, ot=None, summary_seed=42)
-    fresh = small_summary(dim=1, seed=42)
     bank = bank_for(corpus)
+    model, cfg = small_gan(spec, bank=bank, iterations=6, ot=None, summary_seed=42)
+    fresh = small_summary(dim=1, seed=42)
     before = bank.matrix.data.copy()
-    trace = train_metagan([s for s, _ in corpus], model, bank)
+    trace = train_metagan([s for s, _ in corpus], model)
     assert trace["transport_loss"] == [None] * 6
     assert np.array_equal(bank.matrix.data, before)
     for p, q in zip(model.summary.parameters(), fresh.parameters()):
@@ -436,9 +438,9 @@ def test_transport_step_trace_matches_unsupervised_loop():
     bank_a = bank_for(corpus, seed=6)
     trace_a = train_prototypes(sets, summary_a, bank_a, t_cfg)
 
-    model, cfg = small_gan(spec, summary_seed=8, iterations=12, seed=31, ot=t_cfg)
     bank_b = bank_for(corpus, seed=6)
-    trace_b = train_metagan(sets, model, bank_b)
+    model, cfg = small_gan(spec, bank=bank_b, summary_seed=8, iterations=12, seed=31, ot=t_cfg)
+    trace_b = train_metagan(sets, model)
 
     assert trace_b["transport_loss"] == trace_a["transport_loss"]
     assert np.array_equal(bank_a.matrix.data, bank_b.matrix.data)
@@ -451,9 +453,8 @@ def test_training_is_deterministic():
     corpus = small_corpus(spec)
     runs = []
     for _ in range(2):
-        model, cfg = small_gan(spec, iterations=5, seed=13)
-        bank = bank_for(corpus)
-        trace = train_metagan([s for s, _ in corpus], model, bank)
+        model, cfg = small_gan(spec, bank=bank_for(corpus), iterations=5, seed=13)
+        trace = train_metagan([s for s, _ in corpus], model)
         runs.append((trace["critic_loss"], trace["generator_loss"], trace["transport_loss"]))
     assert runs[0] == runs[1]
 
@@ -461,31 +462,29 @@ def test_training_is_deterministic():
 def test_mse_term_included_when_configured():
     spec = TaskFamilySpec("gauss1d", n_points=10)
     corpus = small_corpus(spec)
-    model, cfg = small_gan(spec, iterations=4, mse_weight=1.0)
-    bank = bank_for(corpus)
-    trace = train_metagan([s for s, _ in corpus], model, bank)
+    model, cfg = small_gan(spec, bank=bank_for(corpus), iterations=4, mse_weight=1.0)
+    trace = train_metagan([s for s, _ in corpus], model)
     assert all(np.isfinite(v) for v in trace["generator_loss"])
 
 
 def test_divergence_aborts_with_error():
     spec = TaskFamilySpec("gauss1d", n_points=10)
     corpus = small_corpus(spec)
-    model, cfg = small_gan(spec, iterations=40, lr_generator=1e160)
-    bank = bank_for(corpus)
+    model, cfg = small_gan(spec, bank=bank_for(corpus), iterations=40, lr_generator=1e160)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDivergedError):
-            train_metagan([s for s, _ in corpus], model, bank)
+            train_metagan([s for s, _ in corpus], model)
 
 
 def test_bank_dimension_mismatch_rejected():
     spec = TaskFamilySpec("gauss1d", n_points=10)
     corpus = small_corpus(spec)
-    model, cfg = small_gan(spec)
     bad_bank = PrototypeBank(Value(np.eye(2), requires_grad=True))
+    with pytest.raises(ConfigError, match=r"bank lives in R\^2 but the task family produces 1-D"):
+        small_gan(spec, bank=bad_bank)  # refused when the model is built
+    model, cfg = small_gan(spec, bank=bank_for(corpus))
     with pytest.raises(ConfigError):
-        train_metagan([s for s, _ in corpus], model, bad_bank)
-    with pytest.raises(ConfigError):
-        train_metagan([], model, bank_for(corpus))
+        train_metagan([], model)
 
 
 # -- evaluation -------------------------------------------------------------------

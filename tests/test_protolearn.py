@@ -10,7 +10,7 @@ import pytest
 from protoset import protolearn
 from protoset.diffcore import Adam, Value, no_grad, zero_grad
 from protoset.errors import ConfigError, DomainError, TrainingDivergedError
-from protoset.fewshot import EpisodeSpec, FewShotConfig, FewShotModel, train_fewshot
+from protoset.fewshot import FewShotConfig, FewShotModel, train_fewshot
 from protoset.metagan import GanConfig, MetaGan, TaskFamilySpec, gen_task_corpus, train_metagan
 from protoset.ot import SinkhornConfig
 from protoset.protolearn import (
@@ -370,7 +370,7 @@ def test_fit_logs_every_log_every_steps_for_both_loops(caplog):
     corpus = cluster_corpus(np.random.default_rng(0), n_sets=4)
     bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(1))
     fs_config = FewShotConfig(
-        episode=EpisodeSpec(n_way=3, k_shot=2, q_queries=2, dim=4),
+        n_way=3, k_shot=2, q_queries=2, dim=4,
         encoder_widths=(8, 6),
         n_base_classes=6,
         n_novel_classes=3,
@@ -384,8 +384,9 @@ def test_fit_logs_every_log_every_steps_for_both_loops(caplog):
         gan_cfg = GanConfig(generator_widths=(8,), critic_widths=(8,), batch=5,
                             iterations=cfg.steps, log_every=cfg.log_every,
                             ot=replace(cfg, metric="euclidean"))
-        gan = MetaGan(spec, gan_cfg, tiny_net(k=2, input_dim=1), np.random.default_rng(4))
-        return train_metagan(sets, gan, gan_bank)
+        gan = MetaGan(spec, gan_cfg, tiny_net(k=2, input_dim=1), gan_bank,
+                      np.random.default_rng(4))
+        return train_metagan(sets, gan)
 
     loops = {
         "prototypes": lambda cfg: train_prototypes(corpus, tiny_net(), bank, cfg),

@@ -364,6 +364,31 @@ def test_two_blob_separation():
     assert np.linalg.norm(left.mean(axis=0) - right.mean(axis=0)) > 1.0
 
 
+def loop_cube(n, rng):
+    """The reference cube sampler: one point at a time."""
+    face = rng.integers(0, 6, size=n)
+    uv = rng.uniform(-1.0, 1.0, size=(n, 2))
+    pts = np.empty((n, 3))
+    axis = face % 3
+    sign = np.where(face < 3, 1.0, -1.0)
+    for i in range(n):
+        coords = [0.0, 0.0, 0.0]
+        others = [a for a in range(3) if a != axis[i]]
+        coords[axis[i]] = sign[i]
+        coords[others[0]], coords[others[1]] = uv[i]
+        pts[i] = coords
+    return pts
+
+
+@pytest.mark.parametrize("n", [1, 8, 97])
+def test_cube_shell_matches_the_per_point_loop_bitwise(n):
+    for seed in range(20):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pts = sample_primitive("cube_shell", n, ours, noise_sigma=0.0, rotate=False)
+        assert np.array_equal(pts, loop_cube(n, ref))
+        assert ours.random() == ref.random()  # the same draws, so the stream goes on alike
+
+
 def test_unknown_primitive_rejected():
     with pytest.raises(ConfigError):
         sample_primitive("dodecahedron", 10, np.random.default_rng(0))

@@ -2,7 +2,8 @@
 
 A ``Value`` wraps a numpy array and remembers how it was produced.  The graph
 is recorded as each operation runs (define-by-run); ``backward`` linearizes it
-into topological order and walks it once in reverse, accumulating gradients.
+into topological order and walks it once in reverse, accumulating the
+gradients of its leaves.
 All arithmetic is float64 and domain violations raise instead of producing
 silent NaN.
 """
@@ -115,8 +116,10 @@ class Value:
         xs, ys = self.data.shape, other.data.shape
 
         def backward(g, acc):
-            _accumulate(acc, self, _unbroadcast(g, xs))
-            _accumulate(acc, other, _unbroadcast(g, ys))
+            if self.requires_grad:
+                _accumulate(acc, self, _unbroadcast(g, xs))
+            if other.requires_grad:
+                _accumulate(acc, other, _unbroadcast(g, ys))
 
         return Value._from_op(data, (self, other), backward)
 
@@ -128,8 +131,10 @@ class Value:
         xs, ys = self.data.shape, other.data.shape
 
         def backward(g, acc):
-            _accumulate(acc, self, _unbroadcast(g, xs))
-            _accumulate(acc, other, _unbroadcast(-g, ys))
+            if self.requires_grad:
+                _accumulate(acc, self, _unbroadcast(g, xs))
+            if other.requires_grad:
+                _accumulate(acc, other, _unbroadcast(-g, ys))
 
         return Value._from_op(data, (self, other), backward)
 
@@ -142,8 +147,10 @@ class Value:
         x, y = self, other
 
         def backward(g, acc):
-            _accumulate(acc, x, _unbroadcast(g * y.data, x.data.shape))
-            _accumulate(acc, y, _unbroadcast(g * x.data, y.data.shape))
+            if x.requires_grad:
+                _accumulate(acc, x, _unbroadcast(g * y.data, x.data.shape))
+            if y.requires_grad:
+                _accumulate(acc, y, _unbroadcast(g * x.data, y.data.shape))
 
         return Value._from_op(data, (self, other), backward)
 
@@ -157,8 +164,10 @@ class Value:
         x, y = self, other
 
         def backward(g, acc):
-            _accumulate(acc, x, _unbroadcast(g / y.data, x.data.shape))
-            _accumulate(acc, y, _unbroadcast(-g * data / y.data, y.data.shape))
+            if x.requires_grad:
+                _accumulate(acc, x, _unbroadcast(g / y.data, x.data.shape))
+            if y.requires_grad:
+                _accumulate(acc, y, _unbroadcast(-g * data / y.data, y.data.shape))
 
         return Value._from_op(data, (self, other), backward)
 
@@ -219,13 +228,14 @@ class Value:
         return Value._from_op(data, (self,), backward)
 
     def elu(self):
-        # alpha fixed at 1.0
-        neg = np.expm1(np.minimum(self.data, 0.0))
-        pos_mask = self.data > 0.0
-        data = np.where(pos_mask, self.data, neg)
+        # alpha fixed at 1.0; neg is exactly 0 where x > 0, so no select is needed
+        neg = np.minimum(self.data, 0.0)
+        np.expm1(neg, out=neg)
+        data = np.maximum(self.data, 0.0)
+        data += neg
 
         def backward(g, acc):
-            _accumulate(acc, self, g * np.where(pos_mask, 1.0, neg + 1.0))
+            _accumulate(acc, self, g * (neg + 1.0))
 
         return Value._from_op(data, (self,), backward)
 
@@ -268,8 +278,10 @@ class Value:
         x, y = self, other
 
         def backward(g, acc):
-            _accumulate(acc, x, g @ y.data.T)
-            _accumulate(acc, y, x.data.T @ g)
+            if x.requires_grad:
+                _accumulate(acc, x, g @ y.data.T)
+            if y.requires_grad:
+                _accumulate(acc, y, x.data.T @ g)
 
         return Value._from_op(data, (self, other), backward)
 
@@ -372,9 +384,11 @@ class Value:
     # -- backward ------------------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable Value that requires gradients.
+        """Populate ``grad`` on every reachable leaf that requires gradients.
 
-        Repeated calls accumulate; use ``zero_grad`` between steps.
+        Only leaves (Values that no recorded op produced, such as parameters)
+        keep a ``grad``; an interior node's gradient flows to its parents and
+        is dropped.  Repeated calls accumulate; use ``zero_grad`` between steps.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {self.data.shape}")
@@ -386,12 +400,12 @@ class Value:
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is None:
+            if node._backward is not None:
+                node._backward(g, flowing)
+            elif node.grad is None:
                 node.grad = g.copy()
             else:
                 node.grad = node.grad + g
-            if node._backward is not None:
-                node._backward(g, flowing)
 
 
 def recording(parents: Sequence[Value]) -> bool:

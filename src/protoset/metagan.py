@@ -363,8 +363,15 @@ def _as_points(x: np.ndarray) -> np.ndarray:
 
 
 def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a[:, None, :] - b[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2)).mean())
+    """Mean Euclidean distance over all pairs of rows of ``a`` and ``b``: each
+    dimension's squared differences are added into one (n, m) buffer in
+    order, as a sum over a last axis of differences would add them."""
+    total, diff = np.zeros((a.shape[0], b.shape[0])), np.empty((a.shape[0], b.shape[0]))
+    for d in range(a.shape[1]):
+        np.subtract.outer(a[:, d], b[:, d], out=diff)
+        diff *= diff
+        total += diff
+    return float(np.sqrt(total, out=total).mean())
 
 
 def _sorted_pair_sum(s: np.ndarray) -> float:

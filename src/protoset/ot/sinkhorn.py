@@ -59,7 +59,12 @@ The returned potentials are f = eps * u and g = eps * v.
 
 The differentiable path comes in two modes.  "unrolled" runs exactly
 ``unroll_iters`` of those updates as one graph node whose backward sweeps
-back through them.  "envelope" solves to
+back through them.  It checks its plain updates against TAU once per block
+of BLOCK iterations, over the whole block (and stack), not once per
+half-iteration.  At the first half-iteration out of bounds it keeps the ones
+before it, absorbs there, and makes and checks every later one on its own,
+so at most one block's tail per sweep is made twice, and the iterates are
+those of a check after each half-iteration.  "envelope" solves to
 convergence outside the graph and wires the stationary quantities back in:
 the gradient w.r.t. the cost is the plan itself, the gradient w.r.t. the
 column marginal is the dual potential g centered to zero mean.
@@ -94,6 +99,7 @@ TAU = 1e50  # a scaling above TAU is absorbed into its potential
 WARMUP = 20  # plain iterations before the solver over-relaxes
 RATE_SPAN = 10  # the last iterations of the warm-up that estimate its contraction rate
 OMEGA_MAX = 1.8  # the largest over-relaxation factor
+BLOCK = 8  # unrolled iterations between two TAU checks, until the first absorption
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,12 @@ def _scale(prod: np.ndarray, marginal: np.ndarray):
     underflows makes the next scaling exceed TAU.
     """
     scaling = marginal / prod
-    return scaling if np.maximum.reduce(scaling, axis=None) <= TAU else None
+    return scaling if _within(scaling) else None
+
+
+def _within(scalings: np.ndarray) -> bool:
+    """Whether every scaling is at most TAU, so also finite."""
+    return np.maximum.reduce(scalings, axis=None) <= TAU
 
 
 def _relaxed(scaling, prod, sums, marginal, log_marginal, omega: float):
@@ -188,10 +199,10 @@ def _relaxed(scaling, prod, sums, marginal, log_marginal, omega: float):
         if gain > 0.0:
             w += 1.0
             relaxed = w * scaling
-            if np.maximum.reduce(relaxed, axis=None) <= TAU:
+            if _within(relaxed):
                 return relaxed, None
             w *= sums / marginal
-            return None, w if np.maximum.reduce(w, axis=None) <= TAU else None
+            return None, w if _within(w) else None
     return _scale(prod, marginal), None
 
 
@@ -369,15 +380,23 @@ def differentiable_transport_loss(
     return _envelope_loss(cost, col_weights, a, config)
 
 
-@np.errstate(divide="ignore", over="ignore")  # a zero or infinite scaling is absorbed
+# a zero or infinite scaling is absorbed, and the iterates after it in its block,
+# which may be NaN, are discarded
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig) -> Value:
     """``unroll_iters`` Sinkhorn iterations and the loss of their plan, as one
     graph node over ``cost`` and ``b``, for one problem or a stack.
 
     The iterations are made in stabilized-scaling form, the first one and
     every absorption in the log domain (see the module docstring); a NaN or
-    infinite cost raises DomainError after the first.  The backward sweeps the
-    log-domain updates in reverse.  The softmax weights of a u-update are
+    infinite cost raises DomainError after the first.  Plain updates are
+    written straight into the per-update vectors below and checked against
+    TAU once per block of BLOCK iterations; a block with a scaling out of
+    bounds keeps its half-iterations before the first such one, which is
+    absorbed, and the rest of the sweep is made and checked one
+    half-iteration at a time, so at most one block's tail is recomputed.
+    The backward sweeps the log-domain updates in reverse.  The softmax
+    weights of a u-update are
     diag(1 / (K sv)) K diag(sv), with the scaling sv it read, and those of a
     v-update diag(su) K diag(1 / (K' su)); a log-domain update has the same
     form with the scaling it read at one.  So each update's backward is two
@@ -399,28 +418,62 @@ def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig)
     state.update_cols(None)
     if not state.finite():
         raise DomainError("Sinkhorn potentials of a NaN or infinite cost are not finite")
-    # u-update t: the sv it read and K sv; v-update t: the su it read and su' K;
-    # two more rows of in_u for the final plan's own term, set by the backward
-    in_v, prod_u = np.ones((iters, *lead, 1, k)), np.empty((iters, *lead, n, 1))
+    # u-update t: the sv it read (in_v[t]) and K sv; v-update t: the su it read
+    # (in_u[t]) and su' K, and the sv it made (in_v[t + 1], which u-update t + 1
+    # reads); two more rows of in_u for the final plan's own term, set by the backward
+    in_v, prod_u = np.ones((iters + 1, *lead, 1, k)), np.empty((iters, *lead, n, 1))
     in_u, prod_v = np.ones((iters + 2, *lead, n, 1)), np.empty((iters, *lead, 1, k))
     prod_u[0], prod_v[0] = a, b_row
     # per absorption: its kernel and its first half-iteration, 2t or 2t + 1
     kernels, starts = [first, state.kernel], [0, 1]
-    for t in range(1, iters):
-        prod = state.kernel @ state.sv.reshape(col_shape)
-        su = _scale(prod, a)
-        state.update_rows(su)
-        in_v[t], prod_u[t] = state.sv, (a if su is None else prod)
-        if su is None:
-            kernels.append(state.kernel)
-            starts.append(2 * t)
-        prod = state.su.reshape(row_shape) @ state.kernel
-        sv = _scale(prod, b_row)
-        state.update_cols(sv)
-        in_u[t], prod_v[t] = state.su, (b_row if sv is None else prod)
-        if sv is None:
-            kernels.append(state.kernel)
-            starts.append(2 * t + 1)
+
+    def plain(j: int) -> np.ndarray:
+        """Half-iteration j as a scaling update, written into its rows; returns the new scaling."""
+        t = j >> 1
+        if j & 1:
+            np.matmul(in_u[t].reshape(row_shape), state.kernel, out=prod_v[t])
+            return np.divide(b_row, prod_v[t], out=in_v[t + 1])
+        np.matmul(state.kernel, in_v[t].reshape(col_shape), out=prod_u[t])
+        return np.divide(a, prod_u[t], out=in_u[t])
+
+    def absorb(j: int) -> None:
+        """Half-iteration j in the log domain instead: the scaling it read is
+        folded into its potential, and both scalings restart at one."""
+        t = j >> 1
+        if j & 1:
+            state.su = in_u[t]
+            state.update_cols(None)
+            in_u[t], prod_v[t], in_v[t + 1] = 1.0, b_row, 1.0
+        else:
+            state.sv = in_v[t]
+            state.update_rows(None)
+            in_v[t], prod_u[t], in_u[t] = 1.0, a, 1.0
+        kernels.append(state.kernel)
+        starts.append(j)
+
+    # plain iterations in blocks of BLOCK, each block checked once; at the
+    # first half-iteration out of bounds, the ones before it are kept, and it
+    # and every later one are made and checked one at a time
+    t = 1
+    while t < iters:
+        stop = min(t + BLOCK, iters)
+        for j in range(2 * t, 2 * stop):
+            plain(j)
+        made_u, made_v = in_u[t:stop], in_v[t + 1:stop + 1]
+        if _within(made_u) and _within(made_v):
+            t = stop
+            continue
+        # each iteration's largest u- and v-scaling, in the order they were made
+        largest = np.stack(
+            [np.maximum.reduce(x.reshape(stop - t, -1), axis=1) for x in (made_u, made_v)], axis=1
+        )
+        j = 2 * t + int(np.argmin(largest.ravel() <= TAU))
+        absorb(j)
+        for j in range(j + 1, 2 * iters):
+            if not _within(plain(j)):
+                absorb(j)
+        break
+    state.su, state.sv = in_u[iters - 1], in_v[iters]
     u, v = state.potentials()
     su, sv, kernel = state.su, state.sv, state.kernel
     row = su * (kernel @ sv.reshape(col_shape))
@@ -434,7 +487,8 @@ def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig)
         # update's products are a kernel, or its transpose, times a column
         kernels_t = [kernel_s.swapaxes(-1, -2) for kernel_s in kernels]
         v_c, sv_c, col_c = v.reshape(col_shape), sv.reshape(col_shape), col.reshape(col_shape)
-        in_v_c, prod_v_c = in_v.reshape(iters, *col_shape), prod_v.reshape(iters, *col_shape)
+        in_v_c = in_v[:iters].reshape(iters, *col_shape)
+        prod_v_c = prod_v.reshape(iters, *col_shape)
         # the final plan P's own gradient w.r.t. neg_cost is scale * (u + v) * P:
         # its row and column sums, and kernel * (U' Q) over two more rows
         gu = scale * (row * (1.0 + u) + su * (kernel @ (sv_c * v_c)))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protoset.diffcore import Value, check_gradients, concat, no_grad, zero_grad
+from protoset.diffcore.value import _linearize
 from protoset.errors import DomainError, ShapeError
 
 RNG = np.random.default_rng(20240817)
@@ -104,6 +105,32 @@ def test_elu_matches_definition():
     assert np.allclose(out, expect, atol=1e-15)
 
 
+def elu_select(x):
+    """ELU and its derivative in select form, the reference for the branch-free op."""
+    neg = np.expm1(np.minimum(x, 0.0))
+    pos_mask = x > 0.0
+    return np.where(pos_mask, x, neg), np.where(pos_mask, 1.0, neg + 1.0)
+
+
+ELU_EDGES = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+    -(2.0 ** -52), np.nextafter(-(2.0 ** -52), 0.0), np.nextafter(-(2.0 ** -52), -1.0),
+    2.0 ** -52, -1e-300, -745.2, -800.0, 709.0, 1e308,
+])
+
+
+def test_elu_equals_its_select_form_bitwise():
+    x0 = np.concatenate([ELU_EDGES, np.random.default_rng(5).normal(scale=3.0, size=(500,))])
+    x = Value(x0, requires_grad=True)
+    g = np.random.default_rng(6).uniform(0.5, 2.0, x0.shape)
+    out = x.elu()
+    (out * g).sum().backward()
+    data, slope = elu_select(x0)
+    assert np.array_equal(out.data, data, equal_nan=True)
+    assert np.array_equal(np.signbit(out.data), np.signbit(data))  # -0.0 stays -0.0
+    assert np.array_equal(x.grad, g * slope, equal_nan=True)
+
+
 def test_clip_gradient_masks_outside():
     x = Value(np.array([-1.0, 0.5, 3.0]), requires_grad=True)
     y = x.clip(0.0, 2.0)
@@ -120,6 +147,29 @@ def test_matmul_gradients():
     y = Value(RNG.normal(size=(3, 5)), requires_grad=True)
     w = RNG.normal(size=(4, 5))
     fd_check(lambda: ((x @ y) * w).sum(), [x, y])
+
+
+class _Watched(np.ndarray):
+    """An array that records every ufunc, matmul included, that it takes part in."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Watched.seen.append(ufunc.__name__)
+        inputs = tuple(i.view(np.ndarray) if isinstance(i, _Watched) else i for i in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_matmul_skips_the_product_of_a_constant_operand():
+    x = Value(RNG.normal(size=(4, 3)))
+    w = Value(RNG.normal(size=(3, 2)), requires_grad=True)
+    out = x @ w
+    # the constant x's gradient would be g @ w.data.T, the only product that reads w
+    w.data = w.data.view(_Watched)
+    _Watched.seen = []
+    out.sum().backward()
+    assert _Watched.seen == []
+    assert np.array_equal(w.grad, x.data.T @ np.ones((4, 2)))
 
 
 def test_matmul_shape_errors():
@@ -272,6 +322,41 @@ def test_shared_subexpression_gradient():
     y = x * x
     (y + y).sum().backward()
     assert np.allclose(x.grad, [12.0])
+
+
+def backward_keeping_every_grad(root):
+    """The walk that kept a gradient on every node: the reference for the leaves'."""
+    flowing = {id(root): np.ones_like(root.data)}
+    for node in reversed(_linearize(root)):
+        g = flowing.pop(id(node), None)
+        if g is None:
+            continue
+        node.grad = g.copy() if node.grad is None else node.grad + g
+        if node._backward is not None:
+            node._backward(g, flowing)
+
+
+def test_backward_keeps_gradients_on_leaves_only():
+    def graph():
+        # two layers, a shared subexpression, a broadcast bias and a constant operand
+        w1 = Value(np.linspace(-1.0, 1.0, 12).reshape(3, 4), requires_grad=True)
+        b1 = Value(np.array([[0.1, -0.2, 0.3, 0.0]]), requires_grad=True)
+        w2 = Value(np.linspace(0.5, -0.5, 8).reshape(4, 2), requires_grad=True)
+        x = Value(np.random.default_rng(3).normal(size=(5, 3)))
+        h = (x @ w1 + b1).elu()
+        y = h @ w2
+        loss = (y * y).sum() / 7.0 - h.tanh().mean() + (h - 1.0).softplus().sum()
+        return loss, [w1, b1, w2]
+
+    loss, leaves = graph()
+    loss.backward()
+    ref_loss, ref_leaves = graph()
+    backward_keeping_every_grad(ref_loss)
+    for leaf, ref in zip(leaves, ref_leaves):
+        assert np.array_equal(leaf.grad, ref.grad)
+    interior = [node for node in _linearize(loss) if node._backward is not None]
+    assert len(interior) > 10
+    assert all(node.grad is None for node in interior)
 
 
 def test_deep_chain_does_not_recurse():

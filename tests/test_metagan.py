@@ -345,6 +345,23 @@ def test_energy_distance_2d_keeps_the_pairwise_form():
     assert energy_distance(x, y) == float(np.sqrt(max(2.0 * cross - within_x - within_y, 0.0)))
 
 
+def pairwise_by_differences(a, b):
+    """The mean pairwise distance from the (n, m, d) array of differences, the
+    reference for the one-buffer form."""
+    diff = a[:, None, :] - b[None, :, :]
+    return float(np.sqrt((diff * diff).sum(axis=2)).mean())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mean_pairwise_distance_equals_the_difference_array_form(dim, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((120 + seed, dim))
+    y = 3.0 * rng.standard_normal((90, dim)) + 1e3 * seed
+    for a, b in ((x, y), (y, x), (x, x), (y, y), (x[:1], y), (x[:1], x[:1])):
+        assert _mean_pairwise_distance(a, b) == pairwise_by_differences(a, b)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("side", ["x", "y"])

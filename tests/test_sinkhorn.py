@@ -6,6 +6,8 @@ differences, and the unrolled updates composed from Value primitives.
 """
 
 import importlib
+import inspect
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -29,7 +31,6 @@ from protoset.ot import (
 
 # the package attribute protoset.ot.sinkhorn is the function, not the module
 sinkhorn_module = importlib.import_module("protoset.ot.sinkhorn")
-TAU = sinkhorn_module.TAU
 WARMUP, RATE_SPAN, OMEGA_MAX = (
     sinkhorn_module.WARMUP, sinkhorn_module.RATE_SPAN, sinkhorn_module.OMEGA_MAX
 )
@@ -58,12 +59,15 @@ def floor_simplex(w):
     return floor_simplex_value(Value(np.asarray(w, dtype=np.float64))).data
 
 
-def unrolled_loss_tape(cost, b, a, config):
+def unrolled_loss_tape(cost, b, a, config, starts=None):
     """The unrolled loss built from Value primitives, a few nodes a half-iteration.
 
     The fused node's stabilized-scaling iterations, absorptions included, with
     the same numpy operations in the same order, so the forward is bit-equal
-    and the tape's backward is an independent gradient.
+    and the tape's backward is an independent gradient.  Each half-iteration
+    is checked against TAU as it is made; ``starts``, if given, receives the
+    half-iterations made in the log domain, 2t for a u-update and 2t + 1 for
+    a v-update.
     """
     n, k = cost.shape
     eps = config.epsilon
@@ -86,7 +90,7 @@ def unrolled_loss_tape(cost, b, a, config):
         if (prod.data == 0.0).any():
             return None  # the node's marginal / 0 is out of bounds
         scaling = marginal / prod
-        return scaling if scaling.data.max() <= TAU else None
+        return scaling if scaling.data.max() <= sinkhorn_module.TAU else None
 
     alpha, beta, su, sv = Value(np.zeros((n, 1))), Value(np.zeros((1, k))), ones_n, ones_k
     for t in range(config.unroll_iters):
@@ -95,6 +99,8 @@ def unrolled_loss_tape(cost, b, a, config):
             beta = beta + sv.log()
             alpha, kernel = log_update(beta, a, 1)
             su, sv = ones_n, ones_k
+            if starts is not None:
+                starts.append(2 * t)
         else:
             su = new
         new = None if t == 0 else scale(su.reshape(1, n), kernel, b)
@@ -102,6 +108,8 @@ def unrolled_loss_tape(cost, b, a, config):
             alpha = alpha + su.log()
             beta, kernel = log_update(alpha, b, 0)
             su, sv = ones_n, ones_k
+            if starts is not None:
+                starts.append(2 * t + 1)
         else:
             sv = new
     u, v = alpha + su.log(), beta + sv.log()
@@ -612,6 +620,106 @@ def test_fused_unrolled_graph_size_does_not_grow_with_iterations():
         loss = differentiable_transport_loss(C * 2.0, b, SinkhornConfig(unroll_iters=iters))
         sizes.append(graph_size(loss))
     assert sizes[0] == sizes[1]
+
+
+# -- the unrolled node's block check ------------------------------------------------
+
+
+def absorbing_problem(shape=(60, 30), seed=0):
+    """Costs on [0, 100] and cubed uniform weights: at eps 1e-3 the potentials
+    move by about 1e5, so the unrolled node absorbs every eight iterations."""
+    rng = np.random.default_rng(seed)
+    C0 = rng.uniform(0, 100, shape)
+    w = rng.uniform(1e-6, 1, (*shape[:-2], shape[-1])) ** 3
+    return C0, w / w.sum(axis=-1, keepdims=True)
+
+
+def node_run(C0, b0, cfg):
+    """(losses, cost gradient, weight gradient, absorption starts) of the fused
+    node, with every RuntimeWarning raised: an iterate that is discarded after
+    a scaling out of bounds must not warn either."""
+    C, b = Value(C0.copy(), requires_grad=True), Value(b0.copy(), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        losses = differentiable_transport_loss(C, b, cfg)
+        starts = list(inspect.getclosurevars(losses._backward).nonlocals["starts"])
+        (losses * np.arange(1.0, losses.size + 1.0)).sum().backward()
+    return losses.data, C.grad, b.grad, starts
+
+
+def block_invariant_run(monkeypatch, C0, b0, cfg):
+    """The node's result, asserted bit-equal for blocks of 1, 2 and 8
+    iterations and for one block over the whole sweep."""
+    runs = []
+    for block in (1, 2, 8, cfg.unroll_iters):
+        monkeypatch.setattr(sinkhorn_module, "BLOCK", block)
+        runs.append(node_run(C0, b0, cfg))
+    for run in runs[1:]:
+        for got, ref in zip(run, runs[0]):
+            assert np.array_equal(got, ref)
+    return runs[0]
+
+
+def assert_matches_checked_tape(C0, b0, cfg, result):
+    """The node's loss and absorptions are those of the kernel-form tape,
+    which checks every half-iteration as it makes it, and its gradients agree."""
+    loss, gC, gb, starts = result
+    tape_starts = []
+    C, b = Value(C0.copy(), requires_grad=True), Value(b0.copy(), requires_grad=True)
+    tape = unrolled_loss_tape(C, b, uniform_weights(C0.shape[0]), cfg, tape_starts)
+    tape.backward()
+    assert starts == [0, 1] + tape_starts[2:]
+    assert tape_starts[:2] == [0, 1]
+    assert loss == tape.item()
+    assert rel_err(gC, C.grad) <= 1e-10
+    assert rel_err(gb, b.grad) <= 1e-10
+
+
+def test_block_check_absorbs_where_each_half_iteration_would(monkeypatch):
+    # six absorptions, the first at half-iteration 16, inside the first block
+    # of the default size, whose half-iteration 17 is then discarded and remade
+    first_block = range(2, 2 * (1 + sinkhorn_module.BLOCK))
+    C0, b0 = absorbing_problem()
+    cfg = SinkhornConfig(epsilon=1e-3, unroll_iters=50)
+    result = block_invariant_run(monkeypatch, C0, b0, cfg)
+    assert result[3] == [0, 1, 16, 32, 48, 64, 80, 96]
+    assert 16 in first_block and 17 in first_block
+    assert_matches_checked_tape(C0, b0, cfg, result)
+
+
+@pytest.mark.parametrize(
+    "tau,shape,seed,eps,first_starts",
+    [
+        # the sweep's first half-iterations absorb in turn, u after v after u,
+        # the first of them the block's first; later only u-updates do
+        (3.0, (20, 10), 0, 0.3, [0, 1, 2, 3, 4, 5, 6, 8]),
+        # a v-update absorbs first, inside the second block
+        (1e3, (5, 40), 4, 0.01, [0, 1, 19, 37]),
+    ],
+)
+def test_block_check_absorbs_u_and_v_updates_in_turn(
+    monkeypatch, tau, shape, seed, eps, first_starts
+):
+    monkeypatch.setattr(sinkhorn_module, "TAU", tau)
+    C0, b0 = absorbing_problem(shape, seed)
+    cfg = SinkhornConfig(epsilon=eps, unroll_iters=20)
+    result = block_invariant_run(monkeypatch, C0, b0, cfg)
+    assert result[3][:len(first_starts)] == first_starts
+    assert_matches_checked_tape(C0, b0, cfg, result)
+
+
+def test_block_check_absorbs_a_stack_as_a_whole(monkeypatch):
+    C0, b0 = absorbing_problem((3, 60, 30))
+    cfg = SinkhornConfig(epsilon=1e-3, unroll_iters=50)
+    losses, gC, gb, starts = block_invariant_run(monkeypatch, C0, b0, cfg)
+    assert starts == [0, 1, 20, 40, 60, 82]
+    # absorbing with the others changes a problem's iterates only by rounding
+    tol = 10 * (C0.max() / cfg.epsilon) * np.finfo(np.float64).eps
+    (ref, gC_ref, gb_ref) = stacked_and_sliced(C0, b0, cfg)[1]
+    for i in range(3):
+        assert rel_err(losses[i], ref[i]) <= tol
+        assert rel_err(gC[i], gC_ref[i]) <= tol
+        assert rel_err(gb[i], gb_ref[i]) <= tol
 
 
 # -- stacked problems: one node for B problems of one shape ---------------------------

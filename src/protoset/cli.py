@@ -211,10 +211,11 @@ class Task:
     # shared keys that this task never reads, each with the key that does its
     # job here or None: given to gen or train, they exit 2
     unread_keys: dict = {}
-    # the keys eval may change beside eval.count and eval.seed: the data it
-    # draws and how it scores; the checkpoint fixes the model, and only
-    # training reads the rest
+    # the keys eval may change beside eval.count and eval.seed: those of the
+    # data it draws, and those of the supervised score; the checkpoint fixes
+    # the model, and only training reads the rest
     eval_keys: tuple = ()
+    score_keys: tuple = ()
     metric_key = "train.metric"  # the config key of the transport cost's metric
     label_bound = None  # a corpus label must be a whole number in [0, label_bound); None: unread
     gradcheck_shapes: dict  # overrides that shrink model and data for gradcheck
@@ -229,12 +230,25 @@ class Task:
         )
 
     def refuse_unread(self, given: set, verb: str) -> None:
-        """Exit 2 on the first of ``unread_keys`` that the file, --set or a ``verb`` flag gave."""
-        for key, instead in self.unread_keys.items():
+        """Exit 2 on the first key of ``given`` that the task never reads.
+
+        Those are ``unread_keys`` and every key of another task's section;
+        ``given`` holds the keys of the file, --set and the ``verb`` flags.
+        """
+        elsewhere = set(TASK_TABLE) - {self.name}
+        others = dict.fromkeys(key for key in SCHEMA if key.partition(".")[0] in elsewhere)
+        for key, instead in {**self.unread_keys, **others}.items():
             if key in given:
                 flag = next((f" (or {f})" for f, k in KEY_FLAGS[verb].items() if k == key), "")
                 hint = f"; set {instead}" if instead else ""
                 raise ConfigError(f"{key}{flag} is not read by {self.name}{hint}")
+
+    def eval_takes(self, cfg: ResolvedConfig, corpus) -> tuple:
+        """The keys eval may change; ``score_keys`` only those of a supervised model."""
+        scored = self.score_keys if cfg["train.mode"] == "supervised" else ()
+        if corpus:  # the corpus replaces the drawn data and its count
+            return ("eval.seed",) + scored
+        return ("eval.count", "eval.seed") + self.eval_keys + scored
 
     def read_corpus(self, path):
         """The sets of the corpus at ``path``; no sets, or a label the task cannot read, exit 2."""
@@ -325,8 +339,8 @@ class EncoderTask(Task):
 class MogTask(EncoderTask):
     name = "mog"
     input_dim = 2
-    eval_keys = ("mog.n_min", "mog.n_max", "mog.sigma", "mog.mean_low", "mog.mean_high",
-                 "mog.encode_cap")
+    eval_keys = ("mog.n_min", "mog.n_max", "mog.sigma", "mog.mean_low", "mog.mean_high")
+    score_keys = ("mog.encode_cap",)
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return head_width(cfg["mog.components"])
@@ -630,7 +644,7 @@ def cmd_eval(args) -> int:
     cfg = stored.with_overrides(given)
     task = stored["task"]
     entry = TASK_TABLE[task]
-    takes = ("eval.count", "eval.seed") + entry.eval_keys
+    takes = entry.eval_takes(stored, args.corpus)
     for key in given:
         if key not in takes:
             raise ConfigError(f"eval of {task} cannot change {key}, which the checkpoint fixes "

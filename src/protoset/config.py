@@ -6,9 +6,11 @@ One schema covers every experiment: dotted names group related knobs
 by declared type, and the resolved result hashes canonically so artifacts can
 record exactly what produced them.
 
-Most keys are a field of a library dataclass, their owner, whose field gives
-the default and whose ``__post_init__`` gives the bounds.  The key set is
-still listed row by row: it is part of every artifact's header.
+Most keys are a field of a library dataclass, their owner, whose field
+declares the default and the bound beside it; a key with no owner declares
+both in its row.  One function, ``errors.check_bound``, holds every value to
+its bound.  The key set is still listed row by row: it is part of every
+artifact's header.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import CheckpointError, ConfigError, read_text
+from .errors import CheckpointError, ConfigError, check_bound, read_text
 from .fewshot import FewShotConfig
 from .metagan import GanConfig, TaskFamilySpec
 from .ot.cost import METRICS
 from .ot.sinkhorn import SinkhornConfig
 from .protolearn import TrainConfig
-from .summarynet import SummaryNetConfig, _as_widths
+from .summarynet import SummaryNetConfig
 from .tasks import DigitSumSpec, MoGTaskSpec, PointSetClassSpec
 
 TASKS = ("mog", "digitsum", "pointset", "fewshot", "metagan")
@@ -37,24 +39,23 @@ _KINDS = {bool: "bool", int: "int", float: "float", str: "str", tuple: "int_list
 
 @dataclass(frozen=True)
 class ConfigField:
-    """One schema entry: a key's kind and default, and where its bounds live.
+    """One schema entry: a key's kind and default, and where its bound lives.
 
     An owned key is field ``attr`` of dataclass ``owner``, which checks it; a
-    key with no owner is checked against ``choices`` and ``minimum``.
+    key with no owner is held to ``bound`` (see ``errors.check_bound``).
     """
 
     kind: str  # int | float | str | bool | int_list | opt_float
     default: object
-    choices: Optional[tuple] = None
-    minimum: Optional[int] = None
+    bound: object = None
     help: str = ""
     owner: Optional[type] = None
     attr: str = ""
 
 
-def _field(kind, default, choices=None, minimum=None, help=""):
+def _field(kind, default, bound=None, help=""):
     """A key that no library dataclass holds."""
-    return ConfigField(kind, default, choices, minimum, help)
+    return ConfigField(kind, default, bound, help)
 
 
 def _of(owner, attr: str, default=MISSING, help=""):
@@ -70,11 +71,11 @@ _ENCODER_ONLY = "read by mog, digitsum, pointset only"
 
 SCHEMA: dict[str, ConfigField] = {
     # run-level
-    "task": _field("str", "mog", choices=TASKS, help="which experiment to run"),
-    "seed": _field("int", 0, minimum=0, help="training seed"),
-    "count": _field("int", 1000, minimum=1, help="sets to generate"),
-    "eval.count": _field("int", 0, minimum=0, help="eval corpus size; 0 picks a task default"),
-    "eval.seed": _field("int", 1000, minimum=0, help="seed for eval data"),
+    "task": _field("str", "mog", TASKS, help="which experiment to run"),
+    "seed": _field("int", 0, "nonnegative", help="training seed"),
+    "count": _field("int", 1000, "positive", help="sets to generate"),
+    "eval.count": _field("int", 0, "nonnegative", help="eval corpus size; 0 picks a task default"),
+    "eval.seed": _field("int", 1000, "nonnegative", help="seed for eval data"),
     # entropic solver
     "sinkhorn.epsilon": _of(SinkhornConfig, "epsilon"),
     "sinkhorn.tol": _of(SinkhornConfig, "tol"),
@@ -92,7 +93,7 @@ SCHEMA: dict[str, ConfigField] = {
     "train.metric": _of(TrainConfig, "metric", help=_ENCODER_ONLY),
     "train.lambda_ot": _of(TrainConfig, "lambda_ot"),
     "train.log_every": _of(TrainConfig, "log_every"),
-    "train.mode": _field("str", "supervised", choices=TRAIN_MODES, help=_ENCODER_ONLY),
+    "train.mode": _field("str", "supervised", TRAIN_MODES, help=_ENCODER_ONLY),
     # set encoder (mog, digitsum, pointset)
     "model.k": _of(SummaryNetConfig, "n_prototypes", default=50, help="number of prototypes"),
     "model.encoder_widths": _of(SummaryNetConfig, "encoder_widths"),
@@ -109,9 +110,9 @@ SCHEMA: dict[str, ConfigField] = {
     "mog.sigma": _of(MoGTaskSpec, "sigma"),
     "mog.mean_low": _of(MoGTaskSpec, "mean_low"),
     "mog.mean_high": _of(MoGTaskSpec, "mean_high"),
-    "mog.encode_cap": _field("int", 0, minimum=0, help="0 encodes full sets at eval"),
+    "mog.encode_cap": _field("int", 0, "nonnegative", help="0 encodes full sets at eval"),
     # digit sums
-    "digitsum.size": _field("int", 0, minimum=0, help="0 mixes training sizes"),
+    "digitsum.size": _field("int", 0, "nonnegative", help="0 mixes training sizes"),
     "digitsum.max_train_size": _of(DigitSumSpec, "max_train_size"),
     "digitsum.test_sizes": _of(DigitSumSpec, "test_sizes"),
     "digitsum.noise_sigma": _of(DigitSumSpec, "noise_sigma"),
@@ -129,7 +130,7 @@ SCHEMA: dict[str, ConfigField] = {
     "fewshot.encoder_widths": _of(FewShotConfig, "encoder_widths"),
     "fewshot.g_hidden": _of(FewShotConfig, "g_hidden", help="empty picks the default head"),
     "fewshot.bank": _of(FewShotConfig, "bank_size"),
-    "fewshot.episodes": _field("int", 10_000, minimum=1),
+    "fewshot.episodes": _field("int", 10_000, "positive"),
     "fewshot.n_base": _of(FewShotConfig, "n_base_classes"),
     "fewshot.n_novel": _of(FewShotConfig, "n_novel_classes"),
     "fewshot.sigma": _of(FewShotConfig, "sigma"),
@@ -137,13 +138,13 @@ SCHEMA: dict[str, ConfigField] = {
     "fewshot.mean_high": _of(FewShotConfig, "mean_high"),
     "fewshot.class_seed": _of(FewShotConfig, "class_seed"),
     "fewshot.activation": _of(FewShotConfig, "activation"),
-    "fewshot.metric": _field("str", "cosine", choices=METRICS),
+    "fewshot.metric": _field("str", "cosine", METRICS),
     # conditional generation; metagan.k, summary_widths, use_ot and metric feed
     # shared dataclasses whose defaults differ, so they keep literal rows
     "metagan.family": _of(TaskFamilySpec, "family"),
     "metagan.n_points": _of(TaskFamilySpec, "n_points", help="0 picks the family default"),
-    "metagan.k": _field("int", 2, minimum=1, help="summary dimension"),
-    "metagan.summary_widths": _field("int_list", (64, 64, 64)),
+    "metagan.k": _field("int", 2, "positive", help="summary dimension"),
+    "metagan.summary_widths": _field("int_list", (64, 64, 64), "widths"),
     "metagan.noise_dim": _of(GanConfig, "noise_dim"),
     "metagan.generator_widths": _of(GanConfig, "generator_widths"),
     "metagan.critic_widths": _of(GanConfig, "critic_widths"),
@@ -156,7 +157,7 @@ SCHEMA: dict[str, ConfigField] = {
     "metagan.non_saturating": _of(GanConfig, "non_saturating"),
     "metagan.mse_weight": _of(GanConfig, "mse_weight"),
     "metagan.use_ot": _field("bool", True),
-    "metagan.metric": _field("str", "euclidean", choices=METRICS),
+    "metagan.metric": _field("str", "euclidean", METRICS),
 }
 
 _TRUE = {"true", "1", "yes", "on"}
@@ -204,18 +205,6 @@ def parse_value(key: str, text: str):
         except ValueError:
             raise ConfigError(f"{key} expects a number or none, got {text!r}") from None
     raise ConfigError(f"{key} has unhandled kind {field.kind!r}")  # pragma: no cover
-
-
-def _check_unowned(key: str, value) -> None:
-    """Bounds of a key that no dataclass holds."""
-    field = SCHEMA[key]
-    if field.choices is not None and value not in field.choices:
-        raise ConfigError(f"{key} must be one of {field.choices}, got {value!r}")
-    if field.minimum is not None and value < field.minimum:
-        word = "positive" if field.minimum == 1 else "nonnegative"
-        raise ConfigError(f"{key} must be {word}, got {value}")
-    if field.kind == "int_list":
-        _as_widths(value, key)
 
 
 def _unknown_key_message(key: str) -> str:
@@ -292,8 +281,8 @@ def _checked(values: dict) -> ResolvedConfig:
     """The defaults updated with ``values``, once every key passes, whatever the task."""
     cfg = ResolvedConfig({**default_config()._values, **values})
     for key, field in SCHEMA.items():
-        if field.owner is None:
-            _check_unowned(key, cfg[key])
+        if field.bound is not None:
+            check_bound(key, cfg[key], field.bound)
     extra = {SummaryNetConfig: {"input_dim": 1}}  # no key sets it: the task supplies it
     for owner in dict.fromkeys(f.owner for f in SCHEMA.values() if f.owner is not None):
         cfg.build(owner, **extra.get(owner, {}))  # each owner once

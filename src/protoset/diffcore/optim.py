@@ -7,12 +7,11 @@ data (and its Adam state) stay untouched.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_bound
 from .value import Value, zero_grad
 
 OPTIMIZERS = ("adam", "sgd")
@@ -22,8 +21,7 @@ class SGD:
     """Plain gradient descent: p <- p - lr * g."""
 
     def __init__(self, params: Iterable[Value], lr: float):
-        if not 0 < lr < math.inf:
-            raise ConfigError(f"lr must be positive and finite, got {lr}")
+        check_bound("lr", lr, "positive and finite")
         self.params = list(params)
         self.lr = float(lr)
 
@@ -53,12 +51,10 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if not 0 < lr < math.inf:
-            raise ConfigError(f"lr must be positive and finite, got {lr}")
+        check_bound("lr", lr, "positive and finite")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if not 0 < eps < math.inf:
-            raise ConfigError(f"eps must be positive and finite, got {eps}")
+        check_bound("eps", eps, "positive and finite")
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)

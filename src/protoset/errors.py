@@ -5,9 +5,14 @@ CLI can map them onto distinct exit codes.  ``read_text`` is the one reader of
 input files, so that bytes that are not UTF-8 become one of them too, and
 ``strict_json`` the writer of corpus, checkpoint and report JSON, so that a
 NaN or an infinity in them is a NumericalError, not a non-standard token.
+``check_bound`` is the one check of a value against its declared bound: the
+``bounded`` fields of the config dataclasses and the config keys that no
+dataclass holds share its words and its messages.
 """
 
 import json
+import math
+from dataclasses import MISSING, field, fields
 from pathlib import Path
 
 
@@ -49,6 +54,56 @@ class CheckpointError(ProtosetError, ValueError):
 
 class CheckpointVersionError(CheckpointError):
     """A checkpoint was written by an incompatible format version."""
+
+
+# the bound words of numbers: "positive" and "nonnegative" bound ints
+BOUNDS = {
+    "positive": lambda v: v >= 1,
+    "nonnegative": lambda v: v >= 0,
+    "positive and finite": lambda v: 0 < v < math.inf,
+    "nonnegative and finite": lambda v: 0 <= v < math.inf,
+    "finite": math.isfinite,
+}
+
+
+def check_bound(name: str, value, bound, optional: bool = False):
+    """``value``, or a ConfigError ``{name} must be ..., got ...`` if it breaks ``bound``.
+
+    ``bound`` is a word of BOUNDS, a tuple of the allowed values, or "widths":
+    one positive int or a nonempty tuple of them, returned as a tuple.  None
+    passes only an ``optional`` bound.
+    """
+    if value is None and optional:
+        return value
+    if isinstance(bound, tuple):
+        if value not in bound:
+            raise ConfigError(f"{name} must be one of {bound}, got {value!r}")
+        return value
+    if bound == "widths":
+        widths = (value,) if isinstance(value, int) else tuple(value)
+        if not widths or any(not isinstance(w, int) or w < 1 for w in widths):
+            raise ConfigError(f"{name} must be a positive int or tuple of them, got {value!r}")
+        return widths
+    try:
+        ok = BOUNDS[bound](value)
+    except TypeError:  # None, or no number
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def bounded(bound, default=MISSING, optional: bool = False):
+    """A dataclass field that ``check_fields`` holds to ``bound`` (see ``check_bound``)."""
+    return field(default=default, metadata={"bound": bound, "optional": optional})
+
+
+def check_fields(obj) -> None:
+    """Check the ``bounded`` fields of the dataclass ``obj`` in order; widths become tuples."""
+    for f in fields(obj):
+        if "bound" in f.metadata:
+            value = check_bound(f.name, getattr(obj, f.name), **f.metadata)
+            object.__setattr__(obj, f.name, value)
 
 
 def read_text(path, error: type = ConfigError) -> str:

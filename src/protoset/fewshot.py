@@ -15,20 +15,18 @@ embedding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .diffcore import Value, as_value, no_grad
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, bounded, check_bound, check_fields
 from .nn import ACTIVATIONS, MLP
 from .ot import SinkhornConfig, floor_simplex_value
 from .ot.cost import build_cost_value
 from .ot.sinkhorn import differentiable_transport_loss
 from .protolearn import PrototypeBank, TrainConfig, fit_objective
-from .summarynet import _as_widths
 
 SPLITS = ("base", "novel")
 
@@ -86,43 +84,29 @@ class FewShotConfig:
     class.
     """
 
-    n_way: int = 5
-    k_shot: int = 5
-    q_queries: int = 5
-    dim: int = 20
-    encoder_widths: tuple = (64, 32)
+    n_way: int = bounded("positive", 5)
+    k_shot: int = bounded("positive", 5)
+    q_queries: int = bounded("positive", 5)
+    dim: int = bounded("positive", 20)
+    encoder_widths: tuple = bounded("widths", (64, 32))
     g_hidden: tuple = ()
-    bank_size: int = 16
-    activation: str = "relu"
-    mean_low: float = -5.0
-    mean_high: float = 5.0
-    sigma: float = 1.0
+    bank_size: int = bounded("positive", 16)
+    activation: str = bounded(tuple(ACTIVATIONS), "relu")
+    mean_low: float = bounded("finite", -5.0)
+    mean_high: float = bounded("finite", 5.0)
+    sigma: float = bounded("positive and finite", 1.0)
     n_base_classes: int = 64
     n_novel_classes: int = 20
-    class_seed: int = 0
+    class_seed: int = bounded("nonnegative", 0)
 
     def __post_init__(self):
-        for name in ("n_way", "k_shot", "q_queries", "dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        object.__setattr__(self, "encoder_widths", _as_widths(self.encoder_widths, "encoder_widths"))
+        check_fields(self)
         if self.g_hidden:
-            object.__setattr__(self, "g_hidden", _as_widths(self.g_hidden, "g_hidden"))
+            object.__setattr__(self, "g_hidden", check_bound("g_hidden", self.g_hidden, "widths"))
         if self.embed_dim < 2:
             raise ConfigError(
                 f"encoder_widths must end in an embedding size of at least 2, got {self.embed_dim}"
             )
-        if self.bank_size < 1:
-            raise ConfigError(f"bank_size must be positive, got {self.bank_size}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(
-                f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}"
-            )
-        if not 0 < self.sigma < math.inf:
-            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
-        for name in ("mean_low", "mean_high"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mean_low > self.mean_high:
             raise ConfigError(
                 f"mean_low must not exceed mean_high, got [{self.mean_low}, {self.mean_high}]"
@@ -132,8 +116,6 @@ class FewShotConfig:
                 raise ConfigError(
                     f"{name} must be at least n_way={self.n_way}, got {getattr(self, name)}"
                 )
-        if self.class_seed < 0:
-            raise ConfigError(f"class_seed must be nonnegative, got {self.class_seed}")
 
     @property
     def embed_dim(self) -> int:
@@ -188,8 +170,7 @@ def gen_episodes(
     count: Optional[int] = None,
 ) -> Iterator[Episode]:
     """Deterministic episode stream over one class pool (endless when count is None)."""
-    if split not in SPLITS:
-        raise ConfigError(f"split must be one of {SPLITS}, got {split!r}")
+    check_bound("split", split, SPLITS)
     base, novel = class_mean_pools(config)
     pool = base if split == "base" else novel
     w, k, q, d = config.n_way, config.k_shot, config.q_queries, config.dim

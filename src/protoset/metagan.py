@@ -13,7 +13,6 @@ energy distance plus first/second moment errors against the true parameters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .diffcore import Value, as_value, concat, no_grad
 from .diffcore.optim import make_optimizer
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError, bounded, check_fields
 from .nn import MLP
 from .protolearn import (
     PrototypeBank,
@@ -31,7 +30,7 @@ from .protolearn import (
     set_objective,
     subsample_points,
 )
-from .summarynet import SetBatch, SummaryNet, _as_widths
+from .summarynet import SetBatch, SummaryNet
 
 FAMILIES = ("gauss1d", "gauss2d", "multi1d")
 FAMILY_DIM = {"gauss1d": 1, "gauss2d": 2, "multi1d": 1}
@@ -52,12 +51,11 @@ COV_2D = (-0.5, 0.5)
 class TaskFamilySpec:
     """Which distribution family to draw tasks from, and at what set size."""
 
-    family: str = "gauss1d"
+    family: str = bounded(FAMILIES, "gauss1d")
     n_points: int = 0  # 0 picks the family default
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        check_fields(self)
         if self.n_points and self.n_points < 2:
             raise ConfigError(
                 f"n_points must be 0 (family default) or at least 2, got {self.n_points}"
@@ -154,41 +152,22 @@ class GanConfig:
     stays at its initialization (the no-transport ablation).
     """
 
-    noise_dim: int = 2
-    eta_critic: int = 1
-    generator_widths: tuple = (64, 64, 64, 64)
-    critic_widths: tuple = (64, 64, 64, 64)
-    conditioning: str = "generator-only"
-    batch: int = 50
-    iterations: int = 2000
-    lr_generator: float = 0.001
-    lr_critic: float = 0.001
+    noise_dim: int = bounded("positive", 2)
+    eta_critic: int = bounded("positive", 1)
+    generator_widths: tuple = bounded("widths", (64, 64, 64, 64))
+    critic_widths: tuple = bounded("widths", (64, 64, 64, 64))
+    conditioning: str = bounded(CONDITIONING_MODES, "generator-only")
+    batch: int = bounded("positive", 50)
+    iterations: int = bounded("positive", 2000)
+    lr_generator: float = bounded("positive and finite", 0.001)
+    lr_critic: float = bounded("positive and finite", 0.001)
     non_saturating: bool = False
-    mse_weight: Optional[float] = None
+    mse_weight: Optional[float] = bounded("nonnegative and finite", None, optional=True)
     ot: Optional[TrainConfig] = field(default_factory=lambda: TrainConfig(metric="euclidean"))
     seed: int = 0
     log_every: int = 0
 
-    def __post_init__(self):
-        for name in ("generator_widths", "critic_widths"):
-            object.__setattr__(self, name, _as_widths(getattr(self, name), name))
-        if self.eta_critic < 1:
-            raise ConfigError(f"eta_critic must be positive, got {self.eta_critic}")
-        if self.noise_dim < 1:
-            raise ConfigError(f"noise_dim must be positive, got {self.noise_dim}")
-        if self.batch < 1:
-            raise ConfigError(f"batch must be positive, got {self.batch}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be positive, got {self.iterations}")
-        for name in ("lr_generator", "lr_critic"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.conditioning not in CONDITIONING_MODES:
-            raise ConfigError(
-                f"conditioning must be one of {CONDITIONING_MODES}, got {self.conditioning!r}"
-            )
-        if self.mse_weight is not None and not 0 <= self.mse_weight < math.inf:
-            raise ConfigError(f"mse_weight must be nonnegative and finite, got {self.mse_weight}")
+    __post_init__ = check_fields
 
 
 class MetaGan:

@@ -91,7 +91,7 @@ import numpy as np
 
 from ..diffcore import Value, as_value
 from ..diffcore.value import _accumulate
-from ..errors import ConfigError, DomainError, NumericalError, ShapeError
+from ..errors import DomainError, NumericalError, ShapeError, bounded, check_fields
 from .marginals import Marginals
 
 GRAD_MODES = ("unrolled", "envelope")
@@ -104,25 +104,13 @@ BLOCK = 8  # unrolled iterations between two TAU checks, until the first absorpt
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    epsilon: float = 0.1
-    tol: float = 1e-6
-    max_iters: int = 500
-    unroll_iters: int = 50
-    grad_mode: str = "unrolled"
+    epsilon: float = bounded("positive and finite", 0.1)
+    tol: float = bounded("positive and finite", 1e-6)
+    max_iters: int = bounded("positive", 500)
+    unroll_iters: int = bounded("positive", 50)
+    grad_mode: str = bounded(GRAD_MODES, "unrolled")
 
-    def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0 < self.tol < math.inf:
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be positive, got {self.max_iters}")
-        if self.unroll_iters < 1:
-            raise ConfigError(f"unroll_iters must be positive, got {self.unroll_iters}")
-        if self.grad_mode not in GRAD_MODES:
-            raise ConfigError(
-                f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}"
-            )
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -16,7 +16,6 @@ optimizer and one objective.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -24,7 +23,8 @@ import numpy as np
 
 from .diffcore import Value, make_optimizer
 from .diffcore.optim import OPTIMIZERS
-from .errors import ConfigError, DomainError, NumericalError, TrainingDivergedError
+from .errors import (ConfigError, DomainError, NumericalError, TrainingDivergedError, bounded,
+                     check_bound, check_fields)
 from .ot import (
     SinkhornConfig,
     build_cost_value,
@@ -57,8 +57,7 @@ class PrototypeBank:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ConfigError(f"need a (n, d) pool of points, got shape {points.shape}")
-        if k < 1:
-            raise ConfigError(f"K must be positive, got {k}")
+        check_bound("K", k, "positive")
         n = points.shape[0]
         idx = rng.choice(n, size=k, replace=n < k)
         return cls(Value(points[idx].T.copy(), requires_grad=True))
@@ -84,37 +83,20 @@ class TrainConfig:
     metagan's transport step reads only its optimizer, lr, metric and solver.
     """
 
-    steps: int = 1000
-    lr: float = 0.001
-    lr_final: Optional[float] = None  # linear decay target; None keeps lr constant
-    optimizer: str = "adam"
-    batch_sets: int = 1
-    batch_points: int = 100
-    metric: str = "cosine"
-    lambda_ot: Optional[float] = None
+    steps: int = bounded("positive", 1000)
+    lr: float = bounded("positive and finite", 0.001)
+    # linear decay target; None keeps lr constant
+    lr_final: Optional[float] = bounded("positive and finite", None, optional=True)
+    optimizer: str = bounded(OPTIMIZERS, "adam")
+    batch_sets: int = bounded("positive", 1)
+    batch_points: int = bounded("positive", 100)
+    metric: str = bounded(METRICS, "cosine")
+    lambda_ot: Optional[float] = bounded("nonnegative and finite", None, optional=True)
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
     seed: int = 0
-    log_every: int = 0  # 0 disables progress logging
+    log_every: int = bounded("nonnegative", 0)  # 0 disables progress logging
 
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError(f"steps must be positive, got {self.steps}")
-        if not 0 < self.lr < math.inf:
-            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.batch_sets < 1:
-            raise ConfigError(f"batch_sets must be positive, got {self.batch_sets}")
-        if self.batch_points < 1:
-            raise ConfigError(f"batch_points must be positive, got {self.batch_points}")
-        if self.metric not in METRICS:
-            raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.lambda_ot is not None and not 0 <= self.lambda_ot < math.inf:
-            raise ConfigError(f"lambda_ot must be nonnegative and finite, got {self.lambda_ot}")
-        if self.lr_final is not None and not 0 < self.lr_final < math.inf:
-            raise ConfigError(f"lr_final must be positive and finite, got {self.lr_final}")
-        if self.log_every < 0:
-            raise ConfigError(f"log_every must be nonnegative, got {self.log_every}")
+    __post_init__ = check_fields
 
 
 def transport_objective(

@@ -14,17 +14,10 @@ from typing import Optional
 import numpy as np
 
 from .diffcore import Value
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, bounded, check_bound, check_fields
 from .nn import ACTIVATIONS, MLP
 
 POOLINGS = ("mean", "sum", "max")
-
-
-def _as_widths(value, name: str) -> tuple:
-    widths = (value,) if isinstance(value, int) else tuple(value)
-    if not widths or any(not isinstance(w, int) or w < 1 for w in widths):
-        raise ConfigError(f"{name} must be a positive int or tuple of them, got {value!r}")
-    return widths
 
 
 @dataclass
@@ -57,34 +50,19 @@ class SummaryNetConfig:
     supervised variant and sizes its prediction head.
     """
 
-    input_dim: int
-    n_prototypes: int
-    encoder_widths: tuple = (128, 128, 128)
-    activation: str = "elu"
-    pooling: str = "mean"
-    head_hidden: int | tuple = (128,)  # hidden widths of the simplex head
-    output_dim: Optional[int] = None
+    input_dim: int = bounded("positive")
+    n_prototypes: int = bounded("positive")
+    encoder_widths: tuple = bounded("widths", (128, 128, 128))
+    activation: str = bounded(tuple(ACTIVATIONS), "elu")
+    pooling: str = bounded(POOLINGS, "mean")
+    head_hidden: int | tuple = bounded("widths", (128,))  # hidden widths of the simplex head
+    output_dim: Optional[int] = bounded("positive", None, optional=True)
     predict_hidden: int | tuple = ()  # prediction head widths; empty reuses head_hidden
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
-        if self.n_prototypes < 1:
-            raise ConfigError(f"n_prototypes must be positive, got {self.n_prototypes}")
-        object.__setattr__(
-            self, "encoder_widths", _as_widths(self.encoder_widths, "encoder_widths")
-        )
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(
-                f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}"
-            )
-        if self.pooling not in POOLINGS:
-            raise ConfigError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
-        if self.output_dim is not None and self.output_dim < 1:
-            raise ConfigError(f"output_dim must be positive, got {self.output_dim}")
-        object.__setattr__(self, "head_hidden", _as_widths(self.head_hidden, "head_hidden"))
-        predict = self.predict_hidden or self.head_hidden
-        object.__setattr__(self, "predict_hidden", _as_widths(predict, "predict_hidden"))
+        check_fields(self)
+        predict = check_bound("predict_hidden", self.predict_hidden or self.head_hidden, "widths")
+        object.__setattr__(self, "predict_hidden", predict)
 
     @property
     def feature_dim(self) -> int:

@@ -7,30 +7,24 @@ grow past anything seen in training, probing length generalization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..diffcore import Value
-from ..errors import ConfigError
-from ..summarynet import SetBatch, _as_widths
+from ..errors import bounded, check_fields
+from ..summarynet import SetBatch
 
 DIGIT_DIM = 10
 
 
 @dataclass(frozen=True)
 class DigitSumSpec:
-    max_train_size: int = 10
-    test_sizes: tuple = (10, 25, 50, 100)
-    noise_sigma: float = 0.1
+    max_train_size: int = bounded("positive", 10)
+    test_sizes: tuple = bounded("widths", (10, 25, 50, 100))
+    noise_sigma: float = bounded("nonnegative and finite", 0.1)
 
-    def __post_init__(self):
-        if self.max_train_size < 1:
-            raise ConfigError(f"max_train_size must be positive, got {self.max_train_size}")
-        object.__setattr__(self, "test_sizes", _as_widths(self.test_sizes, "test_sizes"))
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ConfigError(f"noise_sigma must be nonnegative and finite, got {self.noise_sigma}")
+    __post_init__ = check_fields
 
 
 def _encode_digits(digits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -9,13 +9,12 @@ generating parameters are kept only to score the oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..diffcore import Value, as_value, no_grad
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, ShapeError, bounded, check_fields
 from ..summarynet import SetBatch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -26,25 +25,17 @@ VAR_FLOOR = 1e-4
 class MoGTaskSpec:
     """Generator settings: C components in R^2, means uniform in a box."""
 
-    components: int = 4
+    components: int = bounded("positive", 4)
     n_min: int = 100
-    n_max: int = 500
-    mean_low: float = -4.0
-    mean_high: float = 4.0
-    sigma: float = 0.3
+    n_max: int = bounded("positive", 500)
+    mean_low: float = bounded("finite", -4.0)
+    mean_high: float = bounded("finite", 4.0)
+    sigma: float = bounded("positive and finite", 0.3)
 
     def __post_init__(self):
-        if self.components < 1:
-            raise ConfigError(f"components must be positive, got {self.components}")
-        if self.n_max < 1:
-            raise ConfigError(f"n_max must be positive, got {self.n_max}")
+        check_fields(self)
         if not 1 <= self.n_min <= self.n_max:
             raise ConfigError(f"n_min must be in [1, n_max={self.n_max}], got {self.n_min}")
-        if not 0 < self.sigma < math.inf:
-            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
-        for name in ("mean_low", "mean_high"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mean_low > self.mean_high:
             raise ConfigError(
                 f"mean_low must not exceed mean_high={self.mean_high}, got {self.mean_low}"

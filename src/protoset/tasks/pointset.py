@@ -7,13 +7,12 @@ from the set as a whole, at whatever resolution N provides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..diffcore import Value
-from ..errors import ConfigError
+from ..errors import ConfigError, bounded, check_fields
 from ..summarynet import SetBatch
 
 POINTSET_CLASSES = (
@@ -31,17 +30,14 @@ POINTSET_CLASSES = (
 @dataclass(frozen=True)
 class PointSetClassSpec:
     n_points: int = 32
-    noise_sigma: float = 0.02
-    count_per_class: int = 60
+    noise_sigma: float = bounded("nonnegative and finite", 0.02)
+    count_per_class: int = bounded("positive", 60)
     rotate: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_points < 8:
             raise ConfigError(f"n_points must be at least 8, got {self.n_points}")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ConfigError(f"noise_sigma must be nonnegative and finite, got {self.noise_sigma}")
-        if self.count_per_class < 1:
-            raise ConfigError(f"count_per_class must be positive, got {self.count_per_class}")
 
 
 def _rotation(rng: np.random.Generator) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""tools/bench_pairs.py: the summary of a BENCH file of parent/change pairs."""
+"""tools/bench_pairs.py: running parent/change pairs and summarizing a BENCH file of them."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,69 @@ def test_wins_follow_the_metric_direction():
     bench["runs"]["w"]["change"].pop()
     with pytest.raises(ValueError, match="2 parent runs but 1 change runs"):
         bench_pairs.summarize(bench, metrics)
+
+
+# a perfbench/run.py that reports its side's speed and logs each call's side and flags
+STUB_RUN = """import json, sys
+SPEED = {speed}
+with open({log!r}, "a") as log:
+    log.write(json.dumps([SPEED] + sys.argv[1:]) + "\\n")
+print("setup rounds, wall s: 0.1")
+print("env " + json.dumps({{"nproc": 2, "python": "stub"}}))
+print(json.dumps({{"correct": True, "attempted": 3, "failed": 0, "metrics": {{
+    "train_steps_per_s": {{"value": SPEED, "unit": "steps/s"}},
+    "setup_s": {{"value": 1.0 / SPEED, "unit": "s"}},
+    "eval_score": {{"value": 0.5, "unit": "1"}}}}}}))
+"""
+STUB_SPEC = {
+    "workloads": [{"name": "w1"}, {"name": "w2"}],
+    "end_to_end": [{"name": "train_steps_per_s", "better": "higher"},
+                   {"name": "setup_s", "better": "lower"},
+                   {"name": "eval_score", "better": "higher"}],
+}
+
+
+def test_run_pairs_alternates_two_checkouts_of_a_repo(tmp_path, capsys):
+    repo, log = tmp_path / "repo", tmp_path / "calls.jsonl"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps(STUB_SPEC))
+
+    def commit(speed):
+        (repo / "perfbench" / "run.py").write_text(STUB_RUN.format(speed=speed, log=str(log)))
+        subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", "commit", "-q", "-m", str(speed)],
+                       check=True)
+
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    commit(100.0)
+    parent = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], check=True,
+                            capture_output=True, text=True).stdout.strip()
+    commit(125.0)
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", "HEAD~1", "--repo", str(repo), "--workload", "w2", "--workload", "w1",
+            "--pairs", "2", "--seconds", "1", "--seed", "5", "--out", str(out), "--what", "a stub"]
+    assert bench_pairs.main(argv) == 0
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    # per workload in the order given, pair 0 runs the parent first and pair 1 the change
+    assert [(speed, flags[1]) for speed, *flags in calls] == [
+        (100.0, "w2"), (125.0, "w2"), (125.0, "w2"), (100.0, "w2"),
+        (100.0, "w1"), (125.0, "w1"), (125.0, "w1"), (100.0, "w1")]
+    assert all(flags[2:] == ["--seconds", "1", "--trace", "0", "--seed", "5"]
+               for _, *flags in calls)
+    bench = json.loads(out.read_text())
+    assert bench["parent_commit"] == parent and bench["what"] == "a stub"
+    assert bench["machine"] == {"nproc": 2, "python": "stub"}
+    assert bench["order"].startswith("2 pairs per workload; pair i (from 0) runs the parent first")
+    assert list(bench["runs"]) == ["w2", "w1"]
+    assert [r["metrics"]["train_steps_per_s"]["value"] for r in bench["runs"]["w1"]["change"]] \
+        == [125.0, 125.0]
+    rows = bench["summary"]["w1"]["metrics"]
+    assert (rows["train_steps_per_s"]["wins"], rows["setup_s"]["wins"]) == (2, 2)
+    assert bench["summary"]["w1"]["eval_score_identical"]
+    table = capsys.readouterr().out
+    assert "| w2 | train_steps_per_s | 100.0 → 125.0 | 100.0–100.0 | 2/2 |" in table
+    # the parent's worktree is gone
+    worktrees = subprocess.run(["git", "-C", str(repo), "worktree", "list"], check=True,
+                               capture_output=True, text=True).stdout.strip().splitlines()
+    assert len(worktrees) == 1

@@ -960,6 +960,14 @@ NEVER_READ = (
        ("gen", "metagan", ["--set", "model.k=7"], "model.k", "metagan.k")]
     + [("train", task, ["--set", "train.metric=euclidean"], "train.metric", f"{task}.metric")
        for task in ("fewshot", "metagan")]
+    # another task's keys once went into the config header and hash; the
+    # first in schema order is named
+    + [("train", "fewshot", ["--set", "fewshot.episodes=2", "--set", "mog.sigma=2.0"],
+        "mog.sigma", None),
+       ("train", "mog", ["--set", "fewshot.n_way=3", "--set", "metagan.batch=7"],
+        "fewshot.n_way", None),
+       ("gen", "digitsum", ["--set", "mog.sigma=3"], "mog.sigma", None),
+       ("gen", "metagan", ["--components", "3"], "mog.components", None)]
 )
 
 
@@ -1077,6 +1085,49 @@ def test_eval_refuses_a_key_the_checkpoint_fixes_or_eval_never_reads(task, given
     out = tmp_path / "ev"
     capsys.readouterr()
     code = run(["eval", "--checkpoint", str(ck_path), "--out", str(out), "--count", "2"] + given)
+    if key is None:
+        assert code == 0
+        return
+    assert code == cli.EXIT_CONFIG
+    assert f"error: eval of {task} cannot change {key}, " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (task, train.mode of its checkpoint, whether eval reads a corpus, eval flags,
+# the key refused or None)
+EVAL_PATHS = [
+    ("mog", "supervised", True, ["--count", "7"], "eval.count"),  # rewrote only the config_hash
+    ("mog", "supervised", True, ["--set", "mog.sigma=2.0"], "mog.sigma"),  # likewise
+    ("mog", "supervised", True, ["--set", "mog.n_min=35"], "mog.n_min"),
+    ("mog", "supervised", True, ["--set", "mog.encode_cap=5", "--set", "eval.seed=4"], None),
+    ("mog", "unsupervised", False, ["--set", "mog.encode_cap=5"], "mog.encode_cap"),  # likewise
+    ("mog", "unsupervised", False, ["--set", "mog.sigma=2.0", "--count", "2"], None),
+    ("mog", "unsupervised", True, ["--count", "2"], "eval.count"),
+    ("mog", "unsupervised", True, ["--set", "eval.seed=4"], None),
+    ("digitsum", "supervised", True, ["--set", "digitsum.test_sizes=4"], "digitsum.test_sizes"),
+    ("pointset", "supervised", True, ["--set", "pointset.rotate=false"], "pointset.rotate"),
+]
+GEN_SMALL = {"mog": ["--count", "2"], "digitsum": ["--count", "2"],
+             "pointset": ["--set", "pointset.count_per_class=1"]}
+
+
+@pytest.mark.parametrize("task,mode,corpus,given,key", EVAL_PATHS,
+                         ids=[f"{t}-{m}-{'corpus' if c else 'drawn'}-{k or 'taken'}-{i}"
+                              for i, (t, m, c, _, k) in enumerate(EVAL_PATHS)])
+def test_eval_refuses_a_key_its_path_does_not_read(task, mode, corpus, given, key, tmp_path,
+                                                   capsys):
+    # a corpus replaces the drawn data and its count, and only the supervised
+    # score reads mog.encode_cap
+    flags, ck_name, _ = TASK_RUNS[task]
+    argv = ["train", "--task", task, "--out", str(tmp_path / "run"), "--set", f"train.mode={mode}"]
+    assert run(argv + flags) == 0
+    if corpus:
+        data = tmp_path / "data"
+        assert run(["gen", "--task", task, "--out", str(data)] + GEN_SMALL[task]) == 0
+        given = ["--corpus", str(data / "corpus.jsonl")] + given
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", str(tmp_path / "run" / ck_name), "--out", str(out)] + given)
     if key is None:
         assert code == 0
         return

@@ -112,6 +112,122 @@ def test_owner_bounds_name_the_key_at_resolve(key, text):
             config_from_json_dict(stored)
 
 
+# (key, an out-of-bounds value, the exact error): one row for every key but the
+# bools, then rows of the checks that span two fields
+BOUND_ERRORS = [
+    ("task", "bogus",
+     "task must be one of ('mog', 'digitsum', 'pointset', 'fewshot', 'metagan'), got 'bogus'"),
+    ("seed", "-1", "seed must be nonnegative, got -1"),
+    ("count", "0", "count must be positive, got 0"),
+    ("eval.count", "-1", "eval.count must be nonnegative, got -1"),
+    ("eval.seed", "-1", "eval.seed must be nonnegative, got -1"),
+    ("sinkhorn.epsilon", "0", "sinkhorn.epsilon must be positive and finite, got 0.0"),
+    ("sinkhorn.tol", "inf", "sinkhorn.tol must be positive and finite, got inf"),
+    ("sinkhorn.max_iters", "0", "sinkhorn.max_iters must be positive, got 0"),
+    ("sinkhorn.unroll_iters", "-1", "sinkhorn.unroll_iters must be positive, got -1"),
+    ("sinkhorn.grad_mode", "bogus",
+     "sinkhorn.grad_mode must be one of ('unrolled', 'envelope'), got 'bogus'"),
+    ("optim.kind", "bogus", "optim.kind must be one of ('adam', 'sgd'), got 'bogus'"),
+    ("optim.lr", "nan", "optim.lr must be positive and finite, got nan"),
+    ("optim.lr_final", "0", "optim.lr_final must be positive and finite, got 0.0"),
+    ("train.steps", "0", "train.steps must be positive, got 0"),
+    ("train.batch_sets", "0", "train.batch_sets must be positive, got 0"),
+    ("train.batch_points", "-1", "train.batch_points must be positive, got -1"),
+    ("train.metric", "bogus",
+     "train.metric must be one of ('cosine', 'euclidean', 'sqeuclidean'), got 'bogus'"),
+    ("train.lambda_ot", "-0.5", "train.lambda_ot must be nonnegative and finite, got -0.5"),
+    ("train.log_every", "-1", "train.log_every must be nonnegative, got -1"),
+    ("train.mode", "bogus",
+     "train.mode must be one of ('supervised', 'unsupervised'), got 'bogus'"),
+    ("model.k", "0", "model.k must be positive, got 0"),
+    ("model.encoder_widths", "",
+     "model.encoder_widths must be a positive int or tuple of them, got ()"),
+    ("model.activation", "bogus",
+     "model.activation must be one of ('relu', 'elu', 'tanh', 'softplus'), got 'bogus'"),
+    ("model.pooling", "bogus", "model.pooling must be one of ('mean', 'sum', 'max'), got 'bogus'"),
+    ("model.head_hidden", "3,0",
+     "model.head_hidden must be a positive int or tuple of them, got (3, 0)"),
+    ("model.predict_hidden", "-1",
+     "model.predict_hidden must be a positive int or tuple of them, got (-1,)"),
+    ("mog.components", "0", "mog.components must be positive, got 0"),
+    ("mog.n_min", "0", "mog.n_min must be in [1, n_max=500], got 0"),
+    ("mog.n_max", "0", "mog.n_max must be positive, got 0"),
+    ("mog.sigma", "inf", "mog.sigma must be positive and finite, got inf"),
+    ("mog.mean_low", "nan", "mog.mean_low must be finite, got nan"),
+    ("mog.mean_high", "inf", "mog.mean_high must be finite, got inf"),
+    ("mog.encode_cap", "-1", "mog.encode_cap must be nonnegative, got -1"),
+    ("digitsum.size", "-1", "digitsum.size must be nonnegative, got -1"),
+    ("digitsum.max_train_size", "0", "digitsum.max_train_size must be positive, got 0"),
+    ("digitsum.test_sizes", "",
+     "digitsum.test_sizes must be a positive int or tuple of them, got ()"),
+    ("digitsum.noise_sigma", "inf",
+     "digitsum.noise_sigma must be nonnegative and finite, got inf"),
+    ("pointset.n_points", "7", "pointset.n_points must be at least 8, got 7"),
+    ("pointset.noise_sigma", "-0.5",
+     "pointset.noise_sigma must be nonnegative and finite, got -0.5"),
+    ("pointset.count_per_class", "0", "pointset.count_per_class must be positive, got 0"),
+    ("fewshot.n_way", "0", "fewshot.n_way must be positive, got 0"),
+    ("fewshot.k_shot", "0", "fewshot.k_shot must be positive, got 0"),
+    ("fewshot.q_queries", "-1", "fewshot.q_queries must be positive, got -1"),
+    ("fewshot.dim", "0", "fewshot.dim must be positive, got 0"),
+    ("fewshot.encoder_widths", "",
+     "fewshot.encoder_widths must be a positive int or tuple of them, got ()"),
+    ("fewshot.g_hidden", "0", "fewshot.g_hidden must be a positive int or tuple of them, got (0,)"),
+    ("fewshot.bank", "0", "fewshot.bank must be positive, got 0"),
+    ("fewshot.episodes", "0", "fewshot.episodes must be positive, got 0"),
+    ("fewshot.n_base", "4", "fewshot.n_base must be at least n_way=5, got 4"),
+    ("fewshot.n_novel", "-1", "fewshot.n_novel must be at least n_way=5, got -1"),
+    ("fewshot.sigma", "0", "fewshot.sigma must be positive and finite, got 0.0"),
+    ("fewshot.mean_low", "-inf", "fewshot.mean_low must be finite, got -inf"),
+    ("fewshot.mean_high", "nan", "fewshot.mean_high must be finite, got nan"),
+    ("fewshot.class_seed", "-1", "fewshot.class_seed must be nonnegative, got -1"),
+    ("fewshot.activation", "bogus",
+     "fewshot.activation must be one of ('relu', 'elu', 'tanh', 'softplus'), got 'bogus'"),
+    ("fewshot.metric", "bogus",
+     "fewshot.metric must be one of ('cosine', 'euclidean', 'sqeuclidean'), got 'bogus'"),
+    ("metagan.family", "bogus",
+     "metagan.family must be one of ('gauss1d', 'gauss2d', 'multi1d'), got 'bogus'"),
+    ("metagan.n_points", "1", "metagan.n_points must be 0 (family default) or at least 2, got 1"),
+    ("metagan.k", "0", "metagan.k must be positive, got 0"),
+    ("metagan.summary_widths", "",
+     "metagan.summary_widths must be a positive int or tuple of them, got ()"),
+    ("metagan.noise_dim", "0", "metagan.noise_dim must be positive, got 0"),
+    ("metagan.generator_widths", "8,-2",
+     "metagan.generator_widths must be a positive int or tuple of them, got (8, -2)"),
+    ("metagan.critic_widths", "",
+     "metagan.critic_widths must be a positive int or tuple of them, got ()"),
+    ("metagan.conditioning", "bogus",
+     "metagan.conditioning must be one of ('generator-only', 'conditional-critic'), got 'bogus'"),
+    ("metagan.eta_critic", "0", "metagan.eta_critic must be positive, got 0"),
+    ("metagan.batch", "-1", "metagan.batch must be positive, got -1"),
+    ("metagan.iterations", "0", "metagan.iterations must be positive, got 0"),
+    ("metagan.lr_generator", "-inf", "metagan.lr_generator must be positive and finite, got -inf"),
+    ("metagan.lr_critic", "0", "metagan.lr_critic must be positive and finite, got 0.0"),
+    ("metagan.mse_weight", "nan", "metagan.mse_weight must be nonnegative and finite, got nan"),
+    ("metagan.metric", "bogus",
+     "metagan.metric must be one of ('cosine', 'euclidean', 'sqeuclidean'), got 'bogus'"),
+    ("mog.n_max", "7", "mog.n_min must be in [1, n_max=7], got 100"),
+    ("mog.mean_low", "5", "mog.mean_low must not exceed mean_high=4.0, got 5.0"),
+    ("fewshot.mean_low", "6", "fewshot.mean_low must not exceed mean_high, got [6.0, 5.0]"),
+    ("fewshot.encoder_widths", "8,1",
+     "fewshot.encoder_widths must end in an embedding size of at least 2, got 1"),
+    ("fewshot.n_way", "65", "fewshot.n_base must be at least n_way=65, got 64"),
+]
+
+
+def test_bound_errors_cover_every_key_but_the_bools():
+    bounded = {key for key, _, _ in BOUND_ERRORS}
+    assert bounded == {key for key, field in SCHEMA.items() if field.kind != "bool"}
+
+
+@pytest.mark.parametrize("key,text,message", BOUND_ERRORS,
+                         ids=[f"{key}={text}" for key, text, _ in BOUND_ERRORS])
+def test_an_out_of_bounds_value_raises_its_exact_error(key, text, message):
+    with pytest.raises(ConfigError) as caught:
+        resolve_config(None, {key: text})
+    assert str(caught.value) == message
+
+
 # annotation of an owned field -> the kind its key must have
 ANNOTATION_KINDS = {
     "int": "int",

@@ -321,6 +321,44 @@ def test_residual_reads_both_marginals_while_relaxing():
         assert np.isclose(res.residual, recomputed, rtol=1e-10)
 
 
+# uniform-marginal costs whose solves at eps 1e-3 make one v-update in the log
+# domain inside the loop: a plain one, and an over-relaxed one
+LOG_V_COSTS = {
+    "plain": [[0.5, 0.4, 0.2], [0.9, 0.0, 0.2], [0.7, 0.6, 0.0], [0.9, 0.3, 0.3]],
+    "relaxed": [[0.8, 0.0], [0.2, 0.2], [0.5, 0.3]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOG_V_COSTS))
+def test_residual_after_a_log_domain_v_update_in_the_loop(kind, monkeypatch):
+    # the kernel of a log-domain v-update has columns summing to b, so the
+    # solver takes b as the column sums; check that against the plan, at
+    # convergence and stopped in the iteration of that update
+    updates = []
+    real_update_cols = sinkhorn_module._Stabilized.update_cols
+
+    def update_cols(state, sv, rest=None):
+        updates.append((sv is None, rest is not None))
+        return real_update_cols(state, sv, rest)
+
+    monkeypatch.setattr(sinkhorn_module._Stabilized, "update_cols", update_cols)
+    C = np.asarray(LOG_V_COSTS[kind])
+    m = Marginals(uniform_weights(C.shape[0]), uniform_weights(C.shape[1]))
+    res = sinkhorn(C, m, SinkhornConfig(epsilon=1e-3))
+    # update 0 starts the solve in the log domain; update i >= 1 is iteration i + 1's
+    in_log = [(i + 1, relaxed) for i, (log, relaxed) in enumerate(updates) if log and i]
+    assert updates[0] == (True, False)
+    assert [relaxed for _, relaxed in in_log] == [kind == "relaxed"]
+    stopped = sinkhorn(C, m, SinkhornConfig(epsilon=1e-3, max_iters=in_log[0][0]))
+    assert res.converged and not stopped.converged
+    for result in (res, stopped):
+        recomputed = max(
+            np.abs(result.plan.sum(axis=1) - m.a).max(),
+            np.abs(result.plan.sum(axis=0) - m.b).max(),
+        )
+        assert np.isclose(result.residual, recomputed, rtol=1e-10)
+
+
 @pytest.mark.parametrize("eps,max_iters", [(0.01, 500), (0.03, 500), (0.1, 500), (0.01, 40)])
 def test_matches_three_pass_reference(eps, max_iters):
     rng = np.random.default_rng(17)

@@ -1,5 +1,6 @@
-"""Summarize a BENCH file of alternating parent/change perfbench pairs.
+"""Run, or summarize, a BENCH file of alternating parent/change perfbench pairs.
 
+    python tools/bench_pairs.py --base HEAD~1 --out BENCH_22_all-workloads.json
     python tools/bench_pairs.py --summarize BENCH_20_all-workloads.json
 
 A BENCH file holds ``runs[workload][side][i]``, the result line that
@@ -10,7 +11,13 @@ quartiles (numpy's default, linear percentiles) and the number of pairs in
 which the change did better than the parent, in the metric's own direction.
 It also says whether every run was correct, how many operations failed, and
 whether ``eval_score`` read the same on every run of both sides.  The table
-it prints is the one ``CHANGES.md`` quotes; nothing is written.
+it prints is the one ``CHANGES.md`` quotes.
+
+``--summarize`` only reads.  ``--base REV`` runs the pairs: the parent side
+from a temporary ``git worktree`` of REV, the change side from the checkout
+this tool lives in (or ``--repo``), each ``perfbench/run.py --trace 0`` call
+in its own process.  Pair i runs the parent first when i is even.  The BENCH
+file, summary included, is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -18,13 +25,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+ORDER = ("{pairs} pairs per workload; pair i (from 0) runs the parent first when i is even, "
+         "the change first when odd; runs[W][side][i] is pair i")
 
 
 def summarize(bench: dict, metrics: list[dict]) -> dict:
@@ -87,11 +98,85 @@ def table(summary: dict) -> str:
     return "\n".join(lines)
 
 
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def run_once(checkout: Path, argv: list) -> tuple[dict, dict]:
+    """(result, env) of one perfbench call in ``checkout``: its last line, and its env line."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *argv], cwd=checkout,
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: perfbench/run.py {' '.join(argv)} exited "
+                           f"{proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
+    return json.loads(lines[-1]), env
+
+
+def run_pairs(args) -> dict:
+    """Run the pairs that ``args`` asks for and write the BENCH file after each one."""
+    repo = args.repo.resolve()
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    flags = ["--seconds", str(args.seconds), "--trace", "0"]
+    flags += ["--seed", str(args.seed)] if args.seed is not None else []
+    bench = {
+        "workload": ", ".join(workloads),
+        "what": args.what,
+        "parent_commit": _git(repo, "rev-parse", f"{args.base}^{{commit}}"),
+        "machine": {},
+        "command": f"python3 perfbench/run.py --workload W {' '.join(flags)}, "
+                   "parent and change each from its own checkout",
+        "order": ORDER.format(pairs=args.pairs),
+        "runs": {},  # a workload enters when its first pair starts
+        "note": args.note,
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        base = Path(tmp) / "parent"
+        _git(repo, "worktree", "add", "--detach", str(base), bench["parent_commit"])
+        try:
+            checkouts = {"parent": base, "change": repo}
+            for workload in workloads:
+                bench["runs"][workload] = {side: [] for side in SIDES}
+                for i in range(args.pairs):
+                    for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                        result, env = run_once(checkouts[side], ["--workload", workload] + flags)
+                        bench["runs"][workload][side].append(result)
+                        bench["machine"] = bench["machine"] or env
+                        figures = ", ".join(f"{name}={m['value']:.6g}"
+                                            for name, m in result["metrics"].items())
+                        print(f"{workload} pair {i} {side}: {figures}", file=sys.stderr)
+                    bench["summary"] = summarize(bench, spec["end_to_end"])
+                    args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+        finally:
+            _git(repo, "worktree", "remove", "--force", str(base))
+    return bench
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--summarize", required=True, type=Path, metavar="FILE",
-                        help="a BENCH_*.json file of parent/change pairs")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--summarize", type=Path, metavar="FILE",
+                      help="a BENCH_*.json file of parent/change pairs")
+    mode.add_argument("--base", metavar="REV", help="run pairs against this parent revision")
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run, repeatable (default: every one)")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
+    parser.add_argument("--seconds", type=int, default=22, help="each run's timed phase")
+    parser.add_argument("--seed", type=int, help="workload seed (default: perfbench's)")
+    parser.add_argument("--out", type=Path, help="the BENCH file that --base writes")
+    parser.add_argument("--repo", type=Path, default=ROOT,
+                        help="the change's checkout (default: the one holding this tool)")
+    parser.add_argument("--what", default="", help="what the change is, for the BENCH file")
+    parser.add_argument("--note", default="", help="the verdict, for the BENCH file")
     args = parser.parse_args(argv)
+    if args.base is not None:
+        if args.out is None or args.pairs < 1:
+            parser.error("--base needs --out FILE and at least one pair")
+        print(table(run_pairs(args)["summary"]))
+        return 0
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     print(table(summarize(json.loads(args.summarize.read_text()), metrics)))
     return 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
+import re
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Optional
@@ -257,16 +258,20 @@ class ResolvedConfig:
         """``owner`` from every key it owns plus ``extra`` fields.
 
         An error the owner raises about one of those keys' fields is re-raised
-        naming the key.
+        naming the key; one that opens with ``field=value`` has every field
+        it names that way renamed.
         """
         keys = {f.attr: k for k, f in SCHEMA.items() if f.owner is owner and f.attr not in extra}
         try:
             return owner(**{attr: self._values[k] for attr, k in keys.items()}, **extra)
         except ConfigError as exc:
             attr, _, rest = str(exc).partition(" ")
-            if attr not in keys:
+            if attr.partition("=")[0] not in keys:
                 raise
-            raise ConfigError(f"{keys[attr]} {rest}") from None
+            if "=" not in attr:
+                raise ConfigError(f"{keys[attr]} {rest}") from None
+            named = re.sub(r"\b(\w+)=", lambda m: f"{keys.get(m[1], m[1])}=", str(exc))
+            raise ConfigError(named) from None
 
     def with_overrides(self, overrides: dict) -> "ResolvedConfig":
         """New config with raw string overrides applied and validated."""

@@ -3,10 +3,19 @@
 Both optimizers read ``param.grad`` as left by ``backward`` and update
 ``param.data`` in place.  A parameter whose grad is None is skipped, so its
 data (and its Adam state) stay untouched.
+
+``Adam`` copies its parameters into one contiguous float64 vector, and each
+parameter's ``data`` becomes a view into it; the moments ``m[i]`` and
+``v[i]`` are views into two more vectors of that layout.  A step is then a
+few whole-vector ufuncs per run of consecutive parameters with a gradient
+and one step count, not a dozen per array.  So a parameter belongs to one
+``Adam``: a second would re-point its ``data`` and leave the first updating
+a vector that nothing reads.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -56,30 +65,56 @@ class Adam:
             raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         check_bound("eps", eps, "positive and finite")
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ConfigError("Adam got a parameter twice; it keeps one view of each")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self._ends = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        # the moments apart from the parameters, which outlive the optimizer
+        self._flat, (self._m, self._v) = np.empty(self._ends[-1]), np.zeros((2, self._ends[-1]))
+        self.m, self.v = [], []
+        for p, lo, hi in zip(self.params, self._ends, self._ends[1:]):
+            self._flat[lo:hi] = p.data.reshape(-1)
+            p.data = self._flat[lo:hi].reshape(p.data.shape)
+            self.m.append(self._m[lo:hi].reshape(p.data.shape))
+            self.v.append(self._v[lo:hi].reshape(p.data.shape))
         self.t = [0] * len(self.params)
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            self.t[i] += 1
-            t = self.t[i]
-            m = self.m[i]
-            v = self.v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if p.grad is not None:
+                self.t[i] += 1
+        # runs of consecutive parameters with a gradient and one step count t >= 1
+        for t, run in groupby(range(len(self.params)),
+                              lambda i: self.params[i].grad is not None and self.t[i]):
+            if t:
+                run = list(run)
+                self._update(run[0], run[-1] + 1, t)
+
+    def _update(self, first: int, stop: int, t: int) -> None:
+        """The textbook recursion over parameters first .. stop - 1, in place."""
+        lo, hi = self._ends[first], self._ends[stop]
+        p, m, v = self._flat[lo:hi], self._m[lo:hi], self._v[lo:hi]
+        # the gradients and one scratch vector live for the step alone, so they
+        # add nothing to the memory that the graph holds during backward
+        g = np.concatenate([q.grad.reshape(-1) for q in self.params[first:stop]])
+        s = np.multiply(g, 1.0 - self.beta1)
+        m *= self.beta1
+        m += s
+        g *= g
+        g *= 1.0 - self.beta2
+        v *= self.beta2
+        v += g
+        # the gradient is spent: g holds the denominator and s the step
+        np.divide(v, 1.0 - self.beta2**t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(m, 1.0 - self.beta1**t, out=s)
+        s *= self.lr
+        s /= g
+        p -= s
 
     def zero_grad(self) -> None:
         zero_grad(self.params)

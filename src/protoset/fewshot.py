@@ -109,7 +109,7 @@ class FewShotConfig:
             )
         if self.mean_low > self.mean_high:
             raise ConfigError(
-                f"mean_low must not exceed mean_high, got [{self.mean_low}, {self.mean_high}]"
+                f"mean_low={self.mean_low} must not exceed mean_high={self.mean_high}"
             )
         for name in ("n_base_classes", "n_novel_classes"):
             if getattr(self, name) < self.n_way:

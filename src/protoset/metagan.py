@@ -294,6 +294,8 @@ def train_metagan(sets: Sequence[SetBatch], model: MetaGan) -> dict:
     minibatches of one set, then one shared transport step on the last real
     minibatch (updating the model's bank and summary network), then one
     generator step with the summary recomputed from the just-updated encoder.
+    The generator step runs with the critic's parameters recording no
+    gradient, so its backward builds the critic's input gradient alone.
     The trace's columns are ``critic_loss``, ``generator_loss`` and
     ``transport_loss`` (None without ``config.ot``).
     """
@@ -302,7 +304,8 @@ def train_metagan(sets: Sequence[SetBatch], model: MetaGan) -> dict:
         raise ConfigError("corpus is empty")
     data_rng = np.random.default_rng(config.seed)
     noise_rng = np.random.default_rng(config.seed + 1)
-    critic_opt = make_optimizer("adam", model.critic.parameters(), config.lr_critic)
+    critic = model.critic.parameters()
+    critic_opt = make_optimizer("adam", critic, config.lr_critic)
     gen_opt = make_optimizer("adam", model.generator.parameters(), config.lr_generator)
     ot_opt = None
     if config.ot is not None:
@@ -325,8 +328,15 @@ def train_metagan(sets: Sequence[SetBatch], model: MetaGan) -> dict:
             h = model.summarize(points)  # encoder just moved
 
         z = noise_rng.standard_normal((config.batch, config.noise_dim))
-        loss_g = generator_objective(model, real, z, h)
-        g_value = apply_update(gen_opt, loss_g, i, "generator")
+        # only the critic's input gradient is needed; backward reads the flag too
+        for p in critic:
+            p.requires_grad = False
+        try:
+            loss_g = generator_objective(model, real, z, h)
+            g_value = apply_update(gen_opt, loss_g, i, "generator")
+        finally:
+            for p in critic:
+                p.requires_grad = True
         return {"critic_loss": c_value, "generator_loss": g_value, "transport_loss": ot_value}
 
     return fit(config.iterations, step, config.log_every, "metagan")

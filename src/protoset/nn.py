@@ -11,7 +11,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diffcore import Value
-from .errors import ConfigError
+from .diffcore.value import _accumulate
+from .errors import ConfigError, ShapeError
 
 ACTIVATIONS: dict[str, Callable[[Value], Value]] = {
     "relu": lambda v: v.relu(),
@@ -27,14 +28,34 @@ def fan_balanced_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) ->
 
 
 class Linear:
-    """Affine map x @ W + b with trainable W (in, out) and b (out,)."""
+    """Affine map x @ W + b with trainable W (in, out) and b (out,).
+
+    The map is one tape node: its forward adds the bias into the product in
+    place, and its backward takes the products and the bias sum that ``@``
+    and ``+`` would, skipping each one whose operand records no gradient.
+    The values are bit for bit those of ``x @ W + b``.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.weight = Value(fan_balanced_uniform(rng, in_dim, out_dim), requires_grad=True)
         self.bias = Value(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Value) -> Value:
-        return x @ self.weight + self.bias
+        w, b = self.weight, self.bias
+        if x.ndim != 2 or x.shape[1] != w.shape[0]:
+            raise ShapeError(f"Linear expects a (batch, {w.shape[0]}) input, got shape {x.shape}")
+        data = x.data @ w.data
+        data += b.data
+
+        def backward(g, acc):
+            if x.requires_grad:
+                _accumulate(acc, x, g @ w.data.T)
+            if w.requires_grad:
+                _accumulate(acc, w, x.data.T @ g)
+            if b.requires_grad:
+                _accumulate(acc, b, g.sum(axis=0))
+
+        return Value._from_op(data, (x, w, b), backward)
 
     def parameters(self) -> list[Value]:
         return [self.weight, self.bias]

@@ -38,7 +38,7 @@ class MoGTaskSpec:
             raise ConfigError(f"n_min must be in [1, n_max={self.n_max}], got {self.n_min}")
         if self.mean_low > self.mean_high:
             raise ConfigError(
-                f"mean_low must not exceed mean_high={self.mean_high}, got {self.mean_low}"
+                f"mean_low={self.mean_low} must not exceed mean_high={self.mean_high}"
             )
 
 

@@ -57,27 +57,36 @@ def test_wins_follow_the_metric_direction():
         bench_pairs.summarize(bench, metrics)
 
 
-# a perfbench/run.py that reports its side's speed and logs each call's side and flags
+# a perfbench/run.py that reports its side's speed, or traced its per-layer
+# figures, and logs each call's side and flags
 STUB_RUN = """import json, sys
 SPEED = {speed}
 with open({log!r}, "a") as log:
     log.write(json.dumps([SPEED] + sys.argv[1:]) + "\\n")
 print("setup rounds, wall s: 0.1")
 print("env " + json.dumps({{"nproc": 2, "python": "stub"}}))
-print(json.dumps({{"correct": True, "attempted": 3, "failed": 0, "metrics": {{
+metrics = {{
     "train_steps_per_s": {{"value": SPEED, "unit": "steps/s"}},
     "setup_s": {{"value": 1.0 / SPEED, "unit": "s"}},
-    "eval_score": {{"value": 0.5, "unit": "1"}}}}}}))
+    "eval_score": {{"value": 0.5, "unit": "1"}}}}
+if sys.argv[sys.argv.index("--trace") + 1] == "1":
+    metrics = {{"diffcore.optim_step_ms": {{"value": 100.0 / SPEED, "unit": "ms"}},
+               "diffcore.tape_nodes": {{"value": SPEED - 25.0, "unit": "count"}}}}
+print(json.dumps({{"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}}))
 """
 STUB_SPEC = {
     "workloads": [{"name": "w1"}, {"name": "w2"}],
     "end_to_end": [{"name": "train_steps_per_s", "better": "higher"},
                    {"name": "setup_s", "better": "lower"},
                    {"name": "eval_score", "better": "higher"}],
+    "per_layer": [{"name": "diffcore.optim_step_ms", "better": "lower"},
+                  {"name": "diffcore.tape_nodes", "better": "lower"}],
 }
 
 
-def test_run_pairs_alternates_two_checkouts_of_a_repo(tmp_path, capsys):
+def stub_repo(tmp_path):
+    """(repo, call log, parent commit): a repository whose parent commit's stub
+    runs at speed 100 and whose head's at 125."""
     repo, log = tmp_path / "repo", tmp_path / "calls.jsonl"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "BENCHMARK.json").write_text(json.dumps(STUB_SPEC))
@@ -94,6 +103,11 @@ def test_run_pairs_alternates_two_checkouts_of_a_repo(tmp_path, capsys):
     parent = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], check=True,
                             capture_output=True, text=True).stdout.strip()
     commit(125.0)
+    return repo, log, parent
+
+
+def test_run_pairs_alternates_two_checkouts_of_a_repo(tmp_path, capsys):
+    repo, log, parent = stub_repo(tmp_path)
     out = tmp_path / "BENCH.json"
     argv = ["--base", "HEAD~1", "--repo", str(repo), "--workload", "w2", "--workload", "w1",
             "--pairs", "2", "--seconds", "1", "--seed", "5", "--out", str(out), "--what", "a stub"]
@@ -121,3 +135,28 @@ def test_run_pairs_alternates_two_checkouts_of_a_repo(tmp_path, capsys):
     worktrees = subprocess.run(["git", "-C", str(repo), "worktree", "list"], check=True,
                                capture_output=True, text=True).stdout.strip().splitlines()
     assert len(worktrees) == 1
+
+
+def test_traced_pairs_summarize_the_per_layer_metrics(tmp_path, capsys):
+    # one traced run per side can flip the sign of a per-layer change, so
+    # per-layer figures come in pairs too
+    repo, log, _ = stub_repo(tmp_path)
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", "HEAD~1", "--repo", str(repo), "--workload", "w1", "--pairs", "1",
+            "--seconds", "1", "--trace", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [flags for _, *flags in calls] == [["--workload", "w1", "--seconds", "1",
+                                                "--trace", "1"]] * 2
+    bench = json.loads(out.read_text())
+    assert bench["trace"] is True
+    entry = bench["summary"]["w1"]
+    assert list(entry["metrics"]) == ["diffcore.optim_step_ms", "diffcore.tape_nodes"]
+    assert entry["eval_score_identical"] is None
+    table = capsys.readouterr().out
+    assert "| w1 | diffcore.optim_step_ms | 1.000 → 0.8000 | 1.000–1.000 | 1/1 |" in table
+    assert "| w1 | diffcore.tape_nodes | 75.00 → 100.0 | 75.00–75.00 | 0/1 |" in table
+    assert "eval_score identical: not applicable" in table
+    # --summarize reads the file's kind and prints the same table
+    assert bench_pairs.main(["--summarize", str(out), "--repo", str(repo)]) == 0
+    assert capsys.readouterr().out == table

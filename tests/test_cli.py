@@ -1036,6 +1036,19 @@ def test_mean_low_above_mean_high_exits_2(tmp_path, capsys):
     assert "mog.mean_low" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--task", "mog", "--set", "mog.mean_high=-5"],
+     "mog.mean_low=-4.0 must not exceed mog.mean_high=-5.0"),
+    (["train", "--task", "fewshot", "--set", "fewshot.mean_high=-6"],
+     "fewshot.mean_low=-5.0 must not exceed fewshot.mean_high=-6.0"),
+], ids=["mog", "fewshot"])
+def test_a_reversed_mean_box_names_both_keys(argv, message, tmp_path, capsys):
+    # a bad high end once named only the low end's key
+    assert run(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_with_no_digitsum_test_sizes_exits_2(tmp_path, capsys):
     _, ck_path = train_task("digitsum", tmp_path / "run")
     argv = ["eval", "--checkpoint", str(ck_path), "--out", str(tmp_path / "ev")]
@@ -1298,3 +1311,135 @@ def test_malformed_set_pair_exits_2(tmp_path, capsys):
     code = run(["gen", "--task", "mog", "--out", str(tmp_path), "--set", "epsilon"])
     assert code == cli.EXIT_CONFIG
     assert "key=value" in capsys.readouterr().err
+
+
+# -- every key a run accepts is a key it reads: reads recorded, not declared ---------
+
+ENCODER_TASKS = ("mog", "digitsum", "pointset")
+SHARED_SECTIONS = ("train", "optim", "sinkhorn", "model")
+SHARED_KEYS = [key for key in config.SCHEMA
+               if key == "count" or key.partition(".")[0] in SHARED_SECTIONS]
+# (task, train.mode or None where the task reads no mode, whether a corpus is given)
+RUN_PATHS = ([(task, mode, corpus) for task in ENCODER_TASKS
+              for mode in ("supervised", "unsupervised") for corpus in (False, True)]
+             + [("fewshot", None, False), ("metagan", None, False)])
+GEN_TASKS = ("mog", "digitsum", "pointset", "metagan")  # fewshot writes no corpus
+GEN_SMALL_ALL = {**GEN_SMALL, "metagan": ["--count", "2"]}
+
+
+def _path_id(path) -> str:
+    task, mode, corpus = path
+    return "-".join([task] + ([mode] if mode else []) + ["corpus" if corpus else "drawn"])
+
+
+@pytest.fixture(scope="module")
+def key_reads(tmp_path_factory):
+    """{(verb, task, mode, corpus): the keys that run read} at tiny shapes.
+
+    A key is read when ``ResolvedConfig.__getitem__`` returns it or
+    ``ResolvedConfig.build`` fills a field from it.  Resolving a config, which
+    builds every owner to check it, reads nothing, and neither does eval's
+    bookkeeping: its reads are those of the task's ``build`` and ``evaluate``.
+    """
+    tmp = tmp_path_factory.mktemp("reads")
+    reads, recording = {}, [False]
+    seen: set = set()
+
+    def recorded(method):
+        def wrapper(self, *args, **kwargs):
+            if recording[0]:
+                if method is getitem:
+                    seen.add(args[0])
+                else:
+                    seen.update(key for key, f in config.SCHEMA.items()
+                                if f.owner is args[0] and f.attr not in kwargs)
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    def switched(method, on: bool):
+        def wrapper(*args, **kwargs):
+            was, recording[0] = recording[0], on
+            try:
+                return method(*args, **kwargs)
+            finally:
+                recording[0] = was
+        return wrapper
+
+    def read_by(key, argv, whole_call: bool):
+        seen.clear()
+        recording[0] = whole_call
+        try:
+            assert cli.main(argv) == 0, argv
+        finally:
+            recording[0] = False
+        reads[key] = set(seen)
+
+    getitem, build = config.ResolvedConfig.__getitem__, config.ResolvedConfig.build
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config.ResolvedConfig, "__getitem__", recorded(getitem))
+        mp.setattr(config.ResolvedConfig, "build", recorded(build))
+        mp.setattr(config, "_checked", switched(config._checked, False))
+        for entry in cli.TASK_TABLE.values():
+            for name in ("build", "evaluate"):
+                mp.setattr(entry, name, switched(getattr(entry, name), True))
+        for task in GEN_TASKS:
+            out = tmp / "gen" / task
+            read_by(("gen", task, None, False),
+                    ["gen", "--task", task, "--out", str(out)] + GEN_SMALL_ALL[task], True)
+        for task, mode, corpus in RUN_PATHS:
+            flags, ck_name, eval_flags = TASK_RUNS[task]
+            out = tmp / "train" / _path_id((task, mode, corpus))
+            given = ["--set", f"train.mode={mode}"] if mode else []
+            data = ["--corpus", str(tmp / "gen" / task / "corpus.jsonl")] if corpus else []
+            read_by(("train", task, mode, corpus),
+                    ["train", "--task", task, "--out", str(out)] + flags + given + data, True)
+            # with a corpus, eval takes neither eval.count nor the data keys
+            read_by(("eval", task, mode, corpus),
+                    ["eval", "--checkpoint", str(out / ck_name), "--out", str(out / "ev")]
+                    + (data if corpus else eval_flags), False)
+    return reads
+
+
+def _refused(task: str, key: str, verb: str) -> bool:
+    try:
+        cli.TASK_TABLE[task].refuse_unread({key}, verb)
+    except cli.ConfigError:
+        return True
+    return False
+
+
+# keys a run takes and never reads, each recorded as a FOUND in CHANGES.md: a
+# supervised digitsum or pointset score of a corpus draws nothing, and train
+# from a corpus generates no sets
+EVAL_UNREAD = {("digitsum", "supervised", True): {"eval.seed"},
+               ("pointset", "supervised", True): {"eval.seed"}}
+TRAIN_UNREAD = {(task, mode, True): {"count"} for task in ("mog", "digitsum")
+                for mode in ("supervised", "unsupervised")}
+
+
+@pytest.mark.parametrize("path", RUN_PATHS, ids=[_path_id(p) for p in RUN_PATHS])
+def test_eval_reads_every_key_it_takes(key_reads, path):
+    task, mode, corpus = path
+    cfg = config.resolve_config(overrides={"train.mode": mode or "supervised"})
+    takes = set(cli.TASK_TABLE[task].eval_takes(cfg, "corpus.jsonl" if corpus else None))
+    assert takes - key_reads[("eval", *path)] == EVAL_UNREAD.get(path, set())
+
+
+@pytest.mark.parametrize("path", RUN_PATHS, ids=[_path_id(p) for p in RUN_PATHS])
+def test_train_reads_or_refuses_every_shared_key(key_reads, path):
+    task = path[0]
+    unread = {key for key in SHARED_KEYS
+              if key not in key_reads[("train", *path)] and not _refused(task, key, "train")}
+    assert unread == TRAIN_UNREAD.get(path, set())
+
+
+@pytest.mark.parametrize("task", GEN_TASKS)
+def test_gen_reads_or_refuses_every_shared_key_the_task_reads(key_reads, task):
+    # gen records the whole config in the corpus, so a key that the task's
+    # training reads is taken too; any other must be refused
+    trained = set().union(*(keys for (verb, t, _, _), keys in key_reads.items()
+                            if verb == "train" and t == task))
+    unread = {key for key in SHARED_KEYS
+              if key not in key_reads[("gen", task, None, False)] | trained
+              and not _refused(task, key, "gen")}
+    assert unread == set()

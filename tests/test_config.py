@@ -207,8 +207,8 @@ BOUND_ERRORS = [
     ("metagan.metric", "bogus",
      "metagan.metric must be one of ('cosine', 'euclidean', 'sqeuclidean'), got 'bogus'"),
     ("mog.n_max", "7", "mog.n_min must be in [1, n_max=7], got 100"),
-    ("mog.mean_low", "5", "mog.mean_low must not exceed mean_high=4.0, got 5.0"),
-    ("fewshot.mean_low", "6", "fewshot.mean_low must not exceed mean_high, got [6.0, 5.0]"),
+    ("mog.mean_low", "5", "mog.mean_low=5.0 must not exceed mog.mean_high=4.0"),
+    ("fewshot.mean_low", "6", "fewshot.mean_low=6.0 must not exceed fewshot.mean_high=5.0"),
     ("fewshot.encoder_widths", "8,1",
      "fewshot.encoder_widths must end in an embedding size of at least 2, got 1"),
     ("fewshot.n_way", "65", "fewshot.n_base must be at least n_way=65, got 64"),

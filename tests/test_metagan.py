@@ -9,6 +9,7 @@ import scipy.stats
 from protoset.diffcore import Value, as_value
 from protoset.diffcore.gradcheck import check_gradients
 from protoset.errors import ConfigError, NumericalError, ShapeError, TrainingDivergedError
+import protoset.metagan as metagan
 from protoset.metagan import (
     GanConfig,
     _mean_pairwise_distance,
@@ -519,3 +520,52 @@ def test_eval_generative_reporting():
     assert record == again
     with pytest.raises(ConfigError):
         eval_generative(model, [], seed=0)
+
+
+def _wrap_generator_update(monkeypatch, during):
+    """Route metagan's updates through ``apply_update``, calling ``during(args)``
+    in place of the generator's."""
+    apply_update = metagan.apply_update
+
+    def update(*args):
+        return during(apply_update, args) if args[3] == "generator" else apply_update(*args)
+
+    monkeypatch.setattr(metagan, "apply_update", update)
+
+
+def test_generator_update_leaves_every_critic_grad_untouched(monkeypatch):
+    spec = TaskFamilySpec("gauss1d", n_points=10)
+    corpus = small_corpus(spec)
+    model, cfg = small_gan(spec, bank=bank_for(corpus), iterations=3, seed=2)
+    critic = model.critic.parameters()
+    seen = []
+
+    def during(apply_update, args):
+        before = [p.grad for p in critic]
+        value = apply_update(*args)
+        seen.append([g is not None and p.grad is g for p, g in zip(critic, before)])
+        return value
+
+    _wrap_generator_update(monkeypatch, during)
+    train_metagan([s for s, _ in corpus], model)
+    # the critic's own step left each grad; the generator's backward added none
+    assert seen == [[True] * len(critic)] * 3
+    assert all(p.requires_grad for p in critic)
+
+
+def test_a_diverged_generator_update_restores_the_critic(monkeypatch):
+    spec = TaskFamilySpec("gauss1d", n_points=10)
+    corpus = small_corpus(spec)
+    model, cfg = small_gan(spec, bank=bank_for(corpus), iterations=3, seed=2)
+    critic = model.critic.parameters()
+    flags = []
+
+    def during(apply_update, args):
+        flags.append([p.requires_grad for p in critic])
+        raise TrainingDivergedError("generator loss became non-finite at step 0")
+
+    _wrap_generator_update(monkeypatch, during)
+    with pytest.raises(TrainingDivergedError, match="generator loss"):
+        train_metagan([s for s, _ in corpus], model)
+    assert flags == [[False] * len(critic)]
+    assert all(p.requires_grad for p in critic)

@@ -85,3 +85,70 @@ def test_make_optimizer_dispatch():
     assert isinstance(make_optimizer("sgd", [p], 0.1), SGD)
     with pytest.raises(ConfigError):
         make_optimizer("lbfgs", [p], 0.1)
+
+
+SHAPES = [(3, 4), (4,), (2, 5), (5,)]
+
+
+def per_array_adam(data, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-array loop that Adam ran before its flat buffer: data, m, v and t
+    after every step of ``grads_per_step`` (None: no gradient that step)."""
+    data = [d.copy() for d in data]
+    m, v, t = [np.zeros_like(d) for d in data], [np.zeros_like(d) for d in data], [0] * len(data)
+    for grads in grads_per_step:
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            t[i] += 1
+            m[i] *= b1
+            m[i] += (1.0 - b1) * g
+            v[i] *= b2
+            v[i] += (1.0 - b2) * (g * g)
+            m_hat = m[i] / (1.0 - b1 ** t[i])
+            v_hat = v[i] / (1.0 - b2 ** t[i])
+            data[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return data, m, v, t
+
+
+# which parameter has no gradient at which step (from 0): none; the second at
+# every step, which splits the run; the third until step 2, so its t lags
+MISSING = {"all-present": set(), "none-in-the-middle": {(s, 1) for s in range(5)},
+           "late-start": {(0, 2), (1, 2)}}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING))
+def test_adam_matches_the_per_array_loop_bit_for_bit(case):
+    rng = np.random.default_rng(7)
+    start = [rng.normal(size=shape) for shape in SHAPES]
+    grads = [[None if (step, i) in MISSING[case] else rng.normal(size=shape) * 10.0 ** (i - 2)
+              for i, shape in enumerate(SHAPES)] for step in range(5)]
+    params = [Value(d.copy(), requires_grad=True) for d in start]
+    opt = Adam(params, lr=0.03)
+    for step_grads in grads:
+        for p, g in zip(params, step_grads):
+            p.grad = None if g is None else g.copy()
+        opt.step()
+    data, m, v, t = per_array_adam(start, grads, lr=0.03)
+    assert opt.t == t
+    for i, p in enumerate(params):
+        assert p.data.shape == SHAPES[i]
+        assert p.data.tobytes() == data[i].tobytes()
+        assert opt.m[i].tobytes() == m[i].tobytes() and opt.v[i].tobytes() == v[i].tobytes()
+
+
+def test_a_parameter_listed_twice_is_refused():
+    # a second view of its data would leave the first updating a detached copy
+    p = Value(np.ones(2), requires_grad=True)
+    with pytest.raises(ConfigError, match="Adam got a parameter twice"):
+        Adam([p, Value(np.ones(1), requires_grad=True), p])
+
+
+def test_parameters_become_views_of_one_vector_that_holds_no_moments():
+    # a model outlives its optimizer, so its parameters must not keep the moments alive
+    params = [Value(np.full(shape, float(i)), requires_grad=True) for i, shape in enumerate(SHAPES)]
+    opt = Adam(params)
+    flat = params[0].data.base
+    assert all(p.data.base is flat for p in params)
+    assert flat.size == sum(p.data.size for p in params)
+    assert [float(p.data.reshape(-1)[0]) for p in params] == [0.0, 1.0, 2.0, 3.0]
+    assert not any(np.shares_memory(flat, moment) for moment in opt.m + opt.v)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protoset.diffcore import no_grad
+from protoset.diffcore import Value, no_grad, zero_grad
 from protoset.errors import ConfigError, DomainError, ShapeError
 from protoset.nn import MLP, Linear, fan_balanced_uniform
 from protoset.summarynet import SetBatch, SummaryNet, SummaryNetConfig
@@ -55,6 +55,35 @@ def test_fan_balanced_init_bounds():
 def test_linear_bias_starts_zero():
     layer = Linear(4, 3, np.random.default_rng(0))
     assert np.all(layer.bias.data == 0.0)
+
+
+@pytest.mark.parametrize("frozen", ["nothing", "input", "weight"])
+def test_linear_is_one_node_bit_equal_to_matmul_plus_bias(frozen):
+    rng = np.random.default_rng(3)
+    layer = Linear(5, 4, rng)
+    layer.bias.data[...] = rng.normal(size=4)
+    x = Value(rng.normal(size=(40, 5)), requires_grad=frozen != "input")
+    layer.weight.requires_grad = frozen != "weight"
+    leaves = (x, layer.weight, layer.bias)
+    upstream = rng.normal(size=(40, 4))
+    fused = layer(x)
+    assert fused._parents == leaves
+    (fused * upstream).sum().backward()
+    got = [leaf.grad for leaf in leaves]
+    zero_grad(leaves)
+    split = x @ layer.weight + layer.bias
+    (split * upstream).sum().backward()
+    assert fused.data.tobytes() == split.data.tobytes()
+    for mine, theirs in zip(got, (leaf.grad for leaf in leaves)):
+        assert mine is theirs is None or mine.tobytes() == theirs.tobytes()
+    assert [g is None for g in got] == [frozen == "input", frozen == "weight", False]
+
+
+def test_linear_refuses_an_input_of_another_width():
+    layer = Linear(4, 3, np.random.default_rng(0))
+    for bad in (np.zeros((2, 5)), np.zeros(4)):
+        with pytest.raises(ShapeError, match=r"Linear expects a \(batch, 4\) input"):
+            layer(Value(bad))
 
 
 def test_mlp_width_validation():

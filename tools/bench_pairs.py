@@ -1,6 +1,7 @@
 """Run, or summarize, a BENCH file of alternating parent/change perfbench pairs.
 
     python tools/bench_pairs.py --base HEAD~1 --out BENCH_22_all-workloads.json
+    python tools/bench_pairs.py --base HEAD~1 --trace --out BENCH_23_traced.json
     python tools/bench_pairs.py --summarize BENCH_20_all-workloads.json
 
 A BENCH file holds ``runs[workload][side][i]``, the result line that
@@ -11,12 +12,15 @@ quartiles (numpy's default, linear percentiles) and the number of pairs in
 which the change did better than the parent, in the metric's own direction.
 It also says whether every run was correct, how many operations failed, and
 whether ``eval_score`` read the same on every run of both sides.  The table
-it prints is the one ``CHANGES.md`` quotes.
+it prints is the one ``CHANGES.md`` quotes.  With ``--trace`` the runs are
+traced (``--trace 1``) and the summary covers ``BENCHMARK.json``'s per-layer
+metrics instead; a traced run reports no ``eval_score``, so that check does
+not apply.
 
 ``--summarize`` only reads.  ``--base REV`` runs the pairs: the parent side
 from a temporary ``git worktree`` of REV, the change side from the checkout
-this tool lives in (or ``--repo``), each ``perfbench/run.py --trace 0`` call
-in its own process.  Pair i runs the parent first when i is even.  The BENCH
+this tool lives in (or ``--repo``), each ``perfbench/run.py`` call in its
+own process.  Pair i runs the parent first when i is even.  The BENCH
 file, summary included, is rewritten after every pair.
 """
 
@@ -40,7 +44,8 @@ ORDER = ("{pairs} pairs per workload; pair i (from 0) runs the parent first when
 
 def summarize(bench: dict, metrics: list[dict]) -> dict:
     """{workload: {"metrics": {name: row}, "all_correct", "failed",
-    "eval_score_identical"}} for a BENCH file's ``runs``."""
+    "eval_score_identical"}} for a BENCH file's ``runs``; the last is None
+    when the runs carry no ``eval_score`` (traced runs)."""
     summary = {}
     for workload, runs in bench["runs"].items():
         if len(runs["parent"]) != len(runs["change"]):
@@ -61,11 +66,12 @@ def summarize(bench: dict, metrics: list[dict]) -> dict:
                 "pairs": int(parent.size),
             }
         every = runs["parent"] + runs["change"]
+        scores = {r["metrics"].get("eval_score", {}).get("value") for r in every}
         summary[workload] = {
             "metrics": rows,
             "all_correct": all(r["correct"] for r in every),
             "failed": sum(r["failed"] for r in every),
-            "eval_score_identical": len({r["metrics"]["eval_score"]["value"] for r in every}) == 1,
+            "eval_score_identical": None if None in scores else len(scores) == 1,
         }
     return summary
 
@@ -91,9 +97,11 @@ def table(summary: dict) -> str:
                 f"| {row['wins']}/{row['pairs']} |"
             )
     for workload, entry in summary.items():
+        identical = entry["eval_score_identical"]
         lines.append(
             f"{workload}: all runs correct: {entry['all_correct']}; failed operations: "
-            f"{entry['failed']}; eval_score identical: {entry['eval_score_identical']}"
+            f"{entry['failed']}; eval_score identical: "
+            f"{'not applicable' if identical is None else identical}"
         )
     return "\n".join(lines)
 
@@ -120,7 +128,7 @@ def run_pairs(args) -> dict:
     repo = args.repo.resolve()
     spec = json.loads((repo / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    flags = ["--seconds", str(args.seconds), "--trace", "0"]
+    flags = ["--seconds", str(args.seconds), "--trace", str(int(args.trace))]
     flags += ["--seed", str(args.seed)] if args.seed is not None else []
     bench = {
         "workload": ", ".join(workloads),
@@ -130,6 +138,7 @@ def run_pairs(args) -> dict:
         "command": f"python3 perfbench/run.py --workload W {' '.join(flags)}, "
                    "parent and change each from its own checkout",
         "order": ORDER.format(pairs=args.pairs),
+        "trace": args.trace,
         "runs": {},  # a workload enters when its first pair starts
         "note": args.note,
     }
@@ -148,11 +157,16 @@ def run_pairs(args) -> dict:
                         figures = ", ".join(f"{name}={m['value']:.6g}"
                                             for name, m in result["metrics"].items())
                         print(f"{workload} pair {i} {side}: {figures}", file=sys.stderr)
-                    bench["summary"] = summarize(bench, spec["end_to_end"])
+                    bench["summary"] = summarize(bench, _metrics(spec, args.trace))
                     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
         finally:
             _git(repo, "worktree", "remove", "--force", str(base))
     return bench
+
+
+def _metrics(spec: dict, trace: bool) -> list[dict]:
+    """The metrics that a run of this kind reports, as ``BENCHMARK.json`` declares them."""
+    return spec["per_layer" if trace else "end_to_end"]
 
 
 def main(argv=None) -> int:
@@ -168,17 +182,21 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="workload seed (default: perfbench's)")
     parser.add_argument("--out", type=Path, help="the BENCH file that --base writes")
     parser.add_argument("--repo", type=Path, default=ROOT,
-                        help="the change's checkout (default: the one holding this tool)")
+                        help="the change's checkout, whose BENCHMARK.json names the metrics "
+                             "(default: the one holding this tool)")
     parser.add_argument("--what", default="", help="what the change is, for the BENCH file")
     parser.add_argument("--note", default="", help="the verdict, for the BENCH file")
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced and summarize the per-layer metrics")
     args = parser.parse_args(argv)
     if args.base is not None:
         if args.out is None or args.pairs < 1:
             parser.error("--base needs --out FILE and at least one pair")
         print(table(run_pairs(args)["summary"]))
         return 0
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    print(table(summarize(json.loads(args.summarize.read_text()), metrics)))
+    bench = json.loads(args.summarize.read_text())
+    spec = json.loads((args.repo / "BENCHMARK.json").read_text())
+    print(table(summarize(bench, _metrics(spec, bench.get("trace", False)))))
     return 0
 
 

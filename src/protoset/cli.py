@@ -8,9 +8,10 @@ written is set by the ``--corpus`` and ``--out`` flags alone, which no
 artifact records, so a rerun with the same configuration reproduces
 artifacts byte for byte, in any directory.
 
-Exit codes: 0 success, 1 unexpected error, 2 bad configuration or input,
-3 missing file, 4 corrupt checkpoint, 5 checkpoint format mismatch,
-6 numerical failure (divergence or a failed gradient check).
+Exit codes: 0 success, 1 unexpected error, 3 missing file; a package error
+exits with the code its class carries (see errors.py): 2 bad configuration or
+input, 4 corrupt checkpoint, 5 checkpoint format mismatch, 6 numerical failure
+(divergence or a failed gradient check).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (
     ConfigError,
     NumericalError,
     ProtosetError,
-    TrainingDivergedError,
     read_text,
     strict_json,
 )
@@ -90,13 +90,11 @@ from .tasks import (
 from .tasks.mog import head_width, oracle_mean_loglik
 from .tasks.pointset import POINTSET_CLASSES
 
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_CONFIG = 2
-EXIT_MISSING_FILE = 3
-EXIT_BAD_CHECKPOINT = 4
-EXIT_VERSION_MISMATCH = 5
-EXIT_NUMERIC = 6
+EXIT_OK, EXIT_ERROR, EXIT_MISSING_FILE = 0, 1, 3
+# the codes of the failure classes are theirs; these names read them
+EXIT_CONFIG, EXIT_NUMERIC = ConfigError.exit_code, NumericalError.exit_code
+EXIT_BAD_CHECKPOINT, EXIT_VERSION_MISMATCH = (CheckpointError.exit_code,
+                                              CheckpointVersionError.exit_code)
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -212,8 +210,8 @@ class Task:
     # job here or None: given to gen or train, they exit 2
     unread_keys: dict = {}
     # the keys eval may change beside eval.count and eval.seed: those of the
-    # data it draws, and those of the supervised score; the checkpoint fixes
-    # the model, and only training reads the rest
+    # data it draws, and those that the supervised score of any sets reads; the
+    # checkpoint fixes the model, and only training reads the rest
     eval_keys: tuple = ()
     score_keys: tuple = ()
     metric_key = "train.metric"  # the config key of the transport cost's metric
@@ -244,11 +242,16 @@ class Task:
                 raise ConfigError(f"{key}{flag} is not read by {self.name}{hint}")
 
     def eval_takes(self, cfg: ResolvedConfig, corpus) -> tuple:
-        """The keys eval may change; ``score_keys`` only those of a supervised model."""
-        scored = self.score_keys if cfg["train.mode"] == "supervised" else ()
-        if corpus:  # the corpus replaces the drawn data and its count
-            return ("eval.seed",) + scored
-        return ("eval.count", "eval.seed") + self.eval_keys + scored
+        """The keys eval may change; ``score_keys`` only those of a supervised model.
+
+        A corpus replaces the drawn data and its count, so then only the score
+        reads a key: the supervised score its ``score_keys``, the transport
+        objective the seed of its subsample.
+        """
+        scored = self.score_keys if cfg["train.mode"] == "supervised" else ("eval.seed",)
+        if corpus:
+            return scored
+        return tuple(dict.fromkeys(("eval.count", "eval.seed") + self.eval_keys + scored))
 
     def read_corpus(self, path):
         """The sets of the corpus at ``path``; no sets, or a label the task cannot read, exit 2."""
@@ -340,7 +343,7 @@ class MogTask(EncoderTask):
     name = "mog"
     input_dim = 2
     eval_keys = ("mog.n_min", "mog.n_max", "mog.sigma", "mog.mean_low", "mog.mean_high")
-    score_keys = ("mog.encode_cap",)
+    score_keys = ("eval.seed", "mog.encode_cap")  # the seed draws the capped points
 
     def output_dim(self, cfg: ResolvedConfig) -> int:
         return head_width(cfg["mog.components"])
@@ -487,9 +490,12 @@ class FewShotTask(Task):
     def train(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank, sets):
         return train_fewshot(model, self.train_config(cfg))
 
+    def eval_takes(self, cfg: ResolvedConfig, corpus) -> tuple:
+        _refuse_corpus(corpus, _EPISODES_FROM_SEED)  # before any key it would take
+        return super().eval_takes(cfg, corpus)
+
     def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank,
                  corpus) -> dict:
-        _refuse_corpus(corpus, _EPISODES_FROM_SEED)
         count = cfg["eval.count"] or 1000
         episodes = gen_episodes(model.config, "novel", seed=cfg["eval.seed"], count=count)
         return eval_fewshot(model, episodes)
@@ -540,8 +546,11 @@ class MetaGanTask(Task):
     def train(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, sets):
         return train_metagan(sets, model)
 
-    def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, corpus) -> dict:
+    def eval_takes(self, cfg: ResolvedConfig, corpus) -> tuple:
         _refuse_corpus(corpus, "metagan is scored on tasks generated from eval.seed")
+        return super().eval_takes(cfg, corpus)
+
+    def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, corpus) -> dict:
         _, tasks = self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])
         return eval_generative(model, tasks, seed=cfg["eval.seed"])
 
@@ -648,7 +657,7 @@ def cmd_eval(args) -> int:
     for key in given:
         if key not in takes:
             raise ConfigError(f"eval of {task} cannot change {key}, which the checkpoint fixes "
-                              f"or eval never reads; it takes {', '.join(takes)}")
+                              f"or eval never reads; it takes {', '.join(takes) or 'no key'}")
     out = _out_dir(args.out)
     net, bank, named = entry.build(cfg, None)
     assign_parameters(named, ck.params)
@@ -811,22 +820,13 @@ def main(argv=None) -> int:
         return code
     try:
         return args.func(args)
-    except CheckpointVersionError as exc:
+    except ProtosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERSION_MISMATCH
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CHECKPOINT
-    except (NumericalError, TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return exc.exit_code
     # a directory is no file, and a file no directory
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except ProtosetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - safety net
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

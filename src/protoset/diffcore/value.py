@@ -102,9 +102,6 @@ class Value:
             raise ShapeError(f"item() needs a single-element Value, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -170,9 +167,6 @@ class Value:
                 _accumulate(acc, y, _unbroadcast(-g * data / y.data, y.data.shape))
 
         return Value._from_op(data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return as_value(other).__truediv__(self)
 
     def __neg__(self):
         def backward(g, acc):
@@ -397,9 +391,7 @@ class Value:
         order = _linearize(self)
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
-            g = flowing.pop(id(node), None)
-            if g is None:
-                continue
+            g = flowing.pop(id(node))  # every node below the root got one from a child
             if node._backward is not None:
                 node._backward(g, flowing)
             elif node.grad is None:

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every failure mode callers are expected to handle gets its own class so the
-CLI can map them onto distinct exit codes.  ``read_text`` is the one reader of
+Every failure mode callers are expected to handle gets its own class, and
+each class carries the CLI's exit code for it in ``exit_code``: 2, or 4 for a
+corrupt checkpoint, 5 for a checkpoint format mismatch and 6 for a numerical
+failure.  ``read_text`` is the one reader of
 input files, so that bytes that are not UTF-8 become one of them too, and
 ``strict_json`` the writer of corpus, checkpoint and report JSON, so that a
 NaN or an infinity in them is a NumericalError, not a non-standard token.
@@ -17,7 +19,9 @@ from pathlib import Path
 
 
 class ProtosetError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors: bad configuration or input, exit 2."""
+
+    exit_code = 2
 
 
 class ShapeError(ProtosetError, ValueError):
@@ -43,17 +47,25 @@ class InvalidMarginalsError(ProtosetError, ValueError):
 class NumericalError(ProtosetError, ArithmeticError):
     """A computation produced non-finite intermediates it cannot recover from."""
 
+    exit_code = 6
+
 
 class TrainingDivergedError(ProtosetError, ArithmeticError):
     """A training loss became non-finite; carries diagnostics in the message."""
+
+    exit_code = 6
 
 
 class CheckpointError(ProtosetError, ValueError):
     """A checkpoint file is missing fields or cannot be parsed."""
 
+    exit_code = 4
+
 
 class CheckpointVersionError(CheckpointError):
     """A checkpoint was written by an incompatible format version."""
+
+    exit_code = 5
 
 
 # the bound words of numbers: "positive" and "nonnegative" bound ints

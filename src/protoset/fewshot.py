@@ -239,10 +239,6 @@ def _class_transport(
     cost of every embedded support point, (n_way, k_shot, K), against the
     per-class simplex rows, (n_way, K).
     """
-    if bank.dim != embedded_support.shape[1]:
-        raise ShapeError(
-            f"bank lives in R^{bank.dim} but embeddings are in R^{embedded_support.shape[1]}"
-        )
     w = prototypes.shape[0]
     k = embedded_support.shape[0] // w
     weights = floor_simplex_value(head(prototypes).softmax(axis=1))  # (n_way, K)
@@ -283,13 +279,12 @@ def train_fewshot(model: FewShotModel, config: TrainConfig) -> dict:
     if lam > 0:
         params = params + model.simplex_head.parameters() + [model.bank.matrix]
     guard_rng = np.random.default_rng(config.seed + 1)  # drawn from only on column collapse
-    guard_bank = model.bank if lam > 0 and config.metric == "cosine" else None
     stream = gen_episodes(model.config, "base", seed=config.seed)
 
     def objective():
         return episode_objective(model, next(stream), config)
 
-    return fit_objective(config, params, objective, guard_bank, guard_rng, "episode")
+    return fit_objective(config, params, objective, model.bank, guard_rng, "episode")
 
 
 def eval_fewshot(model: FewShotModel, episodes: Iterable[Episode]) -> dict:

@@ -283,8 +283,7 @@ def transport_step(
     ``model.config.ot``: one step of the unsupervised prototype loop."""
     config, bank = model.config.ot, model.bank
     loss = set_objective(SetBatch(points), model.summary, bank, config)[0]
-    guard_bank = bank if config.metric == "cosine" else None
-    return apply_update(optimizer, loss, step, "transport", guard_bank, guard_rng)
+    return apply_update(optimizer, loss, step, "transport", bank, config.metric, guard_rng)
 
 
 def train_metagan(sets: Sequence[SetBatch], model: MetaGan) -> dict:

@@ -57,9 +57,6 @@ class Linear:
 
         return Value._from_op(data, (x, w, b), backward)
 
-    def parameters(self) -> list[Value]:
-        return [self.weight, self.bias]
-
 
 class MLP:
     """Stack of Linear layers with a fixed activation between them.
@@ -91,7 +88,7 @@ class MLP:
         return out
 
     def parameters(self) -> list[Value]:
-        return [p for layer in self.layers for p in layer.parameters()]
+        return [p for layer in self.layers for p in (layer.weight, layer.bias)]
 
     def named_parameters(self, prefix: str) -> dict[str, Value]:
         out: dict[str, Value] = {}

@@ -1,17 +1,9 @@
 """Optimal transport: cost construction and the Sinkhorn solver."""
 
-from .cost import (
-    METRICS,
-    NORM_FLOOR,
-    build_cost_value,
-    cosine_cost_value,
-    euclidean_cost_value,
-)
-from .marginals import SIMPLEX_FLOOR, Marginals, floor_simplex_value, uniform_weights
+from .cost import build_cost_value, cosine_cost_value, euclidean_cost_value
+from .marginals import Marginals, floor_simplex_value, uniform_weights
 from .sinkhorn import (
-    GRAD_MODES,
     SinkhornConfig,
-    TransportPlan,
     differentiable_transport_loss,
     entropic_objective,
     plan_entropy,
@@ -20,13 +12,8 @@ from .sinkhorn import (
 )
 
 __all__ = [
-    "GRAD_MODES",
-    "METRICS",
     "Marginals",
-    "NORM_FLOOR",
-    "SIMPLEX_FLOOR",
     "SinkhornConfig",
-    "TransportPlan",
     "build_cost_value",
     "cosine_cost_value",
     "differentiable_transport_loss",

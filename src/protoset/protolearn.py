@@ -7,8 +7,8 @@ by the summary network's simplex output — alone, or added to a task loss.
 
 One backward pass per step computes gradients for the bank and the network
 together; both are then updated from it.  ``apply_update`` is that update for
-every loop in the package, and ``fit`` the step loop of every trainer, so no
-two loops can drift apart.  Each trainer names its own trace columns in the
+every loop in the package, with the one rule for guarding a cosine bank, and
+``fit`` the step loop of every trainer, so no two loops can drift apart.  Each trainer names its own trace columns in the
 row its step returns; ``fit_objective`` is the step of the trainers with one
 optimizer and one objective.
 """
@@ -126,14 +126,16 @@ def apply_update(
     loss: Value,
     step: int,
     what: str,
-    guard_bank: Optional[PrototypeBank] = None,
-    guard_rng: Optional[np.random.Generator] = None,
+    bank: Optional[PrototypeBank] = None,
+    metric: Optional[str] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> float:
     """The one parameter update of every training loop in the package.
 
     Returns the loss as a float; a non-finite one raises before any parameter
-    moves.  Otherwise: zero_grad, backward, step, then re-randomize any
-    collapsed cosine column of ``guard_bank`` from ``guard_rng``.
+    moves.  Otherwise: zero_grad, backward, step, then, when the step moved
+    ``bank``'s matrix under the cosine ``metric``, re-randomize any collapsed
+    column of it from ``rng``.  This is the one place that rule is decided.
     """
     value = loss.item()
     if not np.isfinite(value):
@@ -143,8 +145,8 @@ def apply_update(
     optimizer.zero_grad()
     loss.backward()
     optimizer.step()
-    if guard_bank is not None:
-        guard_bank.guard_cosine_columns(guard_rng)
+    if metric == "cosine" and any(p is bank.matrix for p in optimizer.params):
+        bank.guard_cosine_columns(rng)
     return value
 
 
@@ -206,8 +208,8 @@ def fit_objective(
     config: TrainConfig,
     params: list,
     objective: Callable[[], tuple[Value, Optional[float], Optional[float]]],
-    guard_bank: Optional[PrototypeBank],
-    guard_rng: Optional[np.random.Generator],
+    bank: PrototypeBank,
+    rng: np.random.Generator,
     what: str,
 ) -> dict:
     """``config.steps`` updates of ``params`` by one optimizer, through ``fit``.
@@ -215,7 +217,8 @@ def fit_objective(
     ``objective()`` draws the step's data and returns (loss, task value,
     transport value); the values are the row's ``task_loss`` and
     ``transport_loss``.  The learning rate is constant, or decays linearly to
-    ``lr_final`` at the last step.
+    ``lr_final`` at the last step.  ``bank`` and ``rng`` serve
+    ``apply_update``'s guard under ``config.metric``.
     """
     optimizer = make_optimizer(config.optimizer, params, config.lr)
 
@@ -224,7 +227,7 @@ def fit_objective(
             frac = i / max(config.steps - 1, 1)
             optimizer.lr = config.lr + (config.lr_final - config.lr) * frac
         loss, task_value, ot_value = objective()
-        apply_update(optimizer, loss, i, what, guard_bank, guard_rng)
+        apply_update(optimizer, loss, i, what, bank, config.metric, rng)
         return {"transport_loss": ot_value, "task_loss": task_value}
 
     return fit(config.steps, step, config.log_every, what)
@@ -253,7 +256,6 @@ def train_prototypes(
     params = list(net.parameters())
     if lam > 0:
         params = [bank.matrix] + params
-    guard_bank = bank if lam > 0 and config.metric == "cosine" else None
     scale = 1.0 / config.batch_sets
 
     def objective():
@@ -274,4 +276,4 @@ def train_prototypes(
             ot_value = total.item()
         return total, task_value, ot_value
 
-    return fit_objective(config, params, objective, guard_bank, rng, "training")
+    return fit_objective(config, params, objective, bank, rng, "training")

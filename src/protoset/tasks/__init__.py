@@ -16,8 +16,6 @@ from .mog import (
     mog_nll_value,
     mog_task_loss,
     oracle_mean_loglik,
-    sample_mog_params,
-    sample_mog_set,
 )
 from .pointset import (
     POINTSET_CLASSES,
@@ -44,8 +42,6 @@ __all__ = [
     "mog_nll_value",
     "mog_task_loss",
     "oracle_mean_loglik",
-    "sample_mog_params",
-    "sample_mog_set",
     "sample_primitive",
     "save_corpus",
     "xent_loss",

@@ -250,3 +250,14 @@ def test_assign_parameters_rejects_name_and_shape_mismatch(tmp_path):
     wrong["bank"] = Value(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(CheckpointError, match="shape"):
         assign_parameters(wrong, saved)
+
+
+def test_assign_parameters_names_a_parameter_the_checkpoint_lacks(tmp_path):
+    named = _named_params()
+    path = tmp_path / "m.ck"
+    _save(path, named)
+    saved = load_checkpoint(path).params
+    ghost = {**named, "head.0.bias": Value(np.zeros(2), requires_grad=True)}
+    with pytest.raises(CheckpointError) as exc:
+        assign_parameters(ghost, saved)
+    assert str(exc.value) == "parameter names do not match: missing ['head.0.bias']"

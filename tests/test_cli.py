@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protoset import cli, config
+from protoset import cli, config, errors
 from protoset.checkpoint import (
     FORMAT_VERSION,
     assign_parameters,
@@ -761,6 +761,58 @@ def test_eval_checkpoint_shape_holding_true_exits_4(tmp_path, capsys):
     assert f"array {name!r} has a malformed shape [True, " in capsys.readouterr().err
 
 
+def test_eval_checkpoint_record_without_shape_or_data_exits_4(tmp_path, capsys):
+    _, ck_path = train_task("mog", tmp_path / "run")
+    for field in ("shape", "data"):
+        payload = json.loads(ck_path.read_text())
+        name, record = next(iter(payload["params"].items()))
+        del record[field]
+        ck_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(ck_path), "--out", str(tmp_path / "ev")]
+        assert run(argv) == cli.EXIT_BAD_CHECKPOINT
+        assert capsys.readouterr().err == f"error: array {name!r} is missing shape or data\n"
+    assert not (tmp_path / "ev").exists()
+
+
+# the README's exit-code table, per failure class: a class missing here fails
+README_EXIT_CODES = {
+    errors.ShapeError: 2, errors.DomainError: 2, errors.ConfigError: 2,
+    errors.DegenerateInputError: 2, errors.InvalidMarginalsError: 2,
+    errors.CheckpointError: 4, errors.CheckpointVersionError: 5,
+    errors.NumericalError: 6, errors.TrainingDivergedError: 6,
+}
+
+
+def test_every_failure_class_exits_with_its_readme_code(monkeypatch, capsys):
+    classes, stack = set(), [errors.ProtosetError]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        classes.update(subclasses)
+        stack.extend(subclasses)
+    assert classes == set(README_EXIT_CODES)
+    for cls, code in README_EXIT_CODES.items():
+        def fail(args, cls=cls):
+            raise cls(f"a {cls.__name__}")
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+        assert cls.exit_code == code
+        assert run(["gradcheck"]) == code, cls.__name__
+        assert capsys.readouterr().err == f"error: a {cls.__name__}\n"
+
+
+def test_eval_of_a_supervised_corpus_says_it_takes_no_key(tmp_path, capsys):
+    _, ck_path = train_task("digitsum", tmp_path / "run")
+    data = tmp_path / "data"
+    assert run(["gen", "--task", "digitsum", "--out", str(data)] + GEN_SMALL["digitsum"]) == 0
+    capsys.readouterr()
+    argv = ["eval", "--checkpoint", str(ck_path), "--corpus", str(data / "corpus.jsonl"),
+            "--seed", "4", "--out", str(tmp_path / "ev")]
+    assert run(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: eval of digitsum cannot change eval.seed, which "
+                                       "the checkpoint fixes or eval never reads; it takes no key\n")
+
+
 def test_train_with_a_non_finite_parameter_exits_6_without_a_checkpoint(
     tmp_path, capsys, monkeypatch
 ):
@@ -882,7 +934,9 @@ def test_fewshot_corpus_exits_2(verb, tmp_path, capsys):
         argv += TASK_RUNS["fewshot"][0] + corpus
     else:
         _, ck_path = train_task("fewshot", tmp_path / "run")
-        argv = ["eval", "--checkpoint", str(ck_path), "--out", str(tmp_path / "ev")] + corpus
+        # the corpus is refused before a key that eval would take with one
+        argv = ["eval", "--checkpoint", str(ck_path), "--out", str(tmp_path / "ev"),
+                "--seed", "4"] + corpus
     capsys.readouterr()
     assert run(argv) == cli.EXIT_CONFIG
     assert "corpus must be empty" in capsys.readouterr().err
@@ -895,7 +949,7 @@ def test_metagan_eval_corpus_exits_2(tmp_path, capsys):
     _, ck_path = train_task("metagan", tmp_path / "run")
     capsys.readouterr()
     argv = ["eval", "--checkpoint", str(ck_path), "--corpus", str(data / "corpus.jsonl"),
-            "--out", str(tmp_path / "ev")]
+            "--out", str(tmp_path / "ev"), "--seed", "4"]  # refused for the corpus, not the key
     assert run(argv) == cli.EXIT_CONFIG
     assert "corpus must be empty" in capsys.readouterr().err
     assert not (tmp_path / "ev").exists()
@@ -1119,6 +1173,9 @@ EVAL_PATHS = [
     ("mog", "unsupervised", True, ["--set", "eval.seed=4"], None),
     ("digitsum", "supervised", True, ["--set", "digitsum.test_sizes=4"], "digitsum.test_sizes"),
     ("pointset", "supervised", True, ["--set", "pointset.rotate=false"], "pointset.rotate"),
+    # a supervised digitsum or pointset score of a corpus draws nothing
+    ("digitsum", "supervised", True, ["--set", "eval.seed=4"], "eval.seed"),
+    ("pointset", "supervised", True, ["--seed", "4"], "eval.seed"),
 ]
 GEN_SMALL = {"mog": ["--count", "2"], "digitsum": ["--count", "2"],
              "pointset": ["--set", "pointset.count_per_class=1"]}
@@ -1176,7 +1233,8 @@ def test_write_metrics_refuses_a_non_finite_value(tmp_path):
 
 def test_eval_non_finite_metric_exits_6_without_metrics(tmp_path, capsys, monkeypatch):
     _, ck_path = train_task("mog", tmp_path / "run")
-    monkeypatch.setattr(cli.TASK_TABLE["mog"], "evaluate", lambda *a: {"score": float("inf")})
+    # on the class: undone, the attribute is deleted, so no instance shadows a later patch
+    monkeypatch.setattr(cli.MogTask, "evaluate", lambda *a: {"score": float("inf")})
     out = tmp_path / "ev"
     assert run(["eval", "--checkpoint", str(ck_path), "--out", str(out)]) == cli.EXIT_NUMERIC
     assert "NaN or infinite" in capsys.readouterr().err
@@ -1323,6 +1381,7 @@ SHARED_KEYS = [key for key in config.SCHEMA
 RUN_PATHS = ([(task, mode, corpus) for task in ENCODER_TASKS
               for mode in ("supervised", "unsupervised") for corpus in (False, True)]
              + [("fewshot", None, False), ("metagan", None, False)])
+TRAIN_PATHS = RUN_PATHS + [("metagan", None, True)]  # metagan's eval refuses a corpus
 GEN_TASKS = ("mog", "digitsum", "pointset", "metagan")  # fewshot writes no corpus
 GEN_SMALL_ALL = {**GEN_SMALL, "metagan": ["--count", "2"]}
 
@@ -1386,13 +1445,15 @@ def key_reads(tmp_path_factory):
             out = tmp / "gen" / task
             read_by(("gen", task, None, False),
                     ["gen", "--task", task, "--out", str(out)] + GEN_SMALL_ALL[task], True)
-        for task, mode, corpus in RUN_PATHS:
+        for task, mode, corpus in TRAIN_PATHS:
             flags, ck_name, eval_flags = TASK_RUNS[task]
             out = tmp / "train" / _path_id((task, mode, corpus))
             given = ["--set", f"train.mode={mode}"] if mode else []
             data = ["--corpus", str(tmp / "gen" / task / "corpus.jsonl")] if corpus else []
             read_by(("train", task, mode, corpus),
                     ["train", "--task", task, "--out", str(out)] + flags + given + data, True)
+            if (task, mode, corpus) not in RUN_PATHS:
+                continue
             # with a corpus, eval takes neither eval.count nor the data keys
             read_by(("eval", task, mode, corpus),
                     ["eval", "--checkpoint", str(out / ck_name), "--out", str(out / "ev")]
@@ -1408,29 +1469,22 @@ def _refused(task: str, key: str, verb: str) -> bool:
     return False
 
 
-# keys a run takes and never reads, each recorded as a FOUND in CHANGES.md: a
-# supervised digitsum or pointset score of a corpus draws nothing, and train
-# from a corpus generates no sets
-EVAL_UNREAD = {("digitsum", "supervised", True): {"eval.seed"},
-               ("pointset", "supervised", True): {"eval.seed"}}
-TRAIN_UNREAD = {(task, mode, True): {"count"} for task in ("mog", "digitsum")
-                for mode in ("supervised", "unsupervised")}
-
-
 @pytest.mark.parametrize("path", RUN_PATHS, ids=[_path_id(p) for p in RUN_PATHS])
 def test_eval_reads_every_key_it_takes(key_reads, path):
     task, mode, corpus = path
     cfg = config.resolve_config(overrides={"train.mode": mode or "supervised"})
     takes = set(cli.TASK_TABLE[task].eval_takes(cfg, "corpus.jsonl" if corpus else None))
-    assert takes - key_reads[("eval", *path)] == EVAL_UNREAD.get(path, set())
+    assert takes - key_reads[("eval", *path)] == set()
 
 
-@pytest.mark.parametrize("path", RUN_PATHS, ids=[_path_id(p) for p in RUN_PATHS])
+@pytest.mark.parametrize("path", TRAIN_PATHS, ids=[_path_id(p) for p in TRAIN_PATHS])
 def test_train_reads_or_refuses_every_shared_key(key_reads, path):
-    task = path[0]
-    unread = {key for key in SHARED_KEYS
-              if key not in key_reads[("train", *path)] and not _refused(task, key, "train")}
-    assert unread == TRAIN_UNREAD.get(path, set())
+    # one config file serves gen and then train --corpus, so on a corpus path
+    # a key that the task's gen reads, such as count, is taken too
+    task, _, corpus = path
+    read = key_reads[("train", *path)] | (key_reads[("gen", task, None, False)] if corpus else set())
+    unread = {key for key in SHARED_KEYS if key not in read and not _refused(task, key, "train")}
+    assert unread == set()
 
 
 @pytest.mark.parametrize("task", GEN_TASKS)

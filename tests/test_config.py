@@ -14,7 +14,7 @@ from protoset.config import (
     resolve_config,
     schema_help,
 )
-from protoset.errors import ConfigError
+from protoset.errors import ConfigError, check_bound
 
 
 # -- defaults ---------------------------------------------------------------------
@@ -42,6 +42,24 @@ def test_unknown_key_rejected_by_name():
 def test_unknown_key_suggests_close_match():
     with pytest.raises(ConfigError, match="train.steps"):
         resolve_config(None, {"trian.steps": "5"})
+
+
+def test_getitem_of_an_unknown_key_names_it():
+    with pytest.raises(ConfigError) as exc:
+        default_config()["trian.steps"]
+    assert str(exc.value) == "unknown config key 'trian.steps' (did you mean 'train.steps'?)"
+
+
+# a value that is no number fails the bound's comparison with a TypeError
+@pytest.mark.parametrize("value,bound,message", [
+    (None, "positive", "model.k must be positive, got None"),
+    ("3", "positive", "model.k must be positive, got 3"),
+    ("x", "finite", "model.k must be finite, got x"),
+], ids=["none", "digit-string", "string"])
+def test_check_bound_refuses_a_value_that_is_no_number(value, bound, message):
+    with pytest.raises(ConfigError) as exc:
+        check_bound("model.k", value, bound)
+    assert str(exc.value) == message
 
 
 def test_negative_prototype_count_rejected_by_name():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from protoset import protolearn
-from protoset.diffcore import Adam, Value, no_grad, zero_grad
+from protoset.diffcore import SGD, Adam, Value, no_grad, zero_grad
 from protoset.errors import ConfigError, DomainError, TrainingDivergedError
 from protoset.fewshot import FewShotConfig, FewShotModel, train_fewshot
 from protoset.metagan import GanConfig, MetaGan, TaskFamilySpec, gen_task_corpus, train_metagan
@@ -74,6 +74,19 @@ def test_cosine_column_guard_rerandomizes():
     assert touched == 1
     norms = np.linalg.norm(bank.matrix.data, axis=0)
     assert norms.min() > 0.9
+
+
+@pytest.mark.parametrize("metric,moved,guarded", [("cosine", True, True),
+                                                   ("euclidean", True, False),
+                                                   ("cosine", False, False)])
+def test_apply_update_guards_a_cosine_bank_only_when_the_step_moved_it(metric, moved, guarded):
+    bank = PrototypeBank(Value(np.array([[1.0, 0.0], [0.0, 0.0]]), requires_grad=True))
+    other = Value(np.ones(2), requires_grad=True)
+    loss = (bank.matrix * 0.0).sum() + (other * 0.0).sum()
+    optimizer = SGD([bank.matrix] if moved else [other], lr=0.1)
+    protolearn.apply_update(optimizer, loss, 0, "test", bank, metric, np.random.default_rng(0))
+    collapsed = np.linalg.norm(bank.matrix.data[:, 1])
+    assert collapsed == pytest.approx(1.0) if guarded else collapsed == 0.0
 
 
 def test_subsample_caps_at_set_size():

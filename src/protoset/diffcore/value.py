@@ -214,10 +214,9 @@ class Value:
 
     def relu(self):
         data = np.maximum(self.data, 0.0)
-        mask = self.data > 0.0
 
-        def backward(g, acc):
-            _accumulate(acc, self, g * mask)
+        def backward(g, acc):  # the mask is made here, so a no_grad forward skips it
+            _accumulate(acc, self, g * (self.data > 0.0))
 
         return Value._from_op(data, (self,), backward)
 

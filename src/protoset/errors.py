@@ -14,6 +14,7 @@ dataclass holds share its words and its messages.
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, field, fields
 from pathlib import Path
 
@@ -101,7 +102,8 @@ def check_bound(name: str, value, bound, optional: bool = False):
     except TypeError:  # None, or no number
         ok = False
     if not ok:
-        raise ConfigError(f"{name} must be {bound}, got {value}")
+        shown = value if isinstance(value, numbers.Real) else repr(value)
+        raise ConfigError(f"{name} must be {bound}, got {shown}")
     return value
 
 

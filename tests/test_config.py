@@ -50,11 +50,12 @@ def test_getitem_of_an_unknown_key_names_it():
     assert str(exc.value) == "unknown config key 'trian.steps' (did you mean 'train.steps'?)"
 
 
-# a value that is no number fails the bound's comparison with a TypeError
+# a value that is no number fails the bound's comparison with a TypeError and is
+# shown by its repr, so the string "3" does not read as the int 3
 @pytest.mark.parametrize("value,bound,message", [
     (None, "positive", "model.k must be positive, got None"),
-    ("3", "positive", "model.k must be positive, got 3"),
-    ("x", "finite", "model.k must be finite, got x"),
+    ("3", "positive", "model.k must be positive, got '3'"),
+    ("x", "finite", "model.k must be finite, got 'x'"),
 ], ids=["none", "digit-string", "string"])
 def test_check_bound_refuses_a_value_that_is_no_number(value, bound, message):
     with pytest.raises(ConfigError) as exc:

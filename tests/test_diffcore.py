@@ -131,6 +131,27 @@ def test_elu_equals_its_select_form_bitwise():
     assert np.array_equal(x.grad, g * slope, equal_nan=True)
 
 
+def test_relu_equals_its_forward_mask_form_bitwise():
+    # the form before the mask moved into the backward: np.maximum(x, 0) and g * (x > 0)
+    x0 = np.concatenate([ELU_EDGES, np.random.default_rng(7).normal(scale=3.0, size=(500,))])
+    x = Value(x0, requires_grad=True)
+    g = np.random.default_rng(8).uniform(-2.0, 2.0, x0.shape)
+    out = x.relu()
+    (out * g).sum().backward()
+    assert out.data.tobytes() == np.maximum(x0, 0.0).tobytes()
+    assert x.grad.tobytes() == (g * (x0 > 0.0)).tobytes()
+
+
+def test_relu_under_no_grad_makes_no_mask():
+    x = Value(np.array([-1.0, 0.0, 2.0]))
+    x.data = x.data.view(_Watched)
+    _Watched.seen = []
+    with no_grad():
+        out = x.relu()
+    assert _Watched.seen == ["maximum"]
+    assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+
 def test_clip_gradient_masks_outside():
     x = Value(np.array([-1.0, 0.5, 3.0]), requires_grad=True)
     y = x.clip(0.0, 2.0)

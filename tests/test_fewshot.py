@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from protoset.diffcore import as_value, zero_grad
+from protoset import fewshot
+from protoset.diffcore import as_value, no_grad, zero_grad
 from protoset.diffcore.gradcheck import check_gradients
 from protoset.errors import ConfigError, ShapeError, TrainingDivergedError
 from protoset.fewshot import (
+    EVAL_BLOCK,
     Episode,
     FewShotConfig,
     FewShotModel,
+    _means_per_class,
     class_mean_pools,
-    class_prototypes,
     episode_objective,
     eval_fewshot,
     gen_episodes,
@@ -55,6 +57,11 @@ def train_config(**overrides):
 
 def identity_embed(points):
     return as_value(points)
+
+
+def class_prototypes(embed, episode):
+    """Per-class mean of the embedded support points, as training takes it: (n_way, M)."""
+    return _means_per_class(support_embeddings(embed, episode), episode.n_way)
 
 
 def manual_episode(means, k_shot, queries, labels):
@@ -453,3 +460,86 @@ def test_support_embedding_shapes():
     logits = query_logits(model.embed, ep, protos)
     assert logits.shape == (6, 3)
     assert 0.0 <= query_accuracy(logits, ep.query_labels) <= 1.0
+
+
+# -- block eval ----------------------------------------------------------------
+
+
+def per_episode_eval(model, episodes):
+    """The eval loop before blocks, with its formulas as they were: (logits, accuracies, result)."""
+    logits, accuracies = [], []
+    with no_grad():
+        for ep in episodes:
+            support = model.embed(ep.support.reshape(ep.n_way * ep.k_shot, ep.dim))
+            prototypes = support.reshape(ep.n_way, ep.k_shot, support.shape[1]).mean(axis=1)
+            q = model.embed(ep.query)
+            nq, m = q.shape
+            diff = q.reshape(nq, 1, m) - prototypes.reshape(1, ep.n_way, m)
+            logits.append((-(diff * diff).sum(axis=2)).data)
+            accuracies.append(float((logits[-1].argmax(axis=1) == ep.query_labels).mean()))
+    arr = np.asarray(accuracies)
+    ci95 = 1.96 * arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
+    result = {"mean_accuracy": float(arr.mean()), "ci95": float(ci95), "n_episodes": int(arr.size)}
+    return logits, arr, result
+
+
+def block_eval(model, episodes, monkeypatch):
+    """eval_fewshot with each block's logits and accuracies recorded."""
+    logits, accuracies = [], []
+
+    def recording(block_logits, labels):
+        logits.extend(block_logits.data)
+        accuracies.append(query_accuracy(block_logits, labels))
+        return accuracies[-1]
+
+    monkeypatch.setattr(fewshot, "query_accuracy", recording)
+    result = eval_fewshot(model, episodes)
+    return logits, np.concatenate(accuracies), result
+
+
+def shuffled_queries(episodes, seed):
+    """The episodes with each one's queries in its own order, so labels leave np.repeat order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for ep in episodes:
+        order = rng.permutation(ep.query.shape[0])
+        out.append(Episode(ep.support, ep.query[order], ep.query_labels[order], ep.class_ids))
+    return out
+
+
+def result_bytes(result):
+    return {key: np.float64(value).tobytes() for key, value in result.items()}
+
+
+@pytest.mark.parametrize("count", [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1,
+                                   2 * EVAL_BLOCK + 3])
+@pytest.mark.parametrize("shape", ["small", "default", "one-way", "shuffled"])
+def test_block_eval_matches_the_per_episode_loop_bit_for_bit(shape, count, monkeypatch):
+    cfg = {
+        "small": small_config(sigma=4.0),
+        "default": FewShotConfig(sigma=3.0),
+        "one-way": small_config(n_way=1, k_shot=1, q_queries=1),
+        "shuffled": small_config(sigma=4.0),
+    }[shape]
+    model = FewShotModel(cfg, np.random.default_rng(3))
+    episodes = list(gen_episodes(cfg, "novel", seed=count, count=count))
+    if shape == "shuffled":
+        episodes = shuffled_queries(episodes, seed=count)
+    ref_logits, ref_acc, ref_result = per_episode_eval(model, episodes)
+    logits, acc, result = block_eval(model, episodes, monkeypatch)
+    assert acc.tobytes() == ref_acc.tobytes()
+    assert result_bytes(result) == result_bytes(ref_result)
+    if cfg.n_way > 1:  # one support row alone is a matrix-vector product, rounded otherwise
+        assert [a.tobytes() for a in logits] == [a.tobytes() for a in ref_logits]
+    if shape != "one-way" and count > 1:
+        assert 0.0 < ref_result["ci95"]  # accuracies vary, so a mixed-up episode shows
+
+
+@pytest.mark.parametrize("at", [1, EVAL_BLOCK + 2])
+def test_episodes_of_two_shapes_raise_naming_the_episode(at):
+    cfg = small_config()
+    model = FewShotModel(cfg, np.random.default_rng(3))
+    episodes = list(gen_episodes(cfg, "novel", seed=1, count=at))
+    episodes += list(gen_episodes(small_config(k_shot=2), "novel", seed=1, count=2))
+    with pytest.raises(ShapeError, match=rf"^episode {at} has support \(3, 2, 6\)"):
+        eval_fewshot(model, episodes)

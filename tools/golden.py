@@ -7,7 +7,8 @@ it exits 1 if any verb exited nonzero.  ``protoset --help`` is captured too,
 so the rendered config schema (every key, default and help) is compared,
 and so is ``protoset ot`` on a small cost CSV written under ``--dir``: solved
 to convergence, stopped at ``--max-iters 3`` in the solver's plain warm-up,
-and stopped at ``--max-iters 30`` while it over-relaxes.
+and stopped at ``--max-iters 30`` while it over-relaxes.  One fewshot eval
+runs past two blocks of episodes, so that block boundaries are compared.
 Two runs of the same program in different directories must print the same
 lines (the README's byte-identical-rerun contract); a refactor that claims
 to keep behaviour can diff its output against the parent commit's.
@@ -121,6 +122,9 @@ CORPUS_EVALS = {
     "digitsum-on-corpus": ("digitsum", ["--corpus", "gen/digitsum-size12/corpus.jsonl"]),
     "pointset-on-corpus": ("pointset", ["--corpus", "gen/pointset/corpus.jsonl"]),
 }
+# fewshot eval scores episodes in blocks of fewshot.EVAL_BLOCK = 4; 11 episodes
+# are two full blocks and a partial one (a literal, so older src runs it too)
+BLOCK_EVALS = {"fewshot-count11": ("fewshot", ["--count", "11"])}
 
 
 def _sha(data: bytes) -> str:
@@ -161,7 +165,8 @@ def main(argv=None) -> int:
     for name, (task, flags) in TRAINS.items():
         argv = ["train", "--task", task] + BASE[task] + flags
         codes.append(run(f"train/{name}", argv, f"train/{name}"))
-    evals = {name: (name, EVAL[task]) for name, (task, _) in TRAINS.items()} | CORPUS_EVALS
+    evals = {name: (name, EVAL[task]) for name, (task, _) in TRAINS.items()}
+    evals |= CORPUS_EVALS | BLOCK_EVALS
     for name, (source, flags) in evals.items():
         argv = ["eval", "--checkpoint", checkpoint(source)] + flags
         codes.append(run(f"eval/{name}", argv, f"eval/{name}"))

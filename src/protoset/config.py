@@ -198,14 +198,13 @@ def parse_value(key: str, text: str):
         if not text:
             return ()
         return tuple(_parse_int(key, part) for part in text.split(","))
-    if field.kind == "opt_float":
-        if not text or text.lower() == "none":
-            return None
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"{key} expects a number or none, got {text!r}") from None
-    raise ConfigError(f"{key} has unhandled kind {field.kind!r}")  # pragma: no cover
+    # opt_float, the last kind
+    if not text or text.lower() == "none":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{key} expects a number or none, got {text!r}") from None
 
 
 def _unknown_key_message(key: str) -> str:
@@ -257,18 +256,16 @@ class ResolvedConfig:
     def build(self, owner, **extra):
         """``owner`` from every key it owns plus ``extra`` fields.
 
-        An error the owner raises about one of those keys' fields is re-raised
-        naming the key; one that opens with ``field=value`` has every field
-        it names that way renamed.
+        An error the owner raises names the keys of the fields it names: one
+        that opens with a field has it renamed, and one that names fields as
+        ``field=value`` has each of them renamed.
         """
         keys = {f.attr: k for k, f in SCHEMA.items() if f.owner is owner and f.attr not in extra}
         try:
             return owner(**{attr: self._values[k] for attr, k in keys.items()}, **extra)
         except ConfigError as exc:
             attr, _, rest = str(exc).partition(" ")
-            if attr.partition("=")[0] not in keys:
-                raise
-            if "=" not in attr:
+            if attr in keys:
                 raise ConfigError(f"{keys[attr]} {rest}") from None
             named = re.sub(r"\b(\w+)=", lambda m: f"{keys.get(m[1], m[1])}=", str(exc))
             raise ConfigError(named) from None

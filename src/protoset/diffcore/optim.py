@@ -24,6 +24,8 @@ from ..errors import ConfigError, check_bound
 from .value import Value, zero_grad
 
 OPTIMIZERS = ("adam", "sgd")
+# Adam's moment decays and denominator offset, the textbook values
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class SGD:
@@ -52,25 +54,12 @@ class Adam:
     as if freshly started.
     """
 
-    def __init__(
-        self,
-        params: Iterable[Value],
-        lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Iterable[Value], lr: float = 0.001):
         check_bound("lr", lr, "positive and finite")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        check_bound("eps", eps, "positive and finite")
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ConfigError("Adam got a parameter twice; it keeps one view of each")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self._ends = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         # the moments apart from the parameters, which outlive the optimizer
         self._flat, (self._m, self._v) = np.empty(self._ends[-1]), np.zeros((2, self._ends[-1]))
@@ -100,18 +89,18 @@ class Adam:
         # the gradients and one scratch vector live for the step alone, so they
         # add nothing to the memory that the graph holds during backward
         g = np.concatenate([q.grad.reshape(-1) for q in self.params[first:stop]])
-        s = np.multiply(g, 1.0 - self.beta1)
-        m *= self.beta1
+        s = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += s
         g *= g
-        g *= 1.0 - self.beta2
-        v *= self.beta2
+        g *= 1.0 - BETA2
+        v *= BETA2
         v += g
         # the gradient is spent: g holds the denominator and s the step
-        np.divide(v, 1.0 - self.beta2**t, out=g)
+        np.divide(v, 1.0 - BETA2**t, out=g)
         np.sqrt(g, out=g)
-        g += self.eps
-        np.divide(m, 1.0 - self.beta1**t, out=s)
+        g += EPS
+        np.divide(m, 1.0 - BETA1**t, out=s)
         s *= self.lr
         s /= g
         p -= s

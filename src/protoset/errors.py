@@ -9,7 +9,8 @@ input files, so that bytes that are not UTF-8 become one of them too, and
 NaN or an infinity in them is a NumericalError, not a non-standard token.
 ``check_bound`` is the one check of a value against its declared bound: the
 ``bounded`` fields of the config dataclasses and the config keys that no
-dataclass holds share its words and its messages.
+dataclass holds share its words and its messages; ``check_box`` is the one
+check of a mean box, which the mog and fewshot recipes draw from.
 """
 
 import json
@@ -118,6 +119,18 @@ def check_fields(obj) -> None:
         if "bound" in f.metadata:
             value = check_bound(f.name, getattr(obj, f.name), **f.metadata)
             object.__setattr__(obj, f.name, value)
+
+
+def check_box(obj) -> None:
+    """Refuse the box [``obj.mean_low``, ``obj.mean_high``] of a config dataclass
+    whose bounds are out of order or whose width is no finite float, which
+    numpy's uniform draw cannot take."""
+    low, high = obj.mean_low, obj.mean_high
+    if low > high:
+        raise ConfigError(f"mean_low={low} must not exceed mean_high={high}")
+    if not math.isfinite(high - low):
+        raise ConfigError(f"mean_low={low} and mean_high={high} are further apart than "
+                          f"the largest float")
 
 
 def read_text(path, error: type = ConfigError) -> str:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .diffcore import Value, as_value, no_grad
-from .errors import ConfigError, ShapeError, bounded, check_bound, check_fields
+from .errors import ConfigError, ShapeError, bounded, check_bound, check_box, check_fields
 from .nn import ACTIVATIONS, MLP
 from .ot import SinkhornConfig, floor_simplex_value
 from .ot.cost import build_cost_value
@@ -112,10 +112,7 @@ class FewShotConfig:
             raise ConfigError(
                 f"encoder_widths must end in an embedding size of at least 2, got {self.embed_dim}"
             )
-        if self.mean_low > self.mean_high:
-            raise ConfigError(
-                f"mean_low={self.mean_low} must not exceed mean_high={self.mean_high}"
-            )
+        check_box(self)
         for name in ("n_base_classes", "n_novel_classes"):
             if getattr(self, name) < self.n_way:
                 raise ConfigError(

@@ -98,7 +98,8 @@ def sample_task_params(spec: TaskFamilySpec, rng: np.random.Generator) -> dict:
 
 
 def sample_task_points(params: dict, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, d) i.i.d. draws from the distribution described by ``params``.
+    """(n, d) i.i.d. draws from the distribution described by ``params``, a
+    task that ``sample_task_params`` drew.
 
     A ``gauss1d`` task is read as a ``multi1d`` task of kind ``gauss``.
     """
@@ -112,11 +113,8 @@ def sample_task_points(params: dict, n: int, rng: np.random.Generator) -> np.nda
         pts = rng.exponential(scale=1.0 / params["rate"], size=n)
     elif kind == "gauss":
         pts = params["mean"] + np.sqrt(params["var"]) * rng.standard_normal(n)
-    elif kind == "laplace":
-        # Laplace variance is 2 b^2, so b = sqrt(var / 2)
+    else:  # laplace: its variance is 2 b^2, so b = sqrt(var / 2)
         pts = rng.laplace(params["mean"], np.sqrt(params["var"] / 2.0), size=n)
-    else:
-        raise ConfigError(f"unknown multi1d kind {kind!r}")
     return pts[:, None]
 
 
@@ -342,12 +340,9 @@ def train_metagan(sets: Sequence[SetBatch], model: MetaGan) -> dict:
 
 
 def _as_points(x: np.ndarray) -> np.ndarray:
+    """(n,) samples as (n, 1) points; (n, d) points as they are."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[:, None]
-    if x.ndim != 2:
-        raise ShapeError(f"samples must be (n,) or (n, d), got shape {x.shape}")
-    return x
+    return x[:, None] if x.ndim == 1 else x
 
 
 def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -66,4 +66,6 @@ def digit_sum_loss(prediction: Value, batch: SetBatch) -> Value:
 
 
 def digit_sum_accuracy(prediction: float, label: int) -> float:
-    return 1.0 if int(round(float(prediction))) == int(label) else 0.0
+    """1.0 if ``prediction`` rounds (half to even) to ``label``; a NaN or an
+    infinity rounds to no whole number, so it misses."""
+    return 1.0 if float(np.rint(prediction)) == int(label) else 0.0

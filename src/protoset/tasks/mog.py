@@ -9,12 +9,13 @@ generating parameters are kept only to score the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..diffcore import Value, as_value, no_grad
-from ..errors import ConfigError, ShapeError, bounded, check_fields
+from ..errors import ConfigError, ShapeError, bounded, check_box, check_fields
 from ..summarynet import SetBatch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -36,34 +37,18 @@ class MoGTaskSpec:
         check_fields(self)
         if not 1 <= self.n_min <= self.n_max:
             raise ConfigError(f"n_min must be in [1, n_max={self.n_max}], got {self.n_min}")
-        if self.mean_low > self.mean_high:
-            raise ConfigError(
-                f"mean_low={self.mean_low} must not exceed mean_high={self.mean_high}"
-            )
+        check_box(self)
+        if not 0 < self.sigma * self.sigma < math.inf:  # the variance sigma**2
+            raise ConfigError(f"sigma must square to a positive finite float, got {self.sigma}")
 
 
 @dataclass(frozen=True)
 class MoGParams:
+    """The mixture that ``sample_mog_params`` draws from a checked ``MoGTaskSpec``."""
+
     weights: np.ndarray  # (C,) simplex
     means: np.ndarray  # (C, 2)
     variances: np.ndarray  # (C, 2) positive
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        m = np.asarray(self.means, dtype=np.float64)
-        v = np.asarray(self.variances, dtype=np.float64)
-        if w.ndim != 1 or m.shape != (w.size, 2) or v.shape != (w.size, 2):
-            raise ShapeError(
-                f"inconsistent mixture shapes: weights {w.shape}, means {m.shape}, "
-                f"variances {v.shape}"
-            )
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-8:
-            raise ConfigError("weights must lie on the simplex")
-        if np.any(v <= 0):
-            raise ConfigError("variances must be positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "variances", v)
 
     @property
     def components(self) -> int:
@@ -97,8 +82,6 @@ def gen_mog_corpus(spec: MoGTaskSpec, count: int, seed: int):
     Returns a list of (SetBatch, MoGParams) pairs; the params are the exact
     generating parameters for that set.
     """
-    if count < 1:
-        raise ConfigError("count must be >= 1")
     rng = np.random.default_rng(seed)
     corpus = []
     for i in range(count):

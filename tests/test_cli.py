@@ -147,6 +147,17 @@ def test_ot_bad_marginals_exit_2(tmp_path):
     assert run(["ot", "--cost", str(cost), "--a", "x,y"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("a", ["nan,0.5", "inf,0.5"])
+def test_ot_non_finite_marginal_exits_2_naming_it(a, tmp_path, capsys):
+    # nan passes the positivity and sum checks (every comparison with it is
+    # false), and inf would read as a sum of inf: the finite check names both
+    cost = tmp_path / "c.csv"
+    cost.write_text("0,1\n1,0\n")
+    assert run(["ot", "--cost", str(cost), "--a", a]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: row marginal a contains non-finite entries\n")
+
+
 def test_ot_marginal_sum_is_printed_as_a_plain_float(tmp_path, capsys):
     cost = tmp_path / "c.csv"
     cost.write_text("0,1,2\n1,0,1\n2,1,0\n")

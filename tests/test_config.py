@@ -227,6 +227,8 @@ BOUND_ERRORS = [
      "metagan.metric must be one of ('cosine', 'euclidean', 'sqeuclidean'), got 'bogus'"),
     ("mog.n_max", "7", "mog.n_min must be in [1, n_max=7], got 100"),
     ("mog.mean_low", "5", "mog.mean_low=5.0 must not exceed mog.mean_high=4.0"),
+    ("mog.sigma", "1e300", "mog.sigma must square to a positive finite float, got 1e+300"),
+    ("mog.sigma", "1e-170", "mog.sigma must square to a positive finite float, got 1e-170"),
     ("fewshot.mean_low", "6", "fewshot.mean_low=6.0 must not exceed fewshot.mean_high=5.0"),
     ("fewshot.encoder_widths", "8,1",
      "fewshot.encoder_widths must end in an embedding size of at least 2, got 1"),

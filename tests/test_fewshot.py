@@ -89,6 +89,8 @@ def test_config_validation():
         small_config(bank_size=0)
     with pytest.raises(ConfigError):
         small_config(mean_low=2.0, mean_high=-2.0)
+    with pytest.raises(ConfigError, match="further apart than the largest float"):
+        small_config(mean_low=-1e308, mean_high=1e308)  # a width numpy's uniform refuses
     with pytest.raises(ConfigError):
         small_config(n_novel_classes=2)  # fewer classes than n_way
     with pytest.raises(ConfigError):

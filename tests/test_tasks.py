@@ -67,6 +67,29 @@ def test_single_component_consistency():
         assert abs(params_nll(params, batch.points) - entropy) < 0.25
 
 
+@pytest.mark.parametrize("sigma, ok", [
+    (1e-160, True),  # squares to a subnormal, which is positive
+    (1e-170, False),  # squares to 0
+    (1.3e154, True),
+    (1.4e154, False),  # squares past the largest float
+])
+def test_spec_takes_a_sigma_whose_square_is_a_positive_finite_float(sigma, ok):
+    if ok:
+        variances = gen_mog_corpus(MoGTaskSpec(sigma=sigma), 1, seed=0)[0][1].variances
+        assert np.all(variances == sigma**2) and np.all(np.isfinite(variances))
+    else:
+        with pytest.raises(ConfigError, match="sigma must square to a positive finite float"):
+            MoGTaskSpec(sigma=sigma)
+
+
+def test_spec_refuses_a_mean_box_wider_than_the_largest_float():
+    message = "mean_low=-1e+308 and mean_high=1e+308 are further apart than the largest float"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        MoGTaskSpec(mean_low=-1e308, mean_high=1e308)  # numpy's uniform refuses this box
+    means = gen_mog_corpus(MoGTaskSpec(mean_low=-1e308, mean_high=0.0), 1, seed=0)[0][1].means
+    assert np.all((-1e308 <= means) & (means <= 0.0))  # a width of 1e308 draws
+
+
 def test_corpus_set_sizes_within_range():
     corpus = gen_mog_corpus(MoGTaskSpec(), 50, seed=2)
     sizes = [len(b.points) for b, _ in corpus]
@@ -221,7 +244,7 @@ def test_head_always_valid(c, seed):
     assert abs(weights.sum() - 1.0) < 1e-9
     assert np.all(weights >= 0)
     assert np.all(variances.data > 1e-4 * 0.999)
-    MoGParams(weights, means.data, variances.data)  # passes the mixture's own checks
+    assert means.shape == (c, 2) and variances.shape == (c, 2)
 
 
 def test_nll_matches_scipy_density():
@@ -321,6 +344,9 @@ def test_digit_loss_and_accuracy():
     assert digit_sum_accuracy(7.4, 7) == 1.0
     assert digit_sum_accuracy(7.6, 7) == 0.0
     assert digit_sum_accuracy(6.5, 7) == 0.0  # round-half-even: 6.5 -> 6
+    # a model fed points near the largest float can predict these
+    assert digit_sum_accuracy(float("inf"), 7) == digit_sum_accuracy(float("nan"), 7) == 0.0
+    assert digit_sum_accuracy(2.0**70, 2**70) == 1.0
 
 
 def test_digit_loss_gradient_both_sides():

@@ -30,7 +30,9 @@ from .config import (
     SCHEMA,
     ResolvedConfig,
     config_from_json_dict,
+    key_for,
     read_config_file,
+    reads,
     resolve_config,
     schema_help,
 )
@@ -63,6 +65,7 @@ from .metagan import (
     train_metagan,
 )
 from .ot import Marginals, SinkhornConfig, entropic_objective, sinkhorn, transport_cost
+from .ot.cost import NORM_FLOOR
 from .ot.marginals import uniform_weights
 from .protolearn import (
     PrototypeBank,
@@ -183,6 +186,12 @@ def _mean_over(sets, per_set) -> float:
     return total / len(sets)
 
 
+def _refuse_corpus(corpus, why: str) -> None:
+    """A corpus given where the task reads none, ``why`` not empty, exits 2 before it is opened."""
+    if corpus and why:
+        raise ConfigError(f"{why}; corpus must be empty")
+
+
 def _bank(sets, dim: int, k: int, rng) -> PrototypeBank:
     """Columns sampled from the first sets' points.
 
@@ -205,40 +214,31 @@ class Task:
     """
 
     name: str
-    steps_key = "train.steps"  # the config key that sets how long train runs
-    # shared keys that this task never reads, each with the key that does its
-    # job here or None: given to gen or train, they exit 2
-    unread_keys: dict = {}
     # the keys eval may change beside eval.count and eval.seed: those of the
     # data it draws, and those that the supervised score of any sets reads; the
     # checkpoint fixes the model, and only training reads the rest
     eval_keys: tuple = ()
     score_keys: tuple = ()
-    metric_key = "train.metric"  # the config key of the transport cost's metric
+    no_corpus = ""  # why eval refuses a corpus, if it does
     label_bound = None  # a corpus label must be a whole number in [0, label_bound); None: unread
     gradcheck_shapes: dict  # overrides that shrink model and data for gradcheck
 
     def train_config(self, cfg: ResolvedConfig) -> TrainConfig:
-        return cfg.build(
-            TrainConfig,
-            steps=cfg[self.steps_key],
-            metric=cfg[self.metric_key],
-            sinkhorn=cfg.build(SinkhornConfig),
-            seed=cfg["seed"],
-        )
+        return cfg.build(TrainConfig, steps=cfg[key_for(self.name, "train.steps")],
+                         metric=cfg[key_for(self.name, "train.metric")],
+                         sinkhorn=cfg.build(SinkhornConfig), seed=cfg["seed"])
 
     def refuse_unread(self, given: set, verb: str) -> None:
-        """Exit 2 on the first key of ``given`` that the task never reads.
+        """Exit 2 on the first key of ``given``, in schema order, that the task never reads.
 
-        Those are ``unread_keys`` and every key of another task's section;
-        ``given`` holds the keys of the file, --set and the ``verb`` flags.
+        ``given`` holds the keys of the file, --set and the ``verb`` flags; the
+        error names the key of the task's section that does the key's job, if any.
         """
-        elsewhere = set(TASK_TABLE) - {self.name}
-        others = dict.fromkeys(key for key in SCHEMA if key.partition(".")[0] in elsewhere)
-        for key, instead in {**self.unread_keys, **others}.items():
-            if key in given:
+        for key in SCHEMA:
+            if key in given and not reads(self.name, key):
                 flag = next((f" (or {f})" for f, k in KEY_FLAGS[verb].items() if k == key), "")
-                hint = f"; set {instead}" if instead else ""
+                instead = key_for(self.name, key)
+                hint = f"; set {instead}" if instead != key else ""
                 raise ConfigError(f"{key}{flag} is not read by {self.name}{hint}")
 
     def eval_takes(self, cfg: ResolvedConfig, corpus) -> tuple:
@@ -248,6 +248,7 @@ class Task:
         reads a key: the supervised score its ``score_keys``, the transport
         objective the seed of its subsample.
         """
+        _refuse_corpus(corpus, self.no_corpus)  # before any key it would take
         scored = self.score_keys if cfg["train.mode"] == "supervised" else ("eval.seed",)
         if corpus:
             return scored
@@ -269,18 +270,31 @@ class Task:
                                   f"not a whole number in [0, {self.label_bound})")
         return sets
 
+    def refuse_origin(self, cfg: ResolvedConfig, sets, where: str) -> None:
+        """Exit 2 on a set of ``where`` with a point too near the origin for the cosine
+        cost of the task's metric, before any transport cost is built on ``sets``."""
+        if cfg[key_for(self.name, "train.metric")] != "cosine":
+            return
+        # a squared norm is at least its first term, so one pass clears almost every corpus
+        first = np.concatenate([batch.points[:, :1] for batch in sets])
+        for batch in sets if (first * first < NORM_FLOOR**2).any() else ():
+            if ((batch.points * batch.points).sum(axis=1) < NORM_FLOOR**2).any():  # the cost's test
+                raise ConfigError(f"{where}: set {batch.set_id} has a point of norm below "
+                                  f"{NORM_FLOOR:g}, for which the cosine cost is undefined")
+
     def training_sets(self, cfg: ResolvedConfig, corpus):
         """The sets of the file ``corpus``, or without one, ``count`` sets drawn from the seed."""
         if corpus:
-            return self.read_corpus(corpus)
-        return self.gen(cfg, cfg["count"], cfg["seed"])[0]
+            sets = self.read_corpus(corpus)
+        else:
+            sets = self.gen(cfg, cfg["count"], cfg["seed"])[0]
+        if self.transports(cfg):
+            self.refuse_origin(cfg, sets, corpus or f"the sets drawn from seed {cfg['seed']}")
+        return sets
 
     def gradcheck(self, seed: int):
-        """(path name, loss closure, parameters) per objective the training loop differentiates.
-
-        The model, bank and data are what train builds from the defaults
-        updated with ``gradcheck_shapes``.
-        """
+        """(path name, loss closure, parameters) per objective the training loop differentiates,
+        on the model, bank and data that train builds from the defaults and ``gradcheck_shapes``."""
         overrides = {**self.gradcheck_shapes, "task": self.name, "seed": str(seed)}
         cfg = resolve_config(overrides=overrides)
         sets = self.training_sets(cfg, None)
@@ -300,11 +314,8 @@ class EncoderTask(Task):
 
     def build(self, cfg: ResolvedConfig, sets):
         supervised = cfg["train.mode"] == "supervised"
-        summary_cfg = cfg.build(
-            SummaryNetConfig,
-            input_dim=self.input_dim,
-            output_dim=self.output_dim(cfg) if supervised else None,
-        )
+        summary_cfg = cfg.build(SummaryNetConfig, input_dim=self.input_dim,
+                                output_dim=self.output_dim(cfg) if supervised else None)
         net = SummaryNet(summary_cfg, np.random.default_rng(cfg["seed"]))
         bank = _bank(sets, self.input_dim, cfg["model.k"], np.random.default_rng(cfg["seed"] + 1))
         named = net.named_parameters()
@@ -313,6 +324,10 @@ class EncoderTask(Task):
 
     def loss_fn(self, cfg: ResolvedConfig):  # None: the transport term alone
         return self.task_loss() if cfg["train.mode"] == "supervised" else None
+
+    def transports(self, cfg: ResolvedConfig) -> bool:
+        """Whether training builds the transport cost: a zero lambda_ot leaves it out."""
+        return cfg["train.mode"] == "unsupervised" or cfg["train.lambda_ot"] != 0
 
     def train(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank, sets):
         return train_prototypes(sets, net, bank, self.train_config(cfg), self.loss_fn(cfg))
@@ -331,12 +346,14 @@ class EncoderTask(Task):
         if cfg["train.mode"] == "supervised":
             return self.score(cfg, net, sets)
         # the training objective, on eval sets subsampled as in training
+        sets = sets or self.eval_sets(cfg)
+        self.refuse_origin(cfg, sets, corpus or f"the sets drawn from eval.seed {cfg['eval.seed']}")
         rng, config = np.random.default_rng(cfg["eval.seed"]), self.train_config(cfg)
 
         def transport_loss(batch) -> float:
             return set_objective(batch, net, bank, config, rng=rng)[2]
 
-        return {"mean_transport_loss": _mean_over(sets or self.eval_sets(cfg), transport_loss)}
+        return {"mean_transport_loss": _mean_over(sets, transport_loss)}
 
 
 class MogTask(EncoderTask):
@@ -420,7 +437,6 @@ class PointSetTask(EncoderTask):
     name = "pointset"
     input_dim = 3
     label_bound = len(POINTSET_CLASSES)
-    unread_keys = {"count": "pointset.count_per_class"}
     eval_keys = ("pointset.n_points", "pointset.noise_sigma", "pointset.rotate")
     gradcheck_shapes = {**_ENCODER_SHAPES, "pointset.count_per_class": "1"}
 
@@ -445,30 +461,11 @@ class PointSetTask(EncoderTask):
         return {"accuracy": _mean_over(sets or self.eval_sets(cfg), hit)}
 
 
-# the encoder's batching, metric, mode and shape: fewshot and metagan read their own keys
-_ENCODER_ONLY_KEYS = dict.fromkeys(
-    ("train.batch_sets", "train.batch_points", "train.metric", "train.mode")
-    + tuple(key for key in SCHEMA if key.startswith("model."))
-)
-
-
-def _refuse_corpus(corpus, why: str) -> None:
-    """A corpus given where the task reads none exits 2, before the file is opened."""
-    if corpus:
-        raise ConfigError(f"{why}; corpus must be empty")
-
-
-_EPISODES_FROM_SEED = "fewshot episodes are generated on the fly from the seed"
-
-
 class FewShotTask(Task):
     """Episodes are drawn from the seed, so there is no corpus to write or read."""
 
     name = "fewshot"
-    steps_key = "fewshot.episodes"
-    metric_key = "fewshot.metric"
-    unread_keys = {"train.steps": steps_key, "count": None, **_ENCODER_ONLY_KEYS,
-                   "train.metric": metric_key}
+    no_corpus = "fewshot episodes are generated on the fly from the seed"
     eval_keys = ("fewshot.n_way", "fewshot.k_shot", "fewshot.q_queries", "fewshot.sigma",
                  "fewshot.mean_low", "fewshot.mean_high", "fewshot.n_base", "fewshot.n_novel",
                  "fewshot.class_seed")
@@ -478,10 +475,10 @@ class FewShotTask(Task):
                         "train.lambda_ot": "1"}
 
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
-        raise ConfigError(f"{_EPISODES_FROM_SEED}; there is no corpus to write")
+        raise ConfigError(f"{self.no_corpus}; there is no corpus to write")
 
     def training_sets(self, cfg: ResolvedConfig, corpus):
-        _refuse_corpus(corpus, _EPISODES_FROM_SEED)
+        _refuse_corpus(corpus, self.no_corpus)
 
     def build(self, cfg: ResolvedConfig, sets):
         model = FewShotModel(cfg.build(FewShotConfig), np.random.default_rng(cfg["seed"]))
@@ -489,10 +486,6 @@ class FewShotTask(Task):
 
     def train(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank, sets):
         return train_fewshot(model, self.train_config(cfg))
-
-    def eval_takes(self, cfg: ResolvedConfig, corpus) -> tuple:
-        _refuse_corpus(corpus, _EPISODES_FROM_SEED)  # before any key it would take
-        return super().eval_takes(cfg, corpus)
 
     def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank,
                  corpus) -> dict:
@@ -512,12 +505,7 @@ class FewShotTask(Task):
 
 class MetaGanTask(Task):
     name = "metagan"
-    steps_key = "metagan.iterations"
-    metric_key = "metagan.metric"
-    # the transport step has no task loss to weigh, and the optimizers keep a constant lr
-    unread_keys = {"train.steps": steps_key, "train.lambda_ot": None, "optim.lr_final": None,
-                   **_ENCODER_ONLY_KEYS, "train.metric": metric_key, "model.k": "metagan.k",
-                   "model.encoder_widths": "metagan.summary_widths"}
+    no_corpus = "metagan is scored on tasks generated from eval.seed"
     # the conditional critic and the moment term are off by default and on
     # here, so that their gradients are checked too
     gradcheck_shapes = {"count": "2", "metagan.n_points": "12", "metagan.summary_widths": "8,6",
@@ -529,15 +517,15 @@ class MetaGanTask(Task):
         pairs = gen_task_corpus(cfg.build(TaskFamilySpec), count=count, seed=seed)
         return [s for s, _ in pairs], [p for _, p in pairs]
 
+    def transports(self, cfg: ResolvedConfig) -> bool:
+        return cfg["metagan.use_ot"]
+
     def build(self, cfg: ResolvedConfig, sets):
-        ot = self.train_config(cfg) if cfg["metagan.use_ot"] else None
+        ot = self.train_config(cfg) if self.transports(cfg) else None
         gan_cfg = cfg.build(GanConfig, ot=ot, seed=cfg["seed"], log_every=cfg["train.log_every"])
         spec = cfg.build(TaskFamilySpec)
-        summary_cfg = SummaryNetConfig(
-            input_dim=spec.dim,
-            n_prototypes=cfg["metagan.k"],
-            encoder_widths=cfg["metagan.summary_widths"],
-        )
+        summary_cfg = SummaryNetConfig(input_dim=spec.dim, n_prototypes=cfg["metagan.k"],
+                                       encoder_widths=cfg["metagan.summary_widths"])
         summary = SummaryNet(summary_cfg, np.random.default_rng(cfg["seed"]))
         bank = _bank(sets, spec.dim, cfg["metagan.k"], np.random.default_rng(cfg["seed"] + 2))
         model = MetaGan(spec, gan_cfg, summary, bank, np.random.default_rng(cfg["seed"] + 1))
@@ -545,10 +533,6 @@ class MetaGanTask(Task):
 
     def train(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, sets):
         return train_metagan(sets, model)
-
-    def eval_takes(self, cfg: ResolvedConfig, corpus) -> tuple:
-        _refuse_corpus(corpus, "metagan is scored on tasks generated from eval.seed")
-        return super().eval_takes(cfg, corpus)
 
     def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, corpus) -> dict:
         _, tasks = self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])
@@ -687,10 +671,9 @@ def _parse_weights(text, n: int, name: str) -> np.ndarray:
     if text is None:
         return uniform_weights(n)
     try:
-        values = np.asarray([float(p) for p in text.split(",")], dtype=np.float64)
+        return np.asarray([float(p) for p in text.split(",")], dtype=np.float64)
     except ValueError:
         raise ConfigError(f"--{name} expects comma-separated numbers, got {text!r}") from None
-    return values
 
 
 def _read_cost(path) -> np.ndarray:
@@ -816,8 +799,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help and usage errors
-        code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-        return code
+        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.func(args)
     except ProtosetError as exc:

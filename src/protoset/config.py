@@ -10,7 +10,7 @@ Most keys are a field of a library dataclass, their owner, whose field
 declares the default and the bound beside it; a key with no owner declares
 both in its row.  One function, ``errors.check_bound``, holds every value to
 its bound.  The key set is still listed row by row: it is part of every
-artifact's header.
+artifact's header.  A row also declares which tasks read its key (``reads``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .summarynet import SummaryNetConfig
 from .tasks import DigitSumSpec, MoGTaskSpec, PointSetClassSpec
 
 TASKS = ("mog", "digitsum", "pointset", "fewshot", "metagan")
+# the tasks whose model is a SummaryNet and a data-space bank, read from model.*
+ENCODER_TASKS = ("mog", "digitsum", "pointset")
 TRAIN_MODES = ("supervised", "unsupervised")
 
 _KINDS = {bool: "bool", int: "int", float: "float", str: "str", tuple: "int_list"}
@@ -40,10 +42,12 @@ _KINDS = {bool: "bool", int: "int", float: "float", str: "str", tuple: "int_list
 
 @dataclass(frozen=True)
 class ConfigField:
-    """One schema entry: a key's kind and default, and where its bound lives.
+    """One schema entry: a key's kind and default, where its bound lives, and who reads it.
 
     An owned key is field ``attr`` of dataclass ``owner``, which checks it; a
-    key with no owner is held to ``bound`` (see ``errors.check_bound``).
+    key with no owner is held to ``bound`` (see ``errors.check_bound``).  A
+    shared key is read by ``tasks``, all if empty; a key of a task's section by
+    that task alone, doing for it the job of the shared key ``stands_for``, if any.
     """
 
     kind: str  # int | float | str | bool | int_list | opt_float
@@ -52,29 +56,32 @@ class ConfigField:
     help: str = ""
     owner: Optional[type] = None
     attr: str = ""
+    tasks: tuple = ()
+    stands_for: str = ""
 
 
-def _field(kind, default, bound=None, help=""):
+def _field(kind, default, bound=None, help="", **readers):
     """A key that no library dataclass holds."""
-    return ConfigField(kind, default, bound, help)
+    return ConfigField(kind, default, bound, help, **readers)
 
 
-def _of(owner, attr: str, default=MISSING, help=""):
+def _of(owner, attr: str, default=MISSING, help="", **readers):
     """The key for ``owner.attr``: default from the field, kind from the default."""
     if default is MISSING:
         default = owner.__dataclass_fields__[attr].default
     kind = "opt_float" if default is None else _KINDS[type(default)]
-    return ConfigField(kind, default, help=help, owner=owner, attr=attr)
+    return ConfigField(kind, default, help=help, owner=owner, attr=attr, **readers)
 
 
-# help of the shared train.* keys that fewshot and metagan never read
-_ENCODER_ONLY = "read by mog, digitsum, pointset only"
+_ENCODER = {"tasks": ENCODER_TASKS}
+_NOT_METAGAN = {"tasks": ENCODER_TASKS + ("fewshot",)}
 
 SCHEMA: dict[str, ConfigField] = {
     # run-level
     "task": _field("str", "mog", TASKS, help="which experiment to run"),
     "seed": _field("int", 0, "nonnegative", help="training seed"),
-    "count": _field("int", 1000, "positive", help="sets to generate"),
+    "count": _field("int", 1000, "positive", help="sets to generate",
+                    tasks=("mog", "digitsum", "metagan")),
     "eval.count": _field("int", 0, "nonnegative", help="eval corpus size; 0 picks a task default"),
     "eval.seed": _field("int", 1000, "nonnegative", help="seed for eval data"),
     # entropic solver
@@ -86,24 +93,25 @@ SCHEMA: dict[str, ConfigField] = {
     # optimizer
     "optim.kind": _of(TrainConfig, "optimizer"),
     "optim.lr": _of(TrainConfig, "lr"),
-    "optim.lr_final": _of(TrainConfig, "lr_final"),
+    "optim.lr_final": _of(TrainConfig, "lr_final", **_NOT_METAGAN),  # metagan's lr is constant
     # shared training knobs
-    "train.steps": _of(TrainConfig, "steps", help=_ENCODER_ONLY),
-    "train.batch_sets": _of(TrainConfig, "batch_sets", help=_ENCODER_ONLY),
-    "train.batch_points": _of(TrainConfig, "batch_points", help=_ENCODER_ONLY),
-    "train.metric": _of(TrainConfig, "metric", help=_ENCODER_ONLY),
-    "train.lambda_ot": _of(TrainConfig, "lambda_ot"),
+    "train.steps": _of(TrainConfig, "steps", **_ENCODER),
+    "train.batch_sets": _of(TrainConfig, "batch_sets", **_ENCODER),
+    "train.batch_points": _of(TrainConfig, "batch_points", **_ENCODER),
+    "train.metric": _of(TrainConfig, "metric", **_ENCODER),
+    # metagan's transport step has no task loss to weigh
+    "train.lambda_ot": _of(TrainConfig, "lambda_ot", **_NOT_METAGAN),
     "train.log_every": _of(TrainConfig, "log_every"),
-    "train.mode": _field("str", "supervised", TRAIN_MODES, help=_ENCODER_ONLY),
-    # set encoder (mog, digitsum, pointset)
-    "model.k": _of(SummaryNetConfig, "n_prototypes", default=50, help="number of prototypes"),
-    "model.encoder_widths": _of(SummaryNetConfig, "encoder_widths"),
-    "model.activation": _of(SummaryNetConfig, "activation"),
-    "model.pooling": _of(SummaryNetConfig, "pooling"),
-    "model.head_hidden": _of(SummaryNetConfig, "head_hidden"),
-    "model.predict_hidden": _of(
-        SummaryNetConfig, "predict_hidden", help="empty reuses head_hidden"
-    ),
+    "train.mode": _field("str", "supervised", TRAIN_MODES, **_ENCODER),
+    # set encoder
+    "model.k": _of(SummaryNetConfig, "n_prototypes", default=50, help="number of prototypes",
+                   **_ENCODER),
+    "model.encoder_widths": _of(SummaryNetConfig, "encoder_widths", **_ENCODER),
+    "model.activation": _of(SummaryNetConfig, "activation", **_ENCODER),
+    "model.pooling": _of(SummaryNetConfig, "pooling", **_ENCODER),
+    "model.head_hidden": _of(SummaryNetConfig, "head_hidden", **_ENCODER),
+    "model.predict_hidden": _of(SummaryNetConfig, "predict_hidden",
+                                help="empty reuses head_hidden", **_ENCODER),
     # mixture regression
     "mog.components": _of(MoGTaskSpec, "components"),
     "mog.n_min": _of(MoGTaskSpec, "n_min"),
@@ -120,10 +128,9 @@ SCHEMA: dict[str, ConfigField] = {
     # shape classification
     "pointset.n_points": _of(PointSetClassSpec, "n_points"),
     "pointset.noise_sigma": _of(PointSetClassSpec, "noise_sigma"),
-    "pointset.count_per_class": _of(PointSetClassSpec, "count_per_class"),
+    "pointset.count_per_class": _of(PointSetClassSpec, "count_per_class", stands_for="count"),
     "pointset.rotate": _of(PointSetClassSpec, "rotate"),
-    # episodic classification; fewshot.episodes and metric feed the TrainConfig
-    # fields that train.steps and train.metric own, so they keep literal rows
+    # episodic classification
     "fewshot.n_way": _of(FewShotConfig, "n_way"),
     "fewshot.k_shot": _of(FewShotConfig, "k_shot"),
     "fewshot.q_queries": _of(FewShotConfig, "q_queries"),
@@ -131,7 +138,7 @@ SCHEMA: dict[str, ConfigField] = {
     "fewshot.encoder_widths": _of(FewShotConfig, "encoder_widths"),
     "fewshot.g_hidden": _of(FewShotConfig, "g_hidden", help="empty picks the default head"),
     "fewshot.bank": _of(FewShotConfig, "bank_size"),
-    "fewshot.episodes": _field("int", 10_000, "positive"),
+    "fewshot.episodes": _field("int", 10_000, "positive", stands_for="train.steps"),
     "fewshot.n_base": _of(FewShotConfig, "n_base_classes"),
     "fewshot.n_novel": _of(FewShotConfig, "n_novel_classes"),
     "fewshot.sigma": _of(FewShotConfig, "sigma"),
@@ -139,37 +146,53 @@ SCHEMA: dict[str, ConfigField] = {
     "fewshot.mean_high": _of(FewShotConfig, "mean_high"),
     "fewshot.class_seed": _of(FewShotConfig, "class_seed"),
     "fewshot.activation": _of(FewShotConfig, "activation"),
-    "fewshot.metric": _field("str", "cosine", METRICS),
-    # conditional generation; metagan.k, summary_widths, use_ot and metric feed
-    # shared dataclasses whose defaults differ, so they keep literal rows
+    "fewshot.metric": _field("str", "cosine", METRICS, stands_for="train.metric"),
+    # conditional generation
     "metagan.family": _of(TaskFamilySpec, "family"),
     "metagan.n_points": _of(TaskFamilySpec, "n_points", help="0 picks the family default"),
-    "metagan.k": _field("int", 2, "positive", help="summary dimension"),
-    "metagan.summary_widths": _field("int_list", (64, 64, 64), "widths"),
+    "metagan.k": _field("int", 2, "positive", help="summary dimension", stands_for="model.k"),
+    "metagan.summary_widths": _field("int_list", (64, 64, 64), "widths",
+                                     stands_for="model.encoder_widths"),
     "metagan.noise_dim": _of(GanConfig, "noise_dim"),
     "metagan.generator_widths": _of(GanConfig, "generator_widths"),
     "metagan.critic_widths": _of(GanConfig, "critic_widths"),
     "metagan.conditioning": _of(GanConfig, "conditioning"),
     "metagan.eta_critic": _of(GanConfig, "eta_critic"),
     "metagan.batch": _of(GanConfig, "batch"),
-    "metagan.iterations": _of(GanConfig, "iterations"),
+    "metagan.iterations": _of(GanConfig, "iterations", stands_for="train.steps"),
     "metagan.lr_generator": _of(GanConfig, "lr_generator"),
     "metagan.lr_critic": _of(GanConfig, "lr_critic"),
     "metagan.non_saturating": _of(GanConfig, "non_saturating"),
     "metagan.mse_weight": _of(GanConfig, "mse_weight"),
     "metagan.use_ot": _field("bool", True),
-    "metagan.metric": _field("str", "euclidean", METRICS),
+    "metagan.metric": _field("str", "euclidean", METRICS, stands_for="train.metric"),
 }
+
+
+def reads(task: str, key: str) -> bool:
+    """Whether ``task`` reads ``key``: a section's key only its task, a shared key its ``tasks``."""
+    section = key.partition(".")[0]
+    return section == task if section in TASKS else task in (SCHEMA[key].tasks or TASKS)
+
+
+# (task, shared key) -> the key of the task's section that stands for it
+_STANDS_FOR = {(k.partition(".")[0], f.stands_for): k for k, f in SCHEMA.items() if f.stands_for}
+
+
+def key_for(task: str, key: str) -> str:
+    """The key of ``task``'s section that does shared ``key``'s job, or ``key``."""
+    return _STANDS_FOR.get((task, key), key)
+
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 
-def _parse_int(key: str, text: str) -> int:
+def _parse(kind: type, key: str, text: str, what: str):
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {text!r}") from None
+        raise ConfigError(f"{key} expects {what}, got {text!r}") from None
 
 
 def parse_value(key: str, text: str):
@@ -179,32 +202,22 @@ def parse_value(key: str, text: str):
         raise ConfigError(_unknown_key_message(key))
     text = text.strip()
     if field.kind == "int":
-        return _parse_int(key, text)
+        return _parse(int, key, text, "an integer")
     if field.kind == "float":
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"{key} expects a number, got {text!r}") from None
+        return _parse(float, key, text, "a number")
     if field.kind == "str":
         return text
     if field.kind == "bool":
-        low = text.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"{key} expects true or false, got {text!r}")
+        if text.lower() not in _TRUE | _FALSE:
+            raise ConfigError(f"{key} expects true or false, got {text!r}")
+        return text.lower() in _TRUE
     if field.kind == "int_list":
-        if not text:
-            return ()
-        return tuple(_parse_int(key, part) for part in text.split(","))
+        parts = text.split(",") if text else []
+        return tuple(_parse(int, key, part, "an integer") for part in parts)
     # opt_float, the last kind
     if not text or text.lower() == "none":
         return None
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key} expects a number or none, got {text!r}") from None
+    return _parse(float, key, text, "a number or none")
 
 
 def _unknown_key_message(key: str) -> str:
@@ -215,12 +228,8 @@ def _unknown_key_message(key: str) -> str:
 
 def render_value(value) -> str:
     """Inverse of parse_value, so resolved configs can be written back out."""
-    if value is None:
-        return "none"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
@@ -341,26 +350,32 @@ def _stored_kind_ok(kind: str, value) -> bool:
 def config_from_json_dict(d: dict) -> ResolvedConfig:
     """Rebuild a resolved config from its as_dict form (checkpoints).
 
-    A missing key, or a value of a type as_dict never writes for its key, is a
-    damaged or hand-made file: CheckpointError.
+    A missing or unknown key, a value of a type as_dict never writes for its
+    key, or one the config checks refuse, is a damaged or hand-made file:
+    CheckpointError, naming the stored config.
     """
     values = {}
     for key, value in d.items():
         if key not in SCHEMA:
-            raise ConfigError(_unknown_key_message(key))
+            raise CheckpointError(f"stored config: {_unknown_key_message(key)}")
         if not _stored_kind_ok(SCHEMA[key].kind, value):
             raise CheckpointError(f"stored {key} must be {SCHEMA[key].kind}, got {value!r}")
         values[key] = tuple(value) if isinstance(value, list) else value
     missing = [key for key in SCHEMA if key not in values]
     if missing:
         raise CheckpointError(f"stored config lacks {missing}")
-    return _checked(values)
+    try:
+        return _checked(values)
+    except ConfigError as exc:
+        raise CheckpointError(f"stored config: {exc}") from None
 
 
 def schema_help() -> str:
-    """One line per key for --help output."""
+    """One line per key for --help output, with its help and the tasks that alone read it."""
     lines = []
     for key, field in sorted(SCHEMA.items()):
-        extra = f"  ({field.help})" if field.help else ""
+        readers = f"read by {', '.join(field.tasks)} only" if field.tasks else ""
+        notes = "; ".join(note for note in (field.help, readers) if note)
+        extra = f"  ({notes})" if notes else ""
         lines.append(f"  {key} = {render_value(field.default)}{extra}")
     return "\n".join(lines)

@@ -38,7 +38,7 @@ class ConfigError(ProtosetError, ValueError):
     """A configuration key, value, or combination is invalid."""
 
 
-class DegenerateInputError(ProtosetError, ValueError):
+class DegenerateInputError(DomainError):
     """An input vector is numerically degenerate (e.g. zero norm under cosine cost)."""
 
 

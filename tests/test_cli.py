@@ -558,6 +558,83 @@ def test_corpus_labels_that_are_whole_floats_are_read(task, tmp_path):
                 "--out", str(tmp_path / "ev")]) == 0
 
 
+def _origin_corpus(path, task) -> Path:
+    """Two labelled sets of the task's input dimension; set 1 holds a point at the origin."""
+    dim = 1 if task == "metagan" else cli.TASK_TABLE[task].input_dim
+    lines = [json.dumps({"set_id": i, "label": 1,
+                         "points": [[0.5] * dim, [0.25] * dim, [1.0] * dim] + [[0.0] * dim] * i})
+             for i in (0, 1)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+UNSUP = ["--set", "train.mode=unsupervised"]
+# (verb, task, flags, whether the run builds a cosine transport cost on the corpus)
+ORIGIN_RUNS = {
+    "mog-unsup-1-step": ("train", "mog", UNSUP + MOG_ARGS + ["--steps", "1"], True),
+    "mog-unsup-40-steps": ("train", "mog", UNSUP + MOG_ARGS + ["--steps", "40"], True),
+    "mog-supervised": ("train", "mog", MOG_ARGS + ["--steps", "2"], True),
+    "mog-lambda-0": ("train", "mog", MOG_ARGS + ["--steps", "2", "--lambda-ot", "0"], False),
+    "mog-euclidean": ("train", "mog",
+                      MOG_ARGS + ["--steps", "2", "--set", "train.metric=euclidean"], False),
+    "digitsum-unsup": ("train", "digitsum", UNSUP + DIGIT_ARGS + ["--steps", "2"], True),
+    "metagan-cosine": ("train", "metagan", METAGAN_ARGS + ["--set", "metagan.metric=cosine"],
+                       True),
+    "metagan-no-ot": ("train", "metagan", METAGAN_ARGS + ["--set", "metagan.metric=cosine",
+                                                           "--set", "metagan.use_ot=false"], False),
+    "mog-eval-unsup": ("eval", "mog", UNSUP, True),
+    "mog-eval-supervised": ("eval", "mog", [], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORIGIN_RUNS))
+def test_corpus_point_at_the_origin_under_a_cosine_cost_exits_2(case, tmp_path, capsys):
+    # the cost once refused it at exit 2 naming an index within a subsample,
+    # and only once a step drew that set: a 1-step run exited 0
+    verb, task, flags, refused = ORIGIN_RUNS[case]
+    path = _origin_corpus(tmp_path / "corpus.jsonl", task)
+    out = tmp_path / "out"
+    if verb == "train":
+        argv = ["train", "--task", task] + flags
+    else:
+        assert run(["train", "--task", task, "--steps", "2", "--out", str(tmp_path / "run")]
+                   + flags + MOG_ARGS) == 0
+        argv = ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.2")]
+    capsys.readouterr()
+    code = run(argv + ["--corpus", str(path), "--out", str(out)])
+    if not refused:
+        assert code == 0
+        return
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: {path}: set 1 has a point of norm below 1e-12, "
+                                       "for which the cosine cost is undefined\n")
+    assert not out.exists()
+
+
+def test_drawn_sets_at_the_origin_under_a_cosine_cost_exit_2(tmp_path, capsys):
+    # a mixture whose means and spread are all but zero draws points the cost refuses
+    out = tmp_path / "out"
+    argv = ["train", "--task", "mog", "--steps", "2", "--out", str(out), "--set", "mog.sigma=1e-160",
+            "--set", "mog.mean_low=0", "--set", "mog.mean_high=0"] + MOG_ARGS
+    assert run(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: the sets drawn from seed 0: set 0 has a point of "
+                                       "norm below 1e-12, for which the cosine cost is undefined\n")
+    assert not out.exists()
+
+
+def test_collapsed_embedding_is_a_training_failure_exit_6(tmp_path, capsys):
+    # two relu layers of width 2 map support points to the origin at step 0;
+    # no user input is at fault, so this once wrongly exited 2
+    out = tmp_path / "out"
+    argv = ["train", "--task", "fewshot", "--set", "fewshot.encoder_widths=2,2",
+            "--set", "train.lambda_ot=1", "--set", "fewshot.episodes=20", "--out", str(out)]
+    assert run(argv) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: forward pass failed at step 0: point ")
+    assert "has norm below 1e-12; cosine cost is undefined for it" in err
+    assert not out.exists()
+
+
 def test_train_divergence_exits_6(tmp_path):
     with np.errstate(all="ignore"):
         code = run(["train", "--task", "mog", "--steps", "4", "--out", str(tmp_path / "d"),
@@ -869,6 +946,35 @@ def test_eval_malformed_stored_config_exits_4(case, tmp_path, capsys):
     assert run(["eval", "--checkpoint", str(ck_path)]) == cli.EXIT_BAD_CHECKPOINT
     named = {"wrong-type-stale-hash": "recorded hash", "wrong-type": "model.k"}
     assert named.get(case, "mog.sigma") in capsys.readouterr().err
+
+
+# the stored change under a recomputed hash, and the error
+REFUSED_STORED = {"out-of-bounds": ("model.k", 0, "stored config: model.k must be positive, got 0"),
+                  "unknown-key": ("no.such", 1, "stored config: unknown config key 'no.such'")}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_STORED))
+def test_eval_stored_config_the_checks_refuse_exits_4(case, tmp_path, capsys):
+    # given by the user, either is bad input (exit 2); stored, a corrupt checkpoint
+    key, value, message = REFUSED_STORED[case]
+    _, ck_path = train_task("mog", tmp_path / "run")
+    payload = json.loads(ck_path.read_text())
+    payload["config"][key] = value
+    payload["config_hash"] = config.ResolvedConfig(payload["config"]).config_hash()
+    ck_path.write_text(json.dumps(payload))
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(ck_path), "--out", str(out)]) == cli.EXIT_BAD_CHECKPOINT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_eval_key_the_checks_refuse_exits_2(tmp_path, capsys):
+    _, ck_path = train_task("mog", tmp_path / "run")
+    argv = ["eval", "--checkpoint", str(ck_path), "--out", str(tmp_path / "ev")]
+    assert run(argv + ["--set", "mog.sigma=0"]) == cli.EXIT_CONFIG
+    assert "error: mog.sigma must be" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_eval_version_mismatch_exits_5(tmp_path):
@@ -1333,6 +1439,24 @@ def test_help_exits_zero(capsys):
     assert "gradcheck" in capsys.readouterr().out
 
 
+def test_encoder_tasks_are_the_encoder_entries_of_the_task_table():
+    assert config.ENCODER_TASKS == tuple(name for name, task in cli.TASK_TABLE.items()
+                                         if isinstance(task, cli.EncoderTask))
+
+
+def test_help_names_the_readers_of_every_shared_key_that_some_task_refuses(capsys):
+    assert run(["--help"]) == 0
+    lines = {line.split(" = ")[0].strip(): line
+             for line in capsys.readouterr().out.splitlines() if " = " in line}
+    for key in config.SCHEMA:
+        if key.partition(".")[0] in cli.TASK_TABLE:
+            continue  # a key of a task's section, which that task alone reads
+        readers = [task for task in cli.TASK_TABLE if not _refused(task, key, "train")]
+        marked = f"read by {', '.join(readers)} only" in lines[key]
+        assert marked == (readers != list(cli.TASK_TABLE)), lines[key]
+        assert marked or "read by" not in lines[key]
+
+
 def test_unknown_verb_exits_2(capsys):
     assert run(["explode"]) == cli.EXIT_CONFIG
 
@@ -1384,7 +1508,7 @@ def test_malformed_set_pair_exits_2(tmp_path, capsys):
 
 # -- every key a run accepts is a key it reads: reads recorded, not declared ---------
 
-ENCODER_TASKS = ("mog", "digitsum", "pointset")
+ENCODER_TASKS = config.ENCODER_TASKS
 SHARED_SECTIONS = ("train", "optim", "sinkhorn", "model")
 SHARED_KEYS = [key for key in config.SCHEMA
                if key == "count" or key.partition(".")[0] in SHARED_SECTIONS]

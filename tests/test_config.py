@@ -14,7 +14,7 @@ from protoset.config import (
     resolve_config,
     schema_help,
 )
-from protoset.errors import ConfigError, check_bound
+from protoset.errors import CheckpointError, ConfigError, check_bound
 
 
 # -- defaults ---------------------------------------------------------------------
@@ -125,9 +125,9 @@ def test_owner_bounds_name_the_key_at_resolve(key, text):
     pattern = key.replace(".", r"\.")
     with pytest.raises(ConfigError, match=pattern):
         resolve_config(None, {"task": "pointset", key: text})
-    if key == "fewshot.n_base":
+    if key == "fewshot.n_base":  # stored in a checkpoint, it is a corrupt file
         stored = default_config().as_dict() | {key: int(text)}
-        with pytest.raises(ConfigError, match=pattern):
+        with pytest.raises(CheckpointError, match="stored config: " + pattern):
             config_from_json_dict(stored)
 
 
@@ -344,11 +344,11 @@ def test_as_dict_is_json_ready_and_rebuilds():
 def test_config_from_json_dict_rejects_unknown_and_invalid():
     base = default_config().as_dict()
     base["mystery"] = 1
-    with pytest.raises(ConfigError, match="mystery"):
+    with pytest.raises(CheckpointError, match="stored config: unknown config key 'mystery'"):
         config_from_json_dict(base)
     bad = default_config().as_dict()
     bad["model.k"] = -2
-    with pytest.raises(ConfigError, match=r"model\.k"):
+    with pytest.raises(CheckpointError, match=r"stored config: model\.k must be positive"):
         config_from_json_dict(bad)
 
 

@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from protoset import cli
-from protoset.config import SCHEMA, ResolvedConfig
+from protoset.config import ENCODER_TASKS, SCHEMA, ResolvedConfig, reads
 
 ALLOWED = {0, 2, 3, 4, 5, 6}
 
@@ -59,7 +59,6 @@ TINY = {
                 "sinkhorn.unroll_iters": "4"},
 }
 GEN_TASKS = ("mog", "digitsum", "pointset", "metagan")
-ENCODER_TASKS = ("mog", "digitsum", "pointset")
 
 
 def _sets(pairs) -> list:
@@ -160,11 +159,8 @@ def value_text(key: str):
 
 
 def _read_keys(task) -> list:
-    """The keys that ``task`` reads: the shared ones it does not refuse and its section's."""
-    elsewhere = set(cli.TASK_TABLE) - {task}
-    return [key for key in SCHEMA
-            if key.partition(".")[0] not in elsewhere
-            and key not in cli.TASK_TABLE[task].unread_keys]
+    """The keys that ``task`` reads, as the schema declares them."""
+    return [key for key in SCHEMA if reads(task, key)]
 
 
 ANY_KEY = st.sampled_from(sorted(SCHEMA) + ["out", "corpus", "mog.sgima", "", "=", "a b"])
@@ -405,6 +401,7 @@ def _rows_line(rows, set_id=0, label=None):
 @example(("mog", "train", None, [_rows_line([[True, "2.5"]])]))
 @example(("mog", "train", None, [_rows_line([[1e308, -1e308], [0.0, 1.0]])]))
 @example(("mog", "train", None, [_rows_line([[10**400, 0.0]])]))
+@example(("mog", "train", None, [_rows_line([[], []])]))
 @example(("digitsum", "eval --seed 4", None, [_rows_line([[0.0] * 10], label=3)]))
 @example(("digitsum", "eval", None, [_rows_line([[1.7847861270960808e308] + [0.0] * 9], label=0)]))
 @example(("pointset", "train", None, [_rows_line([[0.0, 1.0, 2.0]], label=8)]))
@@ -544,6 +541,8 @@ def _mutated(text: str, mutation) -> bytes:
 @example("mog", ("top", "format_version", 3))
 @example("mog", ("config", "mog.sigma", 1e300, True))
 @example("mog", ("config", "model.k", 4, True))
+@example("mog", ("config", "model.k", 0, True))
+@example("mog", ("config", "no.such", 1, True))
 @example("fewshot", ("config", "fewshot.mean_high", 1e308, True))
 @example("digitsum", ("param", 0, "shape", [True, 2]))
 @example("metagan", ("bytes", 10, b"\xff"))

@@ -9,6 +9,8 @@ and so is ``protoset ot`` on a small cost CSV written under ``--dir``: solved
 to convergence, stopped at ``--max-iters 3`` in the solver's plain warm-up,
 and stopped at ``--max-iters 30`` while it over-relaxes.  One fewshot eval
 runs past two blocks of episodes, so that block boundaries are compared.
+One train run reads its keys from a ``--config`` file, the flags of
+``train/mog``, and must write the same artifacts; the capture exits 1 if not.
 Two runs of the same program in different directories must print the same
 lines (the README's byte-identical-rerun contract); a refactor that claims
 to keep behaviour can diff its output against the parent commit's.
@@ -125,6 +127,9 @@ CORPUS_EVALS = {
 # fewshot eval scores episodes in blocks of fewshot.EVAL_BLOCK = 4; 11 episodes
 # are two full blocks and a partial one (a literal, so older src runs it too)
 BLOCK_EVALS = {"fewshot-count11": ("fewshot", ["--count", "11"])}
+# train/mog's flags (BASE["mog"] and --steps 5) as the lines of config/mog.cfg
+MOG_CONFIG = "task = mog\nseed = 3\ntrain.steps = 5\n" + "".join(
+    pair.replace("=", " = ", 1) + "\n" for pair in MOG[1::2])
 
 
 def _sha(data: bytes) -> str:
@@ -144,6 +149,12 @@ def run(name: str, argv: list, out: str | None = None) -> int:
     if code != 0:
         print(f"{name} exited {code}", file=sys.stderr)
     return code
+
+
+def artifacts(out: str) -> dict:
+    """{name under ``out``: sha256} of the files a run wrote."""
+    return {p.relative_to(out).as_posix(): _sha(p.read_bytes())
+            for p in sorted(Path(out).rglob("*")) if p.is_file()}
 
 
 def checkpoint(run_name: str) -> str:
@@ -178,6 +189,14 @@ def main(argv=None) -> int:
     cost.write_text(OT_COST)
     for name, flags in OT_RUNS.items():
         codes.append(run(f"ot/{name}", ["ot", "--cost", cost.as_posix()] + flags, f"ot/{name}"))
+    config = Path("config", "mog.cfg")
+    config.parent.mkdir()
+    config.write_text(MOG_CONFIG)
+    codes.append(run("train/mog-config", ["train", "--config", config.as_posix()],
+                     "train/mog-config"))
+    if artifacts("train/mog-config") != artifacts("train/mog"):
+        print("train/mog-config wrote other artifacts than train/mog", file=sys.stderr)
+        codes.append(1)
     return 1 if any(codes) else 0
 
 

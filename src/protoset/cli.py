@@ -224,9 +224,10 @@ class Task:
     gradcheck_shapes: dict  # overrides that shrink model and data for gradcheck
 
     def train_config(self, cfg: ResolvedConfig) -> TrainConfig:
-        return cfg.build(TrainConfig, steps=cfg[key_for(self.name, "train.steps")],
-                         metric=cfg[key_for(self.name, "train.metric")],
-                         sinkhorn=cfg.build(SinkhornConfig), seed=cfg["seed"])
+        """The knobs of the keys the task reads; one it never reads keeps its default."""
+        knobs = {f.attr: cfg[key_for(self.name, k)] for k, f in SCHEMA.items()
+                 if f.owner is TrainConfig and reads(self.name, key_for(self.name, k))}
+        return TrainConfig(**knobs, sinkhorn=cfg.build(SinkhornConfig), seed=cfg["seed"])
 
     def refuse_unread(self, given: set, verb: str) -> None:
         """Exit 2 on the first key of ``given``, in schema order, that the task never reads.
@@ -287,7 +288,7 @@ class Task:
         if corpus:
             sets = self.read_corpus(corpus)
         else:
-            sets = self.gen(cfg, cfg["count"], cfg["seed"])[0]
+            sets = self.gen(cfg, cfg[key_for(self.name, "count")], cfg["seed"])[0]
         if self.transports(cfg):
             self.refuse_origin(cfg, sets, corpus or f"the sets drawn from seed {cfg['seed']}")
         return sets
@@ -447,11 +448,10 @@ class PointSetTask(EncoderTask):
         return xent_loss
 
     def gen(self, cfg: ResolvedConfig, count: int, seed: int):
-        return gen_pointset_corpus(cfg.build(PointSetClassSpec), seed), None
+        return gen_pointset_corpus(cfg.build(PointSetClassSpec, count_per_class=count), seed), None
 
     def eval_sets(self, cfg: ResolvedConfig):
-        spec = cfg.build(PointSetClassSpec, count_per_class=cfg["eval.count"] or 20)
-        return gen_pointset_corpus(spec, cfg["eval.seed"])
+        return self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])[0]
 
     def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
         def hit(batch) -> float:
@@ -462,7 +462,7 @@ class PointSetTask(EncoderTask):
 
 
 class FewShotTask(Task):
-    """Episodes are drawn from the seed, so there is no corpus to write or read."""
+    """The episodes are drawn from the seed, so there is no corpus to write or read."""
 
     name = "fewshot"
     no_corpus = "fewshot episodes are generated on the fly from the seed"
@@ -489,9 +489,7 @@ class FewShotTask(Task):
 
     def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank,
                  corpus) -> dict:
-        count = cfg["eval.count"] or 1000
-        episodes = gen_episodes(model.config, "novel", seed=cfg["eval.seed"], count=count)
-        return eval_fewshot(model, episodes)
+        return eval_fewshot(model, seed=cfg["eval.seed"], count=cfg["eval.count"] or 1000)
 
     def objectives(self, cfg: ResolvedConfig, model: FewShotModel, bank, named, sets):
         episode = next(gen_episodes(model.config, "base", seed=cfg["seed"], count=1))
@@ -573,7 +571,7 @@ def cmd_gen(args) -> int:
     task = cfg["task"]
     TASK_TABLE[task].refuse_unread(given, "gen")
     out = _out_dir(args.out)
-    sets, truths = TASK_TABLE[task].gen(cfg, cfg["count"], cfg["seed"])
+    sets, truths = TASK_TABLE[task].gen(cfg, cfg[key_for(task, "count")], cfg["seed"])
     path = out / "corpus.jsonl"
     meta = {"task": task, "seed": cfg["seed"], "config": cfg.as_dict()}
     save_corpus(path, sets, meta=meta, truths=truths)

@@ -10,20 +10,21 @@ k_shot points against the bank, so they are built as one stack: one cost
 over all embedded support points, one floored softmax of the head rows and
 one transport node, whose (n_way,) losses are averaged.  Classification
 always uses the prototypes alone; the transport term only shapes the
-embedding.  The class means and the distances take any leading axes, so
-evaluation scores a block of episodes with the formulas training uses.
+embedding.  An episode is the array it is drawn as, class-blocked, so its
+query labels follow from the layout, and evaluation embeds and scores a
+block of drawn episodes at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .diffcore import Value, as_value, no_grad
-from .errors import ConfigError, ShapeError, bounded, check_bound, check_box, check_fields
+from .errors import ConfigError, bounded, check_bound, check_box, check_fields
 from .nn import ACTIVATIONS, MLP
 from .ot import SinkhornConfig, floor_simplex_value
 from .ot.cost import build_cost_value
@@ -37,56 +38,18 @@ EVAL_BLOCK = 4
 
 
 @dataclass(frozen=True)
-class Episode:
-    """One task: class-blocked support points plus labeled query points."""
-
-    support: np.ndarray  # (n_way, k_shot, dim)
-    query: np.ndarray  # (n_queries, dim)
-    query_labels: np.ndarray  # (n_queries,) ints in [0, n_way)
-    class_ids: np.ndarray  # (n_way,) indices into the generator's class pool
-
-    def __post_init__(self):
-        if self.support.ndim != 3:
-            raise ShapeError(f"support must be (n_way, k_shot, dim), got {self.support.shape}")
-        w = self.support.shape[0]
-        if self.query.ndim != 2 or self.query.shape[1] != self.support.shape[2]:
-            raise ShapeError(
-                f"query shape {self.query.shape} does not match support {self.support.shape}"
-            )
-        if self.query_labels.shape != (self.query.shape[0],):
-            raise ShapeError("one label per query point required")
-        counts = np.bincount(self.query_labels, minlength=w)
-        if counts.size != w or not np.all(counts == counts[0]) or counts[0] == 0:
-            raise ShapeError(
-                f"every class needs the same positive query count, got {counts.tolist()}"
-            )
-        if self.class_ids.shape != (w,):
-            raise ShapeError(f"need one class id per way, got shape {self.class_ids.shape}")
-
-    @property
-    def n_way(self) -> int:
-        return self.support.shape[0]
-
-    @property
-    def k_shot(self) -> int:
-        return self.support.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.support.shape[2]
-
-
-@dataclass(frozen=True)
 class FewShotConfig:
-    """Episode shape, episode recipe and model shape; the training knobs are a ``TrainConfig``.
+    """The episode shape and recipe and the model shape; the training knobs are a ``TrainConfig``.
 
-    An episode holds ``n_way`` classes of ``k_shot`` support and ``q_queries``
-    query points in R^dim.  ``encoder_widths`` lists the embedding MLP's hidden
+    An episode is one array of shape (n_way, k_shot + q_queries, dim): class
+    j's ``k_shot`` support points are ``[j, :k_shot]`` and its ``q_queries``
+    query points ``[j, k_shot:]``, so the labels of the class-blocked queries
+    are ``query_labels``.  ``encoder_widths`` lists the embedding MLP's hidden
     widths with the embedding size M last.  ``g_hidden`` shapes the simplex
     head between M and the bank size; empty picks M // 2.  Class means for the
     synthetic generator are drawn once per class from U[mean_low, mean_high]^dim
-    with unit-variance points around them; base and novel pools never share a
-    class.
+    with points of standard deviation ``sigma`` around them; base and novel
+    pools never share a class.
     """
 
     n_way: int = bounded("positive", 5)
@@ -129,6 +92,11 @@ class FewShotConfig:
             return self.g_hidden
         return (max(self.embed_dim // 2, 2),)
 
+    @cached_property
+    def query_labels(self) -> np.ndarray:
+        """The class of each of an episode's queries, class-blocked: (n_way * q_queries,)."""
+        return np.repeat(np.arange(self.n_way), self.q_queries)
+
 
 class FewShotModel:
     """Embedding network, simplex head over the bank, and the bank itself."""
@@ -165,38 +133,43 @@ def class_mean_pools(config: FewShotConfig) -> tuple[np.ndarray, np.ndarray]:
     return means[: config.n_base_classes], means[config.n_base_classes :]
 
 
+def _draw(rng: np.random.Generator, pool: np.ndarray, sigma: float, out: np.ndarray):
+    """Fill ``out``, (B, n_way, k_shot + q_queries, dim), with the stream's next B episodes.
+
+    Each episode draws its class ids and then the normals of all its points, so
+    a block holds the episodes that one draw each would.
+    """
+    ids = np.empty(out.shape[:2], dtype=np.intp)
+    for i in range(len(out)):
+        ids[i] = rng.choice(len(pool), size=out.shape[1], replace=False)
+        rng.standard_normal(out=out[i])
+    out *= sigma
+    out += pool[ids][:, :, None, :]
+    return out
+
+
 def gen_episodes(
     config: FewShotConfig,
     split: str,
     seed: int,
-    count: Optional[int] = None,
-) -> Iterator[Episode]:
-    """Deterministic episode stream over one class pool (endless when count is None)."""
+    count: int,
+) -> Iterator[np.ndarray]:
+    """Deterministic stream of ``count`` episodes over one class pool."""
     check_bound("split", split, SPLITS)
-    base, novel = class_mean_pools(config)
-    pool = base if split == "base" else novel
-    w, k, q, d = config.n_way, config.k_shot, config.q_queries, config.dim
-    rng = np.random.default_rng(seed)
-    produced = 0
-    while count is None or produced < count:
-        ids = rng.choice(pool.shape[0], size=w, replace=False)
-        # one draw fills the classes in turn, as one draw per class would
-        pts = pool[ids][:, None, :] + config.sigma * rng.standard_normal(size=(w, k + q, d))
-        labels = np.repeat(np.arange(w), q)
-        yield Episode(pts[:, :k], pts[:, k:].reshape(w * q, d), labels, ids)
-        produced += 1
+    pool, rng = class_mean_pools(config)[SPLITS.index(split)], np.random.default_rng(seed)
+    shape = (1, config.n_way, config.k_shot + config.q_queries, config.dim)
+    for _ in range(count):
+        yield _draw(rng, pool, config.sigma, np.empty(shape))[0]
 
 
-def support_embeddings(embed: Callable[[np.ndarray], Value], episode: Episode) -> Value:
-    """Embedded support points, class-blocked rows: (n_way * k_shot, M)."""
-    flat = episode.support.reshape(episode.n_way * episode.k_shot, episode.dim)
-    return embed(flat)
+def support_embeddings(embed: Callable[[np.ndarray], Value], support: np.ndarray) -> Value:
+    """Embedded support points, (n_way, k_shot, dim) -> class-blocked rows (n_way * k_shot, M)."""
+    return embed(support.reshape(-1, support.shape[-1]))
 
 
 def _means_per_class(embedded: Value, n_way: int) -> Value:
-    """Class means of class-blocked rows: (..., n_way * k_shot, M) -> (..., n_way, M)."""
-    *lead, rows, m = embedded.shape
-    return embedded.reshape(*lead, n_way, rows // n_way, m).mean(axis=-2)
+    """Class means of class-blocked rows: (n_way * k_shot, M) -> (n_way, M)."""
+    return embedded.reshape(n_way, -1, embedded.shape[-1]).mean(axis=1)
 
 
 def _logits(queries: Value, prototypes: Value) -> Value:
@@ -207,10 +180,11 @@ def _logits(queries: Value, prototypes: Value) -> Value:
 
 
 def query_logits(
-    embed: Callable[[np.ndarray], Value], episode: Episode, prototypes: Value
+    embed: Callable[[np.ndarray], Value], queries: np.ndarray, prototypes: Value
 ) -> Value:
-    """logit(q, j) = -||f(x_q) - c_j||^2, shape (n_queries, n_way)."""
-    return _logits(embed(episode.query), prototypes)
+    """logit(q, j) = -||f(x_q) - c_j||^2 of (n_way, q_queries, dim) queries, class-blocked:
+    (n_way * q_queries, n_way)."""
+    return _logits(embed(queries.reshape(-1, queries.shape[-1])), prototypes)
 
 
 def protonet_loss(logits: Value, labels: np.ndarray) -> Value:
@@ -249,16 +223,18 @@ def _class_transport(
 
 
 def episode_objective(
-    model: FewShotModel, episode: Episode, config: TrainConfig
+    model: FewShotModel, episode: np.ndarray, config: TrainConfig
 ) -> tuple[Value, float, Optional[float]]:
     """Training loss for one episode: (loss, task value, ot value).
 
     Embeddings and prototypes are computed once and shared between the
     classification loss and the transport term, which joins at lambda_ot > 0.
     """
-    embedded = support_embeddings(model.embed, episode)
-    prototypes = _means_per_class(embedded, episode.n_way)
-    task = protonet_loss(query_logits(model.embed, episode, prototypes), episode.query_labels)
+    k = model.config.k_shot
+    embedded = support_embeddings(model.embed, episode[:, :k])
+    prototypes = _means_per_class(embedded, len(episode))
+    logits = query_logits(model.embed, episode[:, k:], prototypes)
+    task = protonet_loss(logits, model.config.query_labels)
     lam = 0.0 if config.lambda_ot is None else float(config.lambda_ot)
     if lam > 0:
         ot = _class_transport(
@@ -280,7 +256,7 @@ def train_fewshot(model: FewShotModel, config: TrainConfig) -> dict:
     if lam > 0:
         params = params + model.simplex_head.parameters() + [model.bank.matrix]
     guard_rng = np.random.default_rng(config.seed + 1)  # drawn from only on column collapse
-    stream = gen_episodes(model.config, "base", seed=config.seed)
+    stream = gen_episodes(model.config, "base", seed=config.seed, count=config.steps)
 
     def objective():
         return episode_objective(model, next(stream), config)
@@ -288,37 +264,32 @@ def train_fewshot(model: FewShotModel, config: TrainConfig) -> dict:
     return fit_objective(config, params, objective, model.bank, guard_rng, "episode")
 
 
-def eval_fewshot(model: FewShotModel, episodes: Iterable[Episode]) -> dict:
-    """Mean query accuracy with a 95% normal interval, JSON-ready.
+def eval_fewshot(model: FewShotModel, seed: int, count: int) -> dict:
+    """Mean query accuracy over ``count`` novel-class episodes of ``seed``, with a 95% normal
+    interval, JSON-ready.
 
-    Episodes, all of the first one's shape, are scored in blocks of
-    EVAL_BLOCK: one embedding pass over the block's support and query rows,
-    then class means and distances over a leading block axis.  A row of a
-    matrix product with more than one row is bit for bit the row that a
-    smaller product gives (the tests check this against the per-episode
-    loop), and the means and distances reduce the axes one episode's do, so
-    every accuracy is the per-episode one.  Alone, an episode embeds a single
-    row only at n_way = 1, where every query is right.
+    The episodes of ``gen_episodes(model.config, "novel", seed, count)`` are
+    drawn EVAL_BLOCK at a time into one (EVAL_BLOCK, n_way, k_shot + q_queries,
+    dim) array, embedded in one pass over its rows as drawn and scored with the
+    class means and distances that training uses, over a leading block axis.
+    A row of a matrix product with more than one row is bit for bit the row
+    that a smaller product gives (the tests check this against the
+    per-episode loop), and the means and distances reduce the axes one
+    episode's do, so every accuracy is the per-episode one.
     """
-    stream, accuracies, shapes = iter(episodes), [], None
+    check_bound("count", count, "positive")
+    c = model.config
+    pool, rng = class_mean_pools(c)[1], np.random.default_rng(seed)
+    buf = np.empty((EVAL_BLOCK, c.n_way, c.k_shot + c.q_queries, c.dim))
+    accuracies = []
     with no_grad():
-        while block := list(islice(stream, EVAL_BLOCK)):
-            for i, ep in enumerate(block, EVAL_BLOCK * len(accuracies)):
-                shapes = shapes or (ep.support.shape, ep.query.shape)
-                if (ep.support.shape, ep.query.shape) != shapes:
-                    raise ShapeError(
-                        f"episode {i} has support {ep.support.shape} and query {ep.query.shape}, "
-                        f"episode 0 support {shapes[0]} and query {shapes[1]}"
-                    )
-            b, (w, k, d) = len(block), shapes[0]
-            points = [ep.support.reshape(w * k, d) for ep in block] + [ep.query for ep in block]
-            embedded = model.embed(np.concatenate(points))
-            support = embedded[: b * w * k].reshape(b, w * k, -1)
-            queries = embedded[b * w * k :].reshape(b, -1, support.shape[-1])
-            logits = _logits(queries, _means_per_class(support, w))
-            accuracies.append(query_accuracy(logits, np.stack([ep.query_labels for ep in block])))
-    if not accuracies:
-        raise ConfigError("no episodes to evaluate")
+        for start in range(0, count, EVAL_BLOCK):
+            block = _draw(rng, pool, c.sigma, buf[: count - start])
+            b, w, n, d = block.shape
+            embedded = model.embed(block.reshape(b * w * n, d)).reshape(b, w, n, -1)
+            queries = embedded[:, :, c.k_shot :].reshape(b, w * c.q_queries, -1)
+            logits = _logits(queries, embedded[:, :, : c.k_shot].mean(axis=2))
+            accuracies.append(query_accuracy(logits, c.query_labels))
     arr = np.concatenate(accuracies)
     ci95 = 1.96 * arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
     return {

@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from ..arraycodec import decode_array, encode_array
-from ..errors import ConfigError, NumericalError, read_text, strict_json
+from ..errors import ConfigError, NumericalError, ShapeError, read_text, strict_json
 from ..summarynet import SetBatch
 
 
@@ -31,7 +31,7 @@ def save_corpus(path, sets, meta: dict | None = None, truths=None) -> None:
     """
     path = Path(path)
     if truths is not None and len(truths) != len(sets):
-        raise ValueError("truths must align with sets one to one")
+        raise ShapeError(f"need one truth per set, got {len(truths)} for {len(sets)} sets")
     head = "" if meta is None else strict_json({"meta": meta}, "the corpus meta") + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     try:

@@ -1604,6 +1604,12 @@ def _refused(task: str, key: str, verb: str) -> bool:
     return False
 
 
+def test_no_run_reads_a_key_its_task_refuses(key_reads):
+    refused_reads = {(verb, task, key) for (verb, task, _, _), keys in key_reads.items()
+                     for key in keys if _refused(task, key, verb)}
+    assert refused_reads == set()
+
+
 @pytest.mark.parametrize("path", RUN_PATHS, ids=[_path_id(p) for p in RUN_PATHS])
 def test_eval_reads_every_key_it_takes(key_reads, path):
     task, mode, corpus = path

@@ -211,6 +211,14 @@ def test_save_corpus_refuses_a_non_finite_meta(tmp_path):
     assert not path.exists()
 
 
+def test_save_corpus_refuses_misaligned_truths_with_a_shape_error(tmp_path):
+    path = tmp_path / "c.jsonl"
+    sets = [SetBatch(np.zeros((2, 1)), set_id=i) for i in range(2)]
+    with pytest.raises(ShapeError, match="need one truth per set, got 1 for 2 sets"):
+        save_corpus(path, sets, truths=[{}])
+    assert not path.exists()
+
+
 def test_corpus_rejects_pointless_record(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"set_id": 0, "label": 1}\n')

@@ -7,10 +7,12 @@ it exits 1 if any verb exited nonzero.  ``protoset --help`` is captured too,
 so the rendered config schema (every key, default and help) is compared,
 and so is ``protoset ot`` on a small cost CSV written under ``--dir``: solved
 to convergence, stopped at ``--max-iters 3`` in the solver's plain warm-up,
-and stopped at ``--max-iters 30`` while it over-relaxes.  One fewshot eval
-runs past two blocks of episodes, so that block boundaries are compared.
-One train run reads its keys from a ``--config`` file, the flags of
-``train/mog``, and must write the same artifacts; the capture exits 1 if not.
+and stopped at ``--max-iters 30`` while it over-relaxes.  Two fewshot evals
+run past two blocks of episodes, so that block boundaries are compared, one
+of them at sigma 3, where accuracies vary enough that a mis-scored episode
+moves the metrics.  One train run reads its keys from a ``--config`` file,
+the flags of ``train/mog``, and must write the same artifacts; the capture
+exits 1 if not.
 Two runs of the same program in different directories must print the same
 lines (the README's byte-identical-rerun contract); a refactor that claims
 to keep behaviour can diff its output against the parent commit's.
@@ -125,8 +127,10 @@ CORPUS_EVALS = {
     "pointset-on-corpus": ("pointset", ["--corpus", "gen/pointset/corpus.jsonl"]),
 }
 # fewshot eval scores episodes in blocks of fewshot.EVAL_BLOCK = 4; 11 episodes
-# are two full blocks and a partial one (a literal, so older src runs it too)
-BLOCK_EVALS = {"fewshot-count11": ("fewshot", ["--count", "11"])}
+# are two full blocks and a partial one; at fewshot.sigma=3 the mean accuracy is
+# about 0.67, so a mis-scored episode shows (literals, so older src runs them too)
+BLOCK_EVALS = {"fewshot-count11": ("fewshot", ["--count", "11"]),
+               "fewshot-sigma3-count11": ("fewshot", ["--count", "11", "--set", "fewshot.sigma=3"])}
 # train/mog's flags (BASE["mog"] and --steps 5) as the lines of config/mog.cfg
 MOG_CONFIG = "task = mog\nseed = 3\ntrain.steps = 5\n" + "".join(
     pair.replace("=", " = ", 1) + "\n" for pair in MOG[1::2])

@@ -37,8 +37,6 @@ class Checkpoint:
 
 def save_checkpoint(path, params: dict, step: int, config: dict, config_hash: str) -> None:
     """Write a checkpoint; parameter values may be arrays or Value nodes."""
-    if step < 0:
-        raise CheckpointError(f"step must be nonnegative, got {step}")
     arrays = {}
     for name, p in params.items():
         arrays[name] = encode_array(p.data if isinstance(p, Value) else p, f"parameter {name!r}")

@@ -255,11 +255,16 @@ class Task:
             return scored
         return tuple(dict.fromkeys(("eval.count", "eval.seed") + self.eval_keys + scored))
 
-    def read_corpus(self, path):
-        """The sets of the corpus at ``path``; no sets, or a label the task cannot read, exit 2."""
+    def read_corpus(self, cfg: ResolvedConfig, path):
+        """The sets of the corpus at ``path``; no sets, points of another dimension
+        than the task reads, or a label the task cannot read, exit 2."""
         sets = load_corpus(path)
         if not sets:
             raise ConfigError(f"corpus {path!r} holds no sets")
+        dim = self.point_dim(cfg)
+        if sets[0].dim != dim:  # load_corpus gives every set the first set's dimension
+            raise ConfigError(f"corpus {path!r} holds {sets[0].dim}-D points, but "
+                              f"{self.name} reads {dim}-D points")
         for batch in sets if self.label_bound else ():
             label = batch.label
             try:  # None or a string fails float() or the comparison, a huge int float()
@@ -286,7 +291,7 @@ class Task:
     def training_sets(self, cfg: ResolvedConfig, corpus):
         """The sets of the file ``corpus``, or without one, ``count`` sets drawn from the seed."""
         if corpus:
-            sets = self.read_corpus(corpus)
+            sets = self.read_corpus(cfg, corpus)
         else:
             sets = self.gen(cfg, cfg[key_for(self.name, "count")], cfg["seed"])[0]
         if self.transports(cfg):
@@ -312,6 +317,9 @@ class EncoderTask(Task):
 
     input_dim: int
     gradcheck_shapes = _ENCODER_SHAPES
+
+    def point_dim(self, cfg: ResolvedConfig) -> int:
+        return self.input_dim
 
     def build(self, cfg: ResolvedConfig, sets):
         supervised = cfg["train.mode"] == "supervised"
@@ -342,8 +350,8 @@ class EncoderTask(Task):
 
         return [(f"{self.name}-combined", combined, list(named.values()))]
 
-    def evaluate(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank, corpus) -> dict:
-        sets = self.read_corpus(corpus) if corpus else None  # None: the task's own eval data
+    def evaluate(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank, sets,
+                 corpus) -> dict:  # sets: those of the file corpus; None: the task's own eval data
         if cfg["train.mode"] == "supervised":
             return self.score(cfg, net, sets)
         # the training objective, on eval sets subsampled as in training
@@ -487,7 +495,7 @@ class FewShotTask(Task):
     def train(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank, sets):
         return train_fewshot(model, self.train_config(cfg))
 
-    def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank,
+    def evaluate(self, cfg: ResolvedConfig, model: FewShotModel, bank: PrototypeBank, sets,
                  corpus) -> dict:
         return eval_fewshot(model, seed=cfg["eval.seed"], count=cfg["eval.count"] or 1000)
 
@@ -515,6 +523,9 @@ class MetaGanTask(Task):
         pairs = gen_task_corpus(cfg.build(TaskFamilySpec), count=count, seed=seed)
         return [s for s, _ in pairs], [p for _, p in pairs]
 
+    def point_dim(self, cfg: ResolvedConfig) -> int:
+        return cfg.build(TaskFamilySpec).dim
+
     def transports(self, cfg: ResolvedConfig) -> bool:
         return cfg["metagan.use_ot"]
 
@@ -532,7 +543,8 @@ class MetaGanTask(Task):
     def train(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, sets):
         return train_metagan(sets, model)
 
-    def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, corpus) -> dict:
+    def evaluate(self, cfg: ResolvedConfig, model: MetaGan, bank: PrototypeBank, sets,
+                 corpus) -> dict:
         _, tasks = self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])
         return eval_generative(model, tasks, seed=cfg["eval.seed"])
 
@@ -641,9 +653,10 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"eval of {task} cannot change {key}, which the checkpoint fixes "
                               f"or eval never reads; it takes {', '.join(takes) or 'no key'}")
     out = _out_dir(args.out)
+    sets = entry.read_corpus(cfg, args.corpus) if args.corpus else None  # before any model
     net, bank, named = entry.build(cfg, None)
     assign_parameters(named, ck.params)
-    metrics = entry.evaluate(cfg, net, bank, args.corpus)
+    metrics = entry.evaluate(cfg, net, bank, sets, args.corpus)
     payload = {
         "task": task,
         "seed": cfg["eval.seed"],

@@ -60,11 +60,6 @@ class ConfigField:
     stands_for: str = ""
 
 
-def _field(kind, default, bound=None, help="", **readers):
-    """A key that no library dataclass holds."""
-    return ConfigField(kind, default, bound, help, **readers)
-
-
 def _of(owner, attr: str, default=MISSING, help="", **readers):
     """The key for ``owner.attr``: default from the field, kind from the default."""
     if default is MISSING:
@@ -78,12 +73,13 @@ _NOT_METAGAN = {"tasks": ENCODER_TASKS + ("fewshot",)}
 
 SCHEMA: dict[str, ConfigField] = {
     # run-level
-    "task": _field("str", "mog", TASKS, help="which experiment to run"),
-    "seed": _field("int", 0, "nonnegative", help="training seed"),
-    "count": _field("int", 1000, "positive", help="sets to generate",
-                    tasks=("mog", "digitsum", "metagan")),
-    "eval.count": _field("int", 0, "nonnegative", help="eval corpus size; 0 picks a task default"),
-    "eval.seed": _field("int", 1000, "nonnegative", help="seed for eval data"),
+    "task": ConfigField("str", "mog", TASKS, help="which experiment to run"),
+    "seed": ConfigField("int", 0, "nonnegative", help="training seed"),
+    "count": ConfigField("int", 1000, "positive", help="sets to generate",
+                         tasks=("mog", "digitsum", "metagan")),
+    "eval.count": ConfigField("int", 0, "nonnegative",
+                              help="eval corpus size; 0 picks a task default"),
+    "eval.seed": ConfigField("int", 1000, "nonnegative", help="seed for eval data"),
     # entropic solver
     "sinkhorn.epsilon": _of(SinkhornConfig, "epsilon"),
     "sinkhorn.tol": _of(SinkhornConfig, "tol"),
@@ -102,7 +98,7 @@ SCHEMA: dict[str, ConfigField] = {
     # metagan's transport step has no task loss to weigh
     "train.lambda_ot": _of(TrainConfig, "lambda_ot", **_NOT_METAGAN),
     "train.log_every": _of(TrainConfig, "log_every"),
-    "train.mode": _field("str", "supervised", TRAIN_MODES, **_ENCODER),
+    "train.mode": ConfigField("str", "supervised", TRAIN_MODES, **_ENCODER),
     # set encoder
     "model.k": _of(SummaryNetConfig, "n_prototypes", default=50, help="number of prototypes",
                    **_ENCODER),
@@ -119,9 +115,9 @@ SCHEMA: dict[str, ConfigField] = {
     "mog.sigma": _of(MoGTaskSpec, "sigma"),
     "mog.mean_low": _of(MoGTaskSpec, "mean_low"),
     "mog.mean_high": _of(MoGTaskSpec, "mean_high"),
-    "mog.encode_cap": _field("int", 0, "nonnegative", help="0 encodes full sets at eval"),
+    "mog.encode_cap": ConfigField("int", 0, "nonnegative", help="0 encodes full sets at eval"),
     # digit sums
-    "digitsum.size": _field("int", 0, "nonnegative", help="0 mixes training sizes"),
+    "digitsum.size": ConfigField("int", 0, "nonnegative", help="0 mixes training sizes"),
     "digitsum.max_train_size": _of(DigitSumSpec, "max_train_size"),
     "digitsum.test_sizes": _of(DigitSumSpec, "test_sizes"),
     "digitsum.noise_sigma": _of(DigitSumSpec, "noise_sigma"),
@@ -138,7 +134,7 @@ SCHEMA: dict[str, ConfigField] = {
     "fewshot.encoder_widths": _of(FewShotConfig, "encoder_widths"),
     "fewshot.g_hidden": _of(FewShotConfig, "g_hidden", help="empty picks the default head"),
     "fewshot.bank": _of(FewShotConfig, "bank_size"),
-    "fewshot.episodes": _field("int", 10_000, "positive", stands_for="train.steps"),
+    "fewshot.episodes": ConfigField("int", 10_000, "positive", stands_for="train.steps"),
     "fewshot.n_base": _of(FewShotConfig, "n_base_classes"),
     "fewshot.n_novel": _of(FewShotConfig, "n_novel_classes"),
     "fewshot.sigma": _of(FewShotConfig, "sigma"),
@@ -146,13 +142,13 @@ SCHEMA: dict[str, ConfigField] = {
     "fewshot.mean_high": _of(FewShotConfig, "mean_high"),
     "fewshot.class_seed": _of(FewShotConfig, "class_seed"),
     "fewshot.activation": _of(FewShotConfig, "activation"),
-    "fewshot.metric": _field("str", "cosine", METRICS, stands_for="train.metric"),
+    "fewshot.metric": ConfigField("str", "cosine", METRICS, stands_for="train.metric"),
     # conditional generation
     "metagan.family": _of(TaskFamilySpec, "family"),
     "metagan.n_points": _of(TaskFamilySpec, "n_points", help="0 picks the family default"),
-    "metagan.k": _field("int", 2, "positive", help="summary dimension", stands_for="model.k"),
-    "metagan.summary_widths": _field("int_list", (64, 64, 64), "widths",
-                                     stands_for="model.encoder_widths"),
+    "metagan.k": ConfigField("int", 2, "positive", help="summary dimension", stands_for="model.k"),
+    "metagan.summary_widths": ConfigField("int_list", (64, 64, 64), "widths",
+                                          stands_for="model.encoder_widths"),
     "metagan.noise_dim": _of(GanConfig, "noise_dim"),
     "metagan.generator_widths": _of(GanConfig, "generator_widths"),
     "metagan.critic_widths": _of(GanConfig, "critic_widths"),
@@ -164,8 +160,8 @@ SCHEMA: dict[str, ConfigField] = {
     "metagan.lr_critic": _of(GanConfig, "lr_critic"),
     "metagan.non_saturating": _of(GanConfig, "non_saturating"),
     "metagan.mse_weight": _of(GanConfig, "mse_weight"),
-    "metagan.use_ot": _field("bool", True),
-    "metagan.metric": _field("str", "euclidean", METRICS, stands_for="train.metric"),
+    "metagan.use_ot": ConfigField("bool", True),
+    "metagan.metric": ConfigField("str", "euclidean", METRICS, stands_for="train.metric"),
 }
 
 

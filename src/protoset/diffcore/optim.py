@@ -23,7 +23,6 @@ import numpy as np
 from ..errors import ConfigError, check_bound
 from .value import Value, zero_grad
 
-OPTIMIZERS = ("adam", "sgd")
 # Adam's moment decays and denominator offset, the textbook values
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -109,9 +108,8 @@ class Adam:
         zero_grad(self.params)
 
 
+OPTIMIZERS = {"adam": Adam, "sgd": SGD}  # optim.kind's values; TrainConfig checks it
+
+
 def make_optimizer(kind: str, params: Iterable[Value], lr: float):
-    if kind == "adam":
-        return Adam(params, lr=lr)
-    if kind == "sgd":
-        return SGD(params, lr=lr)
-    raise ConfigError(f"unknown optimizer {kind!r} (expected one of {OPTIMIZERS})")
+    return OPTIMIZERS[kind](params, lr=lr)

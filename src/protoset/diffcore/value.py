@@ -318,6 +318,8 @@ class Value:
 
     def logsumexp(self, axis=None, keepdims: bool = False):
         x = self.data
+        if x.size == 0:
+            raise DomainError("logsumexp over an empty array")
         if np.isnan(x).any():
             raise DomainError("logsumexp of NaN input")
         m = np.max(x, axis=axis, keepdims=True)
@@ -364,7 +366,10 @@ class Value:
         return Value._from_op(data, (self,), backward)
 
     def __getitem__(self, idx):
-        data = np.array(self.data[idx])
+        try:
+            data = np.array(self.data[idx])
+        except IndexError as exc:
+            raise ShapeError(str(exc)) from None
         shape = self.data.shape
 
         def backward(g, acc):

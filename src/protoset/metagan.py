@@ -212,27 +212,21 @@ class MetaGan:
             return self.summary.summarize(points).data
 
 
-def _with_summary(net: MLP, x, h: Optional[np.ndarray]) -> Value:
-    """The rows of ``x`` with the summary ``h`` (None: nothing) appended to each,
-    checked against the input width of ``net``."""
+def _with_summary(x, h: Optional[np.ndarray]) -> Value:
+    """The rows of ``x`` with the summary ``h`` (None: nothing) appended to each;
+    ``concat`` and the net's first ``Linear`` refuse an ``x`` of another rank or width."""
     x = as_value(x)
-    if x.ndim != 2:
-        raise ShapeError(f"input must be a (batch, dim) matrix, got shape {x.shape}")
     h = np.zeros(0) if h is None else np.asarray(h, dtype=np.float64).reshape(-1)
-    if x.shape[1] + h.size != net.dims[0]:
-        raise ShapeError(
-            f"net expects {net.dims[0]} inputs, got {x.shape[1]} + summary {h.size}"
-        )
-    return concat([x, np.tile(h, (x.shape[0], 1))], axis=1) if h.size else x
+    return concat([x, np.tile(h, x.shape[:1] + (1,))], axis=1) if h.size else x
 
 
 def generator_forward(generator: MLP, z: np.ndarray, h: np.ndarray) -> Value:
     """Push a noise batch through the generator conditioned on one summary."""
-    return generator(_with_summary(generator, z, h))
+    return generator(_with_summary(z, h))
 
 
 def discriminator_logit(critic: MLP, x, h: Optional[np.ndarray] = None) -> Value:
-    return critic(_with_summary(critic, x, h))
+    return critic(_with_summary(x, h))
 
 
 def critic_loss(real_logits: Value, fake_logits: Value) -> Value:

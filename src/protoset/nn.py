@@ -12,7 +12,7 @@ import numpy as np
 
 from .diffcore import Value
 from .diffcore.value import _accumulate
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 ACTIVATIONS: dict[str, Callable[[Value], Value]] = {
     "relu": lambda v: v.relu(),
@@ -66,14 +66,6 @@ class MLP:
     """
 
     def __init__(self, dims: Sequence[int], activation: str, rng: np.random.Generator):
-        if len(dims) < 2:
-            raise ConfigError(f"MLP needs at least input and output widths, got {dims}")
-        if any(d < 1 for d in dims):
-            raise ConfigError(f"MLP widths must be positive, got {dims}")
-        if activation not in ACTIVATIONS:
-            raise ConfigError(
-                f"unknown activation {activation!r} (expected one of {sorted(ACTIVATIONS)})"
-            )
         self.dims = tuple(int(d) for d in dims)
         self._act = ACTIVATIONS[activation]
         self.layers = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]

@@ -61,10 +61,10 @@ The differentiable path comes in two modes.  "unrolled" runs exactly
 ``unroll_iters`` of those updates as one graph node whose backward sweeps
 back through them.  It checks its plain updates against TAU once per block
 of BLOCK iterations, over the whole block (and stack), not once per
-half-iteration.  At the first half-iteration out of bounds it keeps the ones
-before it, absorbs there, and makes and checks every later one on its own,
-so at most one block's tail per sweep is made twice, and the iterates are
-those of a check after each half-iteration.  "envelope" solves to
+half-iteration.  It makes the first block out of bounds again from its
+start, and makes and checks it and every later half-iteration on its own,
+absorbing where one is out of bounds, so at most one block per sweep is made
+twice, and the iterates are those of a check after each half-iteration.  "envelope" solves to
 convergence outside the graph and wires the stationary quantities back in:
 the gradient w.r.t. the cost is the plan itself, the gradient w.r.t. the
 column marginal is the dual potential g centered to zero mean.
@@ -379,10 +379,10 @@ def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig)
     every absorption in the log domain (see the module docstring); a NaN or
     infinite cost raises DomainError after the first.  Plain updates are
     written straight into the per-update vectors below and checked against
-    TAU once per block of BLOCK iterations; a block with a scaling out of
-    bounds keeps its half-iterations before the first such one, which is
-    absorbed, and the rest of the sweep is made and checked one
-    half-iteration at a time, so at most one block's tail is recomputed.
+    TAU once per block of BLOCK iterations; the first block with a scaling out
+    of bounds is made again from its start, and it and the rest of the sweep
+    are made and checked one half-iteration at a time, absorbing each one out
+    of bounds, so at most one block is made twice.
     The backward sweeps the log-domain updates in reverse.  The softmax
     weights of a u-update are
     diag(1 / (K sv)) K diag(sv), with the scaling sv it read, and those of a
@@ -439,25 +439,19 @@ def _unrolled_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig)
         kernels.append(state.kernel)
         starts.append(j)
 
-    # plain iterations in blocks of BLOCK, each block checked once; at the
-    # first half-iteration out of bounds, the ones before it are kept, and it
-    # and every later one are made and checked one at a time
+    # plain iterations in blocks of BLOCK, each block checked once; from the
+    # start of the first block out of bounds, every half-iteration is made
+    # again and checked on its own (a plain update is deterministic, so the
+    # ones before the first out of bounds come out bit-identical)
     t = 1
     while t < iters:
         stop = min(t + BLOCK, iters)
         for j in range(2 * t, 2 * stop):
             plain(j)
-        made_u, made_v = in_u[t:stop], in_v[t + 1:stop + 1]
-        if _within(made_u) and _within(made_v):
+        if _within(in_u[t:stop]) and _within(in_v[t + 1:stop + 1]):
             t = stop
             continue
-        # each iteration's largest u- and v-scaling, in the order they were made
-        largest = np.stack(
-            [np.maximum.reduce(x.reshape(stop - t, -1), axis=1) for x in (made_u, made_v)], axis=1
-        )
-        j = 2 * t + int(np.argmin(largest.ravel() <= TAU))
-        absorb(j)
-        for j in range(j + 1, 2 * iters):
+        for j in range(2 * t, 2 * iters):
             if not _within(plain(j)):
                 absorb(j)
         break

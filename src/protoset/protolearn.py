@@ -87,7 +87,7 @@ class TrainConfig:
     lr: float = bounded("positive and finite", 0.001)
     # linear decay target; None keeps lr constant
     lr_final: Optional[float] = bounded("positive and finite", None, optional=True)
-    optimizer: str = bounded(OPTIMIZERS, "adam")
+    optimizer: str = bounded(tuple(OPTIMIZERS), "adam")
     batch_sets: int = bounded("positive", 1)
     batch_points: int = bounded("positive", 100)
     metric: str = bounded(METRICS, "cosine")

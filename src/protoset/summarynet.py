@@ -91,16 +91,13 @@ class SummaryNet:
     # -- forward ------------------------------------------------------------------
 
     def pooled_representation(self, points) -> Value:
-        """Encode each point and pool over the set: (N, d) -> (1, p)."""
+        """Encode each point and pool over the set: (N, d) -> (1, p).
+
+        The encoder's first ``Linear`` refuses points of another rank or width.
+        """
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ShapeError(f"points must be (N, d), got {pts.shape}")
-        if pts.shape[0] < 1:
+        if pts.shape[:1] == (0,):  # pooled, no rows would give a valid-looking summary
             raise DomainError("cannot encode an empty set")
-        if pts.shape[1] != self.config.input_dim:
-            raise ShapeError(
-                f"points are {pts.shape[1]}-dimensional, encoder expects {self.config.input_dim}"
-            )
         features = self.encoder(Value(pts))
         kind = self.config.pooling
         if kind == "mean":

@@ -103,10 +103,6 @@ def head_width(components: int) -> int:
 def mog_head_value(raw: Value, components: int):
     """Differentiable head split: (log-weights, means, variances)."""
     c = components
-    if raw.shape != (head_width(c),):
-        raise ShapeError(
-            f"head output has shape {raw.shape}, expected ({head_width(c)},)"
-        )
     logits = raw[:c]
     log_weights = logits - logits.logsumexp()
     means = raw[c : 3 * c].reshape((c, 2))
@@ -146,6 +142,8 @@ def oracle_mean_loglik(pairs) -> float:
 
     ``pairs`` is what ``gen_mog_corpus`` returns: (SetBatch, MoGParams).
     """
+    if not pairs:
+        raise ConfigError("corpus is empty")
     total = 0.0
     with no_grad():
         for batch, params in pairs:

@@ -217,11 +217,6 @@ def test_entries_that_are_not_finite_numbers_are_corruption(entry, tmp_path):
         load_checkpoint(path)
 
 
-def test_negative_step_rejected(tmp_path):
-    with pytest.raises(CheckpointError, match="step"):
-        _save(tmp_path / "s.ck", _named_params(), step=-1)
-
-
 # -- assignment --------------------------------------------------------------------
 
 

@@ -558,6 +558,34 @@ def test_corpus_labels_that_are_whole_floats_are_read(task, tmp_path):
                 "--out", str(tmp_path / "ev")]) == 0
 
 
+# runs given a pointset corpus, whose points are 3-D: (verb, task, flags, the dimension it reads)
+OTHER_DIMENSION_RUNS = {
+    "train-mog": ("train", "mog", [], 2),
+    "train-digitsum": ("train", "digitsum", [], 10),
+    "train-metagan": ("train", "metagan", [], 1),
+    "train-metagan-gauss2d": ("train", "metagan", ["--set", "metagan.family=gauss2d"], 2),
+    "eval-mog": ("eval", "mog", [], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_DIMENSION_RUNS))
+def test_corpus_of_another_dimension_exits_2_before_any_model(case, tmp_path, capsys,
+                                                              monkeypatch):
+    verb, task, flags, dim = OTHER_DIMENSION_RUNS[case]
+    path = _labelled_corpus(tmp_path / "corpus.jsonl", "pointset", [0, 1])
+    out = ["--out", str(tmp_path / verb)]
+    if verb == "train":
+        argv = ["train", "--task", task, "--corpus", str(path)] + TASK_RUNS[task][0] + flags + out
+    else:
+        _, ck_path = train_task(task, tmp_path / "run")
+        argv = ["eval", "--checkpoint", str(ck_path), "--corpus", str(path)] + out
+    monkeypatch.setattr(cli, "SummaryNet", lambda *args: pytest.fail("a model was built"))
+    assert run(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"corpus {str(path)!r} holds 3-D points, but {task} reads {dim}-D points" in err
+    assert not (tmp_path / verb).exists()
+
+
 def _origin_corpus(path, task) -> Path:
     """Two labelled sets of the task's input dimension; set 1 holds a point at the origin."""
     dim = 1 if task == "metagan" else cli.TASK_TABLE[task].input_dim

@@ -219,6 +219,12 @@ def test_getitem_fancy_index_accumulates():
     assert np.allclose(x.grad, [2.0, 0.0, 1.0])
 
 
+def test_getitem_refuses_an_index_its_operand_lacks():
+    for data, idx in ((np.float64(1.0), slice(None, 2)), (np.zeros(3), 3), (np.zeros(3), (0, 1))):
+        with pytest.raises(ShapeError):
+            _ = Value(data)[idx]
+
+
 def test_concat_gradients():
     x = Value(RNG.normal(size=(2, 3)), requires_grad=True)
     y = Value(RNG.normal(size=(2, 2)), requires_grad=True)
@@ -293,6 +299,11 @@ def test_softmax_nan_raises():
         Value(np.array([1.0, np.nan])).softmax(axis=0)
     with pytest.raises(DomainError):
         Value(np.array([1.0, np.nan])).logsumexp(axis=0)
+
+
+def test_logsumexp_of_an_empty_array_raises():
+    with pytest.raises(DomainError, match="logsumexp over an empty array"):
+        Value(np.zeros(0)).logsumexp()
 
 
 # -- backward semantics ------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from protoset.diffcore import Value, no_grad, zero_grad
 from protoset.errors import ConfigError, DomainError, ShapeError
-from protoset.nn import MLP, Linear, fan_balanced_uniform
+from protoset.nn import Linear, fan_balanced_uniform
 from protoset.summarynet import SetBatch, SummaryNet, SummaryNetConfig
 
 RNG = np.random.default_rng(21)
@@ -86,15 +86,6 @@ def test_linear_refuses_an_input_of_another_width():
             layer(Value(bad))
 
 
-def test_mlp_width_validation():
-    with pytest.raises(ConfigError):
-        MLP((5,), "relu", np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        MLP((5, 0, 3), "relu", np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        MLP((5, 3), "swish", np.random.default_rng(0))
-
-
 # -- summarize ------------------------------------------------------------------
 
 
@@ -170,8 +161,10 @@ def test_pooled_representation_shape():
         assert net.pooled_representation(RNG.normal(size=(7, 3))).shape == (1, 16)
     with pytest.raises(DomainError):
         net.pooled_representation(np.zeros((0, 3)))
-    with pytest.raises(ShapeError):
-        net.pooled_representation(RNG.normal(size=7))
+    # the encoder's first Linear refuses another rank or width
+    for bad in (RNG.normal(size=7), np.float64(1.5), RNG.normal(size=(2, 7, 3)), np.zeros((7, 0))):
+        with pytest.raises(ShapeError):
+            net.pooled_representation(bad)
 
 
 @given(st.integers(0, 10**6))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protoset.diffcore import Value, check_gradients
-from protoset.errors import ConfigError, NumericalError, ShapeError
+from protoset.errors import ConfigError, NumericalError, ProtosetError, ShapeError
 from protoset.summarynet import SetBatch
 from protoset.tasks import (
     POINTSET_CLASSES,
@@ -54,6 +54,13 @@ def test_oracle_loglik_matches_published_values():
     ll8 = oracle_mean_loglik(gen_mog_corpus(MoGTaskSpec(components=8), 2000, seed=123))
     assert abs(ll4 - (-1.473)) < 0.02, ll4
     assert abs(ll8 - (-2.058)) < 0.02, ll8
+
+
+def test_oracle_loglik_of_no_sets_is_a_config_error():
+    empty = gen_mog_corpus(MoGTaskSpec(), 0, seed=1)
+    assert empty == []
+    with pytest.raises(ConfigError, match="corpus is empty"):
+        oracle_mean_loglik(empty)
 
 
 def test_single_component_consistency():
@@ -237,8 +244,10 @@ def test_zero_head_output():
 
 
 def test_head_length_mismatch():
-    with pytest.raises(ShapeError):
-        mog_head_value(Value(np.zeros(19)), 4)
+    # the value ops refuse a head output of another length or rank
+    for raw in (np.zeros(19), np.zeros(21), np.zeros((4, 5)), np.float64(0.0), np.zeros(0)):
+        with pytest.raises(ProtosetError):
+            mog_head_value(Value(raw), 4)
     with pytest.raises(ShapeError):
         mog_task_loss(Value(np.zeros(19)), SetBatch(np.zeros((3, 2)), set_id=0))
 

@@ -95,6 +95,8 @@ TRAINS = {
     "mog-maxpool": ("mog", ["--steps", "5", "--set", "model.pooling=max"]),
     "mog-sumpool": ("mog", ["--steps", "5", "--set", "model.pooling=sum"]),
     "mog-cap": ("mog", ["--steps", "5", "--set", "mog.encode_cap=10"]),
+    "mog-tanh": ("mog", ["--steps", "5", "--set", "model.activation=tanh"]),
+    "mog-sqeuclid": ("mog", ["--steps", "5", "--set", "train.metric=sqeuclidean"]),
     "mog-corpus": ("mog", ["--steps", "3", "--corpus", "gen/mog/corpus.jsonl"]),
     "digitsum": ("digitsum", []),
     "digitsum-unsup": ("digitsum", UNSUP),
@@ -107,6 +109,7 @@ TRAINS = {
     "metagan": ("metagan", []),
     "metagan-cond": ("metagan", ["--set", "metagan.conditioning=conditional-critic"]),
     "metagan-noot": ("metagan", ["--set", "metagan.use_ot=false"]),
+    "metagan-nonsat": ("metagan", ["--set", "metagan.non_saturating=true"]),
     "metagan-corpus": ("metagan", ["--corpus", "gen/metagan/corpus.jsonl"]),
     "metagan-multi1d": ("metagan", ["--set", "metagan.family=multi1d"]),
     "metagan-gauss2d-cond": ("metagan", ["--set", "metagan.family=gauss2d",

@@ -90,7 +90,7 @@ from .tasks import (
     save_corpus,
     xent_loss,
 )
-from .tasks.mog import head_width, oracle_mean_loglik
+from .tasks.mog import head_width, mean_set_loglik, mog_head_value, oracle_mean_loglik
 from .tasks.pointset import POINTSET_CLASSES
 
 EXIT_OK, EXIT_ERROR, EXIT_MISSING_FILE = 0, 1, 3
@@ -391,18 +391,19 @@ class MogTask(EncoderTask):
     def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
         # the training NLL on the full set; encode_cap > 0 bounds the points the encoder reads
         cap, rng = cfg["mog.encode_cap"], np.random.default_rng(cfg["eval.seed"])
-
-        def loglik(batch) -> float:
-            points = subsample_points(batch.points, cap, rng) if cap else batch.points
-            return -mog_task_loss(net.summarize_with_prediction(points)[1], batch).item()
-
-        if sets:  # provenance unknown, so no oracle
-            return {"mean_loglik": _mean_over(sets, loglik)}
-        pairs = self.eval_pairs(cfg)
-        return {
-            "mean_loglik": _mean_over([batch for batch, _ in pairs], loglik),
-            "oracle_mean_loglik": oracle_mean_loglik(pairs),
-        }
+        pairs = None if sets else self.eval_pairs(cfg)  # a file's sets: no known mixture, no oracle
+        sets = sets or [batch for batch, _ in pairs]
+        predictions = []
+        with no_grad():
+            for batch in sets:
+                points = subsample_points(batch.points, cap, rng) if cap else batch.points
+                predictions.append(net.summarize_with_prediction(points)[1].data)
+            raw = Value(np.stack(predictions))
+            mixtures = mog_head_value(raw, raw.shape[-1] // 5)
+        metrics = {"mean_loglik": mean_set_loglik(sets, *(part.data for part in mixtures))}
+        if pairs:
+            metrics["oracle_mean_loglik"] = oracle_mean_loglik(pairs)
+        return metrics
 
 
 class DigitSumTask(EncoderTask):

@@ -336,6 +336,8 @@ class Value:
 
     def softmax(self, axis=None):
         x = self.data
+        if x.size == 0:
+            raise DomainError("softmax over an empty array")
         if np.isnan(x).any():
             raise DomainError("softmax of NaN input")
         m = np.max(x, axis=axis, keepdims=True)

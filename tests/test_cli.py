@@ -18,16 +18,18 @@ from protoset.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from protoset.diffcore import Value
+from protoset.diffcore import Value, no_grad
 from protoset.errors import NumericalError
 from protoset.metagan import GanConfig
 from protoset.protolearn import subsample_points
+from protoset.summarynet import SetBatch
 from protoset.tasks import (
     DigitSumSpec,
     MoGTaskSpec,
     gen_digit_test_corpora,
     gen_mog_corpus,
     load_corpus,
+    mog_nll_value,
     mog_task_loss,
 )
 
@@ -795,6 +797,48 @@ def test_mog_encode_cap_bounds_the_points_the_encoder_reads(tmp_path):
         logliks.append(-mog_task_loss(prediction, batch).item())
     assert metrics[10]["mean_loglik"] == pytest.approx(np.mean(logliks), rel=1e-12)
     assert metrics[10]["mean_loglik"] != metrics[0]["mean_loglik"]
+
+
+def per_set_mog_score(cfg, net, sets) -> dict:
+    """The per-set eval loop that scoring a block of sets per pass replaced, as the reference."""
+    cap, rng = cfg["mog.encode_cap"], np.random.default_rng(cfg["eval.seed"])
+
+    def loglik(batch) -> float:
+        points = subsample_points(batch.points, cap, rng) if cap else batch.points
+        return -mog_task_loss(net.summarize_with_prediction(points)[1], batch).item()
+
+    with no_grad():
+        if sets:
+            return {"mean_loglik": sum(loglik(batch) for batch in sets) / len(sets)}
+        pairs = gen_mog_corpus(cfg.build(MoGTaskSpec), cfg["eval.count"], cfg["eval.seed"])
+        model = sum(loglik(batch) for batch, _ in pairs) / len(pairs)
+        oracle = sum(-mog_nll_value(Value(np.log(p.weights)), Value(p.means), Value(p.variances),
+                                    batch.points).item() for batch, p in pairs) / len(pairs)
+    return {"mean_loglik": model, "oracle_mean_loglik": oracle}
+
+
+@pytest.mark.parametrize("cap", [0, 10])
+@pytest.mark.parametrize("source", ["generated", "corpus"])
+def test_mog_score_equals_the_per_set_loop_bit_for_bit(source, cap, tmp_path, monkeypatch):
+    # 11 drawn sets of 400-500 points and a ragged corpus both span several blocks
+    _, ck_path = train_task("mog", tmp_path / "run")
+    ck = load_checkpoint(ck_path)
+    cfg = config.config_from_json_dict(ck.config).with_overrides(
+        {"eval.count": "11", "eval.seed": "11", "mog.n_min": "400", "mog.n_max": "500",
+         "mog.encode_cap": str(cap)})
+    net, _, named = cli.TASK_TABLE["mog"].build(cfg, None)
+    assign_parameters(named, ck.params)
+    sets = None
+    if source == "corpus":
+        rng = np.random.default_rng(5)
+        sizes = (1, 100, mog_module.LOGLIK_BLOCK // 4 + 1, 37, 450, 3, 450, 450, 450, 450)
+        sets = [SetBatch(rng.normal(scale=3.0, size=(n, 2)), set_id=i)
+                for i, n in enumerate(sizes)]
+    expected, calls, real = per_set_mog_score(cfg, net, sets), [], mog_module.mog_point_loglik
+    monkeypatch.setattr(mog_module, "mog_point_loglik",
+                        lambda *args: calls.append(len(args[-1])) or real(*args))
+    assert cli.TASK_TABLE["mog"].score(cfg, net, sets) == expected
+    assert len(calls) >= (3 if source == "corpus" else 2 * 3)  # the model's blocks, the oracle's
 
 
 def test_eval_missing_checkpoint_exits_3(tmp_path):

@@ -306,6 +306,12 @@ def test_logsumexp_of_an_empty_array_raises():
         Value(np.zeros(0)).logsumexp()
 
 
+@pytest.mark.parametrize("shape, axis", [((0,), 0), ((0,), None), ((2, 0), 1)])
+def test_softmax_of_an_empty_array_raises(shape, axis):
+    with pytest.raises(DomainError, match="softmax over an empty array"):
+        Value(np.zeros(shape)).softmax(axis=axis)
+
+
 # -- backward semantics ------------------------------------------------------------
 
 

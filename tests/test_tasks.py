@@ -34,7 +34,15 @@ from protoset.tasks import (
     save_corpus,
     xent_loss,
 )
-from protoset.tasks.mog import VAR_FLOOR
+from protoset.tasks import mog as mog_module
+from protoset.tasks.mog import (
+    LOGLIK_BLOCK,
+    VAR_FLOOR,
+    mean_set_loglik,
+    mog_point_loglik,
+    sample_mog_params,
+    sample_mog_set,
+)
 
 RNG = np.random.default_rng(17)
 
@@ -319,6 +327,100 @@ def test_mog_task_loss_gradient():
         lambda: mog_task_loss(raw, batch), [raw], np.random.default_rng(1), samples_per_param=12
     )
     assert err < 1e-4, err
+
+
+# -- likelihood a block of sets per pass -------------------------------------------
+
+# ragged sets: one point, a hundred, and more rows than one block holds at C = 4
+RAGGED = (1, 100, LOGLIK_BLOCK // 4 + 1, 100, 1, 37, 450)
+
+
+def ragged_pairs(sizes, seed):
+    """(SetBatch, MoGParams) pairs of the given sizes, each set from its own mixture."""
+    rng, spec = np.random.default_rng(seed), MoGTaskSpec()
+    pairs = []
+    for i, n in enumerate(sizes):
+        params = sample_mog_params(spec, rng)
+        pairs.append((SetBatch(sample_mog_set(params, n, rng), set_id=i), params))
+    return pairs
+
+
+def generating_mixtures(pairs):
+    """Each set's generating (log-weights, means, variances), stacked over the sets."""
+    params = [p for _, p in pairs]
+    return (np.log([p.weights for p in params]), np.array([p.means for p in params]),
+            np.array([p.variances for p in params]))
+
+
+def head_outputs(count, seed):
+    """Raw head outputs of a wide spread, one row per set, at C = 4."""
+    return np.random.default_rng(seed).normal(scale=3.0, size=(count, 20))
+
+
+def per_set_mean_loglik(pairs, raw=None) -> float:
+    """The per-set loop the block eval replaced: one likelihood pass per set, under
+    its generating mixture or, given one head output per set, under its split."""
+    total = 0.0
+    for i, (batch, params) in enumerate(pairs):
+        total += -(params_nll(params, batch.points) if raw is None
+                   else mog_task_loss(Value(raw[i]), batch).item())
+    return total / len(pairs)
+
+
+@pytest.mark.parametrize("c", [1, 4, 8, 9])
+def test_head_split_of_a_stack_equals_the_split_of_each_row(c):
+    raw = np.random.default_rng(c).normal(scale=5.0, size=(7, 5 * c))
+    stacked = mog_head_value(Value(raw), c)
+    assert [part.shape for part in stacked] == [(7, c), (7, c, 2), (7, c, 2)]
+    for i, row in enumerate(raw):
+        for part, alone in zip(stacked, mog_head_value(Value(row), c)):
+            assert np.array_equal(part.data[i], alone.data)  # bit for bit
+
+
+@pytest.mark.parametrize("source", ["generating", "predicted"])
+def test_point_loglik_under_a_mixture_per_point_equals_the_per_set_calls(source):
+    pairs = ragged_pairs(RAGGED, seed=4)
+    sets = [batch for batch, _ in pairs]
+    if source == "generating":
+        mixtures = [[part[i] for part in generating_mixtures(pairs)] for i in range(len(sets))]
+    else:
+        mixtures = [[v.data for v in mog_head_value(Value(row), 4)]
+                    for row in head_outputs(len(sets), seed=5)]
+    counts = [len(batch.points) for batch in sets]
+    per_point = [Value(np.repeat(np.stack(part), counts, axis=0)) for part in zip(*mixtures)]
+    together = mog_point_loglik(*per_point, np.concatenate([b.points for b in sets])).data
+    apart = [mog_point_loglik(*(Value(a) for a in mix), b.points).data
+             for b, mix in zip(sets, mixtures)]
+    assert together.shape == (sum(counts),)
+    assert np.array_equal(together, np.concatenate(apart))  # bit for bit
+
+
+@pytest.mark.parametrize("sizes", [RAGGED, (100,) * 21 + (1,), (450,) * 9, (1,)])
+@pytest.mark.parametrize("source", ["generating", "predicted"])
+def test_block_mean_loglik_equals_the_per_set_loop_bit_for_bit(sizes, source, monkeypatch):
+    pairs = ragged_pairs(sizes, seed=8)
+    sets = [batch for batch, _ in pairs]
+    if source == "generating":
+        mixtures, raw = generating_mixtures(pairs), None
+    else:
+        raw = head_outputs(len(sets), seed=9)
+        mixtures = [part.data for part in mog_head_value(Value(raw), 4)]
+    expected = per_set_mean_loglik(pairs, raw)
+    rows, real = [], mog_module.mog_point_loglik
+
+    def recording(*args):
+        rows.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(mog_module, "mog_point_loglik", recording)
+    assert mean_set_loglik(sets, *mixtures) == expected
+    assert sum(rows) == sum(sizes)
+    # a block holds consecutive sets up to the budget; only a set larger than it passes alone
+    rows_max = LOGLIK_BLOCK // 4
+    assert all(n <= rows_max or n in sizes for n in rows)
+    assert len(rows) > 1 or sum(sizes) <= rows_max
+    if source == "generating":
+        assert oracle_mean_loglik(pairs) == expected
 
 
 # -- digit sum -----------------------------------------------------------------

@@ -10,7 +10,9 @@ to convergence, stopped at ``--max-iters 3`` in the solver's plain warm-up,
 and stopped at ``--max-iters 30`` while it over-relaxes.  Two fewshot evals
 run past two blocks of episodes, so that block boundaries are compared, one
 of them at sigma 3, where accuracies vary enough that a mis-scored episode
-moves the metrics.  One train run reads its keys from a ``--config`` file,
+moves the metrics.  Two mog evals score 11 drawn sets of 400 to 500 points,
+several likelihood blocks, with the oracle; one of them from ``train/mog-cap``,
+so the eval's subsample draws run across blocks too.  One train run reads its keys from a ``--config`` file,
 the flags of ``train/mog``, and must write the same artifacts; the capture
 exits 1 if not.
 Two runs of the same program in different directories must print the same
@@ -133,7 +135,11 @@ CORPUS_EVALS = {
 # are two full blocks and a partial one; at fewshot.sigma=3 the mean accuracy is
 # about 0.67, so a mis-scored episode shows (literals, so older src runs them too)
 BLOCK_EVALS = {"fewshot-count11": ("fewshot", ["--count", "11"]),
-               "fewshot-sigma3-count11": ("fewshot", ["--count", "11", "--set", "fewshot.sigma=3"])}
+               "fewshot-sigma3-count11": ("fewshot", ["--count", "11", "--set", "fewshot.sigma=3"]),
+               "mog-count11": ("mog", ["--count", "11", "--seed", "11", "--set", "mog.n_min=400",
+                                       "--set", "mog.n_max=500"]),
+               "mog-cap-count11": ("mog-cap", ["--count", "11", "--seed", "11",
+                                               "--set", "mog.n_min=400", "--set", "mog.n_max=500"])}
 # train/mog's flags (BASE["mog"] and --steps 5) as the lines of config/mog.cfg
 MOG_CONFIG = "task = mog\nseed = 3\ntrain.steps = 5\n" + "".join(
     pair.replace("=", " = ", 1) + "\n" for pair in MOG[1::2])

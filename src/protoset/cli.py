@@ -74,12 +74,11 @@ from .protolearn import (
     subsample_points,
     train_prototypes,
 )
-from .summarynet import SetBatch, SummaryNet, SummaryNetConfig
+from .summarynet import SummaryNet, SummaryNetConfig
 from .tasks import (
     DigitSumSpec,
     MoGTaskSpec,
     PointSetClassSpec,
-    digit_sum_accuracy,
     digit_sum_loss,
     gen_digit_corpus,
     gen_digit_test_corpora,
@@ -177,13 +176,20 @@ def _write_metrics(path: Path, payload: dict) -> None:
 # the task table: what each verb does for each task
 
 
-def _mean_over(sets, per_set) -> float:
-    """The mean of ``per_set(batch)`` over ``sets``, summed in order with no graph."""
-    total = 0.0
+def _predictions(net: SummaryNet, sets, cap: int = 0, rng=None) -> np.ndarray:
+    """The prediction head's output on each of ``sets``, stacked in set order, with no graph;
+    at ``cap`` > 0 the encoder reads at most ``cap`` points of each, drawn from ``rng`` in order."""
     with no_grad():
-        for batch in sets:
-            total += per_set(batch)
-    return total / len(sets)
+        return np.stack([net.summarize_with_prediction(
+            subsample_points(batch.points, cap, rng) if cap else batch.points)[1].data
+            for batch in sets])
+
+
+def _share_labelled(predicted: np.ndarray, sets) -> float:
+    """The share of ``sets`` whose label equals ``predicted``, compared as Python ints: an
+    int64 array of labels would call 2**53 + 1 equal to the float 2**53."""
+    labels = np.array([int(batch.label) for batch in sets], dtype=object)
+    return np.count_nonzero(predicted == labels) / len(sets)
 
 
 def _refuse_corpus(corpus, why: str) -> None:
@@ -281,12 +287,15 @@ class Task:
         cost of the task's metric, before any transport cost is built on ``sets``."""
         if cfg[key_for(self.name, "train.metric")] != "cosine":
             return
-        # a squared norm is at least its first term, so one pass clears almost every corpus
+        # a squared norm is at least its first term, so one pass clears almost every corpus of
+        # the cost's test; a coordinate above about 1e154 squares to inf, which rightly reads
+        # as far from the origin, so that overflow is ignored
         first = np.concatenate([batch.points[:, :1] for batch in sets])
-        for batch in sets if (first * first < NORM_FLOOR**2).any() else ():
-            if ((batch.points * batch.points).sum(axis=1) < NORM_FLOOR**2).any():  # the cost's test
-                raise ConfigError(f"{where}: set {batch.set_id} has a point of norm below "
-                                  f"{NORM_FLOOR:g}, for which the cosine cost is undefined")
+        with np.errstate(over="ignore"):
+            for batch in sets if (first * first < NORM_FLOOR**2).any() else ():
+                if ((batch.points * batch.points).sum(axis=1) < NORM_FLOOR**2).any():
+                    raise ConfigError(f"{where}: set {batch.set_id} has a point of norm below "
+                                      f"{NORM_FLOOR:g}, for which the cosine cost is undefined")
 
     def training_sets(self, cfg: ResolvedConfig, corpus):
         """The sets of the file ``corpus``, or without one, ``count`` sets drawn from the seed."""
@@ -346,7 +355,7 @@ class EncoderTask(Task):
 
         def combined() -> Value:  # a fresh rng: every call reads the same points
             rng = np.random.default_rng(cfg["seed"])
-            return set_objective(sets[0], net, bank, config, loss_fn, rng)[0]
+            return set_objective(sets[0].points, sets[0].label, net, bank, config, loss_fn, rng)[0]
 
         return [(f"{self.name}-combined", combined, list(named.values()))]
 
@@ -358,11 +367,10 @@ class EncoderTask(Task):
         sets = sets or self.eval_sets(cfg)
         self.refuse_origin(cfg, sets, corpus or f"the sets drawn from eval.seed {cfg['eval.seed']}")
         rng, config = np.random.default_rng(cfg["eval.seed"]), self.train_config(cfg)
-
-        def transport_loss(batch) -> float:
-            return set_objective(batch, net, bank, config, rng=rng)[2]
-
-        return {"mean_transport_loss": _mean_over(sets, transport_loss)}
+        with no_grad():  # summed in set order
+            total = sum(set_objective(batch.points, batch.label, net, bank, config, rng=rng)[2]
+                        for batch in sets)
+        return {"mean_transport_loss": total / len(sets)}
 
 
 class MogTask(EncoderTask):
@@ -393,13 +401,8 @@ class MogTask(EncoderTask):
         cap, rng = cfg["mog.encode_cap"], np.random.default_rng(cfg["eval.seed"])
         pairs = None if sets else self.eval_pairs(cfg)  # a file's sets: no known mixture, no oracle
         sets = sets or [batch for batch, _ in pairs]
-        predictions = []
-        with no_grad():
-            for batch in sets:
-                points = subsample_points(batch.points, cap, rng) if cap else batch.points
-                predictions.append(net.summarize_with_prediction(points)[1].data)
-            raw = Value(np.stack(predictions))
-            mixtures = mog_head_value(raw, raw.shape[-1] // 5)
+        raw = Value(_predictions(net, sets, cap, rng))
+        mixtures = mog_head_value(raw, raw.shape[-1] // 5)
         metrics = {"mean_loglik": mean_set_loglik(sets, *(part.data for part in mixtures))}
         if pairs:
             metrics["oracle_mean_loglik"] = oracle_mean_loglik(pairs)
@@ -433,13 +436,12 @@ class DigitSumTask(EncoderTask):
         return [batch for sets in self._test_corpora(cfg).values() for batch in sets]
 
     def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
-        def hit(batch) -> float:
-            pred = net.summarize_with_prediction(batch.points)[1]
-            return digit_sum_accuracy(float(pred.data.reshape(())), batch.label)
+        def accuracy(each) -> float:  # a NaN or an infinity rounds (half to even) to no label
+            return _share_labelled(np.rint(_predictions(net, each)[:, 0]), each)
 
         if sets:
-            return {"accuracy": _mean_over(sets, hit)}
-        by_size = {str(size): _mean_over(each, hit) for size, each in self._test_corpora(cfg).items()}
+            return {"accuracy": accuracy(sets)}
+        by_size = {str(size): accuracy(each) for size, each in self._test_corpora(cfg).items()}
         return {"accuracy_by_size": by_size, "mean_accuracy": sum(by_size.values()) / len(by_size)}
 
 
@@ -463,11 +465,8 @@ class PointSetTask(EncoderTask):
         return self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])[0]
 
     def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
-        def hit(batch) -> float:
-            pred = net.summarize_with_prediction(batch.points)[1]
-            return float(int(np.argmax(pred.data)) == int(batch.label))
-
-        return {"accuracy": _mean_over(sets or self.eval_sets(cfg), hit)}
+        sets = sets or self.eval_sets(cfg)
+        return {"accuracy": _share_labelled(np.argmax(_predictions(net, sets), axis=1), sets)}
 
 
 class FewShotTask(Task):
@@ -564,7 +563,7 @@ class MetaGanTask(Task):
             ("metagan-generator", lambda: generator_objective(model, real, z, h),
              model.generator.parameters() + critic),
             ("metagan-transport",
-             lambda: set_objective(SetBatch(real), model.summary, bank, config.ot)[0], transport),
+             lambda: set_objective(real, None, model.summary, bank, config.ot)[0], transport),
         ]
 
 

@@ -323,7 +323,11 @@ class Value:
         if np.isnan(x).any():
             raise DomainError("logsumexp of NaN input")
         m = np.max(x, axis=axis, keepdims=True)
-        data = np.asarray(np.log(np.sum(np.exp(x - m), axis=axis, keepdims=keepdims)))
+        # shift by a finite max only: x - inf is NaN, and unshifted, a reduction whose
+        # max is -inf sums to 0 and one whose max is +inf to inf, whose logs are the answer
+        m = np.where(np.isfinite(m), m, 0.0)
+        with np.errstate(divide="ignore", over="ignore"):  # only those two can warn
+            data = np.asarray(np.log(np.sum(np.exp(x - m), axis=axis, keepdims=keepdims)))
         data = data + (m if keepdims else m.reshape(data.shape))
         shape = x.shape
 

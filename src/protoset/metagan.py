@@ -274,7 +274,7 @@ def transport_step(
     """The interleaved OT update of the model's summary network and bank, under
     ``model.config.ot``: one step of the unsupervised prototype loop."""
     config, bank = model.config.ot, model.bank
-    loss = set_objective(SetBatch(points), model.summary, bank, config)[0]
+    loss = set_objective(points, None, model.summary, bank, config)[0]
     return apply_update(optimizer, loss, step, "transport", bank, config.metric, guard_rng)
 
 

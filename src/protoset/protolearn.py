@@ -151,29 +151,30 @@ def apply_update(
 
 
 def set_objective(
-    batch: SetBatch,
+    points: np.ndarray,
+    label,
     net: SummaryNet,
     bank: PrototypeBank,
     config: TrainConfig,
-    task_loss_fn: Optional[Callable[[Value, SetBatch], Value]] = None,
+    task_loss_fn: Optional[Callable[[Value, np.ndarray, object], Value]] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[Value, Optional[float], Optional[float]]:
-    """Training loss on one set: (loss, task value, transport value).
+    """Training loss on one set of ``points`` and ``label``: (loss, task value, transport value).
 
-    With ``rng`` the set is first subsampled to ``config.batch_points`` points.
-    The loss is the transport term alone, or with ``task_loss_fn`` the task loss
-    plus lambda_ot (default 1) times the transport term, which at lambda_ot = 0
-    is not built and reads None.
+    With ``rng`` the points are first subsampled to ``config.batch_points``,
+    and the subsample is used as drawn.  The loss is the transport term alone,
+    or with ``task_loss_fn(prediction, points, label)`` the task loss plus
+    lambda_ot (default 1) times the transport term, which at lambda_ot = 0 is
+    not built and reads None.
     """
     if rng is not None:
-        points = subsample_points(batch.points, config.batch_points, rng)
-        batch = SetBatch(points, set_id=batch.set_id, label=batch.label)
-    points, metric, sk = batch.points, config.metric, config.sinkhorn
+        points = subsample_points(points, config.batch_points, rng)
+    metric, sk = config.metric, config.sinkhorn
     if task_loss_fn is None:
         loss = transport_objective(points, net.summarize(points), bank, metric, sk)
         return loss, None, loss.item()
     weights, prediction = net.summarize_with_prediction(points)
-    task = task_loss_fn(prediction, batch)
+    task = task_loss_fn(prediction, points, label)
     lam = 1.0 if config.lambda_ot is None else float(config.lambda_ot)
     if lam == 0:
         return task, task.item(), None
@@ -238,7 +239,7 @@ def train_prototypes(
     net: SummaryNet,
     bank: PrototypeBank,
     config: TrainConfig,
-    task_loss_fn: Optional[Callable[[Value, SetBatch], Value]] = None,
+    task_loss_fn: Optional[Callable[[Value, np.ndarray, object], Value]] = None,
 ) -> dict:
     """Prototype training on randomly drawn sets, with an optional task loss.
 
@@ -264,7 +265,8 @@ def train_prototypes(
         ot_value = 0.0 if lam > 0 else None
         for _ in range(config.batch_sets):
             batch = corpus[int(rng.integers(len(corpus)))]
-            term, task, transport = set_objective(batch, net, bank, config, task_loss_fn, rng)
+            term, task, transport = set_objective(batch.points, batch.label, net, bank, config,
+                                                  task_loss_fn, rng)
             if task is not None:
                 task_value += task * scale
             if transport is not None:

@@ -3,7 +3,6 @@
 from .corpus import load_corpus, save_corpus
 from .digitsum import (
     DigitSumSpec,
-    digit_sum_accuracy,
     digit_sum_loss,
     gen_digit_corpus,
     gen_digit_test_corpora,
@@ -31,7 +30,6 @@ __all__ = [
     "MoGTaskSpec",
     "POINTSET_CLASSES",
     "PointSetClassSpec",
-    "digit_sum_accuracy",
     "digit_sum_loss",
     "gen_digit_corpus",
     "gen_digit_test_corpora",

@@ -59,13 +59,7 @@ def gen_digit_test_corpora(spec: DigitSumSpec, count: int, seed: int):
     return corpora
 
 
-def digit_sum_loss(prediction: Value, batch: SetBatch) -> Value:
-    """L1 distance between the scalar prediction and the integer sum."""
-    diff = prediction.reshape((1,)) - float(batch.label)
+def digit_sum_loss(prediction: Value, points, label) -> Value:
+    """L1 distance between the scalar prediction and the integer sum ``label``."""
+    diff = prediction.reshape((1,)) - float(label)
     return (diff.relu() + (-diff).relu()).sum()
-
-
-def digit_sum_accuracy(prediction: float, label: int) -> float:
-    """1.0 if ``prediction`` rounds (half to even) to ``label``; a NaN or an
-    infinity rounds to no whole number, so it misses."""
-    return 1.0 if float(np.rint(prediction)) == int(label) else 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diffcore import Value, as_value, no_grad
-from ..errors import ConfigError, ShapeError, bounded, check_box, check_fields
+from ..errors import ConfigError, bounded, check_box, check_fields
 from ..summarynet import SetBatch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -143,13 +143,11 @@ def mog_nll_value(log_weights: Value, means: Value, variances: Value, points) ->
     return -mog_point_loglik(log_weights, means, variances, points).mean()
 
 
-def mog_task_loss(prediction: Value, batch: SetBatch) -> Value:
-    """Task loss for joint training: NLL of the input set under the head output."""
-    if prediction.data.size % 5 != 0:
-        raise ShapeError(f"head output length {prediction.data.size} is not 5*C")
-    c = prediction.data.size // 5
-    log_w, mu, var = mog_head_value(prediction.reshape((5 * c,)), c)
-    return mog_nll_value(log_w, mu, var, batch.points)
+def mog_task_loss(prediction: Value, points, label) -> Value:
+    """Task loss for joint training: NLL of the set's ``points`` under the head
+    output, whose length ``mog_head_value`` refuses unless it is 5*C (C rounds
+    up, so any other length reaches its reshape); the label is unread."""
+    return mog_nll_value(*mog_head_value(prediction, (prediction.data.size + 4) // 5), points)
 
 
 # -- evaluation ----------------------------------------------------------------

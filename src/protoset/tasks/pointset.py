@@ -138,8 +138,7 @@ def gen_pointset_corpus(spec: PointSetClassSpec, seed: int):
     return corpus
 
 
-def xent_loss(logits: Value, batch: SetBatch) -> Value:
-    """Cross entropy of integer label under softmax(logits)."""
-    label = int(batch.label)
+def xent_loss(logits: Value, points, label) -> Value:
+    """Cross entropy of the integer ``label`` under softmax(logits)."""
     flat = logits.reshape((logits.data.size,))
-    return flat.logsumexp() - flat[label]
+    return flat.logsumexp() - flat[int(label)]

@@ -6,6 +6,7 @@ import importlib
 import json
 import logging
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from protoset.checkpoint import (
 from protoset.diffcore import Value, no_grad
 from protoset.errors import NumericalError
 from protoset.metagan import GanConfig
-from protoset.protolearn import subsample_points
+from protoset.protolearn import set_objective, subsample_points
 from protoset.summarynet import SetBatch
 from protoset.tasks import (
     DigitSumSpec,
@@ -326,7 +327,7 @@ def test_input_path_under_a_file_exits_3(flag, tmp_path):
 OUT_VERBS = {
     "gen": ("gen_mog_corpus", ["gen", "--task", "mog", "--count", "2"]),
     "train": ("train_prototypes", ["train", "--task", "mog", "--steps", "1"] + MOG_ARGS),
-    "eval": ("_mean_over", ["eval", "--count", "2"]),
+    "eval": ("mean_set_loglik", ["eval", "--count", "2"]),
     "ot": ("sinkhorn", ["ot"]),
 }
 
@@ -652,6 +653,28 @@ def test_drawn_sets_at_the_origin_under_a_cosine_cost_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("near_origin", [False, True])
+def test_a_huge_coordinate_under_a_cosine_cost_overflows_the_origin_check_silently(
+        near_origin, tmp_path, capsys):
+    # 1e200 squares to inf, which reads as far from the origin, and that overflow is no
+    # fault to warn of; a point near the origin beside it is still refused
+    points = [[[0.5, 1.0], [1e200, 0.25], [1.0, -1.0]] + [[1e-13, 0.0]] * near_origin,
+              [[0.5, 1.0], [2.0, 0.25]]]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps({"set_id": i, "label": None, "points": p}) + "\n"
+                            for i, p in enumerate(points)))
+    argv = ["train", "--task", "mog", "--steps", "2", "--corpus", str(path),
+            "--out", str(tmp_path / "out")] + MOG_ARGS
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert [str(w.message) for w in caught if w.filename == cli.__file__] == []
+    assert code == (cli.EXIT_CONFIG if near_origin else 0)
+    if near_origin:
+        assert capsys.readouterr().err == (f"error: {path}: set 0 has a point of norm below "
+                                           "1e-12, for which the cosine cost is undefined\n")
+
+
 def test_collapsed_embedding_is_a_training_failure_exit_6(tmp_path, capsys):
     # two relu layers of width 2 map support points to the origin at step 0;
     # no user input is at fault, so this once wrongly exited 2
@@ -794,7 +817,7 @@ def test_mog_encode_cap_bounds_the_points_the_encoder_reads(tmp_path):
     rng, logliks = np.random.default_rng(11), []  # the eval flags: --count 3 --seed 11
     for batch, _ in gen_mog_corpus(cfg.build(MoGTaskSpec), 3, 11):
         prediction = net.summarize_with_prediction(subsample_points(batch.points, 10, rng))[1]
-        logliks.append(-mog_task_loss(prediction, batch).item())
+        logliks.append(-mog_task_loss(prediction, batch.points, batch.label).item())
     assert metrics[10]["mean_loglik"] == pytest.approx(np.mean(logliks), rel=1e-12)
     assert metrics[10]["mean_loglik"] != metrics[0]["mean_loglik"]
 
@@ -805,7 +828,8 @@ def per_set_mog_score(cfg, net, sets) -> dict:
 
     def loglik(batch) -> float:
         points = subsample_points(batch.points, cap, rng) if cap else batch.points
-        return -mog_task_loss(net.summarize_with_prediction(points)[1], batch).item()
+        return -mog_task_loss(net.summarize_with_prediction(points)[1], batch.points,
+                              batch.label).item()
 
     with no_grad():
         if sets:
@@ -839,6 +863,101 @@ def test_mog_score_equals_the_per_set_loop_bit_for_bit(source, cap, tmp_path, mo
                         lambda *args: calls.append(len(args[-1])) or real(*args))
     assert cli.TASK_TABLE["mog"].score(cfg, net, sets) == expected
     assert len(calls) >= (3 if source == "corpus" else 2 * 3)  # the model's blocks, the oracle's
+
+
+def per_set_score(task, cfg, net, bank, sets) -> dict:
+    """The per-set eval loops that one prediction pass per score replaced, as the reference:
+    digitsum's and pointset's supervised scores, and any task's unsupervised one."""
+    entry = cli.TASK_TABLE[task]
+
+    def mean_over(each, per_set) -> float:
+        total = 0.0
+        with no_grad():
+            for batch in each:
+                total += per_set(batch)
+        return total / len(each)
+
+    def prediction(batch) -> np.ndarray:
+        return net.summarize_with_prediction(batch.points)[1].data
+
+    if cfg["train.mode"] == "unsupervised":
+        rng, train_cfg = np.random.default_rng(cfg["eval.seed"]), entry.train_config(cfg)
+        return {"mean_transport_loss": mean_over(sets or entry.eval_sets(cfg), lambda batch: (
+            set_objective(batch.points, batch.label, net, bank, train_cfg, rng=rng)[2]))}
+    if task == "pointset":
+        return {"accuracy": mean_over(sets or entry.eval_sets(cfg), lambda batch: (
+            float(int(np.argmax(prediction(batch))) == int(batch.label))))}
+
+    def hit(batch) -> float:  # digitsum: a rounded prediction against its whole label
+        return 1.0 if float(np.rint(float(prediction(batch).reshape(())))) == int(batch.label) else 0.0
+
+    if sets:
+        return {"accuracy": mean_over(sets, hit)}
+    corpora = gen_digit_test_corpora(cfg.build(DigitSumSpec), cfg["eval.count"], cfg["eval.seed"])
+    by_size = {str(size): mean_over(each, hit) for size, each in corpora.items()}
+    return {"accuracy_by_size": by_size, "mean_accuracy": sum(by_size.values()) / len(by_size)}
+
+
+# per task and train.mode: train flags, the checkpoint they write, and eval overrides
+# that draw enough sets for hits and misses
+SCORED_RUNS = {
+    "digitsum": (["--steps", "4"] + DIGIT_ARGS, "checkpoint.4",
+                 {"eval.count": "40", "digitsum.test_sizes": "1,2,4"}),
+    "pointset": (["--steps", "4"] + POINTSET_ARGS, "checkpoint.4", {"eval.count": "3"}),
+    "mog-unsupervised": (["--steps", "3", "--set", "train.mode=unsupervised"] + MOG_ARGS,
+                         "checkpoint.3", {"eval.count": "5", "eval.seed": "11"}),
+    "digitsum-unsupervised": (["--steps", "3", "--set", "train.mode=unsupervised"] + DIGIT_ARGS,
+                              "checkpoint.3", {"eval.count": "5"}),
+}
+
+
+@pytest.mark.parametrize("source", ["generated", "corpus"])
+@pytest.mark.parametrize("run_name", sorted(SCORED_RUNS))
+def test_score_equals_the_per_set_loop_bit_for_bit(run_name, source, tmp_path):
+    task = run_name.split("-")[0]
+    flags, ck_name, overrides = SCORED_RUNS[run_name]
+    assert run(["train", "--task", task, "--out", str(tmp_path)] + flags) == 0
+    ck = load_checkpoint(tmp_path / ck_name)
+    cfg = config.config_from_json_dict(ck.config).with_overrides(overrides)
+    entry = cli.TASK_TABLE[task]
+    net, bank, named = entry.build(cfg, None)
+    assign_parameters(named, ck.params)
+    sets = None
+    if source == "corpus":  # labels of a file: whole numbers as JSON gives them, hits and misses
+        sets = entry.eval_sets(cfg)[:12]
+        for i, batch in enumerate(sets):
+            if cfg["train.mode"] == "supervised":
+                guess = net.summarize_with_prediction(batch.points)[1].data
+                hit = int(np.rint(guess[0])) if task == "digitsum" else int(np.argmax(guess))
+                batch.label = float(hit) if i % 3 == 0 else hit + i % 3 - 1
+    expected = per_set_score(task, cfg, net, bank, sets)
+    assert entry.evaluate(cfg, net, bank, sets, None) == expected
+    if cfg["train.mode"] == "supervised":
+        shares = [v for v in (expected.get("accuracy_by_size") or expected).values()]
+        assert any(0.0 < share < 1.0 for share in shares), expected  # both outcomes are scored
+
+
+@pytest.mark.parametrize("prediction, labels, accuracy", [
+    (7.4, [7, 8], 0.5),
+    (7.6, [7, 8], 0.5),
+    (6.5, [6, 7], 0.5),  # half to even
+    (7.5, [7, 8], 0.5),
+    (2.0**53, [2**53, 2**53 + 1], 0.5),  # an int64 label array would call both equal
+    (2.0**70, [2**70, 2**70 + 1], 0.5),
+    (float("nan"), [0, 7], 0.0),  # a NaN or an infinity rounds to no whole number
+    (float("inf"), [0, 7], 0.0),
+    (float("-inf"), [0, 7], 0.0),
+])
+def test_digitsum_accuracy_compares_each_rounded_prediction_with_its_label_exactly(
+        prediction, labels, accuracy):
+    # a model fed points near the largest float can predict a NaN or an infinity
+    cfg = config.resolve_config(overrides={"task": "digitsum"})
+    net = cli.TASK_TABLE["digitsum"].build(cfg, None)[0]
+    last = net.predict_head.layers[-1]
+    last.weight.data[:] = 0.0
+    last.bias.data[:] = prediction  # every set's prediction, bit for bit
+    sets = [SetBatch(np.eye(10)[:3], set_id=i, label=label) for i, label in enumerate(labels)]
+    assert cli.TASK_TABLE["digitsum"].score(cfg, net, sets) == {"accuracy": accuracy}
 
 
 def test_eval_missing_checkpoint_exits_3(tmp_path):

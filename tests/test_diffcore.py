@@ -5,6 +5,8 @@ exact-arithmetic claims (accumulation, linearity, tie-breaking) are asserted
 directly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,6 +278,34 @@ def test_logsumexp_max_shift_is_stable():
     x = Value(np.array([1000.0, 1000.0]))
     out = x.logsumexp(axis=0)
     assert np.isclose(out.item(), 1000.0 + np.log(2.0))
+
+
+@pytest.mark.parametrize("row, expected", [
+    ([-np.inf, -np.inf], -np.inf),  # the sum of no mass
+    ([np.inf, 0.0], np.inf),
+    ([np.inf, 1000.0], np.inf),  # the unshifted exp(1000) overflows to inf, the answer
+    ([-np.inf, 2.0], 2.0),
+])
+def test_logsumexp_of_infinite_inputs_is_exact_and_silent(row, expected):
+    # x - max is NaN at an infinite max, so such a reduction is left unshifted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = np.array([row, [0.0, 1.0]])
+        out = Value(x).logsumexp(axis=1).data
+        alone = Value(np.array(row)).logsumexp().item()
+    assert out[0] == alone == expected
+    assert out[1] == Value(x[1]).logsumexp().item()
+
+
+@pytest.mark.parametrize("axis, keepdims", [(None, False), (0, False), (1, True), (-1, False)])
+def test_logsumexp_of_finite_inputs_keeps_the_max_shift_bits(axis, keepdims):
+    x = np.random.default_rng(7).normal(scale=30.0, size=(6, 5))
+    x[0, 0], x[1] = -745.0, 700.0  # an exp that underflows; a row of equal large values
+    m = np.max(x, axis=axis, keepdims=True)  # the plain max shift, as the reference
+    data = np.asarray(np.log(np.sum(np.exp(x - m), axis=axis, keepdims=keepdims)))
+    expected = data + (m if keepdims else m.reshape(data.shape))
+    got = Value(x).logsumexp(axis=axis, keepdims=keepdims).data
+    assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 def test_softmax_gradients():

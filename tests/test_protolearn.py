@@ -230,7 +230,7 @@ def test_divergence_guard_raises():
     net = tiny_net(output_dim=1)
     bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(1))
 
-    def overflowing_loss(prediction, batch):
+    def overflowing_loss(prediction, points, label):
         return prediction.sum() * 1e308 * 1e308
 
     cfg = TrainConfig(steps=10, lambda_ot=0.0, seed=0)
@@ -241,8 +241,8 @@ def test_divergence_guard_raises():
 # -- supervised loop -----------------------------------------------------------------
 
 
-def l1_loss(prediction, batch):
-    diff = prediction.reshape(1) - float(batch.label)
+def l1_loss(prediction, points, label):
+    diff = prediction.reshape(1) - float(label)
     return (diff.relu() + (-diff).relu()).sum()
 
 
@@ -275,9 +275,8 @@ def test_lambda_zero_matches_plain_loop_bitwise():
     for _ in range(30):
         batch = corpus[int(data_rng.integers(len(corpus)))]
         pts = subsample_points(batch.points, 20, data_rng)
-        sub = SetBatch(pts, set_id=batch.set_id, label=batch.label)
-        _, prediction = net_b.summarize_with_prediction(sub.points)
-        loss = l1_loss(prediction, sub)
+        _, prediction = net_b.summarize_with_prediction(pts)
+        loss = l1_loss(prediction, pts, batch.label)
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -323,9 +322,8 @@ def test_batch_sets_step_is_one_update_on_the_mean_of_the_set_objectives():
     terms = []
     for _ in range(2):
         batch = corpus[int(rng.integers(len(corpus)))]
-        sub = SetBatch(subsample_points(batch.points, 20, rng), set_id=batch.set_id,
-                       label=batch.label)
-        terms.append(set_objective(sub, nets[1], banks[1], cfg, l1_loss))
+        sub = subsample_points(batch.points, 20, rng)
+        terms.append(set_objective(sub, batch.label, nets[1], banks[1], cfg, l1_loss))
     params = [[bank.matrix] + net.parameters() for net, bank in zip(nets, banks)]
     opt = Adam(params[1], lr=cfg.lr)
     opt.zero_grad()

@@ -283,19 +283,24 @@ class Task:
         return sets
 
     def refuse_origin(self, cfg: ResolvedConfig, sets, where: str) -> None:
-        """Exit 2 on a set of ``where`` with a point too near the origin for the cosine
-        cost of the task's metric, before any transport cost is built on ``sets``."""
+        """Exit 2 on a set of ``where`` with a point whose norm the cosine cost of the
+        task's metric cannot normalize by, before any transport cost is built on ``sets``:
+        one below ``NORM_FLOOR``, or one whose squared norm overflows to inf (a coordinate
+        above about 1e154), which would normalize to the zero vector."""
         if cfg[key_for(self.name, "train.metric")] != "cosine":
             return
-        # a squared norm is at least its first term, so one pass clears almost every corpus of
-        # the cost's test; a coordinate above about 1e154 squares to inf, which rightly reads
-        # as far from the origin, so that overflow is ignored
-        first = np.concatenate([batch.points[:, :1] for batch in sets])
-        with np.errstate(over="ignore"):
-            for batch in sets if (first * first < NORM_FLOOR**2).any() else ():
-                if ((batch.points * batch.points).sum(axis=1) < NORM_FLOOR**2).any():
-                    raise ConfigError(f"{where}: set {batch.set_id} has a point of norm below "
-                                      f"{NORM_FLOOR:g}, for which the cosine cost is undefined")
+        points = np.concatenate([batch.points for batch in sets])
+        with np.errstate(over="ignore"):  # the cost's own formula, so both agree at the floor
+            sq = (points * points).sum(axis=1)
+        bad = (sq < NORM_FLOOR**2) | (sq == np.inf)
+        if bad.any():
+            first = int(np.argmax(bad))
+            batch = sets[int(np.searchsorted(np.cumsum([len(b.points) for b in sets]), first,
+                                             side="right"))]
+            what = (f"of norm below {NORM_FLOOR:g}" if sq[first] < NORM_FLOOR**2 else
+                    "whose squared norm overflows a float (a coordinate above about 1e154)")
+            raise ConfigError(f"{where}: set {batch.set_id} has a point {what}, "
+                              "for which the cosine cost is undefined")
 
     def training_sets(self, cfg: ResolvedConfig, corpus):
         """The sets of the file ``corpus``, or without one, ``count`` sets drawn from the seed."""
@@ -820,6 +825,11 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
+    # no bound on a size key can know the machine's memory, so numpy's refusal is the bound
+    except MemoryError as exc:
+        print(f"error: {args.verb}: a size in the config is too large for this machine's "
+              f"memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - safety net
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

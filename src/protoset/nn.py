@@ -71,13 +71,13 @@ class MLP:
         self.layers = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
 
     def __call__(self, x: Value) -> Value:
-        out = x
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            out = layer(out)
-            if i != last:
-                out = self._act(out)
-        return out
+        return self.layers[-1](self.hidden(x))
+
+    def hidden(self, x: Value) -> Value:
+        """Every layer but the last, each followed by the activation: (N, in) -> (N, dims[-2])."""
+        for layer in self.layers[:-1]:
+            x = self._act(layer(x))
+        return x
 
     def parameters(self) -> list[Value]:
         return [p for layer in self.layers for p in (layer.weight, layer.bias)]

@@ -42,8 +42,12 @@ def _guard_norms(sq_norms: np.ndarray, what: str) -> None:
 def cosine_cost_value(points, protos) -> Value:
     """C[i, k] = 1 - cos(x_i, b_k), clamped to [0, 2]; operands may be Values.
 
-    Scale-invariant in both arguments.  Vectors with norm below 1e-12 are
-    rejected outright rather than silently normalized.
+    Invariant to a positive scaling of either argument while each squared norm
+    stays a finite float; a vector with a coordinate above about 1e154 squares
+    to inf, normalizes to the zero vector and reads a cost of 1 against
+    everything (the CLI refuses such points before building the cost).
+    Vectors with norm below 1e-12 are rejected outright rather than silently
+    normalized.
     """
     x = as_value(points)
     b = as_value(protos)

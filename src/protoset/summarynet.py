@@ -4,6 +4,14 @@ A set is encoded elementwise and pooled over the element axis in
 ``pooled_representation``, and the pooled features are mapped to a simplex
 vector of prototype weights.  The supervised variant shares the pooled
 representation between that simplex head and a task prediction head.
+
+The encoder's last layer is affine (an ``MLP`` ends without an activation),
+so mean pooling commutes with it: mean_i(h_i W + b) = (mean_i h_i) W + b,
+and a sum is n times that.  Mean and sum pooling therefore run only the
+hidden layers on each point, pool those rows, and apply the last layer once
+to the pooled row.  That equals encoding every point first up to rounding.
+Max does not commute with an affine map, so max pooling encodes every point
+fully and then pools.
 """
 
 from __future__ import annotations
@@ -93,18 +101,22 @@ class SummaryNet:
     def pooled_representation(self, points) -> Value:
         """Encode each point and pool over the set: (N, d) -> (1, p).
 
-        The encoder's first ``Linear`` refuses points of another rank or width.
+        Mean and sum pool the hidden rows and run the encoder's last layer once,
+        on the pooled row (see the module docstring).  Points of another rank are
+        refused here, since a one-layer encoder's only ``Linear`` sees the pooled
+        row; the encoder's first ``Linear`` refuses another width.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.shape[:1] == (0,):  # pooled, no rows would give a valid-looking summary
             raise DomainError("cannot encode an empty set")
-        features = self.encoder(Value(pts))
+        if pts.ndim != 2:
+            raise ShapeError(f"set points must be (N, d), got shape {pts.shape}")
         kind = self.config.pooling
-        if kind == "mean":
-            return features.mean(axis=0, keepdims=True)
-        if kind == "sum":
-            return features.sum(axis=0, keepdims=True)
-        return features.max(axis=0, keepdims=True)
+        if kind == "max":
+            return self.encoder(Value(pts)).max(axis=0, keepdims=True)
+        hidden = self.encoder.hidden(Value(pts)).mean(axis=0, keepdims=True)
+        mean = self.encoder.layers[-1](hidden)
+        return mean if kind == "mean" else mean * float(pts.shape[0])
 
     def _weights(self, z: Value) -> Value:
         """The simplex head on pooled features: (1, p) -> (K,)."""

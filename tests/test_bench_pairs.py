@@ -160,3 +160,39 @@ def test_traced_pairs_summarize_the_per_layer_metrics(tmp_path, capsys):
     # --summarize reads the file's kind and prints the same table
     assert bench_pairs.main(["--summarize", str(out), "--repo", str(repo)]) == 0
     assert capsys.readouterr().out == table
+
+
+def test_trajectory_chains_the_paired_ratios_in_pr_order(tmp_path, capsys):
+    def run(rate):
+        return {"correct": True, "failed": 0, "metrics": {"rate": {"value": rate}}}
+
+    metrics = [{"name": "rate", "better": "higher"}]
+
+    def write(name, parent, change, summary=True, trace=False):
+        bench = {"trace": trace, "runs": {"w": {"parent": [run(x) for x in parent],
+                                                "change": [run(x) for x in change]}}}
+        if summary:
+            bench["summary"] = bench_pairs.summarize(bench, metrics)
+        (tmp_path / name).write_text(json.dumps(bench))
+        return tmp_path / name
+
+    paths = [
+        write("BENCH_12_all-workloads.json", [1.0, 1.0, 9.0], [4.0, 4.0, 0.0], summary=False),
+        write("BENCH_10_all-workloads.json", [2.0, 2.0], [3.0, 3.0]),
+        write("BENCH_12_traced.json", [1.0], [100.0], trace=True),  # skipped: traced
+        write("BENCH_11_w.json", [1.0], [100.0]),  # skipped: one workload's file
+        write("BENCH_13_all-workloads.json", [5.0], [1.0], trace=True),  # skipped: traced
+        write("BENCH_14_all-workloads.json", [1.0], [0.5]),
+    ]
+    lines = bench_pairs.trajectory(paths, metrics).splitlines()
+    assert lines[1] == "| workload | metric | PR 10 | PR 12 | PR 14 |"
+    # 3/2 = 1.5, then 4/1 = 4 (recomputed: that file has no summary), then 0.5
+    assert lines[3] == "| w | rate | 1.500 (1.500) | 4.000 (6.000) | 0.500 (3.000) |"
+    assert lines[-1] == "PRs with no file: PR 11, PR 13"
+    spec = tmp_path / "repo"
+    spec.mkdir()
+    (spec / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+    assert bench_pairs.main(["--trajectory", *map(str, paths), "--repo", str(spec)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    with pytest.raises(ValueError, match="no untraced"):
+        bench_pairs.trajectory(paths[2:4], metrics)

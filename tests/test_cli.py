@@ -653,26 +653,57 @@ def test_drawn_sets_at_the_origin_under_a_cosine_cost_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["train", "eval"])
 @pytest.mark.parametrize("near_origin", [False, True])
-def test_a_huge_coordinate_under_a_cosine_cost_overflows_the_origin_check_silently(
-        near_origin, tmp_path, capsys):
-    # 1e200 squares to inf, which reads as far from the origin, and that overflow is no
-    # fault to warn of; a point near the origin beside it is still refused
-    points = [[[0.5, 1.0], [1e200, 0.25], [1.0, -1.0]] + [[1e-13, 0.0]] * near_origin,
+def test_a_huge_coordinate_under_a_cosine_cost_exits_2(verb, near_origin, tmp_path, capsys):
+    # 1e200 squares to inf, and the cost would normalize the point to the zero vector, so
+    # it once trained with an overflow warning at every step; the first refused point of a
+    # set names the refusal
+    points = [[[0.5, 1.0]] + [[1e-13, 0.0]] * near_origin + [[1e200, 0.25], [1.0, -1.0]],
               [[0.5, 1.0], [2.0, 0.25]]]
     path = tmp_path / "corpus.jsonl"
-    path.write_text("".join(json.dumps({"set_id": i, "label": None, "points": p}) + "\n"
-                            for i, p in enumerate(points)))
-    argv = ["train", "--task", "mog", "--steps", "2", "--corpus", str(path),
-            "--out", str(tmp_path / "out")] + MOG_ARGS
+    path.write_text("".join(json.dumps({"set_id": i + 3, "label": None, "points": p}) + "\n"
+                            for i, p in enumerate(points[::-1])))
+    out = tmp_path / "out"
+    if verb == "train":
+        argv = ["train", "--task", "mog", "--steps", "2"] + MOG_ARGS
+    else:
+        assert run(["train", "--task", "mog", "--steps", "2", "--out", str(tmp_path / "run")]
+                   + UNSUP + MOG_ARGS) == 0
+        argv = ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.2")]
+    capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run(argv)
-    assert [str(w.message) for w in caught if w.filename == cli.__file__] == []
-    assert code == (cli.EXIT_CONFIG if near_origin else 0)
-    if near_origin:
-        assert capsys.readouterr().err == (f"error: {path}: set 0 has a point of norm below "
-                                           "1e-12, for which the cosine cost is undefined\n")
+        code = run(argv + ["--corpus", str(path), "--out", str(out)])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == cli.EXIT_CONFIG
+    what = ("of norm below 1e-12" if near_origin else
+            "whose squared norm overflows a float (a coordinate above about 1e154)")
+    assert capsys.readouterr().err == (f"error: {path}: set 4 has a point {what}, "
+                                       "for which the cosine cost is undefined\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("generator, argv, size", [
+    ("gen_task_corpus", ["--task", "metagan", "--set", "metagan.n_points=1000000000000"],
+     "7.28 TiB"),
+    ("gen_digit_test_corpora", ["--task", "digitsum", "--set", "digitsum.size=100000000000"],
+     "745 GiB"),
+], ids=["metagan", "digitsum"])
+def test_a_size_too_large_for_memory_exits_2(generator, argv, size, monkeypatch, tmp_path,
+                                             capsys):
+    # the generator stands in for numpy refusing the allocation, which is never made here
+    message = f"Unable to allocate {size} for an array with shape (...) and data type float64"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, generator, refuse)
+    out = tmp_path / "out"
+    assert run(["gen", *argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: gen: a size in the config is too large for this "
+                                       f"machine's memory: {message}\n")
+    assert not out.exists()
 
 
 def test_collapsed_embedding_is_a_training_failure_exit_6(tmp_path, capsys):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protoset.diffcore import Value, no_grad, zero_grad
+from protoset.cli import GRADCHECK_THRESHOLD, TASK_TABLE
+from protoset.config import resolve_config
+from protoset.diffcore import Value, check_gradients, no_grad, zero_grad
 from protoset.errors import ConfigError, DomainError, ShapeError
-from protoset.nn import Linear, fan_balanced_uniform
+from protoset.nn import MLP, Linear, fan_balanced_uniform
 from protoset.summarynet import SetBatch, SummaryNet, SummaryNetConfig
 
 RNG = np.random.default_rng(21)
@@ -165,6 +167,65 @@ def test_pooled_representation_shape():
     for bad in (RNG.normal(size=7), np.float64(1.5), RNG.normal(size=(2, 7, 3)), np.zeros((7, 0))):
         with pytest.raises(ShapeError):
             net.pooled_representation(bad)
+
+
+def test_mlp_call_is_its_last_layer_on_its_hidden_layers():
+    mlp = MLP((3, 16, 16, 5), "elu", np.random.default_rng(2))
+    x = Value(RNG.normal(size=(11, 3)))
+    assert mlp.hidden(x).shape == (11, 16)
+    assert mlp(x).data.tobytes() == mlp.layers[-1](mlp.hidden(x)).data.tobytes()
+
+
+def _pooled_in_the_old_order(net, pts):
+    """Every point through the whole encoder, then the pool."""
+    features = net.encoder(Value(pts)).data
+    return getattr(features, net.config.pooling)(axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "sum"])
+@pytest.mark.parametrize("n", [1, 2, 37, 500])
+def test_pooling_before_the_last_layer_matches_the_old_order(pooling, n):
+    net = small_net(pooling)
+    for layer in net.encoder.layers:  # nonzero biases, so the sum's n x bias is exercised
+        layer.bias.data[...] = RNG.normal(size=layer.bias.data.shape)
+    pts = RNG.normal(size=(n, 3))
+    got = net.pooled_representation(pts).data
+    old = _pooled_in_the_old_order(net, pts)
+    if n == 1:
+        assert got.tobytes() == old.tobytes()
+    else:
+        np.testing.assert_allclose(got, old, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 500])
+def test_max_pooling_keeps_the_old_order(n):
+    net = small_net("max")
+    pts = RNG.normal(size=(n, 3))
+    assert net.pooled_representation(pts).data.tobytes() == _pooled_in_the_old_order(net, pts).tobytes()
+
+
+def test_one_layer_encoder_refuses_another_rank():
+    cfg = SummaryNetConfig(input_dim=3, n_prototypes=4, encoder_widths=(16,))
+    net = SummaryNet(cfg, np.random.default_rng(0))
+    assert net.pooled_representation(RNG.normal(size=(5, 3))).shape == (1, 16)
+    for bad in (np.float64(1.5), RNG.normal(size=3), RNG.normal(size=(2, 5, 3)), np.zeros((5, 4))):
+        with pytest.raises(ShapeError):
+            net.pooled_representation(bad)
+
+
+@pytest.mark.parametrize("pooling", ["sum", "max"])
+def test_set_objective_gradients_under_sum_and_max_pooling(pooling):
+    # seed 1: at seed 0 the sum-pooled loss reads 207, and central differences on it carry
+    # about 1e-9 of roundoff, which the check's 1e-6 floor turns into a relative error of
+    # 7e-4 on bank entries whose gradient is 1e-9 (pooling after the last layer reads the same)
+    task = TASK_TABLE["mog"]
+    cfg = resolve_config(overrides={**task.gradcheck_shapes, "task": "mog", "seed": "1",
+                                    "model.pooling": pooling})
+    sets = task.training_sets(cfg, None)
+    net, bank, named = task.build(cfg, sets)
+    assert net.config.pooling == pooling
+    ((_, fn, params),) = task.objectives(cfg, net, bank, named, sets)
+    assert check_gradients(fn, params, np.random.default_rng(0), samples_per_param=3) < GRADCHECK_THRESHOLD
 
 
 @given(st.integers(0, 10**6))

@@ -3,6 +3,7 @@
     python tools/bench_pairs.py --base HEAD~1 --out BENCH_22_all-workloads.json
     python tools/bench_pairs.py --base HEAD~1 --trace --out BENCH_23_traced.json
     python tools/bench_pairs.py --summarize BENCH_20_all-workloads.json
+    python tools/bench_pairs.py --trajectory BENCH_*.json
 
 A BENCH file holds ``runs[workload][side][i]``, the result line that
 ``perfbench/run.py`` printed for pair i on each side (``parent`` and
@@ -22,6 +23,14 @@ from a temporary ``git worktree`` of REV, the change side from the checkout
 this tool lives in (or ``--repo``), each ``perfbench/run.py`` call in its
 own process.  Pair i runs the parent first when i is even.  The BENCH
 file, summary included, is rewritten after every pair.
+
+``--trajectory`` reads the untraced ``BENCH_<PR>_all-workloads.json`` files
+among those it is given and skips the rest.  Per workload and end-to-end
+metric, it prints each file's change/parent median ratio and their running
+product, in PR order.  Raw medians move between sessions on identical code,
+so that product is the one trajectory free of session drift.  A file with no
+``summary`` has its medians recomputed from its runs.  The PRs between the
+first and the last file that have no such file are named.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,6 +48,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+TRAJECTORY_FILE = re.compile(r"BENCH_(\d+)_all-workloads\.json")
 ORDER = ("{pairs} pairs per workload; pair i (from 0) runs the parent first when i is even, "
          "the change first when odd; runs[W][side][i] is pair i")
 
@@ -103,6 +114,43 @@ def table(summary: dict) -> str:
             f"{entry['failed']}; eval_score identical: "
             f"{'not applicable' if identical is None else identical}"
         )
+    return "\n".join(lines)
+
+
+def trajectory(paths: list[Path], metrics: list[dict]) -> str:
+    """Each untraced all-workloads file's change/parent median ratio and the running
+    product, per workload and metric, one column per PR; then the PRs with no file."""
+    benches = {}
+    for path in paths:
+        match = TRAJECTORY_FILE.fullmatch(path.name)
+        bench = json.loads(path.read_text()) if match else {}
+        if bench.get("runs") and not bench.get("trace"):
+            pr = int(match.group(1))
+            if pr in benches:
+                raise ValueError(f"two all-workloads files for PR {pr}")
+            benches[pr] = bench.get("summary") or summarize(bench, metrics)
+    if not benches:
+        raise ValueError("no untraced BENCH_<PR>_all-workloads.json file with runs")
+    prs = sorted(benches)
+    lines = [
+        "each cell: the change/parent median ratio (the running product from the first PR)",
+        "| workload | metric | " + " | ".join(f"PR {pr}" for pr in prs) + " |",
+        "| --- | --- |" + " --- |" * len(prs),
+    ]
+    for workload in dict.fromkeys(w for pr in prs for w in benches[pr]):
+        for name in (metric["name"] for metric in metrics):
+            product, cells = 1.0, []
+            for pr in prs:
+                row = benches[pr].get(workload, {}).get("metrics", {}).get(name)
+                if row is None:
+                    cells.append("—")
+                    continue
+                ratio = row["change_median"] / row["parent_median"]
+                product *= ratio
+                cells.append(f"{ratio:.3f} ({product:.3f})")
+            lines.append(f"| {workload} | {name} | " + " | ".join(cells) + " |")
+    missing = sorted(set(range(prs[0], prs[-1] + 1)) - set(prs))
+    lines.append("PRs with no file: " + (", ".join(f"PR {pr}" for pr in missing) or "none"))
     return "\n".join(lines)
 
 
@@ -175,6 +223,8 @@ def main(argv=None) -> int:
     mode.add_argument("--summarize", type=Path, metavar="FILE",
                       help="a BENCH_*.json file of parent/change pairs")
     mode.add_argument("--base", metavar="REV", help="run pairs against this parent revision")
+    mode.add_argument("--trajectory", type=Path, nargs="+", metavar="FILE",
+                      help="BENCH_*.json files; the untraced all-workloads ones are chained")
     parser.add_argument("--workload", action="append",
                         help="a workload to run, repeatable (default: every one)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
@@ -194,8 +244,11 @@ def main(argv=None) -> int:
             parser.error("--base needs --out FILE and at least one pair")
         print(table(run_pairs(args)["summary"]))
         return 0
-    bench = json.loads(args.summarize.read_text())
     spec = json.loads((args.repo / "BENCHMARK.json").read_text())
+    if args.trajectory is not None:
+        print(trajectory(args.trajectory, _metrics(spec, False)))
+        return 0
+    bench = json.loads(args.summarize.read_text())
     print(table(summarize(bench, _metrics(spec, bench.get("trace", False)))))
     return 0
 

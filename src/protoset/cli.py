@@ -36,7 +36,7 @@ from .config import (
     resolve_config,
     schema_help,
 )
-from .diffcore import Value, check_gradients, no_grad
+from .diffcore import Value, check_gradients, no_grad, reduce_axis
 from .errors import (
     CheckpointError,
     CheckpointVersionError,
@@ -291,7 +291,7 @@ class Task:
             return
         points = np.concatenate([batch.points for batch in sets])
         with np.errstate(over="ignore"):  # the cost's own formula, so both agree at the floor
-            sq = (points * points).sum(axis=1)
+            sq = reduce_axis(np.add, points * points, 1)
         bad = (sq < NORM_FLOOR**2) | (sq == np.inf)
         if bad.any():
             first = int(np.argmax(bad))

@@ -2,7 +2,7 @@
 
 from .gradcheck import check_gradients
 from .optim import SGD, Adam, make_optimizer
-from .value import Value, as_value, concat, no_grad, zero_grad
+from .value import Value, as_value, concat, no_grad, reduce_axis, zero_grad
 
 __all__ = [
     "Adam",
@@ -13,5 +13,6 @@ __all__ = [
     "concat",
     "make_optimizer",
     "no_grad",
+    "reduce_axis",
     "zero_grad",
 ]

@@ -6,6 +6,16 @@ into topological order and walks it once in reverse, accumulating the
 gradients of its leaves.
 All arithmetic is float64 and domain violations raise instead of producing
 silent NaN.
+
+Two kernels save passes over memory and keep numpy's bits.  ``elu`` is
+``maximum(x, expm1(minimum(x, 0)))``, three ufunc passes into one array:
+``expm1(x) >= x`` for ``x <= 0``, so the max picks ``x`` exactly where
+``x > 0``, and its slope is read back from the output as
+``minimum(out, 0) + 1``.  ``sum`` and ``logsumexp`` reduce through
+``reduce_axis``: numpy reduces an axis shorter than 8 from left to right, add
+starting from +0.0, so on a large array such an axis is reduced as that same
+chain of whole-array ufuncs, one per slice, instead of in numpy's many short
+inner loops.
 """
 
 from __future__ import annotations
@@ -17,6 +27,10 @@ import numpy as np
 from ..errors import DomainError, ShapeError
 
 _grad_enabled = True
+
+# the limits of reduce_axis's chain: below CHAIN_MIN_SIZE entries one reduce is faster
+CHAIN_AXIS_LIMIT = 8
+CHAIN_MIN_SIZE = 4096
 
 
 class no_grad:
@@ -39,6 +53,27 @@ def _asarray(data) -> np.ndarray:
     if not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)
     return arr
+
+
+def reduce_axis(ufunc, x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
+    """``ufunc.reduce(x, axis, keepdims=keepdims)`` as an array, bit for bit, for
+    ``np.add`` and ``np.maximum``.
+
+    numpy reduces an axis shorter than 8 from left to right, add from +0.0, in
+    many short inner loops.  On an array of at least ``CHAIN_MIN_SIZE`` entries,
+    an int ``axis`` shorter than ``CHAIN_AXIS_LIMIT`` is reduced as that same
+    chain of whole-array ufuncs, one per slice, several times faster.
+    """
+    if (type(axis) is not int or x.size < CHAIN_MIN_SIZE or not -x.ndim <= axis < x.ndim
+            or x.shape[axis] >= CHAIN_AXIS_LIMIT):
+        return np.asarray(ufunc.reduce(x, axis=axis, keepdims=keepdims))
+    parts = np.moveaxis(x, axis, 0)
+    out = parts[0].copy() if len(parts) == 1 else ufunc(parts[0], parts[1])
+    for part in parts[2:]:
+        ufunc(out, part, out=out)
+    if ufunc is np.add:
+        out += 0.0  # the reduce's +0.0 start: a slice of all -0.0 sums to +0.0
+    return np.expand_dims(out, axis) if keepdims else out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -221,14 +256,15 @@ class Value:
         return Value._from_op(data, (self,), backward)
 
     def elu(self):
-        # alpha fixed at 1.0; neg is exactly 0 where x > 0, so no select is needed
-        neg = np.minimum(self.data, 0.0)
-        np.expm1(neg, out=neg)
-        data = np.maximum(self.data, 0.0)
-        data += neg
+        # alpha fixed at 1.0; expm1(x) >= x for x <= 0, so the max selects without a mask
+        data = np.minimum(self.data, 0.0)
+        np.expm1(data, out=data)
+        np.maximum(self.data, data, out=data)
 
-        def backward(g, acc):
-            _accumulate(acc, self, g * (neg + 1.0))
+        def backward(g, acc):  # the slope exp(x) is the output plus 1 where x <= 0
+            slope = np.minimum(data, 0.0)
+            slope += 1.0
+            _accumulate(acc, self, np.multiply(g, slope, out=slope))
 
         return Value._from_op(data, (self,), backward)
 
@@ -281,7 +317,7 @@ class Value:
     # -- reductions -------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        data = np.asarray(self.data.sum(axis=axis, keepdims=keepdims))
+        data = reduce_axis(np.add, self.data, axis, keepdims)
         shape = self.data.shape
 
         def backward(g, acc):
@@ -322,12 +358,12 @@ class Value:
             raise DomainError("logsumexp over an empty array")
         if np.isnan(x).any():
             raise DomainError("logsumexp of NaN input")
-        m = np.max(x, axis=axis, keepdims=True)
+        m = reduce_axis(np.maximum, x, axis, keepdims=True)
         # shift by a finite max only: x - inf is NaN, and unshifted, a reduction whose
         # max is -inf sums to 0 and one whose max is +inf to inf, whose logs are the answer
         m = np.where(np.isfinite(m), m, 0.0)
         with np.errstate(divide="ignore", over="ignore"):  # only those two can warn
-            data = np.asarray(np.log(np.sum(np.exp(x - m), axis=axis, keepdims=keepdims)))
+            data = np.asarray(np.log(reduce_axis(np.add, np.exp(x - m), axis, keepdims)))
         data = data + (m if keepdims else m.reshape(data.shape))
         shape = x.shape
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protoset.diffcore import Value, check_gradients, concat, no_grad, zero_grad
-from protoset.diffcore.value import _linearize
+from protoset.diffcore.value import CHAIN_AXIS_LIMIT, CHAIN_MIN_SIZE, _linearize, reduce_axis
 from protoset.errors import DomainError, ShapeError
 
 RNG = np.random.default_rng(20240817)
@@ -154,6 +154,17 @@ def test_relu_under_no_grad_makes_no_mask():
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
+def test_elu_under_no_grad_makes_three_passes_into_one_array():
+    x = Value(np.array([-2.0, -0.0, 0.0, 0.5, 3.0]))
+    x.data = x.data.view(_Watched)
+    _Watched.seen, _Watched.wrote = [], []
+    with no_grad():
+        out = x.elu()
+    assert _Watched.seen == ["minimum", "expm1", "maximum"]
+    assert set(_Watched.wrote) == {out.data.__array_interface__["data"][0]}
+    assert np.array_equal(out.data, elu_select(x.data.view(np.ndarray))[0])
+
+
 def test_clip_gradient_masks_outside():
     x = Value(np.array([-1.0, 0.5, 3.0]), requires_grad=True)
     y = x.clip(0.0, 2.0)
@@ -173,14 +184,23 @@ def test_matmul_gradients():
 
 
 class _Watched(np.ndarray):
-    """An array that records every ufunc, matmul included, that it takes part in."""
+    """An array that records every ufunc, matmul included, that it takes part in:
+    ``seen`` gets its name (``add.reduce`` for a method other than a call) and
+    ``wrote`` the address of the buffer it wrote.  Its results are watched too."""
 
     seen: list = []
+    wrote: list = []
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        _Watched.seen.append(ufunc.__name__)
-        inputs = tuple(i.view(np.ndarray) if isinstance(i, _Watched) else i for i in inputs)
-        return getattr(ufunc, method)(*inputs, **kwargs)
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, _Watched) else a
+
+        if out is not None:
+            kwargs["out"] = tuple(plain(o) for o in out)
+        result = np.asarray(getattr(ufunc, method)(*map(plain, inputs), **kwargs))
+        _Watched.seen.append(ufunc.__name__ if method == "__call__" else f"{ufunc.__name__}.{method}")
+        _Watched.wrote.append(result.__array_interface__["data"][0])
+        return result.view(_Watched)
 
 
 def test_matmul_skips_the_product_of_a_constant_operand():
@@ -258,6 +278,46 @@ def test_max_gradient_fd():
     fd_check(lambda: (x.max(axis=1) * w).sum(), [x])
 
 
+REDUCE_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            2.2e-308, -2.2e-308, 1e308, -1e308])
+# sizes on both sides of CHAIN_MIN_SIZE (4096) and axes on both sides of CHAIN_AXIS_LIMIT (8)
+REDUCE_SHAPES = [(37, 4, 2), (585, 7), (1024, 4), (2048, 4, 2), (4096, 1), (7, 700),
+                 (8, 600), (3, 700, 2), (2, 2, 1100), (512, 8), (3, 5, 2, 137)]
+
+
+@given(st.sampled_from(REDUCE_SHAPES), st.integers(0, 10**6), st.booleans(),
+       st.sampled_from([np.add, np.maximum]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduce_axis_equals_the_ufunc_reduce_bitwise(shape, seed, keepdims, ufunc, data):
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+    specials = rng.random(shape) < rng.uniform(0.0, 0.3)
+    x[specials] = rng.choice(REDUCE_SPECIALS, size=int(specials.sum()))
+    reduced = list(shape)
+    reduced[axis] = 1
+    x = np.where(rng.random(reduced) < 0.2, -0.0, x)  # whole slices of -0.0
+    with np.errstate(all="ignore"):
+        want = np.asarray(ufunc.reduce(x, axis=axis, keepdims=keepdims))
+        got = reduce_axis(ufunc, x, axis, keepdims)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # values, sign bits and NaN payloads
+
+
+@pytest.mark.parametrize("shape, axis, chained", [
+    ((2048, 4, 2), 1, True), ((2048, 4, 2), -1, True), ((4096, 1), 1, True),
+    ((37, 4, 2), 1, False), ((512, 8), 1, False), ((2048, 4, 2), None, False),
+    ((2048, 4, 2), (1, 2), False),
+])
+def test_reduce_axis_chains_only_a_short_axis_of_a_large_array(shape, axis, chained):
+    assert CHAIN_MIN_SIZE == 4096 and CHAIN_AXIS_LIMIT == 8
+    x = np.random.default_rng(3).normal(size=shape).view(_Watched)
+    _Watched.seen = []
+    reduce_axis(np.add, x, axis)
+    # chained: one add per slice after the first, then the +0.0 start
+    assert _Watched.seen == (["add"] * shape[axis] if chained else ["add.reduce"])
+
+
 def test_empty_reduction_raises():
     with pytest.raises(DomainError):
         Value(np.zeros((0, 3))).max(axis=0)
@@ -299,13 +359,14 @@ def test_logsumexp_of_infinite_inputs_is_exact_and_silent(row, expected):
 
 @pytest.mark.parametrize("axis, keepdims", [(None, False), (0, False), (1, True), (-1, False)])
 def test_logsumexp_of_finite_inputs_keeps_the_max_shift_bits(axis, keepdims):
-    x = np.random.default_rng(7).normal(scale=30.0, size=(6, 5))
-    x[0, 0], x[1] = -745.0, 700.0  # an exp that underflows; a row of equal large values
-    m = np.max(x, axis=axis, keepdims=True)  # the plain max shift, as the reference
-    data = np.asarray(np.log(np.sum(np.exp(x - m), axis=axis, keepdims=keepdims)))
-    expected = data + (m if keepdims else m.reshape(data.shape))
-    got = Value(x).logsumexp(axis=axis, keepdims=keepdims).data
-    assert got.shape == expected.shape and np.array_equal(got, expected)
+    for shape in [(6, 5), (2048, 4, 2)]:  # reduce_axis chains the second's short axes
+        x = np.random.default_rng(7).normal(scale=30.0, size=shape)
+        x[0, 0], x[1] = -745.0, 700.0  # an exp that underflows; a row of equal large values
+        m = np.max(x, axis=axis, keepdims=True)  # the plain max shift, as the reference
+        data = np.asarray(np.log(np.sum(np.exp(x - m), axis=axis, keepdims=keepdims)))
+        expected = data + (m if keepdims else m.reshape(data.shape))
+        got = Value(x).logsumexp(axis=axis, keepdims=keepdims).data
+        assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 def test_softmax_gradients():

@@ -12,7 +12,10 @@ run past two blocks of episodes, so that block boundaries are compared, one
 of them at sigma 3, where accuracies vary enough that a mis-scored episode
 moves the metrics.  Two mog evals score 11 drawn sets of 400 to 500 points,
 several likelihood blocks, with the oracle; one of them from ``train/mog-cap``,
-so the eval's subsample draws run across blocks too.  One train run reads its keys from a ``--config`` file,
+so the eval's subsample draws run across blocks too.  One mog run trains on
+subsamples of 600 points, whose task loss sums an array large enough for
+diffcore to reduce its short axis as a chain of whole-array adds.
+One train run reads its keys from a ``--config`` file,
 the flags of ``train/mog``, and must write the same artifacts; the capture
 exits 1 if not.
 Two runs of the same program in different directories must print the same
@@ -100,6 +103,10 @@ TRAINS = {
     "mog-tanh": ("mog", ["--steps", "5", "--set", "model.activation=tanh"]),
     "mog-sqeuclid": ("mog", ["--steps", "5", "--set", "train.metric=sqeuclidean"]),
     "mog-corpus": ("mog", ["--steps", "3", "--corpus", "gen/mog/corpus.jsonl"]),
+    # 600 points x 4 components x 2 coordinates: the task loss's sums over the
+    # coordinates reach diffcore's chained reduction of a short axis
+    "mog-batch600": ("mog", ["--steps", "3", "--set", "mog.n_min=600", "--set", "mog.n_max=640",
+                             "--set", "train.batch_points=600"]),
     "digitsum": ("digitsum", []),
     "digitsum-unsup": ("digitsum", UNSUP),
     "pointset": ("pointset", []),

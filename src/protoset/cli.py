@@ -65,7 +65,7 @@ from .metagan import (
     train_metagan,
 )
 from .ot import Marginals, SinkhornConfig, entropic_objective, sinkhorn, transport_cost
-from .ot.cost import NORM_FLOOR
+from .ot.cost import NORM_FLOOR, degenerate_sq_norms
 from .ot.marginals import uniform_weights
 from .protolearn import (
     PrototypeBank,
@@ -286,13 +286,13 @@ class Task:
         """Exit 2 on a set of ``where`` with a point whose norm the cosine cost of the
         task's metric cannot normalize by, before any transport cost is built on ``sets``:
         one below ``NORM_FLOOR``, or one whose squared norm overflows to inf (a coordinate
-        above about 1e154), which would normalize to the zero vector."""
+        above about 1e154), as ``degenerate_sq_norms`` decides for the cost itself."""
         if cfg[key_for(self.name, "train.metric")] != "cosine":
             return
         points = np.concatenate([batch.points for batch in sets])
         with np.errstate(over="ignore"):  # the cost's own formula, so both agree at the floor
             sq = reduce_axis(np.add, points * points, 1)
-        bad = (sq < NORM_FLOOR**2) | (sq == np.inf)
+        bad = degenerate_sq_norms(sq)
         if bad.any():
             first = int(np.argmax(bad))
             batch = sets[int(np.searchsorted(np.cumsum([len(b.points) for b in sets]), first,

@@ -27,12 +27,13 @@ def check_gradients(
     samples_per_param: int = 10,
     step: float = 1e-5,
 ) -> float:
-    """The largest relative error |fd - ad| / max(|fd|, |ad|, 1e-6) between
-    analytic and central-difference gradients on sampled entries; NaN if any
-    entry is NaN."""
+    """The largest relative error |fd - ad| / max(|fd|, |ad|, 1e-6 * max(1, |loss|))
+    between analytic and central-difference gradients on sampled entries (the
+    floor grows with the loss, as fd's roundoff does); NaN if any entry is NaN."""
     zero_grad(params)
     loss = fn()
     loss.backward()
+    floor = 1e-6 * max(1.0, abs(loss.item()))
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
     worst = 0.0
@@ -50,7 +51,7 @@ def check_gradients(
             flat[i] = saved
             fd = (up - down) / (2.0 * step)
             ad = float(analytic[pi].reshape(-1)[i])
-            rel = abs(fd - ad) / max(abs(fd), abs(ad), 1e-6)
+            rel = abs(fd - ad) / max(abs(fd), abs(ad), floor)
             if rel > worst or np.isnan(rel):  # a NaN entry must not pass
                 worst = rel
     zero_grad(params)

@@ -6,9 +6,10 @@ squared distance.  The optional regularizer treats each class's embedded
 support points as a uniform empirical measure and transports it onto a
 trainable bank of embedding-space centers, weighted by a simplex head g
 applied to the class prototype.  The n_way class problems share one shape,
-k_shot points against the bank, so they are built as one stack: one cost
-over all embedded support points, one floored softmax of the head rows and
-one transport node, whose (n_way,) losses are averaged.  Classification
+k_shot points against the bank, so ``protolearn.transport_objective`` builds
+them as one stack (one cost, one floored softmax of the head rows, one
+transport node) whose (n_way,) losses are averaged and joined with the task
+loss by ``protolearn.joint_objective``, as for set tasks.  Classification
 always uses the prototypes alone; the transport term only shapes the
 embedding.  An episode is the array it is drawn as, class-blocked, so its
 query labels follow from the layout, and evaluation embeds and scores a
@@ -26,10 +27,10 @@ import numpy as np
 from .diffcore import Value, as_value, no_grad
 from .errors import ConfigError, bounded, check_bound, check_box, check_fields
 from .nn import ACTIVATIONS, MLP
-from .ot import SinkhornConfig, floor_simplex_value
-from .ot.cost import build_cost_value
-from .ot.sinkhorn import differentiable_transport_loss
-from .protolearn import PrototypeBank, TrainConfig, fit_objective
+# unused here, but perfbench's tracer wraps both by name as attributes of this module
+from .ot import build_cost_value, differentiable_transport_loss  # noqa: F401
+from .protolearn import (PrototypeBank, TrainConfig, fit_objective, joint_objective,
+                         transport_objective)
 
 SPLITS = ("base", "novel")
 # episodes per embedding pass of eval_fewshot, measured in perfbench's fewshot-ot eval: 4
@@ -200,68 +201,44 @@ def query_accuracy(logits: Value, labels: np.ndarray):
     return (logits.data.argmax(axis=-1) == np.asarray(labels)).mean(axis=-1)
 
 
-def _class_transport(
-    embedded_support: Value,
-    prototypes: Value,
-    head: MLP,
-    bank: PrototypeBank,
-    metric: str,
-    sinkhorn: SinkhornConfig,
-) -> Value:
-    """Mean over classes of the transport loss onto the head-weighted bank.
-
-    The n_way problems, one per class, are one stacked transport node: the
-    cost of every embedded support point, (n_way, k_shot, K), against the
-    per-class simplex rows, (n_way, K).
-    """
-    w = prototypes.shape[0]
-    k = embedded_support.shape[0] // w
-    weights = floor_simplex_value(head(prototypes).softmax(axis=1))  # (n_way, K)
-    cost = build_cost_value(embedded_support, bank.matrix, metric)
-    terms = differentiable_transport_loss(cost.reshape(w, k, -1), weights, sinkhorn)
-    return terms.sum() * (1.0 / w)
-
-
 def episode_objective(
     model: FewShotModel, episode: np.ndarray, config: TrainConfig
 ) -> tuple[Value, float, Optional[float]]:
     """Training loss for one episode: (loss, task value, ot value).
 
     Embeddings and prototypes are computed once and shared between the
-    classification loss and the transport term, which joins at lambda_ot > 0.
+    classification loss and the class-mean transport term, joined by
+    ``joint_objective`` at lambda_ot (unset reads 0).
     """
     k = model.config.k_shot
     embedded = support_embeddings(model.embed, episode[:, :k])
     prototypes = _means_per_class(embedded, len(episode))
     logits = query_logits(model.embed, episode[:, k:], prototypes)
     task = protonet_loss(logits, model.config.query_labels)
+
+    def transport() -> Value:
+        weights = model.simplex_head(prototypes).softmax(axis=1)  # (n_way, K)
+        terms = transport_objective(embedded, weights, model.bank, config.metric, config.sinkhorn)
+        return terms.sum() * (1.0 / len(episode))
+
     lam = 0.0 if config.lambda_ot is None else float(config.lambda_ot)
-    if lam > 0:
-        ot = _class_transport(
-            embedded, prototypes, model.simplex_head, model.bank, config.metric, config.sinkhorn
-        )
-        return task + ot * lam, task.item(), ot.item()
-    return task, task.item(), None
+    return joint_objective(task, transport, lam)
 
 
 def train_fewshot(model: FewShotModel, config: TrainConfig) -> dict:
     """``config.steps`` episodes over base classes; the transport term joins when set.
 
-    With lambda_ot unset (or 0) the head and bank receive no gradient and stay
-    at their initial values, so the run is bit-identical to plain episodic
-    training of the embedding alone.
+    The optimizer holds every model parameter; with lambda_ot unset (or 0) no
+    loss reaches the head and bank, so they stay at their initial values and
+    the run is bit-identical to plain episodic training of the embedding alone.
     """
-    lam = 0.0 if config.lambda_ot is None else float(config.lambda_ot)
-    params = model.embed_net.parameters()
-    if lam > 0:
-        params = params + model.simplex_head.parameters() + [model.bank.matrix]
     guard_rng = np.random.default_rng(config.seed + 1)  # drawn from only on column collapse
     stream = gen_episodes(model.config, "base", seed=config.seed, count=config.steps)
 
     def objective():
         return episode_objective(model, next(stream), config)
 
-    return fit_objective(config, params, objective, model.bank, guard_rng, "episode")
+    return fit_objective(config, model.parameters(), objective, model.bank, guard_rng, "episode")
 
 
 def eval_fewshot(model: FewShotModel, seed: int, count: int) -> dict:

@@ -30,24 +30,27 @@ def _check_pair(points: np.ndarray, protos: np.ndarray) -> None:
         )
 
 
+def degenerate_sq_norms(sq_norms: np.ndarray) -> np.ndarray:
+    """Which squared norms the cosine cost cannot normalize by: below
+    ``NORM_FLOOR**2``, or overflowed to inf (a coordinate above about 1e154)."""
+    return (sq_norms < NORM_FLOOR**2) | (sq_norms == np.inf)
+
+
 def _guard_norms(sq_norms: np.ndarray, what: str) -> None:
-    bad = sq_norms < NORM_FLOOR**2
+    bad = degenerate_sq_norms(sq_norms)
     if bad.any():
         idx = int(np.argmax(bad))
-        raise DegenerateInputError(
-            f"{what} {idx} has norm below {NORM_FLOOR:g}; cosine cost is undefined for it"
-        )
+        why = (f"norm below {NORM_FLOOR:g}" if sq_norms[idx] < NORM_FLOOR**2 else
+               "a squared norm that overflows a float")
+        raise DegenerateInputError(f"{what} {idx} has {why}; cosine cost is undefined for it")
 
 
 def cosine_cost_value(points, protos) -> Value:
     """C[i, k] = 1 - cos(x_i, b_k), clamped to [0, 2]; operands may be Values.
 
-    Invariant to a positive scaling of either argument while each squared norm
-    stays a finite float; a vector with a coordinate above about 1e154 squares
-    to inf, normalizes to the zero vector and reads a cost of 1 against
-    everything (the CLI refuses such points before building the cost).
-    Vectors with norm below 1e-12 are rejected outright rather than silently
-    normalized.
+    Invariant to a positive scaling of either argument.  A vector the cost
+    cannot normalize by, of norm below 1e-12 or whose squared norm overflows,
+    raises ``DegenerateInputError``.
     """
     x = as_value(points)
     b = as_value(protos)

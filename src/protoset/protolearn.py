@@ -3,14 +3,16 @@
 The bank is a (d, K) matrix of prototype columns living either in data space
 or in an encoder's embedding space.  Training minimizes the entropy-regularized
 transport cost between each minibatch (uniform weights) and the bank weighted
-by the summary network's simplex output — alone, or added to a task loss.
+by the summary network's simplex output, ``transport_objective`` for a set or
+a stack of sets: alone, or joined with a task loss by ``joint_objective``.
 
 One backward pass per step computes gradients for the bank and the network
 together; both are then updated from it.  ``apply_update`` is that update for
 every loop in the package, with the one rule for guarding a cosine bank, and
-``fit`` the step loop of every trainer, so no two loops can drift apart.  Each trainer names its own trace columns in the
-row its step returns; ``fit_objective`` is the step of the trainers with one
-optimizer and one objective.
+``fit`` the step loop of every trainer, so no two loops can drift apart.  Each
+trainer names its own trace columns in the row its step returns;
+``fit_objective`` is the step of the trainers with one optimizer and one
+objective.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .ot import (
     floor_simplex_value,
     differentiable_transport_loss,
 )
-from .ot.cost import METRICS, NORM_FLOOR
+from .ot.cost import METRICS, degenerate_sq_norms
 from .summarynet import SetBatch, SummaryNet
 
 logger = logging.getLogger(__name__)
@@ -63,16 +65,16 @@ class PrototypeBank:
         return cls(Value(points[idx].T.copy(), requires_grad=True))
 
     def guard_cosine_columns(self, rng: np.random.Generator) -> int:
-        """Re-randomize any column whose norm fell below the cosine floor.
+        """Re-randomize any column the cosine cost cannot normalize by.
 
         Returns the number of columns touched (normally zero).
         """
-        norms = np.sqrt((self.matrix.data**2).sum(axis=0))
-        bad = np.flatnonzero(norms < NORM_FLOOR)
+        with np.errstate(over="ignore"):  # an overflowed squared norm is a degenerate one
+            bad = np.flatnonzero(degenerate_sq_norms((self.matrix.data**2).sum(axis=0)))
         for col in bad:
             fresh = rng.normal(size=self.dim)
             self.matrix.data[:, col] = fresh / np.linalg.norm(fresh)
-            logger.warning("prototype column %d collapsed to zero norm; re-randomized", col)
+            logger.warning("prototype column %d left the cosine norm range; re-randomized", col)
         return int(bad.size)
 
 
@@ -106,10 +108,31 @@ def transport_objective(
     metric: str,
     sinkhorn_config: SinkhornConfig,
 ) -> Value:
-    """Differentiable transport loss between a point batch and the weighted bank."""
+    """Differentiable transport loss between points and the weighted bank.
+
+    With (K,) ``weights`` the points are one set and the loss is a scalar.
+    With (B, K) weights the rows of ``points`` are B equal blocks of
+    consecutive rows, block b weighted by row b, and the (B,) losses come from
+    one stacked transport node (Cuturi 2013, §4).
+    """
     cost = build_cost_value(points, bank.matrix, metric)
+    if weights.ndim == 2:
+        cost = cost.reshape(weights.shape[0], -1, cost.shape[-1])
     cols = floor_simplex_value(weights)
     return differentiable_transport_loss(cost, cols, sinkhorn_config)
+
+
+def joint_objective(
+    task: Value, transport: Callable[[], Value], lam: float
+) -> tuple[Value, float, Optional[float]]:
+    """The task loss plus ``lam`` times ``transport()``: (loss, task value, transport value).
+
+    At lam = 0 the transport term is never built and its value reads None.
+    """
+    if lam == 0:
+        return task, task.item(), None
+    term = transport()
+    return task + term * lam, task.item(), term.item()
 
 
 def subsample_points(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -133,9 +156,10 @@ def apply_update(
     """The one parameter update of every training loop in the package.
 
     Returns the loss as a float; a non-finite one raises before any parameter
-    moves.  Otherwise: zero_grad, backward, step, then, when the step moved
-    ``bank``'s matrix under the cosine ``metric``, re-randomize any collapsed
-    column of it from ``rng``.  This is the one place that rule is decided.
+    moves.  Otherwise: zero_grad, backward, step, then, when the loss gave
+    ``bank``'s matrix a gradient (no optimizer moves a parameter without one)
+    under the cosine ``metric``, re-randomize any collapsed column of it from
+    ``rng``.  This is the one place that rule is decided.
     """
     value = loss.item()
     if not np.isfinite(value):
@@ -145,7 +169,7 @@ def apply_update(
     optimizer.zero_grad()
     loss.backward()
     optimizer.step()
-    if metric == "cosine" and any(p is bank.matrix for p in optimizer.params):
+    if metric == "cosine" and bank.matrix.grad is not None:
         bank.guard_cosine_columns(rng)
     return value
 
@@ -163,23 +187,22 @@ def set_objective(
 
     With ``rng`` the points are first subsampled to ``config.batch_points``,
     and the subsample is used as drawn.  The loss is the transport term alone,
-    or with ``task_loss_fn(prediction, points, label)`` the task loss plus
-    lambda_ot (default 1) times the transport term, which at lambda_ot = 0 is
-    not built and reads None.
+    for which lambda_ot must stay unset, or with
+    ``task_loss_fn(prediction, points, label)`` their ``joint_objective`` at
+    lambda_ot (unset reads 1).
     """
     if rng is not None:
         points = subsample_points(points, config.batch_points, rng)
     metric, sk = config.metric, config.sinkhorn
     if task_loss_fn is None:
+        if config.lambda_ot is not None:
+            raise ConfigError("lambda_ot does not apply to unsupervised training; leave it unset")
         loss = transport_objective(points, net.summarize(points), bank, metric, sk)
         return loss, None, loss.item()
     weights, prediction = net.summarize_with_prediction(points)
-    task = task_loss_fn(prediction, points, label)
     lam = 1.0 if config.lambda_ot is None else float(config.lambda_ot)
-    if lam == 0:
-        return task, task.item(), None
-    transport = transport_objective(points, weights, bank, metric, sk)
-    return task + transport * lam, task.item(), transport.item()
+    return joint_objective(task_loss_fn(prediction, points, label),
+                           lambda: transport_objective(points, weights, bank, metric, sk), lam)
 
 
 def fit(steps: int, step: Callable[[int], dict], log_every: int, what: str) -> dict:
@@ -244,38 +267,32 @@ def train_prototypes(
     """Prototype training on randomly drawn sets, with an optional task loss.
 
     Each step's loss is the mean of ``set_objective`` over ``batch_sets``
-    subsampled sets.  Without ``task_loss_fn`` the net needs no prediction
-    head and lambda_ot must stay unset.  At lambda_ot = 0 the run is
-    bit-identical to a plain supervised loop and the bank never moves.
+    subsampled sets, and the optimizer holds the bank and every net
+    parameter.  Without ``task_loss_fn`` the net needs no prediction head.
+    At lambda_ot = 0 no loss reaches the bank, so it never moves and the run
+    is bit-identical to a plain supervised loop.
     """
-    if task_loss_fn is None and config.lambda_ot is not None:
-        raise ConfigError("lambda_ot does not apply to unsupervised training; leave it unset")
     if not corpus:
         raise ConfigError("corpus is empty")
-    lam = 1.0 if config.lambda_ot is None else float(config.lambda_ot)
     rng = np.random.default_rng(config.seed)  # draws the data, and columns on collapse
-    params = list(net.parameters())
-    if lam > 0:
-        params = [bank.matrix] + params
     scale = 1.0 / config.batch_sets
 
+    def mean(values):  # of per-set values, None where the term was not built
+        return None if values[0] is None else sum(value * scale for value in values)
+
     def objective():
-        total = None
-        task_value = None if task_loss_fn is None else 0.0
-        ot_value = 0.0 if lam > 0 else None
+        rows = []
         for _ in range(config.batch_sets):
             batch = corpus[int(rng.integers(len(corpus)))]
-            term, task, transport = set_objective(batch.points, batch.label, net, bank, config,
-                                                  task_loss_fn, rng)
-            if task is not None:
-                task_value += task * scale
-            if transport is not None:
-                ot_value += transport * scale
-            total = term if total is None else total + term
+            rows.append(set_objective(batch.points, batch.label, net, bank, config,
+                                      task_loss_fn, rng))
+        losses, tasks, transports = zip(*rows)
+        total = sum(losses[1:], losses[0])
         if config.batch_sets > 1:
             total = total * scale
         if task_loss_fn is None:  # the loss itself, not a sum of per-set values
-            ot_value = total.item()
-        return total, task_value, ot_value
+            return total, None, total.item()
+        return total, mean(tasks), mean(transports)
 
-    return fit_objective(config, params, objective, bank, rng, "training")
+    return fit_objective(config, [bank.matrix] + net.parameters(), objective, bank, rng,
+                         "training")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from protoset import fewshot
+from protoset import fewshot, protolearn
 from protoset.diffcore import as_value, no_grad, zero_grad
 from protoset.diffcore.gradcheck import check_gradients
 from protoset.errors import ConfigError, ShapeError, TrainingDivergedError
@@ -398,6 +398,21 @@ def test_lambda_zero_is_bit_identical_to_baseline():
     for pb, pf in zip(model_b.simplex_head.parameters(), fresh.simplex_head.parameters()):
         assert np.array_equal(pb.data, pf.data)
     assert np.array_equal(model_b.bank.matrix.data, fresh.bank.matrix.data)
+
+
+@pytest.mark.parametrize("lam", [None, 0.0, 0.5])
+def test_train_fewshot_hands_every_parameter_to_the_optimizer(lam, monkeypatch):
+    held = []
+    make_optimizer = protolearn.make_optimizer
+
+    def capture(kind, params, lr):
+        held.append(list(params))
+        return make_optimizer(kind, held[-1], lr)
+
+    monkeypatch.setattr(protolearn, "make_optimizer", capture)
+    model = FewShotModel(small_config(), np.random.default_rng(5))
+    train_fewshot(model, train_config(steps=2, lambda_ot=lam))
+    assert [id(p) for p in held[0]] == [id(p) for p in model.parameters()]
 
 
 def test_training_is_deterministic():

@@ -89,6 +89,20 @@ def test_zero_norm_prototype_rejected():
         cosine_cost(x, b)
 
 
+@pytest.mark.parametrize("big", [1e155, 1e200, 1e308])
+def test_point_whose_squared_norm_overflows_rejected(big):
+    # above about 1e154 a coordinate squares to inf, and the point would
+    # normalize to the zero vector; below it the point normalizes as any other
+    x = np.array([[0.5, 1.0], [big, 0.25]])
+    b = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with np.errstate(over="ignore"), pytest.raises(DegenerateInputError, match="point 1 has a "
+                                                   "squared norm that overflows a float"):
+        cosine_cost(x, b)
+    with np.errstate(over="ignore"), pytest.raises(DegenerateInputError, match="prototype column 1"):
+        cosine_cost(b, x.T)
+    assert cosine_cost(np.array([[1e150, 0.0]]), b)[0] == pytest.approx([0.0, 1.0])
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ShapeError):
         cosine_cost(np.zeros((3, 2)), np.ones((3, 2)))

@@ -12,7 +12,8 @@ from protoset.diffcore import SGD, Adam, Value, no_grad, zero_grad
 from protoset.errors import ConfigError, DomainError, TrainingDivergedError
 from protoset.fewshot import FewShotConfig, FewShotModel, train_fewshot
 from protoset.metagan import GanConfig, MetaGan, TaskFamilySpec, gen_task_corpus, train_metagan
-from protoset.ot import SinkhornConfig
+from protoset.ot import (SinkhornConfig, build_cost_value, differentiable_transport_loss,
+                         floor_simplex_value)
 from protoset.protolearn import (
     PrototypeBank,
     TrainConfig,
@@ -80,13 +81,58 @@ def test_cosine_column_guard_rerandomizes():
                                                    ("euclidean", True, False),
                                                    ("cosine", False, False)])
 def test_apply_update_guards_a_cosine_bank_only_when_the_step_moved_it(metric, moved, guarded):
+    # the optimizer holds the bank either way, as every trainer's does; only a
+    # loss that reaches the bank gives it a gradient and so moves it
     bank = PrototypeBank(Value(np.array([[1.0, 0.0], [0.0, 0.0]]), requires_grad=True))
     other = Value(np.ones(2), requires_grad=True)
-    loss = (bank.matrix * 0.0).sum() + (other * 0.0).sum()
-    optimizer = SGD([bank.matrix] if moved else [other], lr=0.1)
+    loss = (other * 0.0).sum()
+    if moved:
+        loss = loss + (bank.matrix * 0.0).sum()
+    optimizer = SGD([bank.matrix, other], lr=0.1)
     protolearn.apply_update(optimizer, loss, 0, "test", bank, metric, np.random.default_rng(0))
     collapsed = np.linalg.norm(bank.matrix.data[:, 1])
     assert collapsed == pytest.approx(1.0) if guarded else collapsed == 0.0
+
+
+def test_cosine_column_guard_rerandomizes_an_overflowed_column():
+    # 1e200 squares to inf: the cosine cost cannot normalize the column by its norm
+    bank = PrototypeBank(Value(np.array([[1.0, 1e200], [0.0, 0.25]]), requires_grad=True))
+    assert bank.guard_cosine_columns(np.random.default_rng(0)) == 1
+    assert np.linalg.norm(bank.matrix.data[:, 1]) == pytest.approx(1.0)
+    assert np.array_equal(bank.matrix.data[:, 0], [1.0, 0.0])
+
+
+def test_joint_objective_at_lambda_zero_never_builds_the_transport_term():
+    def transport():
+        raise AssertionError("the transport term was built at lambda 0")
+
+    task = Value(np.array(2.5), requires_grad=True)
+    loss, task_value, ot_value = protolearn.joint_objective(task, transport, 0.0)
+    assert loss is task and task_value == 2.5 and ot_value is None
+    loss, task_value, ot_value = protolearn.joint_objective(task, lambda: task * 2.0, 0.5)
+    assert (loss.item(), task_value, ot_value) == (5.0, 2.5, 5.0)
+
+
+@pytest.mark.parametrize("grad_mode", ["unrolled", "envelope"])
+def test_stacked_transport_objective_is_the_reshaped_stacked_node_bit_for_bit(grad_mode):
+    # (B, K) weights: B equal blocks of consecutive rows, one stacked node
+    b, n, k = 3, 7, 4
+    points = RNG.normal(size=(b * n, 2)) + 0.5
+    bank = PrototypeBank(Value(RNG.normal(size=(2, k)), requires_grad=True))
+    logits = Value(RNG.normal(size=(b, k)), requires_grad=True)
+    sk = SinkhornConfig(grad_mode=grad_mode)
+    stacked = transport_objective(points, logits.softmax(axis=1), bank, "cosine", sk)
+    stacked.sum().backward()
+    grads = (bank.matrix.grad.copy(), logits.grad.copy())
+    zero_grad([bank.matrix, logits])
+    cost = build_cost_value(points, bank.matrix, "cosine").reshape(b, n, k)
+    cols = floor_simplex_value(logits.softmax(axis=1))
+    reference = differentiable_transport_loss(cost, cols, sk)
+    reference.sum().backward()
+    assert stacked.shape == (b,)
+    assert stacked.data.tobytes() == reference.data.tobytes()
+    assert grads[0].tobytes() == bank.matrix.grad.tobytes()
+    assert grads[1].tobytes() == logits.grad.tobytes()
 
 
 def test_subsample_caps_at_set_size():
@@ -253,6 +299,24 @@ def labelled_corpus():
         pts = rng.normal(size=(25, 2)) + i * 0.3
         corpus.append(SetBatch(pts, set_id=i, label=float(i)))
     return corpus
+
+
+@pytest.mark.parametrize("lam", [None, 0.0, 0.5])
+def test_train_prototypes_hands_every_parameter_to_the_optimizer(lam, monkeypatch):
+    held = []
+    make_optimizer = protolearn.make_optimizer
+
+    def capture(kind, params, lr):
+        held.append(list(params))
+        return make_optimizer(kind, held[-1], lr)
+
+    monkeypatch.setattr(protolearn, "make_optimizer", capture)
+    corpus = labelled_corpus()
+    net = tiny_net(k=4, output_dim=1, seed=20)
+    bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(5))
+    train_prototypes(corpus, net, bank, TrainConfig(steps=2, batch_points=20, lambda_ot=lam),
+                     l1_loss)
+    assert [id(p) for p in held[0]] == [id(p) for p in [bank.matrix] + net.parameters()]
 
 
 def run_supervised(lam, steps=30, build_ot_branch=True):

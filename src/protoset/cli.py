@@ -282,34 +282,34 @@ class Task:
                                   f"not a whole number in [0, {self.label_bound})")
         return sets
 
-    def refuse_origin(self, cfg: ResolvedConfig, sets, where: str) -> None:
-        """Exit 2 on a set of ``where`` with a point whose norm the cosine cost of the
-        task's metric cannot normalize by, before any transport cost is built on ``sets``:
-        one below ``NORM_FLOOR``, or one whose squared norm overflows to inf (a coordinate
-        above about 1e154), as ``degenerate_sq_norms`` decides for the cost itself."""
-        if cfg[key_for(self.name, "train.metric")] != "cosine":
-            return
+    def refuse_points(self, sets, where: str, cosine: bool) -> None:
+        """Exit 2 on a set of ``where`` with a point whose squared norm overflows to inf (a
+        coordinate above about 1e154), on which training overflows; with ``cosine``, where the
+        run builds a cosine transport cost on ``sets``, also on one of norm below
+        ``NORM_FLOOR``: the points ``degenerate_sq_norms`` refuses for the cost itself."""
         points = np.concatenate([batch.points for batch in sets])
         with np.errstate(over="ignore"):  # the cost's own formula, so both agree at the floor
             sq = reduce_axis(np.add, points * points, 1)
-        bad = degenerate_sq_norms(sq)
+        bad = degenerate_sq_norms(sq) if cosine else sq == np.inf
         if bad.any():
             first = int(np.argmax(bad))
             batch = sets[int(np.searchsorted(np.cumsum([len(b.points) for b in sets]), first,
                                              side="right"))]
             what = (f"of norm below {NORM_FLOOR:g}" if sq[first] < NORM_FLOOR**2 else
                     "whose squared norm overflows a float (a coordinate above about 1e154)")
-            raise ConfigError(f"{where}: set {batch.set_id} has a point {what}, "
-                              "for which the cosine cost is undefined")
+            why = ("for which the cosine cost is undefined" if cosine else
+                   "on which training overflows")
+            raise ConfigError(f"{where}: set {batch.set_id} has a point {what}, {why}")
 
     def training_sets(self, cfg: ResolvedConfig, corpus):
-        """The sets of the file ``corpus``, or without one, ``count`` sets drawn from the seed."""
+        """The sets of the file ``corpus``, or without one, ``count`` sets drawn from the seed;
+        a point that ``refuse_points`` refuses exits 2 under every metric and lambda_ot."""
         if corpus:
             sets = self.read_corpus(cfg, corpus)
         else:
             sets = self.gen(cfg, cfg[key_for(self.name, "count")], cfg["seed"])[0]
-        if self.transports(cfg):
-            self.refuse_origin(cfg, sets, corpus or f"the sets drawn from seed {cfg['seed']}")
+        cosine = self.transports(cfg) and cfg[key_for(self.name, "train.metric")] == "cosine"
+        self.refuse_points(sets, corpus or f"the sets drawn from seed {cfg['seed']}", cosine)
         return sets
 
     def gradcheck(self, seed: int):
@@ -370,7 +370,9 @@ class EncoderTask(Task):
             return self.score(cfg, net, sets)
         # the training objective, on eval sets subsampled as in training
         sets = sets or self.eval_sets(cfg)
-        self.refuse_origin(cfg, sets, corpus or f"the sets drawn from eval.seed {cfg['eval.seed']}")
+        if cfg[key_for(self.name, "train.metric")] == "cosine":
+            self.refuse_points(sets, corpus or f"the sets drawn from eval.seed {cfg['eval.seed']}",
+                               cosine=True)
         rng, config = np.random.default_rng(cfg["eval.seed"]), self.train_config(cfg)
         with no_grad():  # summed in set order
             total = sum(set_objective(batch.points, batch.label, net, bank, config, rng=rng)[2]

@@ -7,6 +7,13 @@ gradients of its leaves.
 All arithmetic is float64 and domain violations raise instead of producing
 silent NaN.
 
+Every op with one or two parents records its node through ``Value._unary`` or
+``Value._binary``: an op states its forward array and its local derivative, and
+the recorder undoes broadcasting and computes an operand's gradient only when
+that operand records one, so a constant operand costs no product in the
+backward pass.  ``concat``, ``nn.Linear`` and the transport nodes of
+``ot.sinkhorn`` keep their own backward.
+
 Two kernels save passes over memory and keep numpy's bits.  ``elu`` is
 ``maximum(x, expm1(minimum(x, 0)))``, three ufunc passes into one array:
 ``expm1(x) >= x`` for ``x <= 0``, so the max picks ``x`` exactly where
@@ -118,6 +125,28 @@ class Value:
             out._backward = None
         return out
 
+    def _binary(self, other, ufunc, dx, dy) -> "Value":
+        """``ufunc(self, other)`` broadcast; ``dx(g, x, y, out)`` and ``dy(...)`` give the
+        gradients of the two operands' arrays, each made only when its operand records
+        one, and each summed back down to its operand's shape."""
+        x, y = self, as_value(other)
+        data = _broadcast_op(x, y, ufunc)
+
+        def backward(g, acc):
+            if x.requires_grad:
+                _accumulate(acc, x, _unbroadcast(dx(g, x.data, y.data, data), x.data.shape))
+            if y.requires_grad:
+                _accumulate(acc, y, _unbroadcast(dy(g, x.data, y.data, data), y.data.shape))
+
+        return Value._from_op(data, (x, y), backward)
+
+    def _unary(self, data: np.ndarray, dx) -> "Value":
+        """``data``, computed from ``self`` alone, whose gradient is ``dx(g)``."""
+        def backward(g, acc):
+            _accumulate(acc, self, dx(g))
+
+        return Value._from_op(data, (self,), backward)
+
     # -- basic protocol --------------------------------------------------------
 
     @property
@@ -127,10 +156,6 @@ class Value:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -143,48 +168,18 @@ class Value:
     # -- elementwise binary ---------------------------------------------------
 
     def __add__(self, other):
-        other = as_value(other)
-        data = _broadcast_op(self, other, np.add)
-        xs, ys = self.data.shape, other.data.shape
-
-        def backward(g, acc):
-            if self.requires_grad:
-                _accumulate(acc, self, _unbroadcast(g, xs))
-            if other.requires_grad:
-                _accumulate(acc, other, _unbroadcast(g, ys))
-
-        return Value._from_op(data, (self, other), backward)
+        return self._binary(other, np.add, _pass, _pass)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_value(other)
-        data = _broadcast_op(self, other, np.subtract)
-        xs, ys = self.data.shape, other.data.shape
-
-        def backward(g, acc):
-            if self.requires_grad:
-                _accumulate(acc, self, _unbroadcast(g, xs))
-            if other.requires_grad:
-                _accumulate(acc, other, _unbroadcast(-g, ys))
-
-        return Value._from_op(data, (self, other), backward)
+        return self._binary(other, np.subtract, _pass, _negated)
 
     def __rsub__(self, other):
         return as_value(other).__sub__(self)
 
     def __mul__(self, other):
-        other = as_value(other)
-        data = _broadcast_op(self, other, np.multiply)
-        x, y = self, other
-
-        def backward(g, acc):
-            if x.requires_grad:
-                _accumulate(acc, x, _unbroadcast(g * y.data, x.data.shape))
-            if y.requires_grad:
-                _accumulate(acc, y, _unbroadcast(g * x.data, y.data.shape))
-
-        return Value._from_op(data, (self, other), backward)
+        return self._binary(other, np.multiply, _times_y, _times_x)
 
     __rmul__ = __mul__
 
@@ -192,68 +187,31 @@ class Value:
         other = as_value(other)
         if np.any(other.data == 0.0):
             raise DomainError("division by zero")
-        data = _broadcast_op(self, other, np.divide)
-        x, y = self, other
-
-        def backward(g, acc):
-            if x.requires_grad:
-                _accumulate(acc, x, _unbroadcast(g / y.data, x.data.shape))
-            if y.requires_grad:
-                _accumulate(acc, y, _unbroadcast(-g * data / y.data, y.data.shape))
-
-        return Value._from_op(data, (self, other), backward)
+        return self._binary(other, np.divide, _over_y, _quotient_dy)
 
     def __neg__(self):
-        def backward(g, acc):
-            _accumulate(acc, self, -g)
-
-        return Value._from_op(-self.data, (self,), backward)
+        return self._unary(-self.data, np.negative)
 
     # -- elementwise unary ----------------------------------------------------
-
-    def exp(self):
-        data = np.exp(self.data)
-
-        def backward(g, acc):
-            _accumulate(acc, self, g * data)
-
-        return Value._from_op(data, (self,), backward)
 
     def log(self):
         if np.any(self.data <= 0.0):
             raise DomainError("log of a non-positive value")
-        data = np.log(self.data)
-
-        def backward(g, acc):
-            _accumulate(acc, self, g / self.data)
-
-        return Value._from_op(data, (self,), backward)
+        return self._unary(np.log(self.data), lambda g: g / self.data)
 
     def sqrt(self):
         if np.any(self.data < 0.0):
             raise DomainError("sqrt of a negative value")
         data = np.sqrt(self.data)
-
-        def backward(g, acc):
-            _accumulate(acc, self, g * (0.5 / np.maximum(data, np.finfo(np.float64).tiny)))
-
-        return Value._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: g * (0.5 / np.maximum(data, np.finfo(np.float64).tiny)))
 
     def tanh(self):
         data = np.tanh(self.data)
-
-        def backward(g, acc):
-            _accumulate(acc, self, g * (1.0 - data * data))
-
-        return Value._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: g * (1.0 - data * data))
 
     def relu(self):
-        data = np.maximum(self.data, 0.0)
-
-        def backward(g, acc):  # the mask is made here, so a no_grad forward skips it
-            _accumulate(acc, self, g * (self.data > 0.0))
-
-        return Value._from_op(data, (self,), backward)
+        # the mask is made in the backward pass, so a no_grad forward skips it
+        return self._unary(np.maximum(self.data, 0.0), lambda g: g * (self.data > 0.0))
 
     def elu(self):
         # alpha fixed at 1.0; expm1(x) >= x for x <= 0, so the max selects without a mask
@@ -261,35 +219,26 @@ class Value:
         np.expm1(data, out=data)
         np.maximum(self.data, data, out=data)
 
-        def backward(g, acc):  # the slope exp(x) is the output plus 1 where x <= 0
+        def dx(g):  # the slope exp(x) is the output plus 1 where x <= 0
             slope = np.minimum(data, 0.0)
             slope += 1.0
-            _accumulate(acc, self, np.multiply(g, slope, out=slope))
+            return np.multiply(g, slope, out=slope)
 
-        return Value._from_op(data, (self,), backward)
+        return self._unary(data, dx)
 
     def softplus(self):
         x = self.data
-        data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-        def backward(g, acc):
-            _accumulate(acc, self, g * _sigmoid(x))
-
-        return Value._from_op(data, (self,), backward)
+        return self._unary(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))),
+                           lambda g: g * _sigmoid(x))
 
     def clip(self, lo: float | None, hi: float | None):
         """Clamp entries to [lo, hi]; gradient is zero outside the open interval."""
-        data = np.clip(self.data, lo, hi)
         inside = np.ones(self.data.shape, dtype=bool)
         if lo is not None:
             inside &= self.data > lo
         if hi is not None:
             inside &= self.data < hi
-
-        def backward(g, acc):
-            _accumulate(acc, self, g * inside)
-
-        return Value._from_op(data, (self,), backward)
+        return self._unary(np.clip(self.data, lo, hi), lambda g: g * inside)
 
     # -- linear algebra ---------------------------------------------------------
 
@@ -303,52 +252,35 @@ class Value:
             raise ShapeError(
                 f"matmul inner dimensions differ: {self.data.shape} @ {other.data.shape}"
             )
-        data = self.data @ other.data
-        x, y = self, other
-
-        def backward(g, acc):
-            if x.requires_grad:
-                _accumulate(acc, x, g @ y.data.T)
-            if y.requires_grad:
-                _accumulate(acc, y, x.data.T @ g)
-
-        return Value._from_op(data, (self, other), backward)
+        return self._binary(other, np.matmul, _matmul_dx, _matmul_dy)
 
     # -- reductions -------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
         data = reduce_axis(np.add, self.data, axis, keepdims)
         shape = self.data.shape
-
-        def backward(g, acc):
-            _accumulate(acc, self, np.broadcast_to(_restore_axes(g, shape, axis, keepdims), shape).copy())
-
-        return Value._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: np.broadcast_to(
+            _restore_axes(g, shape, axis, keepdims), shape).copy())
 
     def mean(self, axis=None, keepdims: bool = False):
         count = _reduce_count(self.data.shape, axis)
         data = np.asarray(self.data.mean(axis=axis, keepdims=keepdims))
         shape = self.data.shape
-
-        def backward(g, acc):
-            spread = np.broadcast_to(_restore_axes(g, shape, axis, keepdims), shape)
-            _accumulate(acc, self, spread / count)
-
-        return Value._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: np.broadcast_to(
+            _restore_axes(g, shape, axis, keepdims), shape) / count)
 
     def max(self, axis: int, keepdims: bool = False):
         if self.data.size == 0:
             raise DomainError("max over an empty array")
-        data = np.asarray(self.data.max(axis=axis, keepdims=keepdims))
         idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)  # first on ties
         shape = self.data.shape
 
-        def backward(g, acc):
+        def dx(g):
             full = np.zeros(shape)
             np.put_along_axis(full, idx, _restore_axes(g, shape, axis, keepdims), axis)
-            _accumulate(acc, self, full)
+            return full
 
-        return Value._from_op(data, (self,), backward)
+        return self._unary(np.asarray(self.data.max(axis=axis, keepdims=keepdims)), dx)
 
     # -- stabilized composites kept primitive for speed --------------------------
 
@@ -366,13 +298,8 @@ class Value:
             data = np.asarray(np.log(reduce_axis(np.add, np.exp(x - m), axis, keepdims)))
         data = data + (m if keepdims else m.reshape(data.shape))
         shape = x.shape
-
-        def backward(g, acc):
-            out_full = _restore_axes(np.asarray(data), shape, axis, keepdims)
-            g_full = _restore_axes(np.asarray(g), shape, axis, keepdims)
-            _accumulate(acc, self, g_full * np.exp(x - out_full))
-
-        return Value._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: _restore_axes(g, shape, axis, keepdims) * np.exp(
+            x - _restore_axes(data, shape, axis, keepdims)))
 
     def softmax(self, axis=None):
         x = self.data
@@ -383,12 +310,7 @@ class Value:
         m = np.max(x, axis=axis, keepdims=True)
         e = np.exp(x - m)
         data = e / e.sum(axis=axis, keepdims=True)
-
-        def backward(g, acc):
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            _accumulate(acc, self, data * (g - inner))
-
-        return Value._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True)))
 
     # -- shaping ------------------------------------------------------------------
 
@@ -399,13 +321,8 @@ class Value:
             data = self.data.reshape(shape)
         except ValueError as exc:
             raise ShapeError(str(exc)) from None
-        data = np.ascontiguousarray(data)
         orig = self.data.shape
-
-        def backward(g, acc):
-            _accumulate(acc, self, g.reshape(orig))
-
-        return Value._from_op(data, (self,), backward)
+        return self._unary(np.ascontiguousarray(data), lambda g: g.reshape(orig))
 
     def __getitem__(self, idx):
         try:
@@ -414,12 +331,12 @@ class Value:
             raise ShapeError(str(exc)) from None
         shape = self.data.shape
 
-        def backward(g, acc):
+        def dx(g):
             full = np.zeros(shape)
             np.add.at(full, idx, g)
-            _accumulate(acc, self, full)
+            return full
 
-        return Value._from_op(data, (self,), backward)
+        return self._unary(data, dx)
 
     # -- backward ------------------------------------------------------------------
 
@@ -486,6 +403,40 @@ def _broadcast_op(x: Value, y: Value, ufunc) -> np.ndarray:
         raise ShapeError(
             f"operands are not broadcastable: {x.data.shape} vs {y.data.shape}"
         ) from None
+
+
+# the local derivatives of the binary ops, (g, x, y, out) -> the gradient of x's or of
+# y's array; defined once here, so that recording an op makes no closure for them
+def _pass(g, x, y, out):
+    return g
+
+
+def _negated(g, x, y, out):
+    return -g
+
+
+def _times_y(g, x, y, out):
+    return g * y
+
+
+def _times_x(g, x, y, out):
+    return g * x
+
+
+def _over_y(g, x, y, out):
+    return g / y
+
+
+def _quotient_dy(g, x, y, out):
+    return -g * out / y
+
+
+def _matmul_dx(g, x, y, out):
+    return g @ y.T
+
+
+def _matmul_dy(g, x, y, out):
+    return x.T @ g
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

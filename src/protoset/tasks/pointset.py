@@ -15,18 +15,6 @@ from ..diffcore import Value
 from ..errors import ConfigError, bounded, check_fields
 from ..summarynet import SetBatch
 
-POINTSET_CLASSES = (
-    "sphere_shell",
-    "cube_shell",
-    "plane_patch",
-    "helix",
-    "torus",
-    "two_blob",
-    "line_segment",
-    "spiral_disc",
-)
-
-
 @dataclass(frozen=True)
 class PointSetClassSpec:
     n_points: int = 32
@@ -111,6 +99,7 @@ _SAMPLERS = {
     "line_segment": _segment,
     "spiral_disc": _spiral,
 }
+POINTSET_CLASSES = tuple(_SAMPLERS)  # a class's label is its index
 
 
 def sample_primitive(name: str, n: int, rng: np.random.Generator,

@@ -684,6 +684,42 @@ def test_a_huge_coordinate_under_a_cosine_cost_exits_2(verb, near_origin, tmp_pa
     assert not out.exists()
 
 
+OVERFLOW_RUNS = {  # (task, flags, a huge coordinate of a corpus point; None: drawn sets)
+    "mog-lambda-0": ("mog", MOG_ARGS + ["--lambda-ot", "0"], 1e300),
+    "mog-euclidean": ("mog", MOG_ARGS + ["--set", "train.metric=euclidean"], 1e300),
+    "pointset-lambda-0": ("pointset", POINTSET_ARGS + ["--lambda-ot", "0"], 1e200),
+    "digitsum-lambda-0": ("digitsum", DIGIT_ARGS + ["--lambda-ot", "0",
+                                                    "--set", "digitsum.noise_sigma=1e200"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_RUNS))
+def test_a_point_whose_squared_norm_overflows_exits_2_under_any_metric_and_lambda(case, tmp_path,
+                                                                                  capsys):
+    # with no cosine transport cost these once trained on: mog exited 6 at step 0, and
+    # pointset and digitsum wrote a checkpoint after Adam's second moment overflowed
+    task, flags, coordinate = OVERFLOW_RUNS[case]
+    out = tmp_path / "out"
+    argv = ["train", "--task", task, "--steps", "2", "--out", str(out)] + flags
+    where = "the sets drawn from seed 0"
+    if coordinate is not None:
+        dim = cli.TASK_TABLE[task].input_dim
+        where = tmp_path / "corpus.jsonl"
+        where.write_text("".join(json.dumps({"set_id": i, "label": 1, "points": [
+            [0.5] * dim, [coordinate] + [0.25] * (dim - 1), [1.0] * dim][:2 * i + 1]}) + "\n"
+            for i in (0, 1)))
+        argv += ["--corpus", str(where)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {where}: set {1 if coordinate else 0} has a point whose squared norm overflows "
+        "a float (a coordinate above about 1e154), on which training overflows\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("generator, argv, size", [
     ("gen_task_corpus", ["--task", "metagan", "--set", "metagan.n_points=1000000000000"],
      "7.28 TiB"),

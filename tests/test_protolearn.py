@@ -319,7 +319,7 @@ def test_train_prototypes_hands_every_parameter_to_the_optimizer(lam, monkeypatc
     assert [id(p) for p in held[0]] == [id(p) for p in [bank.matrix] + net.parameters()]
 
 
-def run_supervised(lam, steps=30, build_ot_branch=True):
+def run_supervised(lam, steps=30):
     corpus = labelled_corpus()
     net = tiny_net(k=4, output_dim=1, seed=20)
     bank = PrototypeBank.from_points(corpus[0].points, 4, np.random.default_rng(5))

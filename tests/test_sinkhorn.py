@@ -59,6 +59,13 @@ def floor_simplex(w):
     return floor_simplex_value(Value(np.asarray(w, dtype=np.float64))).data
 
 
+def tape_exp(v: Value) -> Value:
+    """exp(v) recorded on the tape with the gradient g * exp(v): the reference tapes
+    below need it, and no library op does."""
+    data = np.exp(v.data)
+    return v._unary(data, lambda g: g * data)
+
+
 def unrolled_loss_tape(cost, b, a, config, starts=None):
     """The unrolled loss built from Value primitives, a few nodes a half-iteration.
 
@@ -81,7 +88,7 @@ def unrolled_loss_tape(cost, b, a, config, starts=None):
         # exp(neg_cost + other + that) as the LSE's exps times marginal / sums
         x = neg_cost + other
         mx = Value(np.maximum.reduce(x.data, axis=axis, keepdims=True))
-        e = (x - mx).exp()
+        e = tape_exp(x - mx)
         sums = e.sum(axis=axis, keepdims=True)
         return marginal.log() - (sums.log() + mx), e * (marginal / sums)
 
@@ -131,7 +138,7 @@ def log_domain_loss_tape(cost, b, a, config):
     for _ in range(config.unroll_iters):
         u = log_a - (scaled_neg_cost + v.reshape(1, k)).logsumexp(axis=1)
         v = log_b - (scaled_neg_cost + u.reshape(n, 1)).logsumexp(axis=0)
-    plan = (scaled_neg_cost + u.reshape(n, 1) + v.reshape(1, k)).exp()
+    plan = tape_exp(scaled_neg_cost + u.reshape(n, 1) + v.reshape(1, k))
     return ((u * plan.sum(axis=1)).sum() + (v * plan.sum(axis=0)).sum()) * eps
 
 
@@ -681,7 +688,7 @@ def node_run(C0, b0, cfg):
         warnings.simplefilter("error", RuntimeWarning)
         losses = differentiable_transport_loss(C, b, cfg)
         starts = list(inspect.getclosurevars(losses._backward).nonlocals["starts"])
-        (losses * np.arange(1.0, losses.size + 1.0)).sum().backward()
+        (losses * np.arange(1.0, losses.data.size + 1.0)).sum().backward()
     return losses.data, C.grad, b.grad, starts
 
 

@@ -64,7 +64,7 @@ from .metagan import (
     generator_objective,
     train_metagan,
 )
-from .ot import Marginals, SinkhornConfig, entropic_objective, sinkhorn, transport_cost
+from .ot import Marginals, SinkhornConfig, sinkhorn
 from .ot.cost import NORM_FLOOR, degenerate_sq_norms
 from .ot.marginals import uniform_weights
 from .protolearn import (
@@ -284,22 +284,21 @@ class Task:
 
     def refuse_points(self, sets, where: str, cosine: bool) -> None:
         """Exit 2 on a set of ``where`` with a point whose squared norm overflows to inf (a
-        coordinate above about 1e154), on which training overflows; with ``cosine``, where the
-        run builds a cosine transport cost on ``sets``, also on one of norm below
+        coordinate above about 1e154), on which training and eval overflow; with ``cosine``,
+        where the run builds a cosine transport cost on ``sets``, also on one of norm below
         ``NORM_FLOOR``: the points ``degenerate_sq_norms`` refuses for the cost itself."""
-        points = np.concatenate([batch.points for batch in sets])
+        # set by set: no array of every point (150,000 in a mog eval)
         with np.errstate(over="ignore"):  # the cost's own formula, so both agree at the floor
-            sq = reduce_axis(np.add, points * points, 1)
-        bad = degenerate_sq_norms(sq) if cosine else sq == np.inf
-        if bad.any():
-            first = int(np.argmax(bad))
-            batch = sets[int(np.searchsorted(np.cumsum([len(b.points) for b in sets]), first,
-                                             side="right"))]
-            what = (f"of norm below {NORM_FLOOR:g}" if sq[first] < NORM_FLOOR**2 else
-                    "whose squared norm overflows a float (a coordinate above about 1e154)")
-            why = ("for which the cosine cost is undefined" if cosine else
-                   "on which training overflows")
-            raise ConfigError(f"{where}: set {batch.set_id} has a point {what}, {why}")
+            for batch in sets:
+                sq = reduce_axis(np.add, batch.points * batch.points, 1)
+                bad = degenerate_sq_norms(sq) if cosine else sq == np.inf
+                if not bad.any():
+                    continue
+                what = (f"of norm below {NORM_FLOOR:g}" if sq[np.argmax(bad)] < NORM_FLOOR**2
+                        else "whose squared norm overflows a float (a coordinate above about 1e154)")
+                why = ("for which the cosine cost is undefined" if cosine else
+                       "on which the model overflows")
+                raise ConfigError(f"{where}: set {batch.set_id} has a point {what}, {why}")
 
     def training_sets(self, cfg: ResolvedConfig, corpus):
         """The sets of the file ``corpus``, or without one, ``count`` sets drawn from the seed;
@@ -364,15 +363,23 @@ class EncoderTask(Task):
 
         return [(f"{self.name}-combined", combined, list(named.values()))]
 
+    def eval_checked(self, cfg: ResolvedConfig, sets, corpus=None) -> list:
+        """``sets``, of the file ``corpus`` or drawn from eval.seed, once ``refuse_points``
+        passes them; eval builds a cosine cost only on an unsupervised model's sets."""
+        cosine = (cfg["train.mode"] == "unsupervised"
+                  and cfg[key_for(self.name, "train.metric")] == "cosine")
+        self.refuse_points(sets, corpus or f"the sets drawn from eval.seed {cfg['eval.seed']}",
+                           cosine)
+        return sets
+
     def evaluate(self, cfg: ResolvedConfig, net: SummaryNet, bank: PrototypeBank, sets,
                  corpus) -> dict:  # sets: those of the file corpus; None: the task's own eval data
+        if sets:
+            self.eval_checked(cfg, sets, corpus)
         if cfg["train.mode"] == "supervised":
             return self.score(cfg, net, sets)
         # the training objective, on eval sets subsampled as in training
         sets = sets or self.eval_sets(cfg)
-        if cfg[key_for(self.name, "train.metric")] == "cosine":
-            self.refuse_points(sets, corpus or f"the sets drawn from eval.seed {cfg['eval.seed']}",
-                               cosine=True)
         rng, config = np.random.default_rng(cfg["eval.seed"]), self.train_config(cfg)
         with no_grad():  # summed in set order
             total = sum(set_objective(batch.points, batch.label, net, bank, config, rng=rng)[2]
@@ -398,7 +405,9 @@ class MogTask(EncoderTask):
 
     def eval_pairs(self, cfg: ResolvedConfig):
         """Fresh eval sets with their generating parameters, drawn once per eval."""
-        return gen_mog_corpus(cfg.build(MoGTaskSpec), cfg["eval.count"] or 500, cfg["eval.seed"])
+        pairs = gen_mog_corpus(cfg.build(MoGTaskSpec), cfg["eval.count"] or 500, cfg["eval.seed"])
+        self.eval_checked(cfg, [batch for batch, _ in pairs])
+        return pairs
 
     def eval_sets(self, cfg: ResolvedConfig):
         return [batch for batch, _ in self.eval_pairs(cfg)]
@@ -408,9 +417,10 @@ class MogTask(EncoderTask):
         cap, rng = cfg["mog.encode_cap"], np.random.default_rng(cfg["eval.seed"])
         pairs = None if sets else self.eval_pairs(cfg)  # a file's sets: no known mixture, no oracle
         sets = sets or [batch for batch, _ in pairs]
-        raw = Value(_predictions(net, sets, cap, rng))
-        mixtures = mog_head_value(raw, raw.shape[-1] // 5)
-        metrics = {"mean_loglik": mean_set_loglik(sets, *(part.data for part in mixtures))}
+        with np.errstate(over="ignore", invalid="ignore"):  # the report refuses a non-finite score
+            raw = Value(_predictions(net, sets, cap, rng))
+            mixtures = mog_head_value(raw, raw.shape[-1] // 5)
+            metrics = {"mean_loglik": mean_set_loglik(sets, *(part.data for part in mixtures))}
         if pairs:
             metrics["oracle_mean_loglik"] = oracle_mean_loglik(pairs)
         return metrics
@@ -437,7 +447,9 @@ class DigitSumTask(EncoderTask):
 
     def _test_corpora(self, cfg: ResolvedConfig) -> dict:
         count = cfg["eval.count"] or 200
-        return gen_digit_test_corpora(cfg.build(DigitSumSpec), count, cfg["eval.seed"])
+        corpora = gen_digit_test_corpora(cfg.build(DigitSumSpec), count, cfg["eval.seed"])
+        self.eval_checked(cfg, [batch for sets in corpora.values() for batch in sets])
+        return corpora
 
     def eval_sets(self, cfg: ResolvedConfig):
         return [batch for sets in self._test_corpora(cfg).values() for batch in sets]
@@ -469,7 +481,7 @@ class PointSetTask(EncoderTask):
         return gen_pointset_corpus(cfg.build(PointSetClassSpec, count_per_class=count), seed), None
 
     def eval_sets(self, cfg: ResolvedConfig):
-        return self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])[0]
+        return self.eval_checked(cfg, self.gen(cfg, cfg["eval.count"] or 20, cfg["eval.seed"])[0])
 
     def score(self, cfg: ResolvedConfig, net: SummaryNet, sets) -> dict:
         sets = sets or self.eval_sets(cfg)
@@ -723,8 +735,8 @@ def cmd_ot(args) -> int:
     if not np.isfinite(cost).all():  # nan and -inf stop the solver; +inf makes <T, C> nan
         raise NumericalError(f"{args.cost}: the cost has an infinite entry")
     report = {
-        "value": transport_cost(result, cost),
-        "entropic_value": entropic_objective(result.plan, cost, sk.epsilon),
+        "value": result.transport_cost,
+        "entropic_value": result.entropic_value,
         "iterations": result.iterations,
         "residual": result.residual,
         "converged": result.converged,

@@ -18,6 +18,7 @@ block of drawn episodes at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional
@@ -25,7 +26,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .diffcore import Value, as_value, no_grad
-from .errors import ConfigError, bounded, check_bound, check_box, check_fields
+from .errors import ConfigError, NumericalError, bounded, check_bound, check_box, check_fields
 from .nn import ACTIVATIONS, MLP
 # unused here, but perfbench's tracer wraps both by name as attributes of this module
 from .ot import build_cost_value, differentiable_transport_loss  # noqa: F401
@@ -77,6 +78,16 @@ class FewShotConfig:
                 f"encoder_widths must end in an embedding size of at least 2, got {self.embed_dim}"
             )
         check_box(self)
+        # a drawn point is a class mean plus sigma times normal draws in dim coordinates;
+        # as mog refuses a sigma whose square overflows, refuse a squared norm that does
+        reach = max(abs(self.mean_low), abs(self.mean_high))
+        if not reach * reach * self.dim < math.inf:
+            raise ConfigError(f"mean_low={self.mean_low} and mean_high={self.mean_high} give "
+                              f"class means whose squared norm over dim={self.dim} coordinates "
+                              "overflows a float")
+        if not self.sigma * self.sigma * self.dim < math.inf:
+            raise ConfigError(f"sigma must square, summed over the {self.dim} coordinates of a "
+                              f"point, to a finite float, got {self.sigma}")
         for name in ("n_base_classes", "n_novel_classes"):
             if getattr(self, name) < self.n_way:
                 raise ConfigError(
@@ -252,7 +263,9 @@ def eval_fewshot(model: FewShotModel, seed: int, count: int) -> dict:
     A row of a matrix product with more than one row is bit for bit the row
     that a smaller product gives (the tests check this against the
     per-episode loop), and the means and distances reduce the axes one
-    episode's do, so every accuracy is the per-episode one.
+    episode's do, so every accuracy is the per-episode one.  An episode whose
+    logits are not finite, from an embedding that overflowed, raises
+    NumericalError.
     """
     check_bound("count", count, "positive")
     c = model.config
@@ -263,9 +276,14 @@ def eval_fewshot(model: FewShotModel, seed: int, count: int) -> dict:
         for start in range(0, count, EVAL_BLOCK):
             block = _draw(rng, pool, c.sigma, buf[: count - start])
             b, w, n, d = block.shape
-            embedded = model.embed(block.reshape(b * w * n, d)).reshape(b, w, n, -1)
-            queries = embedded[:, :, c.k_shot :].reshape(b, w * c.q_queries, -1)
-            logits = _logits(queries, embedded[:, :, : c.k_shot].mean(axis=2))
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite logit raises below
+                embedded = model.embed(block.reshape(b * w * n, d)).reshape(b, w, n, -1)
+                queries = embedded[:, :, c.k_shot :].reshape(b, w * c.q_queries, -1)
+                logits = _logits(queries, embedded[:, :, : c.k_shot].mean(axis=2))
+            if not np.isfinite(logits.data).all():
+                first = np.argmin(np.isfinite(logits.data).all(axis=(1, 2)))
+                raise NumericalError(f"eval episode {start + first} of seed {seed} has "
+                                     "non-finite query logits")
             accuracies.append(query_accuracy(logits, c.query_labels))
     arr = np.concatenate(accuracies)
     ci95 = 1.96 * arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0

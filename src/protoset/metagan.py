@@ -207,8 +207,11 @@ class MetaGan:
         return out
 
     def summarize(self, points: np.ndarray) -> np.ndarray:
-        """Detached simplex summary of a point set (conditioning input only)."""
-        with no_grad():
+        """Detached simplex summary of a point set (conditioning input only).
+
+        An overflow leaves it non-finite, and so the loss or the samples it
+        conditions, which their own checks refuse."""
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             return self.summary.summarize(points).data
 
 
@@ -274,7 +277,8 @@ def transport_step(
     """The interleaved OT update of the model's summary network and bank, under
     ``model.config.ot``: one step of the unsupervised prototype loop."""
     config, bank = model.config.ot, model.bank
-    loss = set_objective(points, None, model.summary, bank, config)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # apply_update checks the loss
+        loss = set_objective(points, None, model.summary, bank, config)[0]
     return apply_update(optimizer, loss, step, "transport", bank, config.metric, guard_rng)
 
 
@@ -310,7 +314,8 @@ def train_metagan(sets: Sequence[SetBatch], model: MetaGan) -> dict:
         for _ in range(config.eta_critic):
             real = subsample_points(points, config.batch, data_rng)
             z = noise_rng.standard_normal((config.batch, config.noise_dim))
-            loss_c = critic_objective(model, real, z, h)
+            with np.errstate(over="ignore", invalid="ignore"):  # apply_update checks the loss
+                loss_c = critic_objective(model, real, z, h)
             c_value = apply_update(critic_opt, loss_c, i, "critic")
 
         ot_value = None
@@ -323,7 +328,8 @@ def train_metagan(sets: Sequence[SetBatch], model: MetaGan) -> dict:
         for p in critic:
             p.requires_grad = False
         try:
-            loss_g = generator_objective(model, real, z, h)
+            with np.errstate(over="ignore", invalid="ignore"):  # apply_update checks the loss
+                loss_g = generator_objective(model, real, z, h)
             g_value = apply_update(gen_opt, loss_g, i, "generator")
         finally:
             for p in critic:

@@ -115,14 +115,17 @@ class SinkhornConfig:
 
 @dataclass
 class TransportPlan:
-    """Solver output: the plan, dual potentials, and convergence bookkeeping."""
+    """Solver output: the plan, dual potentials, convergence bookkeeping, and
+    the plan's objective.  eps * H(T) is ``transport_cost - entropic_value``."""
 
     plan: np.ndarray
-    u: np.ndarray  # row potential (f), log-domain
-    v: np.ndarray  # column potential (g), log-domain
+    u: np.ndarray  # row potential f = eps * u, in cost units
+    v: np.ndarray  # column potential g = eps * v, in cost units
     iterations: int
     residual: float
     converged: bool
+    transport_cost: float  # <T, C>
+    entropic_value: float  # <T, C> - eps * H(T), H(T) = -sum T log T with 0 log 0 = 0
 
 
 def _cost_array(cost) -> np.ndarray:
@@ -314,28 +317,13 @@ def sinkhorn(cost, marginals: Marginals, config: SinkhornConfig = SinkhornConfig
     plan = state.kernel
     plan *= state.su
     plan *= state.sv
+    transport = float((plan * C).sum())  # NaN for an infinite cost entry
+    mask = plan > 0.0
+    entropy = float(-(plan[mask] * np.log(plan[mask])).sum())
     return TransportPlan(
-        plan, eps * u.reshape(n), eps * v.reshape(k), iterations, residual, converged
+        plan, eps * u.reshape(n), eps * v.reshape(k), iterations, residual, converged,
+        transport, transport - eps * entropy,
     )
-
-
-def transport_cost(plan, cost) -> float:
-    """<T, C>: the unregularized cost of moving mass along the plan."""
-    T = plan.plan if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=np.float64)
-    C = _cost_array(cost)
-    return float((T * C).sum())
-
-
-def plan_entropy(plan) -> float:
-    """H(T) = -sum T log T with the 0 log 0 = 0 convention."""
-    T = plan.plan if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=np.float64)
-    mask = T > 0.0
-    return float(-(T[mask] * np.log(T[mask])).sum())
-
-
-def entropic_objective(plan, cost, epsilon: float) -> float:
-    """<T, C> - eps * H(T): the quantity the solver minimizes."""
-    return transport_cost(plan, cost) - epsilon * plan_entropy(plan)
 
 
 def differentiable_transport_loss(
@@ -525,7 +513,7 @@ def _envelope_loss(cost: Value, b: Value, a: np.ndarray, config: SinkhornConfig)
         solved = sinkhorn(C[i], Marginals(a, w[i] / w[i].sum()), config)
         plans[i] = solved.plan
         g_centered[i] = solved.v - solved.v.mean()
-        data[i] = entropic_objective(solved, C[i], config.epsilon)
+        data[i] = solved.entropic_value
 
     def backward(g, acc):
         g = np.asarray(g)

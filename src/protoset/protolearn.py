@@ -250,7 +250,8 @@ def fit_objective(
         if config.lr_final is not None:
             frac = i / max(config.steps - 1, 1)
             optimizer.lr = config.lr + (config.lr_final - config.lr) * frac
-        loss, task_value, ot_value = objective()
+        with np.errstate(over="ignore", invalid="ignore"):  # apply_update checks the loss
+            loss, task_value, ot_value = objective()
         apply_update(optimizer, loss, i, what, bank, config.metric, rng)
         return {"transport_loss": ot_value, "task_loss": task_value}
 

@@ -1,6 +1,7 @@
 """End-to-end harness tests: verbs, artifacts, exit codes, reproducibility."""
 
 import base64
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -171,7 +172,10 @@ def test_ot_marginal_sum_is_printed_as_a_plain_float(tmp_path, capsys):
 def test_ot_non_finite_report_exits_6_before_any_output(tmp_path, capsys, monkeypatch):
     cost = tmp_path / "c.csv"
     cost.write_text("0,1\n1,0\n")
-    monkeypatch.setattr(cli, "transport_cost", lambda result, c: float("nan"))
+    solve = cli.sinkhorn
+    monkeypatch.setattr(
+        cli, "sinkhorn", lambda *args: dataclasses.replace(solve(*args), transport_cost=float("nan"))
+    )
     assert run(["ot", "--cost", str(cost), "--out", str(tmp_path / "sol")]) == cli.EXIT_NUMERIC
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -716,7 +720,7 @@ def test_a_point_whose_squared_norm_overflows_exits_2_under_any_metric_and_lambd
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (
         f"error: {where}: set {1 if coordinate else 0} has a point whose squared norm overflows "
-        "a float (a coordinate above about 1e154), on which training overflows\n")
+        "a float (a coordinate above about 1e154), on which the model overflows\n")
     assert not out.exists()
 
 
@@ -756,9 +760,12 @@ def test_collapsed_embedding_is_a_training_failure_exit_6(tmp_path, capsys):
 
 
 def test_train_divergence_exits_6(tmp_path):
-    with np.errstate(all="ignore"):
+    # the forward that overflows is the one whose loss apply_update checks, so it warns of nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run(["train", "--task", "mog", "--steps", "4", "--out", str(tmp_path / "d"),
                     "--set", "optim.lr=1e150"] + MOG_ARGS)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert code == cli.EXIT_NUMERIC
 
 
@@ -1184,6 +1191,28 @@ def test_train_with_a_non_finite_parameter_exits_6_without_a_checkpoint(
     assert run(argv) == cli.EXIT_NUMERIC
     assert "'bank' holds a NaN or an infinity" in capsys.readouterr().err
     assert not list(out.glob("checkpoint.*"))
+
+
+def test_mog_eval_of_a_parameter_the_score_overflows_on_exits_6_without_a_warning(
+        tmp_path, capsys):
+    # a finite weight whose predicted means square past the largest float: the
+    # likelihood once warned of the overflow before the report check refused it
+    ck_path = tmp_path / "run" / "checkpoint.2"
+    assert run(["train", "--task", "mog", "--steps", "2", "--out", str(ck_path.parent)]
+               + MOG_ARGS) == 0
+    ck = load_checkpoint(ck_path)
+    named = {name: Value(array) for name, array in ck.params.items()}
+    named["encoder.0.weight"].data[0, 0] = 1e300
+    save_checkpoint(ck_path, named, ck.step, ck.config, ck.config_hash)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["eval", "--checkpoint", str(ck_path), "--count", "3", "--out", str(out)])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == cli.EXIT_NUMERIC
+    assert "the report holds a NaN or infinite value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["wrong-type-stale-hash", "wrong-type", "missing-key"])

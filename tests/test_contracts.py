@@ -19,6 +19,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -576,3 +577,48 @@ def test_refusals_at_the_config_boundary_exit_2_naming_the_key(
     code, _, err = _run(argv + flags + ["--out", str(tmp_path)])
     assert (code, err) == (2, f"error: {message}\n")
     assert not any(tmp_path.iterdir())
+
+
+DRAWN = "the sets drawn from eval.seed 1000: set 0 has a point whose squared norm overflows a float"
+HUGE_POINT = [1.7847861270960808e308] + [0.0] * 9
+# (verb, task, flags, exit code, how the error opens); each of these once warned of an
+# overflow, and all but the metagan run then exited 0 or 6 where it now exits 2
+OVERFLOW_PROBES = {
+    "eval-mog-mean-box": ("eval", "mog", ["--set", "mog.mean_high=1e200"], 2, DRAWN),
+    "eval-digitsum-noise": ("eval", "digitsum", ["--set", "digitsum.noise_sigma=1e200"], 2, DRAWN),
+    "eval-pointset-noise": ("eval", "pointset", ["--set", "pointset.noise_sigma=1e200"], 2, DRAWN),
+    "eval-digitsum-corpus": ("eval", "digitsum", [HUGE_POINT], 2,
+                             "{corpus}: set 0 has a point whose squared norm overflows a float"),
+    "eval-fewshot-mean-box": ("eval", "fewshot", ["--set", "fewshot.mean_high=1e200"], 2,
+                              "fewshot.mean_low=-5.0 and fewshot.mean_high=1e+200 give class "
+                              "means whose squared norm over fewshot.dim=3 coordinates overflows"),
+    "eval-fewshot-sigma": ("eval", "fewshot", ["--set", "fewshot.sigma=1e308"], 2,
+                           "fewshot.sigma must square, summed over the 3 coordinates of a point, "
+                           "to a finite float, got 1e+308"),
+    "train-fewshot-sigma": ("train", "fewshot", ["--set", "fewshot.sigma=1e200"], 2,
+                            "fewshot.sigma must square"),
+    "train-metagan-lr-critic": ("train", "metagan", ["--set", "metagan.lr_critic=1e308"], 6,
+                                "generator loss became non-finite at step 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_PROBES))
+def test_input_the_model_overflows_on_exits_with_its_code_and_no_warning(
+        checkpoints, tmp_path, case):
+    verb, task, flags, code, message = OVERFLOW_PROBES[case]
+    if verb == "train":
+        argv = ["train", "--task", task] + _tiny(task, "train") + flags
+    elif isinstance(flags[0], list):  # a corpus of one set with this point
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(_rows_line([flags[0]], label=0) + "\n", encoding="utf-8")
+        argv = ["eval", "--checkpoint", str(checkpoints[task]), "--corpus", str(corpus)]
+        message = message.format(corpus=corpus)
+    else:
+        argv = ["eval", "--checkpoint", str(checkpoints[task]), "--set", "eval.count=20"] + flags
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = _run(argv + ["--out", str(out)])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert got == code and err.startswith(f"error: {message}"), err
+    assert not out.exists()

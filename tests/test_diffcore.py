@@ -276,6 +276,20 @@ def test_sum_mean_gradients(axis, keepdims):
     fd_check(lambda: (x.mean(axis=axis, keepdims=keepdims) * w).sum(), [x])
 
 
+@pytest.mark.parametrize("axis,keepdims", [((0, 2), False), ((1, 2), True)])
+def test_mean_over_a_tuple_of_axes(axis, keepdims):
+    rng = np.random.default_rng(3)
+    x = Value(rng.normal(size=(4, 3, 5)), requires_grad=True)
+    out = x.mean(axis=axis, keepdims=keepdims)
+    np.testing.assert_array_equal(out.data, x.data.mean(axis=axis, keepdims=keepdims))
+    w = rng.normal(size=out.shape)
+    (out * w).sum().backward()
+    spread = w if keepdims else np.expand_dims(w, axis)
+    count = x.shape[axis[0]] * x.shape[axis[1]]
+    np.testing.assert_allclose(x.grad, np.broadcast_to(spread, x.shape) / count, rtol=1e-15)
+    fd_check(lambda: (x.mean(axis=axis, keepdims=keepdims) * w).sum(), [x])
+
+
 def test_max_routes_to_first_tie():
     x = Value(np.array([[1.0, 3.0, 3.0], [2.0, 2.0, 0.0]]), requires_grad=True)
     x.max(axis=1).sum().backward()
@@ -420,6 +434,19 @@ def test_backward_requires_scalar():
     x = Value(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
         (x * 2.0).backward()
+
+
+def test_backward_of_a_loss_that_records_no_gradient_touches_no_grad():
+    x = Value(np.array([2.0, 3.0]), requires_grad=True)
+    x.grad = np.array([5.0, 7.0])
+    with no_grad():
+        loss = (x * x).sum()
+    assert not loss.requires_grad
+    loss.backward()
+    assert np.array_equal(x.grad, [5.0, 7.0])
+    constant = Value(np.array(4.0))
+    constant.backward()
+    assert constant.grad is None
 
 
 def test_grad_accumulates_until_zeroed():

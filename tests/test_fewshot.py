@@ -1,12 +1,14 @@
 """Episodic few-shot training: prototypes, logits, transport term, loops."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from protoset import fewshot, protolearn
 from protoset.diffcore import as_value, no_grad, zero_grad
 from protoset.diffcore.gradcheck import check_gradients
-from protoset.errors import ConfigError, ShapeError, TrainingDivergedError
+from protoset.errors import ConfigError, NumericalError, ShapeError, TrainingDivergedError
 from protoset.fewshot import (
     EVAL_BLOCK,
     SPLITS,
@@ -87,6 +89,12 @@ def test_config_validation():
         small_config(n_novel_classes=2)  # fewer classes than n_way
     with pytest.raises(ConfigError):
         small_config(sigma=0.0)
+    # a point's squared norm over its 6 coordinates must stay a finite float
+    with pytest.raises(ConfigError, match="squared norm over dim=6 coordinates overflows"):
+        small_config(mean_high=1e154)
+    with pytest.raises(ConfigError, match="sigma must square, summed over the 6 coordinates"):
+        small_config(sigma=1e154)
+    assert small_config(mean_low=-1e153, sigma=1e153).sigma == 1e153
     assert small_config(encoder_widths=16).encoder_widths == (16,)
     assert small_config(g_hidden=7).g_widths == (7,)
     assert small_config(encoder_widths=(12, 9)).g_widths == (4,)
@@ -442,9 +450,11 @@ def test_transport_regularizer_moves_head_and_bank():
 
 def test_divergence_raises_before_poisoning():
     model = FewShotModel(small_config(mean_low=-0.5, mean_high=0.5), np.random.default_rng(20))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(TrainingDivergedError):
             train_fewshot(model, train_config(steps=30, lr=1e150))
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_separated_classes_reach_high_accuracy():
@@ -467,6 +477,18 @@ def test_eval_reporting_shape():
     assert many["n_episodes"] == 16 and many["ci95"] >= 0.0
     with pytest.raises(ConfigError, match="count must be positive"):
         eval_fewshot(model, seed=1, count=0)
+
+
+def test_eval_refuses_logits_an_overflowed_embedding_made():
+    # finite points and a finite weight, whose squared distances overflow to inf; the
+    # accuracy ranked from them once read 1.0
+    model = FewShotModel(small_config(), np.random.default_rng(31))
+    model.embed_net.layers[0].weight.data[:] = 1e300
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="eval episode 0 of seed 1 has non-finite"):
+            eval_fewshot(model, seed=1, count=8)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_support_embedding_shapes():

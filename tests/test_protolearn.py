@@ -174,7 +174,7 @@ def test_every_prototype_column_gets_gradient():
 
 def test_moving_prototype_onto_cluster_lowers_transport_term():
     # a prototype placed on the data should beat one placed away from it
-    from protoset.ot import Marginals, sinkhorn, transport_cost, uniform_weights
+    from protoset.ot import Marginals, sinkhorn, uniform_weights
 
     pts = RNG.normal(size=(30, 2)) * 0.1 + np.array([2.0, 2.0])
     on = np.array([[2.0, 0.0], [2.0, 0.0]])
@@ -182,8 +182,8 @@ def test_moving_prototype_onto_cluster_lowers_transport_term():
     m = Marginals(uniform_weights(30), np.array([0.9, 0.1]))
     cost_on = np.linalg.norm(pts[:, None, :] - on.T[None, :, :], axis=2)
     cost_off = np.linalg.norm(pts[:, None, :] - off.T[None, :, :], axis=2)
-    t_on = transport_cost(sinkhorn(cost_on, m), cost_on)
-    t_off = transport_cost(sinkhorn(cost_off, m), cost_off)
+    t_on = sinkhorn(cost_on, m).transport_cost
+    t_off = sinkhorn(cost_off, m).transport_cost
     assert t_on < t_off
 
 

@@ -21,11 +21,8 @@ from protoset.ot import (
     Marginals,
     SinkhornConfig,
     differentiable_transport_loss,
-    entropic_objective,
     floor_simplex_value,
-    plan_entropy,
     sinkhorn,
-    transport_cost,
     uniform_weights,
 )
 
@@ -248,7 +245,7 @@ def test_symmetric_two_by_two_small_eps():
     assert res.converged
     assert res.plan[0, 1] < 1e-8 and res.plan[1, 0] < 1e-8
     assert abs(res.plan[0, 0] - 0.5) < 1e-8
-    assert transport_cost(res, C) < 1e-7
+    assert res.transport_cost < 1e-7
 
 
 def test_matches_dense_fixed_point_reference():
@@ -405,8 +402,14 @@ def test_config_validation():
 
 
 def test_entropy_convention_zero_times_log_zero():
-    T = np.array([[0.5, 0.0], [0.0, 0.5]])
-    assert np.isclose(plan_entropy(T), -2 * 0.5 * np.log(0.5))
+    # exp(-100 / 0.05) underflows: the off-diagonal entries are exact zeros,
+    # and they add nothing to H(T) instead of 0 * log 0 = NaN
+    C = np.array([[0.0, 100.0], [100.0, 0.0]])
+    m = Marginals(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    res = sinkhorn(C, m, SinkhornConfig(epsilon=0.05))
+    assert res.plan[0, 1] == 0.0 and res.plan[1, 0] == 0.0
+    assert res.transport_cost == 0.0
+    assert np.isclose(res.entropic_value, -0.05 * (-2 * 0.5 * np.log(0.5)))
 
 
 def test_objective_decomposition():
@@ -414,8 +417,10 @@ def test_objective_decomposition():
     C = rng.uniform(0, 2, (6, 4))
     b = floor_simplex(rng.dirichlet(np.ones(4)))
     res = sinkhorn(C, Marginals(uniform_weights(6), b), SinkhornConfig(epsilon=0.1, tol=1e-10))
-    obj = entropic_objective(res, C, 0.1)
-    assert np.isclose(obj, transport_cost(res, C) - 0.1 * plan_entropy(res))
+    obj = res.entropic_value
+    T = res.plan
+    assert np.isclose(res.transport_cost, (T * C).sum())
+    assert np.isclose(obj, (T * C).sum() + 0.1 * (T * np.log(T)).sum())
     # duality identity at convergence: objective equals <f, a> + <g, b>
     dual = res.u @ res.plan.sum(axis=1) + res.v @ res.plan.sum(axis=0)
     assert abs(obj - dual) < 1e-9
@@ -448,7 +453,7 @@ def test_epsilon_monotonicity_and_oracle_limit():
         costs = []
         for eps in (1.0, 0.1, 0.01, 0.005):
             res = sinkhorn(C, m, SinkhornConfig(epsilon=eps, tol=1e-9, max_iters=50000))
-            costs.append(transport_cost(res, C))
+            costs.append(res.transport_cost)
         assert all(costs[i] >= costs[i + 1] - 1e-9 for i in range(len(costs) - 1)), costs
         oracle = exact_uniform_ot(C)
         assert abs(costs[-1] - oracle) <= 0.02 * max(oracle, 1e-12)
@@ -467,7 +472,7 @@ def test_unrolled_matches_converged_objective():
         Marginals(uniform_weights(8), b.data),
         SinkhornConfig(epsilon=0.1, tol=1e-13, max_iters=20000),
     )
-    assert abs(loss.item() - entropic_objective(solved, C.data, 0.1)) < 1e-10
+    assert abs(loss.item() - solved.entropic_value) < 1e-10
 
 
 def test_envelope_value_equals_converged_objective():
@@ -477,7 +482,7 @@ def test_envelope_value_equals_converged_objective():
     cfg = SinkhornConfig(epsilon=0.1, grad_mode="envelope", tol=1e-12, max_iters=20000)
     loss = differentiable_transport_loss(C, b, cfg)
     solved = sinkhorn(C.data, Marginals(uniform_weights(7), b.data), cfg)
-    assert abs(loss.item() - entropic_objective(solved, C.data, 0.1)) < 1e-9
+    assert abs(loss.item() - solved.entropic_value) < 1e-9
 
 
 def test_envelope_gradients_are_plan_and_centered_potential():
